@@ -538,7 +538,7 @@ fn sim_digest(o: &ebs_stack::SimOutput) -> (u64, u64, u64, u64) {
     (
         o.traces.len() as u64,
         o.stats.mean_latency_us.to_bits(),
-        o.stats.throttled ^ (o.stats.prefetch_hits << 24) ^ (o.stats.gc_runs << 48),
+        o.stats.throttled,
         h,
     )
 }

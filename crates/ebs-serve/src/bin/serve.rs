@@ -326,13 +326,11 @@ fn main() {
         );
     }
     println!(
-        "total: epochs={} consumed={} ios={} throttled={} prefetch_hits={} gc_runs={} mean_lat={:.3}us",
+        "total: epochs={} consumed={} ios={} throttled={} mean_lat={:.3}us",
         report.epochs.len(),
         report.consumed,
         report.aggregate.ios,
         report.aggregate.throttled,
-        report.aggregate.prefetch_hits,
-        report.aggregate.gc_runs,
         report.aggregate.mean_latency_us,
     );
 

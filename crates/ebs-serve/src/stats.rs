@@ -44,8 +44,8 @@ pub struct EpochStats {
     pub epoch: u64,
     /// First microsecond of the epoch.
     pub start_us: u64,
-    /// The simulator's slice statistics (ios, throttled, prefetch hits,
-    /// GC runs, slice mean latency).
+    /// The simulator's slice statistics (ios, throttled, slice mean
+    /// latency).
     pub sim: SimStats,
     /// Total bytes moved this epoch.
     pub bytes: u64,
@@ -268,8 +268,6 @@ mod tests {
             sim: SimStats {
                 ios,
                 throttled,
-                prefetch_hits: 0,
-                gc_runs: 0,
                 mean_latency_us: 0.0,
             },
             bytes: 0,

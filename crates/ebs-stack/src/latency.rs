@@ -85,9 +85,6 @@ pub struct LatencyModel {
     pub cs_read: StageParams,
     /// ChunkServer write path (append + replication + persistence).
     pub cs_write: StageParams,
-    /// Latency multiplier for ChunkServer reads served from the
-    /// BlockServer's prefetch buffer (§2.2: prefetch skips the CS hop).
-    pub prefetch_discount: f64,
 }
 
 impl Default for LatencyModel {
@@ -135,24 +132,15 @@ impl Default for LatencyModel {
                 tail_prob: 0.01,
                 tail_mult: 10.0,
             },
-            prefetch_discount: 0.15,
         }
     }
 }
 
 impl LatencyModel {
-    /// ChunkServer latency for one IO; `prefetched` marks reads served from
-    /// the BlockServer prefetch buffer.
-    pub fn chunk_server_us(&self, rng: &mut SimRng, op: Op, size: u32, prefetched: bool) -> f64 {
+    /// Unreplicated ChunkServer latency for one IO.
+    pub fn chunk_server_us(&self, rng: &mut SimRng, op: Op, size: u32) -> f64 {
         match op {
-            Op::Read => {
-                let full = self.cs_read.sample(rng, size);
-                if prefetched {
-                    full * self.prefetch_discount
-                } else {
-                    full
-                }
-            }
+            Op::Read => self.cs_read.sample(rng, size),
             Op::Write => self.cs_write.sample(rng, size),
         }
     }
@@ -184,25 +172,12 @@ mod tests {
         let m = LatencyModel::default();
         let mut rng = SimRng::seed_from_u64(2);
         let r: f64 = (0..2000)
-            .map(|_| m.chunk_server_us(&mut rng, Op::Read, 4096, false))
+            .map(|_| m.chunk_server_us(&mut rng, Op::Read, 4096))
             .sum();
         let w: f64 = (0..2000)
-            .map(|_| m.chunk_server_us(&mut rng, Op::Write, 4096, false))
+            .map(|_| m.chunk_server_us(&mut rng, Op::Write, 4096))
             .sum();
         assert!(w > r, "write {w} read {r}");
-    }
-
-    #[test]
-    fn prefetch_cuts_read_latency() {
-        let m = LatencyModel::default();
-        let mut rng = SimRng::seed_from_u64(3);
-        let cold: f64 = (0..2000)
-            .map(|_| m.chunk_server_us(&mut rng, Op::Read, 65536, false))
-            .sum();
-        let hot: f64 = (0..2000)
-            .map(|_| m.chunk_server_us(&mut rng, Op::Read, 65536, true))
-            .sum();
-        assert!(hot < cold * 0.3, "prefetch {hot} vs cold {cold}");
     }
 
     #[test]

@@ -13,9 +13,6 @@
 //!   DiTing reports.
 //! * **[`segment`]** — the mutable segment → BlockServer placement that the
 //!   inter-BS balancer (§6) migrates.
-//! * **[`block_server`]** — address translation and the sequential-read
-//!   prefetcher of §2.2.
-//! * **[`chunk_server`]** — the append-only node engine with GC accounting.
 //! * **[`diting`]** — the tracer that assembles the paper's per-IO trace
 //!   records (and exports CSV).
 //! * **[`route`]** — the precomputed per-event routing table
@@ -26,6 +23,11 @@
 //!   columns.
 //! * **[`reference`]** — the preserved event-at-a-time simulator, the
 //!   differential oracle the staged pipeline is pinned against.
+//!
+//! The §2.2 BlockServer prefetcher and ChunkServer garbage collection are
+//! not modelled: the 1/3200-sampled stream never has the sequential-read
+//! runs that arm the former nor the overwrite volume that triggers the
+//! latter (DESIGN.md §2).
 //!
 //! ```
 //! use ebs_stack::sim::{StackConfig, StackSim};
@@ -40,8 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod block_server;
-pub mod chunk_server;
 pub mod diting;
 pub mod hypervisor;
 pub mod latency;

@@ -1,15 +1,13 @@
 //! The preserved event-at-a-time simulator (differential oracle).
 //!
 //! [`ReferenceSim::run`] is the original `StackSim::run` per-event loop,
-//! kept verbatim when the production simulator moved to the staged
-//! columnar pipeline in [`crate::sim`]. It exists so differential tests
+//! kept when the production simulator moved to the staged columnar
+//! pipeline in [`crate::sim`]. It exists so differential tests
 //! (and `bench --mode sim`) can pin the staged output byte-identical to
 //! the straightforward formulation — the same pattern as the PR 3
 //! reference kernels. Any behavioural change must land in both or the
 //! differential test fails.
 
-use crate::block_server::Prefetcher;
-use crate::chunk_server::ChunkServer;
 use crate::diting::Diting;
 use crate::hypervisor::{Binding, WtQueues};
 use crate::network::FabricModel;
@@ -79,14 +77,6 @@ impl<'a> ReferenceSim<'a> {
         } else {
             vec![None; self.fleet.vds.len()]
         };
-        // One prefetcher per BlockServer, one engine per storage node.
-        let mut prefetchers: Vec<Prefetcher> = (0..self.fleet.block_servers.len())
-            .map(|_| Prefetcher::new())
-            .collect();
-        let mut engines: Vec<ChunkServer> = (0..self.fleet.storage_nodes.len())
-            .map(|_| ChunkServer::new(self.config.cs_capacity_bytes, self.config.gc_threshold))
-            .collect();
-
         let mut fabric = FabricModel::new(
             self.fleet.compute_nodes.len(),
             self.fleet.storage_nodes.len(),
@@ -126,50 +116,33 @@ impl<'a> ReferenceSim<'a> {
             };
             let frontend_us = self.config.latency.frontend.sample(&mut rng, ev.size) * congestion_f;
 
-            // --- BlockServer: translate, prefetch, forward.
+            // --- BlockServer: map the segment to its home, forward.
             let seg = self.fleet.segment_at(ev.vd, ev.offset).ok_or_else(|| {
                 EbsError::unknown_entity(format!("offset {} in {}", ev.offset, ev.vd))
             })?;
             let bs = self.seg_map.home_of(seg);
-            let prefetched = prefetchers[bs.index()].observe(seg, ev);
-            if prefetched {
-                stats.prefetch_hits += 1;
-            }
             let block_server_us = self.config.latency.block_server.sample(&mut rng, ev.size);
 
-            // --- backend network + ChunkServer (skipped on prefetch hit).
+            // --- backend network + ChunkServer.
             let sn = self.fleet.block_servers[bs].sn;
-            let engine = &mut engines[sn.index()];
-            let (backend_us, chunk_server_us) = if prefetched {
-                (0.0, 0.0)
+            let congestion_b = if self.config.model_congestion {
+                fabric.backend_transfer(sn.index(), t, ev.size as f64)
             } else {
-                let congestion_b = if self.config.model_congestion {
-                    fabric.backend_transfer(sn.index(), t, ev.size as f64)
-                } else {
-                    1.0
-                };
-                let backend = self.config.latency.backend.sample(&mut rng, ev.size) * congestion_b;
-                let cs = match ev.op {
-                    Op::Write => {
-                        // Replicated append: slowest required ack, scaled
-                        // by the engine's GC pressure.
-                        self.config.replication.write_latency_us(
-                            &mut rng,
-                            &self.config.latency.cs_write,
-                            ev.size,
-                        ) * engine.gc_pressure()
-                    }
-                    Op::Read => self
-                        .config
-                        .latency
-                        .chunk_server_us(&mut rng, ev.op, ev.size, false),
-                };
-                (backend, cs)
+                1.0
             };
-            if ev.op == Op::Write && engine.append(ev.size as f64, self.config.overwrite_frac) {
-                stats.gc_runs += 1;
-            }
-
+            let backend_us = self.config.latency.backend.sample(&mut rng, ev.size) * congestion_b;
+            let chunk_server_us = match ev.op {
+                // Replicated append: slowest required ack.
+                Op::Write => self.config.replication.write_latency_us(
+                    &mut rng,
+                    &self.config.latency.cs_write,
+                    ev.size,
+                ),
+                Op::Read => self
+                    .config
+                    .latency
+                    .chunk_server_us(&mut rng, ev.op, ev.size),
+            };
             let lat = StageLatency {
                 compute_us,
                 frontend_us,
@@ -184,7 +157,7 @@ impl<'a> ReferenceSim<'a> {
             records.push(diting.record(self.fleet, ev, wt, bs, lat));
         }
         if let Some(o) = obs {
-            o.finish(&stats, &engines);
+            o.finish(&stats);
         }
         stats.mean_latency_us = if stats.ios > 0 {
             total_latency / stats.ios as f64

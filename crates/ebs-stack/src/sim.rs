@@ -3,22 +3,22 @@
 //! [`StackSim::run`] routes a time-ordered stream of sampled IO events
 //! through the full path of Figure 1: QP → worker thread (with single-
 //! server queueing), optional per-VD throttle, frontend network,
-//! BlockServer (address translation + prefetch), backend network, and
-//! ChunkServer (append-only engine with GC pressure) — and hands each IO to
-//! DiTing to produce the paper's trace dataset with the five-stage latency
-//! breakdown.
+//! BlockServer (segment → home mapping), backend network, and ChunkServer
+//! (replicated writes) — and hands each IO to DiTing to produce the
+//! paper's trace dataset with the five-stage latency breakdown.
 //!
 //! Internally the run is three passes over routing columns from a
 //! [`RoutePlan`] (DESIGN.md §16), byte-identical to the preserved
 //! event-at-a-time loop in [`crate::reference`]:
 //!
-//! * **Pass A** (no RNG) replays the throttle gates, prefetchers, GC
-//!   engines, and fabric links in event order, producing per-event
-//!   throttle-delay, congestion, prefetch-hit, and GC-pressure columns.
+//! * **Pass A** (no RNG) replays the throttle gates and fabric links in
+//!   event order, producing per-event throttle-delay and congestion
+//!   columns.
 //! * **Pass B1** drains the single `stack/latency` RNG stream in exactly
-//!   the per-event order the reference uses (which samples occur is known
-//!   from pass A's prefetch column) into *parameter-independent* columns:
-//!   the standard-normal deviate and tail uniform of every sample.
+//!   the per-event order the reference uses (which samples occur depends
+//!   only on each event's op and the replica count) into
+//!   *parameter-independent* columns: the standard-normal deviate and
+//!   tail uniform of every sample.
 //! * **Pass B2** evaluates each latency stage as a tight column kernel
 //!   over those units; because the units don't depend on the latency
 //!   model, a [`StackSweep`] caches evaluated columns per stage-parameter
@@ -26,8 +26,6 @@
 //! * **Pass C** runs the WT queues, congestion/replication arithmetic,
 //!   and DiTing record assembly over the columns.
 
-use crate::block_server::Prefetcher;
-use crate::chunk_server::ChunkServer;
 use crate::diting::Diting;
 use crate::hypervisor::{Binding, WtQueues};
 use crate::latency::{LatencyModel, StageParams};
@@ -60,12 +58,6 @@ pub struct StackConfig {
     pub throttle_scale: f64,
     /// Latency model.
     pub latency: LatencyModel,
-    /// Raw SSD capacity per ChunkServer in bytes (GC accounting).
-    pub cs_capacity_bytes: f64,
-    /// Garbage fraction that triggers GC.
-    pub gc_threshold: f64,
-    /// Fraction of write bytes that overwrite live data (creates garbage).
-    pub overwrite_frac: f64,
     /// Write-path replication (EBS persists with redundancy before acking).
     pub replication: ReplicationPolicy,
     /// Model shared-link congestion on the frontend/backend fabrics.
@@ -79,9 +71,6 @@ impl Default for StackConfig {
             apply_throttle: true,
             throttle_scale: TRACE_SAMPLE_RATE,
             latency: LatencyModel::default(),
-            cs_capacity_bytes: 4.0e12,
-            gc_threshold: 0.25,
-            overwrite_frac: 0.5,
             replication: ReplicationPolicy::THREE_WAY,
             model_congestion: true,
         }
@@ -95,10 +84,6 @@ pub struct SimStats {
     pub ios: u64,
     /// IOs delayed by the throttle.
     pub throttled: u64,
-    /// Reads served from BlockServer prefetch buffers.
-    pub prefetch_hits: u64,
-    /// GC cycles across all ChunkServers.
-    pub gc_runs: u64,
     /// Mean end-to-end latency in microseconds.
     pub mean_latency_us: f64,
 }
@@ -150,13 +135,10 @@ impl StackObs {
     }
 
     /// Publish the run's metrics to the global registry in one merge.
-    pub(crate) fn finish(self, stats: &SimStats, engines: &[ChunkServer]) {
+    pub(crate) fn finish(self, stats: &SimStats) {
         let mut reg = ebs_obs::Registry::new();
         reg.counter_add("stack.sim.ios", stats.ios);
         reg.counter_add("stack.throttle_gate.fires", stats.throttled);
-        reg.counter_add("stack.prefetch.hits", stats.prefetch_hits);
-        reg.counter_add("stack.prefetch.lookups", stats.ios);
-        reg.counter_add("stack.gc.runs", stats.gc_runs);
         reg.merge_hist("stack.queue.wait_us", &self.queue_wait);
         reg.merge_hist("stack.lat.compute_us", &self.stage_compute);
         reg.merge_hist("stack.lat.frontend_us", &self.stage_frontend);
@@ -164,10 +146,6 @@ impl StackObs {
         reg.merge_hist("stack.lat.backend_us", &self.stage_backend);
         reg.merge_hist("stack.lat.chunk_server_us", &self.stage_chunk_server);
         reg.merge_hist("stack.lat.total_us", &self.total);
-        // GC pressure multiplier across engines ([1, 2] by construction).
-        for engine in engines {
-            reg.observe("stack.gc.pressure", 1.0, 2.0, 20, engine.gc_pressure());
-        }
         ebs_obs::merge(&reg);
     }
 }
@@ -195,18 +173,16 @@ fn stage_params(latency: &LatencyModel) -> [&StageParams; STAGE_COUNT] {
     ]
 }
 
-/// The RNG-free state machines of pass A — per-VD throttle gates, per-BS
-/// prefetchers, per-SN GC engines, and the fabric links. They live
-/// *outside* the per-slice pass so a [`SimSession`] can carry them across
-/// epoch steps: replaying a stream slice-by-slice drives exactly the same
-/// machine trajectory as one batch pass.
+/// The RNG-free state machines of pass A — per-VD throttle gates and the
+/// fabric links. They live *outside* the per-slice pass so a
+/// [`SimSession`] can carry them across epoch steps: replaying a stream
+/// slice-by-slice drives exactly the same machine trajectory as one batch
+/// pass.
 struct Machines {
     gates: Vec<Option<VdGate>>,
     /// Per-VD lending multiplier currently applied on top of the
     /// subscribed caps (1.0 = no grant outstanding).
     cap_scale: Vec<f64>,
-    prefetchers: Vec<Prefetcher>,
-    engines: Vec<ChunkServer>,
     fabric: FabricModel,
 }
 
@@ -229,13 +205,6 @@ impl Machines {
         Self {
             gates,
             cap_scale: vec![1.0; fleet.vds.len()],
-            // One prefetcher per BlockServer, one engine per storage node.
-            prefetchers: (0..fleet.block_servers.len())
-                .map(|_| Prefetcher::new())
-                .collect(),
-            engines: (0..fleet.storage_nodes.len())
-                .map(|_| ChunkServer::new(config.cs_capacity_bytes, config.gc_threshold))
-                .collect(),
             fabric: FabricModel::new(fleet.compute_nodes.len(), fleet.storage_nodes.len()),
         }
     }
@@ -247,20 +216,12 @@ impl Machines {
 struct StateCols {
     throttle_us: Vec<f64>,
     congestion_f: Vec<f64>,
-    /// Backend congestion for non-prefetched events (1.0 elsewhere).
     congestion_b: Vec<f64>,
-    prefetched: Vec<bool>,
-    /// GC-pressure multiplier read before each write's append (1.0 for
-    /// reads, which never consult the engine's pressure).
-    pressure: Vec<f64>,
     throttled: u64,
-    prefetch_hits: u64,
-    gc_runs: u64,
 }
 
-/// Replay the deterministic (RNG-free) state machines — throttle gates,
-/// prefetchers, GC engines, fabric links — in event order, advancing
-/// `machines` in place.
+/// Replay the deterministic (RNG-free) state machines — throttle gates and
+/// fabric links — in event order, advancing `machines` in place.
 fn pass_a(
     machines: &mut Machines,
     config: &StackConfig,
@@ -272,11 +233,7 @@ fn pass_a(
         throttle_us: Vec::with_capacity(n),
         congestion_f: Vec::with_capacity(n),
         congestion_b: Vec::with_capacity(n),
-        prefetched: Vec::with_capacity(n),
-        pressure: Vec::with_capacity(n),
         throttled: 0,
-        prefetch_hits: 0,
-        gc_runs: 0,
     };
     for (i, ev) in events.iter().enumerate() {
         let t = ev.t_us as f64;
@@ -299,38 +256,21 @@ fn pass_a(
             1.0
         };
         cols.congestion_f.push(congestion_f);
-        let prefetched = machines.prefetchers[plan.bs()[i].index()].observe(plan.seg()[i], ev);
-        if prefetched {
-            cols.prefetch_hits += 1;
-        }
-        cols.prefetched.push(prefetched);
         let sn = plan.sn()[i].index();
-        // The reference only touches the backend link for events that
-        // reach the ChunkServer, so prefetch hits must not advance it.
-        let congestion_b = if !prefetched && config.model_congestion {
+        let congestion_b = if config.model_congestion {
             machines.fabric.backend_transfer(sn, t, ev.size as f64)
         } else {
             1.0
         };
         cols.congestion_b.push(congestion_b);
-        let engine = &mut machines.engines[sn];
-        // Writes read the pressure multiplier *before* their own append.
-        cols.pressure.push(if ev.op == Op::Write {
-            engine.gc_pressure()
-        } else {
-            1.0
-        });
-        if ev.op == Op::Write && engine.append(ev.size as f64, config.overwrite_frac) {
-            cols.gc_runs += 1;
-        }
     }
     cols
 }
 
 /// Pass B1 output: the raw randomness of every latency sample, grouped by
 /// stage class (within a class, slots appear in event order). These
-/// columns depend on the seed, the draw schedule (op + prefetch column +
-/// replica count), and nothing else — no latency parameter touches them.
+/// columns depend on the seed, the draw schedule (op + replica count), and
+/// nothing else — no latency parameter touches them.
 struct DrawCols {
     g: [Vec<f64>; STAGE_COUNT],
     u_tail: [Vec<f64>; STAGE_COUNT],
@@ -349,10 +289,10 @@ impl DrawCols {
 /// Drain the `stack/latency` RNG stream in exactly the reference's
 /// per-event order into parameter-independent unit columns, starting from
 /// a fresh stream (the batch path).
-fn pass_b1(config: &StackConfig, events: &[IoEvent], a: &StateCols) -> DrawCols {
+fn pass_b1(config: &StackConfig, events: &[IoEvent]) -> DrawCols {
     let rngf = RngFactory::new(config.seed).child("stack");
     let mut rng = rngf.stream("latency");
-    pass_b1_with(&mut rng, config, events, a)
+    pass_b1_with(&mut rng, config, events)
 }
 
 /// [`pass_b1`] over a caller-owned RNG stream: a [`SimSession`] advances
@@ -363,7 +303,6 @@ fn pass_b1_with(
     rng: &mut ebs_core::rng::SimRng,
     config: &StackConfig,
     events: &[IoEvent],
-    a: &StateCols,
 ) -> DrawCols {
     let mut d = DrawCols {
         g: Default::default(),
@@ -372,49 +311,38 @@ fn pass_b1_with(
     };
     let n = events.len();
     let replicas = config.replication.replicas as usize;
-    let mut writes_np = 0usize;
-    let mut reads_np = 0usize;
-    for (ev, pf) in events.iter().zip(&a.prefetched) {
-        if !pf {
-            match ev.op {
-                Op::Write => writes_np += 1,
-                Op::Read => reads_np += 1,
-            }
-        }
-    }
+    let writes = events.iter().filter(|ev| ev.op == Op::Write).count();
     for (c, cap) in [
         (STAGE_COMPUTE, n),
         (STAGE_FRONTEND, n),
         (STAGE_BLOCK_SERVER, n),
-        (STAGE_BACKEND, writes_np + reads_np),
-        (STAGE_CS_READ, reads_np),
-        (STAGE_CS_WRITE, writes_np * replicas),
+        (STAGE_BACKEND, n),
+        (STAGE_CS_READ, n - writes),
+        (STAGE_CS_WRITE, writes * replicas),
     ] {
         d.g[c].reserve(cap);
         d.u_tail[c].reserve(cap);
         d.size[c].reserve(cap);
     }
-    for (i, ev) in events.iter().enumerate() {
+    for ev in events {
         d.draw(STAGE_COMPUTE, rng, ev.size);
         d.draw(STAGE_FRONTEND, rng, ev.size);
         d.draw(STAGE_BLOCK_SERVER, rng, ev.size);
-        if !a.prefetched[i] {
-            d.draw(STAGE_BACKEND, rng, ev.size);
-            match ev.op {
-                Op::Write => {
-                    for _ in 0..replicas {
-                        d.draw(STAGE_CS_WRITE, rng, ev.size);
-                    }
+        d.draw(STAGE_BACKEND, rng, ev.size);
+        match ev.op {
+            Op::Write => {
+                for _ in 0..replicas {
+                    d.draw(STAGE_CS_WRITE, rng, ev.size);
                 }
-                Op::Read => d.draw(STAGE_CS_READ, rng, ev.size),
             }
+            Op::Read => d.draw(STAGE_CS_READ, rng, ev.size),
         }
     }
     d
 }
 
 /// Evaluated stage columns: one latency value per drawn sample, before
-/// congestion / GC-pressure / quorum arithmetic (pass C's job).
+/// congestion / quorum arithmetic (pass C's job).
 struct StageCols {
     values: [Rc<Vec<f64>>; STAGE_COUNT],
 }
@@ -490,8 +418,6 @@ struct SimCore {
     obs: Option<StackObs>,
     ios: u64,
     throttled: u64,
-    prefetch_hits: u64,
-    gc_runs: u64,
     total_latency: f64,
 }
 
@@ -503,8 +429,6 @@ impl SimCore {
             obs: ebs_obs::enabled().then(StackObs::new),
             ios: 0,
             throttled: 0,
-            prefetch_hits: 0,
-            gc_runs: 0,
             total_latency: 0.0,
         }
     }
@@ -514,8 +438,6 @@ impl SimCore {
         SimStats {
             ios: self.ios,
             throttled: self.throttled,
-            prefetch_hits: self.prefetch_hits,
-            gc_runs: self.gc_runs,
             mean_latency_us: if self.ios > 0 {
                 self.total_latency / self.ios as f64
             } else {
@@ -526,16 +448,16 @@ impl SimCore {
 
     /// Publish the accumulated obs metrics (if recording) and return the
     /// aggregate stats. Consumes the core: a run publishes exactly once.
-    fn finish(self, engines: &[ChunkServer]) -> SimStats {
+    fn finish(self) -> SimStats {
         let stats = self.aggregate();
         if let Some(o) = self.obs {
-            o.finish(&stats, engines);
+            o.finish(&stats);
         }
         stats
     }
 }
 
-/// Pass C: WT queueing, congestion/replication/GC arithmetic, and DiTing
+/// Pass C: WT queueing, congestion/replication arithmetic, and DiTing
 /// record assembly over the columns. Returns the *slice's* output (for a
 /// batch run the slice is the whole stream) while accumulating aggregates
 /// into `core`.
@@ -552,15 +474,13 @@ fn pass_c(
     let mut stats = SimStats {
         ios: events.len() as u64,
         throttled: a.throttled,
-        prefetch_hits: a.prefetch_hits,
-        gc_runs: a.gc_runs,
         mean_latency_us: 0.0,
     };
     let mut total_latency = 0.0;
     let replicas = config.replication.replicas as usize;
     let quorum = config.replication.quorum as usize;
-    // Cursors into the per-class columns (slots are in event order).
-    let (mut j_backend, mut j_cs_read, mut j_cs_write) = (0usize, 0usize, 0usize);
+    // Cursors into the per-op columns (slots are in event order).
+    let (mut j_cs_read, mut j_cs_write) = (0usize, 0usize);
     let mut write_acks: Vec<f64> = Vec::with_capacity(replicas);
     for (i, ev) in events.iter().enumerate() {
         let t = ev.t_us as f64;
@@ -571,30 +491,23 @@ fn pass_c(
         let compute_us = throttle_us + wait + service;
         let frontend_us = cols.values[STAGE_FRONTEND][i] * a.congestion_f[i];
         let block_server_us = cols.values[STAGE_BLOCK_SERVER][i];
-        let (backend_us, chunk_server_us) = if a.prefetched[i] {
-            (0.0, 0.0)
-        } else {
-            let backend = cols.values[STAGE_BACKEND][j_backend] * a.congestion_b[i];
-            j_backend += 1;
-            let cs = match ev.op {
-                Op::Write => {
-                    // Replicated append: slowest required ack, scaled by
-                    // the engine's GC pressure.
-                    write_acks.clear();
-                    write_acks.extend_from_slice(
-                        &cols.values[STAGE_CS_WRITE][j_cs_write..j_cs_write + replicas],
-                    );
-                    j_cs_write += replicas;
-                    write_acks.sort_by(|x, y| x.partial_cmp(y).expect("latencies are finite"));
-                    write_acks[quorum - 1] * a.pressure[i]
-                }
-                Op::Read => {
-                    let v = cols.values[STAGE_CS_READ][j_cs_read];
-                    j_cs_read += 1;
-                    v
-                }
-            };
-            (backend, cs)
+        let backend_us = cols.values[STAGE_BACKEND][i] * a.congestion_b[i];
+        let chunk_server_us = match ev.op {
+            Op::Write => {
+                // Replicated append: slowest required ack.
+                write_acks.clear();
+                write_acks.extend_from_slice(
+                    &cols.values[STAGE_CS_WRITE][j_cs_write..j_cs_write + replicas],
+                );
+                j_cs_write += replicas;
+                write_acks.sort_by(|x, y| x.partial_cmp(y).expect("latencies are finite"));
+                write_acks[quorum - 1]
+            }
+            Op::Read => {
+                let v = cols.values[STAGE_CS_READ][j_cs_read];
+                j_cs_read += 1;
+                v
+            }
         };
         let lat = StageLatency {
             compute_us,
@@ -622,8 +535,6 @@ fn pass_c(
     }
     core.ios += stats.ios;
     core.throttled += stats.throttled;
-    core.prefetch_hits += stats.prefetch_hits;
-    core.gc_runs += stats.gc_runs;
     stats.mean_latency_us = if stats.ios > 0 {
         total_latency / stats.ios as f64
     } else {
@@ -706,8 +617,7 @@ impl<'a> StackSim<'a> {
 
 /// A *resumable* simulation: the same staged pipeline as
 /// [`StackSim::run_planned`], but with every piece of cross-event state —
-/// throttle-gate buckets, prefetch buffers, GC engines, fabric links, the
-/// `stack/latency` RNG stream, WT busy-until clocks, DiTing trace ids,
+/// throttle-gate buckets, fabric links, the `stack/latency` RNG stream, WT busy-until clocks, DiTing trace ids,
 /// and the aggregate accumulators — held in the session between calls to
 /// [`Self::step`].
 ///
@@ -762,7 +672,7 @@ impl<'a> SimSession<'a> {
             ));
         }
         let a = pass_a(&mut self.machines, &self.config, plan, events);
-        let draws = pass_b1_with(&mut self.rng, &self.config, events, &a);
+        let draws = pass_b1_with(&mut self.rng, &self.config, events);
         let cols = pass_b2(&self.config.latency, &draws, None);
         Ok(pass_c(
             self.fleet,
@@ -817,7 +727,7 @@ impl<'a> SimSession<'a> {
     /// End the session: publish obs metrics (exactly once, like a batch
     /// run) and return the aggregate stats.
     pub fn finish(self) -> SimStats {
-        self.core.finish(&self.machines.engines)
+        self.core.finish()
     }
 }
 
@@ -827,16 +737,15 @@ impl<'a> SimSession<'a> {
 /// state-machine replay + one RNG drain + K cheap evaluate/assemble
 /// passes instead of K full simulations.
 ///
-/// Sweep points may vary the latency model, `prefetch_discount`, and the
-/// replication *quorum*; everything that shapes pass A or the draw
-/// schedule (seed, throttle, engine, congestion, replica count) must
-/// match the base config, enforced by [`Self::run_point`].
+/// Sweep points may vary the latency model and the replication *quorum*;
+/// everything that shapes pass A or the draw schedule (seed, throttle,
+/// congestion, replica count) must match the base config, enforced by
+/// [`Self::run_point`].
 pub struct StackSweep<'a> {
     fleet: &'a Fleet,
     events: &'a [IoEvent],
     plan: &'a RoutePlan,
     base: StackConfig,
-    machines: Machines,
     a: StateCols,
     draws: DrawCols,
     cache: StageCache,
@@ -859,13 +768,12 @@ impl<'a> StackSweep<'a> {
         base.replication.validate()?;
         let mut machines = Machines::new(fleet, &base);
         let a = pass_a(&mut machines, &base, plan, events);
-        let draws = pass_b1(&base, events, &a);
+        let draws = pass_b1(&base, events);
         Ok(Self {
             fleet,
             events,
             plan,
             base,
-            machines,
             a,
             draws,
             cache: StageCache::default(),
@@ -879,15 +787,12 @@ impl<'a> StackSweep<'a> {
         let compatible = config.seed == b.seed
             && config.apply_throttle == b.apply_throttle
             && config.throttle_scale == b.throttle_scale
-            && config.cs_capacity_bytes == b.cs_capacity_bytes
-            && config.gc_threshold == b.gc_threshold
-            && config.overwrite_frac == b.overwrite_frac
             && config.model_congestion == b.model_congestion
             && config.replication.replicas == b.replication.replicas;
         if !compatible {
             return Err(EbsError::invalid_config(
                 "sweep point changes non-sweepable config \
-                 (seed/throttle/engine/congestion/replica count)",
+                 (seed/throttle/congestion/replica count)",
             ));
         }
         config.replication.validate()?;
@@ -902,7 +807,7 @@ impl<'a> StackSweep<'a> {
             &cols,
             &mut core,
         );
-        core.finish(&self.machines.engines);
+        core.finish();
         Ok(out)
     }
 }

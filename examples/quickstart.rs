@@ -61,7 +61,7 @@ fn main() {
     let mut sim = StackSim::new(&ds.fleet, cfg);
     let out = sim.run(&ds.events).expect("events are time-sorted");
     println!(
-        "stack: {} IOs routed, mean end-to-end latency {:.0} us, {} GC cycles",
-        out.stats.ios, out.stats.mean_latency_us, out.stats.gc_runs
+        "stack: {} IOs routed, mean end-to-end latency {:.0} us",
+        out.stats.ios, out.stats.mean_latency_us
     );
 }

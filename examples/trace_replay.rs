@@ -36,8 +36,8 @@ fn main() {
     let mut sim = StackSim::new(&ds.fleet, cfg);
     let out = sim.run(&events).expect("time-sorted");
     println!(
-        "replayed {} IOs: mean latency {:.0} us, {} prefetch hits, {} GC cycles",
-        out.stats.ios, out.stats.mean_latency_us, out.stats.prefetch_hits, out.stats.gc_runs
+        "replayed {} IOs: mean latency {:.0} us",
+        out.stats.ios, out.stats.mean_latency_us
     );
 
     // 4. The five-stage trace records are ready for any of the paper's

@@ -328,6 +328,39 @@ fn staged_pipeline_matches_reference_simulator() {
             set_thread_override(None);
         }
         ebs::obs::set_obs_override(None);
+        // Configs that change the pipeline's shape: no throttle gates,
+        // a majority write quorum, no fabric congestion. The loop above
+        // covers thread counts, so these run once each.
+        for variant in [
+            StackConfig {
+                apply_throttle: false,
+                ..StackConfig::default()
+            },
+            StackConfig {
+                replication: ebs::stack::ReplicationPolicy::THREE_WAY_MAJORITY,
+                ..StackConfig::default()
+            },
+            StackConfig {
+                model_congestion: false,
+                ..StackConfig::default()
+            },
+        ] {
+            let reference = ReferenceSim::new(&ds.fleet, variant.clone())
+                .run(&ds.events)
+                .unwrap();
+            let staged = StackSim::new(&ds.fleet, variant.clone())
+                .run(&ds.events)
+                .unwrap();
+            assert_eq!(
+                reference.stats, staged.stats,
+                "stats diverged: seed={seed:#x} config={variant:?}"
+            );
+            assert_eq!(
+                reference.traces.records(),
+                staged.traces.records(),
+                "traces diverged: seed={seed:#x} config={variant:?}"
+            );
+        }
     }
 }
 

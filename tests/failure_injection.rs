@@ -118,10 +118,17 @@ fn csv_import_rejects_garbage() {
     }
 }
 
-/// Bytes of a saved quick-scale store, for corruption experiments.
+/// Bytes of a saved quick-scale store, for corruption experiments. Tests
+/// run concurrently, so every call writes its own file.
 fn saved_store_bytes() -> Vec<u8> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir();
-    let path = dir.join(format!("ebs-failinj-{}.ebs", std::process::id()));
+    let path = dir.join(format!(
+        "ebs-failinj-{}-saved{call}.ebs",
+        std::process::id()
+    ));
     let ds = generate(&WorkloadConfig::quick(503)).unwrap();
     ds.save(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
