@@ -28,15 +28,17 @@
 //! Results go to `BENCH_store.json`; the run fails if decode is not ≥3x
 //! faster than CSV parse or the store is not ≤0.5x the CSV size.
 //!
-//! **`--mode sim`** races the staged columnar stack simulator against the
-//! preserved event-at-a-time `ebs_stack::reference` path: one standalone
-//! run (speedup recorded for the record), and a 16-point latency sweep
-//! where the staged side shares one `RoutePlan` + one RNG drain across
-//! every point (the speedup the restructuring exists for, asserted ≥3x at
-//! medium/full scale). Also times `experiments_all` against the recorded
-//! pre-optimization wall time (asserted ≥2x at medium, the scale the
-//! baseline was recorded at). Per-pass timings (route plan, pass A+B1
-//! setup, cold and warm sweep points) go into `BENCH_sim.json`.
+//! **`--mode sim`** races the stack simulator's two schedules: the fused
+//! per-event pass (`StackSim::run`) against the staged columnar one
+//! (`StackSweep`). One standalone run (fused vs a one-point sweep,
+//! recorded for honesty), and a 16-point latency sweep — one standalone
+//! `StackSim::run` per point against one sweep that shares one
+//! `RoutePlan` + one RNG drain across every point (the speedup the staged
+//! schedule exists for, asserted ≥3x at medium/full scale). Also times
+//! `experiments_all` against the recorded pre-optimization wall time
+//! (asserted ≥2x at medium, the scale the baseline was recorded at).
+//! Per-pass timings (route plan, pass A+B1 setup, cold and warm sweep
+//! points) and `host_cpus` go into `BENCH_sim.json`.
 //!
 //! Usage: `bench [--mode parallel|hotpath|store|sim]
 //! [--quick|--medium|--full] [--iters N] [--threads N] [--out PATH]`.
@@ -218,7 +220,7 @@ fn run_parallel_mode(
     // The shard count is fixed at `par_threads` for both legs, so the
     // measured difference is pure thread fan-out, not work partitioning;
     // the store bytes are identical either way.
-    let shard_dir = std::env::temp_dir().join(format!("ebs-bench-shards-{}", std::process::id()));
+    let shard_dir = ebs_core::TempDir::new("bench-shards").expect("scratch dir");
     entries.push(measure("sharded_generate", iters, par_threads, || {
         std::fs::remove_dir_all(&shard_dir).ok();
         let m = ebs_workload::generate_sharded(&cfg, &shard_dir, par_threads, false)
@@ -233,7 +235,7 @@ fn run_parallel_mode(
             s.p2a().map(f64::to_bits),
         )
     }));
-    std::fs::remove_dir_all(&shard_dir).ok();
+    drop(shard_dir);
 
     let header = format!(
         "  \"scale\": \"{scale_name}\",\n  \"host_cpus\": {cpus},\n  \"serial_threads\": 1,\n  \"parallel_threads\": {par_threads},\n  \"iters\": {iters},\n"
@@ -543,48 +545,49 @@ fn sim_digest(o: &ebs_stack::SimOutput) -> (u64, u64, u64, u64) {
     )
 }
 
-/// The staged-vs-reference simulator baseline (BENCH_sim.json): the
-/// columnar three-pass pipeline against the preserved per-event loop,
-/// standalone and under a config sweep, serial.
+/// The fused-vs-staged simulator baseline (BENCH_sim.json): the per-event
+/// pass against the columnar sweep schedule, standalone and under a
+/// config sweep, serial.
 fn run_sim_mode(scale: Scale, iters: usize, out_path: &str) {
     use ebs_stack::sim::{StackConfig, StackSim, StackSweep};
-    use ebs_stack::ReferenceSim;
 
     let scale_name = format!("{scale:?}").to_lowercase();
     eprintln!(
-        "benchmarking stack sim at scale {scale_name}, reference (per-event) vs staged \
+        "benchmarking stack sim at scale {scale_name}, fused (per-event) vs staged \
          (columnar), serial, best of {iters}"
     );
     set_thread_override(Some(1));
     let ds = dataset(scale);
     let events = ds.events.len();
     let base_cfg = StackConfig::default();
+    let fused_run = |cfg: &StackConfig| {
+        sim_digest(
+            &StackSim::new(&ds.fleet, cfg.clone())
+                .run(&ds.events)
+                .expect("generated events are time-sorted"),
+        )
+    };
 
     let mut entries = Vec::new();
 
-    // One standalone run. The staged pipeline pays columnar
+    // One standalone run. The staged schedule pays columnar
     // materialization here without amortizing it, so this pair is recorded
     // for honesty, not gated.
     entries.push(measure_pair(
         "stack_sim_run",
         iters,
+        || fused_run(&base_cfg),
         || {
-            sim_digest(
-                &ReferenceSim::new(&ds.fleet, base_cfg.clone())
-                    .run(&ds.events)
-                    .expect("generated events are time-sorted"),
-            )
-        },
-        || {
-            let mut sim = StackSim::new(&ds.fleet, base_cfg.clone());
-            sim_digest(
-                &sim.run(&ds.events)
-                    .expect("generated events are time-sorted"),
-            )
+            let plan = StackSim::new(&ds.fleet, base_cfg.clone())
+                .plan(&ds.events)
+                .expect("generated events are time-sorted");
+            let mut sweep = StackSweep::new(&ds.fleet, &ds.events, &plan, base_cfg.clone())
+                .expect("base config is sweepable");
+            sim_digest(&sweep.run_point(&base_cfg).expect("base point"))
         },
     ));
 
-    // The headline: a latency sweep. The old way is one full simulation
+    // The headline: a latency sweep. The fused way is one full simulation
     // per config point; the staged way shares one route plan, one state
     // replay, and one RNG drain across all of them.
     // A replication-tail ablation: each point scales the ChunkServer
@@ -602,18 +605,7 @@ fn run_sim_mode(scale: Scale, iters: usize, out_path: &str) {
     entries.push(measure_pair(
         "stack_sim_sweep16",
         iters,
-        || {
-            sweep_cfgs
-                .iter()
-                .map(|c| {
-                    sim_digest(
-                        &ReferenceSim::new(&ds.fleet, c.clone())
-                            .run(&ds.events)
-                            .expect("generated events are time-sorted"),
-                    )
-                })
-                .collect::<Vec<_>>()
-        },
+        || sweep_cfgs.iter().map(fused_run).collect::<Vec<_>>(),
         || {
             let sim = StackSim::new(&ds.fleet, base_cfg.clone());
             let plan = sim
@@ -675,7 +667,7 @@ fn run_sim_mode(scale: Scale, iters: usize, out_path: &str) {
     let sweep_floor = if scale == Scale::Quick { 1.5 } else { 3.0 };
     assert!(
         sweep_entry.speedup() >= sweep_floor,
-        "staged sweep must be >={sweep_floor}x the per-point reference, measured {:.2}x",
+        "staged sweep must be >={sweep_floor}x the per-point fused runs, measured {:.2}x",
         sweep_entry.speedup()
     );
     if scale == Scale::Medium {
@@ -688,16 +680,17 @@ fn run_sim_mode(scale: Scale, iters: usize, out_path: &str) {
         );
     }
 
+    let cpus = host_cpus();
     let header = format!(
-        "  \"scale\": \"{scale_name}\",\n  \"threads\": 1,\n  \"iters\": {iters},\n  \
-         \"events\": {events},\n  \"sweep_points\": {SWEEP_POINTS},\n  \
+        "  \"scale\": \"{scale_name}\",\n  \"host_cpus\": {cpus},\n  \"threads\": 1,\n  \
+         \"iters\": {iters},\n  \"events\": {events},\n  \"sweep_points\": {SWEEP_POINTS},\n  \
          \"route_plan_s\": {route_plan_s:.6},\n  \"sweep_setup_s\": {sweep_setup_s:.6},\n  \
          \"point_cold_s\": {point_cold_s:.6},\n  \"point_warm_s\": {point_warm_s:.6},\n  \
          \"experiments_all_s\": {run_all_s:.6},\n  \
          \"baseline_experiments_all_s\": {BASELINE_EXPERIMENTS_ALL_S},\n  \
          \"experiments_all_speedup\": {all_speedup:.3},\n"
     );
-    write_report(out_path, &header, ("reference", "staged"), &entries);
+    write_report(out_path, &header, ("fused", "staged"), &entries);
 }
 
 /// v1 decode throughput recorded on this host before the v2 batched

@@ -4,22 +4,49 @@
 /// The `q`-quantile (`q ∈ [0, 1]`) of `values`, using linear interpolation
 /// between order statistics (the same convention as NumPy's default).
 /// Returns `None` for an empty slice; NaNs are ignored.
+///
+/// Runs in O(n) by selection, and returns exactly the bits a stable sort
+/// of `values` would give (see [`stable_order_stat`]).
 pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
     let mut v: Vec<f64> = values.iter().copied().filter(|x| !x.is_nan()).collect();
     if v.is_empty() {
         return None;
     }
     let q = q.clamp(0.0, 1.0);
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaNs filtered"));
     let pos = q * (v.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
+    let (_, &mut lo_v, above) = v.select_nth_unstable_by(lo, f64::total_cmp);
+    let lo_v = stable_order_stat(values, lo, lo_v);
     if lo == hi {
-        Some(v[lo])
-    } else {
-        let frac = pos - lo as f64;
-        Some(v[lo] * (1.0 - frac) + v[hi] * frac)
+        return Some(lo_v);
     }
+    // Everything above `lo` sits in `above`; the next order statistic is
+    // its minimum.
+    let hi_v = above.iter().copied().min_by(f64::total_cmp)?;
+    let hi_v = stable_order_stat(values, hi, hi_v);
+    let frac = pos - lo as f64;
+    Some(lo_v * (1.0 - frac) + hi_v * frac)
+}
+
+/// The `k`-th order statistic as a stable sort by `partial_cmp` (the
+/// convention of [`quantiles`]) would place it, given the value
+/// `selected` that a total-order selection found at rank `k`.
+///
+/// The two orders differ only on ±0.0, which compare equal: a stable sort
+/// keeps zeros in input order, while `total_cmp` puts every −0.0 first.
+/// So a zero at rank `k` is the `(k − #negatives)`-th zero of the input.
+fn stable_order_stat(values: &[f64], k: usize, selected: f64) -> f64 {
+    if selected != 0.0 {
+        return selected;
+    }
+    let negatives = values.iter().filter(|&&x| x < 0.0).count();
+    values
+        .iter()
+        .copied()
+        .filter(|&x| x == 0.0)
+        .nth(k.saturating_sub(negatives))
+        .unwrap_or(selected)
 }
 
 /// Median (50th percentile).
@@ -104,6 +131,22 @@ mod tests {
     fn mean_basic() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), Some(2.0));
         assert_eq!(mean(&[]), None);
+    }
+
+    #[test]
+    fn signed_zeros_follow_input_order() {
+        assert_eq!(
+            quantile(&[0.0, -0.0], 0.0).map(f64::to_bits),
+            Some(0.0f64.to_bits())
+        );
+        assert_eq!(
+            quantile(&[-0.0, 0.0], 0.0).map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        assert_eq!(
+            quantile(&[0.0, -0.0], 1.0).map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
     }
 
     #[test]

@@ -146,14 +146,6 @@ impl EventIndex {
         }
     }
 
-    /// The per-VD `(seg_base, capacity_bytes)` table the index already
-    /// computed for its segment axis. The stack simulator's route planner
-    /// reuses it to resolve `offset → segment` without re-walking the
-    /// fleet's VD table.
-    pub fn seg_info(&self) -> &[(u32, u64)] {
-        &self.vd_seg_info
-    }
-
     /// The QP permutation over the arena, built on first use. Each QP
     /// lives inside one VD's contiguous range, so arena order is already
     /// time order.

@@ -43,6 +43,7 @@ pub mod metric;
 pub mod parallel;
 pub mod rng;
 pub mod spec;
+pub mod tempdir;
 pub mod time;
 pub mod topology;
 pub mod trace;
@@ -59,6 +60,7 @@ pub use parallel::{par_jobs, par_map_deterministic};
 pub use rng::RngFactory;
 pub use spec::VdSpec;
 pub use spec::VdTier;
+pub use tempdir::TempDir;
 pub use time::TickSpec;
 pub use topology::Fleet;
 pub use trace::{StageLatency, TraceRecord, TraceSet};

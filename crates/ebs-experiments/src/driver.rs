@@ -17,7 +17,7 @@
 //! stack simulation; everything else — including the ablation sweeps and
 //! the simulation itself — runs in the first wave.
 
-use crate::scenario::stack_traces_with;
+use crate::scenario::stack_traces;
 use crate::{ablations, extensions, fig2, fig3, fig4, fig5, fig6, fig7, table2, table3, table4};
 use ebs_core::parallel::par_jobs;
 use ebs_stack::SimOutput;
@@ -61,8 +61,7 @@ pub fn run_all(ds: &Dataset) -> Vec<String> {
         Box::new(|| Some((7, timed("fig6", || fig6::render(&fig6::run_with(ds, idx)))))),
         Box::new(|| Some((9, timed("ablations", || ablations::render_with(ds, idx))))),
         Box::new(|| {
-            *sim_slot.lock().expect("sim slot") =
-                Some(timed("stack_sim", || stack_traces_with(ds, idx)));
+            *sim_slot.lock().expect("sim slot") = Some(timed("stack_sim", || stack_traces(ds)));
             None
         }),
     ];

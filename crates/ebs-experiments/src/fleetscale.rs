@@ -121,11 +121,9 @@ mod tests {
     #[test]
     fn skew_report_is_deterministic_and_complete() {
         let config = config_for_vds(120, 9, 600.0);
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("ebs-fleetscale-test-{}", std::process::id()));
         let mut reports = Vec::new();
         for shards in [1usize, 4] {
-            std::fs::remove_dir_all(&dir).ok();
+            let dir = ebs_core::TempDir::new("fleetscale-test").unwrap();
             generate_sharded(&config, &dir, shards, false).unwrap();
             let (manifest, summary) = replay_summary(&dir).unwrap();
             let mut lines = skew_report(&manifest, &summary);
@@ -133,7 +131,6 @@ mod tests {
             lines[0] = lines[0].replace(&format!("{} shard(s)", shards), "N shard(s)");
             reports.push(lines);
         }
-        std::fs::remove_dir_all(&dir).ok();
         assert_eq!(reports[0], reports[1]);
         assert!(reports[0].iter().all(|l| !l.contains("n/a")), "{reports:?}");
     }

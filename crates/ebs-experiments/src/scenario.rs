@@ -188,23 +188,6 @@ pub fn stack_traces(ds: &Dataset) -> SimOutput {
         .expect("generated events are time-sorted")
 }
 
-/// [`stack_traces`] reusing the shared [`ebs_core::EventIndex`]: the
-/// route plan borrows the index's per-VD segment table instead of
-/// re-deriving it, and event time-sortedness was already validated when
-/// the index was built.
-pub fn stack_traces_with(ds: &Dataset, idx: &ebs_core::EventIndex) -> SimOutput {
-    let cfg = StackConfig {
-        apply_throttle: false,
-        ..StackConfig::default()
-    };
-    let sim = StackSim::new(&ds.fleet, cfg);
-    let plan = sim
-        .plan_with_index(&ds.events, idx)
-        .expect("generated events are time-sorted");
-    sim.run_planned(&ds.events, &plan)
-        .expect("plan covers the event slice")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -180,12 +180,12 @@ fn suppressions_need_a_reason_and_a_known_rule() {
 // ---------------------------------------------------------------------
 
 struct TempWorkspace {
-    root: PathBuf,
+    root: ebs_core::TempDir,
 }
 
 impl TempWorkspace {
     fn new(name: &str, lib_rs: &str) -> Self {
-        let root = std::env::temp_dir().join(format!("ebs-lint-{}-{name}", std::process::id()));
+        let root = ebs_core::TempDir::new(&format!("lint-{name}")).unwrap();
         let src = root.join("crates/foo/src");
         std::fs::create_dir_all(&src).unwrap();
         std::fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
@@ -202,12 +202,6 @@ impl TempWorkspace {
         let path = self.root.join(rel);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(path, text).unwrap();
-    }
-}
-
-impl Drop for TempWorkspace {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.root).ok();
     }
 }
 

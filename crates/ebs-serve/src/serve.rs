@@ -4,7 +4,7 @@
 //! One [`serve`] call is the whole control-plane lifetime. Per epoch it
 //! (1) routes the epoch's events under the *current* binding and segment
 //! placement, (2) advances the persistent [`SimSession`] over them —
-//! carrying throttle-gate levels, queue clocks, GC state, and the latency
+//! carrying throttle-gate levels, link rates, queue clocks, and the latency
 //! RNG across the cut, so a run under no-op policies is bit-identical to
 //! one batch [`StackSim::run_planned`] call — (3) folds the epoch into
 //! [`EpochStats`], pushes the sliding window, and (4) applies whatever

@@ -158,32 +158,27 @@ pub fn load(source: &ServeSource) -> Result<LoadedTrace, EbsError> {
 mod tests {
     use super::*;
 
-    fn tmp_dir(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("ebs-serve-source-{}-{name}", std::process::id()));
-        p
+    fn tmp_dir(name: &str) -> ebs_core::TempDir {
+        ebs_core::TempDir::new(&format!("serve-source-{name}")).unwrap()
     }
 
     #[test]
     fn sharded_and_generated_streams_are_identical() {
         let config = WorkloadConfig::quick(77);
         let dir = tmp_dir("quick");
-        let _ = std::fs::remove_dir_all(&dir);
         // Metricless shards: Dataset::load_sharded would refuse these, the
         // serve reader must not.
         ebs_workload::generate_sharded(&config, &dir, 3, false).unwrap();
-        let loaded = load(&ServeSource::ShardedStore(dir.clone())).unwrap();
+        let loaded = load(&ServeSource::ShardedStore(dir.to_path_buf())).unwrap();
         let direct = load(&ServeSource::Generate(Box::new(config))).unwrap();
         assert_eq!(loaded.events, direct.events);
         assert_eq!(loaded.fleet.vd_count(), direct.fleet.vd_count());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn from_path_detects_sharded_dirs() {
         let config = WorkloadConfig::quick(78);
         let dir = tmp_dir("detect");
-        let _ = std::fs::remove_dir_all(&dir);
         ebs_workload::generate_sharded(&config, &dir, 2, false).unwrap();
         assert!(matches!(
             ServeSource::from_path(&dir),
@@ -193,6 +188,5 @@ mod tests {
             ServeSource::from_path(Path::new("/no/such/file.ebs")),
             ServeSource::Store(_)
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

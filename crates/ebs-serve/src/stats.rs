@@ -10,7 +10,6 @@
 //! accumulation grouping.
 
 use ebs_analysis::Histogram;
-use ebs_core::hash::FxHashMap;
 use ebs_core::ids::{SegId, VdId};
 use ebs_core::io::{IoEvent, Op};
 use ebs_core::topology::Fleet;
@@ -84,40 +83,31 @@ impl EpochStats {
         let mut cn_ios = vec![0u64; fleet.compute_nodes.len()];
         let mut wt_bytes = vec![0.0f64; fleet.wt_total as usize];
         let mut bs_bytes = vec![0.0f64; fleet.block_servers.len()];
-        let mut seg_map: FxHashMap<u32, f64> = FxHashMap::default();
-        let mut vd_map: FxHashMap<u32, f64> = FxHashMap::default();
-        for (i, ev) in events.iter().enumerate() {
+        let mut seg_sums = DenseSums::new(fleet.segments.len());
+        let mut vd_sums = DenseSums::new(fleet.vds.len());
+        let mut routes = plan.routes().iter();
+        for ev in events {
             let sz = ev.size as u64;
             bytes += sz;
             if ev.op == Op::Read {
                 reads += 1;
             }
-            if let Some(cn) = plan.cn().get(i) {
-                if let Some(slot) = cn_ios.get_mut(cn.index()) {
+            if let Some(r) = routes.next() {
+                if let Some(slot) = cn_ios.get_mut(r.cn.index()) {
                     *slot += 1;
                 }
-            }
-            if let Some(wt) = plan.wt().get(i) {
-                if let Some(slot) = wt_bytes.get_mut(wt.index()) {
+                if let Some(slot) = wt_bytes.get_mut(r.wt.index()) {
                     *slot += sz as f64;
                 }
-            }
-            if let Some(bs) = plan.bs().get(i) {
-                if let Some(slot) = bs_bytes.get_mut(bs.index()) {
+                if let Some(slot) = bs_bytes.get_mut(r.bs.index()) {
                     *slot += sz as f64;
                 }
+                seg_sums.add(r.seg.index(), sz as f64);
             }
-            if let Some(seg) = plan.seg().get(i) {
-                *seg_map.entry(seg.0).or_insert(0.0) += sz as f64;
-            }
-            *vd_map.entry(ev.vd.0).or_insert(0.0) += sz as f64;
+            vd_sums.add(ev.vd.index(), sz as f64);
         }
-        let mut seg_bytes: Vec<(SegId, f64)> =
-            seg_map.into_iter().map(|(s, b)| (SegId(s), b)).collect();
-        seg_bytes.sort_unstable_by_key(|(s, _)| s.0);
-        let mut vd_bytes: Vec<(VdId, f64)> =
-            vd_map.into_iter().map(|(v, b)| (VdId(v), b)).collect();
-        vd_bytes.sort_unstable_by_key(|(v, _)| v.0);
+        let seg_bytes = seg_sums.into_pairs(SegId);
+        let vd_bytes = vd_sums.into_pairs(VdId);
 
         let mut lat_hist = Histogram::new(LAT_HIST_LO, LAT_HIST_HI, LAT_HIST_BINS);
         let mut lats: Vec<f64> = Vec::with_capacity(out.traces.len());
@@ -143,6 +133,52 @@ impl EpochStats {
             vd_bytes,
             cache: None,
         }
+    }
+}
+
+/// Per-id byte sums over one epoch, dense by id, that list the ids the
+/// epoch touched in id order without hashing or sorting. A sum starts
+/// at 0.0 and takes its adds in event order — exactly what a hash-map
+/// entry would do — and the integer-valued sums are exact anyway.
+struct DenseSums {
+    sums: Vec<f64>,
+    /// One bit per id: touched this epoch.
+    touched: Vec<u64>,
+}
+
+impl DenseSums {
+    fn new(ids: usize) -> Self {
+        Self {
+            sums: vec![0.0; ids],
+            touched: vec![0; ids.div_ceil(64)],
+        }
+    }
+
+    fn add(&mut self, id: usize, v: f64) {
+        if id >= self.sums.len() {
+            self.sums.resize(id + 1, 0.0);
+            self.touched.resize(id / 64 + 1, 0);
+        }
+        if let Some(sum) = self.sums.get_mut(id) {
+            *sum += v;
+        }
+        if let Some(word) = self.touched.get_mut(id / 64) {
+            *word |= 1u64 << (id % 64);
+        }
+    }
+
+    /// The touched ids and their sums, in id order.
+    fn into_pairs<I>(self, id: impl Fn(u32) -> I) -> Vec<(I, f64)> {
+        let mut out = Vec::new();
+        for (w, &word) in self.touched.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                out.push((id(i as u32), self.sums.get(i).copied().unwrap_or(0.0)));
+            }
+        }
+        out
     }
 }
 
@@ -258,6 +294,97 @@ mod tests {
         assert_eq!(hist_quantile(&h, 1.0), 100.0);
         let empty = Histogram::new(0.0, 100.0, 10);
         assert_eq!(hist_quantile(&empty, 0.99), 0.0);
+    }
+
+    /// An epoch's sparse traffic columns and p99, as exact bit patterns.
+    #[derive(Debug, PartialEq)]
+    struct Sparse {
+        segs: Vec<(u32, u64)>,
+        vds: Vec<(u32, u64)>,
+        p99: u64,
+    }
+
+    impl Sparse {
+        fn of(stats: &EpochStats) -> Self {
+            Self {
+                segs: stats
+                    .seg_bytes
+                    .iter()
+                    .map(|&(s, b)| (s.0, b.to_bits()))
+                    .collect(),
+                vds: stats
+                    .vd_bytes
+                    .iter()
+                    .map(|&(v, b)| (v.0, b.to_bits()))
+                    .collect(),
+                p99: stats.p99_us.to_bits(),
+            }
+        }
+    }
+
+    /// The fold's pre-linear-time formulation: hash-map accumulation,
+    /// sorted output, and a sort-based p99.
+    fn reference_fold(events: &[IoEvent], plan: &RoutePlan, out: &SimOutput) -> Sparse {
+        use ebs_core::hash::FxHashMap;
+        let mut seg_map: FxHashMap<u32, f64> = FxHashMap::default();
+        let mut vd_map: FxHashMap<u32, f64> = FxHashMap::default();
+        for (i, ev) in events.iter().enumerate() {
+            if let Some(r) = plan.routes().get(i) {
+                *seg_map.entry(r.seg.0).or_insert(0.0) += ev.size as f64;
+            }
+            *vd_map.entry(ev.vd.0).or_insert(0.0) += ev.size as f64;
+        }
+        let sorted_bits = |m: FxHashMap<u32, f64>| {
+            let mut v: Vec<(u32, u64)> = m.into_iter().map(|(id, b)| (id, b.to_bits())).collect();
+            v.sort_unstable_by_key(|&(id, _)| id);
+            v
+        };
+        // `quantiles` still sorts.
+        let lats: Vec<f64> = out
+            .traces
+            .records()
+            .iter()
+            .map(|r| r.lat.total_us())
+            .collect();
+        let p99 = ebs_analysis::quantile::quantiles(&lats, &[0.99])[0].unwrap_or(0.0);
+        Sparse {
+            segs: sorted_bits(seg_map),
+            vds: sorted_bits(vd_map),
+            p99: p99.to_bits(),
+        }
+    }
+
+    #[test]
+    fn fold_matches_hash_map_and_sort_oracle() {
+        use ebs_core::rng::SimRng;
+        use ebs_stack::sim::{SimSession, StackConfig};
+        use ebs_stack::{Binding, SegmentMap};
+        use ebs_workload::{generate, WorkloadConfig};
+
+        for seed in [91u64, 92, 93] {
+            let ds = generate(&WorkloadConfig::quick(seed)).unwrap();
+            let binding = Binding::from_fleet(&ds.fleet);
+            let seg_map = SegmentMap::from_fleet(&ds.fleet);
+            let mut session = SimSession::new(&ds.fleet, StackConfig::default()).unwrap();
+            let mut rng = SimRng::seed_from_u64(seed);
+            let n = ds.events.len();
+            let (mut lo, mut epoch) = (0usize, 0u64);
+            while lo < n {
+                // Random epoch lengths, empty epochs included.
+                let hi = (lo + rng.index(n / 8 + 1)).min(n);
+                let slice = &ds.events[lo..hi];
+                let plan = RoutePlan::build(&ds.fleet, &binding, &seg_map, slice).unwrap();
+                let out = session.step(slice, &plan).unwrap();
+                let stats = EpochStats::fold(&ds.fleet, epoch, 0, slice, &plan, &out);
+                assert_eq!(
+                    Sparse::of(&stats),
+                    reference_fold(slice, &plan, &out),
+                    "seed {seed} epoch {epoch}"
+                );
+                lo = hi;
+                epoch += 1;
+            }
+        }
     }
 
     #[test]

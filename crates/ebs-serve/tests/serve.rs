@@ -122,11 +122,9 @@ fn sharded_sources_reproduce_generated_serve() {
     let base_fp = report_fingerprint(&base);
 
     for shards in [2usize, 5] {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("ebs-serve-shards-{}-{shards}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = ebs_core::TempDir::new(&format!("serve-shards-{shards}")).unwrap();
         ebs_workload::generate_sharded(&config, &dir, shards, false).unwrap();
-        let trace = ebs_serve::load(&ServeSource::ShardedStore(dir.clone())).unwrap();
+        let trace = ebs_serve::load(&ServeSource::ShardedStore(dir.to_path_buf())).unwrap();
         assert_eq!(trace.events, ds.events, "shards={shards}");
         let report = serve(
             &trace.fleet,
@@ -136,7 +134,6 @@ fn sharded_sources_reproduce_generated_serve() {
         )
         .unwrap();
         assert_eq!(report_fingerprint(&report), base_fp, "shards={shards}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

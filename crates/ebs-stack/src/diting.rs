@@ -7,7 +7,8 @@
 //! generator already emits the sampled stream, so the tracer's job is
 //! record assembly and ids.
 
-use ebs_core::ids::{BsId, TraceId, WtId};
+use crate::route::Route;
+use ebs_core::ids::TraceId;
 use ebs_core::io::IoEvent;
 use ebs_core::topology::Fleet;
 use ebs_core::trace::{StageLatency, TraceRecord};
@@ -25,39 +26,14 @@ impl Diting {
         Self::default()
     }
 
-    /// Assemble the trace record for a routed IO.
-    ///
-    /// # Panics
-    /// Panics if the event's offset is outside its VD (the workload
-    /// generator guarantees it is not).
+    /// Assemble the trace record for an IO whose route (worker thread,
+    /// segment, BlockServer, storage node) is already resolved — see
+    /// [`crate::route::RoutePlan`].
     pub fn record(
         &mut self,
         fleet: &Fleet,
         ev: &IoEvent,
-        wt: WtId,
-        bs: BsId,
-        lat: StageLatency,
-    ) -> TraceRecord {
-        let seg = fleet
-            .segment_at(ev.vd, ev.offset)
-            .expect("IO offset outside VD capacity");
-        self.record_routed(fleet, ev, wt, seg, bs, fleet.block_servers[bs].sn, lat)
-    }
-
-    /// Assemble the trace record for an IO whose routing (segment,
-    /// BlockServer, storage node) was already resolved — the staged
-    /// simulator's path, which carries a precomputed
-    /// [`crate::route::RoutePlan`] instead of re-deriving `segment_at`
-    /// per record. Produces exactly what [`Self::record`] would.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_routed(
-        &mut self,
-        fleet: &Fleet,
-        ev: &IoEvent,
-        wt: WtId,
-        seg: ebs_core::ids::SegId,
-        bs: BsId,
-        sn: ebs_core::ids::SnId,
+        route: Route,
         lat: StageLatency,
     ) -> TraceRecord {
         let id = TraceId(self.next_id);
@@ -73,10 +49,10 @@ impl Diting {
             vd: ev.vd,
             vm: vd.vm,
             cn: fleet.vms[vd.vm].cn,
-            wt,
-            seg,
-            bs,
-            sn,
+            wt: route.wt,
+            seg: route.seg,
+            bs: route.bs,
+            sn: route.sn,
             lat,
         }
     }
@@ -125,7 +101,7 @@ pub fn write_csv<W: Write>(records: &[TraceRecord], mut w: W) -> std::io::Result
 mod tests {
     use super::*;
     use ebs_core::apps::AppClass;
-    use ebs_core::ids::QpId;
+    use ebs_core::ids::{BsId, QpId, WtId};
     use ebs_core::io::Op;
     use ebs_core::spec::VdTier;
     use ebs_core::topology::FleetBuilder;
@@ -143,6 +119,18 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// Resolve `ev`'s route in `f` onto worker thread `wt` and BS 0.
+    fn route(f: &Fleet, ev: &IoEvent, wt: WtId) -> Route {
+        let bs = BsId(0);
+        Route {
+            wt,
+            cn: f.cn_of_qp(ev.qp),
+            seg: f.segment_at(ev.vd, ev.offset).unwrap(),
+            bs,
+            sn: f.block_servers[bs].sn,
+        }
+    }
+
     #[test]
     fn record_fills_stack_entities() {
         let f = fleet();
@@ -155,7 +143,7 @@ mod tests {
             size: 4096,
             offset: 40 * GIB,
         };
-        let r = d.record(&f, &ev, WtId(2), BsId(0), StageLatency::default());
+        let r = d.record(&f, &ev, route(&f, &ev, WtId(2)), StageLatency::default());
         assert_eq!(r.id, TraceId(0));
         assert_eq!(r.seg.0, 1); // 40 GiB falls in segment 1
         assert_eq!(r.sn.0, 0);
@@ -175,8 +163,8 @@ mod tests {
             size: 512,
             offset: 0,
         };
-        let a = d.record(&f, &ev, WtId(0), BsId(0), StageLatency::default());
-        let b = d.record(&f, &ev, WtId(0), BsId(0), StageLatency::default());
+        let a = d.record(&f, &ev, route(&f, &ev, WtId(0)), StageLatency::default());
+        let b = d.record(&f, &ev, route(&f, &ev, WtId(0)), StageLatency::default());
         assert!(b.id > a.id);
     }
 
@@ -192,7 +180,7 @@ mod tests {
             size: 8192,
             offset: GIB,
         };
-        let r = d.record(&f, &ev, WtId(1), BsId(0), StageLatency::default());
+        let r = d.record(&f, &ev, route(&f, &ev, WtId(1)), StageLatency::default());
         let mut buf = Vec::new();
         write_csv(&[r], &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();

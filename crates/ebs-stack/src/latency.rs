@@ -8,7 +8,6 @@
 //! magnitudes of the stages decide how much latency a CN- or BS-cache can
 //! save.
 
-use ebs_core::io::Op;
 use ebs_core::rng::SimRng;
 
 /// Parameters of one latency stage.
@@ -28,6 +27,7 @@ pub struct StageParams {
 
 impl StageParams {
     /// Draw one latency for an IO of `size` bytes.
+    #[inline]
     pub fn sample(&self, rng: &mut SimRng, size: u32) -> f64 {
         let (g, u_tail) = Self::draw_units(rng);
         self.eval(g, u_tail, size)
@@ -62,6 +62,7 @@ impl StageParams {
     }
 }
 
+#[inline]
 fn gauss(rng: &mut SimRng) -> f64 {
     let u1 = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
     let u2 = rng.next_f64();
@@ -136,16 +137,6 @@ impl Default for LatencyModel {
     }
 }
 
-impl LatencyModel {
-    /// Unreplicated ChunkServer latency for one IO.
-    pub fn chunk_server_us(&self, rng: &mut SimRng, op: Op, size: u32) -> f64 {
-        match op {
-            Op::Read => self.cs_read.sample(rng, size),
-            Op::Write => self.cs_write.sample(rng, size),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,12 +162,8 @@ mod tests {
     fn writes_cost_more_than_reads_at_chunk_server() {
         let m = LatencyModel::default();
         let mut rng = SimRng::seed_from_u64(2);
-        let r: f64 = (0..2000)
-            .map(|_| m.chunk_server_us(&mut rng, Op::Read, 4096))
-            .sum();
-        let w: f64 = (0..2000)
-            .map(|_| m.chunk_server_us(&mut rng, Op::Write, 4096))
-            .sum();
+        let r: f64 = (0..2000).map(|_| m.cs_read.sample(&mut rng, 4096)).sum();
+        let w: f64 = (0..2000).map(|_| m.cs_write.sample(&mut rng, 4096)).sum();
         assert!(w > r, "write {w} read {r}");
     }
 

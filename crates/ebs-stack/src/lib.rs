@@ -17,12 +17,11 @@
 //!   records (and exports CSV).
 //! * **[`route`]** — the precomputed per-event routing table
 //!   ([`route::RoutePlan`]) shared across simulation runs and sweeps.
-//! * **[`sim`]** — [`sim::StackSim`], which routes a sampled IO stream
-//!   through all of the above as a staged columnar pipeline, and
-//!   [`sim::StackSweep`] for config sweeps that share routing and RNG
-//!   columns.
-//! * **[`reference`]** — the preserved event-at-a-time simulator, the
-//!   differential oracle the staged pipeline is pinned against.
+//! * **[`sim`]** — [`sim::StackSim`] and the resumable
+//!   [`sim::SimSession`], which route a sampled IO stream through all of
+//!   the above in one fused per-event pass, and [`sim::StackSweep`], the
+//!   staged columnar schedule for config sweeps that share routing and
+//!   RNG columns.
 //!
 //! The §2.2 BlockServer prefetcher and ChunkServer garbage collection are
 //! not modelled: the 1/3200-sampled stream never has the sequential-read
@@ -46,7 +45,6 @@ pub mod diting;
 pub mod hypervisor;
 pub mod latency;
 pub mod network;
-pub mod reference;
 pub mod replication;
 pub mod route;
 pub mod segment;
@@ -56,9 +54,8 @@ pub mod throttle_gate;
 pub use hypervisor::Binding;
 pub use latency::LatencyModel;
 pub use network::{FabricModel, Link};
-pub use reference::ReferenceSim;
 pub use replication::ReplicationPolicy;
-pub use route::RoutePlan;
+pub use route::{Route, RoutePlan};
 pub use segment::{Migration, SegmentMap};
 pub use sim::{SimOutput, SimSession, SimStats, StackConfig, StackSim, StackSweep};
 pub use throttle_gate::{TokenBucket, VdGate};

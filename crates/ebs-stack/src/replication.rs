@@ -57,8 +57,17 @@ impl ReplicationPolicy {
         let mut draws: Vec<f64> = (0..self.replicas)
             .map(|_| stage.sample(rng, size))
             .collect();
-        draws.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        draws[self.quorum as usize - 1]
+        self.completing_ack(&mut draws)
+    }
+
+    /// The completing ack among per-replica latencies `acks`: the
+    /// `quorum`-th smallest (0 when there are fewer acks than the quorum).
+    /// Reorders `acks`.
+    pub fn completing_ack(&self, acks: &mut [f64]) -> f64 {
+        acks.sort_unstable_by(f64::total_cmp);
+        acks.get(usize::from(self.quorum).wrapping_sub(1))
+            .copied()
+            .unwrap_or(0.0)
     }
 }
 

@@ -4,7 +4,7 @@
 //! segment → BlockServer → storage node — depends only on the fleet, the
 //! QP binding, and the segment placement, never on simulator
 //! configuration. [`RoutePlan`] resolves it once for a whole event slice
-//! into structure-of-arrays columns that every simulation run *borrows*:
+//! into one [`Route`] per event that every simulation run *borrows*:
 //! config sweeps that keep the binding and segment map fixed (latency
 //! ablations, replication studies) share one plan instead of re-running
 //! `segment_at` per event per config point.
@@ -17,7 +17,6 @@ use crate::hypervisor::Binding;
 use crate::segment::SegmentMap;
 use ebs_core::error::EbsError;
 use ebs_core::ids::{BsId, CnId, SegId, SnId, WtId};
-use ebs_core::index::EventIndex;
 use ebs_core::io::IoEvent;
 use ebs_core::topology::Fleet;
 use ebs_core::units::SEGMENT_BYTES;
@@ -39,16 +38,26 @@ pub fn ensure_time_sorted(events: &[IoEvent]) -> Result<(), EbsError> {
     }
 }
 
-/// Structure-of-arrays routing table: one entry per event, columns for the
-/// five stack entities an IO traverses. Built once per
-/// (fleet, binding, segment map); borrowed by every run over the slice.
+/// The five stack entities one IO traverses.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Route {
+    /// Worker thread (hypervisor binding).
+    pub wt: WtId,
+    /// Compute node (frontend uplink).
+    pub cn: CnId,
+    /// Segment (BlockServer address translation).
+    pub seg: SegId,
+    /// BlockServer (current segment placement).
+    pub bs: BsId,
+    /// Storage node (backend link + ChunkServer).
+    pub sn: SnId,
+}
+
+/// Routing table: one [`Route`] per event. Built once per (fleet,
+/// binding, segment map); borrowed by every run over the slice.
 #[derive(Clone, Debug)]
 pub struct RoutePlan {
-    wt: Vec<WtId>,
-    cn: Vec<CnId>,
-    seg: Vec<SegId>,
-    bs: Vec<BsId>,
-    sn: Vec<SnId>,
+    routes: Vec<Route>,
 }
 
 impl RoutePlan {
@@ -60,43 +69,8 @@ impl RoutePlan {
         seg_map: &SegmentMap,
         events: &[IoEvent],
     ) -> Result<Self, EbsError> {
-        let seg_info: Vec<(u32, u64)> = fleet
-            .vds
-            .iter()
-            .map(|d| (d.seg_base, d.spec.capacity_bytes))
-            .collect();
-        Self::build_inner(fleet, binding, seg_map, events, &seg_info)
-    }
-
-    /// Like [`Self::build`], reusing the per-VD segment table the shared
-    /// [`EventIndex`] already computed instead of re-deriving it from the
-    /// fleet.
-    pub fn build_with_index(
-        fleet: &Fleet,
-        binding: &Binding,
-        seg_map: &SegmentMap,
-        events: &[IoEvent],
-        idx: &EventIndex,
-    ) -> Result<Self, EbsError> {
-        Self::build_inner(fleet, binding, seg_map, events, idx.seg_info())
-    }
-
-    fn build_inner(
-        fleet: &Fleet,
-        binding: &Binding,
-        seg_map: &SegmentMap,
-        events: &[IoEvent],
-        seg_info: &[(u32, u64)],
-    ) -> Result<Self, EbsError> {
         ensure_time_sorted(events)?;
-        let n = events.len();
-        let mut plan = Self {
-            wt: Vec::with_capacity(n),
-            cn: Vec::with_capacity(n),
-            seg: Vec::with_capacity(n),
-            bs: Vec::with_capacity(n),
-            sn: Vec::with_capacity(n),
-        };
+        let mut routes = Vec::with_capacity(events.len());
         let homes = seg_map.as_slice();
         for ev in events {
             let wt = binding
@@ -113,10 +87,12 @@ impl RoutePlan {
                 .get(vm)
                 .map(|m| m.cn)
                 .ok_or_else(|| EbsError::unknown_entity(format!("{vm} not in fleet")))?;
-            let &(seg_base, capacity) = seg_info
-                .get(ev.vd.index())
+            let vd = fleet
+                .vds
+                .get(ev.vd)
                 .ok_or_else(|| EbsError::unknown_entity(format!("{} not in fleet", ev.vd)))?;
-            if ev.offset >= capacity {
+            let seg_base = vd.seg_base;
+            if ev.offset >= vd.spec.capacity_bytes {
                 return Err(EbsError::unknown_entity(format!(
                     "offset {} in {}",
                     ev.offset, ev.vd
@@ -131,47 +107,29 @@ impl RoutePlan {
                 .get(bs)
                 .map(|b| b.sn)
                 .ok_or_else(|| EbsError::unknown_entity(format!("{bs} not in fleet")))?;
-            plan.wt.push(wt);
-            plan.cn.push(cn);
-            plan.seg.push(seg);
-            plan.bs.push(bs);
-            plan.sn.push(sn);
+            routes.push(Route {
+                wt,
+                cn,
+                seg,
+                bs,
+                sn,
+            });
         }
-        Ok(plan)
+        Ok(Self { routes })
     }
 
     /// Number of routed events.
     pub fn len(&self) -> usize {
-        self.wt.len()
+        self.routes.len()
     }
 
     /// Whether the plan covers no events.
     pub fn is_empty(&self) -> bool {
-        self.wt.is_empty()
+        self.routes.is_empty()
     }
 
-    /// Per-event worker thread (hypervisor binding).
-    pub fn wt(&self) -> &[WtId] {
-        &self.wt
-    }
-
-    /// Per-event compute node (frontend uplink).
-    pub fn cn(&self) -> &[CnId] {
-        &self.cn
-    }
-
-    /// Per-event segment (BlockServer address translation).
-    pub fn seg(&self) -> &[SegId] {
-        &self.seg
-    }
-
-    /// Per-event BlockServer (current segment placement).
-    pub fn bs(&self) -> &[BsId] {
-        &self.bs
-    }
-
-    /// Per-event storage node (backend link + ChunkServer engine).
-    pub fn sn(&self) -> &[SnId] {
-        &self.sn
+    /// Per-event routes, in event order.
+    pub fn routes(&self) -> &[Route] {
+        &self.routes
     }
 }

@@ -1,4 +1,4 @@
-//! The end-to-end stack simulator, as a staged columnar pipeline.
+//! The end-to-end stack simulator.
 //!
 //! [`StackSim::run`] routes a time-ordered stream of sampled IO events
 //! through the full path of Figure 1: QP → worker thread (with single-
@@ -7,38 +7,37 @@
 //! (replicated writes) — and hands each IO to DiTing to produce the
 //! paper's trace dataset with the five-stage latency breakdown.
 //!
-//! Internally the run is three passes over routing columns from a
-//! [`RoutePlan`] (DESIGN.md §16), byte-identical to the preserved
-//! event-at-a-time loop in [`crate::reference`]:
+//! One model, two schedules (DESIGN.md §16), bit-identical to each other:
 //!
-//! * **Pass A** (no RNG) replays the throttle gates and fabric links in
-//!   event order, producing per-event throttle-delay and congestion
-//!   columns.
-//! * **Pass B1** drains the single `stack/latency` RNG stream in exactly
-//!   the per-event order the reference uses (which samples occur depends
-//!   only on each event's op and the replica count) into
-//!   *parameter-independent* columns: the standard-normal deviate and
-//!   tail uniform of every sample.
-//! * **Pass B2** evaluates each latency stage as a tight column kernel
-//!   over those units; because the units don't depend on the latency
-//!   model, a [`StackSweep`] caches evaluated columns per stage-parameter
-//!   value and re-evaluates only the stages a config point changes.
-//! * **Pass C** runs the WT queues, congestion/replication arithmetic,
-//!   and DiTing record assembly over the columns.
+//! * **Fused** — [`SimSession::step`], and so [`StackSim::run`] (a
+//!   one-step session), makes one pass over the events. Each event goes
+//!   through its throttle gate and fabric links, draws and evaluates its
+//!   stage samples, then goes through its WT queue, the write quorum and
+//!   DiTing. Nothing is kept in columns.
+//! * **Staged** — [`StackSweep`] splits the same steps into passes so the
+//!   points of a config sweep share them: pass A keeps the gate/fabric
+//!   results as a column, pass B1 drains the RNG into
+//!   *parameter-independent* unit columns (the normal deviate and tail
+//!   uniform of every sample), pass B2 evaluates each stage as a column
+//!   kernel cached by stage parameters, and pass C assembles the records.
+//!
+//! Both schedules call the same gate/fabric step (`Machines::admit`), the
+//! same per-event draw schedule (`draw_event`, generic over whether a
+//! sample is evaluated now or stored as units), and the same record
+//! assembly (`SimCore::assemble`); no arithmetic exists twice.
 
 use crate::diting::Diting;
 use crate::hypervisor::{Binding, WtQueues};
 use crate::latency::{LatencyModel, StageParams};
 use crate::network::FabricModel;
 use crate::replication::ReplicationPolicy;
-use crate::route::RoutePlan;
+use crate::route::{Route, RoutePlan};
 use crate::segment::SegmentMap;
 use crate::throttle_gate::VdGate;
 use ebs_core::error::EbsError;
 use ebs_core::hash::FxHashMap;
-use ebs_core::index::EventIndex;
 use ebs_core::io::{IoEvent, Op};
-use ebs_core::rng::RngFactory;
+use ebs_core::rng::{RngFactory, SimRng};
 use ebs_core::topology::Fleet;
 use ebs_core::trace::{StageLatency, TraceRecord, TraceSet};
 use ebs_core::units::TRACE_SAMPLE_RATE;
@@ -88,6 +87,20 @@ pub struct SimStats {
     pub mean_latency_us: f64,
 }
 
+impl SimStats {
+    fn from_totals(ios: u64, throttled: u64, total_latency_us: f64) -> Self {
+        Self {
+            ios,
+            throttled,
+            mean_latency_us: if ios > 0 {
+                total_latency_us / ios as f64
+            } else {
+                0.0
+            },
+        }
+    }
+}
+
 /// Result of a simulation: the trace dataset plus run statistics.
 #[derive(Clone, Debug)]
 pub struct SimOutput {
@@ -101,7 +114,7 @@ pub struct SimOutput {
 /// Records into private histograms during the event loop (no shared lock
 /// on the hot path) and merges into the global registry once at the end,
 /// so instrumentation can never reorder or perturb the simulation.
-pub(crate) struct StackObs {
+struct StackObs {
     queue_wait: ebs_obs::Histogram,
     stage_compute: ebs_obs::Histogram,
     stage_frontend: ebs_obs::Histogram,
@@ -112,7 +125,7 @@ pub(crate) struct StackObs {
 }
 
 impl StackObs {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             queue_wait: ebs_obs::Histogram::new(0.0, 10_000.0, 40),
             stage_compute: ebs_obs::Histogram::new(0.0, 20_000.0, 40),
@@ -124,7 +137,7 @@ impl StackObs {
         }
     }
 
-    pub(crate) fn record_io(&mut self, wait_us: f64, lat: &StageLatency) {
+    fn record_io(&mut self, wait_us: f64, lat: &StageLatency) {
         self.queue_wait.add(wait_us);
         self.stage_compute.add(lat.compute_us);
         self.stage_frontend.add(lat.frontend_us);
@@ -135,7 +148,7 @@ impl StackObs {
     }
 
     /// Publish the run's metrics to the global registry in one merge.
-    pub(crate) fn finish(self, stats: &SimStats) {
+    fn finish(self, stats: &SimStats) {
         let mut reg = ebs_obs::Registry::new();
         reg.counter_add("stack.sim.ios", stats.ios);
         reg.counter_add("stack.throttle_gate.fires", stats.throttled);
@@ -152,7 +165,7 @@ impl StackObs {
 
 // ---------------------------------------------------------------------
 // Stage classes: the six latency columns a run draws from, in the order
-// the reference samples them within one event.
+// one event samples them.
 
 const STAGE_COMPUTE: usize = 0;
 const STAGE_FRONTEND: usize = 1;
@@ -173,17 +186,30 @@ fn stage_params(latency: &LatencyModel) -> [&StageParams; STAGE_COUNT] {
     ]
 }
 
-/// The RNG-free state machines of pass A — per-VD throttle gates and the
-/// fabric links. They live *outside* the per-slice pass so a
-/// [`SimSession`] can carry them across epoch steps: replaying a stream
-/// slice-by-slice drives exactly the same machine trajectory as one batch
-/// pass.
+/// The run's `stack/latency` RNG stream, fresh from `seed`.
+fn latency_rng(seed: u64) -> SimRng {
+    RngFactory::new(seed).child("stack").stream("latency")
+}
+
+/// The RNG-free state machines — per-VD throttle gates and the fabric
+/// links. A [`SimSession`] carries them across epoch steps: replaying a
+/// stream slice-by-slice drives exactly the same machine trajectory as
+/// one batch pass.
 struct Machines {
     gates: Vec<Option<VdGate>>,
     /// Per-VD lending multiplier currently applied on top of the
     /// subscribed caps (1.0 = no grant outstanding).
     cap_scale: Vec<f64>,
     fabric: FabricModel,
+}
+
+/// What one event met in the state machines: its throttle delay and the
+/// congestion multipliers of its frontend and backend links.
+#[derive(Clone, Copy)]
+struct Admitted {
+    throttle_us: f64,
+    congestion_f: f64,
+    congestion_b: f64,
 }
 
 impl Machines {
@@ -208,135 +234,148 @@ impl Machines {
             fabric: FabricModel::new(fleet.compute_nodes.len(), fleet.storage_nodes.len()),
         }
     }
+
+    /// The gate/fabric step: pass one event through its VD's throttle
+    /// gate and its CN uplink and SN backend link. Both schedules replay
+    /// it in event order.
+    #[inline]
+    fn admit(&mut self, config: &StackConfig, ev: &IoEvent, route: Route) -> Admitted {
+        let t = ev.t_us as f64;
+        let throttle_us = match self.gates.get_mut(ev.vd.index()) {
+            Some(Some(gate)) => gate.admit(t, ev.size),
+            _ => 0.0,
+        };
+        let (congestion_f, congestion_b) = if config.model_congestion {
+            let bytes = ev.size as f64;
+            (
+                self.fabric.frontend_transfer(route.cn.index(), t, bytes),
+                self.fabric.backend_transfer(route.sn.index(), t, bytes),
+            )
+        } else {
+            (1.0, 1.0)
+        };
+        Admitted {
+            throttle_us,
+            congestion_f,
+            congestion_b,
+        }
+    }
 }
 
-/// Pass A output: per-event columns from the RNG-free state machines,
-/// plus the slice's counters (the machines themselves persist in
-/// [`Machines`]).
-struct StateCols {
-    throttle_us: Vec<f64>,
-    congestion_f: Vec<f64>,
-    congestion_b: Vec<f64>,
-    throttled: u64,
+/// Where the draw schedule sends each latency sample: evaluated on the
+/// spot (the fused schedule) or stored as parameter-free units (a sweep's
+/// pass B1).
+trait DrawSink {
+    fn sample(&mut self, class: usize, rng: &mut SimRng, size: u32);
 }
 
-/// Replay the deterministic (RNG-free) state machines — throttle gates and
-/// fabric links — in event order, advancing `machines` in place.
+/// The draw schedule of one event: compute, frontend, BlockServer and
+/// backend, then one ChunkServer sample per read or one per replica per
+/// write. Every sample consumes the `stack/latency` stream in this order,
+/// whichever sink receives it.
+#[inline]
+fn draw_event<S: DrawSink>(sink: &mut S, rng: &mut SimRng, ev: &IoEvent, replicas: usize) {
+    sink.sample(STAGE_COMPUTE, rng, ev.size);
+    sink.sample(STAGE_FRONTEND, rng, ev.size);
+    sink.sample(STAGE_BLOCK_SERVER, rng, ev.size);
+    sink.sample(STAGE_BACKEND, rng, ev.size);
+    match ev.op {
+        Op::Write => {
+            for _ in 0..replicas {
+                sink.sample(STAGE_CS_WRITE, rng, ev.size);
+            }
+        }
+        Op::Read => sink.sample(STAGE_CS_READ, rng, ev.size),
+    }
+}
+
+/// One event's evaluated stage samples, before queueing, congestion and
+/// the write quorum.
+#[derive(Default)]
+struct EventDraws {
+    /// Compute, frontend, BlockServer and backend samples.
+    head: [f64; 4],
+    /// ChunkServer samples: one per read, one per replica per write.
+    cs: Vec<f64>,
+}
+
+/// The fused schedule's sink: evaluates each sample as it is drawn.
+struct EvalSink<'p> {
+    params: [&'p StageParams; STAGE_COUNT],
+    draws: EventDraws,
+}
+
+impl DrawSink for EvalSink<'_> {
+    #[inline]
+    fn sample(&mut self, class: usize, rng: &mut SimRng, size: u32) {
+        let Some(p) = self.params.get(class) else {
+            return;
+        };
+        let v = p.sample(rng, size);
+        match self.draws.head.get_mut(class) {
+            Some(slot) => *slot = v,
+            None => self.draws.cs.push(v),
+        }
+    }
+}
+
+/// The raw randomness of one stage class's samples, in event order.
+struct StageUnits {
+    g: Vec<f64>,
+    u_tail: Vec<f64>,
+    size: Vec<u32>,
+}
+
+/// Pass B1 output: the units of every latency sample, grouped by stage
+/// class. These columns depend on the seed and the draw schedule (op +
+/// replica count) and on no latency parameter.
+struct DrawCols {
+    classes: [StageUnits; STAGE_COUNT],
+}
+
+impl DrawSink for DrawCols {
+    #[inline]
+    fn sample(&mut self, class: usize, rng: &mut SimRng, size: u32) {
+        let (g, u_tail) = StageParams::draw_units(rng);
+        if let Some(units) = self.classes.get_mut(class) {
+            units.g.push(g);
+            units.u_tail.push(u_tail);
+            units.size.push(size);
+        }
+    }
+}
+
+/// Pass A: the gate/fabric step over a whole slice, kept as a column.
 fn pass_a(
     machines: &mut Machines,
     config: &StackConfig,
     plan: &RoutePlan,
     events: &[IoEvent],
-) -> StateCols {
-    let n = events.len();
-    let mut cols = StateCols {
-        throttle_us: Vec::with_capacity(n),
-        congestion_f: Vec::with_capacity(n),
-        congestion_b: Vec::with_capacity(n),
-        throttled: 0,
-    };
-    for (i, ev) in events.iter().enumerate() {
-        let t = ev.t_us as f64;
-        let throttle_us = match &mut machines.gates[ev.vd.index()] {
-            Some(gate) => {
-                let d = gate.admit(t, ev.size);
-                if d > 0.0 {
-                    cols.throttled += 1;
-                }
-                d
-            }
-            None => 0.0,
-        };
-        cols.throttle_us.push(throttle_us);
-        let congestion_f = if config.model_congestion {
-            machines
-                .fabric
-                .frontend_transfer(plan.cn()[i].index(), t, ev.size as f64)
-        } else {
-            1.0
-        };
-        cols.congestion_f.push(congestion_f);
-        let sn = plan.sn()[i].index();
-        let congestion_b = if config.model_congestion {
-            machines.fabric.backend_transfer(sn, t, ev.size as f64)
-        } else {
-            1.0
-        };
-        cols.congestion_b.push(congestion_b);
-    }
-    cols
+) -> Vec<Admitted> {
+    events
+        .iter()
+        .zip(plan.routes())
+        .map(|(ev, &route)| machines.admit(config, ev, route))
+        .collect()
 }
 
-/// Pass B1 output: the raw randomness of every latency sample, grouped by
-/// stage class (within a class, slots appear in event order). These
-/// columns depend on the seed, the draw schedule (op + replica count), and
-/// nothing else — no latency parameter touches them.
-struct DrawCols {
-    g: [Vec<f64>; STAGE_COUNT],
-    u_tail: [Vec<f64>; STAGE_COUNT],
-    size: [Vec<u32>; STAGE_COUNT],
-}
-
-impl DrawCols {
-    fn draw(&mut self, class: usize, rng: &mut ebs_core::rng::SimRng, size: u32) {
-        let (g, u_tail) = StageParams::draw_units(rng);
-        self.g[class].push(g);
-        self.u_tail[class].push(u_tail);
-        self.size[class].push(size);
-    }
-}
-
-/// Drain the `stack/latency` RNG stream in exactly the reference's
-/// per-event order into parameter-independent unit columns, starting from
-/// a fresh stream (the batch path).
+/// Pass B1: drain a fresh `stack/latency` stream through the draw
+/// schedule into unit columns.
 fn pass_b1(config: &StackConfig, events: &[IoEvent]) -> DrawCols {
-    let rngf = RngFactory::new(config.seed).child("stack");
-    let mut rng = rngf.stream("latency");
-    pass_b1_with(&mut rng, config, events)
-}
-
-/// [`pass_b1`] over a caller-owned RNG stream: a [`SimSession`] advances
-/// one persistent stream across epoch steps, so the draws of slice k+1
-/// continue exactly where slice k stopped — the whole point of the
-/// session being bit-identical to a batch run.
-fn pass_b1_with(
-    rng: &mut ebs_core::rng::SimRng,
-    config: &StackConfig,
-    events: &[IoEvent],
-) -> DrawCols {
-    let mut d = DrawCols {
-        g: Default::default(),
-        u_tail: Default::default(),
-        size: Default::default(),
-    };
+    let mut rng = latency_rng(config.seed);
     let n = events.len();
     let replicas = config.replication.replicas as usize;
     let writes = events.iter().filter(|ev| ev.op == Op::Write).count();
-    for (c, cap) in [
-        (STAGE_COMPUTE, n),
-        (STAGE_FRONTEND, n),
-        (STAGE_BLOCK_SERVER, n),
-        (STAGE_BACKEND, n),
-        (STAGE_CS_READ, n - writes),
-        (STAGE_CS_WRITE, writes * replicas),
-    ] {
-        d.g[c].reserve(cap);
-        d.u_tail[c].reserve(cap);
-        d.size[c].reserve(cap);
-    }
+    let caps = [n, n, n, n, n - writes, writes * replicas];
+    let mut d = DrawCols {
+        classes: caps.map(|cap| StageUnits {
+            g: Vec::with_capacity(cap),
+            u_tail: Vec::with_capacity(cap),
+            size: Vec::with_capacity(cap),
+        }),
+    };
     for ev in events {
-        d.draw(STAGE_COMPUTE, rng, ev.size);
-        d.draw(STAGE_FRONTEND, rng, ev.size);
-        d.draw(STAGE_BLOCK_SERVER, rng, ev.size);
-        d.draw(STAGE_BACKEND, rng, ev.size);
-        match ev.op {
-            Op::Write => {
-                for _ in 0..replicas {
-                    d.draw(STAGE_CS_WRITE, rng, ev.size);
-                }
-            }
-            Op::Read => d.draw(STAGE_CS_READ, rng, ev.size),
-        }
+        draw_event(&mut d, &mut rng, ev, replicas);
     }
     d
 }
@@ -369,81 +408,139 @@ fn stage_key(p: &StageParams) -> [u64; 5] {
     ]
 }
 
-/// Evaluate all six stage columns from the pre-drawn units, reusing
+/// Pass B2: evaluate all six stage columns from the units, reusing
 /// cached columns for stages whose parameters match a prior evaluation.
-fn pass_b2(
-    latency: &LatencyModel,
-    draws: &DrawCols,
-    mut cache: Option<&mut StageCache>,
-) -> StageCols {
-    let params = stage_params(latency);
-    let values = std::array::from_fn(|c| {
-        let p = params[c];
-        if let Some(cache) = cache.as_deref_mut() {
-            let slot = &mut cache.map[c];
-            if let Some(col) = slot.get(&stage_key(p)) {
-                return Rc::clone(col);
-            }
-            if slot.len() >= STAGE_CACHE_MAX {
-                slot.clear();
-            }
+fn pass_b2(latency: &LatencyModel, draws: &DrawCols, cache: &mut StageCache) -> StageCols {
+    let mut stages = stage_params(latency)
+        .into_iter()
+        .zip(&draws.classes)
+        .zip(&mut cache.map);
+    let values = std::array::from_fn(|_| {
+        let Some(((p, units), slot)) = stages.next() else {
+            return Rc::default();
+        };
+        let key = stage_key(p);
+        if let Some(col) = slot.get(&key) {
+            return Rc::clone(col);
         }
-        let col = Rc::new(eval_stage(p, draws, c));
-        if let Some(cache) = cache.as_deref_mut() {
-            cache.map[c].insert(stage_key(p), Rc::clone(&col));
+        if slot.len() >= STAGE_CACHE_MAX {
+            slot.clear();
         }
+        let col: Rc<Vec<f64>> = Rc::new(
+            units
+                .g
+                .iter()
+                .zip(&units.u_tail)
+                .zip(&units.size)
+                .map(|((&g, &u_tail), &size)| p.eval(g, u_tail, size))
+                .collect(),
+        );
+        slot.insert(key, Rc::clone(&col));
         col
     });
     StageCols { values }
 }
 
-/// The tight column kernel: evaluate one stage's samples from its units.
-fn eval_stage(p: &StageParams, draws: &DrawCols, class: usize) -> Vec<f64> {
-    draws.g[class]
-        .iter()
-        .zip(&draws.u_tail[class])
-        .zip(&draws.size[class])
-        .map(|((&g, &u_tail), &size)| p.eval(g, u_tail, size))
-        .collect()
-}
-
-/// The persistent half of pass C: WT busy-until clocks, the DiTing id
-/// counter, the optional obs recorder, and the running aggregates. A batch
-/// run owns one for the duration of the run; a [`SimSession`] carries one
-/// across epoch steps so slice-by-slice serving accumulates *exactly* the
-/// batch totals (same u64 sums, same f64 summation order).
+/// The persistent half of record assembly: WT busy-until clocks, the
+/// DiTing id counter, the optional obs recorder, and the running
+/// aggregates. A batch run owns one for the duration of the run; a
+/// [`SimSession`] carries one across epoch steps so slice-by-slice
+/// serving accumulates *exactly* the batch totals (same u64 sums, same
+/// f64 summation order).
 struct SimCore {
     queues: WtQueues,
     diting: Diting,
     obs: Option<StackObs>,
+    replication: ReplicationPolicy,
     ios: u64,
     throttled: u64,
     total_latency: f64,
 }
 
+/// One slice's output under assembly.
+struct SliceOut {
+    records: Vec<TraceRecord>,
+    throttled: u64,
+    total_latency: f64,
+}
+
+impl SliceOut {
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            records: Vec::with_capacity(n),
+            throttled: 0,
+            total_latency: 0.0,
+        }
+    }
+
+    /// Close the slice: add its counts to `core` and return its output.
+    fn finish(self, core: &mut SimCore) -> SimOutput {
+        let ios = self.records.len() as u64;
+        core.ios += ios;
+        core.throttled += self.throttled;
+        SimOutput {
+            traces: TraceSet::from_records(self.records),
+            stats: SimStats::from_totals(ios, self.throttled, self.total_latency),
+        }
+    }
+}
+
 impl SimCore {
-    fn new(fleet: &Fleet) -> Self {
+    fn new(fleet: &Fleet, config: &StackConfig) -> Self {
         Self {
             queues: WtQueues::new(fleet.wt_total),
             diting: Diting::new(),
             obs: ebs_obs::enabled().then(StackObs::new),
+            replication: config.replication,
             ios: 0,
             throttled: 0,
             total_latency: 0.0,
         }
     }
 
+    /// Record assembly, shared by both schedules: WT queueing, fabric
+    /// congestion, the write quorum, obs, and the event's DiTing record.
+    #[inline]
+    fn assemble(
+        &mut self,
+        out: &mut SliceOut,
+        fleet: &Fleet,
+        ev: &IoEvent,
+        route: Route,
+        a: Admitted,
+        d: &mut EventDraws,
+    ) {
+        let [service, frontend, block_server_us, backend] = d.head;
+        let wait = self
+            .queues
+            .serve(route.wt, ev.t_us as f64 + a.throttle_us, service);
+        let chunk_server_us = match ev.op {
+            Op::Write => self.replication.completing_ack(&mut d.cs),
+            Op::Read => d.cs.first().copied().unwrap_or(0.0),
+        };
+        let lat = StageLatency {
+            compute_us: a.throttle_us + wait + service,
+            frontend_us: frontend * a.congestion_f,
+            block_server_us,
+            backend_us: backend * a.congestion_b,
+            chunk_server_us,
+        };
+        if a.throttle_us > 0.0 {
+            out.throttled += 1;
+        }
+        out.total_latency += lat.total_us();
+        // Aggregate per event, not per slice: the session's running total
+        // must follow the exact f64 summation order of a batch run.
+        self.total_latency += lat.total_us();
+        if let Some(o) = self.obs.as_mut() {
+            o.record_io(wait, &lat);
+        }
+        out.records.push(self.diting.record(fleet, ev, route, lat));
+    }
+
     /// Aggregate statistics accumulated so far.
     fn aggregate(&self) -> SimStats {
-        SimStats {
-            ios: self.ios,
-            throttled: self.throttled,
-            mean_latency_us: if self.ios > 0 {
-                self.total_latency / self.ios as f64
-            } else {
-                0.0
-            },
-        }
+        SimStats::from_totals(self.ios, self.throttled, self.total_latency)
     }
 
     /// Publish the accumulated obs metrics (if recording) and return the
@@ -457,93 +554,37 @@ impl SimCore {
     }
 }
 
-/// Pass C: WT queueing, congestion/replication arithmetic, and DiTing
-/// record assembly over the columns. Returns the *slice's* output (for a
-/// batch run the slice is the whole stream) while accumulating aggregates
-/// into `core`.
+/// Pass C: record assembly over the pass-A and pass-B2 columns.
 fn pass_c(
+    core: &mut SimCore,
     fleet: &Fleet,
-    config: &StackConfig,
     events: &[IoEvent],
     plan: &RoutePlan,
-    a: &StateCols,
+    admitted: &[Admitted],
     cols: &StageCols,
-    core: &mut SimCore,
 ) -> SimOutput {
-    let mut records: Vec<TraceRecord> = Vec::with_capacity(events.len());
-    let mut stats = SimStats {
-        ios: events.len() as u64,
-        throttled: a.throttled,
-        mean_latency_us: 0.0,
-    };
-    let mut total_latency = 0.0;
-    let replicas = config.replication.replicas as usize;
-    let quorum = config.replication.quorum as usize;
-    // Cursors into the per-op columns (slots are in event order).
-    let (mut j_cs_read, mut j_cs_write) = (0usize, 0usize);
-    let mut write_acks: Vec<f64> = Vec::with_capacity(replicas);
-    for (i, ev) in events.iter().enumerate() {
-        let t = ev.t_us as f64;
-        let throttle_us = a.throttle_us[i];
-        let wt = plan.wt()[i];
-        let service = cols.values[STAGE_COMPUTE][i];
-        let wait = core.queues.serve(wt, t + throttle_us, service);
-        let compute_us = throttle_us + wait + service;
-        let frontend_us = cols.values[STAGE_FRONTEND][i] * a.congestion_f[i];
-        let block_server_us = cols.values[STAGE_BLOCK_SERVER][i];
-        let backend_us = cols.values[STAGE_BACKEND][i] * a.congestion_b[i];
-        let chunk_server_us = match ev.op {
-            Op::Write => {
-                // Replicated append: slowest required ack.
-                write_acks.clear();
-                write_acks.extend_from_slice(
-                    &cols.values[STAGE_CS_WRITE][j_cs_write..j_cs_write + replicas],
-                );
-                j_cs_write += replicas;
-                write_acks.sort_by(|x, y| x.partial_cmp(y).expect("latencies are finite"));
-                write_acks[quorum - 1]
-            }
-            Op::Read => {
-                let v = cols.values[STAGE_CS_READ][j_cs_read];
-                j_cs_read += 1;
-                v
-            }
-        };
-        let lat = StageLatency {
-            compute_us,
-            frontend_us,
-            block_server_us,
-            backend_us,
-            chunk_server_us,
-        };
-        total_latency += lat.total_us();
-        // Aggregate per event, not per slice: the session's running total
-        // must follow the exact f64 summation order of a batch run.
-        core.total_latency += lat.total_us();
-        if let Some(o) = core.obs.as_mut() {
-            o.record_io(wait, &lat);
+    let mut out = SliceOut::with_capacity(events.len());
+    let [compute, frontend, block_server, backend, cs_read, cs_write] = &cols.values;
+    let replicas = usize::from(core.replication.replicas).max(1);
+    let (mut reads, mut writes) = (cs_read.iter(), cs_write.chunks_exact(replicas));
+    let heads = compute
+        .iter()
+        .zip(frontend.iter())
+        .zip(block_server.iter())
+        .zip(backend.iter());
+    let mut d = EventDraws::default();
+    for (((ev, &route), &a), (((&c, &f), &b), &k)) in
+        events.iter().zip(plan.routes()).zip(admitted).zip(heads)
+    {
+        d.head = [c, f, b, k];
+        d.cs.clear();
+        match ev.op {
+            Op::Write => d.cs.extend_from_slice(writes.next().unwrap_or_default()),
+            Op::Read => d.cs.extend(reads.next()),
         }
-        records.push(core.diting.record_routed(
-            fleet,
-            ev,
-            wt,
-            plan.seg()[i],
-            plan.bs()[i],
-            plan.sn()[i],
-            lat,
-        ));
+        core.assemble(&mut out, fleet, ev, route, a, &mut d);
     }
-    core.ios += stats.ios;
-    core.throttled += stats.throttled;
-    stats.mean_latency_us = if stats.ios > 0 {
-        total_latency / stats.ios as f64
-    } else {
-        0.0
-    };
-    SimOutput {
-        traces: TraceSet::from_records(records),
-        stats,
-    }
+    out.finish(core)
 }
 
 /// The simulator itself. One instance per run.
@@ -585,16 +626,6 @@ impl<'a> StackSim<'a> {
         RoutePlan::build(self.fleet, &self.binding, &self.seg_map, events)
     }
 
-    /// Like [`Self::plan`], reusing the shared [`EventIndex`]'s per-VD
-    /// segment table.
-    pub fn plan_with_index(
-        &self,
-        events: &[IoEvent],
-        idx: &EventIndex,
-    ) -> Result<RoutePlan, EbsError> {
-        RoutePlan::build_with_index(self.fleet, &self.binding, &self.seg_map, events, idx)
-    }
-
     /// Route `events` (must be time-sorted) through the stack.
     pub fn run(&mut self, events: &[IoEvent]) -> Result<SimOutput, EbsError> {
         let plan = self.plan(events)?;
@@ -615,9 +646,9 @@ impl<'a> StackSim<'a> {
     }
 }
 
-/// A *resumable* simulation: the same staged pipeline as
-/// [`StackSim::run_planned`], but with every piece of cross-event state —
-/// throttle-gate buckets, fabric links, the `stack/latency` RNG stream, WT busy-until clocks, DiTing trace ids,
+/// A *resumable* simulation: the fused schedule with every piece of
+/// cross-event state — throttle-gate buckets, fabric links, the
+/// `stack/latency` RNG stream, WT busy-until clocks, DiTing trace ids,
 /// and the aggregate accumulators — held in the session between calls to
 /// [`Self::step`].
 ///
@@ -635,7 +666,7 @@ pub struct SimSession<'a> {
     fleet: &'a Fleet,
     config: StackConfig,
     machines: Machines,
-    rng: ebs_core::rng::SimRng,
+    rng: SimRng,
     core: SimCore,
 }
 
@@ -644,16 +675,12 @@ impl<'a> SimSession<'a> {
     /// replication policy once, like a batch run).
     pub fn new(fleet: &'a Fleet, config: StackConfig) -> Result<Self, EbsError> {
         config.replication.validate()?;
-        let machines = Machines::new(fleet, &config);
-        let rng = RngFactory::new(config.seed)
-            .child("stack")
-            .stream("latency");
         Ok(Self {
             fleet,
+            machines: Machines::new(fleet, &config),
+            rng: latency_rng(config.seed),
+            core: SimCore::new(fleet, &config),
             config,
-            machines,
-            rng,
-            core: SimCore::new(fleet),
         })
     }
 
@@ -665,24 +692,29 @@ impl<'a> SimSession<'a> {
     /// Simulate the next slice of the stream under `plan`. Slices must
     /// arrive in stream order; the returned output carries the *slice's*
     /// traces and stats (its `mean_latency_us` is the slice mean).
+    ///
+    /// One fused pass: per event, the gate/fabric step, the stage samples
+    /// in draw order, then record assembly.
     pub fn step(&mut self, events: &[IoEvent], plan: &RoutePlan) -> Result<SimOutput, EbsError> {
         if plan.len() != events.len() {
             return Err(EbsError::invalid_config(
                 "route plan does not cover the event slice",
             ));
         }
-        let a = pass_a(&mut self.machines, &self.config, plan, events);
-        let draws = pass_b1_with(&mut self.rng, &self.config, events);
-        let cols = pass_b2(&self.config.latency, &draws, None);
-        Ok(pass_c(
-            self.fleet,
-            &self.config,
-            events,
-            plan,
-            &a,
-            &cols,
-            &mut self.core,
-        ))
+        let replicas = usize::from(self.config.replication.replicas);
+        let mut sink = EvalSink {
+            params: stage_params(&self.config.latency),
+            draws: EventDraws::default(),
+        };
+        let mut out = SliceOut::with_capacity(events.len());
+        for (ev, &route) in events.iter().zip(plan.routes()) {
+            let a = self.machines.admit(&self.config, ev, route);
+            sink.draws.cs.clear();
+            draw_event(&mut sink, &mut self.rng, ev, replicas);
+            self.core
+                .assemble(&mut out, self.fleet, ev, route, a, &mut sink.draws);
+        }
+        Ok(out.finish(&mut self.core))
     }
 
     /// Scale one VD's throttle caps to `scale ×` its subscribed caps (an
@@ -731,11 +763,11 @@ impl<'a> SimSession<'a> {
     }
 }
 
-/// A config sweep over one event slice: pass A and pass B1 run once, and
-/// every [`Self::run_point`] reuses them (plus any stage columns whose
-/// parameters it doesn't change), so a K-point latency sweep costs one
-/// state-machine replay + one RNG drain + K cheap evaluate/assemble
-/// passes instead of K full simulations.
+/// A config sweep over one event slice, on the staged schedule: pass A
+/// and pass B1 run once, and every [`Self::run_point`] reuses them (plus
+/// any stage columns whose parameters it doesn't change), so a K-point
+/// latency sweep costs one state-machine replay + one RNG drain + K cheap
+/// evaluate/assemble passes instead of K full simulations.
 ///
 /// Sweep points may vary the latency model and the replication *quorum*;
 /// everything that shapes pass A or the draw schedule (seed, throttle,
@@ -746,7 +778,7 @@ pub struct StackSweep<'a> {
     events: &'a [IoEvent],
     plan: &'a RoutePlan,
     base: StackConfig,
-    a: StateCols,
+    admitted: Vec<Admitted>,
     draws: DrawCols,
     cache: StageCache,
 }
@@ -767,14 +799,14 @@ impl<'a> StackSweep<'a> {
         }
         base.replication.validate()?;
         let mut machines = Machines::new(fleet, &base);
-        let a = pass_a(&mut machines, &base, plan, events);
+        let admitted = pass_a(&mut machines, &base, plan, events);
         let draws = pass_b1(&base, events);
         Ok(Self {
             fleet,
             events,
             plan,
             base,
-            a,
+            admitted,
             draws,
             cache: StageCache::default(),
         })
@@ -796,16 +828,15 @@ impl<'a> StackSweep<'a> {
             ));
         }
         config.replication.validate()?;
-        let cols = pass_b2(&config.latency, &self.draws, Some(&mut self.cache));
-        let mut core = SimCore::new(self.fleet);
+        let cols = pass_b2(&config.latency, &self.draws, &mut self.cache);
+        let mut core = SimCore::new(self.fleet, config);
         let out = pass_c(
+            &mut core,
             self.fleet,
-            config,
             self.events,
             self.plan,
-            &self.a,
+            &self.admitted,
             &cols,
-            &mut core,
         );
         core.finish();
         Ok(out)

@@ -1,6 +1,6 @@
 //! Property tests pinning [`ebs_stack::RoutePlan`] to the per-event
 //! resolution it replaces: for every event of a generated fleet, the
-//! plan's columns must equal what `Binding::wt_of`, `Fleet::cn_of_qp`,
+//! plan's route must equal what `Binding::wt_of`, `Fleet::cn_of_qp`,
 //! `Fleet::segment_at`, the segment map, and `Fleet::sn_of_seg` would
 //! have produced one call at a time.
 
@@ -21,35 +21,31 @@ proptest! {
         prop_assert_eq!(plan.len(), ds.events.len());
         for (i, ev) in ds.events.iter().enumerate() {
             let seg = ds.fleet.segment_at(ev.vd, ev.offset).unwrap();
-            let bs = seg_map.as_slice()[seg.index()];
-            prop_assert_eq!(plan.wt()[i], binding.wt_of(ev.qp));
-            prop_assert_eq!(plan.cn()[i], ds.fleet.cn_of_qp(ev.qp));
-            prop_assert_eq!(plan.seg()[i], seg);
-            prop_assert_eq!(plan.bs()[i], bs);
-            prop_assert_eq!(plan.sn()[i], ds.fleet.sn_of_seg(seg));
+            let r = plan.routes()[i];
+            prop_assert_eq!(r.wt, binding.wt_of(ev.qp));
+            prop_assert_eq!(r.cn, ds.fleet.cn_of_qp(ev.qp));
+            prop_assert_eq!(r.seg, seg);
+            prop_assert_eq!(r.bs, seg_map.as_slice()[seg.index()]);
+            prop_assert_eq!(r.sn, ds.fleet.sn_of_seg(seg));
         }
     }
 
-    /// The shared-index constructor resolves identically to the
-    /// from-scratch one.
+    /// A plan built for any sub-slice (the serve loop plans one epoch at
+    /// a time) equals the same rows of the whole-stream plan.
     #[test]
-    fn plan_with_index_matches_plain_build(seed in 0u64..1000) {
+    fn slice_plans_match_whole_stream_rows(seed in 0u64..1000, a in 0usize..10_000, b in 0usize..10_000) {
         let ds = generate(&WorkloadConfig::quick(seed)).unwrap();
         let binding = Binding::from_fleet(&ds.fleet);
         let seg_map = SegmentMap::from_fleet(&ds.fleet);
-        let plain = RoutePlan::build(&ds.fleet, &binding, &seg_map, &ds.events).unwrap();
-        let idx = ds.index();
-        let via_idx =
-            RoutePlan::build_with_index(&ds.fleet, &binding, &seg_map, &ds.events, idx).unwrap();
-        prop_assert_eq!(plain.wt(), via_idx.wt());
-        prop_assert_eq!(plain.cn(), via_idx.cn());
-        prop_assert_eq!(plain.seg(), via_idx.seg());
-        prop_assert_eq!(plain.bs(), via_idx.bs());
-        prop_assert_eq!(plain.sn(), via_idx.sn());
+        let whole = RoutePlan::build(&ds.fleet, &binding, &seg_map, &ds.events).unwrap();
+        let n = ds.events.len();
+        let (lo, hi) = ((a % (n + 1)).min(b % (n + 1)), (a % (n + 1)).max(b % (n + 1)));
+        let part = RoutePlan::build(&ds.fleet, &binding, &seg_map, &ds.events[lo..hi]).unwrap();
+        prop_assert_eq!(part.routes(), &whole.routes()[lo..hi]);
     }
 
-    /// Swapping two out-of-order timestamps must be rejected exactly like
-    /// the reference simulator rejects them.
+    /// Swapping two out-of-order timestamps must be rejected with a
+    /// typed error.
     #[test]
     fn unsorted_events_are_rejected(seed in 0u64..1000, pivot in 1usize..64) {
         let ds = generate(&WorkloadConfig::quick(seed)).unwrap();

@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn buffered_export_is_byte_identical_to_direct_writes() {
         let ds = dataset();
-        let dir = std::env::temp_dir().join(format!("ebs-export-buf-{}", std::process::id()));
+        let dir = ebs_core::TempDir::new("export-buf").unwrap();
         export_dir(&ds, &dir).unwrap();
         type MemWriter = fn(&Dataset, &mut Vec<u8>) -> io::Result<()>;
         let writers: [(&str, MemWriter); 4] = [
@@ -230,20 +230,18 @@ mod tests {
             let on_disk = std::fs::read(dir.join(name)).unwrap();
             assert_eq!(on_disk, direct, "{name} differs through the BufWriter");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn export_dir_writes_all_files() {
         let ds = dataset();
-        let dir = std::env::temp_dir().join(format!("ebs-export-{}", std::process::id()));
+        let dir = ebs_core::TempDir::new("export").unwrap();
         let files = export_dir(&ds, &dir).unwrap();
         assert_eq!(files.len(), 4);
         for f in &files {
             let meta = std::fs::metadata(dir.join(f)).unwrap();
             assert!(meta.len() > 0, "{f} is empty");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 

@@ -307,12 +307,11 @@ mod tests {
     #[test]
     fn import_dir_round_trips_export_dir() {
         let ds = generate(&WorkloadConfig::quick(601)).unwrap();
-        let dir = std::env::temp_dir().join(format!("ebs-import-{}", std::process::id()));
+        let dir = ebs_core::TempDir::new("import").unwrap();
         export_dir(&ds, &dir).unwrap();
         let imported = import_dir(&dir).unwrap();
         let (specs_a, events_a) = reexport(&ds);
         let (specs_b, events_b) = reexport(&imported);
-        std::fs::remove_dir_all(&dir).unwrap();
         assert_eq!(specs_a, specs_b, "specs.csv changed across the round trip");
         assert_eq!(
             events_a, events_b,

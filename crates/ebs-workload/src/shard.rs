@@ -523,10 +523,8 @@ mod tests {
     use super::*;
     use crate::generate;
 
-    fn tmp_dir(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("ebs-shard-test-{}-{name}", std::process::id()));
-        p
+    fn tmp_dir(name: &str) -> ebs_core::TempDir {
+        ebs_core::TempDir::new(&format!("shard-test-{name}")).unwrap()
     }
 
     #[test]
@@ -570,7 +568,6 @@ mod tests {
             let manifest = generate_sharded(&cfg, &dir, shards, true).unwrap();
             assert_eq!(manifest.total_events(), ds.events.len() as u64);
             let loaded = Dataset::load_sharded(&dir).unwrap();
-            std::fs::remove_dir_all(&dir).ok();
             assert_eq!(loaded.events, ds.events, "shards={shards}");
             assert_eq!(
                 loaded.compute.per_qp.as_slice(),
@@ -591,7 +588,6 @@ mod tests {
             let dir = tmp_dir(&format!("invariant-{shards}"));
             generate_sharded(&cfg, &dir, shards, false).unwrap();
             let (manifest, summary) = replay_summary(&dir).unwrap();
-            std::fs::remove_dir_all(&dir).ok();
             assert_eq!(
                 manifest.shards.len(),
                 shards.min(manifest.vd_count as usize)
@@ -619,7 +615,6 @@ mod tests {
         let err = Dataset::load_sharded(&dir).unwrap_err();
         assert!(matches!(err, EbsError::CorruptStore(_)), "{err}");
         let (_, summary) = replay_summary(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
         let ds = generate(&cfg).unwrap();
         assert_eq!(summary.events(), ds.events.len() as u64);
     }
@@ -636,7 +631,6 @@ mod tests {
         std::fs::rename(&b, &a).unwrap();
         std::fs::rename(&tmp, &b).unwrap();
         let err = replay_summary(&dir).unwrap_err();
-        std::fs::remove_dir_all(&dir).ok();
         assert!(matches!(err, EbsError::CorruptStore(_)), "{err}");
     }
 
@@ -649,7 +643,6 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
         let err = replay_summary(&dir).unwrap_err();
-        std::fs::remove_dir_all(&dir).ok();
         assert!(!err.to_string().is_empty());
     }
 

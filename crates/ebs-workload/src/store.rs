@@ -328,10 +328,11 @@ mod tests {
     use super::*;
     use crate::generate;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("ebs-store-test-{}-{name}", std::process::id()));
-        p
+    /// A scratch file path, and the directory guard that removes it.
+    fn tmp(name: &str) -> (ebs_core::TempDir, std::path::PathBuf) {
+        let dir = ebs_core::TempDir::new("store-test").unwrap();
+        let path = dir.join(name);
+        (dir, path)
     }
 
     #[test]
@@ -371,25 +372,22 @@ mod tests {
     #[test]
     fn save_load_save_is_byte_identical() {
         let ds = generate(&WorkloadConfig::quick(11)).unwrap();
-        let p1 = tmp("first.ebs");
-        let p2 = tmp("second.ebs");
+        let (_p1_dir, p1) = tmp("first.ebs");
+        let (_p2_dir, p2) = tmp("second.ebs");
         ds.save(&p1).unwrap();
         let loaded = Dataset::load(&p1).unwrap();
         loaded.save(&p2).unwrap();
         let b1 = std::fs::read(&p1).unwrap();
         let b2 = std::fs::read(&p2).unwrap();
-        std::fs::remove_file(&p1).ok();
-        std::fs::remove_file(&p2).ok();
         assert_eq!(b1, b2, "save -> load -> save changed bytes");
     }
 
     #[test]
     fn loaded_dataset_matches_generated() {
         let ds = generate(&WorkloadConfig::quick(23)).unwrap();
-        let p = tmp("roundtrip.ebs");
+        let (_p_dir, p) = tmp("roundtrip.ebs");
         ds.save(&p).unwrap();
         let loaded = Dataset::load(&p).unwrap();
-        std::fs::remove_file(&p).ok();
         assert_eq!(loaded.events, ds.events);
         assert_eq!(
             loaded.compute.per_qp.as_slice(),
@@ -407,23 +405,21 @@ mod tests {
     #[test]
     fn streaming_reader_sees_the_full_trace() {
         let ds = generate(&WorkloadConfig::quick(31)).unwrap();
-        let p = tmp("stream.ebs");
+        let (_p_dir, p) = tmp("stream.ebs");
         ds.save(&p).unwrap();
         let mut streamed = Vec::new();
         for batch in stream_events(&p).unwrap() {
             streamed.extend(batch.unwrap());
         }
-        std::fs::remove_file(&p).ok();
         assert_eq!(streamed, ds.events);
     }
 
     #[test]
     fn tampered_spec_chunk_is_detected() {
         let ds = generate(&WorkloadConfig::quick(47)).unwrap();
-        let p = tmp("tamper.ebs");
+        let (_p_dir, p) = tmp("tamper.ebs");
         ds.save(&p).unwrap();
         let bytes = std::fs::read(&p).unwrap();
-        std::fs::remove_file(&p).ok();
         // Re-frame the file with a forged config chunk whose seed differs:
         // the rebuilt fleet then disagrees with the stored specs.
         let mut forged_config = ds.config;
@@ -440,10 +436,9 @@ mod tests {
             }
         }
         let forged = w.finish().unwrap();
-        let p2 = tmp("tamper-forged.ebs");
+        let (_p2_dir, p2) = tmp("tamper-forged.ebs");
         std::fs::write(&p2, forged).unwrap();
         let err = Dataset::load(&p2).unwrap_err();
-        std::fs::remove_file(&p2).ok();
         assert!(matches!(err, EbsError::CorruptStore(_)), "{err}");
     }
 }

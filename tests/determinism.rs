@@ -10,7 +10,7 @@ use ebs::balance::importer::ImporterSelect;
 use ebs::balance::wt_rebind::{simulate_fleet, RebindConfig};
 use ebs::core::ids::DcId;
 use ebs::core::parallel::set_thread_override;
-use ebs::stack::sim::{StackConfig, StackSim};
+use ebs::stack::sim::{SimOutput, StackConfig, StackSim, StackSweep};
 use ebs::throttle::lending::{lending_gains, LendingConfig};
 use ebs::throttle::scenario::{build_groups, CapDim};
 use ebs::workload::{generate, Dataset, WorkloadConfig};
@@ -258,8 +258,8 @@ fn replay_from_store_is_byte_identical_to_generation() {
     use ebs::experiments::{dataset, dataset_or_replay, driver, Scale};
     let _obs = obs_guard().lock().unwrap();
     let _threads = override_guard().lock().unwrap();
-    let path = std::env::temp_dir().join(format!("ebs-replay-{}.ebs", std::process::id()));
-    let _ = std::fs::remove_file(&path);
+    let tmp = ebs::core::TempDir::new("replay").unwrap();
+    let path = tmp.join("trace.ebs");
 
     set_thread_override(Some(1));
     ebs::obs::set_obs_override(Some(false));
@@ -290,17 +290,46 @@ fn replay_from_store_is_byte_identical_to_generation() {
 
     set_thread_override(None);
     ebs::obs::set_obs_override(None);
-    let _ = std::fs::remove_file(&path);
 }
 
-/// The staged columnar pipeline must be indistinguishable from the
-/// preserved event-at-a-time reference simulator: identical stats and
-/// trace records for every seed, at 1, 2, and 8 worker threads, with
-/// observability both off and on. This is the differential oracle that
-/// lets the staged pipeline evolve without ever moving an output bit.
+/// One run on the staged schedule: a one-point [`StackSweep`].
+fn staged_run(ds: &Dataset, cfg: &StackConfig) -> SimOutput {
+    let plan = StackSim::new(&ds.fleet, cfg.clone())
+        .plan(&ds.events)
+        .unwrap();
+    StackSweep::new(&ds.fleet, &ds.events, &plan, cfg.clone())
+        .unwrap()
+        .run_point(cfg)
+        .unwrap()
+}
+
+/// Configs that change the simulator's shape: no throttle gates, a
+/// majority write quorum, no fabric congestion.
+fn variant_configs() -> [StackConfig; 3] {
+    [
+        StackConfig {
+            apply_throttle: false,
+            ..StackConfig::default()
+        },
+        StackConfig {
+            replication: ebs::stack::ReplicationPolicy::THREE_WAY_MAJORITY,
+            ..StackConfig::default()
+        },
+        StackConfig {
+            model_congestion: false,
+            ..StackConfig::default()
+        },
+    ]
+}
+
+/// The simulator's two schedules must be indistinguishable: the fused
+/// per-event pass (`StackSim::run`) and the staged columnar sweep
+/// (`StackSweep::run_point`) give identical stats and trace records for
+/// every seed, at 1, 2, and 8 worker threads, with observability both off
+/// and on. This is the differential oracle that lets either schedule
+/// evolve without ever moving an output bit.
 #[test]
-fn staged_pipeline_matches_reference_simulator() {
-    use ebs::stack::ReferenceSim;
+fn fused_simulator_matches_staged_sweep() {
     let _obs = obs_guard().lock().unwrap();
     let _threads = override_guard().lock().unwrap();
     for seed in PARALLEL_SEEDS {
@@ -310,17 +339,16 @@ fn staged_pipeline_matches_reference_simulator() {
             ebs::obs::set_obs_override(Some(obs_on));
             for threads in [1, 2, 8] {
                 set_thread_override(Some(threads));
-                let reference = ReferenceSim::new(&ds.fleet, cfg.clone())
+                let fused = StackSim::new(&ds.fleet, cfg.clone())
                     .run(&ds.events)
                     .unwrap();
-                let mut sim = StackSim::new(&ds.fleet, cfg.clone());
-                let staged = sim.run(&ds.events).unwrap();
+                let staged = staged_run(&ds, &cfg);
                 assert_eq!(
-                    reference.stats, staged.stats,
+                    fused.stats, staged.stats,
                     "stats diverged: seed={seed:#x} threads={threads} obs={obs_on}"
                 );
                 assert_eq!(
-                    reference.traces.records(),
+                    fused.traces.records(),
                     staged.traces.records(),
                     "traces diverged: seed={seed:#x} threads={threads} obs={obs_on}"
                 );
@@ -328,38 +356,55 @@ fn staged_pipeline_matches_reference_simulator() {
             set_thread_override(None);
         }
         ebs::obs::set_obs_override(None);
-        // Configs that change the pipeline's shape: no throttle gates,
-        // a majority write quorum, no fabric congestion. The loop above
-        // covers thread counts, so these run once each.
-        for variant in [
-            StackConfig {
-                apply_throttle: false,
-                ..StackConfig::default()
-            },
-            StackConfig {
-                replication: ebs::stack::ReplicationPolicy::THREE_WAY_MAJORITY,
-                ..StackConfig::default()
-            },
-            StackConfig {
-                model_congestion: false,
-                ..StackConfig::default()
-            },
-        ] {
-            let reference = ReferenceSim::new(&ds.fleet, variant.clone())
+        // The loop above covers thread counts, so the variants run once
+        // each.
+        for variant in variant_configs() {
+            let fused = StackSim::new(&ds.fleet, variant.clone())
                 .run(&ds.events)
                 .unwrap();
-            let staged = StackSim::new(&ds.fleet, variant.clone())
-                .run(&ds.events)
-                .unwrap();
+            let staged = staged_run(&ds, &variant);
             assert_eq!(
-                reference.stats, staged.stats,
+                fused.stats, staged.stats,
                 "stats diverged: seed={seed:#x} config={variant:?}"
             );
             assert_eq!(
-                reference.traces.records(),
+                fused.traces.records(),
                 staged.traces.records(),
                 "traces diverged: seed={seed:#x} config={variant:?}"
             );
+        }
+    }
+}
+
+/// A session stepped over uneven epoch slices — random lengths, empty
+/// slices included, each routed by its own plan as the serve loop does —
+/// reproduces the staged sweep's records and aggregate over the whole
+/// stream.
+#[test]
+fn session_slices_match_staged_sweep() {
+    use ebs::core::rng::SimRng;
+    use ebs::stack::SimSession;
+    let _obs = obs_guard().lock().unwrap();
+    for seed in PARALLEL_SEEDS {
+        let ds = generate(&WorkloadConfig::quick(seed)).unwrap();
+        let n = ds.events.len();
+        let [v0, v1, v2] = variant_configs();
+        for cfg in [StackConfig::default(), v0, v1, v2] {
+            let whole = staged_run(&ds, &cfg);
+            let sim = StackSim::new(&ds.fleet, cfg.clone());
+            let mut session = SimSession::new(&ds.fleet, cfg.clone()).unwrap();
+            let mut rng = SimRng::seed_from_u64(seed);
+            let (mut records, mut lo, mut slices) = (Vec::new(), 0, 0);
+            while lo < n {
+                let hi = (lo + rng.index(n / 6 + 1)).min(n);
+                let slice = &ds.events[lo..hi];
+                let out = session.step(slice, &sim.plan(slice).unwrap()).unwrap();
+                records.extend_from_slice(out.traces.records());
+                (lo, slices) = (hi, slices + 1);
+            }
+            assert!(slices > 3, "seed={seed:#x}: too few slices");
+            assert_eq!(session.finish(), whole.stats, "seed={seed:#x} {cfg:?}");
+            assert_eq!(records, whole.traces.records(), "seed={seed:#x} {cfg:?}");
         }
     }
 }

@@ -118,34 +118,24 @@ fn csv_import_rejects_garbage() {
     }
 }
 
-/// Bytes of a saved quick-scale store, for corruption experiments. Tests
-/// run concurrently, so every call writes its own file.
+/// Bytes of a saved quick-scale store, for corruption experiments.
 fn saved_store_bytes() -> Vec<u8> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static CALLS: AtomicUsize = AtomicUsize::new(0);
-    let call = CALLS.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!(
-        "ebs-failinj-{}-saved{call}.ebs",
-        std::process::id()
-    ));
+    let dir = ebs::core::TempDir::new("failinj-saved").unwrap();
+    let path = dir.join("saved.ebs");
     let ds = generate(&WorkloadConfig::quick(503)).unwrap();
     ds.save(&path).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
-    bytes
+    std::fs::read(&path).unwrap()
 }
 
-/// Write `bytes` to a fresh temp file, run `Dataset::load` on it, clean up.
+/// Write `bytes` to a fresh temp file and run `Dataset::load` on it.
 fn load_bytes(
     bytes: &[u8],
     tag: &str,
 ) -> Result<ebs::workload::Dataset, ebs::core::error::EbsError> {
-    let path = std::env::temp_dir().join(format!("ebs-failinj-{}-{tag}.ebs", std::process::id()));
+    let dir = ebs::core::TempDir::new("failinj").unwrap();
+    let path = dir.join(format!("{tag}.ebs"));
     std::fs::write(&path, bytes).unwrap();
-    let out = ebs::workload::Dataset::load(&path);
-    let _ = std::fs::remove_file(&path);
-    out
+    ebs::workload::Dataset::load(&path)
 }
 
 #[test]

@@ -543,3 +543,36 @@ mod stream_summary_merge {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Selection (`quantile`) must return the bits of a stable sort, on
+    /// inputs rich in what selection could get wrong: NaNs, both zeros,
+    /// infinities and heavy ties.
+    #[test]
+    fn quantile_by_selection_matches_sorted_oracle_bit_for_bit(
+        codes in prop::collection::vec(0u32..30, 0..120),
+    ) {
+        let palette = [f64::NAN, -0.0, -0.0, 0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5, 1.5, -2.0];
+        let values: Vec<f64> = codes
+            .iter()
+            .map(|&c| palette.get(c as usize).copied().unwrap_or((c as f64 - 20.0) * 0.37))
+            .collect();
+        let mut sorted: Vec<f64> = values.iter().copied().filter(|x| !x.is_nan()).collect();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            let oracle = (!sorted.is_empty()).then(|| {
+                let pos = q * (sorted.len() - 1) as f64;
+                let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+                let frac = pos - lo as f64;
+                if lo == hi { sorted[lo] } else { sorted[lo] * (1.0 - frac) + sorted[hi] * frac }
+            });
+            prop_assert_eq!(
+                quantile(&values, q).map(f64::to_bits),
+                oracle.map(f64::to_bits),
+                "q={} values={:?}", q, values
+            );
+        }
+    }
+}

@@ -17,8 +17,8 @@ fn override_guard() -> &'static Mutex<()> {
     GUARD.get_or_init(|| Mutex::new(()))
 }
 
-fn tmp_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("ebs-sharding-{tag}-{}", std::process::id()))
+fn tmp_dir(tag: &str) -> ebs::core::TempDir {
+    ebs::core::TempDir::new(&format!("sharding-{tag}")).unwrap()
 }
 
 /// Datasets compared on every generated artifact: trace events plus both
@@ -51,17 +51,16 @@ fn sharded_generation_is_shard_and_thread_count_invariant() {
         for shards in [1usize, 2, 8] {
             for threads in [1usize, 4] {
                 set_thread_override(Some(threads));
-                let dir = tmp_dir(&format!("gen-{seed:x}-{shards}-{threads}"));
-                std::fs::remove_dir_all(&dir).ok();
-                let manifest = generate_sharded(&cfg, &dir, shards, true).unwrap();
+                let tmp = tmp_dir(&format!("gen-{seed:x}-{shards}-{threads}"));
+                let dir = tmp.path();
+                let manifest = generate_sharded(&cfg, dir, shards, true).unwrap();
                 assert_eq!(manifest.total_events(), baseline.events.len() as u64);
-                let ds = Dataset::load_sharded(&dir).unwrap();
+                let ds = Dataset::load_sharded(dir).unwrap();
                 assert_same_dataset(
                     &baseline,
                     &ds,
                     &format!("seed {seed:#x}, {shards} shard(s), {threads} thread(s)"),
                 );
-                std::fs::remove_dir_all(&dir).ok();
             }
         }
         set_thread_override(None);
@@ -78,10 +77,9 @@ fn streaming_replay_statistics_are_shard_count_invariant() {
         let cfg = WorkloadConfig::quick(seed);
         let mut digests = Vec::new();
         for shards in [1usize, 2, 8] {
-            let dir = tmp_dir(&format!("replay-{seed:x}-{shards}"));
-            std::fs::remove_dir_all(&dir).ok();
-            generate_sharded(&cfg, &dir, shards, false).unwrap();
-            let (manifest, summary) = replay_summary(&dir).unwrap();
+            let tmp = tmp_dir(&format!("replay-{seed:x}-{shards}"));
+            generate_sharded(&cfg, tmp.path(), shards, false).unwrap();
+            let (manifest, summary) = replay_summary(tmp.path()).unwrap();
             digests.push((
                 manifest.vd_count,
                 summary.events(),
@@ -93,7 +91,6 @@ fn streaming_replay_statistics_are_shard_count_invariant() {
                     acc.wrapping_mul(31).wrapping_add(v.to_bits())
                 }),
             ));
-            std::fs::remove_dir_all(&dir).ok();
         }
         assert_eq!(digests[0], digests[1], "seed {seed:#x}: 1 vs 2 shards");
         assert_eq!(digests[0], digests[2], "seed {seed:#x}: 1 vs 8 shards");
@@ -112,13 +109,13 @@ fn driver_output_from_sharded_replay_matches_generation() {
     let baseline = driver::run_all(&dataset(Scale::Quick));
 
     let cfg = Scale::Quick.config(ebs::experiments::EXPERIMENT_SEED);
-    let dir = tmp_dir("driver");
-    std::fs::remove_dir_all(&dir).ok();
-    generate_sharded(&cfg, &dir, 3, true).unwrap();
+    let tmp = tmp_dir("driver");
+    let dir = tmp.path();
+    generate_sharded(&cfg, dir, 3, true).unwrap();
 
     for threads in [1usize, 2, 8] {
         set_thread_override(Some(threads));
-        let ds = Dataset::load_sharded(&dir).unwrap();
+        let ds = Dataset::load_sharded(dir).unwrap();
         assert_eq!(
             baseline,
             driver::run_all(&ds),
@@ -134,7 +131,6 @@ fn driver_output_from_sharded_replay_matches_generation() {
         ebs::obs::set_obs_override(Some(false));
     }
 
-    std::fs::remove_dir_all(&dir).ok();
     set_thread_override(None);
     ebs::obs::set_obs_override(None);
 }
@@ -154,11 +150,10 @@ fn full_scale_sharded_replay_matches_gold_master() {
     let _guard = override_guard().lock().unwrap();
     let gold = std::fs::read_to_string("full_run_output.txt").expect("gold master present");
     let cfg = Scale::Full.config(ebs::experiments::EXPERIMENT_SEED);
-    let dir = tmp_dir("gold");
-    std::fs::remove_dir_all(&dir).ok();
-    generate_sharded(&cfg, &dir, 4, true).unwrap();
-    let ds = Dataset::load_sharded(&dir).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
+    let tmp = tmp_dir("gold");
+    generate_sharded(&cfg, tmp.path(), 4, true).unwrap();
+    let ds = Dataset::load_sharded(tmp.path()).unwrap();
+    drop(tmp);
     ebs::obs::set_obs_override(Some(true));
     let out = format!("{}\n", driver::run_all(&ds).join("\n\n"));
     ebs::obs::set_obs_override(None);
