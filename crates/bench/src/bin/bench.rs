@@ -34,7 +34,7 @@
 //! recorded for honesty), and a 16-point latency sweep — one standalone
 //! `StackSim::run` per point against one sweep that shares one
 //! `RoutePlan` + one RNG drain across every point (the speedup the staged
-//! schedule exists for, asserted ≥3x at medium/full scale). Also times
+//! schedule exists for, asserted ≥1.5x at every scale). Also times
 //! `experiments_all` against the recorded pre-optimization wall time
 //! (asserted ≥2x at medium, the scale the baseline was recorded at).
 //! Per-pass timings (route plan, pass A+B1 setup, cold and warm sweep
@@ -545,6 +545,14 @@ fn sim_digest(o: &ebs_stack::SimOutput) -> (u64, u64, u64, u64) {
     )
 }
 
+/// Floor on the staged 16-point sweep's speedup over one fused run per
+/// point, at every scale. On a 2-CPU shared host, 32 medium runs at
+/// `--iters 5` measured 1.99–3.44x (median 3.04x) and an earlier 14 ran
+/// 2.30–4.64x, so a 3x floor failed about half the time. 1.5x sits 25%
+/// under the slowest of them and still fails a sweep that stops sharing
+/// its route plan, state replay and RNG drain (that falls to about 1x).
+const SWEEP_FLOOR: f64 = 1.5;
+
 /// The fused-vs-staged simulator baseline (BENCH_sim.json): the per-event
 /// pass against the columnar sweep schedule, standalone and under a
 /// config sweep, serial.
@@ -661,13 +669,9 @@ fn run_sim_mode(scale: Scale, iters: usize, out_path: &str) {
     set_thread_override(None);
 
     let sweep_entry = &entries[1];
-    // Quick-scale slices are too small for the setup amortization to show
-    // fully, so the smoke floor is relaxed there; the 3x gate binds at
-    // the scales the work is sized for.
-    let sweep_floor = if scale == Scale::Quick { 1.5 } else { 3.0 };
     assert!(
-        sweep_entry.speedup() >= sweep_floor,
-        "staged sweep must be >={sweep_floor}x the per-point fused runs, measured {:.2}x",
+        sweep_entry.speedup() >= SWEEP_FLOOR,
+        "staged sweep must be >={SWEEP_FLOOR}x the per-point fused runs, measured {:.2}x",
         sweep_entry.speedup()
     );
     if scale == Scale::Medium {

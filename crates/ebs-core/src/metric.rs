@@ -187,6 +187,24 @@ impl Series {
         self.samples.push(SeriesSample { tick, rw });
     }
 
+    /// Build a series from whole columns of samples, the non-panicking
+    /// counterpart of a [`Series::push`] loop: ticks must strictly
+    /// increase (`None` otherwise, where `push` would panic or merge), and
+    /// all-zero samples are dropped exactly as `push` drops them. The
+    /// vector is kept as is, so a caller that sizes it exactly gets a
+    /// series with no growth slack.
+    pub fn from_samples(mut samples: Vec<SeriesSample>) -> Option<Self> {
+        let increasing = samples
+            .iter()
+            .zip(samples.iter().skip(1))
+            .all(|(a, b)| a.tick < b.tick);
+        if !increasing {
+            return None;
+        }
+        samples.retain(|s| !s.rw.is_zero());
+        Some(Self { samples })
+    }
+
     /// Sparse samples, tick-sorted.
     pub fn samples(&self) -> &[SeriesSample] {
         &self.samples
@@ -356,6 +374,28 @@ mod tests {
         let t = s.total();
         assert_eq!(t.read.bytes, 3.0);
         assert_eq!(t.write.bytes, 7.0);
+    }
+
+    #[test]
+    fn from_samples_matches_push_and_rejects_disorder() {
+        let rows = [(1, rw(1.0, 0.0)), (2, RwFlow::ZERO), (4, rw(0.0, 2.0))];
+        let mut pushed = Series::new();
+        for &(tick, flow) in &rows {
+            pushed.push(tick, flow);
+        }
+        let samples = |rows: &[(u32, RwFlow)]| -> Vec<SeriesSample> {
+            rows.iter()
+                .map(|&(tick, rw)| SeriesSample { tick, rw })
+                .collect()
+        };
+        assert_eq!(Series::from_samples(samples(&rows)), Some(pushed));
+        assert_eq!(Series::from_samples(Vec::new()), Some(Series::new()));
+        // A repeat or a step back is `None`, even on a row `push` would
+        // drop as all-zero.
+        let repeat = [(1, rw(1.0, 0.0)), (1, RwFlow::ZERO)];
+        assert_eq!(Series::from_samples(samples(&repeat)), None);
+        let back = [(3, rw(1.0, 0.0)), (2, rw(1.0, 0.0))];
+        assert_eq!(Series::from_samples(samples(&back)), None);
     }
 
     #[test]

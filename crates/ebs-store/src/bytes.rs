@@ -23,6 +23,14 @@ impl ByteWriter {
         Self::default()
     }
 
+    /// Fresh empty buffer with room for `cap` bytes, for encoders that can
+    /// bound their payload up front and so grow it at most once.
+    pub fn with_capacity(cap: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(cap),
+        }
+    }
+
     /// The encoded payload.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -69,6 +77,15 @@ impl ByteWriter {
     /// Append raw bytes verbatim.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Append `len` zero bytes and return them for the caller to fill —
+    /// the batch kernels size a whole window once, then write fixed-width
+    /// values into it with no per-value capacity check.
+    pub fn put_slot(&mut self, len: usize) -> &mut [u8] {
+        let start = self.buf.len();
+        self.buf.resize(start + len, 0);
+        self.buf.get_mut(start..).unwrap_or_default()
     }
 }
 

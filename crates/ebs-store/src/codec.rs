@@ -115,11 +115,6 @@ fn load_le(bytes: &[u8]) -> u64 {
     }
 }
 
-/// Encoded size of `vals` under LEB128 varint (used by size accounting).
-pub fn varint_size(vals: &[u64]) -> usize {
-    vals.iter().map(|&v| varint_len(v)).sum()
-}
-
 /// Bytes one LEB128 varint takes.
 #[inline]
 fn varint_len(v: u64) -> usize {
@@ -129,20 +124,32 @@ fn varint_len(v: u64) -> usize {
 
 /// Exact encoded size of `vals` under group varint.
 pub fn group_varint_size(vals: &[u64]) -> usize {
-    let ctrl_bytes = vals.len().div_ceil(GROUP);
-    let data_bytes: usize = vals.iter().map(|&v| 1usize << len_class(v)).sum();
-    ctrl_bytes + data_bytes
+    vals.len().div_ceil(GROUP) + group_varint_data_len(vals, 0)
+}
+
+/// Packed data bytes (control bytes excluded) of `vals >> shift` under
+/// group varint.
+#[inline]
+fn group_varint_data_len(vals: &[u64], shift: u32) -> usize {
+    vals.iter().map(|&v| 1usize << len_class(v >> shift)).sum()
 }
 
 /// Append `vals` in group-varint form (no tag byte; see [`encode_column`]).
 pub fn encode_group_varint(w: &mut ByteWriter, vals: &[u64]) {
+    write_group_varint(w, vals, 0);
+}
+
+/// Append `vals >> shift` in group-varint form: the shift is applied as
+/// each value is packed, so no shifted copy of the column is built.
+fn write_group_varint(w: &mut ByteWriter, vals: &[u64], shift: u32) {
     for group in vals.chunks(GROUP) {
         let mut ctrl = 0u8;
         for (k, &v) in group.iter().enumerate() {
-            ctrl |= len_class(v) << (2 * k);
+            ctrl |= len_class(v >> shift) << (2 * k);
         }
         w.put_u8(ctrl);
         for &v in group {
+            let v = v >> shift;
             match len_class(v) {
                 0 => w.put_u8(v as u8),
                 1 => w.put_bytes(&(v as u16).to_le_bytes()),
@@ -294,9 +301,11 @@ fn byte_width(x: u64) -> usize {
     ((64 - x.leading_zeros()) as usize).div_ceil(8)
 }
 
-/// Per-block (min, width) header of a FOR miniblock.
+/// Per-block (min, width) header of a FOR miniblock of `block >> shift`.
+/// Shifting is monotone, so the shifted block's extremes are the shifted
+/// extremes — no shifted copy is needed.
 #[inline]
-fn block_header(block: &[u64]) -> (u64, usize) {
+fn block_header(block: &[u64], shift: u32) -> (u64, usize) {
     let mut min = u64::MAX;
     let mut max = 0u64;
     for &v in block {
@@ -306,51 +315,65 @@ fn block_header(block: &[u64]) -> (u64, usize) {
     if block.is_empty() {
         return (0, 0);
     }
+    let (min, max) = (min >> shift, max >> shift);
     (min, byte_width(max - min))
 }
 
 /// Exact encoded size of `vals` under frame-of-reference packing.
 pub fn for_size(vals: &[u64]) -> usize {
-    let mut size = 0usize;
-    for block in vals.chunks(MINIBLOCK) {
-        let (min, width) = block_header(block);
-        size += varint_len(min) + 1 + width * block.len();
-    }
-    size
+    vals.chunks(MINIBLOCK)
+        .map(|block| for_block_len(block, 0))
+        .sum()
+}
+
+/// Encoded bytes of one FOR miniblock of `block >> shift`.
+#[inline]
+fn for_block_len(block: &[u64], shift: u32) -> usize {
+    let (min, width) = block_header(block, shift);
+    varint_len(min) + 1 + width * block.len()
 }
 
 /// Append `vals` in frame-of-reference form (no tag byte; see
 /// [`encode_column`]).
 pub fn encode_for(w: &mut ByteWriter, vals: &[u64]) {
+    write_for(w, vals, 0);
+}
+
+/// Append `vals >> shift` in frame-of-reference form, shifting as each
+/// value is packed.
+fn write_for(w: &mut ByteWriter, vals: &[u64], shift: u32) {
     for block in vals.chunks(MINIBLOCK) {
-        let (min, width) = block_header(block);
+        let (min, width) = block_header(block, shift);
         w.put_varint(min);
         w.put_u8(width as u8);
+        let slot = w.put_slot(width * block.len());
         match width {
             0 => {}
-            1 => {
-                for &v in block {
-                    w.put_u8((v - min) as u8);
-                }
-            }
-            2 => {
-                for &v in block {
-                    w.put_bytes(&((v - min) as u16).to_le_bytes());
-                }
-            }
-            4 => {
-                for &v in block {
-                    w.put_bytes(&((v - min) as u32).to_le_bytes());
-                }
-            }
-            _ => {
-                for &v in block {
-                    let bytes = (v - min).to_le_bytes();
-                    for &b in bytes.iter().take(width) {
-                        w.put_u8(b);
-                    }
-                }
-            }
+            1 => pack_deltas::<1>(slot, block, min, shift),
+            2 => pack_deltas::<2>(slot, block, min, shift),
+            3 => pack_deltas::<3>(slot, block, min, shift),
+            4 => pack_deltas::<4>(slot, block, min, shift),
+            5 => pack_deltas::<5>(slot, block, min, shift),
+            6 => pack_deltas::<6>(slot, block, min, shift),
+            7 => pack_deltas::<7>(slot, block, min, shift),
+            _ => pack_deltas::<8>(slot, block, min, shift),
+        }
+    }
+}
+
+/// Write each `(v >> shift) − min` of a block as its low `W` little-endian
+/// bytes into `slot` (`W × block.len()` bytes). One const-width kernel
+/// serves every width, so the odd widths get the same fixed-size stores
+/// as the power-of-two ones — the mirror of [`decode_for_into`]'s arms.
+#[inline]
+fn pack_deltas<const W: usize>(slot: &mut [u8], block: &[u64], min: u64, shift: u32) {
+    let (chunks, _) = slot.as_chunks_mut::<W>();
+    for (dst, &v) in chunks.iter_mut().zip(block) {
+        if let Some(low) = ((v >> shift).wrapping_sub(min))
+            .to_le_bytes()
+            .first_chunk::<W>()
+        {
+            *dst = *low;
         }
     }
 }
@@ -478,29 +501,51 @@ fn column_shift(vals: &[u64]) -> u32 {
     }
 }
 
+/// How [`encode_column`] packs a column, planned once before any byte is
+/// written: the alignment shift, the codec [`pick_group_varint`] selects,
+/// and the exact encoded size including the tag and shift header. Both
+/// codecs are sized block by block off the unshifted values.
+#[derive(Clone, Copy, Debug)]
+struct ColumnPlan {
+    shift: u32,
+    group_varint: bool,
+    size: usize,
+}
+
+impl ColumnPlan {
+    fn new(vals: &[u64]) -> Self {
+        let shift = column_shift(vals);
+        let (mut gv, mut fo) = (vals.len().div_ceil(GROUP), 0usize);
+        for block in vals.chunks(MINIBLOCK) {
+            gv += group_varint_data_len(block, shift);
+            fo += for_block_len(block, shift);
+        }
+        let group_varint = pick_group_varint(gv, fo);
+        let size = 2 + if group_varint { gv } else { fo };
+        Self {
+            shift,
+            group_varint,
+            size,
+        }
+    }
+}
+
 /// Append `vals` as a tagged column: the codec tag, the alignment shift,
 /// then the shifted column under the codec [`pick_group_varint`] selects
 /// (frame-of-reference unless group varint is meaningfully smaller).
 /// Returns the bytes appended, for the per-column accounting the bench
 /// and `--trace` stats report.
 pub fn encode_column(w: &mut ByteWriter, vals: &[u64]) -> u64 {
+    let plan = ColumnPlan::new(vals);
     let before = w.len();
-    let shift = column_shift(vals);
-    let shifted;
-    let packed: &[u64] = if shift == 0 {
-        vals
-    } else {
-        shifted = vals.iter().map(|&v| v >> shift).collect::<Vec<u64>>();
-        &shifted
-    };
-    if pick_group_varint(group_varint_size(packed), for_size(packed)) {
+    if plan.group_varint {
         w.put_u8(column_tag::GROUP_VARINT);
-        w.put_u8(shift as u8);
-        encode_group_varint(w, packed);
+        w.put_u8(plan.shift as u8);
+        write_group_varint(w, vals, plan.shift);
     } else {
         w.put_u8(column_tag::FOR_BYTES);
-        w.put_u8(shift as u8);
-        encode_for(w, packed);
+        w.put_u8(plan.shift as u8);
+        write_for(w, vals, plan.shift);
     }
     (w.len() - before) as u64
 }
@@ -509,16 +554,7 @@ pub fn encode_column(w: &mut ByteWriter, vals: &[u64]) -> u64 {
 /// anything. The metric encoder uses this to pick between integral-column
 /// and sparse/raw float packings by actual byte cost.
 pub fn encoded_column_size(vals: &[u64]) -> usize {
-    let shift = column_shift(vals);
-    let shifted;
-    let packed: &[u64] = if shift == 0 {
-        vals
-    } else {
-        shifted = vals.iter().map(|&v| v >> shift).collect::<Vec<u64>>();
-        &shifted
-    };
-    let (gv, fo) = (group_varint_size(packed), for_size(packed));
-    2 + if pick_group_varint(gv, fo) { gv } else { fo }
+    ColumnPlan::new(vals).size
 }
 
 /// Decode one tagged column of `count` values into `out` (cleared first).
@@ -810,5 +846,72 @@ mod tests {
             matches!(err, EbsError::CorruptStore(_) | EbsError::Truncated(_)),
             "{err}"
         );
+    }
+
+    /// The frame-of-reference writer before the const-width kernel: the
+    /// power-of-two widths as whole integers, the odd ones a byte at a
+    /// time. Kept as the byte-identity oracle for [`encode_for`].
+    fn per_byte_for(vals: &[u64]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        for block in vals.chunks(MINIBLOCK) {
+            let (min, width) = block_header(block, 0);
+            w.put_varint(min);
+            w.put_u8(width as u8);
+            match width {
+                0 => {}
+                1 => block.iter().for_each(|&v| w.put_u8((v - min) as u8)),
+                2 => block
+                    .iter()
+                    .for_each(|&v| w.put_bytes(&((v - min) as u16).to_le_bytes())),
+                4 => block
+                    .iter()
+                    .for_each(|&v| w.put_bytes(&((v - min) as u32).to_le_bytes())),
+                _ => {
+                    for &v in block {
+                        for &b in (v - min).to_le_bytes().iter().take(width) {
+                            w.put_u8(b);
+                        }
+                    }
+                }
+            }
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn for_every_width_round_trips_and_matches_the_per_byte_writer() {
+        for width in 0..=8usize {
+            // Every miniblock (two full, one partial) spans exactly
+            // `width` bytes: it holds its min and its min + spread.
+            let spread = match width {
+                0 => 0,
+                8 => u64::MAX,
+                w => (1u64 << (8 * w)) - 1,
+            };
+            let min = if width == 8 { 0 } else { 1_000_003 };
+            let noise = random_column(300, width as u64, u64::MAX);
+            let vals: Vec<u64> = noise
+                .iter()
+                .enumerate()
+                .map(|(i, &r)| match i % MINIBLOCK {
+                    0 => min,
+                    1 => min + spread,
+                    _ => min + r % spread.saturating_add(1).max(1),
+                })
+                .collect();
+            let mut w = ByteWriter::new();
+            encode_for(&mut w, &vals);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes, per_byte_for(&vals), "width {width}");
+            assert_eq!(bytes.len(), for_size(&vals), "width {width}");
+            let mut r = ByteReader::new(&bytes, "width");
+            r.get_varint().unwrap();
+            assert_eq!(usize::from(r.get_u8().unwrap()), width);
+            let mut r = ByteReader::new(&bytes, "width");
+            let mut out = Vec::new();
+            decode_for_into(&mut r, vals.len(), &mut out).unwrap();
+            r.expect_end().unwrap();
+            assert_eq!(out, vals, "width {width}");
+        }
     }
 }

@@ -11,7 +11,12 @@
 //!   five tagged group-varint / frame-of-reference columns; metric series
 //!   store integral-valued `f64` columns as packed integers instead of raw
 //!   bits. Decode lands in a reusable [`EventScratch`] so the steady-state
-//!   streaming path allocates nothing per chunk.
+//!   streaming path allocates nothing per chunk. The series kernels are
+//!   batch passes: a series is transposed once into bit columns, each
+//!   value column is sized, bitset-packed and compacted in bulk, and
+//!   decode reads each value window whole into one exactly-sized sample
+//!   vector. The bytes are those the per-value kernels wrote; those
+//!   kernels stay as a test-only oracle (`tests/oracle/series_v2.rs`).
 //!
 //! Floats always travel bit-exactly (raw IEEE-754 bits, or integers whose
 //! `f64` round-trip is exact); a save→load→save cycle is byte-identical.
@@ -20,13 +25,16 @@
 //! newer.
 
 use crate::bytes::{ByteReader, ByteWriter};
-use crate::codec::{decode_column_into, encode_column, encoded_column_size, unzigzag, zigzag};
-use crate::format::MAX_CHUNK_EVENTS;
+use crate::codec::{
+    decode_column_into, encode_column, encoded_column_size, unzigzag, zigzag, MINIBLOCK,
+};
+use crate::format::{MAX_CHUNK_EVENTS, MAX_CHUNK_LEN};
 use ebs_core::apps::AppClass;
 use ebs_core::error::EbsError;
+use ebs_core::hash::FxHashMap;
 use ebs_core::ids::{QpId, VdId};
 use ebs_core::io::{IoEvent, Op};
-use ebs_core::metric::{Flow, RwFlow, Series};
+use ebs_core::metric::{Flow, RwFlow, Series, SeriesSample};
 use ebs_core::time::TickSpec;
 
 /// One row of the specification dataset: the per-VD subscription facts the
@@ -181,9 +189,10 @@ impl EventColumnBytes {
     }
 }
 
-/// Reusable decode target for v2 event chunks. Holding one of these
-/// across a streaming pass means steady-state decode does zero allocation
-/// per chunk — every column vector is cleared and refilled in place.
+/// Reusable encode/decode target for v2 event chunks. Holding one of
+/// these across a streaming pass means steady-state decode does zero
+/// allocation per chunk — every column vector is cleared and refilled in
+/// place.
 #[derive(Debug, Default)]
 pub struct EventScratch {
     dict: Vec<u32>,
@@ -194,6 +203,10 @@ pub struct EventScratch {
     size: Vec<u64>,
     offset: Vec<u64>,
     last_offset: Vec<u64>,
+    /// Encode only: VD id → first-seen slot, and the distinct
+    /// `(id, slot)` pairs sorted into dictionary order.
+    slots: FxHashMap<u32, u32>,
+    ranked: Vec<(u32, u32)>,
 }
 
 impl EventScratch {
@@ -299,22 +312,14 @@ pub fn encode_events_v2(
         return Ok((w.into_bytes(), bytes));
     }
     scratch.clear();
-    // VD dictionary: sorted distinct ids, stored as first + deltas (≥1).
-    scratch.dict.extend(events.iter().map(|e| e.vd.0));
-    scratch.dict.sort_unstable();
-    scratch.dict.dedup();
-    w.put_varint(scratch.dict.len() as u64);
-    let mut prev_id = 0u32;
-    for (k, &id) in scratch.dict.iter().enumerate() {
-        let delta = if k == 0 { id } else { id - prev_id };
-        w.put_varint(u64::from(delta));
-        prev_id = id;
-    }
-    // Column scratch fill. The dictionary lookup is a partition point over
-    // a sorted vec — the id is guaranteed present, so the index is exact.
+    // Column scratch fill. Each event's VD takes a slot in first-seen
+    // order from one hash probe; the per-VD offset state is keyed by that
+    // slot, and the slots become dictionary ranks once the chunk's
+    // distinct ids are known and sorted.
     let mut prev_t = 0u64;
     scratch.last_offset.clear();
-    scratch.last_offset.resize(scratch.dict.len(), 0);
+    scratch.slots.clear();
+    scratch.ranked.clear();
     let off_or = events.iter().fold(0u64, |acc, e| acc | e.offset);
     let off_shift = if off_or == 0 {
         0
@@ -330,18 +335,46 @@ pub fn encode_events_v2(
         }
         scratch.t_us.push(e.t_us - prev_t);
         prev_t = e.t_us;
-        let idx = scratch.dict.partition_point(|&d| d < e.vd.0);
-        scratch.vd_idx.push(idx as u64);
+        let next = scratch.ranked.len() as u32;
+        let slot = *scratch.slots.entry(e.vd.0).or_insert(next);
+        if slot == next {
+            scratch.ranked.push((e.vd.0, slot));
+            scratch.last_offset.push(0);
+        }
+        scratch.vd_idx.push(u64::from(slot));
         scratch.qp.push(u64::from(e.qp.0));
         scratch.size.push(u64::from(e.size));
         // Wrapping delta arithmetic round-trips every u64 bit pattern; the
         // decoder mirrors it with a wrapping add.
-        let slot = scratch.last_offset.get_mut(idx).ok_or_else(|| {
+        let last = scratch.last_offset.get_mut(slot as usize).ok_or_else(|| {
             EbsError::invalid_spec("event VD missing from its own dictionary".to_string())
         })?;
         let off = e.offset >> off_shift;
-        scratch.offset.push(zigzag(off.wrapping_sub(*slot) as i64));
-        *slot = off;
+        scratch.offset.push(zigzag(off.wrapping_sub(*last) as i64));
+        *last = off;
+    }
+    // VD dictionary: the sorted distinct ids, stored as first + deltas
+    // (≥1). Sorting only the distinct ids, then remapping each slot to its
+    // rank, replaces a sort of the whole id column and a binary search per
+    // event. `last_offset` is spent, so it holds the slot → rank map.
+    scratch.ranked.sort_unstable();
+    scratch
+        .dict
+        .extend(scratch.ranked.iter().map(|&(id, _)| id));
+    for (rank, &(_, slot)) in scratch.ranked.iter().enumerate() {
+        if let Some(r) = scratch.last_offset.get_mut(slot as usize) {
+            *r = rank as u64;
+        }
+    }
+    for x in scratch.vd_idx.iter_mut() {
+        *x = scratch.last_offset.get(*x as usize).copied().unwrap_or(0);
+    }
+    w.put_varint(scratch.dict.len() as u64);
+    let mut prev_id = 0u32;
+    for (k, &id) in scratch.dict.iter().enumerate() {
+        let delta = if k == 0 { id } else { id - prev_id };
+        w.put_varint(u64::from(delta));
+        prev_id = id;
     }
     for group in events.chunks(8) {
         let mut byte = 0u8;
@@ -702,6 +735,12 @@ pub fn decode_series_set_v1(
     Ok((spec, out))
 }
 
+/// The per-series, per-value v2 series codec the batch kernels replaced:
+/// the differential oracle for the tests below.
+#[cfg(test)]
+#[path = "../tests/oracle/series_v2.rs"]
+mod oracle;
+
 /// Value-column mode tags of the v2 series layout.
 mod series_mode {
     /// Raw IEEE-754 bits, 8 bytes per sample (the v1 representation).
@@ -717,13 +756,61 @@ mod series_mode {
     pub const SPARSE_BITS: u8 = 2;
 }
 
-/// Whether `v` survives an exact `f64 → u64 → f64` round trip. True for
-/// every byte/op total the simulator produces (integer-valued, < 2^53);
-/// false for fractions, negatives, `-0.0`, NaN, and integers too large to
-/// represent — those fall back to raw bits.
+/// Whether the `f64` with these bits survives an exact `f64 → u64 → f64`
+/// round trip. True for every byte/op total the simulator produces
+/// (integer-valued, < 2^53); false for fractions, negatives, `-0.0`, NaN,
+/// and integers too large to represent — those fall back to raw bits.
 #[inline]
-fn is_integral(v: f64) -> bool {
-    v.to_bits() == ((v as u64) as f64).to_bits()
+fn is_integral(bits: u64) -> bool {
+    bits == ((f64::from_bits(bits) as u64) as f64).to_bits()
+}
+
+/// One series transposed into columns: tick deltas and the raw IEEE-754
+/// bits of the four value fields (read bytes, read ops, write bytes, write
+/// ops). The batch encoder refills one of these per series, so a whole domain
+/// encodes with no per-series allocation and no per-field indirect call.
+#[derive(Debug, Default)]
+struct SeriesColumns {
+    ticks: Vec<u64>,
+    fields: [Vec<u64>; 4],
+    /// Integral-mode candidate values of the field being encoded.
+    ints: Vec<u64>,
+}
+
+impl SeriesColumns {
+    /// Transpose `samples` in one pass. Ticks strictly increase within a
+    /// series, so the wrapping delta is the plain one.
+    fn fill(&mut self, samples: &[SeriesSample]) {
+        let [rb, ro, wb, wo] = &mut self.fields;
+        for col in [&mut self.ticks, &mut *rb, &mut *ro, &mut *wb, &mut *wo] {
+            col.clear();
+            col.reserve(samples.len());
+        }
+        let mut prev = 0u32;
+        for s in samples {
+            self.ticks.push(u64::from(s.tick.wrapping_sub(prev)));
+            prev = s.tick;
+            rb.push(s.rw.read.bytes.to_bits());
+            ro.push(s.rw.read.ops.to_bits());
+            wb.push(s.rw.write.bytes.to_bits());
+            wo.push(s.rw.write.ops.to_bits());
+        }
+    }
+}
+
+/// Upper bound on a v2 series payload, capped at the format's chunk limit:
+/// the tick grid, and per series its count varint, a tick column (no
+/// larger than its frame-of-reference packing) and four value columns
+/// (never larger than their raw bits). The encoder reserves this once.
+fn series_payload_bound(series: &[Series]) -> usize {
+    let body: usize = series
+        .iter()
+        .map(|s| {
+            let n = s.samples().len();
+            10 + 2 + 11 * n.div_ceil(MINIBLOCK) + 8 * n + 4 * (1 + 8 * n)
+        })
+        .sum();
+    (8 + 5 + 10 + body).min(MAX_CHUNK_LEN as usize)
 }
 
 /// Encode one metric domain in the v2 layout. Tick deltas are a packed
@@ -734,79 +821,81 @@ fn is_integral(v: f64) -> bool {
 /// the sample values, so a save→load→save cycle is byte-identical. At
 /// full scale this roughly halves the metric chunks, which dominate the
 /// container (~92% of its bytes).
+///
+/// Each series is transposed once into bit columns, and every value
+/// column is then packed by batch passes over its bits.
 pub fn encode_series_set_v2(ticks: TickSpec, series: &[Series]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    let mut w = ByteWriter::with_capacity(series_payload_bound(series));
     w.put_f64_bits(ticks.tick_secs);
     w.put_varint(ticks.ticks as u64);
     w.put_varint(series.len() as u64);
-    let mut col = Vec::new();
+    let mut cols = SeriesColumns::default();
     for s in series {
-        let samples = s.samples();
-        w.put_varint(samples.len() as u64);
-        col.clear();
-        let mut prev = 0u32;
-        for sample in samples {
-            col.push(u64::from(sample.tick - prev));
-            prev = sample.tick;
-        }
-        encode_column(&mut w, &col);
-        let fields: [fn(&RwFlow) -> f64; 4] = [
-            |rw| rw.read.bytes,
-            |rw| rw.read.ops,
-            |rw| rw.write.bytes,
-            |rw| rw.write.ops,
-        ];
-        for field in fields {
-            let nonzero = samples
-                .iter()
-                .filter(|sm| field(&sm.rw).to_bits() != 0)
-                .count();
-            let raw_body = 8 * samples.len();
-            let sparse_body = samples.len().div_ceil(8) + 8 * nonzero;
-            let integral_body = if samples.iter().all(|sm| is_integral(field(&sm.rw))) {
-                col.clear();
-                col.extend(samples.iter().map(|sm| field(&sm.rw) as u64));
-                encoded_column_size(&col)
-            } else {
-                usize::MAX
-            };
-            if integral_body <= sparse_body.min(raw_body) {
-                w.put_u8(series_mode::INTEGRAL);
-                encode_column(&mut w, &col);
-            } else if sparse_body < raw_body {
-                w.put_u8(series_mode::SPARSE_BITS);
-                let mut bits = 0u8;
-                for (i, sm) in samples.iter().enumerate() {
-                    if field(&sm.rw).to_bits() != 0 {
-                        bits |= 1 << (i % 8);
-                    }
-                    if i % 8 == 7 {
-                        w.put_u8(bits);
-                        bits = 0;
-                    }
-                }
-                if samples.len() % 8 != 0 {
-                    w.put_u8(bits);
-                }
-                for sm in samples {
-                    let v = field(&sm.rw);
-                    if v.to_bits() != 0 {
-                        w.put_f64_bits(v);
-                    }
-                }
-            } else {
-                w.put_u8(series_mode::RAW_BITS);
-                for sm in samples {
-                    w.put_f64_bits(field(&sm.rw));
-                }
-            }
+        w.put_varint(s.samples().len() as u64);
+        cols.fill(s.samples());
+        encode_column(&mut w, &cols.ticks);
+        for field in &cols.fields {
+            encode_value_column(&mut w, field, &mut cols.ints);
         }
     }
     w.into_bytes()
 }
 
+/// Append one value column (the raw bits of one field of one series) in
+/// the smallest of the three [`series_mode`] layouts.
+fn encode_value_column(w: &mut ByteWriter, bits: &[u64], ints: &mut Vec<u64>) {
+    let n = bits.len();
+    let nonzero: usize = bits.iter().map(|&b| usize::from(b != 0)).sum();
+    let raw_body = 8 * n;
+    let sparse_body = n.div_ceil(8) + 8 * nonzero;
+    // `all` stops at the first fraction, which for rate columns is
+    // usually their first nonzero value.
+    if bits.iter().all(|&b| is_integral(b)) {
+        ints.clear();
+        ints.extend(bits.iter().map(|&b| f64::from_bits(b) as u64));
+        if encoded_column_size(ints) <= sparse_body.min(raw_body) {
+            w.put_u8(series_mode::INTEGRAL);
+            encode_column(w, ints);
+            return;
+        }
+    }
+    if sparse_body < raw_body {
+        w.put_u8(series_mode::SPARSE_BITS);
+        let bitset = w.put_slot(n.div_ceil(8));
+        for (byte, group) in bitset.iter_mut().zip(bits.chunks(8)) {
+            *byte = group
+                .iter()
+                .enumerate()
+                .fold(0u8, |acc, (i, &b)| acc | u8::from(b != 0) << i);
+        }
+        // Branch-free compaction: every value is stored at the cursor, and
+        // the cursor only moves past nonzero ones, so a zero is overwritten
+        // by the next nonzero value (or, past the last, not stored at all).
+        let (words, _) = w.put_slot(8 * nonzero).as_chunks_mut::<8>();
+        let mut at = 0usize;
+        for &b in bits {
+            if let Some(word) = words.get_mut(at) {
+                *word = b.to_le_bytes();
+            }
+            at += usize::from(b != 0);
+        }
+    } else {
+        w.put_u8(series_mode::RAW_BITS);
+        let (words, _) = w.put_slot(8 * n).as_chunks_mut::<8>();
+        for (word, &b) in words.iter_mut().zip(bits) {
+            *word = b.to_le_bytes();
+        }
+    }
+}
+
 /// Decode one v2 metric domain back into a tick grid and per-entity
 /// series.
+///
+/// Each series decodes straight into one exactly-sized sample vector: the
+/// tick column seeds the rows, then each value column is read as a single
+/// window and written into its field. Validation runs per series in the
+/// order the per-value decoder ran it — every column is read before the
+/// ticks are checked — so hostile input fails with the same error.
 pub fn decode_series_set_v2(
     payload: &[u8],
     domain: &str,
@@ -814,8 +903,8 @@ pub fn decode_series_set_v2(
     let mut r = ByteReader::new(payload, "metric chunk");
     let (spec, entities) = decode_series_header(&mut r, domain)?;
     let mut out = Vec::with_capacity(entities);
-    let mut ticks_col = Vec::new();
-    let mut values = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
+    let mut deltas = Vec::new();
+    let mut ints = Vec::new();
     for entity in 0..entities {
         let declared_samples = r.get_varint()?;
         let samples = usize::try_from(declared_samples)
@@ -826,85 +915,123 @@ pub fn decode_series_set_v2(
                     "{domain} metrics: entity {entity} declares {declared_samples} samples"
                 ))
             })?;
-        decode_column_into(&mut r, samples, &mut ticks_col)?;
-        for col in values.iter_mut() {
-            col.clear();
-            match r.get_u8()? {
-                series_mode::RAW_BITS => {
-                    col.reserve(samples);
-                    for _ in 0..samples {
-                        col.push(r.get_f64_bits()?);
-                    }
-                }
-                series_mode::INTEGRAL => {
-                    let mut ints = Vec::with_capacity(samples);
-                    decode_column_into(&mut r, samples, &mut ints)?;
-                    col.extend(ints.iter().map(|&u| u as f64));
-                }
-                series_mode::SPARSE_BITS => {
-                    let bitset = r.get_bytes(samples.div_ceil(8))?;
-                    if samples % 8 != 0 {
-                        if let Some(&last) = bitset.last() {
-                            if last >> (samples % 8) != 0 {
-                                return Err(EbsError::corrupt_store(format!(
-                                    "{domain} metrics: sparse bitset sets bits past the sample count"
-                                )));
-                            }
-                        }
-                    }
-                    col.reserve(samples);
-                    for i in 0..samples {
-                        if bitset.get(i / 8).is_some_and(|&b| b >> (i % 8) & 1 == 1) {
-                            let v = r.get_f64_bits()?;
-                            if v.to_bits() == 0 {
-                                return Err(EbsError::corrupt_store(format!(
-                                    "{domain} metrics: sparse column stores an explicit zero"
-                                )));
-                            }
-                            col.push(v);
-                        } else {
-                            col.push(0.0);
-                        }
-                    }
-                }
-                other => {
-                    return Err(EbsError::corrupt_store(format!(
-                        "{domain} metrics: unknown value-column mode {other}"
-                    )))
-                }
+        decode_column_into(&mut r, samples, &mut deltas)?;
+        // A saturating prefix sum is monotone, so its final value bounds
+        // every tick: one compare after the loop stands in for a per-row
+        // overflow check.
+        let mut tick = 0u64;
+        let mut rows = Vec::with_capacity(samples);
+        rows.extend(deltas.iter().map(|&d| {
+            tick = tick.saturating_add(d);
+            SeriesSample {
+                tick: tick as u32,
+                rw: RwFlow::ZERO,
             }
-        }
-        let mut series = Series::new();
-        let mut tick = 0u32;
-        let [rb, ro, wb, wo] = &values;
-        let cols = ticks_col.iter().zip(rb).zip(ro).zip(wb).zip(wo);
-        for (k, ((((&delta, &read_bytes), &read_ops), &write_bytes), &write_ops)) in
-            cols.enumerate()
-        {
-            let delta = u32::try_from(delta).map_err(|_| {
-                EbsError::corrupt_store(format!(
-                    "{domain} metrics: entity {entity} tick delta overflows u32"
-                ))
-            })?;
-            tick = next_tick(tick, delta, k, entity, domain)?;
-            series.push(
-                tick,
-                RwFlow {
-                    read: Flow {
-                        bytes: read_bytes,
-                        ops: read_ops,
-                    },
-                    write: Flow {
-                        bytes: write_bytes,
-                        ops: write_ops,
-                    },
-                },
-            );
-        }
-        out.push(series);
+        }));
+        decode_field(&mut r, &mut rows, &mut ints, domain, |rw| {
+            &mut rw.read.bytes
+        })?;
+        decode_field(&mut r, &mut rows, &mut ints, domain, |rw| &mut rw.read.ops)?;
+        decode_field(&mut r, &mut rows, &mut ints, domain, |rw| {
+            &mut rw.write.bytes
+        })?;
+        decode_field(&mut r, &mut rows, &mut ints, domain, |rw| &mut rw.write.ops)?;
+        let series = if tick <= u64::from(u32::MAX) {
+            Series::from_samples(rows)
+        } else {
+            None
+        };
+        out.push(series.ok_or_else(|| tick_column_error(&deltas, entity, domain))?);
     }
     r.expect_end()?;
     Ok((spec, out))
+}
+
+/// Read one value column (mode byte, then body) into one field of `rows`,
+/// which arrive zeroed in that field.
+fn decode_field(
+    r: &mut ByteReader<'_>,
+    rows: &mut [SeriesSample],
+    ints: &mut Vec<u64>,
+    domain: &str,
+    field: impl Fn(&mut RwFlow) -> &mut f64,
+) -> Result<(), EbsError> {
+    let n = rows.len();
+    match r.get_u8()? {
+        series_mode::RAW_BITS => {
+            let (vals, _) = r.get_bytes(8 * n)?.as_chunks::<8>();
+            for (row, v) in rows.iter_mut().zip(vals) {
+                *field(&mut row.rw) = f64::from_bits(u64::from_le_bytes(*v));
+            }
+        }
+        series_mode::INTEGRAL => {
+            decode_column_into(r, n, ints)?;
+            for (row, &u) in rows.iter_mut().zip(ints.iter()) {
+                *field(&mut row.rw) = u as f64;
+            }
+        }
+        series_mode::SPARSE_BITS => {
+            let bitset = r.get_bytes(n.div_ceil(8))?;
+            if !n.is_multiple_of(8) && bitset.last().is_some_and(|&last| last >> (n % 8) != 0) {
+                return Err(EbsError::corrupt_store(format!(
+                    "{domain} metrics: sparse bitset sets bits past the sample count"
+                )));
+            }
+            let nonzero: usize = bitset.iter().map(|b| b.count_ones() as usize).sum();
+            // A stored zero is reported before a truncation that comes
+            // after it, as the per-value reader did: scan what is present
+            // of the window first, then take it whole.
+            let rest = r.rest();
+            let (present, _) = rest.get(..8 * nonzero).unwrap_or(rest).as_chunks::<8>();
+            if present.iter().any(|v| u64::from_le_bytes(*v) == 0) {
+                return Err(EbsError::corrupt_store(format!(
+                    "{domain} metrics: sparse column stores an explicit zero"
+                )));
+            }
+            let (vals, _) = r.get_bytes(8 * nonzero)?.as_chunks::<8>();
+            // Branch-free expansion: each row takes the value at the cursor
+            // masked by its presence bit, and the cursor moves on set bits.
+            let mut at = 0usize;
+            for (group, &byte) in rows.chunks_mut(8).zip(bitset) {
+                for (bit, row) in group.iter_mut().enumerate() {
+                    let set = u64::from(byte >> bit & 1);
+                    let v = vals.get(at).map_or(0, |v| u64::from_le_bytes(*v));
+                    *field(&mut row.rw) = f64::from_bits(v & set.wrapping_neg());
+                    at += set as usize;
+                }
+            }
+        }
+        other => {
+            return Err(EbsError::corrupt_store(format!(
+                "{domain} metrics: unknown value-column mode {other}"
+            )))
+        }
+    }
+    Ok(())
+}
+
+/// The error for a tick column the batch check rejected: the first
+/// failure of the per-sample walk, replayed off the hot path so the
+/// message names the offending tick.
+#[cold]
+fn tick_column_error(deltas: &[u64], entity: usize, domain: &str) -> EbsError {
+    let mut tick = 0u32;
+    for (k, &delta) in deltas.iter().enumerate() {
+        let step = u32::try_from(delta)
+            .map_err(|_| {
+                EbsError::corrupt_store(format!(
+                    "{domain} metrics: entity {entity} tick delta overflows u32"
+                ))
+            })
+            .and_then(|delta| next_tick(tick, delta, k, entity, domain));
+        match step {
+            Ok(next) => tick = next,
+            Err(e) => return e,
+        }
+    }
+    EbsError::corrupt_store(format!(
+        "{domain} metrics: entity {entity} has an invalid tick column"
+    ))
 }
 
 /// Shared series-payload header: tick grid plus entity count, validated.
@@ -1349,5 +1476,250 @@ mod tests {
                 "cut at {cut}: {err}"
             );
         }
+    }
+
+    /// SplitMix64 stream for the series generator.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Values the codec must carry bit-exactly that the simulator never
+    /// produces: signed zero, NaN payloads, infinities, subnormals.
+    const ODD_VALUES: [u64; 9] = [
+        0x8000_0000_0000_0000, // -0.0
+        0x7FF8_0000_0000_0000, // quiet NaN
+        0x7FF8_DEAD_BEEF_0001, // NaN with a payload
+        0xFFF0_0000_0000_0001, // negative signalling NaN
+        0x7FF0_0000_0000_0000, // +inf
+        0xFFF0_0000_0000_0000, // -inf
+        0x0000_0000_0000_0001, // smallest subnormal
+        0x000F_FFFF_FFFF_FFFF, // largest subnormal
+        0xBFF8_0000_0000_0000, // -1.5
+    ];
+
+    /// One field value of the given column flavour.
+    fn field_value(g: &mut Gen, flavour: u64) -> f64 {
+        match flavour {
+            // All-zero column.
+            0 => 0.0,
+            // Zero-dominant fractional rates: the sparse mode.
+            1 if g.below(2) == 0 => 0.0,
+            1 => g.below(1 << 30) as f64 / 7.0,
+            // Aligned integers: the integral mode.
+            2 => (g.below(1 << 12) * 4096) as f64,
+            // Integers at and above 2^53, where `f64 → u64` stops being exact
+            // for odd values and saturates past 2^64.
+            3 => [
+                (1u64 << 53) as f64,
+                ((1u64 << 53) + 2) as f64,
+                (1u64 << 63) as f64,
+                u64::MAX as f64,
+                1e300,
+            ][g.below(5) as usize],
+            4 => f64::from_bits(ODD_VALUES[g.below(ODD_VALUES.len() as u64) as usize]),
+            // Mixed: any flavour per value.
+            _ => {
+                let f = g.below(5);
+                field_value(g, f)
+            }
+        }
+    }
+
+    /// A random domain of series covering empty and single-sample series,
+    /// series spanning several frame-of-reference miniblocks, and every
+    /// column flavour above.
+    fn random_domain(g: &mut Gen, max_len: u64) -> Vec<Series> {
+        (0..g.below(6))
+            .map(|_| {
+                let len = match g.below(6) {
+                    0 => 0,
+                    1 => 1,
+                    2 => 127 + g.below(3),
+                    _ => g.below(max_len),
+                };
+                let flavours = [0; 4].map(|_| g.below(6));
+                let mut s = Series::new();
+                let mut tick = g.below(3) as u32;
+                for _ in 0..len {
+                    let rw = RwFlow {
+                        read: Flow {
+                            bytes: field_value(g, flavours[0]),
+                            ops: field_value(g, flavours[1]),
+                        },
+                        write: Flow {
+                            bytes: field_value(g, flavours[2]),
+                            ops: field_value(g, flavours[3]),
+                        },
+                    };
+                    s.push(tick, rw);
+                    tick += 1 + if g.below(8) == 0 {
+                        1 << 12
+                    } else {
+                        g.below(3) as u32
+                    };
+                }
+                s
+            })
+            .collect()
+    }
+
+    /// Every sample of a domain as bits, so NaNs and signed zeros compare.
+    fn sample_bits(series: &[Series]) -> Vec<Vec<(u32, [u64; 4])>> {
+        series
+            .iter()
+            .map(|s| {
+                s.samples()
+                    .iter()
+                    .map(|sm| {
+                        let rw = sm.rw;
+                        let f = [rw.read.bytes, rw.read.ops, rw.write.bytes, rw.write.ops];
+                        (sm.tick, f.map(f64::to_bits))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    type Decoded = Result<(TickSpec, Vec<Series>), EbsError>;
+
+    /// The batch and reference decoders agree: both succeed with the same
+    /// bits, or both fail with the same error variant.
+    fn assert_same_outcome(got: Decoded, want: Decoded, what: &str) {
+        match (got, want) {
+            (Ok((gs, g)), Ok((ws, w))) => {
+                assert_eq!(gs, ws, "{what}: tick grid");
+                assert_eq!(sample_bits(&g), sample_bits(&w), "{what}: samples");
+            }
+            (Err(g), Err(w)) => assert_eq!(
+                std::mem::discriminant(&g),
+                std::mem::discriminant(&w),
+                "{what}: batch error {g} vs reference error {w}"
+            ),
+            (g, w) => panic!("{what}: batch {g:?} vs reference {w:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            if cfg!(miri) { 2 } else { 256 }
+        ))]
+
+        #[test]
+        fn batch_series_codec_matches_the_reference(seed in proptest::prelude::any::<u64>()) {
+            let mut g = Gen(seed);
+            let ticks = TickSpec::new(10.0, 360);
+            let series = random_domain(&mut g, if cfg!(miri) { 20 } else { 600 });
+            let payload = encode_series_set_v2(ticks, &series);
+            assert_eq!(payload, oracle::encode(ticks, &series), "encoded bytes");
+            let (spec, decoded) = decode_series_set_v2(&payload, "compute").unwrap();
+            assert_eq!(spec, ticks);
+            assert_eq!(sample_bits(&decoded), sample_bits(&series), "round trip");
+            assert_same_outcome(
+                Ok((spec, decoded)),
+                oracle::decode(&payload, "compute"),
+                "intact",
+            );
+            // Hostile copies: cuts and single-bit flips.
+            for _ in 0..4 {
+                let cut = g.below(payload.len() as u64 + 1) as usize;
+                assert_same_outcome(
+                    decode_series_set_v2(&payload[..cut], "compute"),
+                    oracle::decode(&payload[..cut], "compute"),
+                    &format!("cut at {cut}"),
+                );
+                let mut flipped = payload.clone();
+                let at = g.below(payload.len() as u64) as usize;
+                flipped[at] ^= 1 << g.below(8);
+                assert_same_outcome(
+                    decode_series_set_v2(&flipped, "compute"),
+                    oracle::decode(&flipped, "compute"),
+                    &format!("flip at {at}"),
+                );
+            }
+        }
+    }
+
+    /// A one-entity payload with raw value columns, built by hand so it can
+    /// hold what no encoder emits.
+    fn raw_payload(deltas: &[u64], rows: &[[f64; 4]]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_f64_bits(1.0);
+        w.put_varint(100);
+        w.put_varint(1);
+        w.put_varint(deltas.len() as u64);
+        encode_column(&mut w, deltas);
+        for field in 0..4 {
+            w.put_u8(series_mode::RAW_BITS);
+            for row in rows {
+                w.put_f64_bits(row[field]);
+            }
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn all_zero_rows_are_dropped_like_push_drops_them() {
+        // The middle row is all zeros, one of them negative: `push` drops
+        // it, and so must the batch decoder.
+        let payload = raw_payload(&[2, 1, 1], &[[1.0; 4], [0.0, -0.0, 0.0, 0.0], [2.0; 4]]);
+        let (_, got) = decode_series_set_v2(&payload, "storage").unwrap();
+        let ticks: Vec<u32> = got[0].samples().iter().map(|s| s.tick).collect();
+        assert_eq!(ticks, [2, 4]);
+        assert_same_outcome(
+            Ok((TickSpec::new(1.0, 100), got)),
+            oracle::decode(&payload, "storage"),
+            "zero row",
+        );
+    }
+
+    #[test]
+    fn bad_tick_columns_report_what_the_reference_reports() {
+        let row = [1.0; 4];
+        for deltas in [
+            &[3, 0][..],               // repeated tick
+            &[u64::from(u32::MAX), 1], // running tick overflows u32
+            &[1 << 33],                // delta overflows u32
+            &[u64::MAX, u64::MAX],     // saturating sum
+        ] {
+            let payload = raw_payload(deltas, &vec![row; deltas.len()]);
+            let got = decode_series_set_v2(&payload, "compute").unwrap_err();
+            let want = oracle::decode(&payload, "compute").unwrap_err();
+            assert_eq!(got.to_string(), want.to_string(), "deltas {deltas:?}");
+        }
+    }
+
+    #[test]
+    fn a_stored_zero_outranks_a_later_truncation() {
+        // Sparse column of three present values whose second is an
+        // explicit zero, cut inside the third: the per-value reader met
+        // the zero first, so this is corruption, not truncation.
+        let mut w = ByteWriter::new();
+        w.put_f64_bits(1.0);
+        w.put_varint(100);
+        w.put_varint(1);
+        w.put_varint(3);
+        encode_column(&mut w, &[1, 1, 1]);
+        w.put_u8(series_mode::SPARSE_BITS);
+        w.put_u8(0b111);
+        for v in [1.0, 0.0, 2.0] {
+            w.put_f64_bits(v);
+        }
+        let payload = w.into_bytes();
+        let cut = &payload[..payload.len() - 3];
+        let got = decode_series_set_v2(cut, "compute").unwrap_err();
+        assert!(matches!(got, EbsError::CorruptStore(_)), "{got}");
+        assert_same_outcome(Err(got), oracle::decode(cut, "compute"), "zero then cut");
     }
 }

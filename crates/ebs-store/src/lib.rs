@@ -23,9 +23,14 @@
 //! small), VD ids are dictionary-compressed per chunk, offsets are per-VD
 //! wrapping deltas, and integral metric samples pack as integer columns;
 //! floats that are not integral travel as raw IEEE-754 bits, so a
-//! save→load→save cycle is byte-identical. The [`writer::StoreWriter`]
-//! produces v2 containers; the [`reader::ChunkReader`] reads v1 and v2
-//! (v1 decodes bit-for-bit through the legacy per-value path) and either
+//! save→load→save cycle is byte-identical. The metric-series codec, which
+//! carries most of a container's bytes, runs as per-domain batch passes:
+//! each series is transposed once into bit columns that are packed whole,
+//! and decoded straight into exactly-sized sample vectors. That layout is
+//! the same one the per-value kernels wrote (DESIGN.md §14). The
+//! [`writer::StoreWriter`] produces v2 containers; the
+//! [`reader::ChunkReader`] reads v1 and v2 (v1 decodes bit-for-bit
+//! through the legacy per-value path) and either
 //! materializes chunks fully or streams them one at a time into a
 //! [`stream::StreamSummary`], whose column-at-a-time fold computes the
 //! paper's CCR / P2A / size-quantile statistics without ever holding the
@@ -52,6 +57,12 @@
 // return typed errors, never panic. Test code is exempt — the cfg_attr
 // keeps `cargo test` usable while CI's `-D warnings` enforces the rest.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
+// Lets the test-only reference codec (`tests/oracle/`) name this crate by
+// its public paths from inside the crate's own unit tests, as it does from
+// the workspace integration tests.
+#[cfg(test)]
+extern crate self as ebs_store;
 
 pub mod bytes;
 pub mod codec;

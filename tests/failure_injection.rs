@@ -7,6 +7,11 @@ use ebs::core::io::{IoEvent, Op};
 use ebs::stack::sim::{StackConfig, StackSim};
 use ebs::workload::{generate, WorkloadConfig};
 
+/// The per-value v2 series codec the batch kernels replaced, shared with
+/// `ebs-store`'s own unit tests as their differential oracle.
+#[path = "../crates/ebs-store/tests/oracle/series_v2.rs"]
+mod series_oracle;
+
 #[test]
 fn stack_rejects_out_of_range_offsets() {
     let ds = generate(&WorkloadConfig::quick(500)).unwrap();
@@ -278,29 +283,70 @@ fn v2_column_shift_corruptions_are_typed_errors() {
     assert!(matches!(err, EbsError::CorruptStore(_)), "{err}");
 }
 
+/// Every sample of a decoded domain as bits, so flipped payloads that
+/// decode to NaNs still compare.
+fn series_bits(series: &[ebs::core::metric::Series]) -> Vec<(u32, [u64; 4])> {
+    series
+        .iter()
+        .flat_map(|s| s.samples())
+        .map(|sm| {
+            let f = [
+                sm.rw.read.bytes,
+                sm.rw.read.ops,
+                sm.rw.write.bytes,
+                sm.rw.write.ops,
+            ];
+            (sm.tick, f.map(f64::to_bits))
+        })
+        .collect()
+}
+
 #[test]
 fn v2_series_decoder_survives_truncation_and_flips() {
     use ebs::store::{decode_series_set, encode_series_set};
     let ds = generate(&WorkloadConfig::quick(505)).unwrap();
     let payload = encode_series_set(ds.compute.ticks, ds.compute.per_qp.as_slice());
+    assert_eq!(
+        payload,
+        series_oracle::encode(ds.compute.ticks, ds.compute.per_qp.as_slice()),
+        "batch encoder diverged from the per-value reference"
+    );
     let (ticks, series) =
         decode_series_set(2, &payload, "compute").expect("intact payload decodes");
     assert_eq!(ticks, ds.compute.ticks);
     assert_eq!(series.as_slice(), ds.compute.per_qp.as_slice());
     // Sampled strict prefixes must fail typed; sampled bit flips must fail
-    // typed or decode to a well-formed set — never panic. The sparse/raw/
-    // integral mode bytes all fall inside the sampled window.
+    // typed or decode to a well-formed set — never panic. Either way the
+    // batch decoder must land where the per-value reference lands: the
+    // same error variant, or the same bits. The sparse/raw/integral mode
+    // bytes all fall inside the sampled window.
+    let same_outcome = |bytes: &[u8], what: &str| match (
+        decode_series_set(2, bytes, "compute"),
+        series_oracle::decode(bytes, "compute"),
+    ) {
+        (Ok((gt, got)), Ok((wt, want))) => {
+            assert_eq!(gt, wt, "{what}");
+            assert_eq!(series_bits(&got), series_bits(&want), "{what}");
+        }
+        (Err(got), Err(want)) => assert_eq!(
+            std::mem::discriminant(&got),
+            std::mem::discriminant(&want),
+            "{what}: batch {got} vs reference {want}"
+        ),
+        (got, want) => panic!("{what}: batch {got:?} vs reference {want:?}"),
+    };
     let stride = (payload.len() / 512).max(1);
     for cut in (0..payload.len()).step_by(stride) {
         assert!(
             decode_series_set(2, &payload[..cut], "compute").is_err(),
             "prefix of {cut} bytes decoded"
         );
+        same_outcome(&payload[..cut], &format!("prefix of {cut} bytes"));
     }
     for at in (0..payload.len()).step_by(stride) {
         let mut corrupt = payload.clone();
         corrupt[at] ^= 0x01;
-        let _ = decode_series_set(2, &corrupt, "compute");
+        same_outcome(&corrupt, &format!("flip at {at}"));
     }
 }
 
