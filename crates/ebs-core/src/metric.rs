@@ -5,6 +5,14 @@
 //! queue pair (compute domain) and each segment (storage domain) — the
 //! format of Table 1. Series are stored sparsely (only ticks with traffic),
 //! which matches the bursty ON/OFF shape of real EBS traffic.
+//!
+//! The series are most of a dataset's memory: one [`SeriesSample`] is 40
+//! bytes (a `u32` tick padded beside four `f64`s), against 32 bytes per
+//! sampled event, and a medium dataset holds several samples per event.
+//! Every dataset builder therefore finishes its series exact-size
+//! ([`Series::shrink_to_fit`], or [`Series::from_samples`] over an
+//! exactly sized vector); a `push`-grown series would otherwise keep up
+//! to half its capacity as doubling slack.
 
 use crate::ids::{IdVec, QpId, SegId};
 use crate::io::Op;
@@ -203,6 +211,18 @@ impl Series {
         }
         samples.retain(|s| !s.rw.is_zero());
         Some(Self { samples })
+    }
+
+    /// Drop the growth slack a [`Series::push`] loop leaves behind, so the
+    /// series holds exactly its samples. The samples are unchanged.
+    pub fn shrink_to_fit(&mut self) {
+        self.samples.shrink_to_fit();
+    }
+
+    /// Samples the series can hold without reallocating; equals
+    /// [`Series::active_ticks`] once the series is exact-size.
+    pub fn capacity(&self) -> usize {
+        self.samples.capacity()
     }
 
     /// Sparse samples, tick-sorted.

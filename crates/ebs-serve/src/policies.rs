@@ -30,7 +30,6 @@ use ebs_core::ids::{VdId, WtId};
 use ebs_throttle::LendingConfig;
 
 use crate::policy::{Action, Policy, WindowView};
-use crate::stats::EpochStats;
 
 /// Index and value of the maximum (ties → lowest index); `None` on empty.
 fn argmax(values: &[f64]) -> Option<(usize, f64)> {
@@ -52,14 +51,6 @@ fn argmin(values: &[f64]) -> Option<(usize, f64)> {
         }
     }
     best
-}
-
-/// Look up a sparse per-VD byte column (sorted by id).
-fn sparse_get(col: &[(VdId, f64)], id: VdId) -> f64 {
-    col.binary_search_by_key(&id.0, |&(i, _)| i.0)
-        .ok()
-        .and_then(|at| col.get(at))
-        .map_or(0.0, |&(_, b)| b)
 }
 
 // ---------------------------------------------------------------------
@@ -127,6 +118,16 @@ impl Policy for OnlineRebinder {
 
 // ---------------------------------------------------------------------
 
+/// One lending-group member: demand rate and effective (scaled)
+/// subscribed cap.
+#[derive(Clone, Debug)]
+struct Member {
+    vd: VdId,
+    demand: f64,
+    cap: f64,
+    scale: f64,
+}
+
 /// Online limited lending (§5.3, Algorithm 2) over per-VM VD groups.
 #[derive(Clone, Debug)]
 pub struct OnlineLender {
@@ -138,6 +139,10 @@ pub struct OnlineLender {
     /// sampled stream, so demand must meet the same scaled caps the
     /// gates enforce).
     throttle_scale: f64,
+    /// The newest epoch's bytes per VD, dense (rebuilt every epoch).
+    vd_bytes: Vec<f64>,
+    /// One VM's group, reused across VMs.
+    members: Vec<Member>,
 }
 
 impl OnlineLender {
@@ -149,50 +154,45 @@ impl OnlineLender {
             p: cfg.p,
             max_scale: 4.0,
             throttle_scale,
+            vd_bytes: Vec::new(),
+            members: Vec::new(),
         }
     }
 }
 
 impl OnlineLender {
-    fn group_actions(
-        &self,
-        view: &WindowView<'_>,
-        newest: &EpochStats,
-        vds: &[VdId],
-        epoch_secs: f64,
-        actions: &mut Vec<Action>,
-    ) {
-        // Demand rate and effective (scaled) subscribed cap per member.
-        struct Member {
-            vd: VdId,
-            demand: f64,
-            cap: f64,
-            scale: f64,
-        }
-        let mut members: Vec<Member> = vds
-            .iter()
-            .map(|&vd| Member {
+    /// Fill `self.members` with one VM's group, in `vds` order.
+    fn load_group(&mut self, view: &WindowView<'_>, vds: &[VdId], epoch_secs: f64) {
+        self.members.clear();
+        for &vd in vds {
+            self.members.push(Member {
                 vd,
-                demand: sparse_get(&newest.vd_bytes, vd) / epoch_secs,
+                demand: self.vd_bytes.get(vd.index()).copied().unwrap_or(0.0) / epoch_secs,
                 cap: view
                     .fleet
                     .vds
                     .get(vd)
                     .map_or(0.0, |v| v.spec.tput_cap * self.throttle_scale),
                 scale: view.cap_scales.get(vd.index()).copied().unwrap_or(1.0),
-            })
-            .collect();
+            });
+        }
+    }
+
+    /// Algorithm 2 over the group in `self.members`.
+    fn group_actions(&mut self, actions: &mut Vec<Action>) {
+        let members = &mut self.members;
         // A grant lives exactly one period (Algorithm 2 lends per period):
         // the epoch boundary takes every lent/shrunk cap back before the
         // fresh decision. Without the reset a shrunk lender that turns hot
         // is itself throttled, which would keep the group "under pressure"
         // and pin the shrunk caps forever.
-        for m in &mut members {
+        for m in members.iter_mut() {
             if m.scale != 1.0 {
                 actions.push(Action::ReclaimCap { vd: m.vd });
                 m.scale = 1.0;
             }
         }
+        let members = &*members;
         let is_throttled = |m: &Member| m.cap > 0.0 && m.demand >= m.cap * m.scale;
         if !members.iter().any(is_throttled) {
             return;
@@ -263,13 +263,21 @@ impl Policy for OnlineLender {
             return Vec::new();
         };
         let epoch_secs = view.epoch.secs();
+        self.vd_bytes.clear();
+        self.vd_bytes.resize(view.fleet.vds.len(), 0.0);
+        for &(vd, bytes) in &newest.vd_bytes {
+            if let Some(slot) = self.vd_bytes.get_mut(vd.index()) {
+                *slot = bytes;
+            }
+        }
         let mut actions = Vec::new();
         for vm in 0..view.fleet.vm_count() {
             let vds = view.fleet.vds_of_vm(ebs_core::ids::VmId(vm as u32));
             if vds.len() < 2 {
                 continue;
             }
-            self.group_actions(view, newest, vds, epoch_secs, &mut actions);
+            self.load_group(view, vds, epoch_secs);
+            self.group_actions(&mut actions);
         }
         actions
     }
@@ -448,6 +456,214 @@ mod tests {
         assert_eq!(sparse_get(&col, VdId(2)), 10.0);
         assert_eq!(sparse_get(&col, VdId(7)), 20.0);
         assert_eq!(sparse_get(&col, VdId(3)), 0.0);
+    }
+
+    /// Look up a sparse per-VD byte column (sorted by id).
+    fn sparse_get(col: &[(VdId, f64)], id: VdId) -> f64 {
+        col.binary_search_by_key(&id.0, |&(i, _)| i.0)
+            .ok()
+            .and_then(|at| col.get(at))
+            .map_or(0.0, |&(_, b)| b)
+    }
+
+    /// The lender before it kept a dense demand column and a reused
+    /// member buffer: one binary search per VD and one `Vec` per VM. The
+    /// oracle for [`OnlineLender`].
+    struct SparseLender {
+        p: f64,
+        max_scale: f64,
+        throttle_scale: f64,
+    }
+
+    impl SparseLender {
+        fn observe(&self, view: &WindowView<'_>) -> Vec<Action> {
+            let Some(newest) = view.newest() else {
+                return Vec::new();
+            };
+            let epoch_secs = view.epoch.secs();
+            let mut actions = Vec::new();
+            for vm in 0..view.fleet.vm_count() {
+                let vds = view.fleet.vds_of_vm(ebs_core::ids::VmId(vm as u32));
+                if vds.len() < 2 {
+                    continue;
+                }
+                let mut members: Vec<Member> = vds
+                    .iter()
+                    .map(|&vd| Member {
+                        vd,
+                        demand: sparse_get(&newest.vd_bytes, vd) / epoch_secs,
+                        cap: view
+                            .fleet
+                            .vds
+                            .get(vd)
+                            .map_or(0.0, |v| v.spec.tput_cap * self.throttle_scale),
+                        scale: view.cap_scales.get(vd.index()).copied().unwrap_or(1.0),
+                    })
+                    .collect();
+                self.group_actions(&mut members, &mut actions);
+            }
+            actions
+        }
+
+        fn group_actions(&self, members: &mut [Member], actions: &mut Vec<Action>) {
+            for m in members.iter_mut() {
+                if m.scale != 1.0 {
+                    actions.push(Action::ReclaimCap { vd: m.vd });
+                    m.scale = 1.0;
+                }
+            }
+            let is_throttled = |m: &Member| m.cap > 0.0 && m.demand >= m.cap * m.scale;
+            if !members.iter().any(is_throttled) {
+                return;
+            }
+            let mut borrower: Option<(usize, f64)> = None;
+            for (i, m) in members.iter().enumerate() {
+                if is_throttled(m) && borrower.is_none_or(|(_, d)| m.demand > d) {
+                    borrower = Some((i, m.demand));
+                }
+            }
+            let Some((borrower_at, _)) = borrower else {
+                return;
+            };
+            let borrower_m = &members[borrower_at];
+            let headroom_of = |i: usize, m: &Member| {
+                if i == borrower_at {
+                    0.0
+                } else {
+                    (m.cap - 2.0 * m.demand).max(0.0)
+                }
+            };
+            let total_headroom: f64 = members
+                .iter()
+                .enumerate()
+                .map(|(i, m)| headroom_of(i, m))
+                .sum();
+            if total_headroom <= 0.0 || borrower_m.cap <= 0.0 {
+                return;
+            }
+            let lent = (self.p * total_headroom).min((self.max_scale - 1.0) * borrower_m.cap);
+            if lent <= 0.0 {
+                return;
+            }
+            actions.push(Action::LendCap {
+                vd: borrower_m.vd,
+                scale: 1.0 + lent / borrower_m.cap,
+            });
+            for (i, m) in members.iter().enumerate() {
+                let headroom = headroom_of(i, m);
+                if i == borrower_at || headroom <= 0.0 || m.cap <= 0.0 {
+                    continue;
+                }
+                let shrunk = (m.cap - lent * headroom / total_headroom) / m.cap;
+                actions.push(Action::LendCap {
+                    vd: m.vd,
+                    scale: shrunk.max(0.5),
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn dense_lender_matches_the_sparse_lookup_oracle() {
+        use crate::epoch::EpochSpec;
+        use crate::stats::{EpochStats, LAT_HIST_BINS, LAT_HIST_HI, LAT_HIST_LO};
+        use ebs_core::rng::SimRng;
+        use ebs_stack::hypervisor::Binding;
+        use ebs_stack::segment::SegmentMap;
+        use ebs_stack::sim::SimStats;
+        use ebs_workload::{build_fleet, WorkloadConfig};
+
+        let epoch = EpochSpec::from_us(30_000_000).unwrap();
+        let secs = epoch.secs();
+        let mut lent_out = 0;
+        for seed in 0..6u64 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut fleet = build_fleet(&WorkloadConfig::quick(seed)).unwrap();
+            // Zero caps: a few disks subscribe none, and one seed scales
+            // every cap to zero.
+            for vd in fleet.vds.iter_mut() {
+                if rng.chance(0.1) {
+                    vd.spec.tput_cap = 0.0;
+                }
+            }
+            let throttle_scale = [1.0 / 3200.0, 1.0, 0.0][seed as usize % 3];
+            let cfg = LendingConfig::default();
+            let mut dense = OnlineLender::new(cfg, throttle_scale);
+            let sparse = SparseLender {
+                p: cfg.p,
+                max_scale: 4.0,
+                throttle_scale,
+            };
+            let binding = Binding::from_fleet(&fleet);
+            let placement = SegmentMap::from_fleet(&fleet);
+            let vd_count = fleet.vds.len();
+            for e in 0..12u64 {
+                // VDs missing from `vd_bytes`, demand from idle to 3x the
+                // cap, and an entry past the fleet now and then.
+                let mut vd_bytes = Vec::new();
+                for vd in fleet.vds.iter() {
+                    if rng.chance(0.6) {
+                        let cap = vd.spec.tput_cap * throttle_scale;
+                        let bytes = (cap.max(1.0) * secs * rng.f64_range(0.0, 3.0)).round();
+                        vd_bytes.push((vd.id, bytes));
+                    }
+                }
+                if rng.chance(0.3) {
+                    vd_bytes.push((VdId(vd_count as u32 + 5), 1e12));
+                }
+                // Outstanding grants from last epoch, lent out and
+                // borrowed; sometimes a short column.
+                let mut cap_scales: Vec<f64> = (0..vd_count)
+                    .map(|_| {
+                        if rng.chance(0.3) {
+                            rng.f64_range(0.5, 4.0)
+                        } else {
+                            1.0
+                        }
+                    })
+                    .collect();
+                if rng.chance(0.2) {
+                    cap_scales.truncate(vd_count / 2);
+                }
+                let stats = EpochStats {
+                    epoch: e,
+                    start_us: e * 30_000_000,
+                    sim: SimStats::default(),
+                    bytes: 0,
+                    reads: 0,
+                    p99_us: 0.0,
+                    lat_hist: ebs_analysis::Histogram::new(LAT_HIST_LO, LAT_HIST_HI, LAT_HIST_BINS),
+                    cn_ios: vec![],
+                    wt_bytes: vec![],
+                    bs_bytes: vec![],
+                    seg_bytes: vec![],
+                    vd_bytes,
+                    cache: None,
+                };
+                let epochs = [stats];
+                let view = WindowView {
+                    fleet: &fleet,
+                    epoch: &epoch,
+                    epochs: &epochs,
+                    binding: &binding,
+                    placement: &placement,
+                    cap_scales: &cap_scales,
+                };
+                let want = sparse.observe(&view);
+                let got = dense.observe(&view);
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "seed {seed} epoch {e}"
+                );
+                lent_out += want
+                    .iter()
+                    .filter(|a| matches!(a, Action::LendCap { scale, .. } if *scale < 1.0))
+                    .count();
+            }
+        }
+        // The windows must reach the lending arm, not only the resets.
+        assert!(lent_out > 0);
     }
 
     #[test]

@@ -136,11 +136,13 @@ pub fn load(source: &ServeSource) -> Result<LoadedTrace, EbsError> {
             }
             let loads = par_map_deterministic(manifest.shards.as_slice(), |index, entry| {
                 read_shard_events(dir, index, entry)
-            });
-            let mut events: Vec<IoEvent> =
-                Vec::with_capacity(usize::try_from(manifest.total_events()).unwrap_or(0));
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, EbsError>>()?;
+            // Sized from what the shards held, so the stream is exact-size.
+            let mut events: Vec<IoEvent> = Vec::with_capacity(loads.iter().map(Vec::len).sum());
             for load in loads {
-                events.extend(load?);
+                events.extend(load);
             }
             // Shard order is VD-major; a stable sort by time therefore
             // reproduces the unsharded stream (DESIGN.md §15).

@@ -6,66 +6,110 @@
 //! is busy. The simulator uses that queueing delay as the compute-node
 //! share of end-to-end latency, which is what makes WT-level skew visible
 //! in tail latency.
+//!
+//! The QP→WT [`Binding`] is a slot permutation, so the rebinders' move —
+//! swap two WTs' QP sets, tens of thousands of times per run — costs O(1)
+//! instead of a scan over every QP.
 
-use ebs_core::ids::{IdVec, QpId, WtId};
+use ebs_core::ids::{QpId, WtId};
 use ebs_core::topology::Fleet;
 
 /// Mutable QP→WT binding table, initialised from the fleet's round-robin
-/// attach-time binding. Rebinding algorithms (`ebs-balance::wt_rebind`)
-/// operate on clones of this table.
+/// attach-time binding. Rebinding algorithms (`ebs-balance::wt_rebind`,
+/// the serve loop's `SwapWts` action) swap whole WTs many times per run,
+/// so a swap must not touch every QP.
+///
+/// The table is a two-level map. Each QP holds a *slot*, which starts as
+/// its attach-time WT; a permutation maps each slot to the WT serving it,
+/// and its inverse maps each WT back to its slot. The invariant is
+/// `wt_at[slot_of[w]] == w` for every WT `w`, and a QP's WT is
+/// `wt_at[slot[qp]]`. Swapping two WTs' QP sets exchanges two entries of
+/// each permutation (O(1)); rebinding one QP points it at the target WT's
+/// slot. Slots cover every fleet WT and every WT the attach-time binding
+/// names, so every QP's WT stays inside the table.
 #[derive(Clone, Debug)]
 pub struct Binding {
-    map: IdVec<QpId, WtId>,
+    /// Each QP's slot, indexed by [`QpId`].
+    slot: Vec<u32>,
+    /// Slot → the WT serving it.
+    wt_at: Vec<WtId>,
+    /// WT → its slot (the inverse of `wt_at`).
+    slot_of: Vec<u32>,
 }
 
 impl Binding {
     /// The fleet's attach-time round-robin binding.
     pub fn from_fleet(fleet: &Fleet) -> Self {
+        let slot: Vec<u32> = fleet.qp_binding.iter().map(|wt| wt.0).collect();
+        let wts = slot
+            .iter()
+            .map(|&s| s.saturating_add(1))
+            .fold(fleet.wt_total, u32::max);
         Self {
-            map: fleet.qp_binding.clone(),
+            slot,
+            wt_at: (0..wts).map(WtId).collect(),
+            slot_of: (0..wts).collect(),
         }
     }
 
     /// The worker thread currently serving `qp`.
+    ///
+    /// # Panics
+    /// If `qp` is not a fleet QP.
     pub fn wt_of(&self, qp: QpId) -> WtId {
-        self.map[qp]
+        self.try_wt_of(qp)
+            .unwrap_or_else(|| panic!("{qp} is not bound: no such queue pair"))
     }
 
     /// Panic-free lookup of the worker thread serving `qp` (used by the
     /// route planner, which must not panic on malformed input).
     pub fn try_wt_of(&self, qp: QpId) -> Option<WtId> {
-        self.map.get(qp).copied()
+        let &slot = self.slot.get(qp.index())?;
+        self.wt_at.get(slot as usize).copied()
     }
 
     /// Rebind `qp` to `wt`.
     ///
     /// # Panics
-    /// In debug builds, panics if the target WT belongs to a different
-    /// compute node than the QP (bindings never cross nodes).
+    /// If `qp` or `wt` lies outside the fleet. In debug builds, also if
+    /// the target WT belongs to a different compute node than the QP
+    /// (bindings never cross nodes).
     pub fn rebind(&mut self, fleet: &Fleet, qp: QpId, wt: WtId) {
         debug_assert_eq!(
             fleet.cn_of_qp(qp),
             fleet.cn_of_wt(wt),
             "rebinding across compute nodes is impossible"
         );
-        self.map[qp] = wt;
+        let (Some(slot), Some(&to)) = (self.slot.get_mut(qp.index()), self.slot_of.get(wt.index()))
+        else {
+            panic!("cannot rebind {qp} to {wt}: outside the fleet");
+        };
+        *slot = to;
     }
 
     /// Swap the QP sets of two worker threads on the same node (the rebind
-    /// simulator's move, §4.3).
+    /// simulator's move, §4.3) in O(1). A WT outside the table serves no
+    /// QP, and a swap with it is a no-op: moving QPs onto it would strand
+    /// them on a WT the fleet does not have.
     pub fn swap_wts(&mut self, a: WtId, b: WtId) {
-        for wt in self.map.iter_mut() {
-            if *wt == a {
-                *wt = b;
-            } else if *wt == b {
-                *wt = a;
-            }
+        let (Some(&sa), Some(&sb)) = (self.slot_of.get(a.index()), self.slot_of.get(b.index()))
+        else {
+            return;
+        };
+        self.slot_of.swap(a.index(), b.index());
+        if let Some(wt) = self.wt_at.get_mut(sa as usize) {
+            *wt = b;
+        }
+        if let Some(wt) = self.wt_at.get_mut(sb as usize) {
+            *wt = a;
         }
     }
 
-    /// Number of QPs bound to `wt`.
+    /// Number of QPs bound to `wt` (a scan over every QP).
     pub fn qp_count_of(&self, wt: WtId) -> usize {
-        self.map.iter().filter(|&&w| w == wt).count()
+        self.slot_of
+            .get(wt.index())
+            .map_or(0, |&s| self.slot.iter().filter(|&&q| q == s).count())
     }
 }
 
@@ -150,6 +194,99 @@ mod tests {
         assert_eq!(b.wt_of(QpId(1)), WtId(0));
         assert_eq!(b.qp_count_of(WtId(0)), 2);
         assert_eq!(b.qp_count_of(WtId(1)), 2);
+    }
+
+    /// The per-swap scan table `Binding` replaced: the oracle for the
+    /// slot/permutation table.
+    struct ScanBinding {
+        map: Vec<WtId>,
+    }
+
+    impl ScanBinding {
+        fn swap_wts(&mut self, a: WtId, b: WtId) {
+            for wt in self.map.iter_mut() {
+                if *wt == a {
+                    *wt = b;
+                } else if *wt == b {
+                    *wt = a;
+                }
+            }
+        }
+
+        fn qp_count_of(&self, wt: WtId) -> usize {
+            self.map.iter().filter(|&&w| w == wt).count()
+        }
+    }
+
+    /// Three nodes of 1, 3 and 5 WTs, each hosting VDs of several sizes.
+    fn multi_node_fleet() -> Fleet {
+        let mut b = FleetBuilder::new();
+        let dc = b.add_dc("DC-1");
+        let sn = b.add_sn(dc);
+        b.add_bs(sn);
+        let u = b.add_user();
+        for wts in [1, 3, 5] {
+            let cn = b.add_cn(dc, wts, false);
+            for gib in [16, 64, 256] {
+                let vm = b.add_vm(cn, u, AppClass::Database);
+                b.add_vd(vm, VdTier::Performance.spec(gib * GIB));
+            }
+        }
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn permutation_table_matches_the_scan_table() {
+        let f = multi_node_fleet();
+        let nodes: Vec<(u32, u32)> = f
+            .compute_nodes
+            .iter()
+            .map(|n| (n.wt_base, n.wt_count as u32))
+            .collect();
+        let qps = f.qps.len();
+        for seed in 0..8 {
+            let mut rng = ebs_core::rng::SimRng::seed_from_u64(seed);
+            let mut fast = Binding::from_fleet(&f);
+            let mut scan = ScanBinding {
+                map: f.qp_binding.iter().copied().collect(),
+            };
+            for _ in 0..400 {
+                let &(base, count) = rng.choose(&nodes);
+                if rng.chance(0.2) {
+                    // Rebind a random QP to a random WT of its own node.
+                    let qp = QpId(rng.index(qps) as u32);
+                    let node = &f.compute_nodes[f.cn_of_qp(qp)];
+                    let wt = WtId(node.wt_base + rng.below(node.wt_count as u64) as u32);
+                    fast.rebind(&f, qp, wt);
+                    scan.map[qp.index()] = wt;
+                } else {
+                    // `a == b` included: single-WT nodes always draw it.
+                    let a = WtId(base + rng.below(count as u64) as u32);
+                    let b = WtId(base + rng.below(count as u64) as u32);
+                    fast.swap_wts(a, b);
+                    scan.swap_wts(a, b);
+                }
+                for (i, &wt) in scan.map.iter().enumerate() {
+                    assert_eq!(fast.wt_of(QpId(i as u32)), wt);
+                    assert_eq!(fast.try_wt_of(QpId(i as u32)), Some(wt));
+                }
+                assert_eq!(fast.try_wt_of(QpId(qps as u32)), None);
+                for w in 0..f.wt_total {
+                    assert_eq!(fast.qp_count_of(WtId(w)), scan.qp_count_of(WtId(w)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swapping_with_a_wt_outside_the_fleet_is_a_no_op() {
+        let f = fleet();
+        let mut b = Binding::from_fleet(&f);
+        b.swap_wts(WtId(0), WtId(f.wt_total));
+        b.swap_wts(WtId(u32::MAX), WtId(1));
+        assert_eq!(b.wt_of(QpId(0)), WtId(0));
+        assert_eq!(b.wt_of(QpId(1)), WtId(1));
+        assert_eq!(b.qp_count_of(WtId(f.wt_total)), 0);
     }
 
     #[test]

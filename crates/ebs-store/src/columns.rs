@@ -729,6 +729,7 @@ pub fn decode_series_set_v1(
             // a well-formed store never contains.
             series.push(tick, rw);
         }
+        series.shrink_to_fit();
         out.push(series);
     }
     r.expect_end()?;

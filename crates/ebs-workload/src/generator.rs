@@ -60,8 +60,12 @@ pub fn generate_for_fleet(config: &WorkloadConfig, fleet: Fleet) -> Result<Datas
     let mut storage = StorageMetrics::empty(sticks, fleet.segments.len());
 
     // Per-VD fan-out: independent units, each with a private accumulator.
+    // Each partial drops its growth slack as soon as its VD is done: every
+    // partial lives until the merge, and the dataset keeps its series.
     let partials = par_map_deterministic(fleet.vds.as_slice(), |_, vd| {
-        generate_vd(config, &fleet, &plan, &rngf, vd)
+        let mut partial = generate_vd(config, &fleet, &plan, &rngf, vd);
+        partial.shrink_to_fit();
+        partial
     });
 
     // Merge in VD order. QP and segment ranges are disjoint across VDs, so
@@ -109,6 +113,16 @@ pub(crate) struct VdPartial {
     pub(crate) seg_series: Vec<Series>,
     /// Sampled IO events in tick order.
     pub(crate) events: Vec<IoEvent>,
+}
+
+impl VdPartial {
+    /// Drop the `push` growth slack from every series and the events.
+    fn shrink_to_fit(&mut self) {
+        for series in self.qp_series.iter_mut().chain(&mut self.seg_series) {
+            series.shrink_to_fit();
+        }
+        self.events.shrink_to_fit();
+    }
 }
 
 /// Generate one VD's envelopes, bookings, and sampled events from its own

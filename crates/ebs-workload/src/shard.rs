@@ -478,13 +478,17 @@ impl Dataset {
         let sticks = config.storage_ticks();
         let loads = par_map_deterministic(manifest.shards.as_slice(), |index, entry| {
             load_shard(dir, index, entry, cticks, sticks)
-        });
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, EbsError>>()?;
+        // Sized from what the shards held, so the dataset is exact-size.
         let mut events: Vec<IoEvent> =
-            Vec::with_capacity(usize::try_from(manifest.total_events()).unwrap_or(0));
-        let mut per_qp: Vec<Series> = Vec::new();
-        let mut per_seg: Vec<Series> = Vec::new();
+            Vec::with_capacity(loads.iter().map(|l| l.events.len()).sum());
+        let mut per_qp: Vec<Series> =
+            Vec::with_capacity(loads.iter().map(|l| l.qp_series.len()).sum());
+        let mut per_seg: Vec<Series> =
+            Vec::with_capacity(loads.iter().map(|l| l.seg_series.len()).sum());
         for load in loads {
-            let load = load?;
             events.extend(load.events);
             per_qp.extend(load.qp_series);
             per_seg.extend(load.seg_series);

@@ -238,6 +238,8 @@ impl Dataset {
             )));
         }
         validate_events(&events, &fleet)?;
+        // The vector grew chunk by chunk; the dataset keeps it exact-size.
+        events.shrink_to_fit();
 
         Ok(Dataset {
             fleet,

@@ -1,6 +1,7 @@
 //! Workspace integration test: the full generate → simulate → analyze
 //! pipeline, asserting the fidelity targets of DESIGN.md §5 on one
-//! medium-scale dataset.
+//! medium-scale dataset, and the exact-size memory model of every
+//! dataset builder.
 
 use ebs::analysis::aggregate::{rollup_compute, rollup_storage, ComputeLevel, StorageLevel};
 use ebs::analysis::{ccr, median, p2a};
@@ -105,4 +106,65 @@ fn sampled_stream_matches_metric_population() {
         (got - expected).abs() / expected < 0.25,
         "sampled {got} vs expected {expected}"
     );
+}
+
+/// Spare capacity, in elements, across every metric series and the event
+/// vector of a dataset.
+fn slack(ds: &ebs::workload::Dataset) -> usize {
+    let series = ds.compute.per_qp.iter().chain(ds.storage.per_seg.iter());
+    series
+        .map(|s| s.capacity() - s.active_ticks())
+        .sum::<usize>()
+        + (ds.events.capacity() - ds.events.len())
+}
+
+#[test]
+fn every_dataset_builder_leaves_no_growth_slack() {
+    use ebs::serve::{load, ServeSource};
+    use ebs::workload::{generate_sharded, Dataset};
+
+    for seed in [31u64, 32] {
+        // Enough traffic for several event chunks per store and shard, so
+        // the loaders' chunk-by-chunk growth is exercised.
+        let config = WorkloadConfig {
+            traffic_scale: 80.0,
+            ..WorkloadConfig::quick(seed)
+        };
+        let generated = generate(&config).unwrap();
+        assert!(generated.events.len() > 3 * ebs::store::EVENTS_PER_CHUNK);
+        assert!(generated
+            .compute
+            .per_qp
+            .iter()
+            .any(|s| s.active_ticks() > 1));
+        assert_eq!(slack(&generated), 0, "generate, seed {seed}");
+
+        let dir = ebs::core::TempDir::new("exact-size").unwrap();
+        let path = dir.join("trace.ebs");
+        generated.save(&path).unwrap();
+        assert_eq!(
+            slack(&Dataset::load(&path).unwrap()),
+            0,
+            "load, seed {seed}"
+        );
+
+        let mut sources = vec![
+            ServeSource::Generate(Box::new(config.clone())),
+            ServeSource::Store(path.clone()),
+        ];
+        // Uneven shard sizes: some concatenations grow by exact fits, so
+        // two shard counts are needed to leave slack in a naive loader.
+        for shards in [3, 7] {
+            let sharded = dir.join(format!("shards-{shards}"));
+            generate_sharded(&config, &sharded, shards, true).unwrap();
+            let loaded = Dataset::load_sharded(&sharded).unwrap();
+            assert_eq!(slack(&loaded), 0, "load_sharded x{shards}, seed {seed}");
+            sources.push(ServeSource::ShardedStore(sharded));
+        }
+        for source in &sources {
+            let events = load(source).unwrap().events;
+            assert_eq!(events.len(), generated.events.len());
+            assert_eq!(events.capacity(), events.len(), "serve source, seed {seed}");
+        }
+    }
 }
