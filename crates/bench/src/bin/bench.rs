@@ -1,4 +1,4 @@
-//! Wall-clock baselines for the performance-critical layers, in two modes.
+//! Wall-clock baselines for the performance-critical layers, in three modes.
 //!
 //! **`--mode parallel`** (default) times the parallelized hot paths —
 //! dataset generation, the full `bin/all` experiment driver, the
@@ -30,19 +30,7 @@
 //! the v1 decoder timed in the same run, or the store is not ≤0.5x the
 //! CSV size.
 //!
-//! **`--mode sim`** races the stack simulator's two schedules: the fused
-//! per-event pass (`StackSim::run`) against the staged columnar one
-//! (`StackSweep`). One standalone run (fused vs a one-point sweep,
-//! recorded for honesty), and a 16-point latency sweep — one standalone
-//! `StackSim::run` per point against one sweep that shares one
-//! `RoutePlan` + one RNG drain across every point (the speedup the staged
-//! schedule exists for, asserted ≥1.5x at every scale). Also times
-//! `experiments_all` against the recorded pre-optimization wall time
-//! (asserted ≥2x at medium, the scale the baseline was recorded at).
-//! Per-pass timings (route plan, pass A+B1 setup, cold and warm sweep
-//! points) and `host_cpus` go into `BENCH_sim.json`.
-//!
-//! Usage: `bench [--mode parallel|hotpath|store|sim]
+//! Usage: `bench [--mode parallel|hotpath|store]
 //! [--quick|--medium|--full] [--iters N] [--threads N] [--out PATH]`.
 //! `--threads` (parallel mode only) defaults to `max(4, available cores)`
 //! so the parallel leg genuinely exercises the fan-out even on small
@@ -504,199 +492,10 @@ fn run_hotpath_mode(scale: Scale, iters: usize, out_path: &str) {
     set_thread_override(None);
 
     let header = format!(
-        "  \"scale\": \"{scale_name}\",\n  \"threads\": 1,\n  \"iters\": {iters},\n  \"experiments_all_s\": {run_all_s:.6},\n"
+        "  \"scale\": \"{scale_name}\",\n  \"host_cpus\": {},\n  \"threads\": 1,\n  \"iters\": {iters},\n  \"experiments_all_s\": {run_all_s:.6},\n",
+        host_cpus()
     );
     write_report(out_path, &header, ("before", "after"), &entries);
-}
-
-/// `experiments_all` wall time recorded on this host before the staged
-/// sim pipeline and the cached attention refits landed
-/// (`BENCH_hotpath.json` history: medium scale, 1 thread pinned). The
-/// sim-mode gate is ≥2x this figure.
-const BASELINE_EXPERIMENTS_ALL_S: f64 = 2.407;
-
-/// Latency points in the sim-mode sweep leg.
-const SWEEP_POINTS: usize = 16;
-
-/// Order-sensitive digest of a simulation output. The stats carry the
-/// exact f64 sum of every per-event latency, so any divergence anywhere
-/// moves `mean_latency_us`; a strided fold over full records adds
-/// structural coverage without the digest itself dominating the timed
-/// loop (exhaustive staged == reference equality is pinned separately by
-/// the differential tests). Kept cheap on purpose: it runs inside both
-/// timed legs.
-fn sim_digest(o: &ebs_stack::SimOutput) -> (u64, u64, u64, u64) {
-    let mut h = 0u64;
-    for r in o.traces.records().iter().step_by(16) {
-        for bits in [
-            r.lat.compute_us.to_bits(),
-            r.lat.frontend_us.to_bits(),
-            r.lat.block_server_us.to_bits(),
-            r.lat.backend_us.to_bits(),
-            r.lat.chunk_server_us.to_bits(),
-        ] {
-            h = h.rotate_left(7) ^ bits;
-        }
-        h = h.wrapping_add(r.wt.index() as u64 ^ ((r.seg.index() as u64) << 20));
-    }
-    (
-        o.traces.len() as u64,
-        o.stats.mean_latency_us.to_bits(),
-        o.stats.throttled,
-        h,
-    )
-}
-
-/// Floor on the staged 16-point sweep's speedup over one fused run per
-/// point, at every scale. On a 2-CPU shared host, 32 medium runs at
-/// `--iters 5` measured 1.99–3.44x (median 3.04x) and an earlier 14 ran
-/// 2.30–4.64x, so a 3x floor failed about half the time. 1.5x sits 25%
-/// under the slowest of them and still fails a sweep that stops sharing
-/// its route plan, state replay and RNG drain (that falls to about 1x).
-const SWEEP_FLOOR: f64 = 1.5;
-
-/// The fused-vs-staged simulator baseline (BENCH_sim.json): the per-event
-/// pass against the columnar sweep schedule, standalone and under a
-/// config sweep, serial.
-fn run_sim_mode(scale: Scale, iters: usize, out_path: &str) {
-    use ebs_stack::sim::{StackConfig, StackSim, StackSweep};
-
-    let scale_name = format!("{scale:?}").to_lowercase();
-    eprintln!(
-        "benchmarking stack sim at scale {scale_name}, fused (per-event) vs staged \
-         (columnar), serial, best of {iters}"
-    );
-    set_thread_override(Some(1));
-    let ds = dataset(scale);
-    let events = ds.events.len();
-    let base_cfg = StackConfig::default();
-    let fused_run = |cfg: &StackConfig| {
-        sim_digest(
-            &StackSim::new(&ds.fleet, cfg.clone())
-                .run(&ds.events)
-                .expect("generated events are time-sorted"),
-        )
-    };
-
-    let mut entries = Vec::new();
-
-    // One standalone run. The staged schedule pays columnar
-    // materialization here without amortizing it, so this pair is recorded
-    // for honesty, not gated.
-    entries.push(measure_pair(
-        "stack_sim_run",
-        iters,
-        || fused_run(&base_cfg),
-        || {
-            let plan = StackSim::new(&ds.fleet, base_cfg.clone())
-                .plan(&ds.events)
-                .expect("generated events are time-sorted");
-            let mut sweep = StackSweep::new(&ds.fleet, &ds.events, &plan, base_cfg.clone())
-                .expect("base config is sweepable");
-            sim_digest(&sweep.run_point(&base_cfg).expect("base point"))
-        },
-    ));
-
-    // The headline: a latency sweep. The fused way is one full simulation
-    // per config point; the staged way shares one route plan, one state
-    // replay, and one RNG drain across all of them.
-    // A replication-tail ablation: each point scales the ChunkServer
-    // write stage. Varying one stage is the common sweep shape, and it is
-    // what the staged side's stage cache is built for — the five
-    // untouched stages re-evaluate exactly once across the whole sweep.
-    let sweep_cfgs: Vec<StackConfig> = (0..SWEEP_POINTS)
-        .map(|i| {
-            let mut c = base_cfg.clone();
-            c.latency.cs_write.base_us *= 1.0 + 0.05 * i as f64;
-            c.latency.cs_write.tail_mult *= 1.0 + 0.01 * i as f64;
-            c
-        })
-        .collect();
-    entries.push(measure_pair(
-        "stack_sim_sweep16",
-        iters,
-        || sweep_cfgs.iter().map(fused_run).collect::<Vec<_>>(),
-        || {
-            let sim = StackSim::new(&ds.fleet, base_cfg.clone());
-            let plan = sim
-                .plan(&ds.events)
-                .expect("generated events are time-sorted");
-            let mut sweep = StackSweep::new(&ds.fleet, &ds.events, &plan, base_cfg.clone())
-                .expect("base config is sweepable");
-            sweep_cfgs
-                .iter()
-                .map(|c| sim_digest(&sweep.run_point(c).expect("points vary latency only")))
-                .collect::<Vec<_>>()
-        },
-    ));
-
-    // Per-pass costs, for the record: where a staged run's time goes.
-    let sim = StackSim::new(&ds.fleet, base_cfg.clone());
-    let (route_plan_s, plan) = time_best(iters, || {
-        sim.plan(&ds.events)
-            .expect("generated events are time-sorted")
-    });
-    let (sweep_setup_s, _) = time_best(iters, || {
-        StackSweep::new(&ds.fleet, &ds.events, &plan, base_cfg.clone())
-            .map(|_| ())
-            .expect("base config is sweepable")
-    });
-    let mut sweep = StackSweep::new(&ds.fleet, &ds.events, &plan, base_cfg.clone())
-        .expect("base config is sweepable");
-    let t0 = Instant::now();
-    let cold = sweep.run_point(&base_cfg).expect("base point");
-    let point_cold_s = t0.elapsed().as_secs_f64();
-    let (point_warm_s, warm_digest) = time_best(iters, || {
-        sim_digest(&sweep.run_point(&base_cfg).expect("base point"))
-    });
-    assert_eq!(
-        sim_digest(&cold),
-        warm_digest,
-        "warm point diverged from cold"
-    );
-    eprintln!(
-        "passes: route_plan {route_plan_s:.4}s, A+B1 setup {sweep_setup_s:.4}s, \
-         cold point {point_cold_s:.4}s, warm point {point_warm_s:.4}s"
-    );
-
-    // experiments_all: absolute wall time against the recorded
-    // pre-optimization baseline.
-    let (run_all_s, _) = time_best(iters, || driver::run_all(&ds));
-    let all_speedup = BASELINE_EXPERIMENTS_ALL_S / run_all_s;
-    eprintln!(
-        "{:>20}: {run_all_s:8.3}s (recorded baseline {BASELINE_EXPERIMENTS_ALL_S:.3}s, \
-         {all_speedup:.2}x)",
-        "experiments_all"
-    );
-    set_thread_override(None);
-
-    let sweep_entry = &entries[1];
-    assert!(
-        sweep_entry.speedup() >= SWEEP_FLOOR,
-        "staged sweep must be >={SWEEP_FLOOR}x the per-point fused runs, measured {:.2}x",
-        sweep_entry.speedup()
-    );
-    if scale == Scale::Medium {
-        // The baseline was recorded at medium scale on this host; other
-        // scales have no comparable figure.
-        assert!(
-            all_speedup >= 2.0,
-            "experiments_all must be >=2x the recorded {BASELINE_EXPERIMENTS_ALL_S:.3}s \
-             baseline, measured {all_speedup:.2}x ({run_all_s:.3}s)"
-        );
-    }
-
-    let cpus = host_cpus();
-    let header = format!(
-        "  \"scale\": \"{scale_name}\",\n  \"host_cpus\": {cpus},\n  \"threads\": 1,\n  \
-         \"iters\": {iters},\n  \"events\": {events},\n  \"sweep_points\": {SWEEP_POINTS},\n  \
-         \"route_plan_s\": {route_plan_s:.6},\n  \"sweep_setup_s\": {sweep_setup_s:.6},\n  \
-         \"point_cold_s\": {point_cold_s:.6},\n  \"point_warm_s\": {point_warm_s:.6},\n  \
-         \"experiments_all_s\": {run_all_s:.6},\n  \
-         \"baseline_experiments_all_s\": {BASELINE_EXPERIMENTS_ALL_S},\n  \
-         \"experiments_all_speedup\": {all_speedup:.3},\n"
-    );
-    write_report(out_path, &header, ("fused", "staged"), &entries);
 }
 
 /// Build a format-v1 container around `events`: the exact byte layout the
@@ -1034,13 +833,9 @@ fn main() {
             let out_path = flag("--out").unwrap_or_else(|| "BENCH_store.json".to_string());
             run_store_mode(scale, iters, &out_path);
         }
-        "sim" => {
-            let out_path = flag("--out").unwrap_or_else(|| "BENCH_sim.json".to_string());
-            run_sim_mode(scale, iters, &out_path);
-        }
         other => {
             eprintln!(
-                "unknown --mode {other:?} (expected \"parallel\", \"hotpath\", \"store\", or \"sim\")"
+                "unknown --mode {other:?} (expected \"parallel\", \"hotpath\", or \"store\")"
             );
             std::process::exit(2);
         }

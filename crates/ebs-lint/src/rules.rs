@@ -34,7 +34,7 @@ pub enum FileClass {
     Example,
     /// Integration tests (`tests/` directories): D1/D5 only.
     TestFile,
-    /// Bench and offline test-harness shims (`bench`, `criterion-shim`,
+    /// The bench crate and the offline test-harness shim (`bench`,
     /// `proptest-shim`): may read clocks and print; D3 still ratchets.
     Harness,
     /// `ebs-obs`: the observability layer owns the clock and the emitters;

@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 
 /// Crates whose whole tree is a bench/test harness: clocks and printing are
 /// their job.
-const HARNESS_CRATES: &[&str] = &["bench", "criterion-shim", "proptest-shim"];
+const HARNESS_CRATES: &[&str] = &["bench", "proptest-shim"];
 
 /// Modules that must be *total*: hostile input yields typed errors, never a
 /// panic. D3 is a hard error here — no baseline, only reasoned inline

@@ -26,30 +26,12 @@ pub struct StageParams {
 }
 
 impl StageParams {
-    /// Draw one latency for an IO of `size` bytes.
+    /// Draw one latency for an IO of `size` bytes: a standard-normal
+    /// deviate, then the tail uniform, in that order.
     #[inline]
     pub fn sample(&self, rng: &mut SimRng, size: u32) -> f64 {
-        let (g, u_tail) = Self::draw_units(rng);
-        self.eval(g, u_tail, size)
-    }
-
-    /// Consume the raw randomness of one sample — the standard-normal
-    /// deviate and the tail uniform — without touching any stage
-    /// parameters. Exactly the draws (and draw order) of [`Self::sample`],
-    /// so the staged simulator's pass B1 can pre-draw whole columns that
-    /// any parameter point then evaluates via [`Self::eval`].
-    #[inline]
-    pub fn draw_units(rng: &mut SimRng) -> (f64, f64) {
         let g = gauss(rng);
         let u_tail = rng.next_f64();
-        (g, u_tail)
-    }
-
-    /// Evaluate a sample from pre-drawn randomness: bit-identical
-    /// arithmetic to [`Self::sample`] given the units from
-    /// [`Self::draw_units`].
-    #[inline]
-    pub fn eval(&self, g: f64, u_tail: f64, size: u32) -> f64 {
         let mean = self.base_us + size as f64 / self.bytes_per_us;
         // Lognormal jitter with unit median.
         let jitter = (self.jitter_sigma * g).exp();

@@ -16,12 +16,10 @@
 //! * **[`diting`]** — the tracer that assembles the paper's per-IO trace
 //!   records (and exports CSV).
 //! * **[`route`]** — the precomputed per-event routing table
-//!   ([`route::RoutePlan`]) shared across simulation runs and sweeps.
+//!   ([`route::RoutePlan`]), shareable across simulation runs.
 //! * **[`sim`]** — [`sim::StackSim`] and the resumable
 //!   [`sim::SimSession`], which route a sampled IO stream through all of
-//!   the above in one fused per-event pass, and [`sim::StackSweep`], the
-//!   staged columnar schedule for config sweeps that share routing and
-//!   RNG columns.
+//!   the above in one per-event pass.
 //!
 //! The §2.2 BlockServer prefetcher and ChunkServer garbage collection are
 //! not modelled: the 1/3200-sampled stream never has the sequential-read
@@ -57,5 +55,5 @@ pub use network::{FabricModel, Link};
 pub use replication::ReplicationPolicy;
 pub use route::{Route, RoutePlan};
 pub use segment::{Migration, SegmentMap};
-pub use sim::{SimOutput, SimSession, SimStats, StackConfig, StackSim, StackSweep};
+pub use sim::{SimOutput, SimSession, SimStats, StackConfig, StackSim};
 pub use throttle_gate::{TokenBucket, VdGate};

@@ -1,4 +1,4 @@
-//! Precomputed per-event routing: the staged simulator's pass zero.
+//! Precomputed per-event routing, resolved once per event slice.
 //!
 //! Routing an IO — QP → worker thread, QP → compute node, (VD, offset) →
 //! segment → BlockServer → storage node — depends only on the fleet, the
@@ -24,8 +24,8 @@ use ebs_core::units::SEGMENT_BYTES;
 /// Validate that `events` are in non-decreasing time order.
 ///
 /// The simulator's state machines (WT queues, token buckets, link EWMAs)
-/// require it; hoisting the O(n) scan here lets sweep callers validate a
-/// shared slice once instead of once per config point.
+/// require it; hoisting the O(n) scan here lets callers that run one
+/// slice under several configs validate it once instead of once per run.
 pub fn ensure_time_sorted(events: &[IoEvent]) -> Result<(), EbsError> {
     let sorted = events
         .iter()

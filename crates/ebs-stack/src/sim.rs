@@ -7,41 +7,27 @@
 //! (replicated writes) — and hands each IO to DiTing to produce the
 //! paper's trace dataset with the five-stage latency breakdown.
 //!
-//! One model, two schedules (DESIGN.md §16), bit-identical to each other:
-//!
-//! * **Fused** — [`SimSession::step`], and so [`StackSim::run`] (a
-//!   one-step session), makes one pass over the events. Each event goes
-//!   through its throttle gate and fabric links, draws and evaluates its
-//!   stage samples, then goes through its WT queue, the write quorum and
-//!   DiTing. Nothing is kept in columns.
-//! * **Staged** — [`StackSweep`] splits the same steps into passes so the
-//!   points of a config sweep share them: pass A keeps the gate/fabric
-//!   results as a column, pass B1 drains the RNG into
-//!   *parameter-independent* unit columns (the normal deviate and tail
-//!   uniform of every sample), pass B2 evaluates each stage as a column
-//!   kernel cached by stage parameters, and pass C assembles the records.
-//!
-//! Both schedules call the same gate/fabric step (`Machines::admit`), the
-//! same per-event draw schedule (`draw_event`, generic over whether a
-//! sample is evaluated now or stored as units), and the same record
-//! assembly (`SimCore::assemble`); no arithmetic exists twice.
+//! [`SimSession::step`], and so [`StackSim::run`] (a one-step session),
+//! is the simulator's one schedule (DESIGN.md §16): a single pass over
+//! the events. Each event goes through its throttle gate and fabric
+//! links, draws its stage samples from the `stack/latency` stream in a
+//! fixed order, then goes through its WT queue, the write quorum and
+//! DiTing. Nothing is kept in columns.
 
 use crate::diting::Diting;
 use crate::hypervisor::{Binding, WtQueues};
-use crate::latency::{LatencyModel, StageParams};
+use crate::latency::LatencyModel;
 use crate::network::FabricModel;
 use crate::replication::ReplicationPolicy;
 use crate::route::{Route, RoutePlan};
 use crate::segment::SegmentMap;
 use crate::throttle_gate::VdGate;
 use ebs_core::error::EbsError;
-use ebs_core::hash::FxHashMap;
 use ebs_core::io::{IoEvent, Op};
 use ebs_core::rng::{RngFactory, SimRng};
 use ebs_core::topology::Fleet;
 use ebs_core::trace::{StageLatency, TraceRecord, TraceSet};
 use ebs_core::units::TRACE_SAMPLE_RATE;
-use std::rc::Rc;
 
 /// Stack-simulation configuration.
 #[derive(Clone, Debug)]
@@ -163,34 +149,6 @@ impl StackObs {
     }
 }
 
-// ---------------------------------------------------------------------
-// Stage classes: the six latency columns a run draws from, in the order
-// one event samples them.
-
-const STAGE_COMPUTE: usize = 0;
-const STAGE_FRONTEND: usize = 1;
-const STAGE_BLOCK_SERVER: usize = 2;
-const STAGE_BACKEND: usize = 3;
-const STAGE_CS_READ: usize = 4;
-const STAGE_CS_WRITE: usize = 5;
-const STAGE_COUNT: usize = 6;
-
-fn stage_params(latency: &LatencyModel) -> [&StageParams; STAGE_COUNT] {
-    [
-        &latency.compute,
-        &latency.frontend,
-        &latency.block_server,
-        &latency.backend,
-        &latency.cs_read,
-        &latency.cs_write,
-    ]
-}
-
-/// The run's `stack/latency` RNG stream, fresh from `seed`.
-fn latency_rng(seed: u64) -> SimRng {
-    RngFactory::new(seed).child("stack").stream("latency")
-}
-
 /// The RNG-free state machines — per-VD throttle gates and the fabric
 /// links. A [`SimSession`] carries them across epoch steps: replaying a
 /// stream slice-by-slice drives exactly the same machine trajectory as
@@ -236,8 +194,7 @@ impl Machines {
     }
 
     /// The gate/fabric step: pass one event through its VD's throttle
-    /// gate and its CN uplink and SN backend link. Both schedules replay
-    /// it in event order.
+    /// gate and its CN uplink and SN backend link, in event order.
     #[inline]
     fn admit(&mut self, config: &StackConfig, ev: &IoEvent, route: Route) -> Admitted {
         let t = ev.t_us as f64;
@@ -262,33 +219,6 @@ impl Machines {
     }
 }
 
-/// Where the draw schedule sends each latency sample: evaluated on the
-/// spot (the fused schedule) or stored as parameter-free units (a sweep's
-/// pass B1).
-trait DrawSink {
-    fn sample(&mut self, class: usize, rng: &mut SimRng, size: u32);
-}
-
-/// The draw schedule of one event: compute, frontend, BlockServer and
-/// backend, then one ChunkServer sample per read or one per replica per
-/// write. Every sample consumes the `stack/latency` stream in this order,
-/// whichever sink receives it.
-#[inline]
-fn draw_event<S: DrawSink>(sink: &mut S, rng: &mut SimRng, ev: &IoEvent, replicas: usize) {
-    sink.sample(STAGE_COMPUTE, rng, ev.size);
-    sink.sample(STAGE_FRONTEND, rng, ev.size);
-    sink.sample(STAGE_BLOCK_SERVER, rng, ev.size);
-    sink.sample(STAGE_BACKEND, rng, ev.size);
-    match ev.op {
-        Op::Write => {
-            for _ in 0..replicas {
-                sink.sample(STAGE_CS_WRITE, rng, ev.size);
-            }
-        }
-        Op::Read => sink.sample(STAGE_CS_READ, rng, ev.size),
-    }
-}
-
 /// One event's evaluated stage samples, before queueing, congestion and
 /// the write quorum.
 #[derive(Default)]
@@ -299,154 +229,41 @@ struct EventDraws {
     cs: Vec<f64>,
 }
 
-/// The fused schedule's sink: evaluates each sample as it is drawn.
-struct EvalSink<'p> {
-    params: [&'p StageParams; STAGE_COUNT],
-    draws: EventDraws,
-}
-
-impl DrawSink for EvalSink<'_> {
-    #[inline]
-    fn sample(&mut self, class: usize, rng: &mut SimRng, size: u32) {
-        let Some(p) = self.params.get(class) else {
-            return;
-        };
-        let v = p.sample(rng, size);
-        match self.draws.head.get_mut(class) {
-            Some(slot) => *slot = v,
-            None => self.draws.cs.push(v),
+/// The draw schedule of one event: compute, frontend, BlockServer and
+/// backend, then one ChunkServer read sample or one write sample per
+/// replica. Every sample consumes the `stack/latency` stream in this
+/// order. `d`'s ChunkServer buffer is reused, never reallocated per event.
+#[inline]
+fn draw_event(
+    d: &mut EventDraws,
+    latency: &LatencyModel,
+    rng: &mut SimRng,
+    ev: &IoEvent,
+    replicas: usize,
+) {
+    let size = ev.size;
+    d.head = [
+        latency.compute.sample(rng, size),
+        latency.frontend.sample(rng, size),
+        latency.block_server.sample(rng, size),
+        latency.backend.sample(rng, size),
+    ];
+    d.cs.clear();
+    match ev.op {
+        Op::Write => {
+            for _ in 0..replicas {
+                d.cs.push(latency.cs_write.sample(rng, size));
+            }
         }
+        Op::Read => d.cs.push(latency.cs_read.sample(rng, size)),
     }
-}
-
-/// The raw randomness of one stage class's samples, in event order.
-struct StageUnits {
-    g: Vec<f64>,
-    u_tail: Vec<f64>,
-    size: Vec<u32>,
-}
-
-/// Pass B1 output: the units of every latency sample, grouped by stage
-/// class. These columns depend on the seed and the draw schedule (op +
-/// replica count) and on no latency parameter.
-struct DrawCols {
-    classes: [StageUnits; STAGE_COUNT],
-}
-
-impl DrawSink for DrawCols {
-    #[inline]
-    fn sample(&mut self, class: usize, rng: &mut SimRng, size: u32) {
-        let (g, u_tail) = StageParams::draw_units(rng);
-        if let Some(units) = self.classes.get_mut(class) {
-            units.g.push(g);
-            units.u_tail.push(u_tail);
-            units.size.push(size);
-        }
-    }
-}
-
-/// Pass A: the gate/fabric step over a whole slice, kept as a column.
-fn pass_a(
-    machines: &mut Machines,
-    config: &StackConfig,
-    plan: &RoutePlan,
-    events: &[IoEvent],
-) -> Vec<Admitted> {
-    events
-        .iter()
-        .zip(plan.routes())
-        .map(|(ev, &route)| machines.admit(config, ev, route))
-        .collect()
-}
-
-/// Pass B1: drain a fresh `stack/latency` stream through the draw
-/// schedule into unit columns.
-fn pass_b1(config: &StackConfig, events: &[IoEvent]) -> DrawCols {
-    let mut rng = latency_rng(config.seed);
-    let n = events.len();
-    let replicas = config.replication.replicas as usize;
-    let writes = events.iter().filter(|ev| ev.op == Op::Write).count();
-    let caps = [n, n, n, n, n - writes, writes * replicas];
-    let mut d = DrawCols {
-        classes: caps.map(|cap| StageUnits {
-            g: Vec::with_capacity(cap),
-            u_tail: Vec::with_capacity(cap),
-            size: Vec::with_capacity(cap),
-        }),
-    };
-    for ev in events {
-        draw_event(&mut d, &mut rng, ev, replicas);
-    }
-    d
-}
-
-/// Evaluated stage columns: one latency value per drawn sample, before
-/// congestion / quorum arithmetic (pass C's job).
-struct StageCols {
-    values: [Rc<Vec<f64>>; STAGE_COUNT],
-}
-
-/// Cache of evaluated stage columns keyed by the stage's parameter bits.
-/// A sweep point that leaves a stage's parameters untouched reuses the
-/// column instead of re-running the `exp`-heavy kernel.
-#[derive(Default)]
-struct StageCache {
-    map: [FxHashMap<[u64; 5], Rc<Vec<f64>>>; STAGE_COUNT],
-}
-
-/// Bound on retained columns per stage before the cache resets; sweeps
-/// vary a handful of parameter points, so this is never hit in practice.
-const STAGE_CACHE_MAX: usize = 64;
-
-fn stage_key(p: &StageParams) -> [u64; 5] {
-    [
-        p.base_us.to_bits(),
-        p.bytes_per_us.to_bits(),
-        p.jitter_sigma.to_bits(),
-        p.tail_prob.to_bits(),
-        p.tail_mult.to_bits(),
-    ]
-}
-
-/// Pass B2: evaluate all six stage columns from the units, reusing
-/// cached columns for stages whose parameters match a prior evaluation.
-fn pass_b2(latency: &LatencyModel, draws: &DrawCols, cache: &mut StageCache) -> StageCols {
-    let mut stages = stage_params(latency)
-        .into_iter()
-        .zip(&draws.classes)
-        .zip(&mut cache.map);
-    let values = std::array::from_fn(|_| {
-        let Some(((p, units), slot)) = stages.next() else {
-            return Rc::default();
-        };
-        let key = stage_key(p);
-        if let Some(col) = slot.get(&key) {
-            return Rc::clone(col);
-        }
-        if slot.len() >= STAGE_CACHE_MAX {
-            slot.clear();
-        }
-        let col: Rc<Vec<f64>> = Rc::new(
-            units
-                .g
-                .iter()
-                .zip(&units.u_tail)
-                .zip(&units.size)
-                .map(|((&g, &u_tail), &size)| p.eval(g, u_tail, size))
-                .collect(),
-        );
-        slot.insert(key, Rc::clone(&col));
-        col
-    });
-    StageCols { values }
 }
 
 /// The persistent half of record assembly: WT busy-until clocks, the
 /// DiTing id counter, the optional obs recorder, and the running
-/// aggregates. A batch run owns one for the duration of the run; a
-/// [`SimSession`] carries one across epoch steps so slice-by-slice
-/// serving accumulates *exactly* the batch totals (same u64 sums, same
-/// f64 summation order).
+/// aggregates. A [`SimSession`] carries one across epoch steps so
+/// slice-by-slice serving accumulates *exactly* the batch totals (same
+/// u64 sums, same f64 summation order).
 struct SimCore {
     queues: WtQueues,
     diting: Diting,
@@ -498,8 +315,8 @@ impl SimCore {
         }
     }
 
-    /// Record assembly, shared by both schedules: WT queueing, fabric
-    /// congestion, the write quorum, obs, and the event's DiTing record.
+    /// Record assembly: WT queueing, fabric congestion, the write quorum,
+    /// obs, and the event's DiTing record.
     #[inline]
     fn assemble(
         &mut self,
@@ -552,39 +369,6 @@ impl SimCore {
         }
         stats
     }
-}
-
-/// Pass C: record assembly over the pass-A and pass-B2 columns.
-fn pass_c(
-    core: &mut SimCore,
-    fleet: &Fleet,
-    events: &[IoEvent],
-    plan: &RoutePlan,
-    admitted: &[Admitted],
-    cols: &StageCols,
-) -> SimOutput {
-    let mut out = SliceOut::with_capacity(events.len());
-    let [compute, frontend, block_server, backend, cs_read, cs_write] = &cols.values;
-    let replicas = usize::from(core.replication.replicas).max(1);
-    let (mut reads, mut writes) = (cs_read.iter(), cs_write.chunks_exact(replicas));
-    let heads = compute
-        .iter()
-        .zip(frontend.iter())
-        .zip(block_server.iter())
-        .zip(backend.iter());
-    let mut d = EventDraws::default();
-    for (((ev, &route), &a), (((&c, &f), &b), &k)) in
-        events.iter().zip(plan.routes()).zip(admitted).zip(heads)
-    {
-        d.head = [c, f, b, k];
-        d.cs.clear();
-        match ev.op {
-            Op::Write => d.cs.extend_from_slice(writes.next().unwrap_or_default()),
-            Op::Read => d.cs.extend(reads.next()),
-        }
-        core.assemble(&mut out, fleet, ev, route, a, &mut d);
-    }
-    out.finish(core)
 }
 
 /// The simulator itself. One instance per run.
@@ -646,7 +430,7 @@ impl<'a> StackSim<'a> {
     }
 }
 
-/// A *resumable* simulation: the fused schedule with every piece of
+/// A *resumable* simulation: the simulator's schedule with every piece of
 /// cross-event state — throttle-gate buckets, fabric links, the
 /// `stack/latency` RNG stream, WT busy-until clocks, DiTing trace ids,
 /// and the aggregate accumulators — held in the session between calls to
@@ -678,7 +462,9 @@ impl<'a> SimSession<'a> {
         Ok(Self {
             fleet,
             machines: Machines::new(fleet, &config),
-            rng: latency_rng(config.seed),
+            rng: RngFactory::new(config.seed)
+                .child("stack")
+                .stream("latency"),
             core: SimCore::new(fleet, &config),
             config,
         })
@@ -702,17 +488,19 @@ impl<'a> SimSession<'a> {
             ));
         }
         let replicas = usize::from(self.config.replication.replicas);
-        let mut sink = EvalSink {
-            params: stage_params(&self.config.latency),
-            draws: EventDraws::default(),
-        };
+        let mut draws = EventDraws::default();
         let mut out = SliceOut::with_capacity(events.len());
         for (ev, &route) in events.iter().zip(plan.routes()) {
             let a = self.machines.admit(&self.config, ev, route);
-            sink.draws.cs.clear();
-            draw_event(&mut sink, &mut self.rng, ev, replicas);
+            draw_event(
+                &mut draws,
+                &self.config.latency,
+                &mut self.rng,
+                ev,
+                replicas,
+            );
             self.core
-                .assemble(&mut out, self.fleet, ev, route, a, &mut sink.draws);
+                .assemble(&mut out, self.fleet, ev, route, a, &mut draws);
         }
         Ok(out.finish(&mut self.core))
     }
@@ -760,86 +548,6 @@ impl<'a> SimSession<'a> {
     /// run) and return the aggregate stats.
     pub fn finish(self) -> SimStats {
         self.core.finish()
-    }
-}
-
-/// A config sweep over one event slice, on the staged schedule: pass A
-/// and pass B1 run once, and every [`Self::run_point`] reuses them (plus
-/// any stage columns whose parameters it doesn't change), so a K-point
-/// latency sweep costs one state-machine replay + one RNG drain + K cheap
-/// evaluate/assemble passes instead of K full simulations.
-///
-/// Sweep points may vary the latency model and the replication *quorum*;
-/// everything that shapes pass A or the draw schedule (seed, throttle,
-/// congestion, replica count) must match the base config, enforced by
-/// [`Self::run_point`].
-pub struct StackSweep<'a> {
-    fleet: &'a Fleet,
-    events: &'a [IoEvent],
-    plan: &'a RoutePlan,
-    base: StackConfig,
-    admitted: Vec<Admitted>,
-    draws: DrawCols,
-    cache: StageCache,
-}
-
-impl<'a> StackSweep<'a> {
-    /// Prepare a sweep over `events` with `plan` routing and `base`
-    /// config. Runs pass A and pass B1 once.
-    pub fn new(
-        fleet: &'a Fleet,
-        events: &'a [IoEvent],
-        plan: &'a RoutePlan,
-        base: StackConfig,
-    ) -> Result<Self, EbsError> {
-        if plan.len() != events.len() {
-            return Err(EbsError::invalid_config(
-                "route plan does not cover the event slice",
-            ));
-        }
-        base.replication.validate()?;
-        let mut machines = Machines::new(fleet, &base);
-        let admitted = pass_a(&mut machines, &base, plan, events);
-        let draws = pass_b1(&base, events);
-        Ok(Self {
-            fleet,
-            events,
-            plan,
-            base,
-            admitted,
-            draws,
-            cache: StageCache::default(),
-        })
-    }
-
-    /// Simulate one config point, byte-identical to a full
-    /// [`StackSim::run`] with `config`.
-    pub fn run_point(&mut self, config: &StackConfig) -> Result<SimOutput, EbsError> {
-        let b = &self.base;
-        let compatible = config.seed == b.seed
-            && config.apply_throttle == b.apply_throttle
-            && config.throttle_scale == b.throttle_scale
-            && config.model_congestion == b.model_congestion
-            && config.replication.replicas == b.replication.replicas;
-        if !compatible {
-            return Err(EbsError::invalid_config(
-                "sweep point changes non-sweepable config \
-                 (seed/throttle/congestion/replica count)",
-            ));
-        }
-        config.replication.validate()?;
-        let cols = pass_b2(&config.latency, &self.draws, &mut self.cache);
-        let mut core = SimCore::new(self.fleet, config);
-        let out = pass_c(
-            &mut core,
-            self.fleet,
-            self.events,
-            self.plan,
-            &self.admitted,
-            &cols,
-        );
-        core.finish();
-        Ok(out)
     }
 }
 
@@ -982,25 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_points_match_standalone_runs() {
-        let ds = generate(&WorkloadConfig::quick(41)).unwrap();
-        let base = StackConfig::default();
-        let sim = StackSim::new(&ds.fleet, base.clone());
-        let plan = sim.plan(&ds.events).unwrap();
-        let mut sweep = StackSweep::new(&ds.fleet, &ds.events, &plan, base.clone()).unwrap();
-        for k in 0..4u32 {
-            let mut cfg = base.clone();
-            cfg.latency.cs_write.base_us *= 1.0 + 0.25 * k as f64;
-            cfg.latency.frontend.jitter_sigma *= 1.0 + 0.1 * k as f64;
-            let swept = sweep.run_point(&cfg).unwrap();
-            let mut standalone = StackSim::new(&ds.fleet, cfg);
-            let full = standalone.run(&ds.events).unwrap();
-            assert_eq!(full.stats, swept.stats);
-            assert_eq!(full.traces.records(), swept.traces.records());
-        }
-    }
-
-    #[test]
     fn session_steps_concatenate_to_batch_run() {
         let ds = generate(&WorkloadConfig::quick(43)).unwrap();
         let mut sim = StackSim::new(&ds.fleet, StackConfig::default());
@@ -1054,24 +743,5 @@ mod tests {
             scaled.throttled,
             base.throttled
         );
-    }
-
-    #[test]
-    fn sweep_rejects_non_sweepable_changes() {
-        let ds = generate(&WorkloadConfig::quick(42)).unwrap();
-        let base = StackConfig::default();
-        let sim = StackSim::new(&ds.fleet, base.clone());
-        let plan = sim.plan(&ds.events).unwrap();
-        let mut sweep = StackSweep::new(&ds.fleet, &ds.events, &plan, base.clone()).unwrap();
-        let mut bad_seed = base.clone();
-        bad_seed.seed ^= 1;
-        assert!(sweep.run_point(&bad_seed).is_err());
-        let mut bad_replicas = base.clone();
-        bad_replicas.replication = ReplicationPolicy::NONE;
-        assert!(sweep.run_point(&bad_replicas).is_err());
-        // Quorum-only changes are sweepable.
-        let mut majority = base;
-        majority.replication = ReplicationPolicy::THREE_WAY_MAJORITY;
-        assert!(sweep.run_point(&majority).is_ok());
     }
 }
