@@ -33,6 +33,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// Lets the test-only reference series (`tests/oracle/`) name this crate by
+// its public paths from inside the crate's own unit tests.
+#[cfg(test)]
+extern crate self as ebs_core;
+
 pub mod apps;
 pub mod error;
 pub mod hash;

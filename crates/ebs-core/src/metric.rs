@@ -6,13 +6,17 @@
 //! format of Table 1. Series are stored sparsely (only ticks with traffic),
 //! which matches the bursty ON/OFF shape of real EBS traffic.
 //!
-//! The series are most of a dataset's memory: one [`SeriesSample`] is 40
-//! bytes (a `u32` tick padded beside four `f64`s), against 32 bytes per
-//! sampled event, and a medium dataset holds several samples per event.
-//! Every dataset builder therefore finishes its series exact-size
-//! ([`Series::shrink_to_fit`], or [`Series::from_samples`] over an
-//! exactly sized vector); a `push`-grown series would otherwise keep up
-//! to half its capacity as doubling slack.
+//! The series are most of a dataset's memory, so a [`Series`] keeps each
+//! direction apart: per side, a vector of 20-byte entries (a `u32` tick
+//! beside that direction's [`Flow`]), with an entry only where that
+//! direction moved traffic. The read and write ON/OFF envelopes are drawn
+//! independently, so most active ticks carry one direction only, and a
+//! series holds about 21 bytes per active tick where a [`SeriesSample`]
+//! row (a `u32` tick padded beside four `f64`s) takes 40, and a sampled
+//! event 32. Every dataset builder finishes its series exact-size
+//! ([`Series::shrink_to_fit`], or [`Series::from_samples`], which sizes
+//! each side exactly); a `push`-grown series would otherwise keep up to
+//! half its capacity as doubling slack.
 
 use crate::ids::{IdVec, QpId, SegId};
 use crate::io::Op;
@@ -37,6 +41,12 @@ impl Flow {
     /// Whether the flow carries no traffic.
     pub fn is_zero(&self) -> bool {
         self.bytes == 0.0 && self.ops == 0.0
+    }
+
+    /// Whether either field has a nonzero bit pattern: unlike
+    /// [`Flow::is_zero`], this counts `-0.0`.
+    fn has_bits(&self) -> bool {
+        (self.bytes.to_bits() | self.ops.to_bits()) != 0
     }
 }
 
@@ -97,6 +107,16 @@ impl RwFlow {
     /// Whether both directions are zero.
     pub fn is_zero(&self) -> bool {
         self.read.is_zero() && self.write.is_zero()
+    }
+
+    /// Whether a sample of this flow gives the read and the write side an
+    /// entry: the sample is kept (not all-zero, as [`RwFlow::is_zero`]
+    /// judges it) and that side has a nonzero bit pattern.
+    #[inline]
+    fn entries(&self) -> (bool, bool) {
+        let (r, w) = (self.read, self.write);
+        let zero = (r.bytes == 0.0) & (r.ops == 0.0) & (w.bytes == 0.0) & (w.ops == 0.0);
+        (!zero & r.has_bits(), !zero & w.has_bits())
     }
 }
 
@@ -164,19 +184,152 @@ pub struct SeriesSample {
     pub rw: RwFlow,
 }
 
+/// One entry of a [`Side`]: a tick and that direction's flow in it.
+///
+/// Packed to 4-byte alignment, so the `u32` tick sits beside the two
+/// `f64`s in 20 bytes with no padding. Its fields are only ever copied,
+/// never borrowed, as packed fields must be.
+#[derive(Clone, Copy, Debug)]
+#[repr(C, packed(4))]
+struct Entry {
+    tick: u32,
+    flow: Flow,
+}
+
+/// One direction of a [`Series`]: its entries, tick-sorted. One vector
+/// per side keeps a series to two allocations.
+#[derive(Clone, Debug, Default)]
+struct Side {
+    entries: Vec<Entry>,
+}
+
+impl Side {
+    /// A side of exactly the `n` entries `entries` yields.
+    fn collect(n: usize, entries: impl Iterator<Item = Entry>) -> Self {
+        let mut side = Side {
+            entries: Vec::with_capacity(n),
+        };
+        side.entries.extend(entries);
+        side
+    }
+
+    /// Add `flow` at `tick`, the newest tick of the series. `repeat` says
+    /// the series already holds a sample at `tick`; without an entry of
+    /// its own there, this side of that sample is `+0.0`, and the sum
+    /// starts from it as a per-sample accumulation would.
+    fn push(&mut self, tick: u32, flow: Flow, repeat: bool) {
+        if repeat {
+            if let Some(last) = self.entries.last_mut().filter(|e| e.tick == tick) {
+                *last = Entry {
+                    tick,
+                    flow: last.flow + flow,
+                };
+                return;
+            }
+        }
+        let flow = if repeat { Flow::ZERO + flow } else { flow };
+        if flow.has_bits() {
+            self.entries.push(Entry { tick, flow });
+        }
+    }
+
+    fn sum(&self) -> Flow {
+        self.entries.iter().fold(Flow::ZERO, |acc, e| acc + e.flow)
+    }
+
+    fn accumulate_into(&self, acc: &mut [f64], field: impl Fn(Flow) -> f64) {
+        for e in &self.entries {
+            if let Some(slot) = acc.get_mut(e.tick as usize) {
+                *slot += field(e.flow);
+            }
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.entries.shrink_to_fit();
+    }
+
+    fn spare_capacity(&self) -> usize {
+        self.entries.capacity() - self.entries.len()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<Entry>()
+    }
+}
+
+/// The tick merge of a series' two sides: one sample per tick at which
+/// either side holds an entry, the other side [`Flow::ZERO`].
+#[derive(Clone, Debug)]
+struct Samples<'a> {
+    /// The entries of each side not merged yet.
+    read: &'a [Entry],
+    write: &'a [Entry],
+}
+
+impl Iterator for Samples<'_> {
+    type Item = SeriesSample;
+
+    #[inline]
+    fn next(&mut self) -> Option<SeriesSample> {
+        // The side with the smaller next tick goes first; equal ticks
+        // merge into one sample.
+        let (tick, read, write) = match (self.read.split_first(), self.write.split_first()) {
+            (Some((r, read)), Some((w, write))) if r.tick == w.tick => {
+                (self.read, self.write) = (read, write);
+                (r.tick, r.flow, w.flow)
+            }
+            (Some((r, read)), Some((w, _))) if r.tick < w.tick => {
+                self.read = read;
+                (r.tick, r.flow, Flow::ZERO)
+            }
+            (Some((r, read)), None) => {
+                self.read = read;
+                (r.tick, r.flow, Flow::ZERO)
+            }
+            (_, Some((w, write))) => {
+                self.write = write;
+                (w.tick, Flow::ZERO, w.flow)
+            }
+            (None, None) => return None,
+        };
+        Some(SeriesSample {
+            tick,
+            rw: RwFlow { read, write },
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let (r, w) = (self.read.len(), self.write.len());
+        (r.max(w), Some(r + w))
+    }
+}
+
 /// A sparse per-entity time series, sorted by tick, holding only ticks with
 /// non-zero traffic.
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// The series is stored side-split: the read and the write direction each
+/// keep their own tick-sorted entries (a tick beside a [`Flow`]), with an
+/// entry only where that direction's flow has a nonzero bit pattern (so
+/// `-0.0` is kept). [`Series::samples`] merges the sides back into one
+/// [`SeriesSample`] per active tick, the idle side `+0.0`, and equality is
+/// equality of that merged sequence.
+#[derive(Clone, Debug, Default)]
 pub struct Series {
-    samples: Vec<SeriesSample>,
+    read: Side,
+    write: Side,
+}
+
+impl PartialEq for Series {
+    fn eq(&self, other: &Self) -> bool {
+        self.samples().eq(other.samples())
+    }
 }
 
 impl Series {
     /// Empty series.
     pub fn new() -> Self {
-        Self {
-            samples: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Append traffic for `tick`. Ticks must be pushed in non-decreasing
@@ -185,90 +338,141 @@ impl Series {
         if rw.is_zero() {
             return;
         }
-        if let Some(last) = self.samples.last_mut() {
-            assert!(tick >= last.tick, "ticks must be pushed in order");
-            if last.tick == tick {
-                last.rw += rw;
-                return;
-            }
+        let last = self.last_tick();
+        if let Some(last) = last {
+            assert!(tick >= last, "ticks must be pushed in order");
         }
-        self.samples.push(SeriesSample { tick, rw });
+        let repeat = last == Some(tick);
+        self.read.push(tick, rw.read, repeat);
+        self.write.push(tick, rw.write, repeat);
     }
 
     /// Build a series from whole columns of samples, the non-panicking
     /// counterpart of a [`Series::push`] loop: ticks must strictly
     /// increase (`None` otherwise, where `push` would panic or merge), and
     /// all-zero samples are dropped exactly as `push` drops them. The
-    /// vector is kept as is, so a caller that sizes it exactly gets a
-    /// series with no growth slack.
-    pub fn from_samples(mut samples: Vec<SeriesSample>) -> Option<Self> {
-        let increasing = samples
-            .iter()
-            .zip(samples.iter().skip(1))
-            .all(|(a, b)| a.tick < b.tick);
+    /// samples are walked three times (check and count, then fill each
+    /// side), so each side is allocated exactly once and the series has no
+    /// growth slack.
+    pub fn from_samples<I>(samples: I) -> Option<Self>
+    where
+        I: IntoIterator<Item = SeriesSample>,
+        I::IntoIter: Clone,
+    {
+        let rows = samples.into_iter();
+        // One pass checks the ticks and counts each side's entries (`next`
+        // is one past the previous tick, so any first tick fits) ...
+        let (mut next, mut increasing) = (0u64, true);
+        let [mut n_read, mut n_write] = [0usize; 2];
+        for s in rows.clone() {
+            increasing &= u64::from(s.tick) >= next;
+            next = u64::from(s.tick) + 1;
+            let (read, write) = s.rw.entries();
+            n_read += usize::from(read);
+            n_write += usize::from(write);
+        }
         if !increasing {
             return None;
         }
-        samples.retain(|s| !s.rw.is_zero());
-        Some(Self { samples })
+        // ... and one per side fills it, exactly sized.
+        let read = rows.clone().filter(|s| s.rw.entries().0).map(|s| Entry {
+            tick: s.tick,
+            flow: s.rw.read,
+        });
+        let write = rows.filter(|s| s.rw.entries().1).map(|s| Entry {
+            tick: s.tick,
+            flow: s.rw.write,
+        });
+        Some(Self {
+            read: Side::collect(n_read, read),
+            write: Side::collect(n_write, write),
+        })
     }
 
-    /// Drop the growth slack a [`Series::push`] loop leaves behind, so the
-    /// series holds exactly its samples. The samples are unchanged.
+    /// Drop the growth slack a [`Series::push`] loop leaves behind, so each
+    /// side holds exactly its entries. The samples are unchanged.
     pub fn shrink_to_fit(&mut self) {
-        self.samples.shrink_to_fit();
+        self.read.shrink_to_fit();
+        self.write.shrink_to_fit();
     }
 
-    /// Samples the series can hold without reallocating; equals
-    /// [`Series::active_ticks`] once the series is exact-size.
-    pub fn capacity(&self) -> usize {
-        self.samples.capacity()
+    /// Entries the series' two sides can hold beyond their own without
+    /// reallocating, summed over both; zero once the series is exact-size.
+    pub fn spare_capacity(&self) -> usize {
+        self.read.spare_capacity() + self.write.spare_capacity()
     }
 
-    /// Sparse samples, tick-sorted.
-    pub fn samples(&self) -> &[SeriesSample] {
-        &self.samples
+    /// Heap bytes the series' two sides hold, spare capacity included.
+    pub fn heap_bytes(&self) -> usize {
+        self.read.heap_bytes() + self.write.heap_bytes()
+    }
+
+    /// Sparse samples, tick-sorted: the tick merge of the two sides.
+    pub fn samples(&self) -> impl Iterator<Item = SeriesSample> + Clone + '_ {
+        Samples {
+            read: &self.read.entries,
+            write: &self.write.entries,
+        }
     }
 
     /// Whether the entity never saw traffic.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.read.entries.is_empty() && self.write.entries.is_empty()
     }
 
-    /// Sum over the whole window.
+    /// Sum over the whole window. Each side sums its own entries in tick
+    /// order. Skipping the `+0.0` a sample holds on its idle side keeps
+    /// every bit of the per-sample sum: adding `+0.0` changes only `-0.0`,
+    /// which no sum that starts from `+0.0` ever reaches.
     pub fn total(&self) -> RwFlow {
-        let mut acc = RwFlow::ZERO;
-        for s in &self.samples {
-            acc += s.rw;
+        RwFlow {
+            read: self.read.sum(),
+            write: self.write.sum(),
         }
-        acc
     }
 
     /// Densify one measure over a grid of `ticks` ticks (zeros where the
     /// entity was idle).
     pub fn dense(&self, ticks: u32, measure: Measure) -> Vec<f64> {
         let mut out = vec![0.0; ticks as usize];
-        for s in &self.samples {
-            if (s.tick as usize) < out.len() {
-                out[s.tick as usize] += measure.of(&s.rw);
-            }
-        }
+        self.accumulate_into(&mut out, measure);
         out
     }
 
     /// Add one measure of this series into a dense accumulator (used by
-    /// level aggregation without materialising intermediate vectors).
+    /// level aggregation without materialising intermediate vectors);
+    /// ticks past its end are skipped.
+    ///
+    /// A one-direction measure walks that side alone. The result equals
+    /// adding the measure of every merged sample for any accumulator free
+    /// of `-0.0`, the one value the idle side's `+0.0` would change, and an
+    /// accumulator that starts at `+0.0` never reaches it. A total measure
+    /// walks the merged samples.
     pub fn accumulate_into(&self, acc: &mut [f64], measure: Measure) {
-        for s in &self.samples {
-            if (s.tick as usize) < acc.len() {
-                acc[s.tick as usize] += measure.of(&s.rw);
+        match measure {
+            Measure::ReadBytes => self.read.accumulate_into(acc, |f| f.bytes),
+            Measure::ReadOps => self.read.accumulate_into(acc, |f| f.ops),
+            Measure::WriteBytes => self.write.accumulate_into(acc, |f| f.bytes),
+            Measure::WriteOps => self.write.accumulate_into(acc, |f| f.ops),
+            Measure::TotalBytes | Measure::TotalOps => {
+                for s in self.samples() {
+                    if let Some(slot) = acc.get_mut(s.tick as usize) {
+                        *slot += measure.of(&s.rw);
+                    }
+                }
             }
         }
     }
 
-    /// Number of active (non-zero) ticks.
+    /// Number of active (non-zero) ticks: the length of the tick merge.
     pub fn active_ticks(&self) -> usize {
-        self.samples.len()
+        self.samples().count()
+    }
+
+    /// The newest tick either side holds.
+    fn last_tick(&self) -> Option<u32> {
+        let last = |side: &Side| side.entries.last().map(|e| e.tick);
+        last(&self.read).max(last(&self.write))
     }
 }
 
@@ -330,9 +534,16 @@ impl StorageMetrics {
     }
 }
 
+/// The row-per-sample series the side-split storage replaced: the
+/// differential oracle for the tests below.
+#[cfg(test)]
+#[path = "../tests/oracle/series.rs"]
+mod oracle;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     fn rw(rb: f64, wb: f64) -> RwFlow {
         RwFlow {
@@ -389,8 +600,9 @@ mod tests {
         s.push(3, RwFlow::ZERO);
         s.push(5, rw(0.0, 7.0));
         assert_eq!(s.active_ticks(), 2);
-        assert_eq!(s.samples()[0].rw.read.bytes, 3.0);
-        assert_eq!(s.samples()[1].tick, 5);
+        let samples: Vec<SeriesSample> = s.samples().collect();
+        assert_eq!(samples[0].rw.read.bytes, 3.0);
+        assert_eq!(samples[1].tick, 5);
         let t = s.total();
         assert_eq!(t.read.bytes, 3.0);
         assert_eq!(t.write.bytes, 7.0);
@@ -449,5 +661,182 @@ mod tests {
         assert_eq!(t.write.bytes, 9.0);
         let sm = StorageMetrics::empty(ticks, 1);
         assert!(sm.total().is_zero());
+    }
+
+    const MEASURES: [Measure; 6] = [
+        Measure::ReadBytes,
+        Measure::WriteBytes,
+        Measure::TotalBytes,
+        Measure::ReadOps,
+        Measure::WriteOps,
+        Measure::TotalOps,
+    ];
+
+    /// A field value: mostly zeros of either sign and small values that
+    /// cancel across pushes of one tick, some fractions.
+    fn field(g: &mut SimRng) -> f64 {
+        match g.below(8) {
+            0 | 1 => 0.0,
+            2 => -0.0,
+            3 => 1.0,
+            4 => -1.0,
+            5 => 4096.0,
+            6 => 0.1,
+            _ => g.f64_range(-1e6, 1e6),
+        }
+    }
+
+    /// One direction of a push: idle half the time.
+    fn side(g: &mut SimRng) -> Flow {
+        if g.chance(0.5) {
+            Flow::ZERO
+        } else {
+            Flow {
+                bytes: field(g),
+                ops: field(g),
+            }
+        }
+    }
+
+    /// A random push sequence: repeated ticks, pushes with both sides,
+    /// one side, or neither, and signed zeros.
+    fn pushes(g: &mut SimRng, len: u64) -> Vec<(u32, RwFlow)> {
+        let mut tick = g.below(3) as u32;
+        (0..g.below(len))
+            .map(|_| {
+                tick += match g.below(3) {
+                    0 => 0,
+                    _ => 1 + g.below(3) as u32,
+                };
+                (
+                    tick,
+                    RwFlow {
+                        read: side(g),
+                        write: side(g),
+                    },
+                )
+            })
+            .collect()
+    }
+
+    fn flow_bits(rw: RwFlow) -> [u64; 4] {
+        [rw.read.bytes, rw.read.ops, rw.write.bytes, rw.write.ops].map(f64::to_bits)
+    }
+
+    fn sample_bits<'a>(samples: impl Iterator<Item = &'a SeriesSample>) -> Vec<(u32, [u64; 4])> {
+        samples.map(|s| (s.tick, flow_bits(s.rw))).collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Both implementations built by the same pushes.
+    fn both(rows: &[(u32, RwFlow)]) -> (Series, oracle::Series) {
+        let mut split = Series::new();
+        let mut reference = oracle::Series::new();
+        for &(tick, rw) in rows {
+            split.push(tick, rw);
+            reference.push(tick, rw);
+        }
+        (split, reference)
+    }
+
+    /// Every read of the side-split series matches the reference bit for
+    /// bit.
+    fn assert_same_reads(split: &Series, reference: &oracle::Series, other: &oracle::Series) {
+        let merged: Vec<SeriesSample> = split.samples().collect();
+        assert_eq!(
+            sample_bits(merged.iter()),
+            sample_bits(reference.samples().iter())
+        );
+        assert_eq!(split.active_ticks(), reference.active_ticks());
+        assert_eq!(split.is_empty(), reference.samples().is_empty());
+        assert_eq!(flow_bits(split.total()), flow_bits(reference.total()));
+        let last = reference.samples().last().map_or(0, |s| s.tick);
+        for measure in MEASURES {
+            // A grid past the last tick, and one that cuts the series.
+            for ticks in [last + 2, last / 2] {
+                let want = reference.dense(ticks, measure);
+                assert_eq!(bits(&split.dense(ticks, measure)), bits(&want));
+                // Accumulate on top of another series, as a rollup does.
+                let mut acc = other.dense(ticks, measure);
+                let mut want_acc = acc.clone();
+                split.accumulate_into(&mut acc, measure);
+                reference.accumulate_into(&mut want_acc, measure);
+                assert_eq!(bits(&acc), bits(&want_acc), "{measure:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            if cfg!(miri) { 4 } else { 512 }
+        ))]
+
+        #[test]
+        fn side_split_series_matches_the_row_oracle(seed in proptest::prelude::any::<u64>()) {
+            let mut g = SimRng::seed_from_u64(seed);
+            let len = if cfg!(miri) { 12 } else { 200 };
+            let (mut split, reference) = both(&pushes(&mut g, len));
+            let (_, other) = both(&pushes(&mut g, len));
+            assert_same_reads(&split, &reference, &other);
+            split.shrink_to_fit();
+            assert_eq!(split.spare_capacity(), 0);
+            assert_same_reads(&split, &reference, &other);
+
+            // `from_samples` over rows that may repeat a tick, step back,
+            // or hold all-zero flows: the same `None`, or the same series.
+            let mut rows: Vec<SeriesSample> = reference.samples().to_vec();
+            match g.below(4) {
+                0 if !rows.is_empty() => {
+                    let at = g.index(rows.len());
+                    rows.insert(at, rows[at]);
+                }
+                1 if rows.len() > 1 => rows.swap(0, 1),
+                _ => {
+                    // All-zero rows, some with a signed zero on one side.
+                    let negative = Flow { bytes: -0.0, ops: 0.0 };
+                    for s in rows.iter_mut() {
+                        s.rw = match g.below(8) {
+                            0 => RwFlow::ZERO,
+                            1 => RwFlow { read: negative, write: Flow::ZERO },
+                            2 => RwFlow { read: Flow::ZERO, write: negative },
+                            _ => s.rw,
+                        };
+                    }
+                }
+            }
+            let built = Series::from_samples(rows.clone());
+            let want = oracle::Series::from_samples(rows);
+            assert_eq!(built.is_some(), want.is_some());
+            if let (Some(built), Some(want)) = (&built, &want) {
+                assert_same_reads(built, want, &other);
+                assert_eq!(built.spare_capacity(), 0);
+            }
+
+            // Equality is that of the merged samples: flipping the sign of
+            // an idle zero adds a column entry but keeps the series equal.
+            let mut twin: Vec<SeriesSample> = reference.samples().to_vec();
+            for s in twin.iter_mut() {
+                let f = if g.chance(0.5) {
+                    &mut s.rw.read.bytes
+                } else {
+                    &mut s.rw.write.ops
+                };
+                match g.below(3) {
+                    0 if *f == 0.0 => *f = -*f,
+                    1 => *f += 1.0,
+                    _ => {}
+                }
+            }
+            let twin_split = Series::from_samples(twin.clone()).expect("ticks still increase");
+            let twin_ref = oracle::Series::from_samples(twin).expect("ticks still increase");
+            assert_eq!(split == twin_split, reference == twin_ref);
+            // A push can cancel a tick to all-zero, which `from_samples` drops.
+            let rebuilt = Series::from_samples(split.samples()).expect("sorted");
+            let rebuilt_ref = oracle::Series::from_samples(reference.samples().to_vec());
+            assert_eq!(split == rebuilt, Some(&reference) == rebuilt_ref.as_ref());
+        }
     }
 }

@@ -18,7 +18,9 @@ use ebs_core::io::IoEvent;
 use ebs_core::parallel::par_map_deterministic;
 use ebs_core::topology::Fleet;
 use ebs_store::format::kind;
-use ebs_store::{ChunkReader, ShardEntry, ShardMeta, MANIFEST_FILE};
+use ebs_store::{
+    decode_events_into, ChunkReader, EventScratch, ShardEntry, ShardMeta, MANIFEST_FILE,
+};
 use ebs_workload::store::decode_config;
 use ebs_workload::{build_fleet, generate, load_manifest, Dataset, WorkloadConfig};
 
@@ -68,6 +70,7 @@ fn read_shard_events(
     let mut reader = ChunkReader::new(BufReader::new(file))?;
     let version = reader.version();
     let mut events: Vec<IoEvent> = Vec::new();
+    let mut scratch = EventScratch::new();
     let mut payload = Vec::new();
     let mut saw_meta = false;
     while let Some(chunk_kind) = reader.next_chunk_into(&mut payload)? {
@@ -90,7 +93,7 @@ fn read_shard_events(
             continue;
         }
         if chunk_kind == kind::EVENTS {
-            events.extend(ebs_store::decode_events(version, &payload)?);
+            decode_events_into(version, &payload, &mut scratch, &mut events)?;
         }
     }
     if events.len() as u64 != entry.events {

@@ -14,9 +14,10 @@
 //!   streaming path allocates nothing per chunk. The series kernels are
 //!   batch passes: a series is transposed once into bit columns, each
 //!   value column is sized, bitset-packed and compacted in bulk, and
-//!   decode reads each value window whole into one exactly-sized sample
-//!   vector. The bytes are those the per-value kernels wrote; those
-//!   kernels stay as a test-only oracle (`tests/oracle/series_v2.rs`).
+//!   decode reads each value window whole into a field column, from which
+//!   the series' two sides are filled exactly sized. The bytes are those
+//!   the per-value kernels wrote; those kernels stay as a test-only oracle
+//!   (`tests/oracle/series_v2.rs`).
 //!
 //! Floats always travel bit-exactly (raw IEEE-754 bits, or integers whose
 //! `f64` round-trip is exact); a save→load→save cycle is byte-identical.
@@ -618,14 +619,29 @@ pub fn encode_events(events: &[IoEvent]) -> Result<Vec<u8>, EbsError> {
 /// events. v1 decodes through the legacy per-value path; v2 through the
 /// batched columns; anything newer is [`EbsError::VersionSkew`].
 pub fn decode_events(version: u32, payload: &[u8]) -> Result<Vec<IoEvent>, EbsError> {
+    let mut out = Vec::new();
+    decode_events_into(version, payload, &mut EventScratch::new(), &mut out)?;
+    Ok(out)
+}
+
+/// [`decode_events`], appending to `out` instead of returning a fresh
+/// vector. A loader holds one `scratch` and one `out` across all of a
+/// store's event chunks, so v2 chunks decode with no per-chunk allocation
+/// beyond `out`'s own growth. On error `out` is left as it was.
+pub fn decode_events_into(
+    version: u32,
+    payload: &[u8],
+    scratch: &mut EventScratch,
+    out: &mut Vec<IoEvent>,
+) -> Result<(), EbsError> {
     match version {
-        1 => decode_events_v1(payload),
+        1 => {
+            out.extend(decode_events_v1(payload)?);
+            Ok(())
+        }
         2 => {
-            let mut scratch = EventScratch::new();
-            decode_events_v2_into(payload, &mut scratch)?;
-            let mut out = Vec::new();
-            events_from_columns(&scratch.columns(), &mut out)?;
-            Ok(out)
+            decode_events_v2_into(payload, scratch)?;
+            events_from_columns(&scratch.columns(), out)
         }
         other => Err(EbsError::version_skew(format!(
             "no event decoder for container version {other}"
@@ -684,7 +700,7 @@ pub fn encode_series_set_v1(ticks: TickSpec, series: &[Series]) -> Vec<u8> {
     w.put_varint(ticks.ticks as u64);
     w.put_varint(series.len() as u64);
     for s in series {
-        w.put_varint(s.samples().len() as u64);
+        w.put_varint(s.active_ticks() as u64);
         let mut prev = 0u32;
         for sample in s.samples() {
             w.put_varint((sample.tick - prev) as u64);
@@ -766,10 +782,11 @@ fn is_integral(bits: u64) -> bool {
     bits == ((f64::from_bits(bits) as u64) as f64).to_bits()
 }
 
-/// One series transposed into columns: tick deltas and the raw IEEE-754
-/// bits of the four value fields (read bytes, read ops, write bytes, write
-/// ops). The batch encoder refills one of these per series, so a whole domain
-/// encodes with no per-series allocation and no per-field indirect call.
+/// One series' merged samples transposed into columns: tick deltas and
+/// the raw IEEE-754 bits of the four value fields (read bytes, read ops,
+/// write bytes, write ops). The batch encoder refills one of these per
+/// series, so a whole domain encodes with no per-series allocation and no
+/// per-field indirect call.
 #[derive(Debug, Default)]
 struct SeriesColumns {
     ticks: Vec<u64>,
@@ -779,13 +796,15 @@ struct SeriesColumns {
 }
 
 impl SeriesColumns {
-    /// Transpose `samples` in one pass. Ticks strictly increase within a
-    /// series, so the wrapping delta is the plain one.
-    fn fill(&mut self, samples: &[SeriesSample]) {
+    /// Transpose the merged samples of `series` in one pass. Ticks
+    /// strictly increase within a series, so the wrapping delta is the
+    /// plain one.
+    fn fill(&mut self, series: &Series) {
+        let samples = series.samples();
         let [rb, ro, wb, wo] = &mut self.fields;
         for col in [&mut self.ticks, &mut *rb, &mut *ro, &mut *wb, &mut *wo] {
             col.clear();
-            col.reserve(samples.len());
+            col.reserve(samples.size_hint().0);
         }
         let mut prev = 0u32;
         for s in samples {
@@ -807,7 +826,8 @@ fn series_payload_bound(series: &[Series]) -> usize {
     let body: usize = series
         .iter()
         .map(|s| {
-            let n = s.samples().len();
+            // At most one sample per side entry.
+            let n = s.samples().size_hint().1.unwrap_or(0);
             10 + 2 + 11 * n.div_ceil(MINIBLOCK) + 8 * n + 4 * (1 + 8 * n)
         })
         .sum();
@@ -832,8 +852,8 @@ pub fn encode_series_set_v2(ticks: TickSpec, series: &[Series]) -> Vec<u8> {
     w.put_varint(series.len() as u64);
     let mut cols = SeriesColumns::default();
     for s in series {
-        w.put_varint(s.samples().len() as u64);
-        cols.fill(s.samples());
+        cols.fill(s);
+        w.put_varint(cols.ticks.len() as u64);
         encode_column(&mut w, &cols.ticks);
         for field in &cols.fields {
             encode_value_column(&mut w, field, &mut cols.ints);
@@ -892,11 +912,13 @@ fn encode_value_column(w: &mut ByteWriter, bits: &[u64], ints: &mut Vec<u64>) {
 /// Decode one v2 metric domain back into a tick grid and per-entity
 /// series.
 ///
-/// Each series decodes straight into one exactly-sized sample vector: the
-/// tick column seeds the rows, then each value column is read as a single
-/// window and written into its field. Validation runs per series in the
-/// order the per-value decoder ran it — every column is read before the
-/// ticks are checked — so hostile input fails with the same error.
+/// Each series decodes into reused column scratch: the tick column is
+/// prefix-summed once, each value column is read as a single window into
+/// its field column, and [`Series::from_samples`] then fills the series'
+/// two sides straight from those five, each allocated exactly once.
+/// Validation runs per series in the order the per-value decoder ran it —
+/// every column is read before the ticks are checked — so hostile input
+/// fails with the same error.
 pub fn decode_series_set_v2(
     payload: &[u8],
     domain: &str,
@@ -905,6 +927,8 @@ pub fn decode_series_set_v2(
     let (spec, entities) = decode_series_header(&mut r, domain)?;
     let mut out = Vec::with_capacity(entities);
     let mut deltas = Vec::new();
+    let mut ticks = Vec::new();
+    let mut fields: [Vec<f64>; 4] = Default::default();
     let mut ints = Vec::new();
     for entity in 0..entities {
         let declared_samples = r.get_varint()?;
@@ -921,22 +945,30 @@ pub fn decode_series_set_v2(
         // every tick: one compare after the loop stands in for a per-row
         // overflow check.
         let mut tick = 0u64;
-        let mut rows = Vec::with_capacity(samples);
-        rows.extend(deltas.iter().map(|&d| {
+        ticks.clear();
+        ticks.extend(deltas.iter().map(|&d| {
             tick = tick.saturating_add(d);
-            SeriesSample {
-                tick: tick as u32,
-                rw: RwFlow::ZERO,
-            }
+            tick as u32
         }));
-        decode_field(&mut r, &mut rows, &mut ints, domain, |rw| {
-            &mut rw.read.bytes
-        })?;
-        decode_field(&mut r, &mut rows, &mut ints, domain, |rw| &mut rw.read.ops)?;
-        decode_field(&mut r, &mut rows, &mut ints, domain, |rw| {
-            &mut rw.write.bytes
-        })?;
-        decode_field(&mut r, &mut rows, &mut ints, domain, |rw| &mut rw.write.ops)?;
+        for field in &mut fields {
+            decode_field(&mut r, samples, field, &mut ints, domain)?;
+        }
+        let [rb, ro, wb, wo] = &fields;
+        let rows = ticks.iter().zip(rb).zip(ro).zip(wb).zip(wo).map(
+            |((((&tick, &read_bytes), &read_ops), &write_bytes), &write_ops)| SeriesSample {
+                tick,
+                rw: RwFlow {
+                    read: Flow {
+                        bytes: read_bytes,
+                        ops: read_ops,
+                    },
+                    write: Flow {
+                        bytes: write_bytes,
+                        ops: write_ops,
+                    },
+                },
+            },
+        );
         let series = if tick <= u64::from(u32::MAX) {
             Series::from_samples(rows)
         } else {
@@ -948,28 +980,24 @@ pub fn decode_series_set_v2(
     Ok((spec, out))
 }
 
-/// Read one value column (mode byte, then body) into one field of `rows`,
-/// which arrive zeroed in that field.
+/// Read one value column (mode byte, then body) of `n` samples into
+/// `field`, replacing its contents.
 fn decode_field(
     r: &mut ByteReader<'_>,
-    rows: &mut [SeriesSample],
+    n: usize,
+    field: &mut Vec<f64>,
     ints: &mut Vec<u64>,
     domain: &str,
-    field: impl Fn(&mut RwFlow) -> &mut f64,
 ) -> Result<(), EbsError> {
-    let n = rows.len();
+    field.clear();
     match r.get_u8()? {
         series_mode::RAW_BITS => {
             let (vals, _) = r.get_bytes(8 * n)?.as_chunks::<8>();
-            for (row, v) in rows.iter_mut().zip(vals) {
-                *field(&mut row.rw) = f64::from_bits(u64::from_le_bytes(*v));
-            }
+            field.extend(vals.iter().map(|v| f64::from_bits(u64::from_le_bytes(*v))));
         }
         series_mode::INTEGRAL => {
             decode_column_into(r, n, ints)?;
-            for (row, &u) in rows.iter_mut().zip(ints.iter()) {
-                *field(&mut row.rw) = u as f64;
-            }
+            field.extend(ints.iter().map(|&u| u as f64));
         }
         series_mode::SPARSE_BITS => {
             let bitset = r.get_bytes(n.div_ceil(8))?;
@@ -990,14 +1018,16 @@ fn decode_field(
                 )));
             }
             let (vals, _) = r.get_bytes(8 * nonzero)?.as_chunks::<8>();
-            // Branch-free expansion: each row takes the value at the cursor
-            // masked by its presence bit, and the cursor moves on set bits.
+            // Branch-free expansion: each sample takes the value at the
+            // cursor masked by its presence bit, and the cursor moves on
+            // set bits.
+            field.resize(n, 0.0);
             let mut at = 0usize;
-            for (group, &byte) in rows.chunks_mut(8).zip(bitset) {
-                for (bit, row) in group.iter_mut().enumerate() {
+            for (group, &byte) in field.chunks_mut(8).zip(bitset) {
+                for (bit, slot) in group.iter_mut().enumerate() {
                     let set = u64::from(byte >> bit & 1);
                     let v = vals.get(at).map_or(0, |v| u64::from_le_bytes(*v));
-                    *field(&mut row.rw) = f64::from_bits(v & set.wrapping_neg());
+                    *slot = f64::from_bits(v & set.wrapping_neg());
                     at += set as usize;
                 }
             }
@@ -1409,8 +1439,8 @@ mod tests {
         let ticks = TickSpec::new(1.0, 4);
         let payload = encode_series_set(ticks, &[s.clone()]);
         let (_, decoded) = decode_series_set(2, &payload, "compute").unwrap();
-        let got = decoded.first().and_then(|d| d.samples().first()).unwrap();
-        let want = s.samples().first().unwrap();
+        let got = decoded.first().and_then(|d| d.samples().next()).unwrap();
+        let want = s.samples().next().unwrap();
         assert_eq!(got.rw.read.bytes.to_bits(), want.rw.read.bytes.to_bits());
         assert_eq!(got.rw.read.ops.to_bits(), want.rw.read.ops.to_bits());
         assert_eq!(got.rw.write.bytes.to_bits(), want.rw.write.bytes.to_bits());
@@ -1582,7 +1612,6 @@ mod tests {
             .iter()
             .map(|s| {
                 s.samples()
-                    .iter()
                     .map(|sm| {
                         let rw = sm.rw;
                         let f = [rw.read.bytes, rw.read.ops, rw.write.bytes, rw.write.ops];
@@ -1676,7 +1705,7 @@ mod tests {
         // it, and so must the batch decoder.
         let payload = raw_payload(&[2, 1, 1], &[[1.0; 4], [0.0, -0.0, 0.0, 0.0], [2.0; 4]]);
         let (_, got) = decode_series_set_v2(&payload, "storage").unwrap();
-        let ticks: Vec<u32> = got[0].samples().iter().map(|s| s.tick).collect();
+        let ticks: Vec<u32> = got[0].samples().map(|s| s.tick).collect();
         assert_eq!(ticks, [2, 4]);
         assert_same_outcome(
             Ok((TickSpec::new(1.0, 100), got)),

@@ -26,7 +26,7 @@
 //! save→load→save cycle is byte-identical. The metric-series codec, which
 //! carries most of a container's bytes, runs as per-domain batch passes:
 //! each series is transposed once into bit columns that are packed whole,
-//! and decoded straight into exactly-sized sample vectors. That layout is
+//! and decoded straight into exactly-sized series sides. That layout is
 //! the same one the per-value kernels wrote (DESIGN.md §14). The
 //! [`writer::StoreWriter`] produces v2 containers; the
 //! [`reader::ChunkReader`] reads v1 and v2 (v1 decodes bit-for-bit
@@ -78,8 +78,9 @@ pub mod writer;
 
 pub use bytes::{ByteReader, ByteWriter};
 pub use columns::{
-    decode_events, decode_series_set, decode_specs, encode_events, encode_series_set, encode_specs,
-    events_from_columns, EventColumnBytes, EventColumns, EventScratch, SpecRow,
+    decode_events, decode_events_into, decode_series_set, decode_specs, encode_events,
+    encode_series_set, encode_specs, events_from_columns, EventColumnBytes, EventColumns,
+    EventScratch, SpecRow,
 };
 pub use crc32::{crc32, Crc32};
 pub use format::{

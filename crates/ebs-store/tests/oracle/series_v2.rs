@@ -10,7 +10,7 @@
 //! along with the private helpers of the code it checks.
 
 use ebs_core::error::EbsError;
-use ebs_core::metric::{Flow, RwFlow, Series};
+use ebs_core::metric::{Flow, RwFlow, Series, SeriesSample};
 use ebs_core::time::TickSpec;
 use ebs_store::bytes::{ByteReader, ByteWriter};
 use ebs_store::codec::{decode_column_into, encode_column, encoded_column_size};
@@ -32,11 +32,11 @@ pub fn encode(ticks: TickSpec, series: &[Series]) -> Vec<u8> {
     w.put_varint(series.len() as u64);
     let mut col = Vec::new();
     for s in series {
-        let samples = s.samples();
+        let samples: Vec<SeriesSample> = s.samples().collect();
         w.put_varint(samples.len() as u64);
         col.clear();
         let mut prev = 0u32;
-        for sample in samples {
+        for sample in &samples {
             col.push(u64::from(sample.tick - prev));
             prev = sample.tick;
         }
@@ -76,10 +76,10 @@ pub fn encode(ticks: TickSpec, series: &[Series]) -> Vec<u8> {
                         bits = 0;
                     }
                 }
-                if samples.len() % 8 != 0 {
+                if !samples.len().is_multiple_of(8) {
                     w.put_u8(bits);
                 }
-                for sm in samples {
+                for sm in &samples {
                     let v = field(&sm.rw);
                     if v.to_bits() != 0 {
                         w.put_f64_bits(v);
@@ -87,7 +87,7 @@ pub fn encode(ticks: TickSpec, series: &[Series]) -> Vec<u8> {
                 }
             } else {
                 w.put_u8(RAW_BITS);
-                for sm in samples {
+                for sm in &samples {
                     w.put_f64_bits(field(&sm.rw));
                 }
             }

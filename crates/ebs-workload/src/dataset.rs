@@ -4,7 +4,7 @@ use crate::config::WorkloadConfig;
 use crate::spatial::TrafficPlan;
 use ebs_core::index::EventIndex;
 use ebs_core::io::IoEvent;
-use ebs_core::metric::{ComputeMetrics, StorageMetrics};
+use ebs_core::metric::{ComputeMetrics, Series, StorageMetrics};
 use ebs_core::topology::Fleet;
 use std::sync::OnceLock;
 
@@ -72,6 +72,22 @@ impl Dataset {
     pub fn total_bytes(&self) -> (f64, f64) {
         let t = self.compute.total();
         (t.read.bytes, t.write.bytes)
+    }
+
+    /// Heap bytes of the dataset's bulk data, by capacity: every metric
+    /// series (its header in the per-entity vector, and its entries) and
+    /// the sampled event vector. The fleet, plan and event index are not
+    /// counted.
+    pub fn heap_bytes(&self) -> usize {
+        let series = self
+            .compute
+            .per_qp
+            .iter()
+            .chain(self.storage.per_seg.iter());
+        series
+            .map(|s| std::mem::size_of::<Series>() + s.heap_bytes())
+            .sum::<usize>()
+            + self.events.capacity() * std::mem::size_of::<IoEvent>()
     }
 
     /// The shared [`EventIndex`] over this dataset's sampled events — the

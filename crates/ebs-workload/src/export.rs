@@ -188,13 +188,13 @@ mod tests {
         let mut buf = Vec::new();
         write_compute_metrics_csv(&ds, &mut buf).unwrap();
         let rows = String::from_utf8(buf).unwrap().lines().count() - 1;
-        let samples: usize = ds.compute.per_qp.iter().map(|s| s.samples().len()).sum();
+        let samples: usize = ds.compute.per_qp.iter().map(|s| s.active_ticks()).sum();
         assert_eq!(rows, samples);
 
         let mut buf = Vec::new();
         write_storage_metrics_csv(&ds, &mut buf).unwrap();
         let rows = String::from_utf8(buf).unwrap().lines().count() - 1;
-        let samples: usize = ds.storage.per_seg.iter().map(|s| s.samples().len()).sum();
+        let samples: usize = ds.storage.per_seg.iter().map(|s| s.active_ticks()).sum();
         assert_eq!(rows, samples);
     }
 

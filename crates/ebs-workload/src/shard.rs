@@ -42,7 +42,7 @@ use ebs_core::topology::Fleet;
 use ebs_store::format::{kind, EVENTS_PER_CHUNK};
 use ebs_store::manifest::{shard_file_name, ShardEntry, ShardManifest, ShardMeta, MANIFEST_FILE};
 use ebs_store::stream::{fold_store, StreamSummary};
-use ebs_store::{decode_series_set, ChunkReader, StoreWriter};
+use ebs_store::{decode_events_into, decode_series_set, ChunkReader, EventScratch, StoreWriter};
 
 use crate::config::WorkloadConfig;
 use crate::dataset::Dataset;
@@ -395,12 +395,13 @@ fn load_shard(
     let mut reader = open_shard(dir, index, entry)?;
     let version = reader.version();
     let mut events: Vec<IoEvent> = Vec::new();
+    let mut scratch = EventScratch::new();
     let mut qp_series: Option<Vec<Series>> = None;
     let mut seg_series: Option<Vec<Series>> = None;
     let mut payload = Vec::new();
     while let Some(chunk_kind) = reader.next_chunk_into(&mut payload)? {
         match chunk_kind {
-            kind::EVENTS => events.extend(ebs_store::decode_events(version, &payload)?),
+            kind::EVENTS => decode_events_into(version, &payload, &mut scratch, &mut events)?,
             kind::COMPUTE_METRICS => {
                 let (ticks, series) = decode_series_set(version, &payload, "compute")?;
                 if ticks != cticks {

@@ -23,7 +23,9 @@ use ebs_core::time::TickSpec;
 use ebs_core::topology::Fleet;
 use ebs_store::columns::{decode_series_set, decode_specs, SpecRow};
 use ebs_store::format::{kind, EVENTS_PER_CHUNK};
-use ebs_store::{ByteReader, ByteWriter, ChunkReader, EventChunks, StoreWriter};
+use ebs_store::{
+    decode_events_into, ByteReader, ByteWriter, ChunkReader, EventChunks, EventScratch, StoreWriter,
+};
 
 use crate::config::WorkloadConfig;
 use crate::dataset::Dataset;
@@ -187,6 +189,7 @@ impl Dataset {
         let mut compute_chunk: Option<(TickSpec, Vec<Series>)> = None;
         let mut storage_chunk: Option<(TickSpec, Vec<Series>)> = None;
         let mut events: Vec<IoEvent> = Vec::new();
+        let mut scratch = EventScratch::new();
         let mut payload = Vec::new();
         while let Some(chunk_kind) = reader.next_chunk_into(&mut payload)? {
             match chunk_kind {
@@ -202,7 +205,7 @@ impl Dataset {
                     decode_series_set(version, &payload, "storage")?,
                     "storage metrics",
                 )?,
-                kind::EVENTS => events.extend(ebs_store::decode_events(version, &payload)?),
+                kind::EVENTS => decode_events_into(version, &payload, &mut scratch, &mut events)?,
                 _ => {}
             }
         }

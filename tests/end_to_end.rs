@@ -108,14 +108,35 @@ fn sampled_stream_matches_metric_population() {
     );
 }
 
-/// Spare capacity, in elements, across every metric series and the event
-/// vector of a dataset.
+/// Spare capacity, in elements, across every metric series side and the
+/// event vector of a dataset.
 fn slack(ds: &ebs::workload::Dataset) -> usize {
     let series = ds.compute.per_qp.iter().chain(ds.storage.per_seg.iter());
-    series
-        .map(|s| s.capacity() - s.active_ticks())
-        .sum::<usize>()
-        + (ds.events.capacity() - ds.events.len())
+    series.map(|s| s.spare_capacity()).sum::<usize>() + (ds.events.capacity() - ds.events.len())
+}
+
+/// Memory guard for the side-split series: a series keeps an entry only
+/// for the directions a tick actually moved, 20 bytes each (a `u32` tick
+/// and two `f64`s), where a row of four `f64`s beside a padded tick took
+/// 40 bytes per active tick.
+#[test]
+fn metric_series_hold_at_most_22_bytes_per_active_tick() {
+    use ebs::core::io::IoEvent;
+    use ebs::core::metric::Series;
+    use std::mem::size_of;
+
+    let ds = generate(&WorkloadConfig::quick(33)).unwrap();
+    let series = || ds.compute.per_qp.iter().chain(ds.storage.per_seg.iter());
+    let active: usize = series().map(|s| s.active_ticks()).sum();
+    let entries: usize = series().map(|s| s.heap_bytes()).sum();
+    let per_tick = entries as f64 / active as f64;
+    assert!(
+        per_tick <= 22.0,
+        "{per_tick:.2} B per active tick over {active} ticks"
+    );
+    let headers = series().count() * size_of::<Series>();
+    let events = ds.events.capacity() * size_of::<IoEvent>();
+    assert_eq!(ds.heap_bytes(), entries + headers + events);
 }
 
 #[test]
