@@ -26,8 +26,7 @@
 //! throughput, plus on-disk size. Each pair asserts both legs reconstruct
 //! the same events (or the same statistics) before a speedup is recorded.
 //! Results go to `BENCH_store.json` with `host_cpus`; the run fails if
-//! decode is not ≥3x faster than CSV parse, v2 event decode is not ≥3x
-//! the v1 decoder timed in the same run, or the store is not ≤0.5x the
+//! decode is not ≥3x faster than CSV parse, or the store is not ≤0.5x the
 //! CSV size.
 //!
 //! Usage: `bench [--mode parallel|hotpath|store]
@@ -498,40 +497,12 @@ fn run_hotpath_mode(scale: Scale, iters: usize, out_path: &str) {
     write_report(out_path, &header, ("before", "after"), &entries);
 }
 
-/// Build a format-v1 container around `events`: the exact byte layout the
-/// pre-v2 writer produced (per-value LEB128 payloads), used to race the
-/// legacy decoder against v2 inside one binary on one host.
-fn v1_container(events: &[ebs_core::io::IoEvent], per_chunk: usize) -> Vec<u8> {
-    use ebs_store::columns::encode_events_v1;
-    use ebs_store::format::kind;
-    use ebs_store::{crc32, ByteWriter, MAGIC};
-
-    let mut bytes = Vec::new();
-    let frame = |bytes: &mut Vec<u8>, chunk_kind: u8, payload: &[u8]| {
-        bytes.push(chunk_kind);
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-        bytes.extend_from_slice(payload);
-    };
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&1u32.to_le_bytes());
-    let mut chunks = 0u64;
-    for chunk in events.chunks(per_chunk.max(1)) {
-        let payload = encode_events_v1(chunk).expect("v1 encode");
-        frame(&mut bytes, kind::EVENTS, &payload);
-        chunks += 1;
-    }
-    let mut end = ByteWriter::new();
-    end.put_varint(chunks);
-    end.put_varint(events.len() as u64);
-    frame(&mut bytes, kind::END, &end.into_bytes());
-    bytes
-}
-
 /// The store-vs-CSV baseline (BENCH_store.json): same trace, columnar
 /// container against the CSV pipeline, serial.
 fn run_store_mode(scale: Scale, iters: usize, out_path: &str) {
-    use ebs_store::{fold_store, ChunkReader, StoreWriter, StreamSummary, EVENTS_PER_CHUNK};
+    use ebs_store::{
+        decode_events_into, fold_store, ChunkReader, StoreWriter, StreamSummary, EVENTS_PER_CHUNK,
+    };
     use ebs_workload::export::{
         read_events_csv, write_compute_metrics_csv, write_events_csv, write_specs_csv,
         write_storage_metrics_csv,
@@ -612,29 +583,15 @@ fn run_store_mode(scale: Scale, iters: usize, out_path: &str) {
             events
         },
     ));
-    // Store decode runs the staged batch pipeline the format is designed
-    // for: borrow each CRC-verified chunk straight out of the image
-    // (no payload copy), decode it into reused column scratch, and fuse
-    // rows into one reused output vector — zero allocation per chunk, and
-    // zero per-iteration, in steady state. Legs are compared by an O(1)
-    // digest so the output buffer can be reused across iterations.
-    let decode_staged = |bytes: &[u8],
-                         scratch: &mut ebs_store::EventScratch,
-                         out: &mut Vec<ebs_core::io::IoEvent>| {
-        use ebs_store::columns::{decode_events_v2_into, events_from_columns};
-        use ebs_store::format::kind;
-        out.clear();
-        let mut r = ebs_store::SliceChunkReader::new(bytes).expect("store header");
-        while let Some((chunk_kind, payload)) = r.next_chunk().expect("store walk") {
-            if chunk_kind != kind::EVENTS {
-                continue;
-            }
-            decode_events_v2_into(payload, scratch).expect("store decode");
-            events_from_columns(&scratch.columns(), out).expect("store decode");
-        }
-    };
+    // Store decode walks the image the way the loaders do: `ChunkReader`
+    // verifies each chunk's seal into one reused payload buffer, and
+    // `decode_events_into` decodes it through one reused column scratch
+    // into one reused output vector — zero allocation per chunk, and zero
+    // per-iteration, in steady state. Legs are compared by an O(1) digest
+    // so the output buffer can be reused across iterations.
     let trace_digest =
         |evs: &[ebs_core::io::IoEvent]| (evs.len(), evs.first().copied(), evs.last().copied());
+    let mut payload = Vec::new();
     let mut scratch = ebs_store::EventScratch::new();
     let mut rows: Vec<ebs_core::io::IoEvent> = Vec::with_capacity(events);
     entries.push(measure_pair(
@@ -642,32 +599,13 @@ fn run_store_mode(scale: Scale, iters: usize, out_path: &str) {
         iters,
         || trace_digest(&read_events_csv(csv_events.as_slice()).expect("csv parse")),
         || {
-            decode_staged(&store_trace, &mut scratch, &mut rows);
-            trace_digest(&rows)
-        },
-    ));
-    // The v2 headline: legacy per-value v1 decode vs the batched column
-    // decode, same trace, same binary, same host. Racing both in one run
-    // keeps the gate meaningful on any machine; a rate recorded on another
-    // host would measure the host, not the code. The v1 leg runs the
-    // pipeline that shipped with v1 — buffered chunk walk, per-value
-    // varints, a fresh event batch per chunk, 64 Ki events per chunk.
-    let store_v1 = v1_container(&ds.events, 65_536);
-    entries.push(measure_pair(
-        "decode_v1_v2",
-        iters,
-        || {
-            let mut out = Vec::with_capacity(events);
-            for batch in ChunkReader::new(store_v1.as_slice())
-                .expect("store header")
-                .into_event_chunks()
-            {
-                out.extend(batch.expect("store decode"));
+            rows.clear();
+            let mut r = ChunkReader::new(store_trace.as_slice()).expect("store header");
+            while let Some(chunk_kind) = r.next_chunk_into(&mut payload).expect("store walk") {
+                if chunk_kind == ebs_store::format::kind::EVENTS {
+                    decode_events_into(&payload, &mut scratch, &mut rows).expect("store decode");
+                }
             }
-            trace_digest(&out)
-        },
-        || {
-            decode_staged(&store_trace, &mut scratch, &mut rows);
             trace_digest(&rows)
         },
     ));
@@ -715,14 +653,8 @@ fn run_store_mode(scale: Scale, iters: usize, out_path: &str) {
     let size_ratio = store_trace.len() as f64 / csv_events.len() as f64;
     let full_ratio = store_full.len() as f64 / csv_total as f64;
     let decode = &entries[1];
-    let v1_v2 = &entries[2];
     let decode_rate = events as f64 / decode.new_s;
-    eprintln!(
-        "decode: v2 batched {:.1}M ev/s, v1 per-value {:.1}M ev/s ({:.2}x)",
-        decode_rate / 1e6,
-        events as f64 / v1_v2.base_s / 1e6,
-        v1_v2.speedup(),
-    );
+    eprintln!("decode: store {:.1}M ev/s", decode_rate / 1e6);
     eprintln!(
         "on-disk: trace store {} bytes vs events.csv {} bytes (ratio {:.3}); \
          full store {} bytes vs all csv tables {} bytes (ratio {:.3})",
@@ -737,12 +669,6 @@ fn run_store_mode(scale: Scale, iters: usize, out_path: &str) {
         decode.speedup() >= 3.0,
         "store decode must be >=3x faster than CSV parse, measured {:.2}x",
         decode.speedup()
-    );
-    assert!(
-        v1_v2.speedup() >= 3.0,
-        "v2 batched decode must be >=3x faster than the v1 per-value decode, \
-         measured {:.2}x",
-        v1_v2.speedup()
     );
     assert!(
         size_ratio <= 0.5,
@@ -767,7 +693,7 @@ fn run_store_mode(scale: Scale, iters: usize, out_path: &str) {
          \"full_csv_bytes\": {csv_total},\n  \"full_store_bytes\": {},\n  \
          \"full_size_ratio\": {full_ratio:.4},\n  \
          \"encode_events_per_s\": {:.0},\n  \"decode_events_per_s\": {:.0},\n  \
-         \"decode_v1_events_per_s\": {:.0},\n  \"stream_events_per_s\": {:.0},\n  \
+         \"stream_events_per_s\": {:.0},\n  \
          \"event_column_bytes\": {{\"header\": {}, \"timestamps\": {}, \"vd\": {}, \
          \"qp\": {}, \"size\": {}, \"offset\": {}}},\n  \
          \"full_chunk_bytes\": {{\"events\": {}, \"compute\": {}, \"storage\": {}, \
@@ -777,8 +703,7 @@ fn run_store_mode(scale: Scale, iters: usize, out_path: &str) {
         store_full.len(),
         events as f64 / entries[0].new_s,
         decode_rate,
-        events as f64 / v1_v2.base_s,
-        events as f64 / entries[3].new_s,
+        events as f64 / entries[2].new_s,
         col.header,
         col.timestamps,
         col.vd,

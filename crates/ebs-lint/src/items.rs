@@ -856,7 +856,7 @@ mod tests {
         let src = r#"
             use ebs_analysis::{ccr, p2a};
             use ebs_core::hash::FxHashMap as Map;
-            use crate::columns::decode_events_v1;
+            use crate::columns::decode_events_into;
             use std::io::Read;
         "#;
         let t = tree(src);
@@ -865,8 +865,8 @@ mod tests {
         assert_eq!(find("p2a").path, vec!["ebs_analysis", "p2a"]);
         assert_eq!(find("Map").path, vec!["ebs_core", "hash", "FxHashMap"]);
         assert_eq!(
-            find("decode_events_v1").path,
-            vec!["crate", "columns", "decode_events_v1"]
+            find("decode_events_into").path,
+            vec!["crate", "columns", "decode_events_into"]
         );
     }
 

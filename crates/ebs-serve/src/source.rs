@@ -68,7 +68,6 @@ fn read_shard_events(
 ) -> Result<Vec<IoEvent>, EbsError> {
     let file = File::open(dir.join(&entry.name))?;
     let mut reader = ChunkReader::new(BufReader::new(file))?;
-    let version = reader.version();
     let mut events: Vec<IoEvent> = Vec::new();
     let mut scratch = EventScratch::new();
     let mut payload = Vec::new();
@@ -93,7 +92,7 @@ fn read_shard_events(
             continue;
         }
         if chunk_kind == kind::EVENTS {
-            decode_events_into(version, &payload, &mut scratch, &mut events)?;
+            decode_events_into(&payload, &mut scratch, &mut events)?;
         }
     }
     if events.len() as u64 != entry.events {

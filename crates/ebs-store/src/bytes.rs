@@ -51,11 +51,6 @@ impl ByteWriter {
         self.buf.push(v);
     }
 
-    /// Append a fixed-width little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append an unsigned LEB128 varint (1–10 bytes).
     pub fn put_varint(&mut self, mut v: u64) {
         loop {
@@ -284,9 +279,7 @@ mod tests {
 
     #[test]
     fn truncated_reads_return_typed_errors() {
-        let mut w = ByteWriter::new();
-        w.put_u32(7);
-        let bytes = w.into_bytes();
+        let bytes = 7u32.to_le_bytes();
         let mut r = ByteReader::new(&bytes[..2], "short");
         assert!(matches!(r.get_u32(), Err(EbsError::Truncated(_))));
         let mut r = ByteReader::new(&[], "empty");

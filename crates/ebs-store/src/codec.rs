@@ -1,11 +1,11 @@
-//! Batched integer column codecs for the v2 container: group varint and
+//! Batched integer column codecs for the container: group varint and
 //! byte-granular frame-of-reference packing, plus the zigzag map that turns
 //! signed deltas into small unsigned values.
 //!
 //! Both codecs decode in groups — a control byte or block header is
 //! validated once, then 4–128 values are unpacked from a single
 //! bounds-checked byte window with no per-value branching on the payload
-//! length. That is what moves decode from ~19M events/s (the v1 per-value
+//! length. That is what moves decode from ~19M events/s (a per-value
 //! LEB128 loop) to the ≥5x target BENCH_store.json records: the inner
 //! loops are fixed-width little-endian loads that the compiler unrolls and
 //! vectorizes.

@@ -2,28 +2,24 @@
 //!
 //! Each payload is column-major: all timestamps, then all VD ids, then all
 //! QP ids, … — so same-typed values sit adjacent and the encoders see
-//! short, similar integers. Two generations coexist:
-//!
-//! * **v1** (`*_v1`): per-value LEB128 varints. Kept verbatim so v1
-//!   containers keep loading bit-for-bit.
-//! * **v2**: the batched [`crate::codec`] columns. Events carry a
-//!   per-chunk VD dictionary, a per-VD zigzag offset-delta column, and
-//!   five tagged group-varint / frame-of-reference columns; metric series
-//!   store integral-valued `f64` columns as packed integers instead of raw
-//!   bits. Decode lands in a reusable [`EventScratch`] so the steady-state
-//!   streaming path allocates nothing per chunk. The series kernels are
-//!   batch passes: a series is transposed once into bit columns, each
-//!   value column is sized, bitset-packed and compacted in bulk, and
-//!   decode reads each value window whole into a field column, from which
-//!   the series' two sides are filled exactly sized. The bytes are those
-//!   the per-value kernels wrote; those kernels stay as a test-only oracle
-//!   (`tests/oracle/series_v2.rs`).
+//! short, similar integers. Every payload is format v2, built from the
+//! batched [`crate::codec`] columns. Events carry a per-chunk VD
+//! dictionary, a per-VD zigzag offset-delta column, and five tagged
+//! group-varint / frame-of-reference columns; metric series store
+//! integral-valued `f64` columns as packed integers instead of raw bits.
+//! Decode lands in a reusable [`EventScratch`] so the steady-state
+//! streaming path allocates nothing per chunk. The series kernels are
+//! batch passes: a series is transposed once into bit columns, each value
+//! column is sized, bitset-packed and compacted in bulk, and decode reads
+//! each value window whole into a field column, from which the series' two
+//! sides are filled exactly sized. The bytes are those the per-value
+//! kernels wrote; those kernels stay as a test-only oracle
+//! (`tests/oracle/series_v2.rs`).
 //!
 //! Floats always travel bit-exactly (raw IEEE-754 bits, or integers whose
 //! `f64` round-trip is exact); a save→load→save cycle is byte-identical.
-//! The version dispatchers ([`decode_events`], [`decode_series_set`])
-//! accept v1 and v2 and return [`EbsError::VersionSkew`] for anything
-//! newer.
+//! The header version is checked once, by [`crate::reader::ChunkReader`];
+//! the decoders here take a payload and nothing else.
 
 use crate::bytes::{ByteReader, ByteWriter};
 use crate::codec::{
@@ -55,103 +51,6 @@ pub struct SpecRow {
     pub tput_cap: f64,
     /// IOPS cap.
     pub iops_cap: f64,
-}
-
-/// Encode a time-sorted batch of events in the legacy v1 layout
-/// (per-value varint columns). Returns [`EbsError::InvalidSpec`] if the
-/// batch is not sorted by `t_us`.
-pub fn encode_events_v1(events: &[IoEvent]) -> Result<Vec<u8>, EbsError> {
-    let mut w = ByteWriter::new();
-    w.put_varint(events.len() as u64);
-    let mut prev = 0u64;
-    for e in events {
-        if e.t_us < prev {
-            return Err(EbsError::invalid_spec(format!(
-                "event batch not time-sorted: {} after {prev}",
-                e.t_us
-            )));
-        }
-        w.put_varint(e.t_us - prev);
-        prev = e.t_us;
-    }
-    for e in events {
-        w.put_varint(e.vd.0 as u64);
-    }
-    for e in events {
-        w.put_varint(e.qp.0 as u64);
-    }
-    // Op column: one bit per event, 1 = write. Packing by chunks of 8
-    // keeps every access in bounds without index arithmetic.
-    let mut bits = Vec::with_capacity(events.len().div_ceil(8));
-    for group in events.chunks(8) {
-        let mut byte = 0u8;
-        for (bit, e) in group.iter().enumerate() {
-            if e.op.is_write() {
-                byte |= 1 << bit;
-            }
-        }
-        bits.push(byte);
-    }
-    w.put_bytes(&bits);
-    for e in events {
-        w.put_varint(e.size as u64);
-    }
-    for e in events {
-        w.put_varint(e.offset);
-    }
-    Ok(w.into_bytes())
-}
-
-/// Decode one v1 event batch. Timestamps come back non-decreasing by
-/// construction (deltas are unsigned); ids and sizes are range-checked
-/// against their column types, not against any fleet — the loader layers
-/// fleet validation on top.
-pub fn decode_events_v1(payload: &[u8]) -> Result<Vec<IoEvent>, EbsError> {
-    let mut r = ByteReader::new(payload, "events chunk");
-    let declared = r.get_varint()?;
-    let count = r.check_count(declared, 5)?;
-    // Build the event vector once and fill the remaining columns in place:
-    // one allocation total, no per-column temporaries.
-    let mut events = Vec::with_capacity(count);
-    let mut prev = 0u64;
-    for _ in 0..count {
-        let delta = r.get_varint()?;
-        prev = prev.checked_add(delta).ok_or_else(|| {
-            EbsError::corrupt_store("events chunk: timestamp overflows u64".to_string())
-        })?;
-        events.push(IoEvent {
-            t_us: prev,
-            vd: VdId(0),
-            qp: QpId(0),
-            op: Op::Read,
-            size: 0,
-            offset: 0,
-        });
-    }
-    for e in events.iter_mut() {
-        e.vd = VdId(r.get_varint_u32()?);
-    }
-    for e in events.iter_mut() {
-        e.qp = QpId(r.get_varint_u32()?);
-    }
-    let bits = r.get_bytes(count.div_ceil(8))?;
-    // `chunks_mut(8).zip(bits)` pairs each event group with its op byte;
-    // the zip bound makes the lockstep structural instead of indexed.
-    for (group, &byte) in events.chunks_mut(8).zip(bits) {
-        for (bit, e) in group.iter_mut().enumerate() {
-            if byte >> bit & 1 == 1 {
-                e.op = Op::Write;
-            }
-        }
-    }
-    for e in events.iter_mut() {
-        e.size = r.get_varint_u32()?;
-    }
-    for e in events.iter_mut() {
-        e.offset = r.get_varint()?;
-    }
-    r.expect_end()?;
-    Ok(events)
 }
 
 /// Bytes of a v2 EVENTS payload broken down by column — the accounting
@@ -615,42 +514,27 @@ pub fn encode_events(events: &[IoEvent]) -> Result<Vec<u8>, EbsError> {
     Ok(encode_events_v2(events, &mut scratch)?.0)
 }
 
-/// Decode one event batch of the given container version into row-major
-/// events. v1 decodes through the legacy per-value path; v2 through the
-/// batched columns; anything newer is [`EbsError::VersionSkew`].
-pub fn decode_events(version: u32, payload: &[u8]) -> Result<Vec<IoEvent>, EbsError> {
+/// Decode one event batch into row-major events, with throwaway scratch.
+pub fn decode_events(payload: &[u8]) -> Result<Vec<IoEvent>, EbsError> {
     let mut out = Vec::new();
-    decode_events_into(version, payload, &mut EventScratch::new(), &mut out)?;
+    decode_events_into(payload, &mut EventScratch::new(), &mut out)?;
     Ok(out)
 }
 
 /// [`decode_events`], appending to `out` instead of returning a fresh
 /// vector. A loader holds one `scratch` and one `out` across all of a
-/// store's event chunks, so v2 chunks decode with no per-chunk allocation
+/// store's event chunks, so chunks decode with no per-chunk allocation
 /// beyond `out`'s own growth. On error `out` is left as it was.
 pub fn decode_events_into(
-    version: u32,
     payload: &[u8],
     scratch: &mut EventScratch,
     out: &mut Vec<IoEvent>,
 ) -> Result<(), EbsError> {
-    match version {
-        1 => {
-            out.extend(decode_events_v1(payload)?);
-            Ok(())
-        }
-        2 => {
-            decode_events_v2_into(payload, scratch)?;
-            events_from_columns(&scratch.columns(), out)
-        }
-        other => Err(EbsError::version_skew(format!(
-            "no event decoder for container version {other}"
-        ))),
-    }
+    decode_events_v2_into(payload, scratch)?;
+    events_from_columns(&scratch.columns(), out)
 }
 
 /// Encode the specification dataset (one row per VD, VD-id order).
-/// The layout is identical in v1 and v2.
 pub fn encode_specs(rows: &[SpecRow]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_varint(rows.len() as u64);
@@ -692,66 +576,6 @@ pub fn decode_specs(payload: &[u8]) -> Result<Vec<SpecRow>, EbsError> {
     Ok(rows)
 }
 
-/// Encode one metric domain in the legacy v1 layout: tick grid, then per
-/// series the tick deltas and four raw-bit `f64`s per sample.
-pub fn encode_series_set_v1(ticks: TickSpec, series: &[Series]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_f64_bits(ticks.tick_secs);
-    w.put_varint(ticks.ticks as u64);
-    w.put_varint(series.len() as u64);
-    for s in series {
-        w.put_varint(s.active_ticks() as u64);
-        let mut prev = 0u32;
-        for sample in s.samples() {
-            w.put_varint((sample.tick - prev) as u64);
-            prev = sample.tick;
-            w.put_f64_bits(sample.rw.read.bytes);
-            w.put_f64_bits(sample.rw.read.ops);
-            w.put_f64_bits(sample.rw.write.bytes);
-            w.put_f64_bits(sample.rw.write.ops);
-        }
-    }
-    w.into_bytes()
-}
-
-/// Decode one v1 metric domain back into a tick grid and per-entity series.
-pub fn decode_series_set_v1(
-    payload: &[u8],
-    domain: &str,
-) -> Result<(TickSpec, Vec<Series>), EbsError> {
-    let mut r = ByteReader::new(payload, "metric chunk");
-    let (spec, entities) = decode_series_header(&mut r, domain)?;
-    let mut out = Vec::with_capacity(entities);
-    for entity in 0..entities {
-        let declared_samples = r.get_varint()?;
-        let samples = r.check_count(declared_samples, 33)?;
-        let mut series = Series::new();
-        let mut tick = 0u32;
-        for k in 0..samples {
-            let delta = r.get_varint_u32()?;
-            tick = next_tick(tick, delta, k, entity, domain)?;
-            let rw = RwFlow {
-                read: Flow {
-                    bytes: r.get_f64_bits()?,
-                    ops: r.get_f64_bits()?,
-                },
-                write: Flow {
-                    bytes: r.get_f64_bits()?,
-                    ops: r.get_f64_bits()?,
-                },
-            };
-            // `Series::push` requires non-decreasing ticks, which the
-            // delta decoding guarantees; it drops all-zero flows, which
-            // a well-formed store never contains.
-            series.push(tick, rw);
-        }
-        series.shrink_to_fit();
-        out.push(series);
-    }
-    r.expect_end()?;
-    Ok((spec, out))
-}
-
 /// The per-series, per-value v2 series codec the batch kernels replaced:
 /// the differential oracle for the tests below.
 #[cfg(test)]
@@ -760,7 +584,7 @@ mod oracle;
 
 /// Value-column mode tags of the v2 series layout.
 mod series_mode {
-    /// Raw IEEE-754 bits, 8 bytes per sample (the v1 representation).
+    /// Raw IEEE-754 bits, 8 bytes per sample.
     pub const RAW_BITS: u8 = 0;
     /// Integer-valued samples as a packed [`crate::codec`] column.
     pub const INTEGRAL: u8 = 1;
@@ -845,7 +669,7 @@ fn series_payload_bound(series: &[Series]) -> usize {
 ///
 /// Each series is transposed once into bit columns, and every value
 /// column is then packed by batch passes over its bits.
-pub fn encode_series_set_v2(ticks: TickSpec, series: &[Series]) -> Vec<u8> {
+pub fn encode_series_set(ticks: TickSpec, series: &[Series]) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(series_payload_bound(series));
     w.put_f64_bits(ticks.tick_secs);
     w.put_varint(ticks.ticks as u64);
@@ -919,7 +743,7 @@ fn encode_value_column(w: &mut ByteWriter, bits: &[u64], ints: &mut Vec<u64>) {
 /// Validation runs per series in the order the per-value decoder ran it —
 /// every column is read before the ticks are checked — so hostile input
 /// fails with the same error.
-pub fn decode_series_set_v2(
+pub fn decode_series_set(
     payload: &[u8],
     domain: &str,
 ) -> Result<(TickSpec, Vec<Series>), EbsError> {
@@ -1084,7 +908,7 @@ fn decode_series_header(
 }
 
 /// Advance the running tick by a decoded delta, rejecting repeats and
-/// overflow (shared between the v1 and v2 series decoders).
+/// overflow.
 #[inline]
 fn next_tick(
     tick: u32,
@@ -1105,26 +929,6 @@ fn next_tick(
     })
 }
 
-/// Encode a metric domain in the current format version (v2).
-pub fn encode_series_set(ticks: TickSpec, series: &[Series]) -> Vec<u8> {
-    encode_series_set_v2(ticks, series)
-}
-
-/// Decode a metric domain of the given container version.
-pub fn decode_series_set(
-    version: u32,
-    payload: &[u8],
-    domain: &str,
-) -> Result<(TickSpec, Vec<Series>), EbsError> {
-    match version {
-        1 => decode_series_set_v1(payload, domain),
-        2 => decode_series_set_v2(payload, domain),
-        other => Err(EbsError::version_skew(format!(
-            "no metric decoder for container version {other}"
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1143,29 +947,10 @@ mod tests {
     }
 
     #[test]
-    fn events_round_trip_in_both_versions() {
+    fn events_round_trip() {
         let events = sample_events();
-        let v1 = encode_events_v1(&events).unwrap();
-        assert_eq!(decode_events(1, &v1).unwrap(), events);
-        let v2 = encode_events(&events).unwrap();
-        assert_eq!(decode_events(2, &v2).unwrap(), events);
-        assert!(matches!(
-            decode_events(3, &v2),
-            Err(EbsError::VersionSkew(_))
-        ));
-    }
-
-    #[test]
-    fn v2_events_encode_smaller_than_v1() {
-        let events = sample_events();
-        let v1 = encode_events_v1(&events).unwrap();
-        let v2 = encode_events(&events).unwrap();
-        assert!(
-            v2.len() < v1.len(),
-            "v2 {} bytes vs v1 {} bytes",
-            v2.len(),
-            v1.len()
-        );
+        let payload = encode_events(&events).unwrap();
+        assert_eq!(decode_events(&payload).unwrap(), events);
     }
 
     #[test]
@@ -1204,9 +989,7 @@ mod tests {
     #[test]
     fn empty_event_batch_round_trips() {
         let payload = encode_events(&[]).unwrap();
-        assert!(decode_events(2, &payload).unwrap().is_empty());
-        let v1 = encode_events_v1(&[]).unwrap();
-        assert!(decode_events(1, &v1).unwrap().is_empty());
+        assert!(decode_events(&payload).unwrap().is_empty());
     }
 
     #[test]
@@ -1215,10 +998,6 @@ mod tests {
         events.swap(0, 500);
         assert!(matches!(
             encode_events(&events),
-            Err(EbsError::InvalidSpec(_))
-        ));
-        assert!(matches!(
-            encode_events_v1(&events),
             Err(EbsError::InvalidSpec(_))
         ));
     }
@@ -1239,19 +1018,13 @@ mod tests {
 
     #[test]
     fn truncated_event_payload_is_typed_not_panic() {
-        let events = sample_events();
-        for version in [1u32, 2] {
-            let payload = match version {
-                1 => encode_events_v1(&events).unwrap(),
-                _ => encode_events(&events).unwrap(),
-            };
-            for cut in [0, 1, 2, payload.len() / 2, payload.len() - 1] {
-                let err = decode_events(version, &payload[..cut]).unwrap_err();
-                assert!(
-                    matches!(err, EbsError::Truncated(_) | EbsError::CorruptStore(_)),
-                    "v{version} cut at {cut}: {err}"
-                );
-            }
+        let payload = encode_events(&sample_events()).unwrap();
+        for cut in [0, 1, 2, payload.len() / 2, payload.len() - 1] {
+            let err = decode_events(&payload[..cut]).unwrap_err();
+            assert!(
+                matches!(err, EbsError::Truncated(_) | EbsError::CorruptStore(_)),
+                "cut at {cut}: {err}"
+            );
         }
     }
 
@@ -1259,7 +1032,7 @@ mod tests {
     fn v2_reencoding_decoded_events_is_byte_identical() {
         let events = sample_events();
         let first = encode_events(&events).unwrap();
-        let decoded = decode_events(2, &first).unwrap();
+        let decoded = decode_events(&first).unwrap();
         let second = encode_events(&decoded).unwrap();
         assert_eq!(first, second);
     }
@@ -1404,20 +1177,12 @@ mod tests {
     }
 
     #[test]
-    fn series_sets_round_trip_bit_exactly_in_both_versions() {
+    fn series_sets_round_trip_bit_exactly() {
         let (ticks, series) = sample_series();
-        let v1 = encode_series_set_v1(ticks, &series);
-        let (spec, decoded) = decode_series_set(1, &v1, "compute").unwrap();
+        let payload = encode_series_set(ticks, &series);
+        let (spec, decoded) = decode_series_set(&payload, "compute").unwrap();
         assert_eq!(spec, ticks);
         assert_eq!(decoded, series);
-        let v2 = encode_series_set(ticks, &series);
-        let (spec, decoded) = decode_series_set(2, &v2, "compute").unwrap();
-        assert_eq!(spec, ticks);
-        assert_eq!(decoded, series);
-        assert!(matches!(
-            decode_series_set(7, &v2, "compute"),
-            Err(EbsError::VersionSkew(_))
-        ));
     }
 
     #[test]
@@ -1438,7 +1203,7 @@ mod tests {
         );
         let ticks = TickSpec::new(1.0, 4);
         let payload = encode_series_set(ticks, &[s.clone()]);
-        let (_, decoded) = decode_series_set(2, &payload, "compute").unwrap();
+        let (_, decoded) = decode_series_set(&payload, "compute").unwrap();
         let got = decoded.first().and_then(|d| d.samples().next()).unwrap();
         let want = s.samples().next().unwrap();
         assert_eq!(got.rw.read.bytes.to_bits(), want.rw.read.bytes.to_bits());
@@ -1449,8 +1214,8 @@ mod tests {
 
     #[test]
     fn v2_series_encode_integral_values_compactly() {
-        // 500 samples of integer-valued flows: v2 should be far smaller
-        // than v1's 32 raw bytes per sample.
+        // 500 samples of integer-valued flows: v2 should take under half
+        // of the raw layout's 32 bytes per sample (four f64 fields).
         let mut s = Series::new();
         for k in 0..500u32 {
             s.push(
@@ -1468,13 +1233,12 @@ mod tests {
             );
         }
         let ticks = TickSpec::new(1.0, 500);
-        let v1 = encode_series_set_v1(ticks, &[s.clone()]);
+        let raw = 500 * 32;
         let v2 = encode_series_set(ticks, &[s]);
         assert!(
-            v2.len() * 2 < v1.len(),
-            "v2 {} bytes vs v1 {} bytes",
-            v2.len(),
-            v1.len()
+            v2.len() * 2 < raw,
+            "v2 {} bytes vs {raw} raw bytes",
+            v2.len()
         );
     }
 
@@ -1485,13 +1249,13 @@ mod tests {
         let mut bad = payload.clone();
         bad[..8].copy_from_slice(&(-1.0f64).to_bits().to_le_bytes());
         assert!(matches!(
-            decode_series_set(2, &bad, "compute"),
+            decode_series_set(&bad, "compute"),
             Err(EbsError::CorruptStore(_))
         ));
         let mut bad = payload;
         bad[8] = 0; // ticks varint -> 0
         assert!(matches!(
-            decode_series_set(2, &bad, "storage"),
+            decode_series_set(&bad, "storage"),
             Err(EbsError::CorruptStore(_))
         ));
     }
@@ -1501,7 +1265,7 @@ mod tests {
         let (ticks, series) = sample_series();
         let payload = encode_series_set(ticks, &series);
         for cut in [0, 4, 8, 9, payload.len() / 2, payload.len() - 1] {
-            let err = decode_series_set(2, &payload[..cut], "compute").unwrap_err();
+            let err = decode_series_set(&payload[..cut], "compute").unwrap_err();
             assert!(
                 matches!(err, EbsError::Truncated(_) | EbsError::CorruptStore(_)),
                 "cut at {cut}: {err}"
@@ -1651,9 +1415,9 @@ mod tests {
             let mut g = Gen(seed);
             let ticks = TickSpec::new(10.0, 360);
             let series = random_domain(&mut g, if cfg!(miri) { 20 } else { 600 });
-            let payload = encode_series_set_v2(ticks, &series);
+            let payload = encode_series_set(ticks, &series);
             assert_eq!(payload, oracle::encode(ticks, &series), "encoded bytes");
-            let (spec, decoded) = decode_series_set_v2(&payload, "compute").unwrap();
+            let (spec, decoded) = decode_series_set(&payload, "compute").unwrap();
             assert_eq!(spec, ticks);
             assert_eq!(sample_bits(&decoded), sample_bits(&series), "round trip");
             assert_same_outcome(
@@ -1665,7 +1429,7 @@ mod tests {
             for _ in 0..4 {
                 let cut = g.below(payload.len() as u64 + 1) as usize;
                 assert_same_outcome(
-                    decode_series_set_v2(&payload[..cut], "compute"),
+                    decode_series_set(&payload[..cut], "compute"),
                     oracle::decode(&payload[..cut], "compute"),
                     &format!("cut at {cut}"),
                 );
@@ -1673,7 +1437,7 @@ mod tests {
                 let at = g.below(payload.len() as u64) as usize;
                 flipped[at] ^= 1 << g.below(8);
                 assert_same_outcome(
-                    decode_series_set_v2(&flipped, "compute"),
+                    decode_series_set(&flipped, "compute"),
                     oracle::decode(&flipped, "compute"),
                     &format!("flip at {at}"),
                 );
@@ -1704,7 +1468,7 @@ mod tests {
         // The middle row is all zeros, one of them negative: `push` drops
         // it, and so must the batch decoder.
         let payload = raw_payload(&[2, 1, 1], &[[1.0; 4], [0.0, -0.0, 0.0, 0.0], [2.0; 4]]);
-        let (_, got) = decode_series_set_v2(&payload, "storage").unwrap();
+        let (_, got) = decode_series_set(&payload, "storage").unwrap();
         let ticks: Vec<u32> = got[0].samples().map(|s| s.tick).collect();
         assert_eq!(ticks, [2, 4]);
         assert_same_outcome(
@@ -1724,7 +1488,7 @@ mod tests {
             &[u64::MAX, u64::MAX],     // saturating sum
         ] {
             let payload = raw_payload(deltas, &vec![row; deltas.len()]);
-            let got = decode_series_set_v2(&payload, "compute").unwrap_err();
+            let got = decode_series_set(&payload, "compute").unwrap_err();
             let want = oracle::decode(&payload, "compute").unwrap_err();
             assert_eq!(got.to_string(), want.to_string(), "deltas {deltas:?}");
         }
@@ -1748,7 +1512,7 @@ mod tests {
         }
         let payload = w.into_bytes();
         let cut = &payload[..payload.len() - 3];
-        let got = decode_series_set_v2(cut, "compute").unwrap_err();
+        let got = decode_series_set(cut, "compute").unwrap_err();
         assert!(matches!(got, EbsError::CorruptStore(_)), "{got}");
         assert_same_outcome(Err(got), oracle::decode(cut, "compute"), "zero then cut");
     }

@@ -6,8 +6,8 @@
 //! chunk  := kind(u8) payload_len(u32 LE) seal(u32 LE) payload
 //! ```
 //!
-//! The frame seal — CRC32 in v1 files, [`crate::seal::seal32`] in v2 —
-//! covers exactly the payload bytes. The end chunk carries the
+//! The frame seal, [`crate::seal::seal32`], covers exactly the payload
+//! bytes. The end chunk carries the
 //! number of preceding chunks and the total event count, so a file cut at
 //! a chunk boundary — which would otherwise parse cleanly — is still
 //! detected as truncated.
@@ -15,10 +15,10 @@
 /// File magic: identifies an ebs-store container independent of version.
 pub const MAGIC: [u8; 8] = *b"EBSSTORE";
 
-/// Current format version. Readers reject anything newer ([version skew])
-/// and keep decoding every older version bit-for-bit: v1 payloads are
-/// per-value LEB128 columns, v2 payloads are the batched group-varint /
+/// The one format version: payloads are the batched group-varint /
 /// frame-of-reference columns of [`crate::codec`] (DESIGN.md §14).
+/// Readers reject any other header version as [version skew] — the
+/// retired v1 included.
 ///
 /// [version skew]: ebs_core::error::EbsError::VersionSkew
 pub const VERSION: u32 = 2;
@@ -42,8 +42,8 @@ pub const MAX_CHUNK_LEN: u32 = 256 << 20;
 /// per chunk that rescan spills to L3 and costs ~15% of decode throughput.
 pub const EVENTS_PER_CHUNK: usize = 8_192;
 
-/// Chunk kind tags. Unknown kinds are skipped by readers (forward-compatible
-/// within one version: a v1 reader ignores optional chunks it predates).
+/// Chunk kind tags. Unknown kinds are skipped by readers, so an optional
+/// chunk kind can be added without a version bump.
 pub mod kind {
     /// Opaque generation-config payload (encoded by `ebs-workload`).
     pub const CONFIG: u8 = 1;

@@ -4,9 +4,8 @@
 //! specifications; §2.3) are expensive to regenerate and much too large to
 //! re-derive per experiment. This crate gives them a durable on-disk form:
 //! a versioned, chunked, column-major binary container in which each chunk
-//! is sealed by a length header and a frame seal — CRC32 for v1 files,
-//! the multiply-rotate [`seal::seal32`] for v2, dispatched on the header
-//! version.
+//! is sealed by a length header and the multiply-rotate [`seal::seal32`]
+//! frame seal.
 //!
 //! Layout (DESIGN.md §12, §14):
 //!
@@ -15,26 +14,27 @@
 //! chunk  := kind(u8) payload_len(u32 LE) seal(u32 LE) payload
 //! ```
 //!
-//! Payloads are column-major. Format v2 (DESIGN.md §14) batch-encodes each
-//! column through the [`codec`] kernels: group-varint for spiky columns,
-//! zigzag + frame-of-reference byte-packing for narrow-range ones, with
-//! the encoder picking the smaller representation per column. Timestamps
-//! are delta-encoded (events are globally time-sorted, so deltas are
-//! small), VD ids are dictionary-compressed per chunk, offsets are per-VD
-//! wrapping deltas, and integral metric samples pack as integer columns;
-//! floats that are not integral travel as raw IEEE-754 bits, so a
-//! save→load→save cycle is byte-identical. The metric-series codec, which
-//! carries most of a container's bytes, runs as per-domain batch passes:
-//! each series is transposed once into bit columns that are packed whole,
-//! and decoded straight into exactly-sized series sides. That layout is
-//! the same one the per-value kernels wrote (DESIGN.md §14). The
+//! Payloads are column-major. Format v2 (DESIGN.md §14), the only format
+//! the store reads or writes, batch-encodes each column through the
+//! [`codec`] kernels: group-varint for spiky columns, zigzag +
+//! frame-of-reference byte-packing for narrow-range ones, with the encoder
+//! picking the smaller representation per column. Timestamps are
+//! delta-encoded (events are globally time-sorted, so deltas are small),
+//! VD ids are dictionary-compressed per chunk, offsets are per-VD wrapping
+//! deltas, and integral metric samples pack as integer columns; floats
+//! that are not integral travel as raw IEEE-754 bits, so a save→load→save
+//! cycle is byte-identical. The metric-series codec, which carries most of
+//! a container's bytes, runs as per-domain batch passes: each series is
+//! transposed once into bit columns that are packed whole, and decoded
+//! straight into exactly-sized series sides. That layout is the same one
+//! the per-value kernels wrote (DESIGN.md §14). The
 //! [`writer::StoreWriter`] produces v2 containers; the
-//! [`reader::ChunkReader`] reads v1 and v2 (v1 decodes bit-for-bit
-//! through the legacy per-value path) and either
-//! materializes chunks fully or streams them one at a time into a
-//! [`stream::StreamSummary`], whose column-at-a-time fold computes the
-//! paper's CCR / P2A / size-quantile statistics without ever holding the
-//! whole trace in memory — or allocating per chunk in steady state.
+//! [`reader::ChunkReader`] reads them back (a header of any other version
+//! is [`VersionSkew`]) and either materializes chunks fully or streams
+//! them one at a time into a [`stream::StreamSummary`], whose
+//! column-at-a-time fold computes the paper's CCR / P2A / size-quantile
+//! statistics without ever holding the whole trace in memory — or
+//! allocating per chunk in steady state.
 //!
 //! Failure model: every decode path returns a typed
 //! [`ebs_core::error::EbsError`] — [`Truncated`], [`ChecksumMismatch`],
@@ -43,8 +43,8 @@
 //! against the bytes actually present before any `Vec` is reserved).
 //!
 //! The crate is dependency-free by design (the build environment is
-//! offline): CRC32 and varints are implemented in-repo, the same way
-//! `ebs_core::hash` carries its own FxHash.
+//! offline): the frame seal and varints are implemented in-repo, the same
+//! way `ebs_core::hash` carries its own FxHash.
 //!
 //! [`Truncated`]: ebs_core::error::EbsError::Truncated
 //! [`ChecksumMismatch`]: ebs_core::error::EbsError::ChecksumMismatch
@@ -67,7 +67,6 @@ extern crate self as ebs_store;
 pub mod bytes;
 pub mod codec;
 pub mod columns;
-pub mod crc32;
 pub mod format;
 pub mod manifest;
 pub mod reader;
@@ -82,12 +81,11 @@ pub use columns::{
     encode_series_set, encode_specs, events_from_columns, EventColumnBytes, EventColumns,
     EventScratch, SpecRow,
 };
-pub use crc32::{crc32, Crc32};
 pub use format::{
     EVENTS_PER_CHUNK, FRAME_LEN, HEADER_LEN, MAGIC, MAX_CHUNK_EVENTS, MAX_CHUNK_LEN, VERSION,
 };
 pub use manifest::{shard_file_name, ShardEntry, ShardManifest, ShardMeta, MANIFEST_FILE};
-pub use reader::{Chunk, ChunkReader, EndSummary, EventChunks, SliceChunkReader};
+pub use reader::{Chunk, ChunkReader, EndSummary, EventChunks};
 pub use stats::StoreStats;
 pub use stream::{fold_store, StreamSummary};
 pub use writer::StoreWriter;

@@ -1,7 +1,10 @@
-//! Chunk-level store reader: validates the header, walks the CRC-sealed
-//! chunk sequence, and exposes a streaming event iterator that decodes one
-//! chunk at a time — aggregations over a large trace never hold more than
-//! one chunk's events live.
+//! Chunk-level store reader: validates the header, walks the sealed chunk
+//! sequence, and exposes a streaming event iterator that decodes one chunk
+//! at a time — aggregations over a large trace never hold more than one
+//! chunk's events live.
+//!
+//! [`ChunkReader::new`] is the one place that reads the header version;
+//! everything past the header decodes format v2 only.
 
 use std::io::Read;
 
@@ -9,29 +12,16 @@ use ebs_core::error::EbsError;
 use ebs_core::io::IoEvent;
 
 use crate::bytes::ByteReader;
-use crate::columns::{
-    decode_events_v1, decode_events_v2_into, events_from_columns, EventColumnBytes, EventScratch,
-};
-use crate::crc32::crc32;
-use crate::format::{kind, FRAME_LEN, MAGIC, MAX_CHUNK_LEN, VERSION};
+use crate::columns::{decode_events_v2_into, events_from_columns, EventColumnBytes, EventScratch};
+use crate::format::{kind, MAGIC, MAX_CHUNK_LEN, VERSION};
 use crate::seal::seal32;
-
-/// Frame seal for `version`: CRC32 sealed v1 frames; v2 frames use the
-/// multiply-rotate seal that verifies at decode speed.
-fn frame_seal(version: u32, payload: &[u8]) -> u32 {
-    if version >= 2 {
-        seal32(payload)
-    } else {
-        crc32(payload)
-    }
-}
 
 /// One decoded chunk frame: the kind tag plus its checksum-verified payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Chunk {
     /// Kind tag (see [`crate::format::kind`]).
     pub kind: u8,
-    /// Payload bytes, already verified against the frame CRC.
+    /// Payload bytes, already verified against the frame seal.
     pub payload: Vec<u8>,
 }
 
@@ -49,7 +39,6 @@ pub struct EndSummary {
 #[derive(Debug)]
 pub struct ChunkReader<R: Read> {
     input: R,
-    version: u32,
     chunks_read: u64,
     bytes_read: u64,
     end: Option<EndSummary>,
@@ -59,9 +48,9 @@ pub struct ChunkReader<R: Read> {
 impl<R: Read> ChunkReader<R> {
     /// Open a store: reads and validates the magic and version header.
     ///
-    /// A bad magic is [`EbsError::CorruptStore`]; a version newer than this
-    /// reader is [`EbsError::VersionSkew`] (older versions would be
-    /// migrated once a version 2 exists).
+    /// A bad magic or a version-0 header is [`EbsError::CorruptStore`].
+    /// Any other version but [`VERSION`] — the retired v1 or a newer
+    /// format — is [`EbsError::VersionSkew`].
     pub fn new(mut input: R) -> Result<Self, EbsError> {
         let mut magic = [0u8; 8];
         read_exact(&mut input, &mut magic, "file header magic")?;
@@ -73,29 +62,23 @@ impl<R: Read> ChunkReader<R> {
         let mut ver = [0u8; 4];
         read_exact(&mut input, &mut ver, "file header version")?;
         let version = u32::from_le_bytes(ver);
-        if version > VERSION {
-            return Err(EbsError::version_skew(format!(
-                "store is format v{version} but this reader understands up to v{VERSION}"
-            )));
-        }
         if version == 0 {
             return Err(EbsError::corrupt_store(
                 "store claims format v0".to_string(),
             ));
         }
+        if version != VERSION {
+            return Err(EbsError::version_skew(format!(
+                "store is format v{version} but this reader reads only v{VERSION}"
+            )));
+        }
         Ok(Self {
             input,
-            version,
             chunks_read: 0,
             bytes_read: (MAGIC.len() + 4) as u64,
             end: None,
             done: false,
         })
-    }
-
-    /// Format version declared by the file header.
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// The END summary, available once the END chunk has been consumed.
@@ -106,7 +89,7 @@ impl<R: Read> ChunkReader<R> {
     /// Read the next chunk, or `Ok(None)` after the END chunk.
     ///
     /// EOF anywhere before the END chunk is [`EbsError::Truncated`]; a
-    /// payload that does not match its frame CRC is
+    /// payload that does not match its frame seal is
     /// [`EbsError::ChecksumMismatch`].
     pub fn next_chunk(&mut self) -> Result<Option<Chunk>, EbsError> {
         let mut payload = Vec::new();
@@ -130,7 +113,7 @@ impl<R: Read> ChunkReader<R> {
         let mut fr = ByteReader::new(&frame, "chunk frame");
         let chunk_kind = fr.get_u8()?;
         let len = fr.get_u32()?;
-        let want_crc = fr.get_u32()?;
+        let want_seal = fr.get_u32()?;
         if len > MAX_CHUNK_LEN {
             return Err(EbsError::corrupt_store(format!(
                 "chunk {} declares a {len}-byte payload, over the {MAX_CHUNK_LEN}-byte limit",
@@ -152,11 +135,11 @@ impl<R: Read> ChunkReader<R> {
                 self.chunks_read
             )));
         }
-        let have_crc = frame_seal(self.version, payload);
-        if have_crc != want_crc {
+        let have_seal = seal32(payload);
+        if have_seal != want_seal {
             ebs_obs::counter_add("store.checksum_failures", 1);
             return Err(EbsError::checksum_mismatch(format!(
-                "chunk {} (kind {chunk_kind}): crc {have_crc:08x} != stored {want_crc:08x}",
+                "chunk {} (kind {chunk_kind}): seal {have_seal:08x} != stored {want_seal:08x}",
                 self.chunks_read
             )));
         }
@@ -206,126 +189,13 @@ impl<R: Read> ChunkReader<R> {
     }
 }
 
-/// Zero-copy chunk walker over a store image held fully in memory.
-///
-/// Behaves exactly like [`ChunkReader`] reading from a byte slice — same
-/// header validation, CRC verification, and END-chunk accounting — but
-/// borrows each payload out of the image instead of copying it into a
-/// buffer. Decode paths that already hold the whole container (benchmarks,
-/// mapped replays) skip one full memcpy of the trace this way.
-#[derive(Clone, Copy, Debug)]
-pub struct SliceChunkReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    version: u32,
-    chunks_read: u64,
-    end: Option<EndSummary>,
-    done: bool,
-}
-
-impl<'a> SliceChunkReader<'a> {
-    /// Open a store image: validates the magic and version header with the
-    /// same rules as [`ChunkReader::new`].
-    pub fn new(buf: &'a [u8]) -> Result<Self, EbsError> {
-        let mut r = ByteReader::new(buf, "file header");
-        let magic = r.get_bytes(MAGIC.len())?;
-        if magic != MAGIC {
-            return Err(EbsError::corrupt_store(format!(
-                "bad magic {magic:02x?}: not an ebs-store file"
-            )));
-        }
-        let version = r.get_u32()?;
-        if version > VERSION {
-            return Err(EbsError::version_skew(format!(
-                "store is format v{version} but this reader understands up to v{VERSION}"
-            )));
-        }
-        if version == 0 {
-            return Err(EbsError::corrupt_store(
-                "store claims format v0".to_string(),
-            ));
-        }
-        Ok(Self {
-            buf,
-            pos: buf.len() - r.remaining(),
-            version,
-            chunks_read: 0,
-            end: None,
-            done: false,
-        })
-    }
-
-    /// Format version declared by the file header.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// The END summary, available once the END chunk has been consumed.
-    pub fn end_summary(&self) -> Option<EndSummary> {
-        self.end
-    }
-
-    /// Borrow the next chunk as `(kind, payload)`, or `Ok(None)` after the
-    /// END chunk. Error taxonomy matches [`ChunkReader::next_chunk_into`]:
-    /// a short image is [`EbsError::Truncated`], a payload that fails its
-    /// frame CRC is [`EbsError::ChecksumMismatch`].
-    pub fn next_chunk(&mut self) -> Result<Option<(u8, &'a [u8])>, EbsError> {
-        if self.done {
-            return Ok(None);
-        }
-        let mut r = ByteReader::new(self.buf.get(self.pos..).unwrap_or(&[]), "chunk frame");
-        let chunk_kind = r.get_u8()?;
-        let len = r.get_u32()?;
-        let want_crc = r.get_u32()?;
-        if len > MAX_CHUNK_LEN {
-            return Err(EbsError::corrupt_store(format!(
-                "chunk {} declares a {len}-byte payload, over the {MAX_CHUNK_LEN}-byte limit",
-                self.chunks_read
-            )));
-        }
-        let payload = r.get_bytes(len as usize).map_err(|_| {
-            EbsError::truncated(format!(
-                "chunk {}: payload cut short of {len} bytes",
-                self.chunks_read
-            ))
-        })?;
-        let have_crc = frame_seal(self.version, payload);
-        if have_crc != want_crc {
-            ebs_obs::counter_add("store.checksum_failures", 1);
-            return Err(EbsError::checksum_mismatch(format!(
-                "chunk {} (kind {chunk_kind}): crc {have_crc:08x} != stored {want_crc:08x}",
-                self.chunks_read
-            )));
-        }
-        self.pos += FRAME_LEN + len as usize;
-        if chunk_kind == kind::END {
-            let mut er = ByteReader::new(payload, "end chunk");
-            let chunks = er.get_varint()?;
-            let events = er.get_varint()?;
-            er.expect_end()?;
-            if chunks != self.chunks_read {
-                return Err(EbsError::truncated(format!(
-                    "end chunk pins {chunks} chunks but only {} were present",
-                    self.chunks_read
-                )));
-            }
-            self.end = Some(EndSummary { chunks, events });
-            self.done = true;
-            return Ok(None);
-        }
-        self.chunks_read += 1;
-        Ok(Some((chunk_kind, payload)))
-    }
-}
-
 /// Streaming iterator over the EVENTS chunks of a store.
 ///
-/// Yields `Result<Vec<IoEvent>, EbsError>` batches, decoding v1 chunks
-/// through the legacy per-value path and v2 chunks through the batched
-/// column kernels (one payload buffer and one column scratch are reused
-/// across every chunk). After the END chunk it cross-checks the pinned
-/// event total; a mismatch surfaces as a final `Err`. After the first
-/// error the iterator fuses to `None`.
+/// Yields `Result<Vec<IoEvent>, EbsError>` batches, decoding each chunk
+/// through the batched column kernels (one payload buffer and one column
+/// scratch are reused across every chunk). After the END chunk it
+/// cross-checks the pinned event total; a mismatch surfaces as a final
+/// `Err`. After the first error the iterator fuses to `None`.
 #[derive(Debug)]
 pub struct EventChunks<R: Read> {
     reader: ChunkReader<R>,
@@ -347,17 +217,12 @@ impl<R: Read> EventChunks<R> {
         self.reader.end_summary()
     }
 
-    /// Per-column byte accounting of the v2 EVENTS chunks decoded so far
-    /// (all-zero while reading a v1 store, whose payloads have no
-    /// column-addressable layout).
+    /// Per-column byte accounting of the EVENTS chunks decoded so far.
     pub fn column_bytes(&self) -> EventColumnBytes {
         self.column_bytes
     }
 
     fn decode_payload(&mut self) -> Result<Vec<IoEvent>, EbsError> {
-        if self.reader.version() == 1 {
-            return decode_events_v1(&self.payload);
-        }
         let acct = decode_events_v2_into(&self.payload, &mut self.scratch)?;
         let mut events = Vec::new();
         events_from_columns(&self.scratch.columns(), &mut events)?;
@@ -493,12 +358,19 @@ mod tests {
 
     #[test]
     fn future_version_is_version_skew() {
+        // The retired v1 and any newer version are skew; v0 was never a
+        // format, so it is corruption.
         let mut bytes = store_with(&sample_events(4), 8);
-        bytes[8..12].copy_from_slice(&(VERSION + 1).to_le_bytes());
-        assert!(matches!(
-            ChunkReader::new(bytes.as_slice()),
-            Err(EbsError::VersionSkew(_))
-        ));
+        for version in [1, VERSION + 1, VERSION + 7, u32::MAX, 0] {
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            match ChunkReader::new(bytes.as_slice()) {
+                Err(EbsError::VersionSkew(msg)) if version != 0 => {
+                    assert!(msg.contains(&format!("reads only v{VERSION}")), "{msg}");
+                }
+                Err(EbsError::CorruptStore(_)) if version == 0 => {}
+                other => panic!("header v{version}: {other:?}"),
+            }
+        }
     }
 
     #[test]

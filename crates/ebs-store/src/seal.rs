@@ -1,20 +1,18 @@
-//! Frame seal for format-v2 chunks: a 32-bit digest built on the
-//! xxHash64 mixing schedule, computable at memory bandwidth in safe Rust.
+//! Frame seal for container chunks: a 32-bit digest built on the xxHash64
+//! mixing schedule, computable at memory bandwidth in safe Rust.
 //!
-//! v1 frames are sealed with [`crate::crc32`], which tops out at the
-//! load-port bound of its table lookups (~1.2 bytes/cycle on the slicing
-//! path) and was the single largest cost of v2 batched decode — the
-//! column kernels decode payload bytes faster than a table-driven CRC can
-//! verify them. v2 frames instead use four independent multiply-rotate
-//! lanes over 32-byte blocks (xxHash64's round function and avalanche,
-//! truncated to 32 bits by folding the halves), which verifies several
-//! times faster with the same practical corruption detection: any single
-//! flipped bit avalanches through an odd-constant multiply, and the
-//! failure-injection suite exercises flips in every frame region.
+//! A table-driven CRC32 tops out at the load-port bound of its lookups
+//! (~1.2 bytes/cycle on the slicing path), slower than the column kernels
+//! decode payload bytes. The seal instead uses four independent
+//! multiply-rotate lanes over 32-byte blocks (xxHash64's round function
+//! and avalanche, truncated to 32 bits by folding the halves), which
+//! verifies several times faster with the same practical corruption
+//! detection: any single flipped bit avalanches through an odd-constant
+//! multiply, and the failure-injection suite exercises flips in every
+//! frame region.
 //!
 //! The digest is *not* cryptographic and has no burst-error guarantees —
-//! it guards against storage corruption, same as the CRC it replaces, not
-//! adversaries.
+//! it guards against storage corruption, not adversaries.
 
 const P1: u64 = 0x9E37_79B1_85EB_CA87;
 const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
@@ -91,7 +89,7 @@ fn hash64(bytes: &[u8]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// The 32-bit frame seal of a v2 chunk payload: xxHash64 folded to the
+/// The 32-bit frame seal of a chunk payload: xxHash64 folded to the
 /// width of the frame's checksum field.
 pub fn seal32(bytes: &[u8]) -> u32 {
     let h = hash64(bytes);
@@ -117,7 +115,7 @@ mod tests {
 
     #[test]
     fn seal_is_stable_across_lengths() {
-        // The seal is a format constant: these values are part of the v2
+        // The seal is a format constant: these values are part of the
         // wire format and must never change.
         let data: Vec<u8> = (0..255u8).collect();
         assert_eq!(seal32(&[]), 0xBE9E_32AE);

@@ -1,6 +1,6 @@
 //! Store-level byte accounting: one streaming pass over a container that
-//! attributes every byte to a chunk kind, and every v2 EVENTS payload byte
-//! to its column. This is what `bin/all --trace` prints after a replay and
+//! attributes every byte to a chunk kind, and every EVENTS payload byte to
+//! its column. This is what `bin/all --trace` prints after a replay and
 //! what `bench --mode store` embeds in `BENCH_store.json`, so a
 //! compression regression points at a specific column (timestamps, LBA
 //! offsets, sizes…) instead of an opaque whole-file ratio.
@@ -10,14 +10,12 @@ use std::io::Read;
 use ebs_core::error::EbsError;
 
 use crate::columns::{decode_events_v2_into, EventColumnBytes, EventScratch};
-use crate::format::{kind, FRAME_LEN, HEADER_LEN};
+use crate::format::{kind, FRAME_LEN, HEADER_LEN, VERSION};
 use crate::reader::ChunkReader;
 
 /// Per-chunk-kind and per-column byte totals for one container.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Format version declared by the file header.
-    pub version: u32,
     /// Chunks preceding the END chunk.
     pub chunks: u64,
     /// Events pinned by the END chunk.
@@ -34,26 +32,24 @@ pub struct StoreStats {
     pub compute_bytes: u64,
     /// STORAGE_METRICS chunk payload bytes.
     pub storage_bytes: u64,
-    /// EVENTS chunk payload bytes (all versions).
+    /// EVENTS chunk payload bytes.
     pub events_bytes: u64,
     /// Payload bytes of unknown chunk kinds (skipped by decoders).
     pub other_bytes: u64,
     /// END chunk payload bytes.
     pub end_bytes: u64,
-    /// EVENTS payload bytes split by column (zero while scanning a v1
-    /// store, whose payloads have no column-addressable layout).
+    /// EVENTS payload bytes split by column.
     pub columns: EventColumnBytes,
 }
 
 impl StoreStats {
-    /// Scan a container from `input`, decoding each v2 EVENTS chunk once
+    /// Scan a container from `input`, decoding each EVENTS chunk once
     /// to attribute its payload bytes per column. One payload buffer and
     /// one column scratch are reused, so the scan allocates O(chunk), not
     /// O(file).
     pub fn scan<R: Read>(input: R) -> Result<StoreStats, EbsError> {
         let mut reader = ChunkReader::new(input)?;
         let mut stats = StoreStats {
-            version: reader.version(),
             frame_bytes: HEADER_LEN as u64,
             file_bytes: HEADER_LEN as u64,
             ..StoreStats::default()
@@ -72,10 +68,8 @@ impl StoreStats {
                 kind::STORAGE_METRICS => stats.storage_bytes += len,
                 kind::EVENTS => {
                     stats.events_bytes += len;
-                    if stats.version >= 2 {
-                        let acct = decode_events_v2_into(&payload, &mut scratch)?;
-                        stats.columns.merge(&acct);
-                    }
+                    let acct = decode_events_v2_into(&payload, &mut scratch)?;
+                    stats.columns.merge(&acct);
                 }
                 _ => stats.other_bytes += len,
             }
@@ -97,10 +91,10 @@ impl StoreStats {
     /// sink; the replay path sends them to stderr).
     pub fn render(&self) -> Vec<String> {
         let col = &self.columns;
-        let mut lines = vec![
+        vec![
             format!(
-                "store v{}: {} bytes, {} chunks, {} events",
-                self.version, self.file_bytes, self.chunks, self.events
+                "store v{VERSION}: {} bytes, {} chunks, {} events",
+                self.file_bytes, self.chunks, self.events
             ),
             format!(
                 "  chunk bytes: events {} | compute {} | storage {} | specs {} | config {} | frames {}",
@@ -111,14 +105,11 @@ impl StoreStats {
                 self.config_bytes,
                 self.frame_bytes + self.end_bytes + self.other_bytes
             ),
-        ];
-        if self.version >= 2 {
-            lines.push(format!(
+            format!(
                 "  event columns: timestamps {} | lba {} | size {} | qp {} | vd {} | header {}",
                 col.timestamps, col.offset, col.size, col.qp, col.vd, col.header
-            ));
-        }
-        lines
+            ),
+        ]
     }
 }
 
@@ -156,7 +147,6 @@ mod tests {
     fn scan_accounts_for_every_file_byte() {
         let (bytes, written_columns) = sample_store();
         let stats = StoreStats::scan(bytes.as_slice()).unwrap();
-        assert_eq!(stats.version, crate::format::VERSION);
         assert_eq!(stats.events, 500);
         assert_eq!(stats.file_bytes, bytes.len() as u64);
         assert_eq!(stats.config_bytes, 9);

@@ -11,14 +11,14 @@
 //! Two ingestion paths produce bit-identical summaries: the row-major
 //! [`fold_chunk`](StreamSummary::fold_chunk) reference loop, and the
 //! column-at-a-time [`fold_columns`](StreamSummary::fold_columns) hot
-//! path, which runs the [`ebs_analysis::batch`] kernels directly on a v2
+//! path, which runs the [`ebs_analysis::batch`] kernels directly on a
 //! chunk's decoded columns (per-VD partials over the chunk dictionary,
 //! run-batched tick accumulation over the sorted timestamp column). The
 //! two agree exactly because every weight is an integer-valued `f64`
 //! below 2^53, where addition is exact and therefore associative.
-//! [`fold_store`] drives either path over a whole container, reusing one
-//! payload buffer and one column scratch — steady-state replay does zero
-//! allocation per chunk.
+//! [`fold_store`] drives the column path over a whole container, reusing
+//! one payload buffer and one column scratch — steady-state replay does
+//! zero allocation per chunk.
 
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -29,7 +29,7 @@ use ebs_core::error::EbsError;
 use ebs_core::io::IoEvent;
 use ebs_core::time::TickSpec;
 
-use crate::columns::{decode_events_v1, decode_events_v2_into, EventColumns, EventScratch};
+use crate::columns::{decode_events_v2_into, EventColumns, EventScratch};
 use crate::format::kind;
 use crate::reader::{ChunkReader, EndSummary};
 
@@ -61,8 +61,9 @@ impl StreamSummary {
         }
     }
 
-    /// Absorb one decoded chunk of row-major events (the reference path;
-    /// v1 stores and materialized traces come through here).
+    /// Absorb one decoded chunk of row-major events: the row-major
+    /// reference that [`fold_columns`](Self::fold_columns) must match bit
+    /// for bit, and the path for traces that are already materialized.
     ///
     /// A `vd` index outside the fleet is [`EbsError::CorruptStore`] — the
     /// summary is fed from disk, so out-of-range ids mean a damaged or
@@ -90,7 +91,7 @@ impl StreamSummary {
         Ok(())
     }
 
-    /// Absorb one decoded v2 chunk column-at-a-time: per-VD byte sums go
+    /// Absorb one decoded chunk column-at-a-time: per-VD byte sums go
     /// through chunk-local dictionary partials
     /// ([`ebs_analysis::batch::keyed_sums`] + `scatter_add`), per-tick
     /// sums through the run-batched [`ebs_analysis::batch::tick_sums`],
@@ -219,18 +220,15 @@ impl StreamSummary {
     }
 }
 
-/// Stream every EVENTS chunk of `reader` into `summary`, dispatching on
-/// the container version: v1 chunks decode through the legacy row path
-/// into [`StreamSummary::fold_chunk`], v2 chunks through the batched
-/// column kernels into [`StreamSummary::fold_columns`] — one payload
-/// buffer and one [`EventScratch`] reused throughout, so the v2
+/// Stream every EVENTS chunk of `reader` into `summary` through the
+/// batched column kernels and [`StreamSummary::fold_columns`] — one
+/// payload buffer and one [`EventScratch`] reused throughout, so the
 /// steady state allocates nothing per chunk. Cross-checks the END-chunk
 /// event total and returns it.
 pub fn fold_store<R: Read>(
     mut reader: ChunkReader<R>,
     summary: &mut StreamSummary,
 ) -> Result<EndSummary, EbsError> {
-    let version = reader.version();
     let mut payload = Vec::new();
     let mut scratch = EventScratch::new();
     let mut seen = 0u64;
@@ -238,16 +236,10 @@ pub fn fold_store<R: Read>(
         if chunk_kind != kind::EVENTS {
             continue;
         }
-        if version == 1 {
-            let events = decode_events_v1(&payload)?;
-            summary.fold_chunk(&events)?;
-            seen += events.len() as u64;
-        } else {
-            decode_events_v2_into(&payload, &mut scratch)?;
-            let cols = scratch.columns();
-            summary.fold_columns(&cols)?;
-            seen += cols.len() as u64;
-        }
+        decode_events_v2_into(&payload, &mut scratch)?;
+        let cols = scratch.columns();
+        summary.fold_columns(&cols)?;
+        seen += cols.len() as u64;
     }
     let end = reader.end_summary().unwrap_or_default();
     if end.events != seen {

@@ -169,8 +169,8 @@ mod tests {
         assert_eq!(bytes[HEADER_LEN], kind::CONFIG);
         let len = u32::from_le_bytes(bytes[HEADER_LEN + 1..HEADER_LEN + 5].try_into().unwrap());
         assert_eq!(len, 3);
-        let crc = u32::from_le_bytes(bytes[HEADER_LEN + 5..HEADER_LEN + 9].try_into().unwrap());
-        assert_eq!(crc, seal32(b"cfg"));
+        let seal = u32::from_le_bytes(bytes[HEADER_LEN + 5..HEADER_LEN + 9].try_into().unwrap());
+        assert_eq!(seal, seal32(b"cfg"));
         // END chunk follows directly.
         let end_at = HEADER_LEN + FRAME_LEN + 3;
         assert_eq!(bytes[end_at], kind::END);

@@ -393,7 +393,6 @@ fn load_shard(
     sticks: TickSpec,
 ) -> Result<ShardLoad, EbsError> {
     let mut reader = open_shard(dir, index, entry)?;
-    let version = reader.version();
     let mut events: Vec<IoEvent> = Vec::new();
     let mut scratch = EventScratch::new();
     let mut qp_series: Option<Vec<Series>> = None;
@@ -401,9 +400,9 @@ fn load_shard(
     let mut payload = Vec::new();
     while let Some(chunk_kind) = reader.next_chunk_into(&mut payload)? {
         match chunk_kind {
-            kind::EVENTS => decode_events_into(version, &payload, &mut scratch, &mut events)?,
+            kind::EVENTS => decode_events_into(&payload, &mut scratch, &mut events)?,
             kind::COMPUTE_METRICS => {
-                let (ticks, series) = decode_series_set(version, &payload, "compute")?;
+                let (ticks, series) = decode_series_set(&payload, "compute")?;
                 if ticks != cticks {
                     return Err(EbsError::corrupt_store(format!(
                         "shard {} compute metrics use a different tick grid than the config",
@@ -413,7 +412,7 @@ fn load_shard(
                 qp_series = Some(series);
             }
             kind::STORAGE_METRICS => {
-                let (ticks, series) = decode_series_set(version, &payload, "storage")?;
+                let (ticks, series) = decode_series_set(&payload, "storage")?;
                 if ticks != sticks {
                     return Err(EbsError::corrupt_store(format!(
                         "shard {} storage metrics use a different tick grid than the config",

@@ -182,7 +182,6 @@ impl Dataset {
     pub fn load(path: impl AsRef<Path>) -> Result<Self, EbsError> {
         let file = File::open(path.as_ref())?;
         let mut reader = ChunkReader::new(BufReader::new(file))?;
-        let version = reader.version();
 
         let mut config_chunk: Option<WorkloadConfig> = None;
         let mut specs_chunk: Option<Vec<SpecRow>> = None;
@@ -197,15 +196,15 @@ impl Dataset {
                 kind::SPECS => set_unique(&mut specs_chunk, decode_specs(&payload)?, "specs")?,
                 kind::COMPUTE_METRICS => set_unique(
                     &mut compute_chunk,
-                    decode_series_set(version, &payload, "compute")?,
+                    decode_series_set(&payload, "compute")?,
                     "compute metrics",
                 )?,
                 kind::STORAGE_METRICS => set_unique(
                     &mut storage_chunk,
-                    decode_series_set(version, &payload, "storage")?,
+                    decode_series_set(&payload, "storage")?,
                     "storage metrics",
                 )?,
-                kind::EVENTS => decode_events_into(version, &payload, &mut scratch, &mut events)?,
+                kind::EVENTS => decode_events_into(&payload, &mut scratch, &mut events)?,
                 _ => {}
             }
         }

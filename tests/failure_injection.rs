@@ -185,10 +185,21 @@ fn store_wrong_magic_is_corrupt_store() {
 #[test]
 fn store_future_version_is_version_skew() {
     use ebs::core::error::EbsError;
+    use ebs::store::VERSION;
+    // The retired v1 and any newer version are skew, reported with the one
+    // version this reader reads; v0 was never a format, so it is corrupt.
     let mut bytes = saved_store_bytes();
-    bytes[8..12].copy_from_slice(&(ebs::store::VERSION + 7).to_le_bytes());
-    let err = load_bytes(&bytes, "version").expect_err("future version must not load");
-    assert!(matches!(err, EbsError::VersionSkew(_)), "{err}");
+    for version in [1, VERSION + 7, 0] {
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        let err = load_bytes(&bytes, "version").expect_err("foreign version must not load");
+        match err {
+            EbsError::VersionSkew(msg) if version != 0 => {
+                assert!(msg.contains(&format!("reads only v{VERSION}")), "{msg}");
+            }
+            EbsError::CorruptStore(_) if version == 0 => {}
+            other => panic!("header v{version}: {other}"),
+        }
+    }
 }
 
 /// One real v2 EVENTS payload (a few hundred events), for decoder fuzzing
@@ -206,14 +217,14 @@ fn v2_events_payload() -> Vec<u8> {
 fn v2_event_decoder_rejects_truncation_at_every_length() {
     use ebs::store::decode_events;
     let payload = v2_events_payload();
-    assert!(!decode_events(2, &payload)
+    assert!(!decode_events(&payload)
         .expect("intact payload decodes")
         .is_empty());
     for cut in 0..payload.len() {
         // Every strict prefix starves some column of bytes: a typed error,
         // never a panic, never a silently shortened batch.
         assert!(
-            decode_events(2, &payload[..cut]).is_err(),
+            decode_events(&payload[..cut]).is_err(),
             "prefix of {cut} bytes decoded"
         );
     }
@@ -230,7 +241,7 @@ fn v2_event_decoder_survives_every_single_byte_flip() {
             // The frame seal catches these in a real container; fed straight
             // to the decoder they must still produce a typed error or a
             // well-formed batch — never a panic or an unbounded allocation.
-            if let Ok(events) = decode_events(2, &corrupt) {
+            if let Ok(events) = decode_events(&corrupt) {
                 assert!(
                     events.len() <= MAX_CHUNK_EVENTS,
                     "flip at {at} over-allocated"
@@ -311,8 +322,7 @@ fn v2_series_decoder_survives_truncation_and_flips() {
         series_oracle::encode(ds.compute.ticks, ds.compute.per_qp.as_slice()),
         "batch encoder diverged from the per-value reference"
     );
-    let (ticks, series) =
-        decode_series_set(2, &payload, "compute").expect("intact payload decodes");
+    let (ticks, series) = decode_series_set(&payload, "compute").expect("intact payload decodes");
     assert_eq!(ticks, ds.compute.ticks);
     assert_eq!(series.as_slice(), ds.compute.per_qp.as_slice());
     // Sampled strict prefixes must fail typed; sampled bit flips must fail
@@ -321,7 +331,7 @@ fn v2_series_decoder_survives_truncation_and_flips() {
     // same error variant, or the same bits. The sparse/raw/integral mode
     // bytes all fall inside the sampled window.
     let same_outcome = |bytes: &[u8], what: &str| match (
-        decode_series_set(2, bytes, "compute"),
+        decode_series_set(bytes, "compute"),
         series_oracle::decode(bytes, "compute"),
     ) {
         (Ok((gt, got)), Ok((wt, want))) => {
@@ -338,7 +348,7 @@ fn v2_series_decoder_survives_truncation_and_flips() {
     let stride = (payload.len() / 512).max(1);
     for cut in (0..payload.len()).step_by(stride) {
         assert!(
-            decode_series_set(2, &payload[..cut], "compute").is_err(),
+            decode_series_set(&payload[..cut], "compute").is_err(),
             "prefix of {cut} bytes decoded"
         );
         same_outcome(&payload[..cut], &format!("prefix of {cut} bytes"));

@@ -322,12 +322,12 @@ proptest! {
     }
 
     #[test]
-    fn v2_event_batches_roundtrip_and_agree_with_v1(
+    fn v2_event_batches_roundtrip(
         raw in prop::collection::vec(any::<u64>(), 0..300),
     ) {
         use ebs::core::ids::{QpId, VdId};
         use ebs::core::io::{IoEvent, Op};
-        use ebs::store::columns::{encode_events_v1, encode_events_v2};
+        use ebs::store::columns::encode_events_v2;
         use ebs::store::{decode_events, EventScratch};
         // Derive every field from one u64 so timestamps stay sorted while
         // offsets mix alignments (0/9/18/27-bit) across VDs.
@@ -348,9 +348,7 @@ proptest! {
             .collect();
         let mut scratch = EventScratch::new();
         let (v2, _) = encode_events_v2(&events, &mut scratch).expect("v2 encode");
-        prop_assert_eq!(decode_events(2, &v2).expect("v2 decode"), events.clone());
-        let v1 = encode_events_v1(&events).expect("v1 encode");
-        prop_assert_eq!(decode_events(1, &v1).expect("v1 decode"), events);
+        prop_assert_eq!(decode_events(&v2).expect("v2 decode"), events);
     }
 }
 
@@ -378,53 +376,6 @@ fn adversarial_columns_roundtrip_exactly() {
     for vals in &columns {
         assert_column_roundtrip(vals);
     }
-}
-
-/// A hand-framed v1 container must decode to the same events a v2
-/// save→load round-trip produces: readers of either version agree.
-#[test]
-fn v1_containers_load_identically_to_v2_roundtrip() {
-    use ebs::store::format::kind;
-    use ebs::store::{crc32, ByteWriter, ChunkReader, StoreWriter, MAGIC};
-    let ds = ebs::workload::generate(&ebs::workload::WorkloadConfig::quick(904)).unwrap();
-
-    // v1: the exact pre-v2 layout — CRC32-sealed frames, per-value payloads.
-    let mut v1 = Vec::new();
-    let frame = |bytes: &mut Vec<u8>, chunk_kind: u8, payload: &[u8]| {
-        bytes.push(chunk_kind);
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-        bytes.extend_from_slice(payload);
-    };
-    v1.extend_from_slice(&MAGIC);
-    v1.extend_from_slice(&1u32.to_le_bytes());
-    let mut chunks = 0u64;
-    for chunk in ds.events.chunks(4096) {
-        let payload = ebs::store::columns::encode_events_v1(chunk).unwrap();
-        frame(&mut v1, kind::EVENTS, &payload);
-        chunks += 1;
-    }
-    let mut end = ByteWriter::new();
-    end.put_varint(chunks);
-    end.put_varint(ds.events.len() as u64);
-    frame(&mut v1, kind::END, &end.into_bytes());
-
-    // v2: the current writer.
-    let mut w = StoreWriter::new(Vec::new()).unwrap();
-    w.write_events_chunked(&ds.events, 4096).unwrap();
-    let v2 = w.finish().unwrap();
-
-    let read_all = |bytes: &[u8]| -> Vec<ebs::core::io::IoEvent> {
-        let mut out = Vec::new();
-        for batch in ChunkReader::new(bytes).unwrap().into_event_chunks() {
-            out.extend(batch.unwrap());
-        }
-        out
-    };
-    let from_v1 = read_all(&v1);
-    let from_v2 = read_all(&v2);
-    assert_eq!(from_v1, ds.events, "v1 container diverged from the source");
-    assert_eq!(from_v2, ds.events, "v2 round-trip diverged from the source");
 }
 
 #[test]
