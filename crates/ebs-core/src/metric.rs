@@ -14,9 +14,11 @@
 //! series holds about 21 bytes per active tick where a [`SeriesSample`]
 //! row (a `u32` tick padded beside four `f64`s) takes 40, and a sampled
 //! event 32. Every dataset builder finishes its series exact-size
-//! ([`Series::shrink_to_fit`], or [`Series::from_samples`], which sizes
-//! each side exactly); a `push`-grown series would otherwise keep up to
-//! half its capacity as doubling slack.
+//! ([`Series::shrink_to_fit`], or [`Series::from_sides`], which allocates
+//! each side once at its exact count); a `push`-grown series would
+//! otherwise keep up to half its capacity as doubling slack. The store
+//! codec works on the sides directly: it encodes from [`Series::side`]
+//! and decodes through [`Series::from_sides`].
 
 use crate::ids::{IdVec, QpId, SegId};
 use crate::io::Op;
@@ -108,16 +110,6 @@ impl RwFlow {
     pub fn is_zero(&self) -> bool {
         self.read.is_zero() && self.write.is_zero()
     }
-
-    /// Whether a sample of this flow gives the read and the write side an
-    /// entry: the sample is kept (not all-zero, as [`RwFlow::is_zero`]
-    /// judges it) and that side has a nonzero bit pattern.
-    #[inline]
-    fn entries(&self) -> (bool, bool) {
-        let (r, w) = (self.read, self.write);
-        let zero = (r.bytes == 0.0) & (r.ops == 0.0) & (w.bytes == 0.0) & (w.ops == 0.0);
-        (!zero & r.has_bits(), !zero & w.has_bits())
-    }
 }
 
 impl std::ops::AddAssign for RwFlow {
@@ -184,16 +176,31 @@ pub struct SeriesSample {
     pub rw: RwFlow,
 }
 
-/// One entry of a [`Side`]: a tick and that direction's flow in it.
+/// One entry of a series side ([`Series::side`]): a tick and that
+/// direction's flow in it.
 ///
 /// Packed to 4-byte alignment, so the `u32` tick sits beside the two
 /// `f64`s in 20 bytes with no padding. Its fields are only ever copied,
 /// never borrowed, as packed fields must be.
 #[derive(Clone, Copy, Debug)]
 #[repr(C, packed(4))]
-struct Entry {
+pub struct Entry {
     tick: u32,
     flow: Flow,
+}
+
+impl Entry {
+    /// The entry's tick.
+    #[inline]
+    pub fn tick(&self) -> u32 {
+        self.tick
+    }
+
+    /// The side's flow in that tick.
+    #[inline]
+    pub fn flow(&self) -> Flow {
+        self.flow
+    }
 }
 
 /// One direction of a [`Series`]: its entries, tick-sorted. One vector
@@ -204,13 +211,42 @@ struct Side {
 }
 
 impl Side {
-    /// A side of exactly the `n` entries `entries` yields.
-    fn collect(n: usize, entries: impl Iterator<Item = Entry>) -> Self {
+    /// A side of the entries `entries` yields, allocated once at the
+    /// count the iterator reports and left exact-size. `None` unless the
+    /// ticks strictly increase and every flow has a nonzero bit pattern;
+    /// otherwise the flag says whether an entry is `±0.0` throughout.
+    fn build(entries: impl ExactSizeIterator<Item = (u32, Flow)>) -> Option<(Self, bool)> {
         let mut side = Side {
-            entries: Vec::with_capacity(n),
+            entries: Vec::with_capacity(entries.len()),
         };
-        side.entries.extend(entries);
-        side
+        side.entries
+            .extend(entries.map(|(tick, flow)| Entry { tick, flow }));
+        side.shrink_to_fit();
+        // One pass over the built entries, on the OR of each flow's two
+        // fields' bits: nonzero bits, and nonzero bits once the sign is
+        // dropped (not `±0.0` throughout). `next` is one past the previous
+        // tick, so any first tick fits.
+        let (mut next, mut valid, mut zero) = (0u64, true, false);
+        for e in &side.entries {
+            let (tick, flow) = (e.tick(), e.flow());
+            let bits = flow.bytes.to_bits() | flow.ops.to_bits();
+            valid &= (u64::from(tick) >= next) & (bits != 0);
+            zero |= bits << 1 == 0;
+            next = u64::from(tick) + 1;
+        }
+        valid.then_some((side, zero))
+    }
+
+    /// Whether every entry that is `±0.0` throughout sits beside a
+    /// nonzero entry of `other` at its tick, so that no merged sample is
+    /// all-zero.
+    fn zeros_covered_by(&self, other: &Side) -> bool {
+        self.entries.iter().filter(|e| e.flow().is_zero()).all(|e| {
+            let at = other.entries.binary_search_by_key(&e.tick(), Entry::tick);
+            at.ok()
+                .and_then(|i| other.entries.get(i))
+                .is_some_and(|o| !o.flow().is_zero())
+        })
     }
 
     /// Add `flow` at `tick`, the newest tick of the series. `repeat` says
@@ -347,46 +383,27 @@ impl Series {
         self.write.push(tick, rw.write, repeat);
     }
 
-    /// Build a series from whole columns of samples, the non-panicking
-    /// counterpart of a [`Series::push`] loop: ticks must strictly
-    /// increase (`None` otherwise, where `push` would panic or merge), and
-    /// all-zero samples are dropped exactly as `push` drops them. The
-    /// samples are walked three times (check and count, then fill each
-    /// side), so each side is allocated exactly once and the series has no
-    /// growth slack.
-    pub fn from_samples<I>(samples: I) -> Option<Self>
+    /// Build a series from each side's entries, tick-sorted: the
+    /// non-panicking, exact-size counterpart of a [`Series::push`] loop.
+    /// Each side is allocated once, at the count its iterator reports.
+    ///
+    /// `None` unless the input is a series `push` could have left: within
+    /// a side ticks strictly increase and every flow has a nonzero bit
+    /// pattern, and no tick is `±0.0` on both sides (a sample `push` drops
+    /// as all-zero). An entry of one side may share its tick with one of
+    /// the other; the two are one merged sample.
+    pub fn from_sides<R, W>(read: R, write: W) -> Option<Self>
     where
-        I: IntoIterator<Item = SeriesSample>,
-        I::IntoIter: Clone,
+        R: IntoIterator<Item = (u32, Flow)>,
+        R::IntoIter: ExactSizeIterator,
+        W: IntoIterator<Item = (u32, Flow)>,
+        W::IntoIter: ExactSizeIterator,
     {
-        let rows = samples.into_iter();
-        // One pass checks the ticks and counts each side's entries (`next`
-        // is one past the previous tick, so any first tick fits) ...
-        let (mut next, mut increasing) = (0u64, true);
-        let [mut n_read, mut n_write] = [0usize; 2];
-        for s in rows.clone() {
-            increasing &= u64::from(s.tick) >= next;
-            next = u64::from(s.tick) + 1;
-            let (read, write) = s.rw.entries();
-            n_read += usize::from(read);
-            n_write += usize::from(write);
-        }
-        if !increasing {
-            return None;
-        }
-        // ... and one per side fills it, exactly sized.
-        let read = rows.clone().filter(|s| s.rw.entries().0).map(|s| Entry {
-            tick: s.tick,
-            flow: s.rw.read,
-        });
-        let write = rows.filter(|s| s.rw.entries().1).map(|s| Entry {
-            tick: s.tick,
-            flow: s.rw.write,
-        });
-        Some(Self {
-            read: Side::collect(n_read, read),
-            write: Side::collect(n_write, write),
-        })
+        let (read, read_zero) = Side::build(read.into_iter())?;
+        let (write, write_zero) = Side::build(write.into_iter())?;
+        let covered = (!read_zero || read.zeros_covered_by(&write))
+            && (!write_zero || write.zeros_covered_by(&read));
+        covered.then_some(Self { read, write })
     }
 
     /// Drop the growth slack a [`Series::push`] loop leaves behind, so each
@@ -405,6 +422,16 @@ impl Series {
     /// Heap bytes the series' two sides hold, spare capacity included.
     pub fn heap_bytes(&self) -> usize {
         self.read.heap_bytes() + self.write.heap_bytes()
+    }
+
+    /// One direction's entries, tick-sorted: a read-only view of a side,
+    /// holding only the ticks at which that direction's flow has a nonzero
+    /// bit pattern.
+    pub fn side(&self, op: Op) -> &[Entry] {
+        match op {
+            Op::Read => &self.read.entries,
+            Op::Write => &self.write.entries,
+        }
     }
 
     /// Sparse samples, tick-sorted: the tick merge of the two sides.
@@ -469,8 +496,9 @@ impl Series {
         self.samples().count()
     }
 
-    /// The newest tick either side holds.
-    fn last_tick(&self) -> Option<u32> {
+    /// The newest tick either side holds, in O(1): `None` for an empty
+    /// series.
+    pub fn last_tick(&self) -> Option<u32> {
         let last = |side: &Side| side.entries.last().map(|e| e.tick);
         last(&self.read).max(last(&self.write))
     }
@@ -608,26 +636,40 @@ mod tests {
         assert_eq!(t.write.bytes, 7.0);
     }
 
+    /// A side's entries as `(tick, flow)` pairs.
+    fn pairs(side: &[Entry]) -> Vec<(u32, Flow)> {
+        side.iter().map(|e| (e.tick(), e.flow())).collect()
+    }
+
     #[test]
-    fn from_samples_matches_push_and_rejects_disorder() {
+    fn from_sides_matches_push_and_rejects_what_push_never_leaves() {
         let rows = [(1, rw(1.0, 0.0)), (2, RwFlow::ZERO), (4, rw(0.0, 2.0))];
         let mut pushed = Series::new();
         for &(tick, flow) in &rows {
             pushed.push(tick, flow);
         }
-        let samples = |rows: &[(u32, RwFlow)]| -> Vec<SeriesSample> {
-            rows.iter()
-                .map(|&(tick, rw)| SeriesSample { tick, rw })
-                .collect()
+        let [read, write] = [Op::Read, Op::Write].map(|op| pairs(pushed.side(op)));
+        assert_eq!(Series::from_sides(read, write), Some(pushed));
+        assert_eq!(Series::from_sides([], []), Some(Series::new()));
+        let f = |bytes| Flow { bytes, ops: 1.0 };
+        // A repeat or a step back within a side, or an entry with no bits.
+        assert_eq!(Series::from_sides([(1, f(1.0)), (1, f(2.0))], []), None);
+        assert_eq!(Series::from_sides([], [(3, f(1.0)), (2, f(1.0))]), None);
+        assert_eq!(Series::from_sides([(1, Flow::ZERO)], []), None);
+        // A `-0.0` entry is kept only beside a nonzero one: alone it is an
+        // all-zero sample, which `push` drops.
+        let negative = Flow {
+            bytes: -0.0,
+            ops: 0.0,
         };
-        assert_eq!(Series::from_samples(samples(&rows)), Some(pushed));
-        assert_eq!(Series::from_samples(Vec::new()), Some(Series::new()));
-        // A repeat or a step back is `None`, even on a row `push` would
-        // drop as all-zero.
-        let repeat = [(1, rw(1.0, 0.0)), (1, RwFlow::ZERO)];
-        assert_eq!(Series::from_samples(samples(&repeat)), None);
-        let back = [(3, rw(1.0, 0.0)), (2, rw(1.0, 0.0))];
-        assert_eq!(Series::from_samples(samples(&back)), None);
+        assert_eq!(Series::from_sides([(1, negative)], [(2, f(1.0))]), None);
+        assert!(Series::from_sides([(2, f(1.0))], [(2, negative)]).is_some());
+        let kept = Series::from_sides([(1, negative)], [(1, f(1.0))]).unwrap();
+        let merged: Vec<SeriesSample> = kept.samples().collect();
+        assert_eq!(merged.len(), 1);
+        assert_eq!(merged[0].rw.read.bytes.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(kept.last_tick(), Some(1));
+        assert_eq!(kept.spare_capacity(), 0);
     }
 
     #[test]
@@ -769,6 +811,52 @@ mod tests {
         }
     }
 
+    /// Each side's entries of some rows: every flow with a nonzero bit
+    /// pattern, all-zero samples and repeated ticks included.
+    fn sides_of(rows: &[SeriesSample]) -> [Vec<(u32, Flow)>; 2] {
+        [|rw: RwFlow| rw.read, |rw: RwFlow| rw.write].map(|side| {
+            rows.iter()
+                .map(|s| (s.tick, side(s.rw)))
+                .filter(|(_, flow)| flow.has_bits())
+                .collect()
+        })
+    }
+
+    /// `built` is what `from_sides` must make of these sides: `None`
+    /// unless each side strictly increases with nonzero bits in every flow
+    /// and no merged sample is all-zero, and otherwise the push of their
+    /// tick merge, exact-size.
+    fn assert_same_build(
+        built: Option<Series>,
+        read: &[(u32, Flow)],
+        write: &[(u32, Flow)],
+        other: &oracle::Series,
+    ) {
+        let valid = |side: &[(u32, Flow)]| {
+            side.windows(2).all(|w| w[0].0 < w[1].0) && side.iter().all(|(_, f)| f.has_bits())
+        };
+        let mut merged = std::collections::BTreeMap::<u32, RwFlow>::new();
+        for &(tick, flow) in read {
+            merged.entry(tick).or_default().read = flow;
+        }
+        for &(tick, flow) in write {
+            merged.entry(tick).or_default().write = flow;
+        }
+        let want =
+            (valid(read) && valid(write) && !merged.values().any(RwFlow::is_zero)).then(|| {
+                let mut s = oracle::Series::new();
+                for (&tick, &rw) in &merged {
+                    s.push(tick, rw);
+                }
+                s
+            });
+        assert_eq!(built.is_some(), want.is_some());
+        if let (Some(built), Some(want)) = (&built, &want) {
+            assert_same_reads(built, want, other);
+            assert_eq!(built.spare_capacity(), 0);
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
             if cfg!(miri) { 4 } else { 512 }
@@ -785,8 +873,9 @@ mod tests {
             assert_eq!(split.spare_capacity(), 0);
             assert_same_reads(&split, &reference, &other);
 
-            // `from_samples` over rows that may repeat a tick, step back,
-            // or hold all-zero flows: the same `None`, or the same series.
+            // `from_sides` over the sides of rows that may repeat a tick,
+            // step back, or hold all-zero samples: the same `None`, or the
+            // same series.
             let mut rows: Vec<SeriesSample> = reference.samples().to_vec();
             match g.below(4) {
                 0 if !rows.is_empty() => {
@@ -807,22 +896,28 @@ mod tests {
                     }
                 }
             }
-            let built = Series::from_samples(rows.clone());
-            let want = oracle::Series::from_samples(rows);
-            assert_eq!(built.is_some(), want.is_some());
-            if let (Some(built), Some(want)) = (&built, &want) {
-                assert_same_reads(built, want, &other);
-                assert_eq!(built.spare_capacity(), 0);
+            let [read, write] = sides_of(&rows);
+            assert_same_build(Series::from_sides(read.clone(), write.clone()), &read, &write, &other);
+
+            // A series' own sides rebuild it, unless a push cancelled a
+            // tick to zero, which `from_sides` rejects.
+            let [read, write] = [Op::Read, Op::Write].map(|op| pairs(split.side(op)));
+            let rebuilt = Series::from_sides(read.clone(), write.clone());
+            assert_same_build(rebuilt.clone(), &read, &write, &other);
+            if let Some(rebuilt) = rebuilt {
+                assert_eq!(rebuilt, split);
+                assert_eq!(split.last_tick(), reference.samples().last().map(|s| s.tick));
             }
 
             // Equality is that of the merged samples: flipping the sign of
             // an idle zero adds a column entry but keeps the series equal.
-            let mut twin: Vec<SeriesSample> = reference.samples().to_vec();
-            for s in twin.iter_mut() {
+            let mut twin: Vec<(u32, RwFlow)> =
+                reference.samples().iter().map(|s| (s.tick, s.rw)).collect();
+            for (_, rw) in twin.iter_mut() {
                 let f = if g.chance(0.5) {
-                    &mut s.rw.read.bytes
+                    &mut rw.read.bytes
                 } else {
-                    &mut s.rw.write.ops
+                    &mut rw.write.ops
                 };
                 match g.below(3) {
                     0 if *f == 0.0 => *f = -*f,
@@ -830,13 +925,8 @@ mod tests {
                     _ => {}
                 }
             }
-            let twin_split = Series::from_samples(twin.clone()).expect("ticks still increase");
-            let twin_ref = oracle::Series::from_samples(twin).expect("ticks still increase");
+            let (twin_split, twin_ref) = both(&twin);
             assert_eq!(split == twin_split, reference == twin_ref);
-            // A push can cancel a tick to all-zero, which `from_samples` drops.
-            let rebuilt = Series::from_samples(split.samples()).expect("sorted");
-            let rebuilt_ref = oracle::Series::from_samples(reference.samples().to_vec());
-            assert_eq!(split == rebuilt, Some(&reference) == rebuilt_ref.as_ref());
         }
     }
 }

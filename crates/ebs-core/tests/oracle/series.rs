@@ -40,20 +40,6 @@ impl Series {
         self.samples.push(SeriesSample { tick, rw });
     }
 
-    /// Build a series from whole columns of samples: ticks must strictly
-    /// increase (`None` otherwise), and all-zero samples are dropped.
-    pub fn from_samples(mut samples: Vec<SeriesSample>) -> Option<Self> {
-        let increasing = samples
-            .iter()
-            .zip(samples.iter().skip(1))
-            .all(|(a, b)| a.tick < b.tick);
-        if !increasing {
-            return None;
-        }
-        samples.retain(|s| !s.rw.is_zero());
-        Some(Self { samples })
-    }
-
     /// Sparse samples, tick-sorted.
     pub fn samples(&self) -> &[SeriesSample] {
         &self.samples

@@ -8,11 +8,12 @@
 //! group-varint / frame-of-reference columns; metric series store
 //! integral-valued `f64` columns as packed integers instead of raw bits.
 //! Decode lands in a reusable [`EventScratch`] so the steady-state
-//! streaming path allocates nothing per chunk. The series kernels are
-//! batch passes: a series is transposed once into bit columns, each value
-//! column is sized, bitset-packed and compacted in bulk, and decode reads
-//! each value window whole into a field column, from which the series' two
-//! sides are filled exactly sized. The bytes are those the per-value
+//! streaming path allocates nothing per chunk. The series kernels work on
+//! a [`Series`]' two sides directly: encode merges the sides' ticks once
+//! and packs each value column from its own side's entries, and decode
+//! reads each value column as a borrowed view and fills each side, once
+//! and exactly sized, from the views. No merged sample row and no dense
+//! value column is built either way. The bytes are those the per-value
 //! kernels wrote; those kernels stay as a test-only oracle
 //! (`tests/oracle/series_v2.rs`).
 //!
@@ -31,7 +32,7 @@ use ebs_core::error::EbsError;
 use ebs_core::hash::FxHashMap;
 use ebs_core::ids::{QpId, VdId};
 use ebs_core::io::{IoEvent, Op};
-use ebs_core::metric::{Flow, RwFlow, Series, SeriesSample};
+use ebs_core::metric::{Entry, Flow, Series};
 use ebs_core::time::TickSpec;
 
 /// One row of the specification dataset: the per-VD subscription facts the
@@ -597,6 +598,11 @@ mod series_mode {
     pub const SPARSE_BITS: u8 = 2;
 }
 
+/// Samples per series the decoder sizes its scratch for up front, at
+/// most: a full-scale compute grid (4,320 ticks) fits, and a forged grid
+/// cannot make it reserve more.
+const SCRATCH_SAMPLES: usize = 1 << 14;
+
 /// Whether the `f64` with these bits survives an exact `f64 → u64 → f64`
 /// round trip. True for every byte/op total the simulator produces
 /// (integer-valued, < 2^53); false for fractions, negatives, `-0.0`, NaN,
@@ -606,40 +612,150 @@ fn is_integral(bits: u64) -> bool {
     bits == ((f64::from_bits(bits) as u64) as f64).to_bits()
 }
 
-/// One series' merged samples transposed into columns: tick deltas and
-/// the raw IEEE-754 bits of the four value fields (read bytes, read ops,
-/// write bytes, write ops). The batch encoder refills one of these per
-/// series, so a whole domain encodes with no per-series allocation and no
-/// per-field indirect call.
+/// Reused per-series scratch of the side-native encoder: the merge of a
+/// series' two sides, so a whole domain encodes with no per-series
+/// allocation.
 #[derive(Debug, Default)]
-struct SeriesColumns {
-    ticks: Vec<u64>,
-    fields: [Vec<u64>; 4],
+struct SideMerge {
+    /// Tick deltas of the merged samples.
+    deltas: Vec<u64>,
+    /// Per side (read, write): its presence bitset over the merged
+    /// positions, as `u64` words.
+    present: [Vec<u64>; 2],
     /// Integral-mode candidate values of the field being encoded.
     ints: Vec<u64>,
 }
 
-impl SeriesColumns {
-    /// Transpose the merged samples of `series` in one pass. Ticks
-    /// strictly increase within a series, so the wrapping delta is the
-    /// plain one.
-    fn fill(&mut self, series: &Series) {
-        let samples = series.samples();
-        let [rb, ro, wb, wo] = &mut self.fields;
-        for col in [&mut self.ticks, &mut *rb, &mut *ro, &mut *wb, &mut *wo] {
-            col.clear();
-            col.reserve(samples.size_hint().0);
+impl SideMerge {
+    /// Merge the ticks of a series' two sides, filling the tick-delta
+    /// column and each side's presence bitset over the merged positions.
+    ///
+    /// The side with more entries is walked in runs: between two
+    /// consecutive ticks of the other side, its entries are merged samples
+    /// of their own, taken by a scan that decides nothing per entry but
+    /// whether the run goes on. A series whose sides alternate tick by
+    /// tick gets runs of one; a series mostly one-sided, as generated
+    /// series are, gets long ones.
+    fn fill(&mut self, sides: [&[Entry]; 2]) {
+        let [read, write] = sides;
+        self.deltas.clear();
+        // At most one sample per entry: the column grows at most once.
+        self.deltas.reserve(read.len() + write.len());
+        let [read_present, write_present] = &mut self.present;
+        read_present.clear();
+        write_present.clear();
+        let (long, short, present) = if write.len() >= read.len() {
+            (write, read, [write_present, read_present])
+        } else {
+            (read, write, [read_present, write_present])
+        };
+        let mut merged = Merged {
+            deltas: &mut self.deltas,
+            present,
+            word: [0; 2],
+            filled: 0,
+            prev: 0,
+        };
+        let tick = |e: &Entry| u64::from(e.tick());
+        let mut rest = long;
+        // `u64::MAX`, past every tick, ends the last run.
+        for t in short.iter().map(tick).chain([u64::MAX]) {
+            let run = rest.iter().position(|e| tick(e) >= t).unwrap_or(rest.len());
+            let (before, after) = rest.split_at_checked(run).unwrap_or((rest, &[]));
+            merged.push_run(before);
+            if t == u64::MAX {
+                break;
+            }
+            let shared = after.first().is_some_and(|e| tick(e) == t);
+            merged.push(t, [shared, true]);
+            rest = after.get(usize::from(shared)..).unwrap_or(&[]);
         }
-        let mut prev = 0u32;
-        for s in samples {
-            self.ticks.push(u64::from(s.tick.wrapping_sub(prev)));
-            prev = s.tick;
-            rb.push(s.rw.read.bytes.to_bits());
-            ro.push(s.rw.read.ops.to_bits());
-            wb.push(s.rw.write.bytes.to_bits());
-            wo.push(s.rw.write.ops.to_bits());
+        merged.finish();
+    }
+}
+
+/// The merged samples of a series as [`SideMerge::fill`] writes them: tick
+/// deltas, and presence bits for the longer and the shorter side,
+/// collected a word at a time.
+struct Merged<'a> {
+    deltas: &'a mut Vec<u64>,
+    /// Presence words of the longer side, then of the shorter one.
+    present: [&'a mut Vec<u64>; 2],
+    /// The presence bits of the word being filled, and how many it holds.
+    word: [u64; 2],
+    filled: u32,
+    prev: u64,
+}
+
+impl Merged<'_> {
+    /// Append the sample at tick `t`, present on the sides `on` marks.
+    /// Ticks strictly increase, so each delta is positive after the first.
+    #[inline]
+    fn push(&mut self, t: u64, on: [bool; 2]) {
+        self.deltas.push(t - self.prev);
+        self.prev = t;
+        for (word, on) in self.word.iter_mut().zip(on) {
+            *word |= u64::from(on) << self.filled;
+        }
+        self.filled += 1;
+        if self.filled == 64 {
+            self.flush();
         }
     }
+
+    /// Append samples of the longer side alone, one per entry of `run`.
+    fn push_run(&mut self, run: &[Entry]) {
+        let mut prev = self.prev;
+        self.deltas.extend(run.iter().map(|e| {
+            let t = u64::from(e.tick());
+            let delta = t - prev;
+            prev = t;
+            delta
+        }));
+        self.prev = prev;
+        // Their presence bits: ones for the longer side, zeros (already
+        // there) for the shorter, a word at a time.
+        let mut left = run.len();
+        while left > 0 {
+            let take = left.min(64 - self.filled as usize);
+            let [long, _] = &mut self.word;
+            *long |= (u64::MAX >> (64 - take)) << self.filled;
+            self.filled += take as u32;
+            left -= take;
+            if self.filled == 64 {
+                self.flush();
+            }
+        }
+    }
+
+    fn flush(&mut self) {
+        for (present, word) in self.present.iter_mut().zip(&mut self.word) {
+            present.push(std::mem::take(word));
+        }
+        self.filled = 0;
+    }
+
+    /// Flush a partly filled last word.
+    fn finish(mut self) {
+        if self.filled > 0 {
+            self.flush();
+        }
+    }
+}
+
+/// The positions of the set bits of `words`, in order.
+fn set_positions(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    let mut words = words.iter();
+    let (mut base, mut bits) = (0usize, words.next().copied().unwrap_or(0));
+    std::iter::from_fn(move || {
+        while bits == 0 {
+            bits = *words.next()?;
+            base += 64;
+        }
+        let bit = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        Some(base + bit)
+    })
 }
 
 /// Upper bound on a v2 series payload, capped at the format's chunk limit:
@@ -651,7 +767,7 @@ fn series_payload_bound(series: &[Series]) -> usize {
         .iter()
         .map(|s| {
             // At most one sample per side entry.
-            let n = s.samples().size_hint().1.unwrap_or(0);
+            let n = s.side(Op::Read).len() + s.side(Op::Write).len();
             10 + 2 + 11 * n.div_ceil(MINIBLOCK) + 8 * n + 4 * (1 + 8 * n)
         })
         .sum();
@@ -667,37 +783,56 @@ fn series_payload_bound(series: &[Series]) -> usize {
 /// full scale this roughly halves the metric chunks, which dominate the
 /// container (~92% of its bytes).
 ///
-/// Each series is transposed once into bit columns, and every value
-/// column is then packed by batch passes over its bits.
+/// The columns are written from the series' sides ([`Series::side`]): one
+/// walk merges the two sides' ticks, and each value column is then packed
+/// from its own side's entries, where every merged position the side has
+/// no entry at is `+0.0`.
 pub fn encode_series_set(ticks: TickSpec, series: &[Series]) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(series_payload_bound(series));
     w.put_f64_bits(ticks.tick_secs);
     w.put_varint(ticks.ticks as u64);
     w.put_varint(series.len() as u64);
-    let mut cols = SeriesColumns::default();
+    let mut merge = SideMerge::default();
     for s in series {
-        cols.fill(s);
-        w.put_varint(cols.ticks.len() as u64);
-        encode_column(&mut w, &cols.ticks);
-        for field in &cols.fields {
-            encode_value_column(&mut w, field, &mut cols.ints);
+        let sides = [s.side(Op::Read), s.side(Op::Write)];
+        merge.fill(sides);
+        let n = merge.deltas.len();
+        w.put_varint(n as u64);
+        encode_column(&mut w, &merge.deltas);
+        for (side, present) in sides.into_iter().zip(&merge.present) {
+            encode_value_column(&mut w, n, side, present, |f| f.bytes, &mut merge.ints);
+            encode_value_column(&mut w, n, side, present, |f| f.ops, &mut merge.ints);
         }
     }
     w.into_bytes()
 }
 
-/// Append one value column (the raw bits of one field of one series) in
-/// the smallest of the three [`series_mode`] layouts.
-fn encode_value_column(w: &mut ByteWriter, bits: &[u64], ints: &mut Vec<u64>) {
-    let n = bits.len();
-    let nonzero: usize = bits.iter().map(|&b| usize::from(b != 0)).sum();
+/// Append the value column of one field of one side in the smallest of
+/// the three [`series_mode`] layouts. The column spans the series' `n`
+/// merged samples; `present` marks the positions of the side's entries,
+/// and every other position is `+0.0`.
+fn encode_value_column(
+    w: &mut ByteWriter,
+    n: usize,
+    side: &[Entry],
+    present: &[u64],
+    field: impl Fn(Flow) -> f64,
+    ints: &mut Vec<u64>,
+) {
+    let bits = |e: &Entry| field(e.flow()).to_bits();
+    let nonzero: usize = side.iter().map(|e| usize::from(bits(e) != 0)).sum();
     let raw_body = 8 * n;
     let sparse_body = n.div_ceil(8) + 8 * nonzero;
     // `all` stops at the first fraction, which for rate columns is
-    // usually their first nonzero value.
-    if bits.iter().all(|&b| is_integral(b)) {
+    // usually their first value; the absent `+0.0`s are integral.
+    if side.iter().all(|e| is_integral(bits(e))) {
         ints.clear();
-        ints.extend(bits.iter().map(|&b| f64::from_bits(b) as u64));
+        ints.resize(n, 0);
+        for (e, p) in side.iter().zip(set_positions(present)) {
+            if let Some(slot) = ints.get_mut(p) {
+                *slot = f64::from_bits(bits(e)) as u64;
+            }
+        }
         if encoded_column_size(ints) <= sparse_body.min(raw_body) {
             w.put_u8(series_mode::INTEGRAL);
             encode_column(w, ints);
@@ -707,18 +842,26 @@ fn encode_value_column(w: &mut ByteWriter, bits: &[u64], ints: &mut Vec<u64>) {
     if sparse_body < raw_body {
         w.put_u8(series_mode::SPARSE_BITS);
         let bitset = w.put_slot(n.div_ceil(8));
-        for (byte, group) in bitset.iter_mut().zip(bits.chunks(8)) {
-            *byte = group
-                .iter()
-                .enumerate()
-                .fold(0u8, |acc, (i, &b)| acc | u8::from(b != 0) << i);
+        if nonzero == side.len() {
+            // Every entry is nonzero here: the side's presence bitset.
+            let bytes = present.iter().flat_map(|word| word.to_le_bytes());
+            for (byte, b) in bitset.iter_mut().zip(bytes) {
+                *byte = b;
+            }
+        } else {
+            for (e, p) in side.iter().zip(set_positions(present)) {
+                if let Some(byte) = bitset.get_mut(p / 8) {
+                    *byte |= u8::from(bits(e) != 0) << (p % 8);
+                }
+            }
         }
         // Branch-free compaction: every value is stored at the cursor, and
         // the cursor only moves past nonzero ones, so a zero is overwritten
         // by the next nonzero value (or, past the last, not stored at all).
         let (words, _) = w.put_slot(8 * nonzero).as_chunks_mut::<8>();
         let mut at = 0usize;
-        for &b in bits {
+        for e in side {
+            let b = bits(e);
             if let Some(word) = words.get_mut(at) {
                 *word = b.to_le_bytes();
             }
@@ -727,22 +870,257 @@ fn encode_value_column(w: &mut ByteWriter, bits: &[u64], ints: &mut Vec<u64>) {
     } else {
         w.put_u8(series_mode::RAW_BITS);
         let (words, _) = w.put_slot(8 * n).as_chunks_mut::<8>();
-        for (word, &b) in words.iter_mut().zip(bits) {
-            *word = b.to_le_bytes();
+        for (e, p) in side.iter().zip(set_positions(present)) {
+            if let Some(word) = words.get_mut(p) {
+                *word = bits(e).to_le_bytes();
+            }
         }
     }
+}
+
+/// One value column of a series as read from the payload, never expanded
+/// to one value per sample. Its masks are `u64` words over the merged
+/// positions, bit `p % 64` of word `p / 64` for position `p`.
+#[derive(Debug, Default)]
+struct ValueColumn {
+    /// Positions whose value is the next one stored: the sparse bitset,
+    /// or every position of a raw or integral column.
+    step: Vec<u64>,
+    /// Positions whose value has a nonzero bit pattern.
+    bits: Vec<u64>,
+    /// Positions whose value is neither `+0.0` nor `-0.0`.
+    nonzero: Vec<u64>,
+    /// An integral column's values, as `f64` bits.
+    ints: Vec<u64>,
+    owned: Vec<[u8; 8]>,
+    /// Whether the stored values are `owned` rather than a payload window.
+    integral: bool,
+    /// Whether the column stores a value per position (raw or integral).
+    dense: bool,
+}
+
+impl ValueColumn {
+    /// Scratch for columns of up to `n` samples.
+    fn with_capacity(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        Self {
+            step: Vec::with_capacity(words),
+            bits: Vec::with_capacity(words),
+            nonzero: Vec::with_capacity(words),
+            ints: Vec::with_capacity(n),
+            owned: Vec::with_capacity(n),
+            ..Self::default()
+        }
+    }
+
+    /// The column's values at the positions `member` marks, in order. When
+    /// the column stores exactly those positions (a sparse column of a
+    /// side whose bytes and ops are zero together, or a raw one of a side
+    /// active at every sample) that is its stored values as they are: its
+    /// payload `window`, or the decoded integral column. Otherwise they are
+    /// gathered into `out`, walking the member positions and the stored
+    /// ones of a sparse column, with a cursor into its values; a member
+    /// position off `step` is `+0.0`.
+    fn at_members<'a>(
+        &'a self,
+        window: &'a [[u8; 8]],
+        member: &[u64],
+        out: &'a mut Vec<[u8; 8]>,
+    ) -> &'a [[u8; 8]] {
+        let vals = if self.integral { &self.owned } else { window };
+        if self.step == member {
+            return vals;
+        }
+        out.clear();
+        let sparse = u64::from(!self.dense).wrapping_neg();
+        let mut at = 0usize;
+        for (k, (&word, &step)) in member.iter().zip(&self.step).enumerate() {
+            let mut visit = word | (step & sparse);
+            while visit != 0 {
+                let bit = visit.trailing_zeros();
+                visit &= visit - 1;
+                let stored = step >> bit & 1;
+                let index = if self.dense {
+                    64 * k + bit as usize
+                } else {
+                    at
+                };
+                at += stored as usize;
+                if word >> bit & 1 == 1 {
+                    let v = vals.get(index).map_or(0, |v| u64::from_le_bytes(*v));
+                    out.push((v & stored.wrapping_neg()).to_le_bytes());
+                }
+            }
+        }
+        out
+    }
+
+    /// Masks of a column storing one value per position.
+    fn fill_dense(&mut self, vals: &[[u8; 8]], n: usize) {
+        let words = n.div_ceil(64);
+        self.step.clear();
+        self.step.extend((0..words).map(|k| match n - 64 * k {
+            rest @ 0..64 => (1u64 << rest) - 1,
+            _ => u64::MAX,
+        }));
+        self.bits.clear();
+        self.nonzero.clear();
+        for (chunk, &step) in vals.chunks(64).zip(&self.step) {
+            // A raw column is nearly all nonzero: a word holding no `±0.0`
+            // is its step word in both masks, found by one fold that
+            // vectorizes; only a word holding one is built bit by bit.
+            let zeros = chunk
+                .iter()
+                .fold(false, |z, v| z | (u64::from_le_bytes(*v) << 1 == 0));
+            let (mut bits, mut nonzero) = (step, step);
+            if zeros {
+                (bits, nonzero) = (0, 0);
+                for (i, v) in chunk.iter().enumerate() {
+                    let v = u64::from_le_bytes(*v);
+                    bits |= u64::from(v != 0) << i;
+                    nonzero |= u64::from(v << 1 != 0) << i;
+                }
+            }
+            self.bits.push(bits);
+            self.nonzero.push(nonzero);
+        }
+    }
+
+    /// Read one value column (mode byte, then body) of `n` samples,
+    /// returning its payload window (empty for an integral column, whose
+    /// values are decoded into `owned`).
+    fn read<'p>(
+        &mut self,
+        r: &mut ByteReader<'p>,
+        n: usize,
+        domain: &str,
+    ) -> Result<&'p [[u8; 8]], EbsError> {
+        let mode = r.get_u8()?;
+        self.integral = mode == series_mode::INTEGRAL;
+        self.dense = mode != series_mode::SPARSE_BITS;
+        match mode {
+            series_mode::RAW_BITS => {
+                let (window, _) = r.get_bytes(8 * n)?.as_chunks::<8>();
+                self.fill_dense(window, n);
+                Ok(window)
+            }
+            series_mode::INTEGRAL => {
+                decode_column_into(r, n, &mut self.ints)?;
+                self.owned.clear();
+                self.owned.extend(
+                    self.ints
+                        .iter()
+                        .map(|&u| (u as f64).to_bits().to_le_bytes()),
+                );
+                let owned = std::mem::take(&mut self.owned);
+                self.fill_dense(&owned, n);
+                self.owned = owned;
+                Ok(&[])
+            }
+            series_mode::SPARSE_BITS => {
+                let bitset = r.get_bytes(n.div_ceil(8))?;
+                if !n.is_multiple_of(8) && bitset.last().is_some_and(|&last| last >> (n % 8) != 0) {
+                    return Err(EbsError::corrupt_store(format!(
+                        "{domain} metrics: sparse bitset sets bits past the sample count"
+                    )));
+                }
+                self.step.clear();
+                let (words, tail) = bitset.as_chunks::<8>();
+                self.step
+                    .extend(words.iter().map(|w| u64::from_le_bytes(*w)));
+                if !tail.is_empty() {
+                    let mut word = [0u8; 8];
+                    for (w, &b) in word.iter_mut().zip(tail) {
+                        *w = b;
+                    }
+                    self.step.push(u64::from_le_bytes(word));
+                }
+                let stored: usize = self.step.iter().map(|w| w.count_ones() as usize).sum();
+                // A stored zero is reported before a truncation that comes
+                // after it, as the per-value reader did: scan what is present
+                // of the window first, then take it whole.
+                let rest = r.rest();
+                let (present, _) = rest.get(..8 * stored).unwrap_or(rest).as_chunks::<8>();
+                // A whole-window fold, with no early exit, so it vectorizes.
+                let signed_zero = present
+                    .iter()
+                    .fold(false, |z, v| z | (u64::from_le_bytes(*v) << 1 == 0));
+                if signed_zero && present.iter().any(|v| u64::from_le_bytes(*v) == 0) {
+                    return Err(EbsError::corrupt_store(format!(
+                        "{domain} metrics: sparse column stores an explicit zero"
+                    )));
+                }
+                let (window, _) = r.get_bytes(8 * stored)?.as_chunks::<8>();
+                self.bits.clone_from(&self.step);
+                self.nonzero.clone_from(&self.step);
+                if signed_zero {
+                    // The stored positions less those of the `-0.0`s.
+                    let mut at = 0usize;
+                    for word in self.nonzero.iter_mut() {
+                        let mut set = *word;
+                        while set != 0 {
+                            let bit = set & set.wrapping_neg();
+                            if window
+                                .get(at)
+                                .is_some_and(|v| u64::from_le_bytes(*v) << 1 == 0)
+                            {
+                                *word &= !bit;
+                            }
+                            set &= set - 1;
+                            at += 1;
+                        }
+                    }
+                }
+                Ok(window)
+            }
+            other => Err(EbsError::corrupt_store(format!(
+                "{domain} metrics: unknown value-column mode {other}"
+            ))),
+        }
+    }
+}
+
+/// The ticks of the member positions `member` marks, in order, into `out`.
+fn member_ticks(member: &[u64], ticks: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    out.extend(set_positions(member).map(|p| ticks.get(p).copied().unwrap_or(0)));
+}
+
+/// One side's entries from its columns over the entries: ticks, then the
+/// bits of bytes and of ops.
+fn side_entries<'a>(
+    ticks: &'a [u32],
+    [bytes, ops]: [&'a [[u8; 8]]; 2],
+) -> impl ExactSizeIterator<Item = (u32, Flow)> + 'a {
+    let value = |v: &[u8; 8]| f64::from_bits(u64::from_le_bytes(*v));
+    ticks
+        .iter()
+        .zip(bytes)
+        .zip(ops)
+        .map(move |((&tick, b), o)| {
+            (
+                tick,
+                Flow {
+                    bytes: value(b),
+                    ops: value(o),
+                },
+            )
+        })
 }
 
 /// Decode one v2 metric domain back into a tick grid and per-entity
 /// series.
 ///
-/// Each series decodes into reused column scratch: the tick column is
-/// prefix-summed once, each value column is read as a single window into
-/// its field column, and [`Series::from_samples`] then fills the series'
-/// two sides straight from those five, each allocated exactly once.
-/// Validation runs per series in the order the per-value decoder ran it —
-/// every column is read before the ticks are checked — so hostile input
-/// fails with the same error.
+/// Each series decodes into reused scratch: the tick column is
+/// prefix-summed once, and each value column is read as a borrowed view
+/// (a raw window, a sparse bitset beside its value window, or the decoded
+/// integral column) with word masks of its nonzero positions. A position
+/// belongs to a side when that side's bytes or ops has nonzero bits,
+/// unless the whole sample is `±0.0` ([`Series::push`] drops such a
+/// sample), and [`Series::from_sides`] fills each side once, at its exact
+/// count, by walking its member bits. Validation runs per series in the
+/// order the per-value decoder ran it — every column is read before the
+/// ticks are checked — so hostile input fails with the same error.
 pub fn decode_series_set(
     payload: &[u8],
     domain: &str,
@@ -750,10 +1128,17 @@ pub fn decode_series_set(
     let mut r = ByteReader::new(payload, "metric chunk");
     let (spec, entities) = decode_series_header(&mut r, domain)?;
     let mut out = Vec::with_capacity(entities);
-    let mut deltas = Vec::new();
-    let mut ticks = Vec::new();
-    let mut fields: [Vec<f64>; 4] = Default::default();
-    let mut ints = Vec::new();
+    // A valid series holds at most one sample per tick of its grid, so the
+    // scratch is sized for that once, before any series: a scratch vector
+    // that grew mid-domain would leave freed holes between the series'
+    // sides, which fragment the heap.
+    let cap = (spec.ticks as usize).min(SCRATCH_SAMPLES);
+    let mut deltas = Vec::with_capacity(cap);
+    let mut ticks = Vec::with_capacity(cap);
+    let mut cols: [ValueColumn; 4] = std::array::from_fn(|_| ValueColumn::with_capacity(cap));
+    let mut member: [Vec<u64>; 2] = std::array::from_fn(|_| Vec::with_capacity(cap.div_ceil(64)));
+    let mut side_ticks: [Vec<u32>; 2] = std::array::from_fn(|_| Vec::with_capacity(cap));
+    let mut gathered: [Vec<[u8; 8]>; 4] = std::array::from_fn(|_| Vec::with_capacity(cap));
     for entity in 0..entities {
         let declared_samples = r.get_varint()?;
         let samples = usize::try_from(declared_samples)
@@ -774,95 +1159,59 @@ pub fn decode_series_set(
             tick = tick.saturating_add(d);
             tick as u32
         }));
-        for field in &mut fields {
-            decode_field(&mut r, samples, field, &mut ints, domain)?;
+        let mut windows: [&[[u8; 8]]; 4] = [&[]; 4];
+        for (col, window) in cols.iter_mut().zip(&mut windows) {
+            *window = col.read(&mut r, samples, domain)?;
         }
-        let [rb, ro, wb, wo] = &fields;
-        let rows = ticks.iter().zip(rb).zip(ro).zip(wb).zip(wo).map(
-            |((((&tick, &read_bytes), &read_ops), &write_bytes), &write_ops)| SeriesSample {
-                tick,
-                rw: RwFlow {
-                    read: Flow {
-                        bytes: read_bytes,
-                        ops: read_ops,
-                    },
-                    write: Flow {
-                        bytes: write_bytes,
-                        ops: write_ops,
-                    },
-                },
-            },
+        // A whole-column fold, with no early exit, so it vectorizes.
+        let repeats = (deltas.iter().skip(1)).fold(false, |z, &d| z | (d == 0));
+        if tick > u64::from(u32::MAX) || repeats {
+            return Err(tick_column_error(&deltas, entity, domain));
+        }
+        // A side's member positions: its bytes or ops has nonzero bits
+        // there, and the sample is not `±0.0` throughout.
+        let [rb, ro, wb, wo] = &cols;
+        let [read, write] = &mut member;
+        read.clear();
+        write.clear();
+        let word = |mask: &[u64], k: usize| mask.get(k).copied().unwrap_or(0);
+        for k in 0..samples.div_ceil(64) {
+            let keep = [rb, ro, wb, wo]
+                .iter()
+                .fold(0, |acc, c| acc | word(&c.nonzero, k));
+            read.push((word(&rb.bits, k) | word(&ro.bits, k)) & keep);
+            write.push((word(&wb.bits, k) | word(&wo.bits, k)) & keep);
+        }
+        let [read, write] = &member;
+        let [read_ticks, write_ticks] = &mut side_ticks;
+        member_ticks(read, &ticks, read_ticks);
+        member_ticks(write, &ticks, write_ticks);
+        let [rb_out, ro_out, wb_out, wo_out] = &mut gathered;
+        let [rb_win, ro_win, wb_win, wo_win] = windows;
+        let series = Series::from_sides(
+            side_entries(
+                read_ticks,
+                [
+                    rb.at_members(rb_win, read, rb_out),
+                    ro.at_members(ro_win, read, ro_out),
+                ],
+            ),
+            side_entries(
+                write_ticks,
+                [
+                    wb.at_members(wb_win, write, wb_out),
+                    wo.at_members(wo_win, write, wo_out),
+                ],
+            ),
         );
-        let series = if tick <= u64::from(u32::MAX) {
-            Series::from_samples(rows)
-        } else {
-            None
-        };
-        out.push(series.ok_or_else(|| tick_column_error(&deltas, entity, domain))?);
+        out.push(series.ok_or_else(|| {
+            EbsError::corrupt_store(format!(
+                "{domain} metrics: entity {entity} decodes to an invalid series"
+            ))
+        })?);
     }
     r.expect_end()?;
     Ok((spec, out))
-}
-
-/// Read one value column (mode byte, then body) of `n` samples into
-/// `field`, replacing its contents.
-fn decode_field(
-    r: &mut ByteReader<'_>,
-    n: usize,
-    field: &mut Vec<f64>,
-    ints: &mut Vec<u64>,
-    domain: &str,
-) -> Result<(), EbsError> {
-    field.clear();
-    match r.get_u8()? {
-        series_mode::RAW_BITS => {
-            let (vals, _) = r.get_bytes(8 * n)?.as_chunks::<8>();
-            field.extend(vals.iter().map(|v| f64::from_bits(u64::from_le_bytes(*v))));
-        }
-        series_mode::INTEGRAL => {
-            decode_column_into(r, n, ints)?;
-            field.extend(ints.iter().map(|&u| u as f64));
-        }
-        series_mode::SPARSE_BITS => {
-            let bitset = r.get_bytes(n.div_ceil(8))?;
-            if !n.is_multiple_of(8) && bitset.last().is_some_and(|&last| last >> (n % 8) != 0) {
-                return Err(EbsError::corrupt_store(format!(
-                    "{domain} metrics: sparse bitset sets bits past the sample count"
-                )));
-            }
-            let nonzero: usize = bitset.iter().map(|b| b.count_ones() as usize).sum();
-            // A stored zero is reported before a truncation that comes
-            // after it, as the per-value reader did: scan what is present
-            // of the window first, then take it whole.
-            let rest = r.rest();
-            let (present, _) = rest.get(..8 * nonzero).unwrap_or(rest).as_chunks::<8>();
-            if present.iter().any(|v| u64::from_le_bytes(*v) == 0) {
-                return Err(EbsError::corrupt_store(format!(
-                    "{domain} metrics: sparse column stores an explicit zero"
-                )));
-            }
-            let (vals, _) = r.get_bytes(8 * nonzero)?.as_chunks::<8>();
-            // Branch-free expansion: each sample takes the value at the
-            // cursor masked by its presence bit, and the cursor moves on
-            // set bits.
-            field.resize(n, 0.0);
-            let mut at = 0usize;
-            for (group, &byte) in field.chunks_mut(8).zip(bitset) {
-                for (bit, slot) in group.iter_mut().enumerate() {
-                    let set = u64::from(byte >> bit & 1);
-                    let v = vals.get(at).map_or(0, |v| u64::from_le_bytes(*v));
-                    *slot = f64::from_bits(v & set.wrapping_neg());
-                    at += set as usize;
-                }
-            }
-        }
-        other => {
-            return Err(EbsError::corrupt_store(format!(
-                "{domain} metrics: unknown value-column mode {other}"
-            )))
-        }
-    }
-    Ok(())
 }
 
 /// The error for a tick column the batch check rejected: the first
@@ -932,6 +1281,7 @@ fn next_tick(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebs_core::metric::RwFlow;
 
     fn sample_events() -> Vec<IoEvent> {
         (0..1000u64)
@@ -1332,9 +1682,31 @@ mod tests {
         }
     }
 
+    /// One direction's flow in the generator's shape: active at `active`
+    /// in 32 ticks, its bytes and ops then nonzero together (full-entropy
+    /// rates, or now and then whole numbers), idle otherwise.
+    fn side_flow(g: &mut Gen, active: u64) -> Flow {
+        if g.below(32) >= active {
+            return Flow::ZERO;
+        }
+        let bytes = if g.below(8) == 0 {
+            ((g.below(1 << 12) + 1) * 4096) as f64
+        } else {
+            (g.below(1 << 30) + 1) as f64 / 7.0
+        };
+        Flow {
+            bytes,
+            ops: bytes / 4096.0,
+        }
+    }
+
     /// A random domain of series covering empty and single-sample series,
     /// series spanning several frame-of-reference miniblocks, and every
-    /// column flavour above.
+    /// column flavour above. Besides series whose fields draw their zeros
+    /// independently, it holds series in the generator's shape (each
+    /// side's bytes and ops zero together, read and write ticks
+    /// interleaved, most ticks one-sided) and read-only and write-only
+    /// ones.
     fn random_domain(g: &mut Gen, max_len: u64) -> Vec<Series> {
         (0..g.below(6))
             .map(|_| {
@@ -1345,20 +1717,24 @@ mod tests {
                     _ => g.below(max_len),
                 };
                 let flavours = [0; 4].map(|_| g.below(6));
+                let shape = g.below(6);
+                let fields = |g: &mut Gen, [bytes, ops]: [u64; 2]| Flow {
+                    bytes: field_value(g, bytes),
+                    ops: field_value(g, ops),
+                };
                 let mut s = Series::new();
                 let mut tick = g.below(3) as u32;
                 for _ in 0..len {
-                    let rw = RwFlow {
-                        read: Flow {
-                            bytes: field_value(g, flavours[0]),
-                            ops: field_value(g, flavours[1]),
-                        },
-                        write: Flow {
-                            bytes: field_value(g, flavours[2]),
-                            ops: field_value(g, flavours[3]),
-                        },
+                    let (read, write) = match shape {
+                        0 | 1 => (side_flow(g, 5), side_flow(g, 29)),
+                        2 => (fields(g, [flavours[0], flavours[1]]), Flow::ZERO),
+                        3 => (Flow::ZERO, fields(g, [flavours[2], flavours[3]])),
+                        _ => (
+                            fields(g, [flavours[0], flavours[1]]),
+                            fields(g, [flavours[2], flavours[3]]),
+                        ),
                     };
-                    s.push(tick, rw);
+                    s.push(tick, RwFlow { read, write });
                     tick += 1 + if g.below(8) == 0 {
                         1 << 12
                     } else {
@@ -1420,6 +1796,7 @@ mod tests {
             let (spec, decoded) = decode_series_set(&payload, "compute").unwrap();
             assert_eq!(spec, ticks);
             assert_eq!(sample_bits(&decoded), sample_bits(&series), "round trip");
+            assert!(decoded.iter().all(|s| s.spare_capacity() == 0), "growth slack");
             assert_same_outcome(
                 Ok((spec, decoded)),
                 oracle::decode(&payload, "compute"),

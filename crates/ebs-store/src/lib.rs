@@ -24,10 +24,11 @@
 //! deltas, and integral metric samples pack as integer columns; floats
 //! that are not integral travel as raw IEEE-754 bits, so a save→load→save
 //! cycle is byte-identical. The metric-series codec, which carries most of
-//! a container's bytes, runs as per-domain batch passes: each series is
-//! transposed once into bit columns that are packed whole, and decoded
-//! straight into exactly-sized series sides. That layout is the same one
-//! the per-value kernels wrote (DESIGN.md §14). The
+//! a container's bytes, works on each series' read and write sides
+//! directly: encode packs every value column from its own side's entries,
+//! and decode fills each side, once and exactly sized, from borrowed views
+//! of the value columns. That layout is the same one the per-value kernels
+//! wrote (DESIGN.md §14). The
 //! [`writer::StoreWriter`] produces v2 containers; the
 //! [`reader::ChunkReader`] reads them back (a header of any other version
 //! is [`VersionSkew`]) and either materializes chunks fully or streams

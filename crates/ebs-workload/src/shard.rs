@@ -49,7 +49,7 @@ use crate::dataset::Dataset;
 use crate::fleet::build_fleet;
 use crate::generator::generate_vd;
 use crate::spatial::{build_plan, TrafficPlan};
-use crate::store::{decode_config, encode_config, validate_events};
+use crate::store::{check_metric_grid, decode_config, encode_config, validate_events};
 
 /// Environment variable selecting the shard count for sharded runs.
 pub const SHARDS_ENV: &str = "EBS_SHARDS";
@@ -403,22 +403,14 @@ fn load_shard(
             kind::EVENTS => decode_events_into(&payload, &mut scratch, &mut events)?,
             kind::COMPUTE_METRICS => {
                 let (ticks, series) = decode_series_set(&payload, "compute")?;
-                if ticks != cticks {
-                    return Err(EbsError::corrupt_store(format!(
-                        "shard {} compute metrics use a different tick grid than the config",
-                        entry.name
-                    )));
-                }
+                let domain = format!("shard {} compute", entry.name);
+                check_metric_grid(&domain, ticks, cticks, &series)?;
                 qp_series = Some(series);
             }
             kind::STORAGE_METRICS => {
                 let (ticks, series) = decode_series_set(&payload, "storage")?;
-                if ticks != sticks {
-                    return Err(EbsError::corrupt_store(format!(
-                        "shard {} storage metrics use a different tick grid than the config",
-                        entry.name
-                    )));
-                }
+                let domain = format!("shard {} storage", entry.name);
+                check_metric_grid(&domain, ticks, sticks, &series)?;
                 seg_series = Some(series);
             }
             _ => {}

@@ -229,8 +229,10 @@ impl Dataset {
 
         let (cticks, per_qp) = require_chunk(compute_chunk, "compute metrics")?;
         check_entity_count("compute", per_qp.len(), fleet.qps.len())?;
+        check_metric_grid("compute", cticks, config.compute_ticks(), &per_qp)?;
         let (sticks, per_seg) = require_chunk(storage_chunk, "storage metrics")?;
         check_entity_count("storage", per_seg.len(), fleet.segments.len())?;
+        check_metric_grid("storage", sticks, config.storage_ticks(), &per_seg)?;
 
         if events.len() as u64 != end.events {
             return Err(EbsError::truncated(format!(
@@ -294,6 +296,34 @@ fn check_entity_count(domain: &str, got: usize, want: usize) -> Result<(), EbsEr
         )));
     }
     Ok(())
+}
+
+/// A metric chunk must use the tick grid its config implies (`want`), and
+/// every series must end inside it. The codec checks neither: it carries
+/// whatever grid and ticks it is given.
+pub(crate) fn check_metric_grid(
+    domain: &str,
+    got: TickSpec,
+    want: TickSpec,
+    series: &[Series],
+) -> Result<(), EbsError> {
+    if got != want {
+        return Err(EbsError::corrupt_store(format!(
+            "{domain} metrics use a {} s x {} grid but the config implies {} s x {}",
+            got.tick_secs, got.ticks, want.tick_secs, want.ticks
+        )));
+    }
+    let past = series
+        .iter()
+        .enumerate()
+        .find_map(|(i, s)| s.last_tick().filter(|&t| t >= want.ticks).map(|t| (i, t)));
+    match past {
+        Some((entity, tick)) => Err(EbsError::corrupt_store(format!(
+            "{domain} metrics: entity {entity} has tick {tick}, past its {}-tick grid",
+            want.ticks
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// Range-check loaded events against the rebuilt fleet: timestamps sorted

@@ -520,22 +520,37 @@ fn serve_metrics_stream_matches_gold_master() {
     );
 }
 
-/// Saved containers of two quick datasets, pinned by length and `seal32`
-/// fingerprint. The store format is a compatibility contract: a codec
-/// rewrite must reproduce these files byte for byte, and only a deliberate
-/// format change (with a `VERSION` bump) may re-record the constants.
+/// Saved containers of two quick datasets and one medium dataset (the
+/// shape the repository benchmark's `ingest` saves and loads), pinned by
+/// length and `seal32` fingerprint. The store format is a compatibility
+/// contract: a codec rewrite must reproduce these files byte for byte, and
+/// only a deliberate format change (with a `VERSION` bump) may re-record
+/// the constants.
 #[test]
 fn store_containers_match_pinned_fingerprints() {
-    const PINS: [(u64, u64, u32); 2] = [(21, 850_501, 0x8617_96a7), (505, 1_118_855, 0xd212_1e94)];
+    const PINS: [(&str, u64, u64, u32); 3] = [
+        ("quick", 21, 850_501, 0x8617_96a7),
+        ("quick", 505, 1_118_855, 0xd212_1e94),
+        ("medium", 0xEB5_2025, 5_650_654, 0xcbc9_b583),
+    ];
     let tmp = ebs::core::TempDir::new("store-pin").unwrap();
-    let got = PINS.map(|(seed, _, _)| {
-        let path = tmp.join(format!("quick-{seed}.ebs"));
-        generate(&WorkloadConfig::quick(seed))
-            .unwrap()
-            .save(&path)
-            .unwrap();
+    let got = PINS.map(|(scale, seed, _, _)| {
+        let path = tmp.join(format!("{scale}-{seed}.ebs"));
+        let config = match scale {
+            "quick" => WorkloadConfig::quick(seed),
+            _ => WorkloadConfig::medium(seed),
+        };
+        generate(&config).unwrap().save(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        (seed, bytes.len() as u64, ebs::store::seal::seal32(&bytes))
+        (
+            scale,
+            seed,
+            bytes.len() as u64,
+            ebs::store::seal::seal32(&bytes),
+        )
     });
-    assert_eq!(got, PINS, "container bytes moved: (seed, length, seal32)");
+    assert_eq!(
+        got, PINS,
+        "container bytes moved: (scale, seed, length, seal32)"
+    );
 }

@@ -202,6 +202,43 @@ fn store_future_version_is_version_skew() {
     }
 }
 
+#[test]
+fn store_metric_grid_contradicting_the_config_is_corrupt_store() {
+    use ebs::core::error::EbsError;
+    use ebs::core::ids::QpId;
+    use ebs::core::metric::{Flow, RwFlow};
+    use ebs::core::time::TickSpec;
+    let dir = ebs::core::TempDir::new("failinj-grid").unwrap();
+    let path = dir.join("grid.ebs");
+    let mut ds = generate(&WorkloadConfig::quick(3)).unwrap();
+    let grid = ds.compute.ticks;
+    assert_eq!(grid, ds.config.compute_ticks());
+    // A grid the stored config does not imply, which the series overrun.
+    ds.compute.ticks = TickSpec::new(35.0, 2);
+    ds.save(&path).unwrap();
+    let err = ebs::workload::Dataset::load(&path).expect_err("a foreign grid must not load");
+    assert!(matches!(err, EbsError::CorruptStore(_)), "{err}");
+    // The config's own grid, with one series ticking past its end.
+    ds.compute.ticks = grid;
+    let flow = Flow {
+        bytes: 4096.0,
+        ops: 1.0,
+    };
+    ds.compute.per_qp[QpId(0)].push(
+        grid.ticks,
+        RwFlow {
+            read: flow,
+            write: Flow::ZERO,
+        },
+    );
+    ds.save(&path).unwrap();
+    let err = ebs::workload::Dataset::load(&path).expect_err("a tick past the grid must not load");
+    assert!(
+        matches!(&err, EbsError::CorruptStore(msg) if msg.contains("past its")),
+        "{err}"
+    );
+}
+
 /// One real v2 EVENTS payload (a few hundred events), for decoder fuzzing
 /// below the frame-seal layer — the corruption the seal cannot catch.
 fn v2_events_payload() -> Vec<u8> {
