@@ -89,11 +89,19 @@ pub fn select_importer(
         return None;
     }
     let candidates: Vec<usize> = (0..n).filter(|&i| i != ctx.exporter).collect();
+    // Each candidate is scored once (S6 refits ARIMA per score); a tie
+    // keeps the first minimum, as `min_by` would.
     let argmin = |score: &dyn Fn(usize) -> f64| -> Option<usize> {
         candidates
             .iter()
-            .copied()
-            .min_by(|&a, &b| score(a).partial_cmp(&score(b)).expect("no NaNs"))
+            .map(|&i| (i, score(i)))
+            .reduce(
+                |best, next| match next.1.partial_cmp(&best.1).expect("no NaNs") {
+                    std::cmp::Ordering::Less => next,
+                    _ => best,
+                },
+            )
+            .map(|(i, _)| i)
     };
     match strategy {
         ImporterSelect::Random => Some(candidates[rng.index(candidates.len())]),

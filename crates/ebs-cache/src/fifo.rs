@@ -9,9 +9,8 @@ use ebs_core::io::Op;
 /// Implemented as a fixed ring buffer plus a deterministic fast-hash
 /// residency set: admission overwrites the oldest slot and advances a wrap
 /// cursor, so there is no deque shuffling and no allocation after warm-up.
-/// The original `VecDeque` + std `HashSet` design survives as
-/// [`crate::reference::RefFifoCache`] for differential tests and
-/// benchmarks.
+/// The original `VecDeque` + std `HashSet` design survives as the
+/// test-only oracle `RefFifoCache` (`tests/oracle/reference.rs`).
 #[derive(Clone, Debug)]
 pub struct FifoCache {
     capacity: usize,
@@ -75,6 +74,7 @@ impl CachePolicy for FifoCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn touch(c: &mut FifoCache, page: u64) -> bool {
         c.access(page, Op::Read)
@@ -131,18 +131,23 @@ mod tests {
         assert_eq!(c.residency(), vec![3, 4, 5]);
     }
 
-    #[test]
-    fn matches_reference_fifo_on_a_mixed_stream() {
-        let mut new = FifoCache::new(16);
-        let mut old = crate::reference::RefFifoCache::new(16);
-        let mut x: u64 = 7;
-        for _ in 0..5000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let page = (x >> 33) % 40;
-            assert_eq!(new.access(page, Op::Read), old.access(page, Op::Read));
+    proptest! {
+        #[test]
+        fn ring_fifo_agrees_with_the_reference_implementation(
+            capacity in 1usize..24,
+            accesses in prop::collection::vec(0u64..48, 1..500),
+        ) {
+            let mut ring = FifoCache::new(capacity);
+            let mut reference = crate::reference::RefFifoCache::new(capacity);
+            for (i, &page) in accesses.iter().enumerate() {
+                let op = if page % 2 == 0 { Op::Write } else { Op::Read };
+                let a = ring.access(page, op);
+                let b = reference.access(page, op);
+                prop_assert_eq!(a, b, "access {} (page {}) diverged", i, page);
+                prop_assert_eq!(ring.len(), reference.len(), "len diverged at access {}", i);
+            }
+            // Same resident pages in the same admission order.
+            prop_assert_eq!(ring.residency(), reference.residency());
         }
-        assert_eq!(new.residency(), old.residency());
     }
 }

@@ -9,7 +9,6 @@ use ebs_core::hash::FxHashMap;
 use ebs_core::ids::VdId;
 use ebs_core::index::window_runs;
 use ebs_core::io::IoEvent;
-use ebs_core::topology::Fleet;
 
 /// The block sizes swept by Figure 6/7, in bytes.
 pub const BLOCK_SIZES: [u64; 6] = [
@@ -25,12 +24,13 @@ pub const BLOCK_SIZES: [u64; 6] = [
 pub const HOT_RATE_WINDOW_US: u64 = 300 * 1_000_000;
 
 /// Group a time-sorted event stream by VD (order preserved), copying every
-/// event into per-VD `Vec`s.
-///
-/// Production code paths use the zero-copy [`ebs_core::EventIndex`] views
-/// instead (`Dataset::index().vd(..)`); this helper remains for tests and
-/// as the benchmark baseline the index is measured against.
-pub fn events_by_vd(fleet: &Fleet, events: &[IoEvent]) -> Vec<Vec<IoEvent>> {
+/// event into per-VD `Vec`s: the test-only counterpart of the zero-copy
+/// [`ebs_core::EventIndex`] views production code borrows.
+#[cfg(test)]
+pub(crate) fn events_by_vd(
+    fleet: &ebs_core::topology::Fleet,
+    events: &[IoEvent],
+) -> Vec<Vec<IoEvent>> {
     let mut out = vec![Vec::new(); fleet.vds.len()];
     for ev in events {
         out[ev.vd.index()].push(*ev);
@@ -108,8 +108,8 @@ pub fn hottest_block(vd: VdId, events: &[IoEvent], block_size: u64) -> Option<Ho
 ///
 /// `events` must be time-sorted (every per-VD view of the shared event
 /// index is): each active window is then one contiguous run, so a single
-/// linear scan replaces the old per-window hash map (preserved as
-/// [`crate::reference::ref_hot_rate`], which the tests check against).
+/// linear scan replaces the old per-window hash map (kept as the test-only
+/// oracle `ref_hot_rate`, which the tests check against).
 pub fn hot_rate(
     events: &[IoEvent],
     hb: &HottestBlock,
@@ -230,9 +230,38 @@ mod tests {
         let by_vd = events_by_vd(&ds.fleet, &ds.events);
         let total: usize = by_vd.iter().map(Vec::len).sum();
         assert_eq!(total, ds.events.len());
+        let idx = ds.index();
         for (i, evs) in by_vd.iter().enumerate() {
             for e in evs {
                 assert_eq!(e.vd.index(), i);
+            }
+            // The shared index's zero-copy view holds the same events.
+            assert_eq!(idx.vd(VdId::from_index(i)), evs.as_slice(), "VD {i}");
+        }
+    }
+
+    #[test]
+    fn cache_kernels_agree_with_the_references_on_every_hot_block() {
+        use crate::reference::{RefFifoCache, RefLruCache};
+        use crate::simulate::simulate;
+        use crate::{FifoCache, LruCache};
+        let ds = ebs_workload::generate(&ebs_workload::WorkloadConfig::quick(95)).unwrap();
+        for (i, evs) in ds.index().vd_slices().into_iter().enumerate() {
+            for bs in BLOCK_SIZES {
+                if hottest_block(VdId::from_index(i), evs, bs).is_none() {
+                    continue;
+                }
+                let pages = (bs / crate::policy::PAGE_BYTES) as usize;
+                assert_eq!(
+                    simulate(&mut LruCache::new(pages), evs),
+                    simulate(&mut RefLruCache::new(pages), evs),
+                    "LRU, VD {i}, block {bs}"
+                );
+                assert_eq!(
+                    simulate(&mut FifoCache::new(pages), evs),
+                    simulate(&mut RefFifoCache::new(pages), evs),
+                    "FIFO, VD {i}, block {bs}"
+                );
             }
         }
     }

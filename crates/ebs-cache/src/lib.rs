@@ -16,14 +16,13 @@
 //! * [`utilization`] — per-node cacheable-VD dispersion, the paper's
 //!   provisioning-cost argument for the BS side (Figure 7(d));
 //! * [`hybrid`] — the deployment §7.3.2 closes on: a few CN-cache slots
-//!   per node for the hottest disks, BS-cache as the backup tier;
-//! * [`reference`] — the pre-optimization kernels, kept verbatim as
-//!   differential-test oracles and in-binary benchmark baselines.
+//!   per node for the hottest disks, BS-cache as the backup tier.
 //!
 //! The hot kernels are O(1) per access (slab-list LRU, ring FIFO) and all
 //! hot-path maps use the deterministic fast hasher from
 //! [`ebs_core::hash`]; event streams are borrowed from the shared
-//! [`ebs_core::EventIndex`], never copied.
+//! [`ebs_core::EventIndex`], never copied. The pre-rewrite kernels they
+//! replaced live on as test-only oracles (`tests/oracle/reference.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,18 +35,22 @@ pub mod lfu;
 pub mod location;
 pub mod lru;
 pub mod policy;
-pub mod reference;
 pub mod simulate;
 pub mod utilization;
 
+/// The pre-rewrite LRU/FIFO/hot-rate kernels: the differential oracle for
+/// the tests.
+#[cfg(test)]
+#[path = "../tests/oracle/reference.rs"]
+mod reference;
+
 pub use fifo::FifoCache;
 pub use frozen::FrozenCache;
-pub use hottest_block::{events_by_vd, hot_rate, hottest_block, HottestBlock, BLOCK_SIZES};
+pub use hottest_block::{hot_rate, hottest_block, HottestBlock, BLOCK_SIZES};
 pub use hybrid::{assign_sites, hybrid_latency_gain, HybridConfig};
 pub use lfu::LfuCache;
 pub use location::{hit_oracle, latency_gain, CacheSite, LatencyGain};
 pub use lru::LruCache;
 pub use policy::CachePolicy;
-pub use reference::{ref_hot_rate, RefFifoCache, RefLruCache};
 pub use simulate::{build_policy, simulate, Algorithm, HitStats};
 pub use utilization::{per_bs_counts, per_cn_counts, CACHEABLE_THRESHOLD};

@@ -23,8 +23,8 @@ struct Node {
 /// unlink/relink is three pointer writes, and the evicted victim's slot is
 /// reused in place for the admitted page (no allocation after warm-up).
 /// This replaces the original logical-clock design (`HashMap` stamps plus
-/// a `BTreeMap` recency order, O(log n) per access), which survives as
-/// [`crate::reference::RefLruCache`] for differential tests and benchmarks.
+/// a `BTreeMap` recency order, O(log n) per access), which survives as the
+/// test-only oracle `RefLruCache` (`tests/oracle/reference.rs`).
 #[derive(Clone, Debug)]
 pub struct LruCache {
     capacity: usize,
@@ -137,6 +137,7 @@ impl CachePolicy for LruCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn touch(c: &mut LruCache, page: u64) -> bool {
         c.access(page, Op::Write)
@@ -208,18 +209,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn matches_reference_lru_on_a_mixed_stream() {
-        let mut new = LruCache::new(16);
-        let mut old = crate::reference::RefLruCache::new(16);
-        let mut x: u64 = 99;
-        for _ in 0..5000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let page = (x >> 33) % 40;
-            assert_eq!(new.access(page, Op::Read), old.access(page, Op::Read));
+    proptest! {
+        #[test]
+        fn slab_lru_agrees_with_the_reference_implementation(
+            capacity in 1usize..24,
+            accesses in prop::collection::vec(0u64..48, 1..500),
+        ) {
+            let mut slab = LruCache::new(capacity);
+            let mut reference = crate::reference::RefLruCache::new(capacity);
+            for (i, &page) in accesses.iter().enumerate() {
+                let op = if page % 3 == 0 { Op::Write } else { Op::Read };
+                let a = slab.access(page, op);
+                let b = reference.access(page, op);
+                prop_assert_eq!(a, b, "access {} (page {}) diverged", i, page);
+                prop_assert_eq!(slab.len(), reference.len(), "len diverged at access {}", i);
+            }
+            // Same resident pages in the same eviction order.
+            prop_assert_eq!(slab.residency(), reference.residency());
         }
-        assert_eq!(new.residency(), old.residency());
     }
 }

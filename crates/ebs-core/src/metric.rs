@@ -252,20 +252,38 @@ impl Side {
     /// Add `flow` at `tick`, the newest tick of the series. `repeat` says
     /// the series already holds a sample at `tick`; without an entry of
     /// its own there, this side of that sample is `+0.0`, and the sum
-    /// starts from it as a per-sample accumulation would.
+    /// starts from it as a per-sample accumulation would. A sum that
+    /// cancels to `+0.0` throughout leaves no entry.
     fn push(&mut self, tick: u32, flow: Flow, repeat: bool) {
         if repeat {
             if let Some(last) = self.entries.last_mut().filter(|e| e.tick == tick) {
-                *last = Entry {
-                    tick,
-                    flow: last.flow + flow,
-                };
+                let flow = last.flow + flow;
+                if flow.has_bits() {
+                    *last = Entry { tick, flow };
+                } else {
+                    self.entries.pop();
+                }
                 return;
             }
         }
         let flow = if repeat { Flow::ZERO + flow } else { flow };
         if flow.has_bits() {
             self.entries.push(Entry { tick, flow });
+        }
+    }
+
+    /// The flow of the newest entry if it sits at `tick`.
+    fn flow_at(&self, tick: u32) -> Option<Flow> {
+        self.entries
+            .last()
+            .filter(|e| e.tick == tick)
+            .map(Entry::flow)
+    }
+
+    /// Drop the newest entry if it sits at `tick`.
+    fn pop_at(&mut self, tick: u32) {
+        if self.flow_at(tick).is_some() {
+            self.entries.pop();
         }
     }
 
@@ -370,6 +388,8 @@ impl Series {
 
     /// Append traffic for `tick`. Ticks must be pushed in non-decreasing
     /// order; traffic for a repeated tick accumulates into the last sample.
+    /// A repeated tick whose traffic cancels to zero on both sides is
+    /// dropped, so a series holds only what [`Series::from_sides`] accepts.
     pub fn push(&mut self, tick: u32, rw: RwFlow) {
         if rw.is_zero() {
             return;
@@ -381,6 +401,13 @@ impl Series {
         let repeat = last == Some(tick);
         self.read.push(tick, rw.read, repeat);
         self.write.push(tick, rw.write, repeat);
+        let idle = |side: &Side| side.flow_at(tick).is_none_or(|f| f.is_zero());
+        if repeat && idle(&self.read) && idle(&self.write) {
+            // The tick cancelled to an all-zero sample (any entry left is
+            // `-0.0`), which `from_sides` rejects.
+            self.read.pop_at(tick);
+            self.write.pop_at(tick);
+        }
     }
 
     /// Build a series from each side's entries, tick-sorted: the
@@ -899,15 +926,13 @@ mod tests {
             let [read, write] = sides_of(&rows);
             assert_same_build(Series::from_sides(read.clone(), write.clone()), &read, &write, &other);
 
-            // A series' own sides rebuild it, unless a push cancelled a
-            // tick to zero, which `from_sides` rejects.
+            // A series' own sides rebuild it: `push` leaves only what
+            // `from_sides` accepts, cancelled ticks included.
             let [read, write] = [Op::Read, Op::Write].map(|op| pairs(split.side(op)));
             let rebuilt = Series::from_sides(read.clone(), write.clone());
             assert_same_build(rebuilt.clone(), &read, &write, &other);
-            if let Some(rebuilt) = rebuilt {
-                assert_eq!(rebuilt, split);
-                assert_eq!(split.last_tick(), reference.samples().last().map(|s| s.tick));
-            }
+            assert_eq!(rebuilt.as_ref(), Some(&split));
+            assert_eq!(split.last_tick(), reference.samples().last().map(|s| s.tick));
 
             // Equality is that of the merged samples: flipping the sign of
             // an idle zero adds a column entry but keeps the series equal.

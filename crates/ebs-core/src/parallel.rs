@@ -32,7 +32,7 @@
 //! Thread count resolution, highest priority first:
 //!
 //! 1. a programmatic override ([`set_thread_override`], used by tests and
-//!    the bench harness to pin 1/2/N threads),
+//!    the speed races to pin 1/2/N threads),
 //! 2. the `EBS_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
 
@@ -53,7 +53,7 @@ pub const THREADS_ENV: &str = "EBS_THREADS";
 /// cannot idle the other workers for long.
 const BLOCKS_PER_THREAD: usize = 8;
 
-/// Override the thread count for this process (tests, bench harness).
+/// Override the thread count for this process (tests, speed races).
 /// `None` restores the `EBS_THREADS` / hardware default.
 pub fn set_thread_override(threads: Option<usize>) {
     THREAD_OVERRIDE.store(threads.unwrap_or(0), Ordering::SeqCst);

@@ -1,7 +1,9 @@
 //! Reference metric series: the row-per-sample `Vec<SeriesSample>`
 //! implementation the side-split storage of `ebs_core::metric::Series`
-//! replaced, kept verbatim as a differential oracle. The side-split series
-//! must return these exact samples, sums and dense vectors, bit for bit.
+//! replaced, kept as a differential oracle; its one change since is that a
+//! repeated tick whose traffic cancels to zero is dropped. The side-split
+//! series must return these exact samples, sums and dense vectors, bit for
+//! bit.
 //!
 //! Test-only, and self-contained on purpose: it reaches the crate only
 //! through public paths, so it never drifts along with the private helpers
@@ -25,7 +27,8 @@ impl Series {
     }
 
     /// Append traffic for `tick`. Ticks must be pushed in non-decreasing
-    /// order; traffic for a repeated tick accumulates into the last sample.
+    /// order; traffic for a repeated tick accumulates into the last sample,
+    /// which is dropped if it cancels to zero.
     pub fn push(&mut self, tick: u32, rw: RwFlow) {
         if rw.is_zero() {
             return;
@@ -34,6 +37,9 @@ impl Series {
             assert!(tick >= last.tick, "ticks must be pushed in order");
             if last.tick == tick {
                 last.rw += rw;
+                if last.rw.is_zero() {
+                    self.samples.pop();
+                }
                 return;
             }
         }

@@ -4,7 +4,7 @@
 //! | Rule | Invariant |
 //! |------|-----------|
 //! | `D1` | No `std::collections::HashMap/HashSet` with the default (SipHash, per-process-seeded) hasher — use `ebs_core::hash::Fx*`. |
-//! | `D2` | No `Instant::now` / `SystemTime` outside `bench`, the shims, `ebs-obs`, and test code — wall clocks do not belong in deterministic paths. |
+//! | `D2` | No `Instant::now` / `SystemTime` outside the proptest shim, `ebs-obs`, and test code (the release-mode races in `tests/races.rs` included) — wall clocks do not belong in deterministic paths. |
 //! | `D3` | No `unwrap()/expect()/panic!/unreachable!/todo!/unimplemented!` and no unchecked slice indexing. Hard error in *total* modules; ratcheted via `lint-baseline.toml` elsewhere. |
 //! | `D4` | No `println!/eprintln!/print!/eprint!/dbg!` in library code — bins, harnesses, and the obs emitters own the terminal. |
 //! | `D5` | No ambient randomness (`thread_rng`, `rand::…`, `RandomState`, `from_entropy`, `getrandom`, `OsRng`) — only `ebs_core::rng`. |
@@ -34,8 +34,8 @@ pub enum FileClass {
     Example,
     /// Integration tests (`tests/` directories): D1/D5 only.
     TestFile,
-    /// The bench crate and the offline test-harness shim (`bench`,
-    /// `proptest-shim`): may read clocks and print; D3 still ratchets.
+    /// The offline test-harness shim (`proptest-shim`): may read clocks,
+    /// print and panic.
     Harness,
     /// `ebs-obs`: the observability layer owns the clock and the emitters;
     /// D2/D4 exempt by design.
@@ -167,7 +167,7 @@ pub fn scan_file(path: &str, class: FileClass, total: bool, src: &str) -> FileSc
                         "D2",
                         t,
                         "`SystemTime` reads the wall clock; deterministic code must take \
-                         time from simulation state (or live in `ebs-obs`/`bench`)"
+                         time from simulation state (or live in `ebs-obs` or tests)"
                             .to_string(),
                     ),
                     false,
@@ -181,7 +181,7 @@ pub fn scan_file(path: &str, class: FileClass, total: bool, src: &str) -> FileSc
                         mk(
                             "D2",
                             t,
-                            "`Instant::now` outside `bench`/`ebs-obs`/tests; wrap timing in \
+                            "`Instant::now` outside `ebs-obs`/tests; wrap timing in \
                              `ebs_obs` (it is a no-op when observability is off)"
                                 .to_string(),
                         ),
@@ -196,7 +196,7 @@ pub fn scan_file(path: &str, class: FileClass, total: bool, src: &str) -> FileSc
     // ---- D3: panics and unchecked indexing --------------------------
     let d3_scope = match class {
         FileClass::Lib | FileClass::Obs => true,
-        // A panic in a bench harness, bin, or example aborts that run only —
+        // A panic in a test harness, bin, or example aborts that run only —
         // the no-panic discipline targets library code consumed by others.
         FileClass::Harness | FileClass::Bin | FileClass::Example | FileClass::TestFile => false,
     };

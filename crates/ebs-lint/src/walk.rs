@@ -4,9 +4,9 @@
 use crate::rules::FileClass;
 use std::path::{Path, PathBuf};
 
-/// Crates whose whole tree is a bench/test harness: clocks and printing are
+/// Crates whose whole tree is a test harness: clocks and printing are
 /// their job.
-const HARNESS_CRATES: &[&str] = &["bench", "proptest-shim"];
+const HARNESS_CRATES: &[&str] = &["proptest-shim"];
 
 /// Modules that must be *total*: hostile input yields typed errors, never a
 /// panic. D3 is a hard error here — no baseline, only reasoned inline
@@ -130,10 +130,6 @@ mod tests {
         );
         assert_eq!(classify("crates/ebs-lint/src/main.rs"), FileClass::Bin);
         assert_eq!(classify("crates/ebs-obs/src/report.rs"), FileClass::Obs);
-        assert_eq!(
-            classify("crates/bench/src/bin/bench.rs"),
-            FileClass::Harness
-        );
         assert_eq!(
             classify("crates/proptest-shim/src/lib.rs"),
             FileClass::Harness

@@ -201,7 +201,7 @@ impl Drop for StageTimer {
 /// a clock. Unlike [`StageTimer`] it records nothing on its own — callers
 /// read [`Stopwatch::elapsed_secs`] and feed whatever gauge they like.
 ///
-/// This is the only sanctioned way for code outside `ebs-obs`/`bench` to
+/// This is the only sanctioned way for code outside `ebs-obs` and tests to
 /// touch wall time (rule D2 in `DESIGN.md` §13).
 #[derive(Debug)]
 pub struct Stopwatch {

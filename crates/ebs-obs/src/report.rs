@@ -1,5 +1,5 @@
 //! Structured run reports: the registry snapshot rendered as JSONL and
-//! CSV, written next to the other run artifacts (`BENCH_parallel.json`).
+//! CSV, written next to the other run artifacts (`EBS_OBS_OUT`).
 //!
 //! One metric per line in both formats, in the registry's canonical order,
 //! so two runs that recorded the same deterministic metrics produce

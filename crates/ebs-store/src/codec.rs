@@ -6,7 +6,8 @@
 //! validated once, then 4–128 values are unpacked from a single
 //! bounds-checked byte window with no per-value branching on the payload
 //! length. That is what moves decode from ~19M events/s (a per-value
-//! LEB128 loop) to the ≥5x target BENCH_store.json records: the inner
+//! LEB128 loop) to the 14-16x CSV parse speed the decode race in
+//! `tests/races.rs` measures on a 2-CPU host (it gates at 3x): the inner
 //! loops are fixed-width little-endian loads that the compiler unrolls and
 //! vectorizes.
 //!
@@ -533,8 +534,8 @@ impl ColumnPlan {
 /// Append `vals` as a tagged column: the codec tag, the alignment shift,
 /// then the shifted column under the codec [`pick_group_varint`] selects
 /// (frame-of-reference unless group varint is meaningfully smaller).
-/// Returns the bytes appended, for the per-column accounting the bench
-/// and `--trace` stats report.
+/// Returns the bytes appended, for the per-column accounting the
+/// `--trace` stats report.
 pub fn encode_column(w: &mut ByteWriter, vals: &[u64]) -> u64 {
     let plan = ColumnPlan::new(vals);
     let before = w.len();

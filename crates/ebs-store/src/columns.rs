@@ -55,8 +55,8 @@ pub struct SpecRow {
 }
 
 /// Bytes of a v2 EVENTS payload broken down by column — the accounting
-/// `bench --mode store` and `bin/all --trace` report so a compression
-/// regression points at a column instead of an opaque ratio.
+/// `bin/all --trace` reports so a compression regression points at a
+/// column instead of an opaque ratio.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EventColumnBytes {
     /// Count varint + VD dictionary + op bitset.

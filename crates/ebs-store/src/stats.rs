@@ -1,7 +1,6 @@
 //! Store-level byte accounting: one streaming pass over a container that
 //! attributes every byte to a chunk kind, and every EVENTS payload byte to
-//! its column. This is what `bin/all --trace` prints after a replay and
-//! what `bench --mode store` embeds in `BENCH_store.json`, so a
+//! its column. This is what `bin/all --trace` prints after a replay, so a
 //! compression regression points at a specific column (timestamps, LBA
 //! offsets, sizes…) instead of an opaque whole-file ratio.
 

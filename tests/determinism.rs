@@ -554,3 +554,44 @@ fn store_containers_match_pinned_fingerprints() {
         "container bytes moved: (scale, seed, length, seal32)"
     );
 }
+
+/// The store's size gate: a container is at most half the size of the CSV
+/// export of the same data. Sizes are deterministic, so this is a check on
+/// byte counts: the medium container pinned above against the four CSV
+/// tables, and an events-only container against `events.csv`.
+#[test]
+fn store_is_at_most_half_the_size_of_the_csv_export() {
+    use ebs::store::{StoreWriter, EVENTS_PER_CHUNK};
+    use ebs::workload::export::{
+        write_compute_metrics_csv, write_events_csv, write_specs_csv, write_storage_metrics_csv,
+    };
+    let ds = generate(&WorkloadConfig::medium(0xEB5_2025)).unwrap();
+    let tmp = ebs::core::TempDir::new("store-size").unwrap();
+    let path = tmp.join("medium.ebs");
+    ds.save(&path).unwrap();
+    let container = std::fs::metadata(&path).unwrap().len() as f64;
+    let mut events_csv = Vec::new();
+    write_events_csv(&ds, &mut events_csv).unwrap();
+    let mut tables = events_csv.clone();
+    write_compute_metrics_csv(&ds, &mut tables).unwrap();
+    write_storage_metrics_csv(&ds, &mut tables).unwrap();
+    write_specs_csv(&ds, &mut tables).unwrap();
+    let mut w = StoreWriter::new(Vec::new()).unwrap();
+    w.write_events_chunked(&ds.events, EVENTS_PER_CHUNK)
+        .unwrap();
+    let events_store = w.finish().unwrap();
+
+    let full_ratio = container / tables.len() as f64;
+    let events_ratio = events_store.len() as f64 / events_csv.len() as f64;
+    assert!(
+        full_ratio <= 0.5,
+        "container {container} B vs {} B of CSV tables: {full_ratio:.3}",
+        tables.len()
+    );
+    assert!(
+        events_ratio <= 0.5,
+        "events-only container {} B vs {} B of events.csv: {events_ratio:.3}",
+        events_store.len(),
+        events_csv.len()
+    );
+}

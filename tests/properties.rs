@@ -134,44 +134,6 @@ proptest! {
     }
 
     #[test]
-    fn slab_lru_agrees_with_the_reference_implementation(
-        capacity in 1usize..24,
-        accesses in prop::collection::vec(0u64..48, 1..500),
-    ) {
-        use ebs::cache::RefLruCache;
-        let mut slab = LruCache::new(capacity);
-        let mut reference = RefLruCache::new(capacity);
-        for (i, &page) in accesses.iter().enumerate() {
-            let op = if page % 3 == 0 { Op::Write } else { Op::Read };
-            let a = slab.access(page, op);
-            let b = reference.access(page, op);
-            prop_assert_eq!(a, b, "access {} (page {}) diverged", i, page);
-            prop_assert_eq!(slab.len(), reference.len(), "len diverged at access {}", i);
-        }
-        // Same resident pages in the same eviction order.
-        prop_assert_eq!(slab.residency(), reference.residency());
-    }
-
-    #[test]
-    fn ring_fifo_agrees_with_the_reference_implementation(
-        capacity in 1usize..24,
-        accesses in prop::collection::vec(0u64..48, 1..500),
-    ) {
-        use ebs::cache::RefFifoCache;
-        let mut ring = FifoCache::new(capacity);
-        let mut reference = RefFifoCache::new(capacity);
-        for (i, &page) in accesses.iter().enumerate() {
-            let op = if page % 2 == 0 { Op::Write } else { Op::Read };
-            let a = ring.access(page, op);
-            let b = reference.access(page, op);
-            prop_assert_eq!(a, b, "access {} (page {}) diverged", i, page);
-            prop_assert_eq!(ring.len(), reference.len(), "len diverged at access {}", i);
-        }
-        // Same resident pages in the same admission order.
-        prop_assert_eq!(ring.residency(), reference.residency());
-    }
-
-    #[test]
     fn fx_hash_is_stable_and_outputs_are_insertion_order_independent(
         keys in prop::collection::vec(0u64..100_000, 1..150),
     ) {
@@ -349,6 +311,44 @@ proptest! {
         let mut scratch = EventScratch::new();
         let (v2, _) = encode_events_v2(&events, &mut scratch).expect("v2 encode");
         prop_assert_eq!(decode_events(&v2).expect("v2 decode"), events);
+    }
+}
+
+/// The quick dataset the store round-trip cases edit, generated once.
+fn quick_dataset() -> &'static ebs::workload::Dataset {
+    static DS: std::sync::OnceLock<ebs::workload::Dataset> = std::sync::OnceLock::new();
+    DS.get_or_init(|| ebs::workload::generate(&ebs::workload::WorkloadConfig::quick(4243)).unwrap())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `Dataset::load(save(ds)) == ds` for a dataset whose first compute
+    /// and storage series are rebuilt by public `Series::push` calls:
+    /// repeated ticks, signed zeros, and flows that cancel a tick to zero.
+    #[test]
+    fn dataset_store_roundtrip_is_the_identity(
+        pushes in prop::collection::vec((0u32..3, 0usize..6, 0usize..6), 1..80),
+    ) {
+        use ebs::core::metric::{Flow, RwFlow, Series};
+        const FIELD: [f64; 6] = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0];
+        let flow = |i: usize| Flow { bytes: FIELD[i], ops: FIELD[(i + 2) % 6] };
+        let mut series = Series::new();
+        let mut tick = 0;
+        for &(step, read, write) in &pushes {
+            tick += step;
+            series.push(tick, RwFlow { read: flow(read), write: flow(write) });
+        }
+        let mut ds = quick_dataset().clone();
+        *ds.compute.per_qp.iter_mut().next().unwrap() = series.clone();
+        *ds.storage.per_seg.iter_mut().next().unwrap() = series;
+        let tmp = ebs::core::TempDir::new("prop-roundtrip").unwrap();
+        let path = tmp.join("ds.ebs");
+        ds.save(&path).unwrap();
+        let loaded = ebs::workload::Dataset::load(&path).unwrap();
+        prop_assert_eq!(loaded.compute.per_qp.as_slice(), ds.compute.per_qp.as_slice());
+        prop_assert_eq!(loaded.storage.per_seg.as_slice(), ds.storage.per_seg.as_slice());
+        prop_assert_eq!(loaded.events, ds.events);
     }
 }
 
