@@ -65,11 +65,6 @@ impl Cdf {
             })
             .collect()
     }
-
-    /// The underlying sorted sample.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 #[cfg(test)]

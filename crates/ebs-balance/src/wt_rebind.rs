@@ -219,16 +219,17 @@ pub fn simulate_node(
     })
 }
 
-/// Simulate rebinding for every compute node of the fleet.
+/// Simulate rebinding for every compute node of the fleet, given the
+/// stream partitioned by [`events_by_cn`]. Callers that sweep several
+/// configs partition once and lend the same partition to every call.
 pub fn simulate_fleet(
     fleet: &Fleet,
-    events: &[IoEvent],
+    per_cn: &[Vec<IoEvent>],
     config: &RebindConfig,
 ) -> Vec<RebindOutcome> {
-    // Compute nodes are independent: partition the stream once, fan the
-    // nodes out, and keep CN order so the outcome list matches a serial run.
-    let per_cn = events_by_cn(fleet, events);
-    ebs_core::parallel::par_map_deterministic(&per_cn, |i, evs| {
+    // Compute nodes are independent: fan the nodes out and keep CN order
+    // so the outcome list matches a serial run.
+    ebs_core::parallel::par_map_deterministic(per_cn, |i, evs| {
         simulate_node(fleet, CnId::from_index(i), evs, config)
     })
     .into_iter()
@@ -409,7 +410,8 @@ mod tests {
     #[test]
     fn fleet_simulation_covers_active_nodes() {
         let ds = ebs_workload::generate(&ebs_workload::WorkloadConfig::quick(51)).unwrap();
-        let outs = simulate_fleet(&ds.fleet, &ds.events, &RebindConfig::default());
+        let per_cn = events_by_cn(&ds.fleet, &ds.events);
+        let outs = simulate_fleet(&ds.fleet, &per_cn, &RebindConfig::default());
         assert!(!outs.is_empty());
         for o in &outs {
             assert!(o.rebind_ratio >= 0.0 && o.rebind_ratio <= 1.0);

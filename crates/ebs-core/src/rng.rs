@@ -105,13 +105,6 @@ impl SimRng {
         lo + (hi - lo) * self.next_f64()
     }
 
-    /// Uniform `u64` in `[lo, hi)`.
-    #[inline]
-    pub fn u64_range(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(hi > lo);
-        lo + self.below(hi - lo)
-    }
-
     /// Bernoulli trial: `true` with probability `p` (clamped to `[0, 1]`).
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {

@@ -2,6 +2,7 @@
 //! call out: the rebind trigger ratio, the lending rate, the balancer's
 //! exporter threshold, and the frozen-cache placement threshold.
 
+use crate::driver::Shared;
 use ebs_analysis::table::Table;
 use ebs_balance::bs_balancer::{run_balancer, BalancerConfig};
 use ebs_balance::wt_rebind::{simulate_fleet, RebindConfig};
@@ -9,7 +10,6 @@ use ebs_cache::frozen::FrozenCache;
 use ebs_cache::hottest_block::BLOCK_SIZES;
 use ebs_cache::simulate::simulate;
 use ebs_cache::utilization::{cacheable_vds, per_cn_counts, std_dev};
-use ebs_core::index::EventIndex;
 use ebs_core::parallel::par_map_deterministic;
 use ebs_throttle::lending::{lending_gains, LendingConfig};
 use ebs_throttle::scenario::{build_groups, CapDim};
@@ -24,15 +24,16 @@ pub const EXPORT_RATIOS: [f64; 4] = [1.1, 1.2, 1.5, 2.0];
 /// Frozen-cache placement thresholds swept.
 pub const CACHE_THRESHOLDS: [f64; 4] = [0.10, 0.25, 0.40, 0.60];
 
-/// Sweep the rebind trigger ratio: `(ratio, median rebind ratio, fraction
-/// of nodes improved)`.
-pub fn rebind_trigger_sweep(ds: &Dataset) -> Vec<(f64, f64, f64)> {
+/// Sweep the rebind trigger ratio over the shared per-CN partition:
+/// `(ratio, median rebind ratio, fraction of nodes improved)`.
+pub fn rebind_trigger_sweep(sh: &Shared) -> Vec<(f64, f64, f64)> {
+    let by_cn = sh.events_by_cn();
     par_map_deterministic(&TRIGGER_RATIOS, |_, &trigger_ratio| {
         let cfg = RebindConfig {
             trigger_ratio,
             ..RebindConfig::default()
         };
-        let outcomes = simulate_fleet(&ds.fleet, &ds.events, &cfg);
+        let outcomes = simulate_fleet(&sh.ds().fleet, by_cn, &cfg);
         let ratios: Vec<f64> = outcomes.iter().map(|o| o.rebind_ratio).collect();
         let improved = if outcomes.is_empty() {
             f64::NAN
@@ -61,9 +62,12 @@ pub fn lending_rate_sweep(ds: &Dataset) -> Vec<(f64, f64, f64)> {
     })
 }
 
-/// Sweep the exporter threshold: `(ratio, migrations, mean per-period CoV)`.
-pub fn exporter_threshold_sweep(ds: &Dataset) -> Vec<(f64, usize, f64)> {
-    let dc = crate::fig4::busiest_dc(ds);
+/// Sweep the exporter threshold on the busiest DC: `(ratio, migrations,
+/// mean per-period CoV)`. Every ratio, the default one included, runs its
+/// own balancer.
+pub fn exporter_threshold_sweep(sh: &Shared) -> Vec<(f64, usize, f64)> {
+    let ds = sh.ds();
+    let dc = sh.busiest_dc();
     par_map_deterministic(&EXPORT_RATIOS, |_, &exporter_ratio| {
         let cfg = BalancerConfig {
             exporter_ratio,
@@ -81,19 +85,15 @@ pub fn exporter_threshold_sweep(ds: &Dataset) -> Vec<(f64, usize, f64)> {
 
 /// Sweep the frozen-cache placement threshold at 512 MiB blocks:
 /// `(threshold, cacheable VDs, CN-count std, mean frozen hit ratio among
-/// cacheable VDs)`.
-pub fn cache_threshold_sweep(ds: &Dataset) -> Vec<(f64, usize, f64, f64)> {
-    cache_threshold_sweep_with(ds, ds.index())
-}
-
-/// [`cache_threshold_sweep`] over the shared event index; every threshold
-/// borrows the same per-VD views (no event copies).
-pub fn cache_threshold_sweep_with(ds: &Dataset, idx: &EventIndex) -> Vec<(f64, usize, f64, f64)> {
-    let bs = BLOCK_SIZES[3]; // 512 MiB
-    let hot = crate::fig7::hot_map(idx, bs);
+/// cacheable VDs)`. Every threshold borrows the same per-VD views of the
+/// shared event index (no event copies).
+pub fn cache_threshold_sweep(sh: &Shared) -> Vec<(f64, usize, f64, f64)> {
+    let ds = sh.ds();
+    let idx = ds.index();
+    let hot = sh.hot_map(BLOCK_SIZES[3]); // 512 MiB
     par_map_deterministic(&CACHE_THRESHOLDS, |_, &threshold| {
-        let vds = cacheable_vds(&hot, threshold);
-        let counts = per_cn_counts(&ds.fleet, &hot, threshold);
+        let vds = cacheable_vds(hot, threshold);
+        let counts = per_cn_counts(&ds.fleet, hot, threshold);
         let mut ratios = Vec::new();
         for &vd in &vds {
             let hb = &hot[&vd];
@@ -111,21 +111,16 @@ pub fn cache_threshold_sweep_with(ds: &Dataset, idx: &EventIndex) -> Vec<(f64, u
     })
 }
 
-/// Run and render every sweep.
-pub fn render(ds: &Dataset) -> String {
-    render_with(ds, ds.index())
-}
-
-/// [`render`] over the shared event index. The four sweeps are
-/// independent, so they run as parallel jobs; their tables concatenate in
-/// the fixed ablation order regardless of which finishes first.
-pub fn render_with(ds: &Dataset, idx: &EventIndex) -> String {
+/// Run and render every sweep. The four sweeps are independent, so they
+/// run as parallel jobs; their tables concatenate in the fixed ablation
+/// order regardless of which finishes first.
+pub fn render(sh: &Shared) -> String {
     type Job<'a> = Box<dyn FnOnce() -> String + Send + 'a>;
     let jobs: Vec<Job<'_>> = vec![
         Box::new(|| {
             let mut t = Table::new(["trigger ratio", "median rebind ratio", "nodes improved %"])
                 .with_title("Ablation: rebind trigger ratio (§4.3)");
-            for (r, med, imp) in rebind_trigger_sweep(ds) {
+            for (r, med, imp) in rebind_trigger_sweep(sh) {
                 t.row([
                     format!("{r:.1}"),
                     format!("{med:.3}"),
@@ -137,7 +132,7 @@ pub fn render_with(ds: &Dataset, idx: &EventIndex) -> String {
         Box::new(|| {
             let mut t = Table::new(["p", "positive gain %", "median gain"])
                 .with_title("Ablation: lending rate (§5.3)");
-            for (p, pos, med) in lending_rate_sweep(ds) {
+            for (p, pos, med) in lending_rate_sweep(sh.ds()) {
                 t.row([
                     format!("{p:.1}"),
                     format!("{:.1}", pos * 100.0),
@@ -149,7 +144,7 @@ pub fn render_with(ds: &Dataset, idx: &EventIndex) -> String {
         Box::new(|| {
             let mut t = Table::new(["exporter ratio", "migrations", "mean period CoV"])
                 .with_title("Ablation: balancer exporter threshold (§6.1)");
-            for (r, n, cov) in exporter_threshold_sweep(ds) {
+            for (r, n, cov) in exporter_threshold_sweep(sh) {
                 t.row([format!("{r:.1}"), n.to_string(), format!("{cov:.3}")]);
             }
             t.render()
@@ -162,7 +157,7 @@ pub fn render_with(ds: &Dataset, idx: &EventIndex) -> String {
                 "mean frozen hit",
             ])
             .with_title("Ablation: frozen-cache placement threshold (§7.3, 512 MiB)");
-            for (th, n, std, hit) in cache_threshold_sweep_with(ds, idx) {
+            for (th, n, std, hit) in cache_threshold_sweep(sh) {
                 t.row([
                     format!("{th:.2}"),
                     n.to_string(),
@@ -184,7 +179,7 @@ mod tests {
     #[test]
     fn looser_trigger_rebinds_less() {
         let ds = dataset(Scale::Quick);
-        let sweep = rebind_trigger_sweep(&ds);
+        let sweep = rebind_trigger_sweep(&Shared::new(&ds));
         let first = sweep.first().unwrap().1;
         let last = sweep.last().unwrap().1;
         assert!(
@@ -196,7 +191,7 @@ mod tests {
     #[test]
     fn higher_exporter_threshold_migrates_less() {
         let ds = dataset(Scale::Quick);
-        let sweep = exporter_threshold_sweep(&ds);
+        let sweep = exporter_threshold_sweep(&Shared::new(&ds));
         let first = sweep.first().unwrap().1;
         let last = sweep.last().unwrap().1;
         assert!(last <= first, "threshold 2.0 must migrate no more than 1.1");
@@ -205,7 +200,7 @@ mod tests {
     #[test]
     fn stricter_cache_threshold_shrinks_the_cacheable_set() {
         let ds = dataset(Scale::Quick);
-        let sweep = cache_threshold_sweep(&ds);
+        let sweep = cache_threshold_sweep(&Shared::new(&ds));
         for w in sweep.windows(2) {
             assert!(w[1].1 <= w[0].1);
         }
@@ -221,7 +216,7 @@ mod tests {
     #[test]
     fn render_contains_all_sweeps() {
         let ds = dataset(Scale::Quick);
-        let text = render(&ds);
+        let text = render(&Shared::new(&ds));
         for tag in [
             "rebind trigger",
             "lending rate",

@@ -7,6 +7,11 @@
 //! `OBS_report.jsonl`/`.csv`, override with `EBS_OBS_OUT`) without
 //! touching stdout.
 //!
+//! `--only <name>` prints one section of the driver's table (`table2`…
+//! `table4`, `fig2`…`fig7`, `ablations`, `extensions`), byte-identical to
+//! its slice of the full run, and builds only the inputs that section
+//! reads. An unknown name exits with status 2 and lists the valid ones.
+//!
 //! `--trace <path>` persists the dataset: the first run generates and
 //! saves it to `path`, later runs replay from the store instead of
 //! regenerating. With `--shards <n>` (or `EBS_SHARDS`, or when `path` is
@@ -18,7 +23,27 @@
 //! only.
 use ebs_experiments::*;
 
+/// The section named by `--only <name>`, if given; exits 2 on a missing or
+/// unknown name.
+fn only_from_args() -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    let at = args.iter().position(|a| a == "--only")?;
+    match args.get(at + 1) {
+        Some(name) if driver::SECTIONS.iter().any(|(n, _)| n == name) => Some(name.clone()),
+        given => {
+            let names: Vec<&str> = driver::SECTIONS.iter().map(|&(n, _)| n).collect();
+            eprintln!(
+                "--only needs a section name, one of: {} (got {})",
+                names.join(", "),
+                given.map_or("nothing", String::as_str)
+            );
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
+    let only = only_from_args();
     let scale = Scale::from_args();
     let ds = match Scale::trace_path_from_args() {
         Some(path) => {
@@ -38,6 +63,9 @@ fn main() {
         }
         None => dataset(scale),
     };
-    println!("{}", driver::run_all(&ds).join("\n\n"));
+    match only {
+        Some(name) => println!("{}", driver::run_only(&ds, &name).expect("checked name")),
+        None => println!("{}", driver::run_all(&ds).join("\n\n")),
+    }
     ebs_obs::report::emit_global();
 }

@@ -9,40 +9,34 @@
 //! * **Hybrid CN+BS cache** (§7.3.2): a few CN-cache slots per node for
 //!   the hottest disks, BS-cache as the backup tier.
 
+use crate::driver::Shared;
+use crate::fig4;
 use ebs_analysis::table::Table;
 use ebs_balance::bs_balancer::{run_balancer, BalancerConfig};
 use ebs_balance::importer::ImporterSelect;
-use ebs_balance::migration::segment_residency_intervals;
 use ebs_cache::hybrid::{assign_sites, cn_slot_usage, hybrid_latency_gain, HybridConfig};
 use ebs_cache::location::{hit_oracle, latency_gain, CacheSite};
 use ebs_cache::utilization::CACHEABLE_THRESHOLD;
-use ebs_core::index::EventIndex;
 use ebs_core::io::Op;
 use ebs_core::parallel::par_map_deterministic;
-use ebs_stack::SimOutput;
 use ebs_throttle::lending::{lending_gains, LendingConfig};
 use ebs_throttle::predictive::{predictive_lending_gains, PredictiveConfig};
 use ebs_throttle::scenario::{build_groups, CapDim};
 use ebs_workload::Dataset;
 
 /// S6 versus the paper's lineup on the busiest cluster:
-/// `(strategy, mean residency, migrations)`.
-pub fn importer_extension(ds: &Dataset) -> Vec<(ImporterSelect, f64, usize)> {
-    let dc = crate::fig4::busiest_dc(ds);
-    par_map_deterministic(&ImporterSelect::EXTENDED, |_, &strategy| {
-        let cfg = BalancerConfig {
-            strategy,
-            ..BalancerConfig::default()
-        };
-        let run = run_balancer(&ds.fleet, &ds.storage, dc, &cfg);
-        let intervals = segment_residency_intervals(run.seg_map.log(), run.periods);
-        let mean = if intervals.is_empty() {
-            f64::NAN
-        } else {
-            intervals.iter().sum::<f64>() / intervals.len() as f64
-        };
-        (strategy, mean, run.migrations)
-    })
+/// `(strategy, mean residency, migrations)`. S1–S5 are Figure 4(b)'s
+/// shared runs; only S6 runs here.
+pub fn importer_extension(sh: &Shared) -> Vec<(ImporterSelect, f64, usize)> {
+    let ds = sh.ds();
+    let cfg = BalancerConfig {
+        strategy: ImporterSelect::ArimaPredict,
+        ..BalancerConfig::default()
+    };
+    let s6 = run_balancer(&ds.fleet, &ds.storage, sh.busiest_dc(), &cfg);
+    let mut rows = fig4::panel_b(sh);
+    rows.push((cfg.strategy, fig4::mean_residency(&s6), s6.migrations));
+    rows
 }
 
 /// Plain versus prediction-guided lending at several rates:
@@ -72,25 +66,17 @@ pub fn lending_extension(ds: &Dataset) -> Vec<(f64, f64, f64, f64, f64)> {
 }
 
 /// Hybrid deployment sweep: `(cn_slots, write p50 gain, max CN slots used)`
-/// plus the pure CN / BS baselines.
-pub fn hybrid_extension(ds: &Dataset, sim: &SimOutput) -> (Vec<(usize, f64, usize)>, f64, f64) {
-    hybrid_extension_with(ds, sim, ds.index())
-}
-
-/// [`hybrid_extension`] over the shared event index; the slot sweep itself
-/// fans out in parallel over one borrowed trace.
-pub fn hybrid_extension_with(
-    ds: &Dataset,
-    sim: &SimOutput,
-    idx: &EventIndex,
-) -> (Vec<(usize, f64, usize)>, f64, f64) {
-    let hot = crate::fig7::hot_map(idx, 2048 << 20);
-    let records = sim.traces.records();
-    let hits = hit_oracle(&hot, records, CACHEABLE_THRESHOLD);
+/// plus the pure CN / BS baselines. The slot sweep fans out in parallel
+/// over one borrowed trace.
+pub fn hybrid_extension(sh: &Shared) -> (Vec<(usize, f64, usize)>, f64, f64) {
+    let ds = sh.ds();
+    let hot = sh.hot_map(2048 << 20);
+    let records = sh.sim().traces.records();
+    let hits = hit_oracle(hot, records, CACHEABLE_THRESHOLD);
     let sweep = par_map_deterministic(&[0usize, 1, 2, 4, 8], |_, &slots| {
         let sites = assign_sites(
             &ds.fleet,
-            &hot,
+            hot,
             &HybridConfig {
                 cn_slots_per_node: slots,
                 threshold: CACHEABLE_THRESHOLD,
@@ -115,17 +101,12 @@ pub fn hybrid_extension_with(
 }
 
 /// Run and render all three extensions.
-pub fn render(ds: &Dataset, sim: &SimOutput) -> String {
-    render_with(ds, sim, ds.index())
-}
-
-/// [`render`] over the shared event index.
-pub fn render_with(ds: &Dataset, sim: &SimOutput, idx: &EventIndex) -> String {
+pub fn render(sh: &Shared) -> String {
     let mut out = String::new();
 
     let mut t = Table::new(["strategy", "mean norm. residency", "migrations"])
         .with_title("Extension: S6 ARIMA importer vs the paper's lineup (§6.1.3)");
-    for (s, mean, n) in importer_extension(ds) {
+    for (s, mean, n) in importer_extension(sh) {
         t.row([s.label().to_string(), format!("{mean:.3}"), n.to_string()]);
     }
     out.push_str(&t.render());
@@ -138,7 +119,7 @@ pub fn render_with(ds: &Dataset, sim: &SimOutput, idx: &EventIndex) -> String {
         "predictive median gain",
     ])
     .with_title("Extension: prediction-guided lending (§5.3)");
-    for (p, pn, qn, pm, qm) in lending_extension(ds) {
+    for (p, pn, qn, pm, qm) in lending_extension(sh.ds()) {
         t.row([
             format!("{p:.1}"),
             format!("{:.1}", pn * 100.0),
@@ -150,7 +131,7 @@ pub fn render_with(ds: &Dataset, sim: &SimOutput, idx: &EventIndex) -> String {
     out.push('\n');
     out.push_str(&t.render());
 
-    let (sweep, cn, bs) = hybrid_extension_with(ds, sim, idx);
+    let (sweep, cn, bs) = hybrid_extension(sh);
     let mut t = Table::new(["CN slots/node", "write p50 gain", "max slots used"])
         .with_title("Extension: hybrid CN+BS cache deployment (§7.3.2)");
     for (slots, gain, used) in sweep {
@@ -167,12 +148,12 @@ pub fn render_with(ds: &Dataset, sim: &SimOutput, idx: &EventIndex) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{dataset, stack_traces, Scale};
+    use crate::scenario::{dataset, Scale};
 
     #[test]
     fn arima_importer_is_competitive() {
         let ds = dataset(Scale::Medium);
-        let rows = importer_extension(&ds);
+        let rows = importer_extension(&Shared::new(&ds));
         assert_eq!(rows.len(), 6);
         let get = |s: ImporterSelect| rows.iter().find(|(x, _, _)| *x == s).unwrap();
         let arima = get(ImporterSelect::ArimaPredict);
@@ -203,8 +184,7 @@ mod tests {
     #[test]
     fn hybrid_interpolates_between_pure_sites() {
         let ds = dataset(Scale::Medium);
-        let sim = stack_traces(&ds);
-        let (sweep, cn, bs) = hybrid_extension(&ds, &sim);
+        let (sweep, cn, bs) = hybrid_extension(&Shared::new(&ds));
         // Gains improve (shrink) monotonically with more CN slots…
         for w in sweep.windows(2) {
             assert!(w[1].1 <= w[0].1 + 1e-9, "{:?} vs {:?}", w[1], w[0]);
@@ -219,8 +199,7 @@ mod tests {
     #[test]
     fn render_mentions_all_three_extensions() {
         let ds = dataset(Scale::Quick);
-        let sim = stack_traces(&ds);
-        let text = render(&ds, &sim);
+        let text = render(&Shared::new(&ds));
         for tag in ["S6", "prediction-guided", "hybrid"] {
             assert!(
                 text.to_lowercase().contains(&tag.to_lowercase()),

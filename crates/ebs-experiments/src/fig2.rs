@@ -5,12 +5,11 @@
 //! ratio-vs-gain scatter; (e/f) hottest-WT time series of a bursty versus a
 //! smooth node.
 
+use crate::driver::Shared;
 use ebs_analysis::aggregate::{rollup_compute, ComputeLevel};
 use ebs_analysis::table::Table;
 use ebs_analysis::{median, normalized_cov, p2a, Cdf};
-use ebs_balance::wt_rebind::{
-    events_by_cn, hottest_wt_series, simulate_fleet, RebindConfig, RebindOutcome,
-};
+use ebs_balance::wt_rebind::{hottest_wt_series, simulate_fleet, RebindConfig, RebindOutcome};
 use ebs_core::ids::CnId;
 use ebs_core::io::Op;
 use ebs_core::metric::Measure;
@@ -245,9 +244,12 @@ pub fn panel_c(ds: &Dataset) -> PanelC {
     }
 }
 
-/// Panels (d–f): the rebinding simulation and its exemplars.
-pub fn panel_def(ds: &Dataset) -> PanelDef {
-    let outcomes = simulate_fleet(&ds.fleet, &ds.events, &RebindConfig::default());
+/// Panels (d–f): the rebinding simulation and its exemplars, over the
+/// shared per-CN event partition.
+pub fn panel_def(sh: &Shared) -> PanelDef {
+    let ds = sh.ds();
+    let by_cn = sh.events_by_cn();
+    let outcomes = simulate_fleet(&ds.fleet, by_cn, &RebindConfig::default());
     let improved = outcomes.iter().filter(|o| o.gain < 1.0).count();
     let improved_frac = if outcomes.is_empty() {
         0.0
@@ -260,7 +262,6 @@ pub fn panel_def(ds: &Dataset) -> PanelDef {
     // 10 ms series (bursty) and the flattest one (smooth).
     let ratios: Vec<f64> = outcomes.iter().map(|o| o.rebind_ratio).collect();
     let cut = median(&ratios).unwrap_or(0.0);
-    let by_cn = events_by_cn(&ds.fleet, &ds.events);
     let p2a_of = |o: &RebindOutcome| -> f64 {
         let s = hottest_wt_series(&ds.fleet, o.cn, &by_cn[o.cn.index()], 10_000);
         p2a(&s).unwrap_or(f64::NAN)
@@ -292,12 +293,12 @@ pub fn panel_def(ds: &Dataset) -> PanelDef {
 }
 
 /// Run the whole figure.
-pub fn run(ds: &Dataset) -> Fig2 {
+pub fn run(sh: &Shared) -> Fig2 {
     Fig2 {
-        a: panel_a(ds),
-        b: panel_b(ds),
-        c: panel_c(ds),
-        def: panel_def(ds),
+        a: panel_a(sh.ds()),
+        b: panel_b(sh.ds()),
+        c: panel_c(sh.ds()),
+        def: panel_def(sh),
     }
 }
 
@@ -422,7 +423,7 @@ mod tests {
     #[test]
     fn rebinding_helps_only_some_nodes() {
         let ds = dataset(Scale::Medium);
-        let def = panel_def(&ds);
+        let def = panel_def(&Shared::new(&ds));
         assert!(!def.outcomes.is_empty());
         assert!(def.improved_frac > 0.05, "someone must benefit");
         assert!(
@@ -442,7 +443,7 @@ mod tests {
     #[test]
     fn render_contains_all_panels() {
         let ds = dataset(Scale::Quick);
-        let text = render(&run(&ds));
+        let text = render(&run(&Shared::new(&ds)));
         for tag in ["2(a)", "2(b)", "2(c)", "2(d)", "2(e/f)"] {
             assert!(text.contains(tag), "missing panel {tag}");
         }

@@ -5,8 +5,8 @@
 //! write-to-read attribution of throttles; (d/e) the theoretical reduction
 //! rate of limited lending; (f/g) the runtime lending-gain distribution.
 
+use ebs_analysis::quantile;
 use ebs_analysis::table::Table;
-use ebs_analysis::{median, quantile};
 use ebs_throttle::lending::{lending_gains, LendingConfig};
 use ebs_throttle::rar::{rar_samples, throttle_event_count, throttled_wr_ratios};
 use ebs_throttle::reduction::reduction_rates;
@@ -278,12 +278,6 @@ pub fn median_rar(f: &Fig3) -> Option<f64> {
         .find(|(dim, kind, _)| *dim == CapDim::Throughput && *kind == "multi-VD VM")
         .map(|(_, _, d)| d.p50)
         .filter(|v| v.is_finite())
-}
-
-/// Helper: median over finite values (re-exported for bins).
-pub fn finite_median(values: &[f64]) -> Option<f64> {
-    let v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
-    median(&v)
 }
 
 #[cfg(test)]

@@ -4,8 +4,9 @@
 //! scales; (b) normalized migration interval under the five importer
 //! selections S1–S5; (c) MSE of the five traffic predictors P1–P5.
 
+use crate::driver::Shared;
 use ebs_analysis::table::Table;
-use ebs_balance::bs_balancer::{run_balancer, BalancerConfig};
+use ebs_balance::bs_balancer::BalancerRun;
 use ebs_balance::importer::ImporterSelect;
 use ebs_balance::migration::{frequent_migration_proportion, segment_residency_intervals};
 use ebs_core::ids::{BsId, DcId};
@@ -36,13 +37,13 @@ pub struct Fig4 {
     pub cluster: String,
 }
 
-/// Panel (a): run the production balancer (S2) per DC and measure the
-/// frequent-migration proportion at each window scale.
-pub fn panel_a(ds: &Dataset) -> Vec<(f64, String, f64)> {
+/// Panel (a): the frequent-migration proportion of the production
+/// balancer's (S2) run on each DC, at each window scale.
+pub fn panel_a(sh: &Shared) -> Vec<(f64, String, f64)> {
+    let ds = sh.ds();
     let mut out = Vec::new();
     let period_secs = ds.storage.ticks.tick_secs;
-    for dc in ds.fleet.dcs.iter() {
-        let run = run_balancer(&ds.fleet, &ds.storage, dc.id, &BalancerConfig::default());
+    for (dc, run) in ds.fleet.dcs.iter().zip(sh.s2_runs()) {
         for &w in &WINDOW_SECS {
             let periods = ((w / period_secs).round() as u32).max(1);
             let prop = frequent_migration_proportion(run.seg_map.log(), periods);
@@ -52,37 +53,24 @@ pub fn panel_a(ds: &Dataset) -> Vec<(f64, String, f64)> {
     out
 }
 
-/// The DC with the most migrations under the default balancer — the
-/// paper's "cluster with the most frequent migrations".
-pub fn busiest_dc(ds: &Dataset) -> DcId {
-    (0..ds.fleet.dcs.len())
-        .map(DcId::from_index)
-        .max_by_key(|&dc| {
-            run_balancer(&ds.fleet, &ds.storage, dc, &BalancerConfig::default()).migrations
-        })
-        .expect("at least one DC")
+/// Mean normalized residency interval of a run's segments. The mean (not
+/// the median) rewards strategies that avoid re-migration through their
+/// censored long stays.
+pub fn mean_residency(run: &BalancerRun) -> f64 {
+    let intervals = segment_residency_intervals(run.seg_map.log(), run.periods);
+    if intervals.is_empty() {
+        f64::NAN
+    } else {
+        intervals.iter().sum::<f64>() / intervals.len() as f64
+    }
 }
 
-/// Panel (b): migration intervals per importer strategy on `dc`.
-pub fn panel_b(ds: &Dataset, dc: DcId) -> Vec<(ImporterSelect, f64, usize)> {
-    ImporterSelect::ALL
-        .iter()
-        .map(|&strategy| {
-            let cfg = BalancerConfig {
-                strategy,
-                ..BalancerConfig::default()
-            };
-            let run = run_balancer(&ds.fleet, &ds.storage, dc, &cfg);
-            let intervals = segment_residency_intervals(run.seg_map.log(), run.periods);
-            // Mean (not median) residency: strategies that avoid
-            // re-migration are rewarded through the censored long stays.
-            let mean = if intervals.is_empty() {
-                f64::NAN
-            } else {
-                intervals.iter().sum::<f64>() / intervals.len() as f64
-            };
-            (strategy, mean, run.migrations)
-        })
+/// Panel (b): migration intervals per importer strategy (S1–S5) on the
+/// busiest DC.
+pub fn panel_b(sh: &Shared) -> Vec<(ImporterSelect, f64, usize)> {
+    sh.importer_runs()
+        .into_iter()
+        .map(|(strategy, run)| (strategy, mean_residency(run), run.migrations))
         .collect()
 }
 
@@ -172,16 +160,13 @@ pub fn panel_c(ds: &Dataset, dc: DcId) -> Vec<(String, f64)> {
 }
 
 /// Run the whole figure.
-pub fn run(ds: &Dataset) -> Fig4 {
-    let a = panel_a(ds);
-    let dc = busiest_dc(ds);
-    let b = panel_b(ds, dc);
-    let c = panel_c(ds, dc);
+pub fn run(sh: &Shared) -> Fig4 {
+    let dc = sh.busiest_dc();
     Fig4 {
-        a,
-        b,
-        c,
-        cluster: ds.fleet.dcs[dc].name.clone(),
+        a: panel_a(sh),
+        b: panel_b(sh),
+        c: panel_c(sh.ds(), dc),
+        cluster: sh.ds().fleet.dcs[dc].name.clone(),
     }
 }
 
@@ -229,7 +214,7 @@ mod tests {
     #[test]
     fn frequent_migrations_exist_somewhere() {
         let ds = dataset(Scale::Medium);
-        let a = panel_a(&ds);
+        let a = panel_a(&Shared::new(&ds));
         assert!(!a.is_empty());
         for (_, _, prop) in &a {
             assert!((0.0..=1.0).contains(prop));
@@ -248,8 +233,7 @@ mod tests {
     #[test]
     fn ideal_importer_beats_min_traffic_on_intervals() {
         let ds = dataset(Scale::Medium);
-        let dc = busiest_dc(&ds);
-        let b = panel_b(&ds, dc);
+        let b = panel_b(&Shared::new(&ds));
         let get = |s: ImporterSelect| b.iter().find(|(x, _, _)| *x == s).unwrap();
         let ideal = get(ImporterSelect::Ideal);
         let min_traffic = get(ImporterSelect::MinTraffic);
@@ -269,8 +253,7 @@ mod tests {
     #[test]
     fn predictors_rank_plausibly() {
         let ds = dataset(Scale::Medium);
-        let dc = busiest_dc(&ds);
-        let c = panel_c(&ds, dc);
+        let c = panel_c(&ds, Shared::new(&ds).busiest_dc());
         let get = |tag: &str| c.iter().find(|(n, _)| n.starts_with(tag)).unwrap().1;
         let linear = get("P1");
         let arima = get("P2");
@@ -286,7 +269,7 @@ mod tests {
     #[test]
     fn render_lists_all_strategies_and_predictors() {
         let ds = dataset(Scale::Quick);
-        let text = render(&run(&ds));
+        let text = render(&run(&Shared::new(&ds)));
         for s in ImporterSelect::ALL {
             assert!(text.contains(s.label()));
         }

@@ -5,6 +5,7 @@
 //! per-period read/write CoV under Write-Only vs Write-then-Read
 //! migration.
 
+use crate::driver::Shared;
 use ebs_analysis::aggregate::{rollup_storage, StorageLevel};
 use ebs_analysis::table::Table;
 use ebs_analysis::{median, normalized_cov, wr_ratio, Histogram};
@@ -130,7 +131,8 @@ pub fn panel_b(ds: &Dataset) -> Vec<f64> {
 }
 
 /// Run the whole figure.
-pub fn run(ds: &Dataset) -> Fig5 {
+pub fn run(sh: &Shared) -> Fig5 {
+    let ds = sh.ds();
     let a = panel_a(ds);
     let above = if a.is_empty() {
         f64::NAN
@@ -147,7 +149,7 @@ pub fn run(ds: &Dataset) -> Fig5 {
     };
 
     // Panel (c): busiest cluster, Ideal importer (the paper's setup).
-    let dc = crate::fig4::busiest_dc(ds);
+    let dc = sh.busiest_dc();
     let cfg = BalancerConfig {
         strategy: ImporterSelect::Ideal,
         ..BalancerConfig::default()
@@ -233,7 +235,7 @@ mod tests {
     #[test]
     fn reads_skew_harder_than_writes_across_clusters() {
         let ds = dataset(Scale::Medium);
-        let f = run(&ds);
+        let f = run(&Shared::new(&ds));
         assert!(!f.a.is_empty());
         assert!(
             f.above_diagonal >= 0.5,
@@ -249,7 +251,7 @@ mod tests {
     #[test]
     fn segments_are_single_sided() {
         let ds = dataset(Scale::Medium);
-        let f = run(&ds);
+        let f = run(&Shared::new(&ds));
         // The mass of the |wr_ratio| histogram sits in the top bins
         // (|wr_ratio| ≥ 0.7: traffic at least 5.7x one-sided).
         let top: f64 = f.b[7] + f.b[8] + f.b[9];
@@ -260,7 +262,7 @@ mod tests {
     #[test]
     fn read_pass_does_not_hurt_write_and_keeps_read_in_noise() {
         let ds = dataset(Scale::Medium);
-        let f = run(&ds);
+        let f = run(&Shared::new(&ds));
         let (wo_w, wo_r, wr_w, wr_r) = f.c;
         assert!(
             wr_w <= wo_w * 1.05,
@@ -275,7 +277,7 @@ mod tests {
     #[test]
     fn render_has_three_panels() {
         let ds = dataset(Scale::Quick);
-        let text = render(&run(&ds));
+        let text = render(&run(&Shared::new(&ds)));
         for tag in ["5(a)", "5(b)", "5(c)"] {
             assert!(text.contains(tag));
         }

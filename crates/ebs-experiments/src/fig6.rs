@@ -4,15 +4,12 @@
 //! share of the VD's LBA; (c) the hottest block's write-to-read ratio; (d)
 //! the hot-rate distribution over 5-minute windows.
 
+use crate::driver::Shared;
 use crate::fig3::Dist;
 use ebs_analysis::table::Table;
 use ebs_analysis::wr_ratio::{READ_DOMINANT, WRITE_DOMINANT};
-use ebs_cache::hottest_block::{
-    hot_rate, hottest_block, HottestBlock, BLOCK_SIZES, HOT_RATE_WINDOW_US,
-};
+use ebs_cache::hottest_block::{hot_rate, BLOCK_SIZES, HOT_RATE_WINDOW_US};
 use ebs_core::ids::VdId;
-use ebs_core::index::EventIndex;
-use ebs_workload::Dataset;
 
 /// Minimum sampled IOs for a VD to enter the per-VD statistics.
 pub const MIN_EVENTS: usize = 50;
@@ -43,26 +40,6 @@ pub struct Fig6 {
     pub rows: Vec<SizeRow>,
 }
 
-/// Compute each VD's hottest block at `block_size`; only VDs with at least
-/// [`MIN_EVENTS`] sampled IOs participate. Views are borrowed from the
-/// dataset's shared event index — no partition is rebuilt here.
-pub fn hottest_blocks(ds: &Dataset, block_size: u64) -> Vec<(HottestBlock, Vec<usize>)> {
-    ds.index()
-        .vd_slices()
-        .into_iter()
-        .enumerate()
-        .filter(|(_, evs)| evs.len() >= MIN_EVENTS)
-        .filter_map(|(i, evs)| {
-            hottest_block(VdId::from_index(i), evs, block_size).map(|hb| (hb, vec![i]))
-        })
-        .collect()
-}
-
-/// Run the whole figure over the dataset's shared event index.
-pub fn run(ds: &Dataset) -> Fig6 {
-    run_with(ds, ds.index())
-}
-
 /// What one VD contributes to a [`SizeRow`].
 struct VdStats {
     access_rate: f64,
@@ -71,24 +48,24 @@ struct VdStats {
     hot_rate: Option<f64>,
 }
 
-/// Run the whole figure over an explicit event index. VDs fan out in
-/// parallel per block size over borrowed slices; their statistics fold in
-/// VD order, so the rows match a serial pass exactly.
-pub fn run_with(ds: &Dataset, idx: &EventIndex) -> Fig6 {
-    let slices = idx.vd_slices();
+/// Run the whole figure over the shared hottest-block maps. VDs fan out
+/// in parallel per block size over the event index's borrowed views;
+/// their statistics fold in VD order, so the rows match a serial pass
+/// exactly.
+pub fn run(sh: &Shared) -> Fig6 {
+    let ds = sh.ds();
+    let slices = ds.index().vd_slices();
     let mut rows = Vec::new();
     for &bs in &BLOCK_SIZES {
+        let hot = sh.hot_map(bs);
         let per_vd = ebs_core::parallel::par_map_deterministic(&slices, |i, evs| {
-            if evs.len() < MIN_EVENTS {
-                return None;
-            }
             let vd = VdId::from_index(i);
-            let hb = hottest_block(vd, evs, bs)?;
+            let hb = hot.get(&vd)?;
             Some(VdStats {
                 access_rate: hb.access_rate,
                 lba_share: hb.lba_share(ds.fleet.vds[vd].spec.capacity_bytes),
                 wr_ratio: hb.wr_ratio(),
-                hot_rate: hot_rate(evs, &hb, HOT_RATE_WINDOW_US, 3),
+                hot_rate: hot_rate(evs, hb, HOT_RATE_WINDOW_US, 3),
             })
         });
         let mut rates = Vec::new();
@@ -165,7 +142,7 @@ mod tests {
     use crate::scenario::{dataset, Scale};
 
     fn fig() -> Fig6 {
-        run(&dataset(Scale::Medium))
+        run(&Shared::new(&dataset(Scale::Medium)))
     }
 
     #[test]

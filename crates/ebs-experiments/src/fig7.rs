@@ -4,20 +4,17 @@
 //! hottest block; (b/c) latency gain of CN- vs BS-cache for reads and
 //! writes; (d) cache-space utilization (cacheable-VD dispersion per node).
 
+use crate::driver::Shared;
 use crate::fig3::Dist;
-use crate::fig6::MIN_EVENTS;
 use ebs_analysis::table::Table;
-use ebs_cache::hottest_block::{hottest_block, HottestBlock, BLOCK_SIZES};
+use ebs_cache::hottest_block::BLOCK_SIZES;
 use ebs_cache::location::{hit_oracle, latency_gain, CacheSite, LatencyGain};
 use ebs_cache::simulate::{sweep_policies, Algorithm};
 use ebs_cache::utilization::{per_bs_counts, per_cn_counts, std_dev, CACHEABLE_THRESHOLD};
 use ebs_core::hash::{FxHashMap, FxHashSet};
 use ebs_core::ids::VdId;
-use ebs_core::index::EventIndex;
 use ebs_core::io::Op;
 use ebs_core::parallel::par_map_deterministic;
-use ebs_stack::SimOutput;
-use ebs_workload::Dataset;
 
 /// Panel (a): one row per (algorithm, block size).
 #[derive(Clone, Debug)]
@@ -59,36 +56,19 @@ pub struct Fig7 {
     pub d: Vec<UtilRow>,
 }
 
-/// Hottest blocks of all sufficiently busy VDs at `block_size`, computed
-/// over the shared event index's per-VD views (VDs fan out in parallel
-/// over borrowed slices; the map's contents don't depend on scheduling).
-pub fn hot_map(idx: &EventIndex, block_size: u64) -> FxHashMap<VdId, HottestBlock> {
-    let slices = idx.vd_slices();
-    par_map_deterministic(&slices, |i, evs| {
-        if evs.len() < MIN_EVENTS {
-            return None;
-        }
-        hottest_block(VdId::from_index(i), evs, block_size).map(|hb| (hb.vd, hb))
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// Panel (a): simulate the three policies per VD per block size. The policy
-/// × capacity grid runs VDs in parallel over the shared event index —
-/// no per-run event clones — and merges ratios in VD order.
-pub fn panel_a(idx: &EventIndex) -> Vec<HitRow> {
-    let slices = idx.vd_slices();
+/// Panel (a): simulate the three policies per VD per block size, each
+/// cache sized to the VD's shared hottest block. The policy × capacity
+/// grid runs VDs in parallel over the shared event index — no per-run
+/// event clones — and merges ratios in VD order.
+pub fn panel_a(sh: &Shared) -> Vec<HitRow> {
+    let slices = sh.ds().index().vd_slices();
     let mut rows = Vec::new();
     for &bs in &BLOCK_SIZES {
+        let hot = sh.hot_map(bs);
         let per_vd = par_map_deterministic(&slices, |i, evs| {
-            if evs.len() < MIN_EVENTS {
-                return None;
-            }
-            let hb = hottest_block(VdId::from_index(i), evs, bs)?;
+            let hb = hot.get(&VdId::from_index(i))?;
             Some(
-                sweep_policies(&hb, evs)
+                sweep_policies(hb, evs)
                     .into_iter()
                     .filter_map(|(algo, stats)| stats.ratio().map(|r| (algo, r)))
                     .collect::<Vec<_>>(),
@@ -113,8 +93,8 @@ pub fn panel_a(idx: &EventIndex) -> Vec<HitRow> {
 
 /// Panels (b/c): latency gains with frozen caches at the 2 GiB hottest
 /// block (the size where FrozenHot matches LRU, per the paper's choice).
-pub fn panel_bc(sim: &SimOutput, idx: &EventIndex) -> Vec<(CacheSite, Op, LatencyGain)> {
-    let hot = hot_map(idx, 2048 << 20);
+pub fn panel_bc(sh: &Shared) -> Vec<(CacheSite, Op, LatencyGain)> {
+    let hot = sh.hot_map(2048 << 20);
     // Gains are evaluated over the IOs of *cacheable* VDs — the disks a
     // deployment would actually equip with a cache; mixing in the cold
     // majority would only dilute every site identically.
@@ -123,14 +103,15 @@ pub fn panel_bc(sim: &SimOutput, idx: &EventIndex) -> Vec<(CacheSite, Op, Latenc
         .filter(|(_, hb)| hb.access_rate >= CACHEABLE_THRESHOLD)
         .map(|(&vd, _)| vd)
         .collect();
-    let records: Vec<_> = sim
+    let records: Vec<_> = sh
+        .sim()
         .traces
         .records()
         .iter()
         .filter(|r| cacheable.contains(&r.vd))
         .copied()
         .collect();
-    let hits = hit_oracle(&hot, &records, CACHEABLE_THRESHOLD);
+    let hits = hit_oracle(hot, &records, CACHEABLE_THRESHOLD);
     let mut out = Vec::new();
     for site in CacheSite::ALL {
         for op in Op::ALL {
@@ -143,13 +124,14 @@ pub fn panel_bc(sim: &SimOutput, idx: &EventIndex) -> Vec<(CacheSite, Op, Latenc
 }
 
 /// Panel (d): cacheable-VD dispersion per provisioning unit.
-pub fn panel_d(ds: &Dataset, idx: &EventIndex) -> Vec<UtilRow> {
+pub fn panel_d(sh: &Shared) -> Vec<UtilRow> {
+    let fleet = &sh.ds().fleet;
     BLOCK_SIZES
         .iter()
         .map(|&bs| {
-            let hot = hot_map(idx, bs);
-            let cn = per_cn_counts(&ds.fleet, &hot, CACHEABLE_THRESHOLD);
-            let bsc = per_bs_counts(&ds.fleet, &hot, CACHEABLE_THRESHOLD, None);
+            let hot = sh.hot_map(bs);
+            let cn = per_cn_counts(fleet, hot, CACHEABLE_THRESHOLD);
+            let bsc = per_bs_counts(fleet, hot, CACHEABLE_THRESHOLD, None);
             let rel = |counts: &[usize]| -> f64 {
                 let mean = counts.iter().sum::<usize>() as f64 / counts.len().max(1) as f64;
                 if mean > 0.0 {
@@ -170,19 +152,12 @@ pub fn panel_d(ds: &Dataset, idx: &EventIndex) -> Vec<UtilRow> {
         .collect()
 }
 
-/// Run the whole figure over the dataset's shared event index (built on
-/// first use, cached for every later section).
-pub fn run(ds: &Dataset, sim: &SimOutput) -> Fig7 {
-    run_with(ds, sim, ds.index())
-}
-
-/// Run the whole figure over an explicit event index, so a driver that
-/// runs several figures shares one set of per-VD views.
-pub fn run_with(ds: &Dataset, sim: &SimOutput, idx: &EventIndex) -> Fig7 {
+/// Run the whole figure over the shared inputs.
+pub fn run(sh: &Shared) -> Fig7 {
     Fig7 {
-        a: panel_a(idx),
-        bc: panel_bc(sim, idx),
-        d: panel_d(ds, idx),
+        a: panel_a(sh),
+        bc: panel_bc(sh),
+        d: panel_d(sh),
     }
 }
 
@@ -243,12 +218,10 @@ pub fn render(f: &Fig7) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{dataset, stack_traces, Scale};
+    use crate::scenario::{dataset, Scale};
 
     fn fig() -> Fig7 {
-        let ds = dataset(Scale::Medium);
-        let sim = stack_traces(&ds);
-        run(&ds, &sim)
+        run(&Shared::new(&dataset(Scale::Medium)))
     }
 
     fn p50(f: &Fig7, algo: Algorithm, bs: u64) -> f64 {

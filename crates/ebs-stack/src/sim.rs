@@ -391,18 +391,6 @@ impl<'a> StackSim<'a> {
         }
     }
 
-    /// Replace the QP→WT binding (for rebinding experiments).
-    pub fn with_binding(mut self, binding: Binding) -> Self {
-        self.binding = binding;
-        self
-    }
-
-    /// Replace the segment placement (for balancer experiments).
-    pub fn with_segment_map(mut self, seg_map: SegmentMap) -> Self {
-        self.seg_map = seg_map;
-        self
-    }
-
     /// Resolve the routing of `events` under this simulator's binding and
     /// segment map (validates time-sortedness once). The plan can be
     /// shared by every run over the same slice.

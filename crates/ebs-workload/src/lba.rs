@@ -142,16 +142,6 @@ impl LbaModel {
         self.spots(op).len()
     }
 
-    /// Start offset of the *dominant* hot spot for `op`.
-    pub fn hot_start(&self, op: Op) -> u64 {
-        self.spots(op)[0].start
-    }
-
-    /// Length of the dominant hot spot for `op` in bytes.
-    pub fn hot_len(&self, op: Op) -> u64 {
-        self.spots(op)[0].len
-    }
-
     /// Index of the segment containing the dominant hot spot for `op`.
     pub fn hot_segment_index(&self, op: Op) -> u32 {
         self.spots(op)[0].segment_index()

@@ -7,7 +7,7 @@
 
 use ebs::balance::bs_balancer::{run_balancer, BalancerConfig};
 use ebs::balance::importer::ImporterSelect;
-use ebs::balance::wt_rebind::{simulate_fleet, RebindConfig};
+use ebs::balance::wt_rebind::{events_by_cn, simulate_fleet, RebindConfig};
 use ebs::core::ids::DcId;
 use ebs::core::parallel::set_thread_override;
 use ebs::stack::sim::{SimOutput, StackConfig, StackSim};
@@ -154,20 +154,20 @@ fn parallel_generation_matches_serial_for_every_seed() {
 fn parallel_rebind_sweep_matches_serial() {
     for seed in PARALLEL_SEEDS {
         let ds = generate(&WorkloadConfig::quick(seed)).unwrap();
+        let per_cn = events_by_cn(&ds.fleet, &ds.events);
         assert_thread_count_invariant(|| {
-            simulate_fleet(&ds.fleet, &ds.events, &RebindConfig::default())
+            simulate_fleet(&ds.fleet, &per_cn, &RebindConfig::default())
         });
     }
 }
 
 #[test]
 fn parallel_cache_sweep_matches_serial() {
-    use ebs::experiments::fig7;
+    use ebs::experiments::{driver::Shared, fig7};
     for seed in PARALLEL_SEEDS {
         let ds = generate(&WorkloadConfig::quick(seed)).unwrap();
-        let idx = ds.index();
         let rows = assert_thread_count_invariant(|| {
-            fig7::panel_a(idx)
+            fig7::panel_a(&Shared::new(&ds))
                 .into_iter()
                 .map(|r| (r.algo.label(), r.block_size, r.hit_ratio.p50, r.hit_ratio.n))
                 .collect::<Vec<_>>()

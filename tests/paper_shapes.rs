@@ -48,7 +48,7 @@ fn section4_wt_skew_and_rebinding_limits() {
     let a = fig2::panel_a(&d);
     let (_, r, w) = a.rows[0];
     assert!(r > w, "finest-scale WT-CoV: read {r:.3} over write {w:.3}");
-    let def = fig2::panel_def(&d);
+    let def = fig2::panel_def(&driver::Shared::new(&d));
     assert!(
         def.improved_frac > 0.05 && def.improved_frac < 0.95,
         "rebinding helps only some nodes: {:.2}",
@@ -80,8 +80,9 @@ fn section5_headroom_and_lending() {
 #[test]
 fn section6_importers_and_predictors() {
     let d = ds();
-    let dc = fig4::busiest_dc(&d);
-    let b = fig4::panel_b(&d, dc);
+    let sh = driver::Shared::new(&d);
+    let dc = sh.busiest_dc();
+    let b = fig4::panel_b(&sh);
     let res = |s| b.iter().find(|(x, _, _)| *x == s).unwrap().1;
     assert!(
         res(ebs::balance::ImporterSelect::Ideal)
@@ -100,7 +101,8 @@ fn section6_importers_and_predictors() {
 #[test]
 fn section7_hotspots_and_caches() {
     let d = ds();
-    let f6 = fig6::run(&d);
+    let sh = driver::Shared::new(&d);
+    let f6 = fig6::run(&sh);
     let row = &f6.rows[0];
     assert!(
         row.access_rate.p50 > row.median_lba_share * 3.0,
@@ -112,7 +114,7 @@ fn section7_hotspots_and_caches() {
         "hot rate near one half"
     );
 
-    let f7a = fig7::panel_a(d.index());
+    let f7a = fig7::panel_a(&sh);
     let p50 = |algo, bs: u64| {
         f7a.iter()
             .find(|r| r.algo == algo && r.block_size == bs)

@@ -117,7 +117,7 @@ fn parallel_legs_are_not_slower_than_serial() {
             vec![FxBuildHasher.hash_one(driver::run_all(&ds))]
         }),
         ("fig7_panel_a", &|| {
-            let rows = fig7::panel_a(ds.index());
+            let rows = fig7::panel_a(&driver::Shared::new(&ds));
             rows.iter()
                 .flat_map(|r| [r.block_size, r.hit_ratio.p50.to_bits()])
                 .collect()
