@@ -35,26 +35,6 @@ pub fn ccr(contributions: &[f64], frac: f64) -> Option<f64> {
     Some(top / total)
 }
 
-/// The full CCR curve: for each rank `k` (1-based), the cumulative share of
-/// traffic carried by the `k` largest contributors. Monotone non-decreasing,
-/// ending at 1.0. Empty if total contribution is not positive.
-pub fn ccr_curve(contributions: &[f64]) -> Vec<f64> {
-    let total: f64 = contributions.iter().sum();
-    if contributions.is_empty() || total <= 0.0 {
-        return Vec::new();
-    }
-    let mut sorted: Vec<f64> = contributions.to_vec();
-    sorted.sort_by(|a, b| b.total_cmp(a));
-    let mut acc = 0.0;
-    sorted
-        .iter()
-        .map(|&x| {
-            acc += x;
-            acc / total
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,18 +68,6 @@ mod tests {
         assert_eq!(ccr(&[0.0, 0.0], 0.2), None);
         assert_eq!(ccr(&[1.0], -0.1), None);
         assert_eq!(ccr(&[1.0], 1.5), None);
-    }
-
-    #[test]
-    fn curve_is_monotone_and_ends_at_one() {
-        let v = [5.0, 1.0, 3.0, 1.0];
-        let curve = ccr_curve(&v);
-        assert_eq!(curve.len(), 4);
-        for w in curve.windows(2) {
-            assert!(w[1] >= w[0]);
-        }
-        assert!((curve.last().unwrap() - 1.0).abs() < 1e-12);
-        assert!((curve[0] - 0.5).abs() < 1e-12);
     }
 
     #[test]

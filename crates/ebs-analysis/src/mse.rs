@@ -11,11 +11,6 @@ pub fn mse(pred: &[f64], truth: &[f64]) -> Option<f64> {
     Some(s / pred.len() as f64)
 }
 
-/// Root mean squared error.
-pub fn rmse(pred: &[f64], truth: &[f64]) -> Option<f64> {
-    mse(pred, truth).map(f64::sqrt)
-}
-
 /// MSE normalized by the variance of the ground truth — 1.0 means "no
 /// better than predicting the mean"; comparable across clusters with very
 /// different traffic magnitudes.
@@ -55,7 +50,6 @@ mod tests {
     fn known_error() {
         let e = mse(&[1.0, 2.0], &[2.0, 4.0]).unwrap();
         assert!((e - 2.5).abs() < 1e-12); // (1 + 4) / 2
-        assert!((rmse(&[1.0, 2.0], &[2.0, 4.0]).unwrap() - 2.5f64.sqrt()).abs() < 1e-12);
         assert!((mae(&[1.0, 2.0], &[2.0, 4.0]).unwrap() - 1.5).abs() < 1e-12);
     }
 

@@ -35,11 +35,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render with space-aligned columns.
     pub fn render(&self) -> String {
         let cols = self
@@ -154,7 +149,6 @@ mod tests {
         t.row(["1"]); // short row padded
         let s = t.render();
         assert!(s.starts_with("== Table X =="));
-        assert_eq!(t.row_count(), 1);
     }
 
     #[test]

@@ -1,43 +1,8 @@
-//! Dense time-series helpers: re-binning, smoothing, and windows.
-
-/// Re-bin a series by summing `window` consecutive samples (the paper's
-/// "measured at a 1/30/60-minute scale"). The final bin may be partial.
-pub fn rebin_sum(series: &[f64], window: usize) -> Vec<f64> {
-    assert!(window > 0, "window must be positive");
-    series.chunks(window).map(|c| c.iter().sum()).collect()
-}
-
-/// Simple moving average with a trailing window of `window` samples.
-pub fn moving_average(series: &[f64], window: usize) -> Vec<f64> {
-    assert!(window > 0, "window must be positive");
-    let mut out = Vec::with_capacity(series.len());
-    let mut sum = 0.0;
-    for (i, &x) in series.iter().enumerate() {
-        sum += x;
-        if i >= window {
-            sum -= series[i - window];
-        }
-        let n = (i + 1).min(window);
-        out.push(sum / n as f64);
-    }
-    out
-}
+//! Dense time-series helpers: differences, top-k and duty cycle.
 
 /// First-order difference `x[t] − x[t−1]` (length `n − 1`).
 pub fn diff(series: &[f64]) -> Vec<f64> {
     series.windows(2).map(|w| w[1] - w[0]).collect()
-}
-
-/// Invert a first-order difference given the first original value.
-pub fn undiff(first: f64, diffs: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(diffs.len() + 1);
-    out.push(first);
-    let mut acc = first;
-    for &d in diffs {
-        acc += d;
-        out.push(acc);
-    }
-    out
 }
 
 /// Indexes of the `k` largest values (ties broken by earlier index).
@@ -66,25 +31,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rebin_sums_chunks() {
-        assert_eq!(
-            rebin_sum(&[1.0, 2.0, 3.0, 4.0, 5.0], 2),
-            vec![3.0, 7.0, 5.0]
-        );
-    }
-
-    #[test]
-    fn moving_average_warms_up() {
-        let ma = moving_average(&[2.0, 4.0, 6.0, 8.0], 2);
-        assert_eq!(ma, vec![2.0, 3.0, 5.0, 7.0]);
-    }
-
-    #[test]
-    fn diff_and_undiff_roundtrip() {
-        let v = [3.0, 5.0, 4.0, 9.0];
-        let d = diff(&v);
-        assert_eq!(d, vec![2.0, -1.0, 5.0]);
-        assert_eq!(undiff(v[0], &d), v.to_vec());
+    fn diff_takes_successive_differences() {
+        assert_eq!(diff(&[3.0, 5.0, 4.0, 9.0]), vec![2.0, -1.0, 5.0]);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! single-server queueing delay.
 
 use ebs_core::ids::CnId;
-use ebs_core::ids::WtId;
 use ebs_core::io::IoEvent;
 use ebs_core::topology::Fleet;
 use ebs_stack::hypervisor::WtQueues;
@@ -112,21 +111,6 @@ pub fn compare_fleet(fleet: &Fleet, events: &[IoEvent]) -> Vec<(DispatchOutcome,
     out
 }
 
-/// The hottest worker thread of a node under the static binding, by
-/// cumulative bytes — handy for reports.
-pub fn hottest_wt(fleet: &Fleet, cn: CnId, events: &[IoEvent]) -> Option<WtId> {
-    let node = &fleet.compute_nodes[cn];
-    let mut bytes = vec![0.0; node.wt_count as usize];
-    for ev in events {
-        bytes[fleet.qp_binding[ev.qp].index() - node.wt_base as usize] += ev.size as f64;
-    }
-    bytes
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaNs"))
-        .map(|(i, _)| WtId(node.wt_base + i as u32))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,22 +144,5 @@ mod tests {
                 s.mean_wait_us
             );
         }
-    }
-
-    #[test]
-    fn hottest_wt_is_identified() {
-        let ds = generate(&WorkloadConfig::quick(83)).unwrap();
-        let by_cn = crate::wt_rebind::events_by_cn(&ds.fleet, &ds.events);
-        let mut found = 0;
-        for (i, evs) in by_cn.iter().enumerate() {
-            if evs.is_empty() {
-                continue;
-            }
-            let cn = CnId::from_index(i);
-            let wt = hottest_wt(&ds.fleet, cn, evs).unwrap();
-            assert_eq!(ds.fleet.cn_of_wt(wt), cn);
-            found += 1;
-        }
-        assert!(found > 0);
     }
 }

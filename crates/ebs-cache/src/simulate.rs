@@ -147,17 +147,6 @@ pub fn sweep_policies(hb: &HottestBlock, events: &[IoEvent]) -> Vec<(Algorithm, 
         .collect()
 }
 
-/// Per-page hit flags for one VD under a frozen cache at its hottest block
-/// — used by the latency-gain study to decide which *IOs* are cache hits
-/// (an IO is a hit when every page it touches is frozen).
-pub fn frozen_io_hits(hb: &HottestBlock, events: &[IoEvent]) -> Vec<bool> {
-    let cache = FrozenCache::covering_bytes(hb.block * hb.block_size, hb.block_size);
-    events
-        .iter()
-        .map(|ev| pages_of(ev.offset, ev.size).all(|p| cache.contains(p)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,25 +232,5 @@ mod tests {
             hits: 0,
         };
         assert_eq!(stats.ratio(), None);
-    }
-
-    #[test]
-    fn frozen_io_hits_require_all_pages_frozen() {
-        let bs = 64u64 << 20;
-        let hb = HottestBlock {
-            vd: VdId(0),
-            block: 1,
-            block_size: bs,
-            access_rate: 1.0,
-            total_accesses: 3,
-            reads: 0,
-            writes: 3,
-        };
-        let events = vec![
-            ev(0, Op::Write, bs, 4096),            // fully inside
-            ev(1, Op::Write, bs * 2 - 4096, 8192), // straddles the end
-            ev(2, Op::Write, 0, 4096),             // outside
-        ];
-        assert_eq!(frozen_io_hits(&hb, &events), vec![true, false, false]);
     }
 }

@@ -257,16 +257,6 @@ impl EventIndex {
             positions: &axis.perm[lo..hi],
         }
     }
-
-    /// The events of `vd` with `t_us` in `[lo_us, hi_us)`, found by binary
-    /// search over the VD's time-sorted slice — O(log E) per query, no
-    /// per-window tables.
-    pub fn vd_window(&self, vd: VdId, lo_us: u64, hi_us: u64) -> &[IoEvent] {
-        let evs = self.vd(vd);
-        let lo = evs.partition_point(|e| e.t_us < lo_us);
-        let hi = evs.partition_point(|e| e.t_us < hi_us);
-        &evs[lo..hi]
-    }
 }
 
 /// Split a time-sorted event slice into maximal runs sharing the same
@@ -391,19 +381,6 @@ mod tests {
         // Every generated offset is inside its VD's capacity, so the
         // segment axis must account for the full stream.
         assert_eq!(total, events.len());
-    }
-
-    #[test]
-    fn window_queries_agree_with_linear_filters() {
-        let (fleet, events) = dataset();
-        let idx = EventIndex::build(&fleet, &events);
-        let vd = VdId(0);
-        let expect: Vec<IoEvent> = events
-            .iter()
-            .filter(|e| e.vd == vd && (200_000..400_000).contains(&e.t_us))
-            .copied()
-            .collect();
-        assert_eq!(idx.vd_window(vd, 200_000, 400_000), expect.as_slice());
     }
 
     #[test]

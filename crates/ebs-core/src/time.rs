@@ -39,11 +39,6 @@ impl TickSpec {
         t as f64 * self.tick_secs
     }
 
-    /// Start of tick `t` in microseconds from the window origin.
-    pub fn tick_start_us(&self, t: u32) -> u64 {
-        (self.tick_start_secs(t) * 1e6).round() as u64
-    }
-
     /// Tick containing the microsecond timestamp `t_us` (clamped to the
     /// final tick for timestamps at or past the window end).
     pub fn tick_of_us(&self, t_us: u64) -> u32 {
@@ -94,7 +89,6 @@ mod tests {
     #[test]
     fn tick_starts_are_consistent() {
         let spec = TickSpec::new(2.5, 8);
-        assert_eq!(spec.tick_start_us(2), 5_000_000);
         assert!((spec.tick_start_secs(3) - 7.5).abs() < 1e-12);
     }
 

@@ -158,8 +158,6 @@ pub struct Fleet {
     pub wt_total: u32,
     vms_by_cn: Vec<Vec<VmId>>,
     vds_by_vm: Vec<Vec<VdId>>,
-    vms_by_user: Vec<Vec<VmId>>,
-    cns_by_dc: Vec<Vec<CnId>>,
     bss_by_dc: Vec<Vec<BsId>>,
     cn_by_wt: Vec<CnId>,
 }
@@ -181,18 +179,6 @@ impl Fleet {
     pub fn vds_of_vm(&self, vm: VmId) -> &[VdId] {
         // ebs-lint: allow(D3) -- fleet-minted id; the index covers every minted id by construction
         &self.vds_by_vm[vm.index()]
-    }
-
-    /// VMs owned by `user`.
-    pub fn vms_of_user(&self, user: UserId) -> &[VmId] {
-        // ebs-lint: allow(D3) -- fleet-minted id; the index covers every minted id by construction
-        &self.vms_by_user[user.index()]
-    }
-
-    /// Compute nodes in data center `dc`.
-    pub fn cns_of_dc(&self, dc: DcId) -> &[CnId] {
-        // ebs-lint: allow(D3) -- fleet-minted id; the index covers every minted id by construction
-        &self.cns_by_dc[dc.index()]
     }
 
     /// BlockServers in data center `dc`.
@@ -524,18 +510,12 @@ impl FleetBuilder {
     /// Finish construction, building reverse indexes and validating.
     pub fn finish(self) -> Result<Fleet, EbsError> {
         let mut vms_by_cn = vec![Vec::new(); self.compute_nodes.len()];
-        let mut vms_by_user = vec![Vec::new(); self.user_count as usize];
         for vm in &self.vms {
             vms_by_cn[vm.cn.index()].push(vm.id);
-            vms_by_user[vm.user.index()].push(vm.id);
         }
         let mut vds_by_vm = vec![Vec::new(); self.vms.len()];
         for vd in &self.vds {
             vds_by_vm[vd.vm.index()].push(vd.id);
-        }
-        let mut cns_by_dc = vec![Vec::new(); self.dcs.len()];
-        for cn in &self.compute_nodes {
-            cns_by_dc[cn.dc.index()].push(cn.id);
         }
         let mut bss_by_dc = vec![Vec::new(); self.dcs.len()];
         for bs in &self.block_servers {
@@ -562,8 +542,6 @@ impl FleetBuilder {
             wt_total: self.wt_total,
             vms_by_cn,
             vds_by_vm,
-            vms_by_user,
-            cns_by_dc,
             bss_by_dc,
             cn_by_wt,
         };
@@ -622,8 +600,6 @@ mod tests {
         let f = tiny_fleet();
         assert_eq!(f.vms_of_cn(CnId(0)), &[VmId(0)]);
         assert_eq!(f.vds_of_vm(VmId(0)), &[VdId(0), VdId(1)]);
-        assert_eq!(f.vms_of_user(UserId(0)), &[VmId(0)]);
-        assert_eq!(f.cns_of_dc(DcId(0)), &[CnId(0)]);
         assert_eq!(f.cn_of_wt(WtId(3)), CnId(0));
         assert_eq!(f.vm_of_qp(QpId(4)), VmId(0));
         assert_eq!(f.dc_of_vd(VdId(1)), DcId(0));

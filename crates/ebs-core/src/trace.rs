@@ -123,12 +123,6 @@ impl TraceSet {
         self.records.iter().filter(move |r| r.vd == vd)
     }
 
-    /// Count of read and write records `(reads, writes)`.
-    pub fn rw_counts(&self) -> (usize, usize) {
-        let reads = self.records.iter().filter(|r| r.op.is_read()).count();
-        (reads, self.records.len() - reads)
-    }
-
     /// Total read and write bytes `(read, write)`.
     pub fn rw_bytes(&self) -> (f64, f64) {
         let mut read = 0.0;
@@ -192,7 +186,6 @@ mod tests {
         ]);
         let ts: Vec<u64> = set.records().iter().map(|r| r.t_us).collect();
         assert_eq!(ts, vec![10, 20, 30]);
-        assert_eq!(set.rw_counts(), (1, 2));
         let (rb, wb) = set.rw_bytes();
         assert_eq!(rb, 4096.0);
         assert_eq!(wb, 12288.0);

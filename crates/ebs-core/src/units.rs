@@ -39,11 +39,6 @@ pub fn format_bytes(bytes: f64) -> String {
     }
 }
 
-/// Render a rate in bytes/second with a binary-unit suffix, e.g. `"3.20 MiB/s"`.
-pub fn format_rate(bytes_per_sec: f64) -> String {
-    format!("{}/s", format_bytes(bytes_per_sec))
-}
-
 /// Number of whole segments needed to cover `capacity_bytes` of VD address
 /// space (always at least one).
 pub fn segments_for_capacity(capacity_bytes: u64) -> u32 {
@@ -70,11 +65,6 @@ mod tests {
         assert_eq!(format_bytes(3.0 * MIB as f64), "3.00 MiB");
         assert_eq!(format_bytes(2.5 * GIB as f64), "2.50 GiB");
         assert_eq!(format_bytes(1.25 * TIB as f64), "1.25 TiB");
-    }
-
-    #[test]
-    fn format_rate_appends_per_second() {
-        assert_eq!(format_rate(MIB as f64), "1.00 MiB/s");
     }
 
     #[test]

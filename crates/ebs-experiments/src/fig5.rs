@@ -8,7 +8,7 @@
 use crate::driver::Shared;
 use ebs_analysis::aggregate::{rollup_storage, StorageLevel};
 use ebs_analysis::table::Table;
-use ebs_analysis::{median, normalized_cov, wr_ratio, Histogram};
+use ebs_analysis::{median, normalized_cov, wr_ratio};
 use ebs_balance::bs_balancer::BalancerConfig;
 use ebs_balance::importer::ImporterSelect;
 use ebs_balance::read_write::{run_scheme, MigrationScheme};
@@ -140,8 +140,14 @@ pub fn run(sh: &Shared) -> Fig5 {
         a.iter().filter(|p| p.read_cov >= p.write_cov).count() as f64 / a.len() as f64
     };
     let b_medians = panel_b(ds);
-    let mut hist = Histogram::new(0.0, 1.0001, 10);
-    hist.extend(b_medians.iter().copied());
+    // Ten linear bins over [0, 1.0001), edge-clamped, NaN skipped.
+    let mut bins = [0u64; 10];
+    for &m in b_medians.iter().filter(|m| !m.is_nan()) {
+        if let Some(c) = bins.get_mut(((m / 1.0001 * 10.0) as usize).min(9)) {
+            *c += 1;
+        }
+    }
+    let binned: u64 = bins.iter().sum();
     let b_above = if b_medians.is_empty() {
         f64::NAN
     } else {
@@ -171,7 +177,10 @@ pub fn run(sh: &Shared) -> Fig5 {
     Fig5 {
         a,
         above_diagonal: above,
-        b: hist.fractions(),
+        b: bins
+            .iter()
+            .map(|&c| c as f64 / binned.max(1) as f64)
+            .collect(),
         b_above_09: b_above,
         c,
     }

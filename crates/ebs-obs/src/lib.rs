@@ -2,7 +2,7 @@
 //!
 //! The paper's measurement apparatus is the DiTing tracer (§2.3); this
 //! crate is the equivalent lens pointed at our own simulators. It provides
-//! a metrics registry (counters, gauges, fixed-bin histograms reusing
+//! a metrics registry (counters, gauges, log-linear histograms reusing
 //! [`ebs_analysis::Histogram`], accumulated stage timers), scoped timers,
 //! and a structured run report with JSONL/CSV exporters.
 //!
@@ -29,7 +29,7 @@
 //! // A simulator records locally (no lock per event)…
 //! let mut local = ebs_obs::Registry::new();
 //! local.counter_add("stack.sim.ios", 1);
-//! local.observe("stack.lat.total_us", 0.0, 10_000.0, 50, 812.0);
+//! local.observe("stack.lat.total_us", 812.0);
 //! // …and merges once at the end of the run.
 //! ebs_obs::merge(&local);
 //!
@@ -119,23 +119,13 @@ pub fn gauge_set(name: &str, v: f64) {
     }
 }
 
-/// Record `v` into the global histogram `name`. No-op when disabled.
-#[inline]
-pub fn observe(name: &str, lo: f64, hi: f64, bins: usize, v: f64) {
-    if enabled() {
-        if let Ok(mut g) = global().lock() {
-            g.observe(name, lo, hi, bins, v);
-        }
-    }
-}
-
 /// Record a batch into the global histogram `name` under one lock
 /// acquisition. No-op when disabled.
 #[inline]
-pub fn observe_many(name: &str, lo: f64, hi: f64, bins: usize, vs: &[f64]) {
+pub fn observe_many(name: &str, vs: &[f64]) {
     if enabled() {
         if let Ok(mut g) = global().lock() {
-            g.observe_many(name, lo, hi, bins, vs);
+            g.observe_many(name, vs);
         }
     }
 }
@@ -237,7 +227,7 @@ mod tests {
         reset();
         counter_add("x", 5);
         gauge_set("g", 1.0);
-        observe("h", 0.0, 1.0, 2, 0.5);
+        observe_many("h", &[0.5]);
         let _t = timer("t");
         drop(_t);
         assert!(snapshot().is_empty());
@@ -251,7 +241,7 @@ mod tests {
         reset();
         counter_add("x", 5);
         counter_add("x", 2);
-        observe_many("h", 0.0, 1.0, 2, &[0.1, 0.9]);
+        observe_many("h", &[0.1, 0.9]);
         {
             let _t = timer("stage");
         }

@@ -1,4 +1,4 @@
-//! The metrics registry: counters, gauges, fixed-bin histograms, and
+//! The metrics registry: counters, gauges, log-linear histograms, and
 //! accumulated stage timers, all keyed by dotted metric names.
 //!
 //! The registry is a plain value type — the global instance lives in
@@ -6,7 +6,7 @@
 //! threads record into a private `Registry` and [`Registry::merge`] it in
 //! at the end, so the hot path never touches a shared lock per event.
 //!
-//! Determinism contract: counters and histogram bins merge by addition and
+//! Determinism contract: counters and histogram buckets merge by addition and
 //! timer stats by `(sum, count, max)`, all commutative, so the merged
 //! totals are identical no matter which worker finished first. Export
 //! ordering is canonical (kind, then name), never insertion order. The one
@@ -62,7 +62,7 @@ pub enum Row {
         /// Current value.
         value: f64,
     },
-    /// Fixed-bin histogram.
+    /// Log-linear histogram.
     Hist {
         /// Metric name.
         name: String,
@@ -134,27 +134,21 @@ impl Registry {
         self.gauges.insert(name.to_string(), v);
     }
 
-    /// Record `v` into the histogram `name`, creating it with the given
-    /// shape on first use. The shape is fixed by the first call; later
-    /// calls only supply the value.
-    pub fn observe(&mut self, name: &str, lo: f64, hi: f64, bins: usize, v: f64) {
-        self.hists
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(lo, hi, bins))
-            .add(v);
+    /// Record `v` into the histogram `name` (created empty on first use).
+    pub fn observe(&mut self, name: &str, v: f64) {
+        self.observe_many(name, &[v]);
     }
 
     /// Record a batch into the histogram `name` (one lookup).
-    pub fn observe_many(&mut self, name: &str, lo: f64, hi: f64, bins: usize, vs: &[f64]) {
-        let h = self
-            .hists
+    pub fn observe_many(&mut self, name: &str, vs: &[f64]) {
+        self.hists
             .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(lo, hi, bins));
-        h.extend(vs.iter().copied());
+            .or_default()
+            .extend(vs.iter().copied());
     }
 
     /// Fold a pre-built histogram into `name` (created as a copy on first
-    /// use, merged bin-wise after).
+    /// use, merged bucket-wise after).
     pub fn merge_hist(&mut self, name: &str, hist: &Histogram) {
         match self.hists.entry(name.to_string()) {
             std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(hist),
@@ -192,7 +186,7 @@ impl Registry {
         self.timers.get(name)
     }
 
-    /// Fold `other` into `self`: counters and histogram bins add, timers
+    /// Fold `other` into `self`: counters and histogram buckets add, timers
     /// accumulate, gauges take `other`'s value. Merging is commutative for
     /// everything except gauges (documented; gauges are meant to be set
     /// once per run from a single site).
@@ -255,11 +249,11 @@ mod tests {
     fn merge_is_commutative_for_counters_and_hists() {
         let mut a = Registry::new();
         a.counter_add("c", 1);
-        a.observe("h", 0.0, 1.0, 4, 0.1);
+        a.observe("h", 0.1);
         a.timer_record("t", 1.0);
         let mut b = Registry::new();
         b.counter_add("c", 41);
-        b.observe("h", 0.0, 1.0, 4, 0.9);
+        b.observe("h", 0.9);
         b.timer_record("t", 2.0);
 
         let mut ab = a.clone();
@@ -269,10 +263,7 @@ mod tests {
 
         assert_eq!(ab.counter("c"), 42);
         assert_eq!(ab.counter("c"), ba.counter("c"));
-        assert_eq!(
-            ab.hist("h").unwrap().counts(),
-            ba.hist("h").unwrap().counts()
-        );
+        assert_eq!(ab.hist("h").unwrap(), ba.hist("h").unwrap());
         assert_eq!(ab.timer("t").unwrap().count, 2);
         assert_eq!(ab.timer("t").unwrap(), ba.timer("t").unwrap());
     }
@@ -285,7 +276,7 @@ mod tests {
         r.counter_add("b.count", 1);
         r.gauge_set("m.gauge", 7.0);
         r.counter_add("a.count", 1);
-        r.observe("k.hist", 0.0, 1.0, 2, 0.5);
+        r.observe("k.hist", 0.5);
         let names: Vec<(&'static str, String)> = r
             .rows()
             .iter()
@@ -308,7 +299,7 @@ mod tests {
         let mut a = Registry::new();
         a.counter_add("x", 9);
         a.gauge_set("g", 1.5);
-        a.observe_many("h", 0.0, 10.0, 5, &[1.0, 2.0, 9.0]);
+        a.observe_many("h", &[1.0, 2.0, 9.0]);
         let mut empty = Registry::new();
         empty.merge(&a);
         assert_eq!(empty.rows(), a.rows());

@@ -26,7 +26,8 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Render `registry` as JSONL: one JSON object per metric, canonical
-/// order. Histograms carry their full shape and bin counts.
+/// order. Histograms carry their total, underflow, overflow and invalid
+/// counts and their non-empty buckets as `[lower edge, upper edge, count]`.
 pub fn to_jsonl(registry: &Registry) -> String {
     let mut out = String::new();
     for row in registry.rows() {
@@ -43,13 +44,18 @@ pub fn to_jsonl(registry: &Registry) -> String {
                 ));
             }
             Row::Hist { hist, .. } => {
-                let counts: Vec<String> = hist.counts().iter().map(|c| c.to_string()).collect();
+                let buckets: Vec<String> = hist
+                    .buckets()
+                    .map(|(lo, hi, c)| format!("[{lo},{hi},{c}]"))
+                    .collect();
                 out.push_str(&format!(
-                    "{{\"kind\":\"histogram\",\"name\":\"{name}\",\"lo\":{},\"hi\":{},\"total\":{},\"counts\":[{}]}}\n",
-                    hist.lo(),
-                    hist.hi(),
+                    "{{\"kind\":\"histogram\",\"name\":\"{name}\",\"total\":{},\"underflow\":{},\
+                     \"overflow\":{},\"invalid\":{},\"buckets\":[{}]}}\n",
                     hist.total(),
-                    counts.join(",")
+                    hist.underflow(),
+                    hist.overflow(),
+                    hist.invalid(),
+                    buckets.join(",")
                 ));
             }
             Row::Timer { stat, .. } => {
@@ -65,7 +71,8 @@ pub fn to_jsonl(registry: &Registry) -> String {
 
 /// Render `registry` as CSV with a fixed header. The `value` column holds
 /// the count/gauge value, total histogram mass, or accumulated timer
-/// seconds; `detail` holds kind-specific extras.
+/// seconds; `detail` holds kind-specific extras (for a histogram, its
+/// out-of-bucket counts and its non-empty buckets as `lo..hi=count`).
 pub fn to_csv(registry: &Registry) -> String {
     let mut out = String::from("kind,name,value,detail\n");
     for row in registry.rows() {
@@ -78,13 +85,17 @@ pub fn to_csv(registry: &Registry) -> String {
                 out.push_str(&format!("gauge,{name},{value},\n"));
             }
             Row::Hist { hist, .. } => {
-                let counts: Vec<String> = hist.counts().iter().map(|c| c.to_string()).collect();
+                let buckets: Vec<String> = hist
+                    .buckets()
+                    .map(|(lo, hi, c)| format!("{lo}..{hi}={c}"))
+                    .collect();
                 out.push_str(&format!(
-                    "histogram,{name},{},lo={};hi={};counts={}\n",
+                    "histogram,{name},{},underflow={};overflow={};invalid={};buckets={}\n",
                     hist.total(),
-                    hist.lo(),
-                    hist.hi(),
-                    counts.join("|")
+                    hist.underflow(),
+                    hist.overflow(),
+                    hist.invalid(),
+                    buckets.join("|")
                 ));
             }
             Row::Timer { stat, .. } => {
@@ -169,7 +180,7 @@ mod tests {
         let mut r = Registry::new();
         r.counter_add("stack.sim.ios", 10);
         r.gauge_set("driver.events_per_sec", 1234.5);
-        r.observe_many("throttle.rar", 0.0, 1.0, 4, &[0.1, 0.6, 0.6]);
+        r.observe_many("throttle.rar", &[0.1, 0.6, 0.6, f64::NAN]);
         r.timer_record("driver.section.table2", 0.25);
         r
     }
@@ -181,7 +192,11 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("\"counter\"") && lines[0].contains("stack.sim.ios"));
         assert!(lines[1].contains("\"gauge\""));
-        assert!(lines[2].contains("\"histogram\"") && lines[2].contains("\"counts\":[1,0,2,0]"));
+        assert_eq!(
+            lines[2],
+            "{\"kind\":\"histogram\",\"name\":\"throttle.rar\",\"total\":4,\"underflow\":0,\
+             \"overflow\":0,\"invalid\":1,\"buckets\":[[0.09765625,0.1015625,1],[0.59375,0.625,2]]}"
+        );
         assert!(lines[3].contains("\"timer\"") && lines[3].contains("\"count\":1"));
     }
 
@@ -191,8 +206,11 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 5);
         assert_eq!(lines[0], "kind,name,value,detail");
-        assert!(lines[3].starts_with("histogram,throttle.rar,3,"));
-        assert!(lines[3].contains("counts=1|0|2|0"));
+        assert_eq!(
+            lines[3],
+            "histogram,throttle.rar,4,underflow=0;overflow=0;invalid=1;\
+             buckets=0.09765625..0.1015625=1|0.59375..0.625=2"
+        );
     }
 
     #[test]

@@ -131,11 +131,6 @@ impl RegressionTree {
             }
         }
     }
-
-    /// Number of nodes (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 /// Gradient-boosted tree ensemble on lagged traffic features.
@@ -246,7 +241,6 @@ mod tests {
         let y = vec![0.0, 0.0, 10.0, 10.0];
         // min_leaf = 3 forbids any split of 4 samples (needs ≥ 6).
         let t = RegressionTree::fit(&x, &y, 3, 3);
-        assert_eq!(t.node_count(), 1);
         assert!((t.predict(&[0.0]) - 5.0).abs() < 1e-9);
     }
 

@@ -30,15 +30,6 @@ impl Mat {
         Self { rows, cols, data }
     }
 
-    /// Identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Matrix product `self · rhs`.
     pub fn matmul(&self, rhs: &Mat) -> Mat {
         assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
@@ -171,12 +162,6 @@ mod tests {
         let t = a.transpose();
         assert_eq!(t[(2, 1)], 6.0);
         assert_eq!(a.row(1), &[4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn identity_is_neutral() {
-        let a = Mat::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(a.matmul(&Mat::eye(2)), a);
     }
 
     #[test]

@@ -566,7 +566,7 @@ mod tests {
     #[test]
     fn dense_lender_matches_the_sparse_lookup_oracle() {
         use crate::epoch::EpochSpec;
-        use crate::stats::{EpochStats, LAT_HIST_BINS, LAT_HIST_HI, LAT_HIST_LO};
+        use crate::stats::EpochStats;
         use ebs_core::rng::SimRng;
         use ebs_stack::hypervisor::Binding;
         use ebs_stack::segment::SegmentMap;
@@ -632,7 +632,7 @@ mod tests {
                     bytes: 0,
                     reads: 0,
                     p99_us: 0.0,
-                    lat_hist: ebs_analysis::Histogram::new(LAT_HIST_LO, LAT_HIST_HI, LAT_HIST_BINS),
+                    lat_hist: ebs_analysis::Histogram::new(),
                     cn_ios: vec![],
                     wt_bytes: vec![],
                     bs_bytes: vec![],

@@ -4,7 +4,7 @@
 //! [`EpochStats`] is everything a policy may observe about one epoch:
 //! the slice's [`SimStats`], per-entity traffic columns (worker threads,
 //! BlockServers, segments, VDs), the latency distribution (exact p99 of
-//! the epoch plus a fixed-bin histogram that merges across a window), and
+//! the epoch plus a log-linear histogram that merges across a window), and
 //! optional cache hit counts. All sums are exact — byte counts are
 //! integer-valued `f64`s well under 2^53 — so folds are independent of
 //! accumulation grouping.
@@ -17,14 +17,6 @@ use ebs_stack::route::RoutePlan;
 use ebs_stack::sim::{SimOutput, SimStats};
 
 use crate::window::{fold_sum, ratio};
-
-/// Latency histogram bounds shared by every epoch so windows can merge
-/// bin-by-bin (matches the `stack.lat.total_us` obs histogram).
-pub const LAT_HIST_LO: f64 = 0.0;
-/// Upper bound of the shared latency histogram (µs).
-pub const LAT_HIST_HI: f64 = 50_000.0;
-/// Bin count of the shared latency histogram.
-pub const LAT_HIST_BINS: usize = 50;
 
 /// Cache accesses/hits observed during one epoch (present only when the
 /// serve loop runs its observational cache).
@@ -52,7 +44,7 @@ pub struct EpochStats {
     pub reads: u64,
     /// Exact p99 of end-to-end latency within the epoch (0 when empty).
     pub p99_us: f64,
-    /// Fixed-bin latency histogram for window-merged percentiles.
+    /// Latency histogram (µs) for window-merged percentiles.
     pub lat_hist: Histogram,
     /// IOs per compute node (dense, indexed by CN).
     pub cn_ios: Vec<u64>,
@@ -109,7 +101,7 @@ impl EpochStats {
         let seg_bytes = seg_sums.into_pairs(SegId);
         let vd_bytes = vd_sums.into_pairs(VdId);
 
-        let mut lat_hist = Histogram::new(LAT_HIST_LO, LAT_HIST_HI, LAT_HIST_BINS);
+        let mut lat_hist = Histogram::new();
         let mut lats: Vec<f64> = Vec::with_capacity(out.traces.len());
         for r in out.traces.records() {
             let t = r.lat.total_us();
@@ -190,7 +182,8 @@ pub struct WindowMetrics {
     /// IOs across the window.
     pub ios: u64,
     /// Windowed p99 of end-to-end latency (µs), from the merged
-    /// fixed-bin histograms (upper bin edge; 0 when the window is idle).
+    /// histograms (upper edge of the p99's bucket, within 1/16 of the
+    /// exact value; 0 when the window is idle).
     pub p99_us: f64,
     /// Throttle waste: throttled IOs / IOs over the window.
     pub throttle_waste: f64,
@@ -236,32 +229,12 @@ impl AppliedActions {
     }
 }
 
-/// Quantile from a fixed-bin histogram: the upper edge of the bin where
-/// the cumulative count first reaches `q · total` (0 for an empty
-/// histogram). Deterministic and merge-stable across any epoch grouping.
-pub fn hist_quantile(h: &Histogram, q: f64) -> f64 {
-    let total = h.total();
-    if total == 0 {
-        return 0.0;
-    }
-    let q = q.clamp(0.0, 1.0);
-    let target = (q * total as f64).ceil().max(1.0) as u64;
-    let mut cum = 0u64;
-    for (i, &c) in h.counts().iter().enumerate() {
-        cum += c;
-        if cum >= target {
-            return h.bin_edges(i).1;
-        }
-    }
-    h.hi()
-}
-
 /// Fold the window's epochs (plus the per-epoch applied-action log) into
 /// rolling SLO metrics.
 pub fn fold_window(epochs: &[EpochStats], actions: &[AppliedActions]) -> WindowMetrics {
     let ios = fold_sum(epochs, |e| e.sim.ios);
     let throttled = fold_sum(epochs, |e| e.sim.throttled);
-    let mut merged = Histogram::new(LAT_HIST_LO, LAT_HIST_HI, LAT_HIST_BINS);
+    let mut merged = Histogram::new();
     for e in epochs {
         merged.merge(&e.lat_hist);
     }
@@ -270,7 +243,7 @@ pub fn fold_window(epochs: &[EpochStats], actions: &[AppliedActions]) -> WindowM
     WindowMetrics {
         epochs: epochs.len(),
         ios,
-        p99_us: hist_quantile(&merged, 0.99),
+        p99_us: merged.quantile(0.99),
         throttle_waste: ratio(throttled, ios),
         migrations: fold_sum(actions, |a| a.migrations),
         rebinds: fold_sum(actions, |a| a.rebinds),
@@ -281,20 +254,6 @@ pub fn fold_window(epochs: &[EpochStats], actions: &[AppliedActions]) -> WindowM
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hist_quantile_hits_the_right_bin() {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for _ in 0..99 {
-            h.add(5.0); // bin 0: (0, 10]
-        }
-        h.add(95.0); // bin 9
-        assert_eq!(hist_quantile(&h, 0.5), 10.0);
-        assert_eq!(hist_quantile(&h, 0.99), 10.0);
-        assert_eq!(hist_quantile(&h, 1.0), 100.0);
-        let empty = Histogram::new(0.0, 100.0, 10);
-        assert_eq!(hist_quantile(&empty, 0.99), 0.0);
-    }
 
     /// An epoch's sparse traffic columns and p99, as exact bit patterns.
     #[derive(Debug, PartialEq)]
@@ -387,9 +346,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn window_fold_rates() {
-        let mk = |ios: u64, throttled: u64| EpochStats {
+    /// An epoch with the given IO counts and latencies; 5 of its 10 cache
+    /// accesses hit.
+    fn epoch(ios: u64, throttled: u64, lats: &[f64]) -> EpochStats {
+        let mut lat_hist = Histogram::new();
+        lat_hist.extend(lats.iter().copied());
+        EpochStats {
             epoch: 0,
             start_us: 0,
             sim: SimStats {
@@ -400,7 +362,7 @@ mod tests {
             bytes: 0,
             reads: 0,
             p99_us: 0.0,
-            lat_hist: Histogram::new(LAT_HIST_LO, LAT_HIST_HI, LAT_HIST_BINS),
+            lat_hist,
             cn_ios: vec![],
             wt_bytes: vec![],
             bs_bytes: vec![],
@@ -410,7 +372,30 @@ mod tests {
                 accesses: 10,
                 hits: 5,
             }),
-        };
+        }
+    }
+
+    #[test]
+    fn window_p99_is_not_clamped_past_50_ms() {
+        use ebs_core::rng::SimRng;
+        let mut rng = SimRng::seed_from_u64(7);
+        let lats: Vec<Vec<f64>> = (0..5)
+            .map(|_| (0..400).map(|_| rng.f64_range(100.0, 400_000.0)).collect())
+            .collect();
+        let epochs: Vec<EpochStats> = lats.iter().map(|l| epoch(400, 0, l)).collect();
+        let mut pooled: Vec<f64> = lats.concat();
+        pooled.sort_by(f64::total_cmp);
+        let exact = pooled[(0.99 * pooled.len() as f64).ceil() as usize - 1];
+        assert!(exact > 50_000.0);
+        let w = fold_window(&epochs, &[]);
+        // The windowed p99 is the upper edge of the bucket holding the
+        // exact nearest-rank p99.
+        assert!(exact < w.p99_us && w.p99_us <= exact * (1.0 + 1.0 / 16.0));
+    }
+
+    #[test]
+    fn window_fold_rates() {
+        let mk = |ios: u64, throttled: u64| epoch(ios, throttled, &[]);
         let epochs = [mk(80, 8), mk(20, 2)];
         let actions = [
             AppliedActions {

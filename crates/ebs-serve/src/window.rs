@@ -29,11 +29,6 @@ impl<T> SlidingWindow<T> {
         self.len
     }
 
-    /// Observations currently held.
-    pub fn occupancy(&self) -> usize {
-        self.items.len()
-    }
-
     /// Whether the window holds nothing yet.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
@@ -80,12 +75,6 @@ pub fn fold_sum<T>(items: &[T], f: impl Fn(&T) -> u64) -> u64 {
     items.iter().fold(0u64, |acc, it| acc.saturating_add(f(it)))
 }
 
-/// Sum of an `f64` projection over the window, in window order (oldest
-/// first) so the fold is deterministic.
-pub fn fold_sum_f64<T>(items: &[T], f: impl Fn(&T) -> f64) -> f64 {
-    items.iter().fold(0.0f64, |acc, it| acc + f(it))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,7 +87,6 @@ mod tests {
             w.push(k);
         }
         assert_eq!(w.as_slice(), &[2, 3, 4]);
-        assert_eq!(w.occupancy(), 3);
         assert_eq!(w.capacity(), 3);
         assert_eq!(w.newest(), Some(&4));
         assert_eq!(w.oldest(), Some(&2));
@@ -121,9 +109,8 @@ mod tests {
 
     #[test]
     fn folds_project_and_sum() {
-        let xs = [(1u64, 0.5f64), (2, 0.25), (3, 0.125)];
-        assert_eq!(fold_sum(&xs, |x| x.0), 6);
-        assert_eq!(fold_sum_f64(&xs, |x| x.1), 0.875);
+        let xs = [1u64, 2, 3];
+        assert_eq!(fold_sum(&xs, |&x| x), 6);
         assert_eq!(fold_sum(&xs, |_| u64::MAX), u64::MAX);
     }
 }

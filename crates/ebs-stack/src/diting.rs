@@ -1,18 +1,16 @@
 //! DiTing: the distributed tracer (§2.3).
 //!
 //! DiTing assembles per-IO trace records — block-layer info, the stack
-//! entities the IO traversed, and the five-stage latency breakdown — and
-//! can export them as CSV for offline analysis. In production DiTing also
-//! performs the 1/3200 sampling; in this reproduction the workload
-//! generator already emits the sampled stream, so the tracer's job is
-//! record assembly and ids.
+//! entities the IO traversed, and the five-stage latency breakdown. In
+//! production DiTing also performs the 1/3200 sampling; in this
+//! reproduction the workload generator already emits the sampled stream,
+//! so the tracer's job is record assembly and ids.
 
 use crate::route::Route;
 use ebs_core::ids::TraceId;
 use ebs_core::io::IoEvent;
 use ebs_core::topology::Fleet;
 use ebs_core::trace::{StageLatency, TraceRecord};
-use std::io::Write;
 
 /// Trace-record assembler with monotonically increasing trace ids.
 #[derive(Clone, Debug, Default)]
@@ -61,40 +59,6 @@ impl Diting {
     pub fn issued(&self) -> u64 {
         self.next_id
     }
-}
-
-/// Write trace records as CSV (header + one row per record).
-pub fn write_csv<W: Write>(records: &[TraceRecord], mut w: W) -> std::io::Result<()> {
-    writeln!(
-        w,
-        "trace_id,t_us,op,size,offset,qp,vd,vm,cn,wt,seg,bs,sn,\
-         compute_us,frontend_us,block_server_us,backend_us,chunk_server_us"
-    )?;
-    for r in records {
-        writeln!(
-            w,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{:.2},{:.2},{:.2},{:.2},{:.2}",
-            r.id,
-            r.t_us,
-            r.op.letter(),
-            r.size,
-            r.offset,
-            r.qp.0,
-            r.vd.0,
-            r.vm.0,
-            r.cn.0,
-            r.wt.0,
-            r.seg.0,
-            r.bs.0,
-            r.sn.0,
-            r.lat.compute_us,
-            r.lat.frontend_us,
-            r.lat.block_server_us,
-            r.lat.backend_us,
-            r.lat.chunk_server_us,
-        )?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -166,28 +130,5 @@ mod tests {
         let a = d.record(&f, &ev, route(&f, &ev, WtId(0)), StageLatency::default());
         let b = d.record(&f, &ev, route(&f, &ev, WtId(0)), StageLatency::default());
         assert!(b.id > a.id);
-    }
-
-    #[test]
-    fn csv_roundtrip_shape() {
-        let f = fleet();
-        let mut d = Diting::new();
-        let ev = IoEvent {
-            t_us: 55,
-            vd: ebs_core::ids::VdId(0),
-            qp: QpId(0),
-            op: Op::Read,
-            size: 8192,
-            offset: GIB,
-        };
-        let r = d.record(&f, &ev, route(&f, &ev, WtId(1)), StageLatency::default());
-        let mut buf = Vec::new();
-        write_csv(&[r], &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("trace_id,"));
-        assert_eq!(lines[1].split(',').count(), 18);
-        assert!(lines[1].contains(",R,"));
     }
 }

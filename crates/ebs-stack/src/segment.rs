@@ -71,16 +71,6 @@ impl SegmentMap {
         &self.log
     }
 
-    /// Segments currently homed on `bs`.
-    pub fn segments_of(&self, bs: BsId) -> Vec<SegId> {
-        self.home
-            .iter()
-            .enumerate()
-            .filter(|&(_, &h)| h == bs)
-            .map(|(i, _)| SegId::from_index(i))
-            .collect()
-    }
-
     /// Number of segments per BlockServer, indexed by BS.
     pub fn load_counts(&self, bs_total: usize) -> Vec<usize> {
         let mut counts = vec![0usize; bs_total];
@@ -160,6 +150,5 @@ mod tests {
         m.migrate(&f, 1, SegId(3), BsId(2));
         let counts = m.load_counts(3);
         assert_eq!(counts.iter().sum::<usize>(), f.segments.len());
-        assert_eq!(m.segments_of(BsId(2)).len(), counts[2]);
     }
 }

@@ -100,6 +100,7 @@ pub struct SimOutput {
 /// Records into private histograms during the event loop (no shared lock
 /// on the hot path) and merges into the global registry once at the end,
 /// so instrumentation can never reorder or perturb the simulation.
+#[derive(Default)]
 struct StackObs {
     queue_wait: ebs_obs::Histogram,
     stage_compute: ebs_obs::Histogram,
@@ -111,18 +112,6 @@ struct StackObs {
 }
 
 impl StackObs {
-    fn new() -> Self {
-        Self {
-            queue_wait: ebs_obs::Histogram::new(0.0, 10_000.0, 40),
-            stage_compute: ebs_obs::Histogram::new(0.0, 20_000.0, 40),
-            stage_frontend: ebs_obs::Histogram::new(0.0, 2_000.0, 40),
-            stage_block_server: ebs_obs::Histogram::new(0.0, 2_000.0, 40),
-            stage_backend: ebs_obs::Histogram::new(0.0, 2_000.0, 40),
-            stage_chunk_server: ebs_obs::Histogram::new(0.0, 5_000.0, 40),
-            total: ebs_obs::Histogram::new(0.0, 50_000.0, 50),
-        }
-    }
-
     fn record_io(&mut self, wait_us: f64, lat: &StageLatency) {
         self.queue_wait.add(wait_us);
         self.stage_compute.add(lat.compute_us);
@@ -307,7 +296,7 @@ impl SimCore {
         Self {
             queues: WtQueues::new(fleet.wt_total),
             diting: Diting::new(),
-            obs: ebs_obs::enabled().then(StackObs::new),
+            obs: ebs_obs::enabled().then(StackObs::default),
             replication: config.replication,
             ios: 0,
             throttled: 0,

@@ -20,7 +20,7 @@ pub fn rar_samples(group: &ThrottleGroup) -> Vec<f64> {
         let delivered: f64 = group.members.iter().map(|m| m.demand(t).min(m.cap)).sum();
         out.push(((cap - delivered) / cap).clamp(0.0, 1.0));
     }
-    ebs_obs::observe_many("throttle.rar", 0.0, 1.0, 20, &out);
+    ebs_obs::observe_many("throttle.rar", &out);
     ebs_obs::counter_add("throttle.rar.samples", out.len() as u64);
     out
 }

@@ -1,7 +1,7 @@
 //! Workspace-level property tests: invariants that must hold for *any*
 //! input, not just the canonical scenarios.
 
-use ebs::analysis::{ccr, normalized_cov, p2a, quantile};
+use ebs::analysis::{ccr, normalized_cov, p2a, quantile, Histogram};
 use ebs::cache::policy::CachePolicy;
 use ebs::cache::{FifoCache, FrozenCache, LruCache};
 use ebs::core::io::Op;
@@ -174,6 +174,72 @@ proptest! {
             prop_assert!((-1.0..=1.0).contains(&x));
             if w > r {
                 prop_assert!(x > 0.0);
+            }
+        }
+    }
+}
+
+/// A histogram sample drawn from raw bits: one in eight is a special
+/// value (signed zeros, NaN, +∞, just under and far over the bucket
+/// domain), the rest log-uniform over [2^-12, 2^56), which straddles both
+/// of its edges.
+fn hist_sample(u: u64) -> f64 {
+    if u.is_multiple_of(8) {
+        let special = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            2f64.powi(-11),
+            2f64.powi(60),
+        ];
+        return special[(u / 8 % 6) as usize];
+    }
+    f64::from_bits(((1023 - 12 + (u >> 52) % 68) << 52) | (u & ((1 << 52) - 1)))
+}
+
+proptest! {
+    #[test]
+    fn histogram_counts_merge_and_quantiles_hold(
+        raw in prop::collection::vec(any::<u64>(), 0..300),
+        cut in 0usize..300,
+        q in 0.0f64..1.0,
+    ) {
+        let xs: Vec<f64> = raw.iter().map(|&u| hist_sample(u)).collect();
+        let mut whole = Histogram::new();
+        whole.extend(xs.iter().copied());
+        let in_buckets: u64 = whole.buckets().map(|(_, _, c)| c).sum();
+        prop_assert_eq!(
+            whole.total(),
+            whole.underflow() + whole.overflow() + whole.invalid() + in_buckets
+        );
+        prop_assert_eq!(whole.total(), xs.len() as u64);
+
+        let (left, right) = xs.split_at(cut.min(xs.len()));
+        let (mut a, mut b) = (Histogram::new(), Histogram::new());
+        a.extend(left.iter().copied());
+        b.extend(right.iter().copied());
+        let mut ba = b.clone();
+        ba.merge(&a);
+        a.merge(&b);
+        prop_assert_eq!(&a, &whole);
+        prop_assert_eq!(&ba, &whole);
+
+        // Nearest-rank oracle over the valid (non-NaN, non-negative) samples.
+        let mut valid: Vec<f64> = xs.iter().copied().filter(|x| *x >= 0.0).collect();
+        valid.sort_by(f64::total_cmp);
+        for q in [q, 0.5, 0.99, 1.0] {
+            let got = whole.quantile(q);
+            let rank = ((q * valid.len() as f64).ceil() as usize).max(1);
+            let Some(&exact) = valid.get(rank - 1) else {
+                prop_assert_eq!(got, 0.0);
+                continue;
+            };
+            if (2f64.powi(-10)..2f64.powi(54)).contains(&exact) {
+                prop_assert!(
+                    exact < got && got <= exact * (1.0 + 1.0 / 16.0),
+                    "q {q}: exact {exact}, bucket edge {got}"
+                );
             }
         }
     }
