@@ -158,9 +158,10 @@ mod tests {
             apply_throttle: false,
             ..StackConfig::default()
         };
-        let mut sim = StackSim::new(&ds.fleet, cfg);
-        let out = sim.run(&ds.events).unwrap();
-        let records = out.traces.records().to_vec();
+        let (_, traces) = StackSim::new(&ds.fleet, cfg)
+            .run_traced(&ds.events)
+            .unwrap();
+        let records = traces.records().to_vec();
         let hits = hit_oracle(&hot, &records, 0.1);
         (ds, hot, records, hits)
     }

@@ -96,10 +96,12 @@ pub struct TraceSet {
 }
 
 impl TraceSet {
-    /// Wrap a vector of records, sorting by timestamp (stable, so equal
-    /// timestamps keep generation order).
+    /// Wrap a vector of records, sorting by timestamp unless they already
+    /// are (stable, so equal timestamps keep generation order).
     pub fn from_records(mut records: Vec<TraceRecord>) -> Self {
-        records.sort_by_key(|r| r.t_us);
+        if !records.is_sorted_by_key(|r| r.t_us) {
+            records.sort_by_key(|r| r.t_us);
+        }
         Self { records }
     }
 
@@ -116,11 +118,6 @@ impl TraceSet {
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// Records for one VD, preserving time order.
-    pub fn for_vd(&self, vd: VdId) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter().filter(move |r| r.vd == vd)
     }
 
     /// Total read and write bytes `(read, write)`.
@@ -191,16 +188,5 @@ mod tests {
         assert_eq!(wb, 12288.0);
         assert_eq!(set.len(), 3);
         assert!(!set.is_empty());
-    }
-
-    #[test]
-    fn for_vd_filters() {
-        let mut a = rec(1, Op::Read, 512);
-        a.vd = VdId(1);
-        let b = rec(2, Op::Read, 512);
-        let set = TraceSet::from_records(vec![a, b]);
-        assert_eq!(set.for_vd(VdId(1)).count(), 1);
-        assert_eq!(set.for_vd(VdId(0)).count(), 1);
-        assert_eq!(set.for_vd(VdId(9)).count(), 0);
     }
 }

@@ -36,7 +36,7 @@ use ebs_core::hash::FxHashMap;
 use ebs_core::ids::{DcId, VdId};
 use ebs_core::io::IoEvent;
 use ebs_core::parallel::{par_jobs, par_map_deterministic};
-use ebs_stack::SimOutput;
+use ebs_core::trace::TraceSet;
 use ebs_workload::Dataset;
 use std::sync::OnceLock;
 
@@ -62,7 +62,7 @@ pub const SECTIONS: [(&str, Render); 11] = [
 /// (the `OnceLock` pattern of [`Dataset::index`]).
 pub struct Shared<'a> {
     ds: &'a Dataset,
-    sim: OnceLock<SimOutput>,
+    traces: OnceLock<TraceSet>,
     by_cn: OnceLock<Vec<Vec<IoEvent>>>,
     s2_runs: OnceLock<Vec<BalancerRun>>,
     /// The non-default importer runs on the busiest DC.
@@ -75,7 +75,7 @@ impl<'a> Shared<'a> {
     pub fn new(ds: &'a Dataset) -> Self {
         Self {
             ds,
-            sim: OnceLock::new(),
+            traces: OnceLock::new(),
             by_cn: OnceLock::new(),
             s2_runs: OnceLock::new(),
             importer_runs: OnceLock::new(),
@@ -88,10 +88,10 @@ impl<'a> Shared<'a> {
         self.ds
     }
 
-    /// The stack simulation of the dataset's events
+    /// The trace records of the dataset's stack simulation
     /// ([`stack_traces`]).
-    pub fn sim(&self) -> &SimOutput {
-        self.sim
+    pub fn traces(&self) -> &TraceSet {
+        self.traces
             .get_or_init(|| timed("input", "stack_sim", || stack_traces(self.ds)))
     }
 

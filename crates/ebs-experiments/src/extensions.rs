@@ -71,7 +71,7 @@ pub fn lending_extension(ds: &Dataset) -> Vec<(f64, f64, f64, f64, f64)> {
 pub fn hybrid_extension(sh: &Shared) -> (Vec<(usize, f64, usize)>, f64, f64) {
     let ds = sh.ds();
     let hot = sh.hot_map(2048 << 20);
-    let records = sh.sim().traces.records();
+    let records = sh.traces().records();
     let hits = hit_oracle(hot, records, CACHEABLE_THRESHOLD);
     let sweep = par_map_deterministic(&[0usize, 1, 2, 4, 8], |_, &slots| {
         let sites = assign_sites(

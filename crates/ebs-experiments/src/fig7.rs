@@ -104,8 +104,7 @@ pub fn panel_bc(sh: &Shared) -> Vec<(CacheSite, Op, LatencyGain)> {
         .map(|(&vd, _)| vd)
         .collect();
     let records: Vec<_> = sh
-        .sim()
-        .traces
+        .traces()
         .records()
         .iter()
         .filter(|r| cacheable.contains(&r.vd))

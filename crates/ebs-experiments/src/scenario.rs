@@ -5,8 +5,8 @@
 //! paper's single 12-hour collection window.
 
 use ebs_core::error::EbsError;
+use ebs_core::trace::TraceSet;
 use ebs_stack::sim::{StackConfig, StackSim};
-use ebs_stack::SimOutput;
 use ebs_workload::{generate, resolve_shards, Dataset, WorkloadConfig};
 
 /// Scenario scale.
@@ -178,14 +178,15 @@ fn emit_store_stats(path: &std::path::Path) {
 /// producing the five-stage-latency trace set used by the cache-location
 /// study. Throttling is disabled so latency percentiles reflect the device
 /// path (the throttle study works on metric data instead).
-pub fn stack_traces(ds: &Dataset) -> SimOutput {
+pub fn stack_traces(ds: &Dataset) -> TraceSet {
     let cfg = StackConfig {
         apply_throttle: false,
         ..StackConfig::default()
     };
-    let mut sim = StackSim::new(&ds.fleet, cfg);
-    sim.run(&ds.events)
-        .expect("generated events are time-sorted")
+    let (_, traces) = StackSim::new(&ds.fleet, cfg)
+        .run_traced(&ds.events)
+        .expect("generated events are time-sorted and in the fleet");
+    traces
 }
 
 #[cfg(test)]
@@ -202,9 +203,9 @@ mod tests {
     #[test]
     fn stack_traces_cover_all_events() {
         let ds = dataset(Scale::Quick);
-        let out = stack_traces(&ds);
-        assert_eq!(out.traces.len(), ds.events.len());
-        assert_eq!(out.stats.throttled, 0);
+        let traces = stack_traces(&ds);
+        assert_eq!(traces.len(), ds.events.len());
+        assert!(traces.records().iter().all(|r| r.lat.total_us() > 0.0));
     }
 
     #[test]

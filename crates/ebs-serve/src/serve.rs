@@ -24,6 +24,7 @@ use ebs_core::error::EbsError;
 use ebs_core::io::IoEvent;
 use ebs_core::topology::Fleet;
 use ebs_core::trace::TraceRecord;
+use ebs_stack::diting::assemble;
 use ebs_stack::hypervisor::Binding;
 use ebs_stack::route::RoutePlan;
 use ebs_stack::segment::SegmentMap;
@@ -62,7 +63,8 @@ pub struct ServeConfig {
     pub pacing: Pacing,
     /// Run an observational page cache of this many 4 KiB pages.
     pub cache_pages: Option<usize>,
-    /// Keep every per-IO trace record in the report (differential tests).
+    /// Assemble and keep every per-IO trace record in the report
+    /// (differential tests).
     pub collect_traces: bool,
 }
 
@@ -141,7 +143,6 @@ pub fn serve(
     let mut session = SimSession::new(fleet, config.stack.clone())?;
     let mut binding = Binding::from_fleet(fleet);
     let mut seg_map = SegmentMap::from_fleet(fleet);
-    let mut cap_scales = vec![1.0f64; fleet.vd_count()];
     let mut cache: Option<LruCache> = match config.cache_pages {
         Some(pages) if pages > 0 => Some(LruCache::new(pages)),
         _ => None,
@@ -188,7 +189,8 @@ pub fn serve(
         );
         stats.cache = cache_epoch;
         if config.collect_traces {
-            report.records.extend_from_slice(out.traces.records());
+            let traces = assemble(fleet, slice.events, &plan, &out)?;
+            report.records.extend_from_slice(traces.records());
         }
         let row_seed = (
             stats.sim.ios,
@@ -206,7 +208,7 @@ pub fn serve(
                 epochs: window.as_slice(),
                 binding: &binding,
                 placement: &seg_map,
-                cap_scales: &cap_scales,
+                cap_scales: session.cap_scales(),
             };
             let mut batch: Vec<Action> = Vec::new();
             for policy in policies.iter_mut() {
@@ -220,7 +222,6 @@ pub fn serve(
                     &mut session,
                     &mut binding,
                     &mut seg_map,
-                    &mut cap_scales,
                     &mut cache,
                     &mut applied,
                 );
@@ -272,7 +273,6 @@ fn apply_action(
     session: &mut SimSession<'_>,
     binding: &mut Binding,
     seg_map: &mut SegmentMap,
-    cap_scales: &mut [f64],
     cache: &mut Option<LruCache>,
     applied: &mut AppliedActions,
 ) {
@@ -291,10 +291,7 @@ fn apply_action(
             }
         }
         Action::LendCap { vd, scale } => {
-            if scale.is_finite() && scale > 0.0 && session.scale_vd_caps(vd, scale) {
-                if let Some(slot) = cap_scales.get_mut(vd.index()) {
-                    *slot = scale;
-                }
+            if session.scale_vd_caps(vd, scale) {
                 applied.lends += 1;
             } else {
                 applied.rejected += 1;
@@ -302,9 +299,6 @@ fn apply_action(
         }
         Action::ReclaimCap { vd } => {
             if session.scale_vd_caps(vd, 1.0) {
-                if let Some(slot) = cap_scales.get_mut(vd.index()) {
-                    *slot = 1.0;
-                }
                 applied.reclaims += 1;
             } else {
                 applied.rejected += 1;

@@ -102,9 +102,9 @@ impl EpochStats {
         let vd_bytes = vd_sums.into_pairs(VdId);
 
         let mut lat_hist = Histogram::new();
-        let mut lats: Vec<f64> = Vec::with_capacity(out.traces.len());
-        for r in out.traces.records() {
-            let t = r.lat.total_us();
+        let mut lats: Vec<f64> = Vec::with_capacity(out.lat.len());
+        for lat in &out.lat {
+            let t = lat.total_us();
             lat_hist.add(t);
             lats.push(t);
         }
@@ -299,12 +299,7 @@ mod tests {
             v
         };
         // `quantiles` still sorts.
-        let lats: Vec<f64> = out
-            .traces
-            .records()
-            .iter()
-            .map(|r| r.lat.total_us())
-            .collect();
+        let lats: Vec<f64> = out.lat.iter().map(|lat| lat.total_us()).collect();
         let p99 = ebs_analysis::quantile::quantiles(&lats, &[0.99])[0].unwrap_or(0.0);
         Sparse {
             segs: sorted_bits(seg_map),

@@ -52,16 +52,17 @@ fn noop_serve_equals_batch_run_bit_exactly() {
     let ds = quick();
     let stack = StackConfig::default();
 
-    let mut sim = StackSim::new(&ds.fleet, stack.clone());
-    let batch = sim.run(&ds.events).unwrap();
+    let (batch, traces) = StackSim::new(&ds.fleet, stack.clone())
+        .run_traced(&ds.events)
+        .unwrap();
 
     let mut config = ServeConfig::fast_forward(60.0, 5, stack).unwrap();
     config.collect_traces = true;
     let report = serve(&ds.fleet, &config, &ds.events, &mut noop_policies()).unwrap();
 
-    assert_eq!(report.aggregate, batch.stats);
-    assert_eq!(report.records.len(), batch.traces.len());
-    assert_eq!(report.records, batch.traces.records());
+    assert_eq!(report.aggregate, batch);
+    assert_eq!(report.records.len(), traces.len());
+    assert_eq!(report.records, traces.records());
     assert_eq!(report.consumed, ds.events.len());
 }
 

@@ -13,13 +13,15 @@
 //!   DiTing reports.
 //! * **[`segment`]** — the mutable segment → BlockServer placement that the
 //!   inter-BS balancer (§6) migrates.
-//! * **[`diting`]** — the tracer that assembles the paper's per-IO trace
-//!   records (and exports CSV).
+//! * **[`diting`]** — the tracer: [`diting::assemble`] joins a simulated
+//!   slice's events, routes and latency column into the paper's per-IO
+//!   trace records.
 //! * **[`route`]** — the precomputed per-event routing table
 //!   ([`route::RoutePlan`]), shareable across simulation runs.
 //! * **[`sim`]** — [`sim::StackSim`] and the resumable
 //!   [`sim::SimSession`], which route a sampled IO stream through all of
-//!   the above in one per-event pass.
+//!   the above in one per-event pass and emit one five-stage latency per
+//!   IO.
 //!
 //! The §2.2 BlockServer prefetcher and ChunkServer garbage collection are
 //! not modelled: the 1/3200-sampled stream never has the sequential-read
@@ -31,9 +33,11 @@
 //! use ebs_workload::{generate, WorkloadConfig};
 //!
 //! let ds = generate(&WorkloadConfig::quick(1)).unwrap();
-//! let mut sim = StackSim::new(&ds.fleet, StackConfig::default());
+//! let sim = StackSim::new(&ds.fleet, StackConfig::default());
 //! let out = sim.run(&ds.events).unwrap();
-//! assert_eq!(out.traces.len(), ds.events.len());
+//! assert_eq!(out.lat.len(), ds.events.len());
+//! let (_, traces) = sim.run_traced(&ds.events).unwrap();
+//! assert_eq!(traces.len(), ds.events.len());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -4,17 +4,17 @@
 //! through the full path of Figure 1: QP → worker thread (with single-
 //! server queueing), optional per-VD throttle, frontend network,
 //! BlockServer (segment → home mapping), backend network, and ChunkServer
-//! (replicated writes) — and hands each IO to DiTing to produce the
-//! paper's trace dataset with the five-stage latency breakdown.
+//! (replicated writes) — and emits each IO's five-stage latency
+//! breakdown. [`crate::diting::assemble`] turns that column into the
+//! paper's trace records for the callers that read them.
 //!
 //! [`SimSession::step`], and so [`StackSim::run`] (a one-step session),
 //! is the simulator's one schedule (DESIGN.md §16): a single pass over
 //! the events. Each event goes through its throttle gate and fabric
 //! links, draws its stage samples from the `stack/latency` stream in a
-//! fixed order, then goes through its WT queue, the write quorum and
-//! DiTing. Nothing is kept in columns.
+//! fixed order, then goes through its WT queue and the write quorum. The
+//! output is one [`StageLatency`] per event, in event order.
 
-use crate::diting::Diting;
 use crate::hypervisor::{Binding, WtQueues};
 use crate::latency::LatencyModel;
 use crate::network::FabricModel;
@@ -26,7 +26,7 @@ use ebs_core::error::EbsError;
 use ebs_core::io::{IoEvent, Op};
 use ebs_core::rng::{RngFactory, SimRng};
 use ebs_core::topology::Fleet;
-use ebs_core::trace::{StageLatency, TraceRecord, TraceSet};
+use ebs_core::trace::{StageLatency, TraceSet};
 use ebs_core::units::TRACE_SAMPLE_RATE;
 
 /// Stack-simulation configuration.
@@ -87,11 +87,15 @@ impl SimStats {
     }
 }
 
-/// Result of a simulation: the trace dataset plus run statistics.
+/// Result of a simulation: the per-IO latency column plus run statistics.
+/// [`crate::diting::assemble`] builds the trace records from it.
 #[derive(Clone, Debug)]
 pub struct SimOutput {
-    /// Per-IO traces with five-stage latencies, time-sorted.
-    pub traces: TraceSet,
+    /// Five-stage latency of each event, in event order.
+    pub lat: Vec<StageLatency>,
+    /// Trace id of the first event: the session's IO count before the
+    /// step.
+    pub first_id: u64,
     /// Aggregate statistics.
     pub stats: SimStats,
 }
@@ -248,14 +252,12 @@ fn draw_event(
     }
 }
 
-/// The persistent half of record assembly: WT busy-until clocks, the
-/// DiTing id counter, the optional obs recorder, and the running
-/// aggregates. A [`SimSession`] carries one across epoch steps so
-/// slice-by-slice serving accumulates *exactly* the batch totals (same
-/// u64 sums, same f64 summation order).
+/// The persistent half of latency assembly: WT busy-until clocks, the
+/// optional obs recorder, and the running aggregates. A [`SimSession`]
+/// carries one across epoch steps so slice-by-slice serving accumulates
+/// *exactly* the batch totals (same u64 sums, same f64 summation order).
 struct SimCore {
     queues: WtQueues,
-    diting: Diting,
     obs: Option<StackObs>,
     replication: ReplicationPolicy,
     ios: u64,
@@ -265,7 +267,7 @@ struct SimCore {
 
 /// One slice's output under assembly.
 struct SliceOut {
-    records: Vec<TraceRecord>,
+    lat: Vec<StageLatency>,
     throttled: u64,
     total_latency: f64,
 }
@@ -273,7 +275,7 @@ struct SliceOut {
 impl SliceOut {
     fn with_capacity(n: usize) -> Self {
         Self {
-            records: Vec::with_capacity(n),
+            lat: Vec::with_capacity(n),
             throttled: 0,
             total_latency: 0.0,
         }
@@ -281,11 +283,13 @@ impl SliceOut {
 
     /// Close the slice: add its counts to `core` and return its output.
     fn finish(self, core: &mut SimCore) -> SimOutput {
-        let ios = self.records.len() as u64;
+        let ios = self.lat.len() as u64;
+        let first_id = core.ios;
         core.ios += ios;
         core.throttled += self.throttled;
         SimOutput {
-            traces: TraceSet::from_records(self.records),
+            lat: self.lat,
+            first_id,
             stats: SimStats::from_totals(ios, self.throttled, self.total_latency),
         }
     }
@@ -295,7 +299,6 @@ impl SimCore {
     fn new(fleet: &Fleet, config: &StackConfig) -> Self {
         Self {
             queues: WtQueues::new(fleet.wt_total),
-            diting: Diting::new(),
             obs: ebs_obs::enabled().then(StackObs::default),
             replication: config.replication,
             ios: 0,
@@ -304,13 +307,12 @@ impl SimCore {
         }
     }
 
-    /// Record assembly: WT queueing, fabric congestion, the write quorum,
-    /// obs, and the event's DiTing record.
+    /// Latency assembly: WT queueing, fabric congestion, the write quorum,
+    /// obs, and the event's entry in the latency column.
     #[inline]
     fn assemble(
         &mut self,
         out: &mut SliceOut,
-        fleet: &Fleet,
         ev: &IoEvent,
         route: Route,
         a: Admitted,
@@ -341,18 +343,13 @@ impl SimCore {
         if let Some(o) = self.obs.as_mut() {
             o.record_io(wait, &lat);
         }
-        out.records.push(self.diting.record(fleet, ev, route, lat));
-    }
-
-    /// Aggregate statistics accumulated so far.
-    fn aggregate(&self) -> SimStats {
-        SimStats::from_totals(self.ios, self.throttled, self.total_latency)
+        out.lat.push(lat);
     }
 
     /// Publish the accumulated obs metrics (if recording) and return the
     /// aggregate stats. Consumes the core: a run publishes exactly once.
     fn finish(self) -> SimStats {
-        let stats = self.aggregate();
+        let stats = SimStats::from_totals(self.ios, self.throttled, self.total_latency);
         if let Some(o) = self.obs {
             o.finish(&stats);
         }
@@ -388,9 +385,18 @@ impl<'a> StackSim<'a> {
     }
 
     /// Route `events` (must be time-sorted) through the stack.
-    pub fn run(&mut self, events: &[IoEvent]) -> Result<SimOutput, EbsError> {
+    pub fn run(&self, events: &[IoEvent]) -> Result<SimOutput, EbsError> {
         let plan = self.plan(events)?;
         self.run_planned(events, &plan)
+    }
+
+    /// Route `events` through the stack and assemble their trace records
+    /// ([`crate::diting::assemble`]), for callers that read records.
+    pub fn run_traced(&self, events: &[IoEvent]) -> Result<(SimStats, TraceSet), EbsError> {
+        let plan = self.plan(events)?;
+        let out = self.run_planned(events, &plan)?;
+        let traces = crate::diting::assemble(self.fleet, events, &plan, &out)?;
+        Ok((out.stats, traces))
     }
 
     /// Route `events` through the stack using a prebuilt [`RoutePlan`]
@@ -409,13 +415,13 @@ impl<'a> StackSim<'a> {
 
 /// A *resumable* simulation: the simulator's schedule with every piece of
 /// cross-event state — throttle-gate buckets, fabric links, the
-/// `stack/latency` RNG stream, WT busy-until clocks, DiTing trace ids,
-/// and the aggregate accumulators — held in the session between calls to
-/// [`Self::step`].
+/// `stack/latency` RNG stream, WT busy-until clocks, the IO count that
+/// numbers trace ids, and the aggregate accumulators — held in the
+/// session between calls to [`Self::step`].
 ///
 /// Stepping a time-sorted stream through a session slice-by-slice (in
-/// order, with each slice's own route plan) produces the identical record
-/// stream and identical [`Self::finish`] aggregate as one batch
+/// order, with each slice's own route plan) produces the identical
+/// latency column and identical [`Self::finish`] aggregate as one batch
 /// `run_planned` over the concatenation: the serve mode's foundational
 /// invariant, pinned by the `ebs-serve` differential tests.
 ///
@@ -447,17 +453,12 @@ impl<'a> SimSession<'a> {
         })
     }
 
-    /// The session's configuration.
-    pub fn config(&self) -> &StackConfig {
-        &self.config
-    }
-
     /// Simulate the next slice of the stream under `plan`. Slices must
     /// arrive in stream order; the returned output carries the *slice's*
-    /// traces and stats (its `mean_latency_us` is the slice mean).
+    /// latency column and stats (its `mean_latency_us` is the slice mean).
     ///
     /// One fused pass: per event, the gate/fabric step, the stage samples
-    /// in draw order, then record assembly.
+    /// in draw order, then latency assembly.
     pub fn step(&mut self, events: &[IoEvent], plan: &RoutePlan) -> Result<SimOutput, EbsError> {
         if plan.len() != events.len() {
             return Err(EbsError::invalid_config(
@@ -476,8 +477,7 @@ impl<'a> SimSession<'a> {
                 ev,
                 replicas,
             );
-            self.core
-                .assemble(&mut out, self.fleet, ev, route, a, &mut draws);
+            self.core.assemble(&mut out, ev, route, a, &mut draws);
         }
         Ok(out.finish(&mut self.core))
     }
@@ -507,18 +507,10 @@ impl<'a> SimSession<'a> {
         true
     }
 
-    /// The lending multiplier currently applied to `vd` (1.0 = none).
-    pub fn vd_cap_scale(&self, vd: ebs_core::ids::VdId) -> f64 {
-        self.machines
-            .cap_scale
-            .get(vd.index())
-            .copied()
-            .unwrap_or(1.0)
-    }
-
-    /// Aggregate statistics over every step so far.
-    pub fn aggregate(&self) -> SimStats {
-        self.core.aggregate()
+    /// The lending multiplier currently applied to each VD (dense, indexed
+    /// by VD; 1.0 = none).
+    pub fn cap_scales(&self) -> &[f64] {
+        &self.machines.cap_scale
     }
 
     /// End the session: publish obs metrics (exactly once, like a batch
@@ -535,27 +527,28 @@ mod tests {
 
     fn simulate(seed: u64) -> (SimOutput, usize) {
         let ds = generate(&WorkloadConfig::quick(seed)).unwrap();
-        let mut sim = StackSim::new(&ds.fleet, StackConfig::default());
+        let sim = StackSim::new(&ds.fleet, StackConfig::default());
         let out = sim.run(&ds.events).unwrap();
         (out, ds.events.len())
     }
 
     #[test]
-    fn every_event_becomes_a_trace() {
+    fn every_event_gets_a_latency() {
         let (out, n) = simulate(31);
-        assert_eq!(out.traces.len(), n);
+        assert_eq!(out.lat.len(), n);
+        assert_eq!(out.first_id, 0);
         assert_eq!(out.stats.ios as usize, n);
     }
 
     #[test]
     fn latencies_are_positive_and_structured() {
         let (out, _) = simulate(32);
-        for r in out.traces.records() {
-            assert!(r.lat.total_us() > 0.0);
-            assert!(r.lat.compute_us > 0.0);
+        for lat in &out.lat {
+            assert!(lat.total_us() > 0.0);
+            assert!(lat.compute_us > 0.0);
             // CN-cache latency ≤ BS-cache latency ≤ total.
-            assert!(r.lat.cn_cache_us() <= r.lat.bs_cache_us() + 1e-9);
-            assert!(r.lat.bs_cache_us() <= r.lat.total_us() + 1e-9);
+            assert!(lat.cn_cache_us() <= lat.bs_cache_us() + 1e-9);
+            assert!(lat.bs_cache_us() <= lat.total_us() + 1e-9);
         }
         assert!(out.stats.mean_latency_us > 0.0);
     }
@@ -569,15 +562,14 @@ mod tests {
             apply_throttle: false,
             ..StackConfig::default()
         };
-        let mut sim = StackSim::new(&ds.fleet, cfg);
-        let out = sim.run(&ds.events).unwrap();
+        let out = StackSim::new(&ds.fleet, cfg).run(&ds.events).unwrap();
         let (mut rsum, mut rcnt, mut wsum, mut wcnt) = (0.0, 0u32, 0.0, 0u32);
-        for r in out.traces.records() {
-            if r.op.is_read() {
-                rsum += r.lat.total_us();
+        for (ev, lat) in ds.events.iter().zip(&out.lat) {
+            if ev.op.is_read() {
+                rsum += lat.total_us();
                 rcnt += 1;
             } else {
-                wsum += r.lat.total_us();
+                wsum += lat.total_us();
                 wcnt += 1;
             }
         }
@@ -590,7 +582,7 @@ mod tests {
         let (a, _) = simulate(34);
         let (b, _) = simulate(34);
         assert_eq!(a.stats, b.stats);
-        assert_eq!(a.traces.records()[0], b.traces.records()[0]);
+        assert_eq!(a.lat, b.lat);
     }
 
     #[test]
@@ -600,7 +592,7 @@ mod tests {
         let last = events.len() - 1;
         assert!(last > 0, "need at least two events");
         events.swap(0, last);
-        let mut sim = StackSim::new(&ds.fleet, StackConfig::default());
+        let sim = StackSim::new(&ds.fleet, StackConfig::default());
         assert!(sim.run(&events).is_err());
     }
 
@@ -611,8 +603,7 @@ mod tests {
             apply_throttle: false,
             ..StackConfig::default()
         };
-        let mut sim = StackSim::new(&ds.fleet, cfg);
-        let out = sim.run(&ds.events).unwrap();
+        let out = StackSim::new(&ds.fleet, cfg).run(&ds.events).unwrap();
         assert_eq!(out.stats.throttled, 0);
     }
 
@@ -625,14 +616,15 @@ mod tests {
                 replication: policy,
                 ..StackConfig::default()
             };
-            let mut sim = StackSim::new(&ds.fleet, cfg);
-            let out = sim.run(&ds.events).unwrap();
-            let (sum, n) = out
-                .traces
-                .records()
+            let out = StackSim::new(&ds.fleet, cfg).run(&ds.events).unwrap();
+            let (sum, n) = ds
+                .events
                 .iter()
-                .filter(|r| r.op.is_write())
-                .fold((0.0, 0u32), |(s, n), r| (s + r.lat.chunk_server_us, n + 1));
+                .zip(&out.lat)
+                .filter(|(ev, _)| ev.op.is_write())
+                .fold((0.0, 0u32), |(s, n), (_, lat)| {
+                    (s + lat.chunk_server_us, n + 1)
+                });
             sum / n as f64
         };
         let single = mean_write(crate::replication::ReplicationPolicy::NONE);
@@ -645,9 +637,12 @@ mod tests {
 
     #[test]
     fn trace_entities_match_fleet_topology() {
-        let (out, _) = simulate(37);
         let ds = generate(&WorkloadConfig::quick(37)).unwrap();
-        for r in out.traces.records().iter().take(500) {
+        let sim = StackSim::new(&ds.fleet, StackConfig::default());
+        let (stats, traces) = sim.run_traced(&ds.events).unwrap();
+        assert_eq!(stats, sim.run(&ds.events).unwrap().stats);
+        assert_eq!(traces.len(), ds.events.len());
+        for r in traces.records().iter().take(500) {
             assert_eq!(ds.fleet.vds[r.vd].vm, r.vm);
             assert_eq!(ds.fleet.vms[r.vm].cn, r.cn);
             assert_eq!(ds.fleet.cn_of_wt(r.wt), r.cn);
@@ -658,22 +653,22 @@ mod tests {
     #[test]
     fn shared_plan_reproduces_per_run_output() {
         let ds = generate(&WorkloadConfig::quick(40)).unwrap();
-        let mut sim = StackSim::new(&ds.fleet, StackConfig::default());
+        let sim = StackSim::new(&ds.fleet, StackConfig::default());
         let direct = sim.run(&ds.events).unwrap();
         let plan = sim.plan(&ds.events).unwrap();
         let planned = sim.run_planned(&ds.events, &plan).unwrap();
         assert_eq!(direct.stats, planned.stats);
-        assert_eq!(direct.traces.records(), planned.traces.records());
+        assert_eq!(direct.lat, planned.lat);
     }
 
     #[test]
     fn session_steps_concatenate_to_batch_run() {
         let ds = generate(&WorkloadConfig::quick(43)).unwrap();
-        let mut sim = StackSim::new(&ds.fleet, StackConfig::default());
+        let sim = StackSim::new(&ds.fleet, StackConfig::default());
         let batch = sim.run(&ds.events).unwrap();
 
         let mut session = SimSession::new(&ds.fleet, StackConfig::default()).unwrap();
-        let mut records = Vec::new();
+        let mut lat = Vec::new();
         // Uneven slice boundaries, including an empty slice.
         let n = ds.events.len();
         let cuts = [0, n / 3, n / 3, n / 2, (3 * n) / 4, n];
@@ -683,12 +678,12 @@ mod tests {
             // Per-slice plans, exactly how the serve loop routes epochs.
             let sub = sim.plan(slice).unwrap();
             let out = session.step(slice, &sub).unwrap();
-            records.extend_from_slice(out.traces.records());
+            assert_eq!(out.first_id, lo as u64);
+            lat.extend_from_slice(&out.lat);
         }
         let agg = session.finish();
         assert_eq!(agg, batch.stats);
-        assert_eq!(records.len(), batch.traces.records().len());
-        assert_eq!(records, batch.traces.records());
+        assert_eq!(lat, batch.lat);
     }
 
     #[test]
@@ -707,8 +702,8 @@ mod tests {
         for vd in 0..ds.fleet.vd_count() {
             let id = ebs_core::ids::VdId(vd as u32);
             assert!(s.scale_vd_caps(id, 100.0));
-            assert_eq!(s.vd_cap_scale(id), 100.0);
         }
+        assert!(s.cap_scales().iter().all(|&c| c == 100.0));
         let plan = StackSim::new(&ds.fleet, StackConfig::default())
             .plan(&ds.events)
             .unwrap();

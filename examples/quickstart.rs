@@ -58,8 +58,9 @@ fn main() {
         apply_throttle: false,
         ..StackConfig::default()
     };
-    let mut sim = StackSim::new(&ds.fleet, cfg);
-    let out = sim.run(&ds.events).expect("events are time-sorted");
+    let out = StackSim::new(&ds.fleet, cfg)
+        .run(&ds.events)
+        .expect("events are time-sorted");
     println!(
         "stack: {} IOs routed, mean end-to-end latency {:.0} us",
         out.stats.ios, out.stats.mean_latency_us

@@ -33,17 +33,17 @@ fn main() {
         apply_throttle: false,
         ..StackConfig::default()
     };
-    let mut sim = StackSim::new(&ds.fleet, cfg);
-    let out = sim.run(&events).expect("time-sorted");
+    let (stats, traces) = StackSim::new(&ds.fleet, cfg)
+        .run_traced(&events)
+        .expect("time-sorted");
     println!(
         "replayed {} IOs: mean latency {:.0} us",
-        out.stats.ios, out.stats.mean_latency_us
+        stats.ios, stats.mean_latency_us
     );
 
     // 4. The five-stage trace records are ready for any of the paper's
     //    analyses — here, the write-latency breakdown by stage.
-    let writes: Vec<_> = out
-        .traces
+    let writes: Vec<_> = traces
         .records()
         .iter()
         .filter(|r| r.op.is_write())

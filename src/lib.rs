@@ -11,9 +11,9 @@
 //! use ebs::stack::sim::{StackConfig, StackSim};
 //!
 //! let ds = generate(&WorkloadConfig::quick(7)).unwrap();
-//! let mut sim = StackSim::new(&ds.fleet, StackConfig::default());
+//! let sim = StackSim::new(&ds.fleet, StackConfig::default());
 //! let out = sim.run(&ds.events).unwrap();
-//! assert_eq!(out.traces.len(), ds.events.len());
+//! assert_eq!(out.lat.len(), ds.events.len());
 //! ```
 //!
 //! See `README.md` for the architecture overview, `DESIGN.md` for the

@@ -10,6 +10,8 @@ use ebs::balance::importer::ImporterSelect;
 use ebs::balance::wt_rebind::{events_by_cn, simulate_fleet, RebindConfig};
 use ebs::core::ids::DcId;
 use ebs::core::parallel::set_thread_override;
+use ebs::core::trace::TraceSet;
+use ebs::stack::diting::assemble;
 use ebs::stack::sim::{SimOutput, StackConfig, StackSim};
 use ebs::throttle::lending::{lending_gains, LendingConfig};
 use ebs::throttle::scenario::{build_groups, CapDim};
@@ -93,20 +95,18 @@ fn stack_traces_are_reproducible() {
             seed,
             ..StackConfig::default()
         };
-        let mut sim = StackSim::new(&ds.fleet, cfg);
-        sim.run(&ds.events).unwrap()
+        StackSim::new(&ds.fleet, cfg)
+            .run_traced(&ds.events)
+            .unwrap()
     };
-    let a = run(9);
-    let b = run(9);
-    assert_eq!(a.stats, b.stats);
-    assert_eq!(a.traces.records(), b.traces.records());
+    let (a_stats, a) = run(9);
+    let (b_stats, b) = run(9);
+    assert_eq!(a_stats, b_stats);
+    assert_eq!(a.records(), b.records());
     // A different latency seed changes latencies but not routing.
-    let c = run(10);
-    assert_eq!(a.traces.len(), c.traces.len());
-    assert_ne!(
-        a.traces.records()[0].lat.total_us(),
-        c.traces.records()[0].lat.total_us()
-    );
+    let (_, c) = run(10);
+    assert_eq!(a.len(), c.len());
+    assert_ne!(a.records()[0].lat.total_us(), c.records()[0].lat.total_us());
 }
 
 #[test]
@@ -292,11 +292,14 @@ fn replay_from_store_is_byte_identical_to_generation() {
     ebs::obs::set_obs_override(None);
 }
 
-/// One batch run: `StackSim::run`, itself a one-step session.
-fn batch_run(ds: &Dataset, cfg: &StackConfig) -> SimOutput {
-    StackSim::new(&ds.fleet, cfg.clone())
-        .run(&ds.events)
-        .unwrap()
+/// One batch run (`StackSim::run_planned`, itself a one-step session)
+/// and its assembled trace records.
+fn batch_run(ds: &Dataset, cfg: &StackConfig) -> (SimOutput, TraceSet) {
+    let sim = StackSim::new(&ds.fleet, cfg.clone());
+    let plan = sim.plan(&ds.events).unwrap();
+    let out = sim.run_planned(&ds.events, &plan).unwrap();
+    let traces = assemble(&ds.fleet, &ds.events, &plan, &out).unwrap();
+    (out, traces)
 }
 
 /// Configs that change the simulator's shape: no throttle gates, a
@@ -328,8 +331,8 @@ fn stack_sim_is_thread_and_obs_invariant() {
         let ds = generate(&WorkloadConfig::quick(seed)).unwrap();
         let cfg = StackConfig::default();
         let run = || {
-            let out = batch_run(&ds, &cfg);
-            (out.stats, out.traces.records().to_vec())
+            let (out, traces) = batch_run(&ds, &cfg);
+            (out.stats, out.lat, traces.records().to_vec())
         };
         ebs::obs::set_obs_override(Some(false));
         let off = assert_thread_count_invariant(run);
@@ -345,8 +348,8 @@ fn stack_sim_is_thread_and_obs_invariant() {
 
 /// A session stepped over uneven epoch slices — random lengths, empty
 /// slices included, each routed by its own plan as the serve loop does —
-/// reproduces one batch run's records and aggregate over the whole
-/// stream.
+/// reproduces one batch run's latency column, trace records (ids
+/// included) and aggregate over the whole stream.
 #[test]
 fn session_slices_match_batch_run() {
     use ebs::core::rng::SimRng;
@@ -357,24 +360,28 @@ fn session_slices_match_batch_run() {
         let n = ds.events.len();
         let [v0, v1, v2] = variant_configs();
         for cfg in [StackConfig::default(), v0, v1, v2] {
-            let whole = batch_run(&ds, &cfg);
+            let (whole, whole_traces) = batch_run(&ds, &cfg);
             let sim = StackSim::new(&ds.fleet, cfg.clone());
             let mut session = SimSession::new(&ds.fleet, cfg.clone()).unwrap();
             let mut rng = SimRng::seed_from_u64(seed);
             // An empty first slice, then random lengths (0 included).
             let first = session.step(&[], &sim.plan(&[]).unwrap()).unwrap();
-            assert_eq!(first.traces.len(), 0);
-            let (mut records, mut lo, mut slices) = (Vec::new(), 0, 0);
+            assert_eq!(first.lat.len(), 0);
+            let (mut lat, mut records, mut lo, mut slices) = (Vec::new(), Vec::new(), 0, 0);
             while lo < n {
                 let hi = (lo + rng.index(n / 6 + 1)).min(n);
                 let slice = &ds.events[lo..hi];
-                let out = session.step(slice, &sim.plan(slice).unwrap()).unwrap();
-                records.extend_from_slice(out.traces.records());
+                let plan = sim.plan(slice).unwrap();
+                let out = session.step(slice, &plan).unwrap();
+                lat.extend_from_slice(&out.lat);
+                let traces = assemble(&ds.fleet, slice, &plan, &out).unwrap();
+                records.extend_from_slice(traces.records());
                 (lo, slices) = (hi, slices + 1);
             }
             assert!(slices > 3, "seed={seed:#x}: too few slices");
             assert_eq!(session.finish(), whole.stats, "seed={seed:#x} {cfg:?}");
-            assert_eq!(records, whole.traces.records(), "seed={seed:#x} {cfg:?}");
+            assert_eq!(lat, whole.lat, "seed={seed:#x} {cfg:?}");
+            assert_eq!(records, whole_traces.records(), "seed={seed:#x} {cfg:?}");
         }
     }
 }
@@ -404,13 +411,14 @@ fn stage_latencies_follow_the_documented_draw_order() {
                 replication,
                 ..StackConfig::default()
             };
-            let out = batch_run(&ds, &cfg);
+            let out = StackSim::new(&ds.fleet, cfg.clone())
+                .run(&ds.events)
+                .unwrap();
             let m = &cfg.latency;
             let mut rng = RngFactory::new(cfg.seed).child("stack").stream("latency");
             let mut acks = Vec::new();
-            assert_eq!(out.traces.len(), ds.events.len());
-            for (ev, r) in ds.events.iter().zip(out.traces.records()) {
-                assert_eq!((ev.t_us, ev.vd, ev.op), (r.t_us, r.vd, r.op));
+            assert_eq!(out.lat.len(), ds.events.len());
+            for (i, (ev, lat)) in ds.events.iter().zip(&out.lat).enumerate() {
                 let service = m.compute.sample(&mut rng, ev.size);
                 let frontend = m.frontend.sample(&mut rng, ev.size);
                 let block_server = m.block_server.sample(&mut rng, ev.size);
@@ -426,23 +434,18 @@ fn stage_latencies_follow_the_documented_draw_order() {
                     }
                 };
                 let got = [
-                    r.lat.frontend_us,
-                    r.lat.block_server_us,
-                    r.lat.backend_us,
-                    r.lat.chunk_server_us,
+                    lat.frontend_us,
+                    lat.block_server_us,
+                    lat.backend_us,
+                    lat.chunk_server_us,
                 ];
                 let want = [frontend, block_server, backend, chunk_server];
                 assert_eq!(
                     got.map(f64::to_bits),
                     want.map(f64::to_bits),
-                    "seed={seed:#x} trace {:?}",
-                    r.id
+                    "seed={seed:#x} event {i}"
                 );
-                assert!(
-                    r.lat.compute_us >= service,
-                    "seed={seed:#x} trace {:?}",
-                    r.id
-                );
+                assert!(lat.compute_us >= service, "seed={seed:#x} event {i}");
             }
         }
     }

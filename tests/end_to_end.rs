@@ -72,25 +72,21 @@ fn temporal_skew_read_dominates_and_segments_are_skewed() {
 #[test]
 fn stack_simulation_is_lossless_and_consistent() {
     let ds = dataset();
-    let mut sim = StackSim::new(
+    let sim = StackSim::new(
         &ds.fleet,
         StackConfig {
             apply_throttle: false,
             ..StackConfig::default()
         },
     );
-    let out = sim.run(&ds.events).expect("sorted events");
-    assert_eq!(
-        out.traces.len(),
-        ds.events.len(),
-        "every IO becomes a trace"
-    );
+    let (_, traces) = sim.run_traced(&ds.events).expect("sorted events");
+    assert_eq!(traces.len(), ds.events.len(), "every IO becomes a trace");
     // Byte totals in the trace match the event stream exactly.
     let ev_bytes: f64 = ds.events.iter().map(|e| e.size as f64).sum();
-    let (tr, tw) = out.traces.rw_bytes();
+    let (tr, tw) = traces.rw_bytes();
     assert!((ev_bytes - (tr + tw)).abs() < 1e-3);
     // Every latency is positive and stage-ordered.
-    for r in out.traces.records().iter().take(2000) {
+    for r in traces.records().iter().take(2000) {
         assert!(r.lat.total_us() > 0.0);
         assert!(r.lat.cn_cache_us() <= r.lat.bs_cache_us());
     }

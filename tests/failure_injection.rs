@@ -24,7 +24,7 @@ fn stack_rejects_out_of_range_offsets() {
         size: 4096,
         offset: capacity + (1 << 30), // far past the disk
     };
-    let mut sim = StackSim::new(&ds.fleet, StackConfig::default());
+    let sim = StackSim::new(&ds.fleet, StackConfig::default());
     let err = sim.run(&[rogue]).unwrap_err();
     assert!(err.to_string().contains("unknown entity"), "{err}");
 }
@@ -35,16 +35,17 @@ fn stack_rejects_unsorted_streams_before_doing_work() {
     let mut events = ds.events.clone();
     let last = events.len() - 1;
     events.swap(0, last);
-    let mut sim = StackSim::new(&ds.fleet, StackConfig::default());
+    let sim = StackSim::new(&ds.fleet, StackConfig::default());
     assert!(sim.run(&events).is_err());
 }
 
 #[test]
 fn empty_event_stream_yields_empty_traces() {
     let ds = generate(&WorkloadConfig::quick(502)).unwrap();
-    let mut sim = StackSim::new(&ds.fleet, StackConfig::default());
+    let sim = StackSim::new(&ds.fleet, StackConfig::default());
     let out = sim.run(&[]).unwrap();
-    assert!(out.traces.is_empty());
+    assert!(out.lat.is_empty());
+    assert!(sim.run_traced(&[]).unwrap().1.is_empty());
     assert_eq!(out.stats.ios, 0);
     assert_eq!(out.stats.mean_latency_us, 0.0);
 }
