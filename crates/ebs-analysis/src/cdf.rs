@@ -45,26 +45,6 @@ impl Cdf {
     pub fn quantile(&self, q: f64) -> Option<f64> {
         crate::quantile::quantile(&self.sorted, q)
     }
-
-    /// Evenly spaced `(x, P(X ≤ x))` points suitable for plotting or for
-    /// the experiment harness to print as a series. Returns `points`
-    /// samples spanning the data range.
-    pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = *self.sorted.last().expect("non-empty");
-        if points == 1 || hi == lo {
-            return vec![(hi, 1.0)];
-        }
-        (0..points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-                (x, self.at(x).expect("non-empty"))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -86,7 +66,6 @@ mod tests {
         let c = Cdf::new(&[]);
         assert_eq!(c.at(1.0), None);
         assert_eq!(c.quantile(0.5), None);
-        assert!(c.curve(10).is_empty());
         assert!(c.is_empty());
     }
 
@@ -95,23 +74,5 @@ mod tests {
         let c = Cdf::new(&[10.0, 20.0, 30.0]);
         assert_eq!(c.quantile(0.5), Some(20.0));
         assert_eq!(c.len(), 3);
-    }
-
-    #[test]
-    fn curve_is_monotone() {
-        let c = Cdf::new(&[5.0, 1.0, 3.0, 2.0, 4.0]);
-        let pts = c.curve(11);
-        assert_eq!(pts.len(), 11);
-        for w in pts.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-            assert!(w[1].1 >= w[0].1);
-        }
-        assert_eq!(pts.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn degenerate_single_value_curve() {
-        let c = Cdf::new(&[7.0, 7.0]);
-        assert_eq!(c.curve(5), vec![(7.0, 1.0)]);
     }
 }

@@ -29,28 +29,6 @@ pub fn normalized_cov(values: &[f64]) -> Option<f64> {
     Some((c / bound).min(1.0))
 }
 
-/// Traffic share of the hottest entity: `max / sum`. `None` if the sum is
-/// not positive.
-pub fn hottest_share(values: &[f64]) -> Option<f64> {
-    let sum: f64 = values.iter().sum();
-    if values.is_empty() || sum <= 0.0 {
-        return None;
-    }
-    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    Some(max / sum)
-}
-
-/// Ratio of the hottest to the coldest entity (`max / min`); `f64::INFINITY`
-/// when the coldest is zero. `None` on empty input or non-positive sum.
-pub fn hot_cold_ratio(values: &[f64]) -> Option<f64> {
-    if values.is_empty() || values.iter().sum::<f64>() <= 0.0 {
-        return None;
-    }
-    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-    Some(if min <= 0.0 { f64::INFINITY } else { max / min })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,15 +59,6 @@ mod tests {
         assert_eq!(cov(&[]), None);
         assert_eq!(cov(&[0.0, 0.0]), None);
         assert_eq!(normalized_cov(&[0.0, 0.0, 0.0]), None);
-    }
-
-    #[test]
-    fn hottest_share_and_ratio() {
-        let v = [1.0, 3.0, 6.0];
-        assert!((hottest_share(&v).unwrap() - 0.6).abs() < 1e-12);
-        assert!((hot_cold_ratio(&v).unwrap() - 6.0).abs() < 1e-12);
-        assert_eq!(hot_cold_ratio(&[1.0, 0.0]), Some(f64::INFINITY));
-        assert_eq!(hottest_share(&[0.0]), None);
     }
 
     #[test]

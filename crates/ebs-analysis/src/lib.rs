@@ -24,13 +24,11 @@ pub mod batch;
 pub mod ccr;
 pub mod cdf;
 pub mod cov;
-pub mod gini;
 pub mod histogram;
 pub mod mse;
 pub mod p2a;
 pub mod quantile;
 pub mod table;
-pub mod timeseries;
 pub mod wr_ratio;
 
 pub use aggregate::{ComputeLevel, StorageLevel};
@@ -40,7 +38,6 @@ pub use batch::{
 pub use ccr::ccr;
 pub use cdf::Cdf;
 pub use cov::{cov, normalized_cov};
-pub use gini::gini;
 pub use histogram::Histogram;
 pub use mse::mse;
 pub use p2a::p2a;

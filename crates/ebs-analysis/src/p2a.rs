@@ -18,17 +18,6 @@ pub fn p2a(series: &[f64]) -> Option<f64> {
     Some(max / mean)
 }
 
-/// P2A computed over coarser windows: the series is re-binned by summing
-/// `window` consecutive samples before taking max/mean. Equivalent to
-/// measuring P2A at a coarser aggregation granularity.
-pub fn p2a_windowed(series: &[f64], window: usize) -> Option<f64> {
-    if window == 0 {
-        return None;
-    }
-    let binned: Vec<f64> = series.chunks(window).map(|c| c.iter().sum()).collect();
-    p2a(&binned)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,8 +46,8 @@ mod tests {
         // Alternating 0/2: fine-grain P2A = 2, window-2 P2A = 1.
         let v = [0.0, 2.0, 0.0, 2.0, 0.0, 2.0];
         assert!((p2a(&v).unwrap() - 2.0).abs() < 1e-12);
-        assert!((p2a_windowed(&v, 2).unwrap() - 1.0).abs() < 1e-12);
-        assert_eq!(p2a_windowed(&v, 0), None);
+        let binned: Vec<f64> = v.chunks(2).map(|c| c.iter().sum()).collect();
+        assert!((p2a(&binned).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]

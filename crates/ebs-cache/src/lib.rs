@@ -31,7 +31,6 @@ pub mod fifo;
 pub mod frozen;
 pub mod hottest_block;
 pub mod hybrid;
-pub mod lfu;
 pub mod location;
 pub mod lru;
 pub mod policy;
@@ -48,7 +47,6 @@ pub use fifo::FifoCache;
 pub use frozen::FrozenCache;
 pub use hottest_block::{hot_rate, hottest_block, HottestBlock, BLOCK_SIZES};
 pub use hybrid::{assign_sites, hybrid_latency_gain, HybridConfig};
-pub use lfu::LfuCache;
 pub use location::{hit_oracle, latency_gain, CacheSite, LatencyGain};
 pub use lru::LruCache;
 pub use policy::CachePolicy;

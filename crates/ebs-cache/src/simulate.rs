@@ -125,21 +125,19 @@ pub fn sweep_policies(hb: &HottestBlock, events: &[IoEvent]) -> Vec<(Algorithm, 
                 }
             };
             if obs_on {
-                // FIFO/LRU admit every miss, so evictions are the misses
-                // that no longer fit; FrozenHot never admits or evicts.
                 let misses = stats.accesses - stats.hits;
-                let evictions = match algo {
-                    Algorithm::Fifo | Algorithm::Lru => {
-                        misses - resident.min(misses as usize) as u64
-                    }
-                    Algorithm::Frozen => 0,
-                };
                 let key = algo.label().to_lowercase();
                 let mut reg = ebs_obs::Registry::new();
                 reg.counter_add(&format!("cache.{key}.accesses"), stats.accesses);
                 reg.counter_add(&format!("cache.{key}.hits"), stats.hits);
                 reg.counter_add(&format!("cache.{key}.misses"), misses);
-                reg.counter_add(&format!("cache.{key}.evictions"), evictions);
+                // FIFO/LRU admit every miss, so evictions are the misses
+                // that no longer fit. FrozenHot never admits or evicts, so
+                // it has no eviction counter.
+                if matches!(algo, Algorithm::Fifo | Algorithm::Lru) {
+                    let evictions = misses - resident.min(misses as usize) as u64;
+                    reg.counter_add(&format!("cache.{key}.evictions"), evictions);
+                }
                 ebs_obs::merge(&reg);
             }
             (algo, stats)

@@ -47,55 +47,10 @@ impl AppClass {
         }
     }
 
-    /// Representative concrete applications for this class (Table 5),
-    /// used by the specification dataset to name sample VM workloads.
-    pub fn example_apps(self) -> &'static [&'static str] {
-        match self {
-            AppClass::BigData => &[
-                "HBase",
-                "Flink",
-                "Hadoop",
-                "TensorFlow",
-                "E-MapReduce",
-                "Elastic-HPC",
-            ],
-            AppClass::WebApp => &["Nginx", "Jenkins", "Git", "Crawler", "Game", "httpd"],
-            AppClass::Middleware => &[
-                "Elasticsearch",
-                "Kafka",
-                "etcd",
-                "ZooKeeper",
-                "Dubbo",
-                "Nacos",
-                "Nomad",
-                "SLB",
-            ],
-            AppClass::FileSystem => &["FTP", "CPFS"],
-            AppClass::Database => &[
-                "Redis",
-                "MySQL",
-                "Postgres",
-                "MsSQL",
-                "MongoDB",
-                "Oracle",
-                "ClickHouse",
-                "Prometheus",
-                "InfluxDB",
-            ],
-            AppClass::Docker => &["K8S", "ECI", "ESS"],
-        }
-    }
-
     /// The class at dense index `idx` inside [`AppClass::ALL`] (inverse of
     /// [`AppClass::index`]; used by the trace-store codec).
     pub fn from_index(idx: usize) -> Option<AppClass> {
         Self::ALL.get(idx).copied()
-    }
-
-    /// The class whose Table 4 label is `label`, if any (inverse of
-    /// [`AppClass::label`]; used by the CSV importer).
-    pub fn from_label(label: &str) -> Option<AppClass> {
-        Self::ALL.iter().copied().find(|c| c.label() == label)
     }
 
     /// Dense index of this class inside [`AppClass::ALL`].
@@ -128,20 +83,11 @@ mod tests {
     }
 
     #[test]
-    fn every_class_names_example_apps() {
-        for c in AppClass::ALL {
-            assert!(!c.example_apps().is_empty(), "{c} has no example apps");
-        }
-    }
-
-    #[test]
-    fn index_and_label_round_trip() {
+    fn index_round_trips() {
         for c in AppClass::ALL {
             assert_eq!(AppClass::from_index(c.index()), Some(c));
-            assert_eq!(AppClass::from_label(c.label()), Some(c));
         }
         assert_eq!(AppClass::from_index(99), None);
-        assert_eq!(AppClass::from_label("Mainframe"), None);
     }
 
     #[test]

@@ -11,8 +11,6 @@ pub enum EbsError {
     InvalidConfig(String),
     /// An id referenced an entity that does not exist in the fleet.
     UnknownEntity(String),
-    /// A dataset did not contain the data an analysis required.
-    EmptyDataset(String),
     /// An underlying IO operation failed (message of the `std::io::Error`).
     Io(String),
     /// A stored file ended before a complete header/chunk could be read.
@@ -40,11 +38,6 @@ impl EbsError {
     /// Build an [`EbsError::UnknownEntity`].
     pub fn unknown_entity(msg: impl Into<String>) -> Self {
         EbsError::UnknownEntity(msg.into())
-    }
-
-    /// Build an [`EbsError::EmptyDataset`].
-    pub fn empty_dataset(msg: impl Into<String>) -> Self {
-        EbsError::EmptyDataset(msg.into())
     }
 
     /// Build an [`EbsError::Truncated`].
@@ -86,7 +79,6 @@ impl fmt::Display for EbsError {
             EbsError::InvalidSpec(m) => write!(f, "invalid specification: {m}"),
             EbsError::InvalidConfig(m) => write!(f, "invalid configuration: {m}"),
             EbsError::UnknownEntity(m) => write!(f, "unknown entity: {m}"),
-            EbsError::EmptyDataset(m) => write!(f, "empty dataset: {m}"),
             EbsError::Io(m) => write!(f, "io error: {m}"),
             EbsError::Truncated(m) => write!(f, "truncated store: {m}"),
             EbsError::ChecksumMismatch(m) => write!(f, "checksum mismatch: {m}"),
@@ -106,8 +98,6 @@ mod tests {
     fn display_includes_category_and_message() {
         let e = EbsError::invalid_config("tick width");
         assert_eq!(e.to_string(), "invalid configuration: tick width");
-        let e = EbsError::empty_dataset("no segments");
-        assert!(e.to_string().contains("empty dataset"));
     }
 
     #[test]

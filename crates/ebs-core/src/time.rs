@@ -34,11 +34,6 @@ impl TickSpec {
         self.tick_secs * self.ticks as f64
     }
 
-    /// Start of tick `t` in seconds from the window origin.
-    pub fn tick_start_secs(&self, t: u32) -> f64 {
-        t as f64 * self.tick_secs
-    }
-
     /// Tick containing the microsecond timestamp `t_us` (clamped to the
     /// final tick for timestamps at or past the window end).
     pub fn tick_of_us(&self, t_us: u64) -> u32 {
@@ -50,13 +45,6 @@ impl TickSpec {
     /// (at least one).
     pub fn ticks_per_window(&self, window_secs: f64) -> u32 {
         ((window_secs / self.tick_secs).round() as u32).max(1)
-    }
-
-    /// Number of whole-or-partial windows of `window_secs` seconds in the
-    /// observation window.
-    pub fn window_count(&self, window_secs: f64) -> u32 {
-        let per = self.ticks_per_window(window_secs);
-        self.ticks.div_ceil(per)
     }
 }
 
@@ -87,19 +75,9 @@ mod tests {
     }
 
     #[test]
-    fn tick_starts_are_consistent() {
-        let spec = TickSpec::new(2.5, 8);
-        assert!((spec.tick_start_secs(3) - 7.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn windows_partition_the_grid() {
         let spec = TickSpec::new(5.0, 9);
         assert_eq!(spec.ticks_per_window(15.0), 3);
-        assert_eq!(spec.window_count(15.0), 3);
-        // Partial final window still counts.
-        let spec = TickSpec::new(5.0, 10);
-        assert_eq!(spec.window_count(15.0), 4);
     }
 
     #[test]

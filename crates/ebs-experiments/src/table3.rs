@@ -22,17 +22,6 @@ pub struct LevelStats {
     pub entities: usize,
 }
 
-impl LevelStats {
-    /// 1 %-CCR divided by its uniform-traffic baseline
-    /// (`ceil(0.01·n)/n`) — a scale-free skewness score that stays
-    /// comparable between levels with very different entity counts.
-    pub fn ccr1_excess(&self) -> f64 {
-        let n = self.entities.max(1) as f64;
-        let baseline = (0.01 * n).ceil().max(1.0) / n;
-        self.ccr1 / baseline
-    }
-}
-
 /// The four aggregation levels of Table 3.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Level {
@@ -178,13 +167,18 @@ mod tests {
             assert!(vm_r.p2a50 > vm_w.p2a50, "{dc}: read vs write P2A");
             // SN is the least skewed level (Table 3's striking contrast).
             // Entity counts differ wildly between levels at our scale, so
-            // compare skew relative to each level's uniform baseline.
+            // compare each level's 1 %-CCR relative to its uniform-traffic
+            // baseline `ceil(0.01·n)/n`.
+            let excess = |s: LevelStats| {
+                let n = s.entities.max(1) as f64;
+                s.ccr1 / ((0.01 * n).ceil().max(1.0) / n)
+            };
             let sn = t.per_dc[i][2].0.unwrap();
             assert!(
-                sn.ccr1_excess() < vm_r.ccr1_excess(),
+                excess(sn) < excess(vm_r),
                 "{dc}: SN skew excess {:.1} must be below VM's {:.1}",
-                sn.ccr1_excess(),
-                vm_r.ccr1_excess()
+                excess(sn),
+                excess(vm_r)
             );
         }
     }

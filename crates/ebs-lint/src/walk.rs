@@ -19,7 +19,6 @@ pub const TOTAL_MODULES: &[&str] = &[
     "crates/ebs-store/src/manifest.rs",
     "crates/ebs-store/src/seal.rs",
     "crates/ebs-store/src/stream.rs",
-    "crates/ebs-workload/src/import.rs",
     "crates/ebs-workload/src/store.rs",
     "crates/ebs-stack/src/route.rs",
     "crates/ebs-serve/src/epoch.rs",
@@ -150,7 +149,7 @@ mod tests {
         // path, so they are D3-strict like the reader that calls them.
         assert!(TOTAL_MODULES.contains(&"crates/ebs-store/src/codec.rs"));
         assert!(TOTAL_MODULES.contains(&"crates/ebs-store/src/seal.rs"));
-        assert!(TOTAL_MODULES.contains(&"crates/ebs-workload/src/import.rs"));
+        assert!(TOTAL_MODULES.contains(&"crates/ebs-workload/src/store.rs"));
         // The route plan resolves untrusted (offset, VD) pairs for every
         // simulated event; it must surface malformed input as errors, not
         // panics.

@@ -48,11 +48,6 @@ impl Arima {
         }
     }
 
-    /// The selected `(p, d)` orders, if fitted.
-    pub fn orders(&self) -> Option<(usize, usize)> {
-        self.fitted.as_ref().map(|f| (f.p, f.d))
-    }
-
     fn difference(series: &[f64], d: usize) -> Vec<f64> {
         let mut v = series.to_vec();
         for _ in 0..d {
@@ -222,9 +217,10 @@ mod tests {
     fn orders_are_reported_after_fit() {
         let series: Vec<f64> = (0..40).map(|i| (i % 5) as f64).collect();
         let mut m = Arima::new(4, 1);
-        assert_eq!(m.orders(), None);
+        assert!(m.fitted.is_none());
         m.fit(&series);
-        let (p, d) = m.orders().unwrap();
+        let f = m.fitted.as_ref().unwrap();
+        let (p, d) = (f.p, f.d);
         assert!((1..=4).contains(&p));
         assert!(d <= 1);
     }

@@ -55,12 +55,6 @@ impl EpochSpec {
         self.epoch_us as f64 / 1e6
     }
 
-    /// Index of the epoch containing `t_us` (epoch `k` covers
-    /// `[k·E, (k+1)·E)`).
-    pub fn index_of(&self, t_us: u64) -> u64 {
-        t_us / self.epoch_us
-    }
-
     /// First microsecond of epoch `k` (saturating).
     pub fn start_us(&self, k: u64) -> u64 {
         k.saturating_mul(self.epoch_us)
@@ -184,8 +178,6 @@ mod tests {
         let total: usize = lens.iter().sum();
         assert_eq!(total, events.len());
         assert_eq!(slices[1].events[0].t_us, 100, "edge event opens epoch 1");
-        assert_eq!(spec.index_of(100), 1);
-        assert_eq!(spec.index_of(99), 0);
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl<T> SlidingWindow<T> {
     pub fn newest(&self) -> Option<&T> {
         self.items.last()
     }
-
-    /// The oldest retained observation, if any.
-    pub fn oldest(&self) -> Option<&T> {
-        self.items.first()
-    }
 }
 
 /// `num / den` as a ratio, `0.0` when the denominator is zero — the
@@ -89,7 +84,6 @@ mod tests {
         assert_eq!(w.as_slice(), &[2, 3, 4]);
         assert_eq!(w.capacity(), 3);
         assert_eq!(w.newest(), Some(&4));
-        assert_eq!(w.oldest(), Some(&2));
     }
 
     #[test]

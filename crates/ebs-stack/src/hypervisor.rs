@@ -104,13 +104,6 @@ impl Binding {
             *wt = a;
         }
     }
-
-    /// Number of QPs bound to `wt` (a scan over every QP).
-    pub fn qp_count_of(&self, wt: WtId) -> usize {
-        self.slot_of
-            .get(wt.index())
-            .map_or(0, |&s| self.slot.iter().filter(|&&q| q == s).count())
-    }
 }
 
 /// Single-server queueing state of all worker threads: for each WT, the
@@ -139,11 +132,6 @@ impl WtQueues {
         *free = start + service_us;
         wait
     }
-
-    /// Time at which `wt` becomes idle.
-    pub fn free_at(&self, wt: WtId) -> f64 {
-        self.free_at_us[wt.index()]
-    }
 }
 
 #[cfg(test)]
@@ -166,6 +154,13 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// Number of `f`'s QPs that `b` binds to `wt`.
+    fn qp_count(f: &Fleet, b: &Binding, wt: WtId) -> usize {
+        (0..f.qps.len() as u32)
+            .filter(|&q| b.wt_of(QpId(q)) == wt)
+            .count()
+    }
+
     #[test]
     fn binding_starts_round_robin() {
         let f = fleet();
@@ -173,7 +168,7 @@ mod tests {
         assert_eq!(b.wt_of(QpId(0)), WtId(0));
         assert_eq!(b.wt_of(QpId(1)), WtId(1));
         assert_eq!(b.wt_of(QpId(2)), WtId(0));
-        assert_eq!(b.qp_count_of(WtId(0)), 2);
+        assert_eq!(qp_count(&f, &b, WtId(0)), 2);
     }
 
     #[test]
@@ -182,7 +177,7 @@ mod tests {
         let mut b = Binding::from_fleet(&f);
         b.rebind(&f, QpId(0), WtId(1));
         assert_eq!(b.wt_of(QpId(0)), WtId(1));
-        assert_eq!(b.qp_count_of(WtId(1)), 3);
+        assert_eq!(qp_count(&f, &b, WtId(1)), 3);
     }
 
     #[test]
@@ -192,8 +187,8 @@ mod tests {
         b.swap_wts(WtId(0), WtId(1));
         assert_eq!(b.wt_of(QpId(0)), WtId(1));
         assert_eq!(b.wt_of(QpId(1)), WtId(0));
-        assert_eq!(b.qp_count_of(WtId(0)), 2);
-        assert_eq!(b.qp_count_of(WtId(1)), 2);
+        assert_eq!(qp_count(&f, &b, WtId(0)), 2);
+        assert_eq!(qp_count(&f, &b, WtId(1)), 2);
     }
 
     /// The per-swap scan table `Binding` replaced: the oracle for the
@@ -272,7 +267,7 @@ mod tests {
                 }
                 assert_eq!(fast.try_wt_of(QpId(qps as u32)), None);
                 for w in 0..f.wt_total {
-                    assert_eq!(fast.qp_count_of(WtId(w)), scan.qp_count_of(WtId(w)));
+                    assert_eq!(qp_count(&f, &fast, WtId(w)), scan.qp_count_of(WtId(w)));
                 }
             }
         }
@@ -286,7 +281,7 @@ mod tests {
         b.swap_wts(WtId(u32::MAX), WtId(1));
         assert_eq!(b.wt_of(QpId(0)), WtId(0));
         assert_eq!(b.wt_of(QpId(1)), WtId(1));
-        assert_eq!(b.qp_count_of(WtId(f.wt_total)), 0);
+        assert_eq!(qp_count(&f, &b, WtId(f.wt_total)), 0);
     }
 
     #[test]
@@ -296,7 +291,7 @@ mod tests {
         assert_eq!(q.serve(WtId(0), 100.0, 10.0), 0.0);
         assert_eq!(q.serve(WtId(0), 100.0, 10.0), 10.0);
         assert_eq!(q.serve(WtId(0), 100.0, 10.0), 20.0);
-        assert_eq!(q.free_at(WtId(0)), 130.0);
+        assert_eq!(q.serve(WtId(0), 100.0, 10.0), 30.0);
     }
 
     #[test]

@@ -7,9 +7,6 @@
 //! stage, completion at the `k`-th order statistic. Replication is why
 //! production write tails are long — one slow replica drags the IO.
 
-use crate::latency::StageParams;
-use ebs_core::rng::SimRng;
-
 /// Replication policy of the write path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplicationPolicy {
@@ -50,16 +47,6 @@ impl ReplicationPolicy {
         Ok(())
     }
 
-    /// Latency of one replicated write: draw a per-replica latency from
-    /// `stage` and return the `quorum`-th smallest (the completing ack).
-    pub fn write_latency_us(&self, rng: &mut SimRng, stage: &StageParams, size: u32) -> f64 {
-        debug_assert!(self.validate().is_ok());
-        let mut draws: Vec<f64> = (0..self.replicas)
-            .map(|_| stage.sample(rng, size))
-            .collect();
-        self.completing_ack(&mut draws)
-    }
-
     /// The completing ack among per-replica latencies `acks`: the
     /// `quorum`-th smallest (0 when there are fewer acks than the quorum).
     /// Reorders `acks`.
@@ -74,6 +61,8 @@ impl ReplicationPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::latency::StageParams;
+    use ebs_core::rng::SimRng;
 
     fn stage() -> StageParams {
         StageParams {
@@ -83,6 +72,13 @@ mod tests {
             tail_prob: 0.02,
             tail_mult: 10.0,
         }
+    }
+
+    /// One replicated 4 KiB write under `p`: a latency draw per replica
+    /// from `s`, completing at the quorum's ack.
+    fn write_latency_us(p: ReplicationPolicy, rng: &mut SimRng, s: &StageParams) -> f64 {
+        let mut acks: Vec<f64> = (0..p.replicas).map(|_| s.sample(rng, 4096)).collect();
+        p.completing_ack(&mut acks)
     }
 
     #[test]
@@ -109,10 +105,10 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(1);
         let n = 5000;
         let three: f64 = (0..n)
-            .map(|_| ReplicationPolicy::THREE_WAY.write_latency_us(&mut rng, &s, 4096))
+            .map(|_| write_latency_us(ReplicationPolicy::THREE_WAY, &mut rng, &s))
             .sum();
         let one: f64 = (0..n)
-            .map(|_| ReplicationPolicy::NONE.write_latency_us(&mut rng, &s, 4096))
+            .map(|_| write_latency_us(ReplicationPolicy::NONE, &mut rng, &s))
             .sum();
         assert!(three > one * 1.15, "3-way {three:.0} vs 1-way {one:.0}");
     }
@@ -123,7 +119,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(2);
         let n = 20_000;
         let draws = |p: ReplicationPolicy, rng: &mut SimRng| -> Vec<f64> {
-            let mut v: Vec<f64> = (0..n).map(|_| p.write_latency_us(rng, &s, 4096)).collect();
+            let mut v: Vec<f64> = (0..n).map(|_| write_latency_us(p, rng, &s)).collect();
             v.sort_by(|a, b| a.partial_cmp(b).unwrap());
             v
         };
@@ -158,10 +154,10 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(3);
         let n = 20_000;
         let mut one: Vec<f64> = (0..n)
-            .map(|_| ReplicationPolicy::NONE.write_latency_us(&mut rng, &s, 4096))
+            .map(|_| write_latency_us(ReplicationPolicy::NONE, &mut rng, &s))
             .collect();
         let mut three: Vec<f64> = (0..n)
-            .map(|_| ReplicationPolicy::THREE_WAY.write_latency_us(&mut rng, &s, 4096))
+            .map(|_| write_latency_us(ReplicationPolicy::THREE_WAY, &mut rng, &s))
             .collect();
         one.sort_by(|a, b| a.partial_cmp(b).unwrap());
         three.sort_by(|a, b| a.partial_cmp(b).unwrap());

@@ -16,15 +16,6 @@ use crate::columns::{decode_events_v2_into, events_from_columns, EventColumnByte
 use crate::format::{kind, MAGIC, MAX_CHUNK_LEN, VERSION};
 use crate::seal::seal32;
 
-/// One decoded chunk frame: the kind tag plus its checksum-verified payload.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Chunk {
-    /// Kind tag (see [`crate::format::kind`]).
-    pub kind: u8,
-    /// Payload bytes, already verified against the frame seal.
-    pub payload: Vec<u8>,
-}
-
 /// Totals pinned by the END chunk, used to detect truncation at a chunk
 /// boundary (a cut file would otherwise parse cleanly).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -86,23 +77,14 @@ impl<R: Read> ChunkReader<R> {
         self.end
     }
 
-    /// Read the next chunk, or `Ok(None)` after the END chunk.
+    /// Read the next chunk's checksum-verified payload into `payload` and
+    /// return its kind tag (see [`crate::format::kind`]), or `Ok(None)`
+    /// after the END chunk. Streaming passes reuse one buffer across every
+    /// chunk, so steady-state reads allocate nothing.
     ///
     /// EOF anywhere before the END chunk is [`EbsError::Truncated`]; a
     /// payload that does not match its frame seal is
     /// [`EbsError::ChecksumMismatch`].
-    pub fn next_chunk(&mut self) -> Result<Option<Chunk>, EbsError> {
-        let mut payload = Vec::new();
-        Ok(self.next_chunk_into(&mut payload)?.map(|chunk_kind| Chunk {
-            kind: chunk_kind,
-            payload,
-        }))
-    }
-
-    /// [`next_chunk`](Self::next_chunk) into a caller-provided buffer:
-    /// returns the chunk kind, or `None` after the END chunk. Streaming
-    /// passes reuse one buffer across every chunk, so steady-state reads
-    /// allocate nothing.
     pub fn next_chunk_into(&mut self, payload: &mut Vec<u8>) -> Result<Option<u8>, EbsError> {
         payload.clear();
         if self.done {
@@ -163,15 +145,6 @@ impl<R: Read> ChunkReader<R> {
         }
         self.chunks_read += 1;
         Ok(Some(chunk_kind))
-    }
-
-    /// Collect every chunk up to END. Convenience for full materialization.
-    pub fn read_all(&mut self) -> Result<Vec<Chunk>, EbsError> {
-        let mut out = Vec::new();
-        while let Some(chunk) = self.next_chunk()? {
-            out.push(chunk);
-        }
-        Ok(out)
     }
 
     /// Turn this reader into a streaming iterator over decoded event
@@ -311,6 +284,16 @@ mod tests {
             .collect()
     }
 
+    /// Every `(kind, payload)` chunk up to END, through `next_chunk_into`.
+    fn read_all<R: Read>(r: &mut ChunkReader<R>) -> Result<Vec<(u8, Vec<u8>)>, EbsError> {
+        let mut out = Vec::new();
+        let mut payload = Vec::new();
+        while let Some(chunk_kind) = r.next_chunk_into(&mut payload)? {
+            out.push((chunk_kind, payload.clone()));
+        }
+        Ok(out)
+    }
+
     fn store_with(events: &[IoEvent], per_chunk: usize) -> Vec<u8> {
         let mut w = StoreWriter::new(Vec::new()).unwrap();
         w.write_chunk(kind::CONFIG, b"unused-config").unwrap();
@@ -323,7 +306,7 @@ mod tests {
         let events = sample_events(100);
         let bytes = store_with(&events, 32);
         let mut r = ChunkReader::new(bytes.as_slice()).unwrap();
-        let chunks = r.read_all().unwrap();
+        let chunks = read_all(&mut r).unwrap();
         assert_eq!(chunks.len(), 1 + 4); // config + ceil(100/32) event chunks
         assert_eq!(
             r.end_summary(),
@@ -380,7 +363,7 @@ mod tests {
         let at = crate::format::HEADER_LEN + crate::format::FRAME_LEN + 2;
         broken[at] ^= 0x40;
         let mut r = ChunkReader::new(broken.as_slice()).unwrap();
-        let err = r.read_all().unwrap_err();
+        let err = read_all(&mut r).unwrap_err();
         assert!(matches!(err, EbsError::ChecksumMismatch(_)), "{err}");
     }
 
@@ -389,7 +372,7 @@ mod tests {
         let bytes = store_with(&sample_events(50), 16);
         let cut = &bytes[..bytes.len() - 7];
         let mut r = ChunkReader::new(cut).unwrap();
-        let err = r.read_all().unwrap_err();
+        let err = read_all(&mut r).unwrap_err();
         assert!(matches!(err, EbsError::Truncated(_)), "{err}");
     }
 
@@ -406,8 +389,9 @@ mod tests {
         bytes.extend_from_slice(&seal32(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
         let mut r = ChunkReader::new(bytes.as_slice()).unwrap();
-        r.next_chunk().unwrap().unwrap();
-        let err = r.next_chunk().unwrap_err();
+        let mut payload = Vec::new();
+        r.next_chunk_into(&mut payload).unwrap().unwrap();
+        let err = r.next_chunk_into(&mut payload).unwrap_err();
         assert!(matches!(err, EbsError::Truncated(_)), "{err}");
     }
 
@@ -418,17 +402,17 @@ mod tests {
         let events = sample_events(64);
         let bytes = store_with(&events, 16);
         let mut r = ChunkReader::new(bytes.as_slice()).unwrap();
-        let chunks = r.read_all().unwrap();
+        let chunks = read_all(&mut r).unwrap();
         let end = r.end_summary().unwrap();
         // Re-emit without the last event chunk but with the original totals.
         let mut forged = Vec::new();
         forged.extend_from_slice(&MAGIC);
         forged.extend_from_slice(&VERSION.to_le_bytes());
-        for chunk in &chunks[..chunks.len() - 1] {
-            forged.push(chunk.kind);
-            forged.extend_from_slice(&(chunk.payload.len() as u32).to_le_bytes());
-            forged.extend_from_slice(&seal32(&chunk.payload).to_le_bytes());
-            forged.extend_from_slice(&chunk.payload);
+        for (chunk_kind, payload) in &chunks[..chunks.len() - 1] {
+            forged.push(*chunk_kind);
+            forged.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            forged.extend_from_slice(&seal32(payload).to_le_bytes());
+            forged.extend_from_slice(payload);
         }
         let mut endw = crate::bytes::ByteWriter::new();
         endw.put_varint(end.chunks - 1); // chunk count matches, event total lies

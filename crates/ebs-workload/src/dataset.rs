@@ -99,19 +99,13 @@ impl Dataset {
             .0
             .get_or_init(|| EventIndex::build(&self.fleet, &self.events))
     }
-
-    /// Sampled events belonging to one VD, in time order — an O(1) borrow
-    /// from the shared index (previously an O(V·E) linear filter).
-    pub fn events_for_vd(&self, vd: ebs_core::ids::VdId) -> &[IoEvent] {
-        self.index().vd(vd)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The pre-index `events_for_vd`: a full-stream linear filter.
+    /// The pre-index per-VD event lookup: a full-stream linear filter.
     fn filter_events_for_vd(ds: &Dataset, vd: ebs_core::ids::VdId) -> Vec<IoEvent> {
         ds.events.iter().filter(|e| e.vd == vd).copied().collect()
     }
@@ -122,7 +116,7 @@ mod tests {
         for i in 0..ds.fleet.vd_count() {
             let vd = ebs_core::ids::VdId::from_index(i);
             assert_eq!(
-                ds.events_for_vd(vd),
+                ds.index().vd(vd),
                 filter_events_for_vd(&ds, vd).as_slice(),
                 "VD {i}: index lookup disagrees with the linear filter"
             );

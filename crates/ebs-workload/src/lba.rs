@@ -73,10 +73,6 @@ impl HotSpot {
     fn segment_index(&self) -> u32 {
         (self.start / SEGMENT_BYTES) as u32
     }
-
-    fn contains(&self, offset: u64) -> bool {
-        offset >= self.start && offset < self.start + self.len
-    }
 }
 
 /// LBA access model of one virtual disk.
@@ -137,11 +133,6 @@ impl LbaModel {
         }
     }
 
-    /// Number of hot spots for `op`.
-    pub fn spot_count(&self, op: Op) -> usize {
-        self.spots(op).len()
-    }
-
     /// Index of the segment containing the dominant hot spot for `op`.
     pub fn hot_segment_index(&self, op: Op) -> u32 {
         self.spots(op)[0].segment_index()
@@ -153,16 +144,6 @@ impl LbaModel {
             Op::Read => self.hot_frac_read,
             Op::Write => self.hot_frac_write,
         }
-    }
-
-    /// Whether `offset` falls inside any `op` hot spot.
-    pub fn in_hot_region(&self, op: Op, offset: u64) -> bool {
-        self.spots(op).iter().any(|s| s.contains(offset))
-    }
-
-    /// Whether `offset` falls inside the *dominant* `op` hot spot.
-    pub fn in_top_spot(&self, op: Op, offset: u64) -> bool {
-        self.spots(op)[0].contains(offset)
     }
 
     /// Hot fraction during 5-minute window `window_idx`: the baseline
@@ -271,6 +252,13 @@ mod tests {
         LbaModel::generate(&mut rng, capacity, &profile())
     }
 
+    /// Whether `offset` falls inside one of `spots`.
+    fn in_spots(spots: &[HotSpot], offset: u64) -> bool {
+        spots
+            .iter()
+            .any(|s| offset >= s.start && offset < s.start + s.len)
+    }
+
     #[test]
     fn every_spot_fits_one_segment() {
         for seed in 0..20 {
@@ -282,7 +270,7 @@ mod tests {
                     assert_eq!(seg_of_start, seg_of_end, "seed {seed} {op}");
                     assert!(spot.start + spot.len <= 100 * GIB);
                 }
-                assert!((1..=4).contains(&m.spot_count(op)));
+                assert!((1..=4).contains(&m.spots(op).len()));
             }
         }
     }
@@ -302,7 +290,7 @@ mod tests {
     #[test]
     fn multiple_spots_appear_across_vds() {
         let multi = (0..40)
-            .filter(|&s| model(s, 200 * GIB).spot_count(Op::Write) > 1)
+            .filter(|&s| model(s, 200 * GIB).spots(Op::Write).len() > 1)
             .count();
         assert_eq!(multi, 40, "write spots must always be plural");
     }
@@ -330,11 +318,11 @@ mod tests {
         let n = 20_000;
         for i in 0..n {
             let w = m.offset(&mut rng, Op::Write, 4096, i / 500);
-            if m.in_hot_region(Op::Write, w) {
+            if in_spots(m.spots(Op::Write), w) {
                 hot_w += 1;
             }
             let r = m.offset(&mut rng, Op::Read, 4096, i / 500);
-            if m.in_hot_region(Op::Read, r) {
+            if in_spots(m.spots(Op::Read), r) {
                 hot_r += 1;
             }
         }
@@ -352,9 +340,9 @@ mod tests {
         let mut any = 0usize;
         for i in 0..20_000 {
             let off = m.offset(&mut rng, Op::Write, 4096, i / 500);
-            if m.in_hot_region(Op::Write, off) {
+            if in_spots(m.spots(Op::Write), off) {
                 any += 1;
-                if m.in_top_spot(Op::Write, off) {
+                if in_spots(&m.spots(Op::Write)[..1], off) {
                     top += 1;
                 }
             }
@@ -377,7 +365,7 @@ mod tests {
         let mut top_offsets = Vec::new();
         for i in 0..4000 {
             let off = m.offset(&mut rng, Op::Write, 4096, i / 50);
-            if m.in_top_spot(Op::Write, off) {
+            if in_spots(&m.spots(Op::Write)[..1], off) {
                 top_offsets.push(off);
             }
         }
@@ -400,7 +388,7 @@ mod tests {
         let mut seen: Vec<u64> = Vec::new();
         for i in 0..4000u32 {
             let off = m.offset(&mut rng, Op::Write, 4096, i / 100);
-            if m.in_hot_region(Op::Write, off) {
+            if in_spots(m.spots(Op::Write), off) {
                 hot += 1;
                 if seen.iter().rev().take(512).any(|&p| p == off) {
                     recent_hits += 1;

@@ -44,15 +44,11 @@ pub mod dist;
 pub mod export;
 pub mod fleet;
 pub mod generator;
-// `import` and `store` are total modules (ebs-lint rule D3): they decode
-// external bytes, so every failure must be a typed error, never a panic.
-#[cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
-pub mod import;
 pub mod lba;
 pub mod profile;
 pub mod sampler;
-// `shard` writes and re-reads external bytes like `store` does, so it
-// holds to the same no-panic discipline.
+// `shard` and `store` are total modules (ebs-lint rule D3): they decode
+// external bytes, so every failure must be a typed error, never a panic.
 #[cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 pub mod shard;
 pub mod spatial;
@@ -63,12 +59,11 @@ pub use config::WorkloadConfig;
 pub use dataset::Dataset;
 pub use fleet::{build_fleet, summarize, FleetSummary};
 pub use generator::{generate, generate_for_fleet};
-pub use import::{dataset_from_csv, import_dir, read_specs_csv, SpecCsvRow};
 pub use lba::LbaModel;
 pub use profile::AppProfile;
 pub use shard::{
-    generate_sharded, generate_sharded_plan, load_manifest, replay_summary, resolve_shards,
-    ShardPlan, SHARDS_ENV,
+    generate_sharded, generate_sharded_plan, load_manifest, load_sharded_events, replay_summary,
+    resolve_shards, ShardPlan, SHARDS_ENV,
 };
 pub use spatial::{build_plan, TrafficPlan};
 pub use store::{spec_rows, stream_events};

@@ -114,17 +114,6 @@ pub struct AppProfile {
 }
 
 impl AppProfile {
-    /// Lognormal μ for the per-VM write intensity (so that the mean is
-    /// `write_mean_bps` despite the σ-driven tail).
-    pub fn write_mu(&self) -> f64 {
-        self.write_mean_bps.ln() - self.sigma_write.powi(2) / 2.0
-    }
-
-    /// Lognormal μ for the per-VM read intensity.
-    pub fn read_mu(&self) -> f64 {
-        self.read_mean_bps.ln() - self.sigma_read.powi(2) / 2.0
-    }
-
     /// The profile for an application class.
     pub fn for_app(app: AppClass) -> AppProfile {
         match app {
@@ -464,17 +453,6 @@ mod tests {
                 let s = p.read_sizes.sample(&mut rng);
                 assert!(SIZE_CLASSES.contains(&s));
             }
-        }
-    }
-
-    #[test]
-    fn lognormal_mu_preserves_mean() {
-        // E[lognormal(mu, sigma)] = exp(mu + sigma²/2) must equal the mean.
-        for p in AppProfile::all() {
-            let m = (p.write_mu() + p.sigma_write.powi(2) / 2.0).exp();
-            assert!((m - p.write_mean_bps).abs() / p.write_mean_bps < 1e-9);
-            let m = (p.read_mu() + p.sigma_read.powi(2) / 2.0).exp();
-            assert!((m - p.read_mean_bps).abs() / p.read_mean_bps < 1e-9);
         }
     }
 

@@ -17,11 +17,6 @@ pub fn sampled_count(rng: &mut SimRng, ops: f64) -> u64 {
     poisson(rng, ops * TRACE_SAMPLE_RATE)
 }
 
-/// Number of sampled traces at an arbitrary sampling `rate`.
-pub fn sampled_count_at(rng: &mut SimRng, ops: f64, rate: f64) -> u64 {
-    poisson(rng, ops * rate)
-}
-
 /// Sub-tick timestamp generator: one burst center per instance, exponential
 /// spread, 30 % uniform background.
 #[derive(Clone, Copy, Debug)]
@@ -82,17 +77,6 @@ mod tests {
     fn zero_ops_never_sample() {
         let mut rng = SimRng::seed_from_u64(2);
         assert_eq!(sampled_count(&mut rng, 0.0), 0);
-    }
-
-    #[test]
-    fn custom_rate() {
-        let mut rng = SimRng::seed_from_u64(3);
-        let n = 20_000;
-        let total: u64 = (0..n)
-            .map(|_| sampled_count_at(&mut rng, 100.0, 0.05))
-            .sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 5.0).abs() < 0.1);
     }
 
     #[test]

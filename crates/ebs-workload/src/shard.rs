@@ -377,20 +377,21 @@ pub fn replay_summary(dir: impl AsRef<Path>) -> Result<(ShardManifest, StreamSum
     Ok((manifest, total))
 }
 
-/// One shard's decoded content during [`Dataset::load_sharded`].
+/// One shard's decoded content: its events and, when metrics were
+/// asked for, its per-QP and per-segment series.
 struct ShardLoad {
     events: Vec<IoEvent>,
-    qp_series: Vec<Series>,
-    seg_series: Vec<Series>,
+    series: Option<(Vec<Series>, Vec<Series>)>,
 }
 
-/// Read and decode one whole shard file (events + metric series).
+/// Read and decode one shard file. `grids` holds the compute and storage
+/// tick grids when the caller wants metric series; without it the metric
+/// chunks are skipped, so metricless shards load too.
 fn load_shard(
     dir: &Path,
     index: usize,
     entry: &ShardEntry,
-    cticks: TickSpec,
-    sticks: TickSpec,
+    grids: Option<(TickSpec, TickSpec)>,
 ) -> Result<ShardLoad, EbsError> {
     let mut reader = open_shard(dir, index, entry)?;
     let mut events: Vec<IoEvent> = Vec::new();
@@ -399,15 +400,15 @@ fn load_shard(
     let mut seg_series: Option<Vec<Series>> = None;
     let mut payload = Vec::new();
     while let Some(chunk_kind) = reader.next_chunk_into(&mut payload)? {
-        match chunk_kind {
-            kind::EVENTS => decode_events_into(&payload, &mut scratch, &mut events)?,
-            kind::COMPUTE_METRICS => {
+        match (chunk_kind, grids) {
+            (kind::EVENTS, _) => decode_events_into(&payload, &mut scratch, &mut events)?,
+            (kind::COMPUTE_METRICS, Some((cticks, _))) => {
                 let (ticks, series) = decode_series_set(&payload, "compute")?;
                 let domain = format!("shard {} compute", entry.name);
                 check_metric_grid(&domain, ticks, cticks, &series)?;
                 qp_series = Some(series);
             }
-            kind::STORAGE_METRICS => {
+            (kind::STORAGE_METRICS, Some((_, sticks))) => {
                 let (ticks, series) = decode_series_set(&payload, "storage")?;
                 let domain = format!("shard {} storage", entry.name);
                 check_metric_grid(&domain, ticks, sticks, &series)?;
@@ -424,9 +425,10 @@ fn load_shard(
             events.len()
         )));
     }
-    let (qp_series, seg_series) = match (qp_series, seg_series) {
-        (Some(q), Some(s)) => (q, s),
-        _ => {
+    let series = match (grids, qp_series, seg_series) {
+        (None, _, _) => None,
+        (Some(_), Some(q), Some(s)) => Some((q, s)),
+        (Some(_), _, _) => {
             return Err(EbsError::corrupt_store(format!(
                 "shard {} carries no metric chunks: it was generated without metrics \
                  and can only be replayed through the streaming summary",
@@ -434,11 +436,58 @@ fn load_shard(
             )))
         }
     };
-    Ok(ShardLoad {
-        events,
-        qp_series,
-        seg_series,
+    Ok(ShardLoad { events, series })
+}
+
+/// Read every shard of the trace in `dir` (in parallel, one worker per
+/// shard file): the config its manifest stores, the fleet that config
+/// rebuilds, the merged event stream, and the per-shard loads with their
+/// events moved out.
+///
+/// Shard streams are concatenated in shard order — which is VD-major
+/// order — and stable-sorted by timestamp; since each shard chunk was
+/// itself stable-sorted, equal timestamps sit in VD-major order
+/// throughout and the final sort reproduces exactly the unsharded event
+/// stream, for any shard count and any thread count.
+fn load_shards(
+    dir: &Path,
+    with_metrics: bool,
+) -> Result<(WorkloadConfig, Fleet, Vec<IoEvent>, Vec<ShardLoad>), EbsError> {
+    let manifest = load_manifest(dir)?;
+    let config = decode_config(&manifest.config)?;
+    let fleet = build_fleet(&config)?;
+    if fleet.vd_count() as u64 != manifest.vd_count {
+        return Err(EbsError::corrupt_store(format!(
+            "manifest names a {}-disk fleet but the stored config rebuilds {} disks",
+            manifest.vd_count,
+            fleet.vd_count()
+        )));
+    }
+    let grids = with_metrics.then(|| (config.compute_ticks(), config.storage_ticks()));
+    let mut loads = par_map_deterministic(manifest.shards.as_slice(), |index, entry| {
+        load_shard(dir, index, entry, grids)
     })
+    .into_iter()
+    .collect::<Result<Vec<_>, EbsError>>()?;
+    // Sized from what the shards held, so the stream is exact-size; each
+    // shard's buffer is freed as soon as it is copied.
+    let mut events: Vec<IoEvent> = Vec::with_capacity(loads.iter().map(|l| l.events.len()).sum());
+    for load in &mut loads {
+        events.extend(std::mem::take(&mut load.events));
+    }
+    events.sort_by_key(|e| e.t_us);
+    Ok((config, fleet, events, loads))
+}
+
+/// Load the event stream of the sharded trace in `dir`, with the config
+/// its manifest stores and the fleet that config rebuilds. Reads only the
+/// EVENTS chunks, so shards generated without metrics load too; the
+/// stream is exactly the one [`crate::generate`] returns for the config.
+pub fn load_sharded_events(
+    dir: impl AsRef<Path>,
+) -> Result<(WorkloadConfig, Fleet, Vec<IoEvent>), EbsError> {
+    let (config, fleet, events, _) = load_shards(dir.as_ref(), false)?;
+    Ok((config, fleet, events))
 }
 
 impl Dataset {
@@ -446,44 +495,18 @@ impl Dataset {
     /// [`Dataset`], byte-identical to the one [`crate::generate`] returns
     /// for the stored config.
     ///
-    /// Shard streams are concatenated in shard order — which is VD-major
-    /// order — and stable-sorted by timestamp; since each shard chunk was
-    /// itself stable-sorted, equal timestamps sit in VD-major order
-    /// throughout and the final sort reproduces exactly the unsharded
-    /// event stream. Metric series concatenate in the same order because
-    /// entity ids are assigned in VD order. Requires shards generated
-    /// `with_metrics`.
+    /// Events merge as in [`load_sharded_events`]. Metric series
+    /// concatenate in shard order because entity ids are assigned in VD
+    /// order. Requires shards generated `with_metrics`.
     pub fn load_sharded(dir: impl AsRef<Path>) -> Result<Self, EbsError> {
-        let dir = dir.as_ref();
-        let manifest = load_manifest(dir)?;
-        let config = decode_config(&manifest.config)?;
-        let fleet = build_fleet(&config)?;
-        if fleet.vd_count() as u64 != manifest.vd_count {
-            return Err(EbsError::corrupt_store(format!(
-                "manifest names a {}-disk fleet but the stored config rebuilds {} disks",
-                manifest.vd_count,
-                fleet.vd_count()
-            )));
-        }
+        let (config, fleet, events, loads) = load_shards(dir.as_ref(), true)?;
         let plan = build_plan(&config, &fleet);
-        let cticks = config.compute_ticks();
-        let sticks = config.storage_ticks();
-        let loads = par_map_deterministic(manifest.shards.as_slice(), |index, entry| {
-            load_shard(dir, index, entry, cticks, sticks)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, EbsError>>()?;
-        // Sized from what the shards held, so the dataset is exact-size.
-        let mut events: Vec<IoEvent> =
-            Vec::with_capacity(loads.iter().map(|l| l.events.len()).sum());
-        let mut per_qp: Vec<Series> =
-            Vec::with_capacity(loads.iter().map(|l| l.qp_series.len()).sum());
-        let mut per_seg: Vec<Series> =
-            Vec::with_capacity(loads.iter().map(|l| l.seg_series.len()).sum());
-        for load in loads {
-            events.extend(load.events);
-            per_qp.extend(load.qp_series);
-            per_seg.extend(load.seg_series);
+        // Sized from the fleet, which the check below holds the shards to.
+        let mut per_qp: Vec<Series> = Vec::with_capacity(fleet.qps.len());
+        let mut per_seg: Vec<Series> = Vec::with_capacity(fleet.segments.len());
+        for (qp, seg) in loads.into_iter().filter_map(|l| l.series) {
+            per_qp.extend(qp);
+            per_seg.extend(seg);
         }
         if per_qp.len() != fleet.qps.len() || per_seg.len() != fleet.segments.len() {
             return Err(EbsError::corrupt_store(format!(
@@ -494,17 +517,16 @@ impl Dataset {
                 fleet.segments.len()
             )));
         }
-        events.sort_by_key(|e| e.t_us);
         validate_events(&events, &fleet)?;
         Ok(Dataset {
             fleet,
             plan,
             compute: ComputeMetrics {
-                ticks: cticks,
+                ticks: config.compute_ticks(),
                 per_qp: IdVec::from_vec(per_qp),
             },
             storage: StorageMetrics {
-                ticks: sticks,
+                ticks: config.storage_ticks(),
                 per_seg: IdVec::from_vec(per_seg),
             },
             events,
@@ -613,21 +635,6 @@ mod tests {
         let (_, summary) = replay_summary(&dir).unwrap();
         let ds = generate(&cfg).unwrap();
         assert_eq!(summary.events(), ds.events.len() as u64);
-    }
-
-    #[test]
-    fn swapped_shard_files_are_detected() {
-        let cfg = WorkloadConfig::quick(94);
-        let dir = tmp_dir("swapped");
-        generate_sharded(&cfg, &dir, 2, false).unwrap();
-        let a = dir.join(shard_file_name(0));
-        let b = dir.join(shard_file_name(1));
-        let tmp = dir.join("swap.tmp");
-        std::fs::rename(&a, &tmp).unwrap();
-        std::fs::rename(&b, &a).unwrap();
-        std::fs::rename(&tmp, &b).unwrap();
-        let err = replay_summary(&dir).unwrap_err();
-        assert!(matches!(err, EbsError::CorruptStore(_)), "{err}");
     }
 
     #[test]

@@ -459,14 +459,14 @@ mod tests {
         let mut forged_config = ds.config;
         forged_config.seed ^= 1;
         let mut r = ebs_store::ChunkReader::new(bytes.as_slice()).unwrap();
-        let chunks = r.read_all().unwrap();
         let mut w = ebs_store::StoreWriter::new(Vec::new()).unwrap();
-        for c in &chunks {
-            if c.kind == kind::CONFIG {
+        let mut payload = Vec::new();
+        while let Some(chunk_kind) = r.next_chunk_into(&mut payload).unwrap() {
+            if chunk_kind == kind::CONFIG {
                 w.write_chunk(kind::CONFIG, &encode_config(&forged_config))
                     .unwrap();
             } else {
-                w.write_chunk(c.kind, &c.payload).unwrap();
+                w.write_chunk(chunk_kind, &payload).unwrap();
             }
         }
         let forged = w.finish().unwrap();

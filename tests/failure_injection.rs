@@ -55,7 +55,6 @@ fn analyses_handle_empty_and_degenerate_inputs() {
     assert_eq!(ebs::analysis::ccr(&[], 0.01), None);
     assert_eq!(ebs::analysis::p2a(&[]), None);
     assert_eq!(ebs::analysis::normalized_cov(&[0.0, 0.0]), None);
-    assert_eq!(ebs::analysis::gini(&[]), None);
     assert_eq!(ebs::analysis::wr_ratio(0.0, 0.0), None);
     assert_eq!(ebs::analysis::median(&[]), None);
     assert_eq!(ebs::analysis::mse(&[1.0], &[1.0, 2.0]), None);
@@ -238,6 +237,101 @@ fn store_metric_grid_contradicting_the_config_is_corrupt_store() {
         matches!(&err, EbsError::CorruptStore(msg) if msg.contains("past its")),
         "{err}"
     );
+}
+
+/// A quick-scale sharded store (two shards, with metrics, so every
+/// reader gets past the metric checks), for tampering.
+fn sharded_store(tag: &str) -> ebs::core::TempDir {
+    let dir = ebs::core::TempDir::new(&format!("failinj-{tag}")).unwrap();
+    ebs::workload::generate_sharded(&WorkloadConfig::quick(505), &dir, 2, true).unwrap();
+    dir
+}
+
+/// Rewrite shard file `index` of the sharded store in `dir` without the
+/// chunks at the positions `dropped` names. Event chunks are re-encoded,
+/// so the END chunk pins exactly the events kept and only the manifest
+/// can tell a shard lost some.
+fn rewrite_shard(dir: &std::path::Path, index: usize, dropped: &[usize]) {
+    use ebs::store::format::kind;
+    use ebs::store::{decode_events_into, ChunkReader, EventScratch, StoreWriter};
+    let path = dir.join(ebs::store::shard_file_name(index));
+    let bytes = std::fs::read(&path).unwrap();
+    let mut reader = ChunkReader::new(bytes.as_slice()).unwrap();
+    let mut writer = StoreWriter::new(Vec::new()).unwrap();
+    let (mut payload, mut scratch) = (Vec::new(), EventScratch::new());
+    let mut position = 0;
+    while let Some(chunk_kind) = reader.next_chunk_into(&mut payload).unwrap() {
+        if !dropped.contains(&position) {
+            if chunk_kind == kind::EVENTS {
+                let mut events = Vec::new();
+                decode_events_into(&payload, &mut scratch, &mut events).unwrap();
+                writer.write_events(&events).unwrap();
+            } else {
+                writer.write_chunk(chunk_kind, &payload).unwrap();
+            }
+        }
+        position += 1;
+    }
+    std::fs::write(&path, writer.finish().unwrap()).unwrap();
+}
+
+/// Every sharded-store reader — the full load, the streaming summary and
+/// the serve loop's events-only load — refuses the store in `dir` with a
+/// typed `CorruptStore` that names `shard` and says `why`.
+fn assert_every_sharded_reader_blames(dir: &std::path::Path, shard: usize, why: &str) {
+    use ebs::core::error::EbsError;
+    use ebs::serve::{load, ServeSource};
+    let name = ebs::store::shard_file_name(shard);
+    let results = [
+        (
+            "Dataset::load_sharded",
+            ebs::workload::Dataset::load_sharded(dir).map(drop),
+        ),
+        (
+            "replay_summary",
+            ebs::workload::replay_summary(dir).map(drop),
+        ),
+        (
+            "serve load",
+            load(&ServeSource::ShardedStore(dir.to_path_buf())).map(drop),
+        ),
+    ];
+    for (reader, result) in results {
+        match result {
+            Err(EbsError::CorruptStore(msg)) => assert!(
+                msg.contains(&name) && msg.contains(why),
+                "{reader}: {msg} does not name {name} or say {why:?}"
+            ),
+            other => panic!("{reader}: expected a CorruptStore naming {name}, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn sharded_store_with_swapped_shard_files_is_corrupt_store() {
+    let dir = sharded_store("swapped");
+    let a = dir.join(ebs::store::shard_file_name(0));
+    let b = dir.join(ebs::store::shard_file_name(1));
+    let tmp = dir.join("swap.tmp");
+    std::fs::rename(&a, &tmp).unwrap();
+    std::fs::rename(&b, &a).unwrap();
+    std::fs::rename(&tmp, &b).unwrap();
+    // Shard 0's file now holds shard 1's SHARD_META.
+    assert_every_sharded_reader_blames(&dir, 0, "claims shard 1");
+}
+
+#[test]
+fn sharded_store_shard_not_opening_with_its_meta_is_corrupt_store() {
+    let dir = sharded_store("no-meta");
+    rewrite_shard(&dir, 1, &[0]); // chunk 0 is the SHARD_META
+    assert_every_sharded_reader_blames(&dir, 1, "does not start with a SHARD_META chunk");
+}
+
+#[test]
+fn sharded_store_shard_short_of_its_pinned_events_is_corrupt_store() {
+    let dir = sharded_store("short");
+    rewrite_shard(&dir, 1, &[1]); // chunk 1 is the first EVENTS chunk
+    assert_every_sharded_reader_blames(&dir, 1, "manifest pins");
 }
 
 /// One real v2 EVENTS payload (a few hundred events), for decoder fuzzing
