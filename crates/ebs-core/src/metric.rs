@@ -7,13 +7,15 @@
 //! which matches the bursty ON/OFF shape of real EBS traffic.
 //!
 //! The series are most of a dataset's memory, so a [`Series`] keeps each
-//! direction apart: per side, a vector of 20-byte entries (a `u32` tick
+//! direction apart: per side, a vector of 18-byte entries (a `u16` tick
 //! beside that direction's [`Flow`]), with an entry only where that
-//! direction moved traffic. The read and write ON/OFF envelopes are drawn
-//! independently, so most active ticks carry one direction only, and a
-//! series holds about 21 bytes per active tick where a [`SeriesSample`]
-//! row (a `u32` tick padded beside four `f64`s) takes 40, and a sampled
-//! event 32. Every dataset builder finishes its series exact-size
+//! direction moved traffic. A `u16` tick addresses a grid of up to
+//! [`MAX_TICKS`] ticks, past the paper's 43,200-tick window (12 h at one
+//! second). The read and write ON/OFF envelopes are drawn independently,
+//! so most active ticks carry one direction only, and a series holds
+//! about 19 bytes per active tick where a [`SeriesSample`] row (a `u32`
+//! tick padded beside four `f64`s) takes 40, and a sampled event 32.
+//! Every dataset builder finishes its series exact-size
 //! ([`Series::shrink_to_fit`], or [`Series::from_sides`], which allocates
 //! each side once at its exact count); a `push`-grown series would
 //! otherwise keep up to half its capacity as doubling slack. The store
@@ -22,7 +24,7 @@
 
 use crate::ids::{IdVec, QpId, SegId};
 use crate::io::Op;
-use crate::time::TickSpec;
+use crate::time::{TickSpec, MAX_TICKS};
 
 /// Traffic volume within one tick: bytes moved and operations completed.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -179,21 +181,25 @@ pub struct SeriesSample {
 /// One entry of a series side ([`Series::side`]): a tick and that
 /// direction's flow in it.
 ///
-/// Packed to 4-byte alignment, so the `u32` tick sits beside the two
-/// `f64`s in 20 bytes with no padding. Its fields are only ever copied,
-/// never borrowed, as packed fields must be.
+/// Packed to 2-byte alignment, so the `u16` tick sits beside the two
+/// `f64`s in 18 bytes with no padding. A `u16` addresses every tick of a
+/// grid of up to [`MAX_TICKS`] ticks, the limit [`Series::push`] and
+/// [`Series::from_sides`] enforce. Its fields are only ever copied, never
+/// borrowed, as packed fields must be.
 #[derive(Clone, Copy, Debug)]
-#[repr(C, packed(4))]
+#[repr(C, packed(2))]
 pub struct Entry {
-    tick: u32,
+    tick: u16,
     flow: Flow,
 }
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 18);
 
 impl Entry {
     /// The entry's tick.
     #[inline]
     pub fn tick(&self) -> u32 {
-        self.tick
+        u32::from(self.tick)
     }
 
     /// The side's flow in that tick.
@@ -212,27 +218,35 @@ struct Side {
 
 impl Side {
     /// A side of the entries `entries` yields, allocated once at the
-    /// count the iterator reports and left exact-size. `None` unless the
-    /// ticks strictly increase and every flow has a nonzero bit pattern;
-    /// otherwise the flag says whether an entry is `±0.0` throughout.
+    /// count the iterator reports and left exact-size. `None` unless every
+    /// tick fits a `u16`, the ticks strictly increase and every flow has a
+    /// nonzero bit pattern; otherwise the flag says whether an entry is
+    /// `±0.0` throughout.
     fn build(entries: impl ExactSizeIterator<Item = (u32, Flow)>) -> Option<(Self, bool)> {
         let mut side = Side {
             entries: Vec::with_capacity(entries.len()),
         };
-        side.entries
-            .extend(entries.map(|(tick, flow)| Entry { tick, flow }));
+        let mut fits = true;
+        side.entries.extend(entries.map(|(tick, flow)| {
+            let narrow = u16::try_from(tick);
+            fits &= narrow.is_ok();
+            Entry {
+                tick: narrow.unwrap_or(u16::MAX),
+                flow,
+            }
+        }));
         side.shrink_to_fit();
         // One pass over the built entries, on the OR of each flow's two
         // fields' bits: nonzero bits, and nonzero bits once the sign is
         // dropped (not `±0.0` throughout). `next` is one past the previous
         // tick, so any first tick fits.
-        let (mut next, mut valid, mut zero) = (0u64, true, false);
+        let (mut next, mut valid, mut zero) = (0u32, fits, false);
         for e in &side.entries {
             let (tick, flow) = (e.tick(), e.flow());
             let bits = flow.bytes.to_bits() | flow.ops.to_bits();
-            valid &= (u64::from(tick) >= next) & (bits != 0);
+            valid &= (tick >= next) & (bits != 0);
             zero |= bits << 1 == 0;
-            next = u64::from(tick) + 1;
+            next = tick + 1;
         }
         valid.then_some((side, zero))
     }
@@ -254,7 +268,7 @@ impl Side {
     /// its own there, this side of that sample is `+0.0`, and the sum
     /// starts from it as a per-sample accumulation would. A sum that
     /// cancels to `+0.0` throughout leaves no entry.
-    fn push(&mut self, tick: u32, flow: Flow, repeat: bool) {
+    fn push(&mut self, tick: u16, flow: Flow, repeat: bool) {
         if repeat {
             if let Some(last) = self.entries.last_mut().filter(|e| e.tick == tick) {
                 let flow = last.flow + flow;
@@ -273,7 +287,7 @@ impl Side {
     }
 
     /// The flow of the newest entry if it sits at `tick`.
-    fn flow_at(&self, tick: u32) -> Option<Flow> {
+    fn flow_at(&self, tick: u16) -> Option<Flow> {
         self.entries
             .last()
             .filter(|e| e.tick == tick)
@@ -281,7 +295,7 @@ impl Side {
     }
 
     /// Drop the newest entry if it sits at `tick`.
-    fn pop_at(&mut self, tick: u32) {
+    fn pop_at(&mut self, tick: u16) {
         if self.flow_at(tick).is_some() {
             self.entries.pop();
         }
@@ -293,7 +307,7 @@ impl Side {
 
     fn accumulate_into(&self, acc: &mut [f64], field: impl Fn(Flow) -> f64) {
         for e in &self.entries {
-            if let Some(slot) = acc.get_mut(e.tick as usize) {
+            if let Some(slot) = acc.get_mut(usize::from(e.tick)) {
                 *slot += field(e.flow);
             }
         }
@@ -348,7 +362,7 @@ impl Iterator for Samples<'_> {
             (None, None) => return None,
         };
         Some(SeriesSample {
-            tick,
+            tick: u32::from(tick),
             rw: RwFlow { read, write },
         })
     }
@@ -387,9 +401,10 @@ impl Series {
     }
 
     /// Append traffic for `tick`. Ticks must be pushed in non-decreasing
-    /// order; traffic for a repeated tick accumulates into the last sample.
-    /// A repeated tick whose traffic cancels to zero on both sides is
-    /// dropped, so a series holds only what [`Series::from_sides`] accepts.
+    /// order and lie below [`MAX_TICKS`]; traffic for a repeated tick
+    /// accumulates into the last sample. A repeated tick whose traffic
+    /// cancels to zero on both sides is dropped, so a series holds only
+    /// what [`Series::from_sides`] accepts.
     pub fn push(&mut self, tick: u32, rw: RwFlow) {
         if rw.is_zero() {
             return;
@@ -399,6 +414,12 @@ impl Series {
             assert!(tick >= last, "ticks must be pushed in order");
         }
         let repeat = last == Some(tick);
+        let narrow = u16::try_from(tick);
+        assert!(
+            narrow.is_ok(),
+            "tick {tick} is past the {MAX_TICKS}-tick series range"
+        );
+        let tick = narrow.unwrap_or(u16::MAX);
         self.read.push(tick, rw.read, repeat);
         self.write.push(tick, rw.write, repeat);
         let idle = |side: &Side| side.flow_at(tick).is_none_or(|f| f.is_zero());
@@ -414,11 +435,12 @@ impl Series {
     /// non-panicking, exact-size counterpart of a [`Series::push`] loop.
     /// Each side is allocated once, at the count its iterator reports.
     ///
-    /// `None` unless the input is a series `push` could have left: within
-    /// a side ticks strictly increase and every flow has a nonzero bit
-    /// pattern, and no tick is `±0.0` on both sides (a sample `push` drops
-    /// as all-zero). An entry of one side may share its tick with one of
-    /// the other; the two are one merged sample.
+    /// `None` unless the input is a series `push` could have left: every
+    /// tick lies below [`MAX_TICKS`], within a side ticks strictly
+    /// increase and every flow has a nonzero bit pattern, and no tick is
+    /// `±0.0` on both sides (a sample `push` drops as all-zero). An entry
+    /// of one side may share its tick with one of the other; the two are
+    /// one merged sample.
     pub fn from_sides<R, W>(read: R, write: W) -> Option<Self>
     where
         R: IntoIterator<Item = (u32, Flow)>,
@@ -526,7 +548,7 @@ impl Series {
     /// The newest tick either side holds, in O(1): `None` for an empty
     /// series.
     pub fn last_tick(&self) -> Option<u32> {
-        let last = |side: &Side| side.entries.last().map(|e| e.tick);
+        let last = |side: &Side| side.entries.last().map(Entry::tick);
         last(&self.read).max(last(&self.write))
     }
 }
@@ -705,6 +727,29 @@ mod tests {
         let mut s = Series::new();
         s.push(5, rw(1.0, 0.0));
         s.push(4, rw(1.0, 0.0));
+    }
+
+    #[test]
+    fn from_sides_takes_ticks_up_to_the_u16_range() {
+        let f = Flow {
+            bytes: 1.0,
+            ops: 1.0,
+        };
+        let last = MAX_TICKS - 1;
+        let s = Series::from_sides([(0, f), (last, f)], [(last, f)]).unwrap();
+        assert_eq!(s.last_tick(), Some(last));
+        assert_eq!(pairs(s.side(Op::Write)), [(last, f)]);
+        assert_eq!(Series::from_sides([(0, f), (MAX_TICKS, f)], []), None);
+        assert_eq!(Series::from_sides([], [(MAX_TICKS, f)]), None);
+        assert_eq!(Series::from_sides([(u32::MAX, f)], []), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 65536-tick series range")]
+    fn series_rejects_ticks_past_the_u16_range() {
+        let mut s = Series::new();
+        s.push(MAX_TICKS - 1, rw(1.0, 0.0));
+        s.push(MAX_TICKS, rw(1.0, 0.0));
     }
 
     #[test]

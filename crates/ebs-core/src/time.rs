@@ -48,6 +48,11 @@ impl TickSpec {
     }
 }
 
+/// Longest tick grid a metric series can address: series entries store
+/// their tick as a `u16`, so ticks run `0..MAX_TICKS`. The paper's metric
+/// window (12 h at one-second ticks, §2.3) is 43,200 ticks.
+pub const MAX_TICKS: u32 = 1 << 16;
+
 /// Microseconds in one second.
 pub const US_PER_SEC: u64 = 1_000_000;
 

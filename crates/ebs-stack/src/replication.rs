@@ -81,6 +81,82 @@ mod tests {
         p.completing_ack(&mut acks)
     }
 
+    /// Standard normal CDF, through the complementary error function
+    /// (Numerical Recipes' `erfcc`, fractional error below 1.2e-7).
+    fn normal_cdf(z: f64) -> f64 {
+        let x = z.abs() / std::f64::consts::SQRT_2;
+        let t = 1.0 / (1.0 + 0.5 * x);
+        let poly = [
+            -1.265_512_23,
+            1.000_023_68,
+            0.374_091_96,
+            0.096_784_18,
+            -0.186_288_06,
+            0.278_868_07,
+            -1.135_203_98,
+            1.488_515_87,
+            -0.822_152_23,
+            0.170_872_77,
+        ]
+        .iter()
+        .rev()
+        .fold(0.0, |acc, c| acc * t + c);
+        let erfc = t * (-x * x + poly).exp();
+        if z >= 0.0 {
+            1.0 - 0.5 * erfc
+        } else {
+            0.5 * erfc
+        }
+    }
+
+    /// The closed-form CDF of one 4 KiB draw of `s`: a median-`mean`
+    /// lognormal, scaled by `tail_mult` with probability `tail_prob`.
+    fn stage_cdf(s: &StageParams, x: f64) -> f64 {
+        let mean = s.base_us + 4096.0 / s.bytes_per_us;
+        let lognormal = |median: f64| normal_cdf((x / median).ln() / s.jitter_sigma);
+        (1.0 - s.tail_prob) * lognormal(mean) + s.tail_prob * lognormal(mean * s.tail_mult)
+    }
+
+    /// P(the `k`-th smallest of `r` i.i.d. draws ≤ x) when one draw is
+    /// ≤ x with probability `f`: at least `k` of the `r` draws are.
+    fn order_statistic_cdf(r: u8, k: u8, f: f64) -> f64 {
+        let r = i32::from(r);
+        (i32::from(k)..=r)
+            .map(|j| {
+                let choose = (0..j).fold(1.0, |c, i| c * f64::from(r - i) / f64::from(i + 1));
+                choose * f.powi(j) * (1.0 - f).powi(r - j)
+            })
+            .sum()
+    }
+
+    /// Write latency under an r-way, k-ack quorum is the k-th order
+    /// statistic of the replica draws: its empirical CDF matches the
+    /// binomial closed form over the stage's exact CDF, within five
+    /// standard errors, at probes across the body and the tail.
+    #[test]
+    fn quorum_write_latency_follows_the_order_statistic_law() {
+        let s = stage();
+        let mean = s.base_us + 4096.0 / s.bytes_per_us;
+        let n = 20_000;
+        let mut rng = SimRng::seed_from_u64(4);
+        for replicas in 1..=5u8 {
+            for quorum in 1..=replicas {
+                let p = ReplicationPolicy { replicas, quorum };
+                let draws: Vec<f64> = (0..n).map(|_| write_latency_us(p, &mut rng, &s)).collect();
+                for scale in [0.5, 0.8, 1.0, 1.25, 1.6, 2.5, 8.0, 15.0] {
+                    let x = mean * scale;
+                    let want = order_statistic_cdf(replicas, quorum, stage_cdf(&s, x));
+                    let got = draws.iter().filter(|&&d| d <= x).count() as f64 / n as f64;
+                    let band = 5.0 * (want * (1.0 - want) / n as f64).sqrt() + 1e-4;
+                    assert!(
+                        (got - want).abs() <= band,
+                        "{quorum}-of-{replicas} at {x:.0} µs: P = {got:.4}, closed form {want:.4} ± {band:.4}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn validation_catches_bad_policies() {
         assert!(ReplicationPolicy {

@@ -635,6 +635,57 @@ mod tests {
         );
     }
 
+    /// Each simulated write's ChunkServer latency is the quorum-th
+    /// smallest of its replica draws, and each read's is its one draw:
+    /// the draws replayed off the `stack/latency` stream, the order
+    /// statistic found by counting.
+    #[test]
+    fn chunk_server_latency_is_the_quorum_order_statistic_of_the_replica_draws() {
+        let ds = generate(&WorkloadConfig::quick(39)).unwrap();
+        for (replicas, quorum) in [(1, 1), (2, 1), (3, 2), (3, 3), (5, 3)] {
+            let config = StackConfig {
+                replication: ReplicationPolicy { replicas, quorum },
+                ..StackConfig::default()
+            };
+            let out = StackSim::new(&ds.fleet, config.clone())
+                .run(&ds.events)
+                .unwrap();
+            let mut rng = RngFactory::new(config.seed)
+                .child("stack")
+                .stream("latency");
+            let m = &config.latency;
+            let mut writes = 0;
+            for (ev, lat) in ds.events.iter().zip(&out.lat) {
+                for stage in [&m.compute, &m.frontend, &m.block_server, &m.backend] {
+                    stage.sample(&mut rng, ev.size);
+                }
+                let want = if ev.op.is_write() {
+                    writes += 1;
+                    let draws: Vec<f64> = (0..replicas)
+                        .map(|_| m.cs_write.sample(&mut rng, ev.size))
+                        .collect();
+                    // The draw with fewer than `quorum` draws below it
+                    // and at least `quorum` at or below it.
+                    let k = usize::from(quorum);
+                    let below = |d: f64| draws.iter().filter(|&&o| o < d).count();
+                    let at_or_below = |d: f64| draws.iter().filter(|&&o| o <= d).count();
+                    *draws
+                        .iter()
+                        .find(|&&d| below(d) < k && at_or_below(d) >= k)
+                        .unwrap()
+                } else {
+                    m.cs_read.sample(&mut rng, ev.size)
+                };
+                assert_eq!(
+                    lat.chunk_server_us.to_bits(),
+                    want.to_bits(),
+                    "{quorum}-of-{replicas}"
+                );
+            }
+            assert!(writes > 0);
+        }
+    }
+
     #[test]
     fn trace_entities_match_fleet_topology() {
         let ds = generate(&WorkloadConfig::quick(37)).unwrap();

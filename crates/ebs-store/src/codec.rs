@@ -505,7 +505,9 @@ fn column_shift(vals: &[u64]) -> u32 {
 /// How [`encode_column`] packs a column, planned once before any byte is
 /// written: the alignment shift, the codec [`pick_group_varint`] selects,
 /// and the exact encoded size including the tag and shift header. Both
-/// codecs are sized block by block off the unshifted values.
+/// codecs are sized off the unshifted values, frame-of-reference first:
+/// group varint is sized only when its floor (one data byte per value
+/// plus its control bytes) could still beat it.
 #[derive(Clone, Copy, Debug)]
 struct ColumnPlan {
     shift: u32,
@@ -516,13 +518,16 @@ struct ColumnPlan {
 impl ColumnPlan {
     fn new(vals: &[u64]) -> Self {
         let shift = column_shift(vals);
-        let (mut gv, mut fo) = (vals.len().div_ceil(GROUP), 0usize);
-        for block in vals.chunks(MINIBLOCK) {
-            gv += group_varint_data_len(block, shift);
-            fo += for_block_len(block, shift);
-        }
-        let group_varint = pick_group_varint(gv, fo);
-        let size = 2 + if group_varint { gv } else { fo };
+        let fo: usize = vals
+            .chunks(MINIBLOCK)
+            .map(|block| for_block_len(block, shift))
+            .sum();
+        let control = vals.len().div_ceil(GROUP);
+        let gv = pick_group_varint(control + vals.len(), fo)
+            .then(|| control + group_varint_data_len(vals, shift))
+            .filter(|&gv| pick_group_varint(gv, fo));
+        let group_varint = gv.is_some();
+        let size = 2 + gv.unwrap_or(fo);
         Self {
             shift,
             group_varint,

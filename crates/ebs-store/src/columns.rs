@@ -1165,7 +1165,7 @@ pub fn decode_series_set(
         }
         // A whole-column fold, with no early exit, so it vectorizes.
         let repeats = (deltas.iter().skip(1)).fold(false, |z, &d| z | (d == 0));
-        if tick > u64::from(u32::MAX) || repeats {
+        if tick > u64::from(u16::MAX) || repeats {
             return Err(tick_column_error(&deltas, entity, domain));
         }
         // A side's member positions: its bytes or ops has nonzero bits
@@ -1219,12 +1219,12 @@ pub fn decode_series_set(
 /// message names the offending tick.
 #[cold]
 fn tick_column_error(deltas: &[u64], entity: usize, domain: &str) -> EbsError {
-    let mut tick = 0u32;
+    let mut tick = 0u16;
     for (k, &delta) in deltas.iter().enumerate() {
-        let step = u32::try_from(delta)
+        let step = u16::try_from(delta)
             .map_err(|_| {
                 EbsError::corrupt_store(format!(
-                    "{domain} metrics: entity {entity} tick delta overflows u32"
+                    "{domain} metrics: entity {entity} tick delta overflows u16"
                 ))
             })
             .and_then(|delta| next_tick(tick, delta, k, entity, domain));
@@ -1257,15 +1257,15 @@ fn decode_series_header(
 }
 
 /// Advance the running tick by a decoded delta, rejecting repeats and
-/// overflow.
+/// ticks past the `u16` range a series addresses.
 #[inline]
 fn next_tick(
-    tick: u32,
-    delta: u32,
+    tick: u16,
+    delta: u16,
     k: usize,
     entity: usize,
     domain: &str,
-) -> Result<u32, EbsError> {
+) -> Result<u16, EbsError> {
     if k > 0 && delta == 0 {
         return Err(EbsError::corrupt_store(format!(
             "{domain} metrics: entity {entity} repeats tick {tick}"
@@ -1273,7 +1273,7 @@ fn next_tick(
     }
     tick.checked_add(delta).ok_or_else(|| {
         EbsError::corrupt_store(format!(
-            "{domain} metrics: entity {entity} tick overflows u32"
+            "{domain} metrics: entity {entity} tick overflows u16"
         ))
     })
 }
@@ -1735,7 +1735,10 @@ mod tests {
                         ),
                     };
                     s.push(tick, RwFlow { read, write });
-                    tick += 1 + if g.below(8) == 0 {
+                    // Jumps of 4,096 ticks reach 2-byte FOR widths; they
+                    // stop past tick 60,000, which keeps 600 samples
+                    // below 63,300 and inside the `u16` tick range.
+                    tick += 1 + if tick < 60_000 && g.below(8) == 0 {
                         1 << 12
                     } else {
                         g.below(3) as u32
@@ -1860,8 +1863,10 @@ mod tests {
         let row = [1.0; 4];
         for deltas in [
             &[3, 0][..],               // repeated tick
-            &[u64::from(u32::MAX), 1], // running tick overflows u32
-            &[1 << 33],                // delta overflows u32
+            &[65_535, 1],              // running tick overflows u16
+            &[65_536],                 // delta overflows u16
+            &[u64::from(u32::MAX), 1], // delta at u32::MAX
+            &[1 << 33],                // delta past u32
             &[u64::MAX, u64::MAX],     // saturating sum
         ] {
             let payload = raw_payload(deltas, &vec![row; deltas.len()]);

@@ -171,15 +171,15 @@ pub fn decode(payload: &[u8], domain: &str) -> Result<(TickSpec, Vec<Series>), E
             }
         }
         let mut series = Series::new();
-        let mut tick = 0u32;
+        let mut tick = 0u16;
         let [rb, ro, wb, wo] = &values;
         let cols = ticks_col.iter().zip(rb).zip(ro).zip(wb).zip(wo);
         for (k, ((((&delta, &read_bytes), &read_ops), &write_bytes), &write_ops)) in
             cols.enumerate()
         {
-            let delta = u32::try_from(delta).map_err(|_| {
+            let delta = u16::try_from(delta).map_err(|_| {
                 EbsError::corrupt_store(format!(
-                    "{domain} metrics: entity {entity} tick delta overflows u32"
+                    "{domain} metrics: entity {entity} tick delta overflows u16"
                 ))
             })?;
             if k > 0 && delta == 0 {
@@ -189,11 +189,11 @@ pub fn decode(payload: &[u8], domain: &str) -> Result<(TickSpec, Vec<Series>), E
             }
             tick = tick.checked_add(delta).ok_or_else(|| {
                 EbsError::corrupt_store(format!(
-                    "{domain} metrics: entity {entity} tick overflows u32"
+                    "{domain} metrics: entity {entity} tick overflows u16"
                 ))
             })?;
             series.push(
-                tick,
+                u32::from(tick),
                 RwFlow {
                     read: Flow {
                         bytes: read_bytes,

@@ -8,7 +8,7 @@
 //! paper's shape. [`WorkloadConfig::quick`] is a miniature for tests.
 
 use ebs_core::error::EbsError;
-use ebs_core::time::{TickSpec, OBSERVATION_SECS};
+use ebs_core::time::{TickSpec, MAX_TICKS, OBSERVATION_SECS};
 
 /// Configuration of one synthetic-dataset generation run.
 #[derive(Clone, Debug)]
@@ -129,8 +129,20 @@ impl WorkloadConfig {
         if self.duration_secs <= 0.0 {
             return Err(EbsError::invalid_config("duration must be positive"));
         }
-        if self.compute_tick_secs <= 0.0 || self.storage_tick_secs <= 0.0 {
+        // Written to reject NaN too, which would panic in `TickSpec::new`.
+        if !(self.compute_tick_secs > 0.0 && self.storage_tick_secs > 0.0) {
             return Err(EbsError::invalid_config("tick widths must be positive"));
+        }
+        for (domain, grid) in [
+            ("compute", self.compute_ticks()),
+            ("storage", self.storage_ticks()),
+        ] {
+            if grid.ticks > MAX_TICKS {
+                return Err(EbsError::invalid_config(format!(
+                    "{domain} grid has {} ticks, more than the {MAX_TICKS} a series addresses",
+                    grid.ticks
+                )));
+            }
         }
         if self.traffic_scale <= 0.0 {
             return Err(EbsError::invalid_config("traffic scale must be positive"));
@@ -181,5 +193,19 @@ mod tests {
         let mut c = WorkloadConfig::quick(1);
         c.traffic_scale = 0.0;
         assert!(c.validate().is_err());
+
+        let mut c = WorkloadConfig::quick(1);
+        c.storage_tick_secs = f64::NAN;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn grids_past_the_series_tick_range_are_rejected() {
+        let mut c = WorkloadConfig::quick(1);
+        c.compute_tick_secs = c.duration_secs / f64::from(MAX_TICKS);
+        assert_eq!(c.compute_ticks().ticks, MAX_TICKS);
+        c.validate().unwrap();
+        c.storage_tick_secs = c.duration_secs / f64::from(MAX_TICKS + 1);
+        assert!(matches!(c.validate(), Err(EbsError::InvalidConfig(_))));
     }
 }

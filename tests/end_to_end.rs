@@ -112,11 +112,11 @@ fn slack(ds: &ebs::workload::Dataset) -> usize {
 }
 
 /// Memory guard for the side-split series: a series keeps an entry only
-/// for the directions a tick actually moved, 20 bytes each (a `u32` tick
+/// for the directions a tick actually moved, 18 bytes each (a `u16` tick
 /// and two `f64`s), where a row of four `f64`s beside a padded tick took
 /// 40 bytes per active tick.
 #[test]
-fn metric_series_hold_at_most_22_bytes_per_active_tick() {
+fn metric_series_hold_at_most_19_bytes_per_active_tick() {
     use ebs::core::io::IoEvent;
     use ebs::core::metric::Series;
     use std::mem::size_of;
@@ -127,7 +127,7 @@ fn metric_series_hold_at_most_22_bytes_per_active_tick() {
     let entries: usize = series().map(|s| s.heap_bytes()).sum();
     let per_tick = entries as f64 / active as f64;
     assert!(
-        per_tick <= 22.0,
+        per_tick <= 19.0,
         "{per_tick:.2} B per active tick over {active} ticks"
     );
     let headers = series().count() * size_of::<Series>();

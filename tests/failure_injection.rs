@@ -239,6 +239,44 @@ fn store_metric_grid_contradicting_the_config_is_corrupt_store() {
     );
 }
 
+/// A quick-scale config whose compute grid is one tick longer than a
+/// series can address.
+fn config_past_the_tick_range() -> WorkloadConfig {
+    let mut c = WorkloadConfig::quick(3);
+    c.duration_secs = f64::from(ebs::core::time::MAX_TICKS + 1);
+    c.compute_tick_secs = 1.0;
+    assert_eq!(c.compute_ticks().ticks, 65_537);
+    c
+}
+
+#[test]
+fn store_generate_rejects_a_grid_past_the_series_tick_range() {
+    use ebs::core::error::EbsError;
+    let err = generate(&config_past_the_tick_range()).expect_err("a 65,537-tick grid");
+    assert!(
+        matches!(&err, EbsError::InvalidConfig(msg) if msg.contains("65537 ticks")),
+        "{err}"
+    );
+}
+
+#[test]
+fn store_config_declaring_a_grid_past_the_series_tick_range_is_corrupt_store() {
+    use ebs::core::error::EbsError;
+    let dir = ebs::core::TempDir::new("failinj-tick-range").unwrap();
+    let path = dir.join("range.ebs");
+    let mut ds = generate(&WorkloadConfig::quick(3)).unwrap();
+    // The config and the compute metrics agree on the grid; only its
+    // length is past what a series tick addresses.
+    ds.config = config_past_the_tick_range();
+    ds.compute.ticks = ds.config.compute_ticks();
+    ds.save(&path).unwrap();
+    let err = ebs::workload::Dataset::load(&path).expect_err("a 65,537-tick grid must not load");
+    assert!(
+        matches!(&err, EbsError::CorruptStore(msg) if msg.contains("invalid config")),
+        "{err}"
+    );
+}
+
 /// A quick-scale sharded store (two shards, with metrics, so every
 /// reader gets past the metric checks), for tampering.
 fn sharded_store(tag: &str) -> ebs::core::TempDir {
