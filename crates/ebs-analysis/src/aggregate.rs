@@ -166,7 +166,7 @@ pub fn rollup_storage(
 mod tests {
     use super::*;
     use ebs_core::apps::AppClass;
-    use ebs_core::metric::{Flow, RwFlow};
+    use ebs_core::metric::{Flow, Series};
     use ebs_core::spec::VdTier;
     use ebs_core::time::TickSpec;
     use ebs_core::topology::FleetBuilder;
@@ -185,19 +185,20 @@ mod tests {
         let fleet = b.finish().unwrap();
         let ticks = TickSpec::new(1.0, 4);
         let mut cm = ComputeMetrics::empty(ticks, fleet.qps.len());
-        let rw = |rb: f64| RwFlow {
-            read: Flow {
+        // One read sample of `rb` bytes at `tick`.
+        let read = |tick: u32, rb: f64| {
+            let flow = Flow {
                 bytes: rb,
                 ops: 1.0,
-            },
-            write: Flow::ZERO,
+            };
+            Series::from_sides([(tick, flow)], []).unwrap()
         };
-        cm.per_qp[QpId(0)].push(0, rw(10.0));
-        cm.per_qp[QpId(1)].push(1, rw(20.0));
-        cm.per_qp[QpId(2)].push(1, rw(30.0));
+        cm.per_qp[QpId(0)] = read(0, 10.0);
+        cm.per_qp[QpId(1)] = read(1, 20.0);
+        cm.per_qp[QpId(2)] = read(1, 30.0);
         let mut sm = StorageMetrics::empty(ticks, fleet.segments.len());
-        sm.per_seg[SegId(0)].push(0, rw(5.0));
-        sm.per_seg[SegId(1)].push(2, rw(7.0));
+        sm.per_seg[SegId(0)] = read(0, 5.0);
+        sm.per_seg[SegId(1)] = read(2, 7.0);
         (fleet, cm, sm)
     }
 

@@ -164,6 +164,11 @@ impl<I: Copy + Into<usize>, T> IdVec<I, T> {
         self.items.get(id.into())
     }
 
+    /// Mutable access by typed id.
+    pub fn get_mut(&mut self, id: I) -> Option<&mut T> {
+        self.items.get_mut(id.into())
+    }
+
     /// Iterate over raw items in id order.
     pub fn iter(&self) -> std::slice::Iter<'_, T> {
         self.items.iter()

@@ -10,21 +10,20 @@
 //! direction apart: per side, a vector of 18-byte entries (a `u16` tick
 //! beside that direction's [`Flow`]), with an entry only where that
 //! direction moved traffic. A `u16` tick addresses a grid of up to
-//! [`MAX_TICKS`] ticks, past the paper's 43,200-tick window (12 h at one
+//! [`MAX_TICKS`](crate::time::MAX_TICKS) ticks, past the paper's 43,200-tick window (12 h at one
 //! second). The read and write ON/OFF envelopes are drawn independently,
 //! so most active ticks carry one direction only, and a series holds
 //! about 19 bytes per active tick where a [`SeriesSample`] row (a `u32`
 //! tick padded beside four `f64`s) takes 40, and a sampled event 32.
-//! Every dataset builder finishes its series exact-size
-//! ([`Series::shrink_to_fit`], or [`Series::from_sides`], which allocates
-//! each side once at its exact count); a `push`-grown series would
-//! otherwise keep up to half its capacity as doubling slack. The store
-//! codec works on the sides directly: it encodes from [`Series::side`]
-//! and decodes through [`Series::from_sides`].
+//! Every series is built exact-size, by [`Series::from_sides`], which
+//! allocates each side once at its exact count, so no series carries
+//! doubling slack. The store codec works on the sides directly: it
+//! encodes from [`Series::side`] and decodes through
+//! [`Series::from_sides`].
 
 use crate::ids::{IdVec, QpId, SegId};
 use crate::io::Op;
-use crate::time::{TickSpec, MAX_TICKS};
+use crate::time::TickSpec;
 
 /// Traffic volume within one tick: bytes moved and operations completed.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -45,12 +44,6 @@ impl Flow {
     /// Whether the flow carries no traffic.
     pub fn is_zero(&self) -> bool {
         self.bytes == 0.0 && self.ops == 0.0
-    }
-
-    /// Whether either field has a nonzero bit pattern: unlike
-    /// [`Flow::is_zero`], this counts `-0.0`.
-    fn has_bits(&self) -> bool {
-        (self.bytes.to_bits() | self.ops.to_bits()) != 0
     }
 }
 
@@ -183,9 +176,9 @@ pub struct SeriesSample {
 ///
 /// Packed to 2-byte alignment, so the `u16` tick sits beside the two
 /// `f64`s in 18 bytes with no padding. A `u16` addresses every tick of a
-/// grid of up to [`MAX_TICKS`] ticks, the limit [`Series::push`] and
-/// [`Series::from_sides`] enforce. Its fields are only ever copied, never
-/// borrowed, as packed fields must be.
+/// grid of up to [`MAX_TICKS`](crate::time::MAX_TICKS) ticks, the limit [`Series::from_sides`]
+/// enforces. Its fields are only ever copied, never borrowed, as packed
+/// fields must be.
 #[derive(Clone, Copy, Debug)]
 #[repr(C, packed(2))]
 pub struct Entry {
@@ -235,7 +228,7 @@ impl Side {
                 flow,
             }
         }));
-        side.shrink_to_fit();
+        side.entries.shrink_to_fit();
         // One pass over the built entries, on the OR of each flow's two
         // fields' bits: nonzero bits, and nonzero bits once the sign is
         // dropped (not `±0.0` throughout). `next` is one past the previous
@@ -263,44 +256,6 @@ impl Side {
         })
     }
 
-    /// Add `flow` at `tick`, the newest tick of the series. `repeat` says
-    /// the series already holds a sample at `tick`; without an entry of
-    /// its own there, this side of that sample is `+0.0`, and the sum
-    /// starts from it as a per-sample accumulation would. A sum that
-    /// cancels to `+0.0` throughout leaves no entry.
-    fn push(&mut self, tick: u16, flow: Flow, repeat: bool) {
-        if repeat {
-            if let Some(last) = self.entries.last_mut().filter(|e| e.tick == tick) {
-                let flow = last.flow + flow;
-                if flow.has_bits() {
-                    *last = Entry { tick, flow };
-                } else {
-                    self.entries.pop();
-                }
-                return;
-            }
-        }
-        let flow = if repeat { Flow::ZERO + flow } else { flow };
-        if flow.has_bits() {
-            self.entries.push(Entry { tick, flow });
-        }
-    }
-
-    /// The flow of the newest entry if it sits at `tick`.
-    fn flow_at(&self, tick: u16) -> Option<Flow> {
-        self.entries
-            .last()
-            .filter(|e| e.tick == tick)
-            .map(Entry::flow)
-    }
-
-    /// Drop the newest entry if it sits at `tick`.
-    fn pop_at(&mut self, tick: u16) {
-        if self.flow_at(tick).is_some() {
-            self.entries.pop();
-        }
-    }
-
     fn sum(&self) -> Flow {
         self.entries.iter().fold(Flow::ZERO, |acc, e| acc + e.flow)
     }
@@ -311,10 +266,6 @@ impl Side {
                 *slot += field(e.flow);
             }
         }
-    }
-
-    fn shrink_to_fit(&mut self) {
-        self.entries.shrink_to_fit();
     }
 
     fn spare_capacity(&self) -> usize {
@@ -400,47 +351,16 @@ impl Series {
         Self::default()
     }
 
-    /// Append traffic for `tick`. Ticks must be pushed in non-decreasing
-    /// order and lie below [`MAX_TICKS`]; traffic for a repeated tick
-    /// accumulates into the last sample. A repeated tick whose traffic
-    /// cancels to zero on both sides is dropped, so a series holds only
-    /// what [`Series::from_sides`] accepts.
-    pub fn push(&mut self, tick: u32, rw: RwFlow) {
-        if rw.is_zero() {
-            return;
-        }
-        let last = self.last_tick();
-        if let Some(last) = last {
-            assert!(tick >= last, "ticks must be pushed in order");
-        }
-        let repeat = last == Some(tick);
-        let narrow = u16::try_from(tick);
-        assert!(
-            narrow.is_ok(),
-            "tick {tick} is past the {MAX_TICKS}-tick series range"
-        );
-        let tick = narrow.unwrap_or(u16::MAX);
-        self.read.push(tick, rw.read, repeat);
-        self.write.push(tick, rw.write, repeat);
-        let idle = |side: &Side| side.flow_at(tick).is_none_or(|f| f.is_zero());
-        if repeat && idle(&self.read) && idle(&self.write) {
-            // The tick cancelled to an all-zero sample (any entry left is
-            // `-0.0`), which `from_sides` rejects.
-            self.read.pop_at(tick);
-            self.write.pop_at(tick);
-        }
-    }
-
-    /// Build a series from each side's entries, tick-sorted: the
-    /// non-panicking, exact-size counterpart of a [`Series::push`] loop.
-    /// Each side is allocated once, at the count its iterator reports.
+    /// Build a series from each side's entries, tick-sorted, without
+    /// panicking: the one way a series gets entries. Each side is
+    /// allocated once, at the count its iterator reports.
     ///
-    /// `None` unless the input is a series `push` could have left: every
-    /// tick lies below [`MAX_TICKS`], within a side ticks strictly
-    /// increase and every flow has a nonzero bit pattern, and no tick is
-    /// `±0.0` on both sides (a sample `push` drops as all-zero). An entry
-    /// of one side may share its tick with one of the other; the two are
-    /// one merged sample.
+    /// `None` unless every tick lies below
+    /// [`MAX_TICKS`](crate::time::MAX_TICKS), within a side
+    /// ticks strictly increase and every flow has a nonzero bit pattern,
+    /// and no tick is `±0.0` on both sides (an all-zero sample, which a
+    /// series never holds). An entry of one side may share its tick with
+    /// one of the other; the two are one merged sample.
     pub fn from_sides<R, W>(read: R, write: W) -> Option<Self>
     where
         R: IntoIterator<Item = (u32, Flow)>,
@@ -453,13 +373,6 @@ impl Series {
         let covered = (!read_zero || read.zeros_covered_by(&write))
             && (!write_zero || write.zeros_covered_by(&read));
         covered.then_some(Self { read, write })
-    }
-
-    /// Drop the growth slack a [`Series::push`] loop leaves behind, so each
-    /// side holds exactly its entries. The samples are unchanged.
-    pub fn shrink_to_fit(&mut self) {
-        self.read.shrink_to_fit();
-        self.write.shrink_to_fit();
     }
 
     /// Entries the series' two sides can hold beyond their own without
@@ -621,6 +534,13 @@ mod oracle;
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+    use crate::time::MAX_TICKS;
+
+    /// Whether either field of `flow` has a nonzero bit pattern: unlike
+    /// [`Flow::is_zero`], this counts `-0.0`.
+    fn has_bits(flow: &Flow) -> bool {
+        (flow.bytes.to_bits() | flow.ops.to_bits()) != 0
+    }
 
     fn rw(rb: f64, wb: f64) -> RwFlow {
         RwFlow {
@@ -669,36 +589,19 @@ mod tests {
         assert_eq!(Measure::ops(Op::Write), Measure::WriteOps);
     }
 
-    #[test]
-    fn series_push_merges_equal_ticks_and_skips_zero() {
-        let mut s = Series::new();
-        s.push(0, rw(1.0, 0.0));
-        s.push(0, rw(2.0, 0.0));
-        s.push(3, RwFlow::ZERO);
-        s.push(5, rw(0.0, 7.0));
-        assert_eq!(s.active_ticks(), 2);
-        let samples: Vec<SeriesSample> = s.samples().collect();
-        assert_eq!(samples[0].rw.read.bytes, 3.0);
-        assert_eq!(samples[1].tick, 5);
-        let t = s.total();
-        assert_eq!(t.read.bytes, 3.0);
-        assert_eq!(t.write.bytes, 7.0);
-    }
-
     /// A side's entries as `(tick, flow)` pairs.
     fn pairs(side: &[Entry]) -> Vec<(u32, Flow)> {
         side.iter().map(|e| (e.tick(), e.flow())).collect()
     }
 
     #[test]
-    fn from_sides_matches_push_and_rejects_what_push_never_leaves() {
+    fn from_sides_matches_the_oracle_and_rejects_what_a_series_never_holds() {
         let rows = [(1, rw(1.0, 0.0)), (2, RwFlow::ZERO), (4, rw(0.0, 2.0))];
-        let mut pushed = Series::new();
-        for &(tick, flow) in &rows {
-            pushed.push(tick, flow);
-        }
-        let [read, write] = [Op::Read, Op::Write].map(|op| pairs(pushed.side(op)));
-        assert_eq!(Series::from_sides(read, write), Some(pushed));
+        let (built, reference) = both(&rows);
+        let [read, write] = [Op::Read, Op::Write].map(|op| pairs(built.side(op)));
+        let rebuilt = Series::from_sides(read, write).unwrap();
+        assert_eq!(rebuilt, built);
+        assert_eq!(rebuilt.samples().collect::<Vec<_>>(), reference.samples());
         assert_eq!(Series::from_sides([], []), Some(Series::new()));
         let f = |bytes| Flow { bytes, ops: 1.0 };
         // A repeat or a step back within a side, or an entry with no bits.
@@ -706,7 +609,7 @@ mod tests {
         assert_eq!(Series::from_sides([], [(3, f(1.0)), (2, f(1.0))]), None);
         assert_eq!(Series::from_sides([(1, Flow::ZERO)], []), None);
         // A `-0.0` entry is kept only beside a nonzero one: alone it is an
-        // all-zero sample, which `push` drops.
+        // all-zero sample, which a series never holds.
         let negative = Flow {
             bytes: -0.0,
             ops: 0.0,
@@ -719,14 +622,6 @@ mod tests {
         assert_eq!(merged[0].rw.read.bytes.to_bits(), (-0.0f64).to_bits());
         assert_eq!(kept.last_tick(), Some(1));
         assert_eq!(kept.spare_capacity(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "ticks must be pushed in order")]
-    fn series_rejects_out_of_order_ticks() {
-        let mut s = Series::new();
-        s.push(5, rw(1.0, 0.0));
-        s.push(4, rw(1.0, 0.0));
     }
 
     #[test]
@@ -745,18 +640,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "past the 65536-tick series range")]
-    fn series_rejects_ticks_past_the_u16_range() {
-        let mut s = Series::new();
-        s.push(MAX_TICKS - 1, rw(1.0, 0.0));
-        s.push(MAX_TICKS, rw(1.0, 0.0));
-    }
-
-    #[test]
     fn dense_fills_zeros() {
-        let mut s = Series::new();
-        s.push(1, rw(10.0, 0.0));
-        s.push(3, rw(30.0, 0.0));
+        let s = Series::from_sides([(1, rw(10.0, 0.0).read), (3, rw(30.0, 0.0).read)], []).unwrap();
         let d = s.dense(5, Measure::ReadBytes);
         assert_eq!(d, vec![0.0, 10.0, 0.0, 30.0, 0.0]);
         let mut acc = vec![1.0; 5];
@@ -768,8 +653,8 @@ mod tests {
     fn metrics_totals_sum_entities() {
         let ticks = TickSpec::new(1.0, 4);
         let mut m = ComputeMetrics::empty(ticks, 2);
-        m.per_qp[QpId(0)].push(0, rw(5.0, 0.0));
-        m.per_qp[QpId(1)].push(2, rw(0.0, 9.0));
+        m.per_qp[QpId(0)] = Series::from_sides([(0, rw(5.0, 0.0).read)], []).unwrap();
+        m.per_qp[QpId(1)] = Series::from_sides([], [(2, rw(0.0, 9.0).write)]).unwrap();
         let t = m.total();
         assert_eq!(t.read.bytes, 5.0);
         assert_eq!(t.write.bytes, 9.0);
@@ -845,15 +730,14 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Both implementations built by the same pushes.
+    /// The oracle built by `rows` pushed in order, and the side-split
+    /// series built from its samples' sides.
     fn both(rows: &[(u32, RwFlow)]) -> (Series, oracle::Series) {
-        let mut split = Series::new();
         let mut reference = oracle::Series::new();
         for &(tick, rw) in rows {
-            split.push(tick, rw);
             reference.push(tick, rw);
         }
-        (split, reference)
+        (reference.to_split(), reference)
     }
 
     /// Every read of the side-split series matches the reference bit for
@@ -889,7 +773,7 @@ mod tests {
         [|rw: RwFlow| rw.read, |rw: RwFlow| rw.write].map(|side| {
             rows.iter()
                 .map(|s| (s.tick, side(s.rw)))
-                .filter(|(_, flow)| flow.has_bits())
+                .filter(|(_, flow)| has_bits(flow))
                 .collect()
         })
     }
@@ -905,7 +789,7 @@ mod tests {
         other: &oracle::Series,
     ) {
         let valid = |side: &[(u32, Flow)]| {
-            side.windows(2).all(|w| w[0].0 < w[1].0) && side.iter().all(|(_, f)| f.has_bits())
+            side.windows(2).all(|w| w[0].0 < w[1].0) && side.iter().all(|(_, f)| has_bits(f))
         };
         let mut merged = std::collections::BTreeMap::<u32, RwFlow>::new();
         for &(tick, flow) in read {
@@ -938,10 +822,8 @@ mod tests {
         fn side_split_series_matches_the_row_oracle(seed in proptest::prelude::any::<u64>()) {
             let mut g = SimRng::seed_from_u64(seed);
             let len = if cfg!(miri) { 12 } else { 200 };
-            let (mut split, reference) = both(&pushes(&mut g, len));
+            let (split, reference) = both(&pushes(&mut g, len));
             let (_, other) = both(&pushes(&mut g, len));
-            assert_same_reads(&split, &reference, &other);
-            split.shrink_to_fit();
             assert_eq!(split.spare_capacity(), 0);
             assert_same_reads(&split, &reference, &other);
 
@@ -971,8 +853,7 @@ mod tests {
             let [read, write] = sides_of(&rows);
             assert_same_build(Series::from_sides(read.clone(), write.clone()), &read, &write, &other);
 
-            // A series' own sides rebuild it: `push` leaves only what
-            // `from_sides` accepts, cancelled ticks included.
+            // A series' own sides rebuild it, cancelled ticks included.
             let [read, write] = [Op::Read, Op::Write].map(|op| pairs(split.side(op)));
             let rebuilt = Series::from_sides(read.clone(), write.clone());
             assert_same_build(rebuilt.clone(), &read, &write, &other);

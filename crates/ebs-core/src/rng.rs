@@ -129,7 +129,17 @@ impl SimRng {
     /// last index under floating-point shortfall. Panics if all weights are
     /// zero or the slice is empty.
     pub fn choose_weighted(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
+        self.choose_summed(weights, weights.iter().sum())
+    }
+
+    /// [`SimRng::choose_weighted`] over a table whose total was summed once:
+    /// the same draw, index for index, without re-summing the weights.
+    #[inline]
+    pub fn choose_from(&mut self, table: &WeightTable) -> usize {
+        self.choose_summed(&table.weights, table.total)
+    }
+
+    fn choose_summed(&mut self, weights: &[f64], total: f64) -> usize {
         assert!(
             total > 0.0,
             "choose_weighted requires positive total weight"
@@ -142,6 +152,28 @@ impl SimRng {
             x -= w;
         }
         weights.len() - 1
+    }
+}
+
+/// Non-negative weights prepared for repeated [`SimRng::choose_from`]
+/// draws: the total is summed once, in slice order, exactly as
+/// [`SimRng::choose_weighted`] sums it on every call.
+#[derive(Clone, Debug)]
+pub struct WeightTable {
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl WeightTable {
+    /// Prepare `weights`.
+    pub fn new(weights: Vec<f64>) -> Self {
+        let total = weights.iter().sum();
+        Self { weights, total }
+    }
+
+    /// The weights, in the order they were given.
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
     }
 }
 
@@ -317,6 +349,21 @@ mod proptests {
             original.sort_unstable();
             v.sort_unstable();
             prop_assert_eq!(original, v);
+        }
+
+        #[test]
+        fn prepared_choice_draws_what_choose_weighted_draws(
+            seed in any::<u64>(),
+            weights in prop::collection::vec(0.0f64..10.0, 1..12),
+        ) {
+            prop_assume!(weights.iter().sum::<f64>() > 0.0);
+            let table = WeightTable::new(weights.clone());
+            let mut a = SimRng::seed_from_u64(seed);
+            let mut b = a.clone();
+            for _ in 0..64 {
+                prop_assert_eq!(a.choose_weighted(&weights), b.choose_from(&table));
+            }
+            prop_assert_eq!(a.next_u64(), b.next_u64());
         }
 
         #[test]

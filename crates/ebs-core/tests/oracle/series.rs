@@ -3,13 +3,14 @@
 //! replaced, kept as a differential oracle; its one change since is that a
 //! repeated tick whose traffic cancels to zero is dropped. The side-split
 //! series must return these exact samples, sums and dense vectors, bit for
-//! bit.
+//! bit. Tests that need a series built row by row push the rows here and
+//! take [`Series::to_split`].
 //!
 //! Test-only, and self-contained on purpose: it reaches the crate only
 //! through public paths, so it never drifts along with the private helpers
 //! of the code it checks.
 
-use ebs_core::metric::{Measure, RwFlow, SeriesSample};
+use ebs_core::metric::{Flow, Measure, RwFlow, SeriesSample};
 
 /// A sparse per-entity time series, sorted by tick, holding only ticks with
 /// non-zero traffic.
@@ -83,5 +84,19 @@ impl Series {
     /// Number of active (non-zero) ticks.
     pub fn active_ticks(&self) -> usize {
         self.samples.len()
+    }
+
+    /// The side-split series of these samples, built by
+    /// `Series::from_sides` from each side's flows with nonzero bits.
+    pub fn to_split(&self) -> ebs_core::metric::Series {
+        let side = |flow: fn(&RwFlow) -> Flow| -> Vec<(u32, Flow)> {
+            self.samples
+                .iter()
+                .map(|s| (s.tick, flow(&s.rw)))
+                .filter(|(_, f)| f.bytes.to_bits() | f.ops.to_bits() != 0)
+                .collect()
+        };
+        ebs_core::metric::Series::from_sides(side(|rw| rw.read), side(|rw| rw.write))
+            .expect("a reference series holds no all-zero sample")
     }
 }

@@ -583,6 +583,13 @@ pub fn decode_specs(payload: &[u8]) -> Result<Vec<SpecRow>, EbsError> {
 #[path = "../tests/oracle/series_v2.rs"]
 mod oracle;
 
+/// The row-per-sample reference series, which builds the test series
+/// below row by row; its readers go unused here.
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../ebs-core/tests/oracle/series.rs"]
+mod series_oracle;
+
 /// Value-column mode tags of the v2 series layout.
 mod series_mode {
     /// Raw IEEE-754 bits, 8 bytes per sample.
@@ -1116,8 +1123,8 @@ fn side_entries<'a>(
 /// (a raw window, a sparse bitset beside its value window, or the decoded
 /// integral column) with word masks of its nonzero positions. A position
 /// belongs to a side when that side's bytes or ops has nonzero bits,
-/// unless the whole sample is `±0.0` ([`Series::push`] drops such a
-/// sample), and [`Series::from_sides`] fills each side once, at its exact
+/// unless the whole sample is `±0.0` (no series holds such a sample),
+/// and [`Series::from_sides`] fills each side once, at its exact
 /// count, by walking its member bits. Validation runs per series in the
 /// order the per-value decoder ran it — every column is read before the
 /// ticks are checked — so hostile input fails with the same error.
@@ -1282,6 +1289,15 @@ fn next_tick(
 mod tests {
     use super::*;
     use ebs_core::metric::RwFlow;
+
+    /// The series `rows` make, pushed in order into the reference series.
+    fn series_of(rows: impl IntoIterator<Item = (u32, RwFlow)>) -> Series {
+        let mut reference = series_oracle::Series::new();
+        for (tick, rw) in rows {
+            reference.push(tick, rw);
+        }
+        reference.to_split()
+    }
 
     fn sample_events() -> Vec<IoEvent> {
         (0..1000u64)
@@ -1502,27 +1518,28 @@ mod tests {
     }
 
     fn sample_series() -> (TickSpec, Vec<Series>) {
-        let mut a = Series::new();
-        a.push(
-            3,
-            RwFlow {
-                read: Flow {
-                    bytes: 1.5e9,
-                    ops: 366.0,
+        let a = series_of([
+            (
+                3,
+                RwFlow {
+                    read: Flow {
+                        bytes: 1.5e9,
+                        ops: 366.0,
+                    },
+                    write: Flow::ZERO,
                 },
-                write: Flow::ZERO,
-            },
-        );
-        a.push(
-            9,
-            RwFlow {
-                read: Flow::ZERO,
-                write: Flow {
-                    bytes: 7.25e8,
-                    ops: 177.0,
+            ),
+            (
+                9,
+                RwFlow {
+                    read: Flow::ZERO,
+                    write: Flow {
+                        bytes: 7.25e8,
+                        ops: 177.0,
+                    },
                 },
-            },
-        );
+            ),
+        ]);
         (TickSpec::new(10.0, 360), vec![a, Series::new()])
     }
 
@@ -1537,8 +1554,7 @@ mod tests {
 
     #[test]
     fn fractional_and_pathological_floats_fall_back_to_raw_bits() {
-        let mut s = Series::new();
-        s.push(
+        let s = series_of([(
             1,
             RwFlow {
                 read: Flow {
@@ -1550,9 +1566,9 @@ mod tests {
                     ops: f64::INFINITY,
                 },
             },
-        );
+        )]);
         let ticks = TickSpec::new(1.0, 4);
-        let payload = encode_series_set(ticks, &[s.clone()]);
+        let payload = encode_series_set(ticks, std::slice::from_ref(&s));
         let (_, decoded) = decode_series_set(&payload, "compute").unwrap();
         let got = decoded.first().and_then(|d| d.samples().next()).unwrap();
         let want = s.samples().next().unwrap();
@@ -1566,9 +1582,8 @@ mod tests {
     fn v2_series_encode_integral_values_compactly() {
         // 500 samples of integer-valued flows: v2 should take under half
         // of the raw layout's 32 bytes per sample (four f64 fields).
-        let mut s = Series::new();
-        for k in 0..500u32 {
-            s.push(
+        let s = series_of((0..500u32).map(|k| {
+            (
                 k,
                 RwFlow {
                     read: Flow {
@@ -1580,8 +1595,8 @@ mod tests {
                         ops: 1.0,
                     },
                 },
-            );
-        }
+            )
+        }));
         let ticks = TickSpec::new(1.0, 500);
         let raw = 500 * 32;
         let v2 = encode_series_set(ticks, &[s]);
@@ -1722,7 +1737,7 @@ mod tests {
                     bytes: field_value(g, bytes),
                     ops: field_value(g, ops),
                 };
-                let mut s = Series::new();
+                let mut rows = Vec::new();
                 let mut tick = g.below(3) as u32;
                 for _ in 0..len {
                     let (read, write) = match shape {
@@ -1734,7 +1749,7 @@ mod tests {
                             fields(g, [flavours[2], flavours[3]]),
                         ),
                     };
-                    s.push(tick, RwFlow { read, write });
+                    rows.push((tick, RwFlow { read, write }));
                     // Jumps of 4,096 ticks reach 2-byte FOR widths; they
                     // stop past tick 60,000, which keeps 600 samples
                     // below 63,300 and inside the `u16` tick range.
@@ -1744,7 +1759,7 @@ mod tests {
                         g.below(3) as u32
                     };
                 }
-                s
+                series_of(rows)
             })
             .collect()
     }
@@ -1844,9 +1859,9 @@ mod tests {
     }
 
     #[test]
-    fn all_zero_rows_are_dropped_like_push_drops_them() {
-        // The middle row is all zeros, one of them negative: `push` drops
-        // it, and so must the batch decoder.
+    fn all_zero_rows_are_dropped_like_the_reference_drops_them() {
+        // The middle row is all zeros, one of them negative: the reference
+        // decoder drops it, and so must the batch decoder.
         let payload = raw_payload(&[2, 1, 1], &[[1.0; 4], [0.0, -0.0, 0.0, 0.0], [2.0; 4]]);
         let (_, got) = decode_series_set(&payload, "storage").unwrap();
         let ticks: Vec<u32> = got[0].samples().map(|s| s.tick).collect();

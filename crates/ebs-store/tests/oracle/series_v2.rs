@@ -1,6 +1,6 @@
 //! Reference v2 metric-series codec: the per-series, per-value kernels the
-//! batch passes in `ebs_store::columns` replaced, kept verbatim as a
-//! differential oracle. The batch encoder must emit these exact bytes and
+//! batch passes in `ebs_store::columns` replaced, kept as a differential
+//! oracle. The batch encoder must emit these exact bytes and
 //! the batch decoder must return these exact values — or, on hostile
 //! input, the same `EbsError` variant.
 //!
@@ -170,7 +170,10 @@ pub fn decode(payload: &[u8], domain: &str) -> Result<(TickSpec, Vec<Series>), E
                 }
             }
         }
-        let mut series = Series::new();
+        // Each row's sides, as `Series::from_sides` takes them: a row that
+        // is `±0.0` throughout is no sample, and a side of a kept row is
+        // an entry where its flow has nonzero bits.
+        let (mut read, mut write) = (Vec::new(), Vec::new());
         let mut tick = 0u16;
         let [rb, ro, wb, wo] = &values;
         let cols = ticks_col.iter().zip(rb).zip(ro).zip(wb).zip(wo);
@@ -192,21 +195,27 @@ pub fn decode(payload: &[u8], domain: &str) -> Result<(TickSpec, Vec<Series>), E
                     "{domain} metrics: entity {entity} tick overflows u16"
                 ))
             })?;
-            series.push(
-                u32::from(tick),
-                RwFlow {
-                    read: Flow {
-                        bytes: read_bytes,
-                        ops: read_ops,
-                    },
-                    write: Flow {
-                        bytes: write_bytes,
-                        ops: write_ops,
-                    },
+            let rw = RwFlow {
+                read: Flow {
+                    bytes: read_bytes,
+                    ops: read_ops,
                 },
-            );
+                write: Flow {
+                    bytes: write_bytes,
+                    ops: write_ops,
+                },
+            };
+            if !rw.is_zero() {
+                for (side, flow) in [(&mut read, rw.read), (&mut write, rw.write)] {
+                    if flow.bytes.to_bits() | flow.ops.to_bits() != 0 {
+                        side.push((u32::from(tick), flow));
+                    }
+                }
+            }
         }
-        out.push(series);
+        out.push(Series::from_sides(read, write).ok_or_else(|| {
+            EbsError::corrupt_store(format!("{domain} metrics: entity {entity} is no series"))
+        })?);
     }
     r.expect_end()?;
     Ok((spec, out))

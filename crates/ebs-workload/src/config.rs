@@ -126,10 +126,13 @@ impl WorkloadConfig {
         if self.users_per_dc == 0 || self.vms_per_dc == 0 {
             return Err(EbsError::invalid_config("need users and VMs"));
         }
-        if self.duration_secs <= 0.0 {
-            return Err(EbsError::invalid_config("duration must be positive"));
+        // Each check is written so that NaN fails it.
+        if !(self.duration_secs > 0.0 && self.duration_secs.is_finite()) {
+            return Err(EbsError::invalid_config(
+                "duration must be positive and finite",
+            ));
         }
-        // Written to reject NaN too, which would panic in `TickSpec::new`.
+        // A NaN tick width would panic in `TickSpec::new`.
         if !(self.compute_tick_secs > 0.0 && self.storage_tick_secs > 0.0) {
             return Err(EbsError::invalid_config("tick widths must be positive"));
         }
@@ -144,8 +147,10 @@ impl WorkloadConfig {
                 )));
             }
         }
-        if self.traffic_scale <= 0.0 {
-            return Err(EbsError::invalid_config("traffic scale must be positive"));
+        if !(self.traffic_scale > 0.0 && self.traffic_scale.is_finite()) {
+            return Err(EbsError::invalid_config(
+                "traffic scale must be positive and finite",
+            ));
         }
         if self.dc_skew.len() < self.dc_count as usize {
             return Err(EbsError::invalid_config(format!(

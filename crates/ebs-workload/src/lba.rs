@@ -27,7 +27,7 @@
 
 use crate::profile::HotSpotProfile;
 use ebs_core::io::Op;
-use ebs_core::rng::SimRng;
+use ebs_core::rng::{SimRng, WeightTable};
 use ebs_core::units::{KIB, MIB, SEGMENT_BYTES};
 
 /// Smallest / largest hot-spot size the model will generate.
@@ -83,8 +83,8 @@ pub struct LbaModel {
     read_spots: Vec<HotSpot>,
     /// Popularity weights over spots (shared shape for both directions;
     /// index 0 is the dominant spot).
-    write_weights: Vec<f64>,
-    read_weights: Vec<f64>,
+    write_weights: WeightTable,
+    read_weights: WeightTable,
     hot_frac_write: f64,
     hot_frac_read: f64,
     rewrite_frac: f64,
@@ -105,7 +105,7 @@ impl LbaModel {
         };
         let write_spots = spots(rng, n_write, profile.region_mu);
         let read_spots = spots(rng, n_read, profile.region_mu - 0.3);
-        let weights = |n: usize| crate::dist::zipf::zipf_weights(n, 0.6);
+        let weights = |n: usize| WeightTable::new(crate::dist::zipf::zipf_weights(n, 0.6));
         Self {
             capacity,
             write_weights: weights(n_write),
@@ -126,7 +126,7 @@ impl LbaModel {
         }
     }
 
-    fn weights(&self, op: Op) -> &[f64] {
+    fn weights(&self, op: Op) -> &WeightTable {
         match op {
             Op::Write => &self.write_weights,
             Op::Read => &self.read_weights,
@@ -165,16 +165,18 @@ impl LbaModel {
         (self.base_hot_frac(op) * (0.2 + 1.6 * u)).clamp(0.0, 0.95)
     }
 
-    /// Draw the offset of one IO. Hot writes pick a spot by popularity and
+    /// Draw the offset of one IO, which hits the hot spots with
+    /// probability `hot_frac` (the window's [`LbaModel::hot_frac_at`]).
+    /// Hot writes pick a spot by popularity and
     /// either stream sequentially (advancing that spot's cursor, wrapping)
     /// or rewrite a recent offset behind the cursor; hot reads re-reference
     /// a popularity-weighted spot uniformly; cold IOs are uniform over the
     /// whole LBA. All offsets are 4 KiB-aligned and clipped so
     /// `offset + size <= capacity`.
-    pub fn offset(&mut self, rng: &mut SimRng, op: Op, size: u32, window_idx: u32) -> u64 {
-        let hot = rng.chance(self.hot_frac_at(op, window_idx));
+    pub fn offset(&mut self, rng: &mut SimRng, op: Op, size: u32, hot_frac: f64) -> u64 {
+        let hot = rng.chance(hot_frac);
         let offset = if hot {
-            let k = rng.choose_weighted(self.weights(op));
+            let k = rng.choose_from(self.weights(op));
             match op {
                 Op::Write => {
                     let spot = &mut self.write_spots[k];
@@ -221,7 +223,7 @@ impl LbaModel {
             let len = SEGMENT_BYTES.min(self.capacity - start);
             w.push((1.0 - hf) * len as f64 / self.capacity as f64);
         }
-        for (spot, pop) in self.spots(op).iter().zip(self.weights(op)) {
+        for (spot, pop) in self.spots(op).iter().zip(self.weights(op).weights()) {
             w[spot.segment_index() as usize] += hf * pop;
         }
         let total: f64 = w.iter().sum();
@@ -302,7 +304,7 @@ mod tests {
         for i in 0..5000 {
             for op in [Op::Read, Op::Write] {
                 let size = 64 * KIB as u32;
-                let off = m.offset(&mut rng, op, size, i / 100);
+                let off = m.offset(&mut rng, op, size, m.hot_frac_at(op, i / 100));
                 assert_eq!(off % (4 * KIB), 0);
                 assert!(off + size as u64 <= 40 * GIB);
             }
@@ -317,11 +319,11 @@ mod tests {
         let mut hot_r = 0;
         let n = 20_000;
         for i in 0..n {
-            let w = m.offset(&mut rng, Op::Write, 4096, i / 500);
+            let w = m.offset(&mut rng, Op::Write, 4096, m.hot_frac_at(Op::Write, i / 500));
             if in_spots(m.spots(Op::Write), w) {
                 hot_w += 1;
             }
-            let r = m.offset(&mut rng, Op::Read, 4096, i / 500);
+            let r = m.offset(&mut rng, Op::Read, 4096, m.hot_frac_at(Op::Read, i / 500));
             if in_spots(m.spots(Op::Read), r) {
                 hot_r += 1;
             }
@@ -339,7 +341,7 @@ mod tests {
         let mut top = 0usize;
         let mut any = 0usize;
         for i in 0..20_000 {
-            let off = m.offset(&mut rng, Op::Write, 4096, i / 500);
+            let off = m.offset(&mut rng, Op::Write, 4096, m.hot_frac_at(Op::Write, i / 500));
             if in_spots(m.spots(Op::Write), off) {
                 any += 1;
                 if in_spots(&m.spots(Op::Write)[..1], off) {
@@ -364,7 +366,7 @@ mod tests {
         // runs (rewrites step back a little, the cursor wraps rarely).
         let mut top_offsets = Vec::new();
         for i in 0..4000 {
-            let off = m.offset(&mut rng, Op::Write, 4096, i / 50);
+            let off = m.offset(&mut rng, Op::Write, 4096, m.hot_frac_at(Op::Write, i / 50));
             if in_spots(&m.spots(Op::Write)[..1], off) {
                 top_offsets.push(off);
             }
@@ -387,7 +389,7 @@ mod tests {
         let mut hot = 0usize;
         let mut seen: Vec<u64> = Vec::new();
         for i in 0..4000u32 {
-            let off = m.offset(&mut rng, Op::Write, 4096, i / 100);
+            let off = m.offset(&mut rng, Op::Write, 4096, m.hot_frac_at(Op::Write, i / 100));
             if in_spots(m.spots(Op::Write), off) {
                 hot += 1;
                 if seen.iter().rev().take(512).any(|&p| p == off) {
@@ -444,7 +446,7 @@ mod tests {
     fn tiny_vd_still_works() {
         let mut m = model(7, GIB); // single segment
         let mut rng = SimRng::seed_from_u64(1);
-        let off = m.offset(&mut rng, Op::Write, 4096, 0);
+        let off = m.offset(&mut rng, Op::Write, 4096, m.hot_frac_at(Op::Write, 0));
         assert!(off < GIB);
         assert_eq!(m.segment_weights(Op::Read).len(), 1);
         assert_eq!(

@@ -10,7 +10,7 @@
 
 use crate::dist::onoff::OnOffParams;
 use ebs_core::apps::AppClass;
-use ebs_core::rng::SimRng;
+use ebs_core::rng::{SimRng, WeightTable};
 use ebs_core::units::{KIB, MIB};
 
 /// IO-size mixture: weights over the fixed size classes
@@ -42,10 +42,22 @@ impl SizeMix {
             / total
     }
 
+    /// The mixture prepared for repeated draws.
+    pub fn sampler(&self) -> SizeSampler {
+        SizeSampler(WeightTable::new(self.weights.to_vec()))
+    }
+}
+
+/// A [`SizeMix`] prepared for repeated draws: its weight total is summed
+/// once, not on every draw.
+#[derive(Clone, Debug)]
+pub struct SizeSampler(WeightTable);
+
+impl SizeSampler {
     /// Draw one IO size.
     pub fn sample(&self, rng: &mut SimRng) -> u32 {
-        // ebs-lint: allow(D3) -- choose_weighted index is below weights.len() == SIZE_CLASSES.len()
-        SIZE_CLASSES[rng.choose_weighted(&self.weights)]
+        // ebs-lint: allow(D3) -- choose_from index is below weights().len() == SIZE_CLASSES.len()
+        SIZE_CLASSES[rng.choose_from(&self.0)]
     }
 }
 
@@ -449,8 +461,9 @@ mod tests {
         for p in AppProfile::all() {
             let m = p.write_sizes.mean();
             assert!(m >= 4096.0 && m <= MIB as f64);
+            let sizes = p.read_sizes.sampler();
             for _ in 0..100 {
-                let s = p.read_sizes.sample(&mut rng);
+                let s = sizes.sample(&mut rng);
                 assert!(SIZE_CLASSES.contains(&s));
             }
         }

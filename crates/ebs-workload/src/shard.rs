@@ -47,7 +47,7 @@ use ebs_store::{decode_events_into, decode_series_set, ChunkReader, EventScratch
 use crate::config::WorkloadConfig;
 use crate::dataset::Dataset;
 use crate::fleet::build_fleet;
-use crate::generator::generate_vd;
+use crate::generator::{generate_vd, Grid};
 use crate::spatial::{build_plan, TrafficPlan};
 use crate::store::{check_metric_grid, decode_config, encode_config, validate_events};
 
@@ -191,6 +191,7 @@ fn generate_sharded_fleet(
     std::fs::create_dir_all(dir)?;
     let traffic = build_plan(config, &fleet);
     let rngf = RngFactory::new(config.seed).child("traffic");
+    let grid = Grid::new(config);
     let shard_count = shard_plan.len();
     let results = par_map_deterministic(shard_plan.ranges(), |index, &range| {
         write_shard(
@@ -198,6 +199,7 @@ fn generate_sharded_fleet(
             &fleet,
             &traffic,
             &rngf,
+            &grid,
             dir,
             index,
             shard_count,
@@ -226,6 +228,7 @@ fn write_shard(
     fleet: &Fleet,
     traffic: &TrafficPlan,
     rngf: &RngFactory,
+    grid: &Grid,
     dir: &Path,
     index: usize,
     shard_count: usize,
@@ -263,7 +266,7 @@ fn write_shard(
                 fleet.vd_count()
             ))
         })?;
-        let mut partial = generate_vd(config, fleet, traffic, rngf, vd);
+        let mut partial = generate_vd(fleet, traffic, rngf, grid, vd)?;
         events += partial.events.len() as u64;
         bytes += partial
             .events

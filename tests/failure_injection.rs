@@ -108,6 +108,47 @@ fn bad_workload_configs_are_rejected_not_misgenerated() {
 }
 
 #[test]
+fn non_finite_durations_and_traffic_scales_are_invalid_configs() {
+    use ebs::core::error::EbsError;
+    let lasting = |duration_secs| WorkloadConfig {
+        duration_secs,
+        ..WorkloadConfig::quick(1)
+    };
+    let scaled = |traffic_scale| WorkloadConfig {
+        traffic_scale,
+        ..WorkloadConfig::quick(1)
+    };
+    for c in [
+        lasting(f64::NAN),
+        lasting(f64::INFINITY),
+        scaled(f64::NAN),
+        scaled(f64::INFINITY),
+        scaled(f64::NEG_INFINITY),
+    ] {
+        let invalid = |r: Result<(), EbsError>| matches!(r, Err(EbsError::InvalidConfig(_)));
+        // `generate` runs only once `validate` has rejected the config, so
+        // no generation ever sees an infinite window or scale.
+        assert!(invalid(c.validate()), "validate accepted {c:?}");
+        assert!(invalid(generate(&c).map(drop)), "generate accepted {c:?}");
+    }
+}
+
+#[test]
+fn store_config_with_a_nan_duration_is_corrupt_store() {
+    use ebs::core::error::EbsError;
+    let dir = ebs::core::TempDir::new("failinj-nan-duration").unwrap();
+    let path = dir.join("nan.ebs");
+    let mut ds = generate(&WorkloadConfig::quick(3)).unwrap();
+    ds.config.duration_secs = f64::NAN;
+    ds.save(&path).unwrap();
+    let err = ebs::workload::Dataset::load(&path).expect_err("a NaN duration must not load");
+    assert!(
+        matches!(&err, EbsError::CorruptStore(msg) if msg.contains("invalid config")),
+        "{err}"
+    );
+}
+
+#[test]
 fn csv_import_rejects_garbage() {
     use ebs::workload::export::read_events_csv;
     use std::io::BufReader;
@@ -206,7 +247,7 @@ fn store_future_version_is_version_skew() {
 fn store_metric_grid_contradicting_the_config_is_corrupt_store() {
     use ebs::core::error::EbsError;
     use ebs::core::ids::QpId;
-    use ebs::core::metric::{Flow, RwFlow};
+    use ebs::core::metric::{Flow, Series};
     use ebs::core::time::TickSpec;
     let dir = ebs::core::TempDir::new("failinj-grid").unwrap();
     let path = dir.join("grid.ebs");
@@ -224,13 +265,7 @@ fn store_metric_grid_contradicting_the_config_is_corrupt_store() {
         bytes: 4096.0,
         ops: 1.0,
     };
-    ds.compute.per_qp[QpId(0)].push(
-        grid.ticks,
-        RwFlow {
-            read: flow,
-            write: Flow::ZERO,
-        },
-    );
+    ds.compute.per_qp[QpId(0)] = Series::from_sides([(grid.ticks, flow)], []).unwrap();
     ds.save(&path).unwrap();
     let err = ebs::workload::Dataset::load(&path).expect_err("a tick past the grid must not load");
     assert!(

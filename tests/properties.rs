@@ -8,6 +8,12 @@ use ebs::core::io::Op;
 use ebs::stack::TokenBucket;
 use proptest::prelude::*;
 
+/// The row-per-sample reference series, which builds series row by row;
+/// its readers go unused here.
+#[allow(dead_code)]
+#[path = "../crates/ebs-core/tests/oracle/series.rs"]
+mod series_oracle;
+
 proptest! {
     #[test]
     fn ccr_is_monotone_in_fraction(
@@ -390,21 +396,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// `Dataset::load(save(ds)) == ds` for a dataset whose first compute
-    /// and storage series are rebuilt by public `Series::push` calls:
-    /// repeated ticks, signed zeros, and flows that cancel a tick to zero.
+    /// and storage series are rebuilt from rows pushed into the reference
+    /// series: repeated ticks, signed zeros, and flows that cancel a tick
+    /// to zero.
     #[test]
     fn dataset_store_roundtrip_is_the_identity(
         pushes in prop::collection::vec((0u32..3, 0usize..6, 0usize..6), 1..80),
     ) {
-        use ebs::core::metric::{Flow, RwFlow, Series};
+        use ebs::core::metric::{Flow, RwFlow};
         const FIELD: [f64; 6] = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0];
         let flow = |i: usize| Flow { bytes: FIELD[i], ops: FIELD[(i + 2) % 6] };
-        let mut series = Series::new();
+        let mut reference = series_oracle::Series::new();
         let mut tick = 0;
         for &(step, read, write) in &pushes {
             tick += step;
-            series.push(tick, RwFlow { read: flow(read), write: flow(write) });
+            reference.push(tick, RwFlow { read: flow(read), write: flow(write) });
         }
+        let series = reference.to_split();
         let mut ds = quick_dataset().clone();
         *ds.compute.per_qp.iter_mut().next().unwrap() = series.clone();
         *ds.storage.per_seg.iter_mut().next().unwrap() = series;
