@@ -7,16 +7,17 @@
 //! which matches the bursty ON/OFF shape of real EBS traffic.
 //!
 //! The series are most of a dataset's memory, so a [`Series`] keeps each
-//! direction apart: per side, a vector of 18-byte entries (a `u16` tick
+//! direction apart: per side, a run of 18-byte entries (a `u16` tick
 //! beside that direction's [`Flow`]), with an entry only where that
-//! direction moved traffic. A `u16` tick addresses a grid of up to
+//! direction moved traffic, both runs in one allocation behind a 24-byte
+//! header. A `u16` tick addresses a grid of up to
 //! [`MAX_TICKS`](crate::time::MAX_TICKS) ticks, past the paper's 43,200-tick window (12 h at one
 //! second). The read and write ON/OFF envelopes are drawn independently,
 //! so most active ticks carry one direction only, and a series holds
 //! about 19 bytes per active tick where a [`SeriesSample`] row (a `u32`
 //! tick padded beside four `f64`s) takes 40, and a sampled event 32.
 //! Every series is built exact-size, by [`Series::from_sides`], which
-//! allocates each side once at its exact count, so no series carries
+//! allocates both sides once at their exact count, so no series carries
 //! doubling slack. The store codec works on the sides directly: it
 //! encodes from [`Series::side`] and decodes through
 //! [`Series::from_sides`].
@@ -187,6 +188,7 @@ pub struct Entry {
 }
 
 const _: () = assert!(std::mem::size_of::<Entry>() == 18);
+const _: () = assert!(std::mem::size_of::<Series>() == 24);
 
 impl Entry {
     /// The entry's tick.
@@ -202,78 +204,45 @@ impl Entry {
     }
 }
 
-/// One direction of a [`Series`]: its entries, tick-sorted. One vector
-/// per side keeps a series to two allocations.
-#[derive(Clone, Debug, Default)]
-struct Side {
-    entries: Vec<Entry>,
+/// Check one side's entries: `None` unless the ticks strictly increase
+/// and every flow has a nonzero bit pattern; otherwise whether an entry
+/// is `±0.0` throughout.
+fn check_side(entries: &[Entry]) -> Option<bool> {
+    // One pass, on the OR of each flow's two fields' bits: nonzero bits,
+    // and nonzero bits once the sign is dropped (not `±0.0` throughout).
+    // `next` is one past the previous tick, so any first tick fits.
+    let (mut next, mut valid, mut zero) = (0u32, true, false);
+    for e in entries {
+        let (tick, flow) = (e.tick(), e.flow());
+        let bits = flow.bytes.to_bits() | flow.ops.to_bits();
+        valid &= (tick >= next) & (bits != 0);
+        zero |= bits << 1 == 0;
+        next = tick + 1;
+    }
+    valid.then_some(zero)
 }
 
-impl Side {
-    /// A side of the entries `entries` yields, allocated once at the
-    /// count the iterator reports and left exact-size. `None` unless every
-    /// tick fits a `u16`, the ticks strictly increase and every flow has a
-    /// nonzero bit pattern; otherwise the flag says whether an entry is
-    /// `±0.0` throughout.
-    fn build(entries: impl ExactSizeIterator<Item = (u32, Flow)>) -> Option<(Self, bool)> {
-        let mut side = Side {
-            entries: Vec::with_capacity(entries.len()),
-        };
-        let mut fits = true;
-        side.entries.extend(entries.map(|(tick, flow)| {
-            let narrow = u16::try_from(tick);
-            fits &= narrow.is_ok();
-            Entry {
-                tick: narrow.unwrap_or(u16::MAX),
-                flow,
-            }
-        }));
-        side.entries.shrink_to_fit();
-        // One pass over the built entries, on the OR of each flow's two
-        // fields' bits: nonzero bits, and nonzero bits once the sign is
-        // dropped (not `±0.0` throughout). `next` is one past the previous
-        // tick, so any first tick fits.
-        let (mut next, mut valid, mut zero) = (0u32, fits, false);
-        for e in &side.entries {
-            let (tick, flow) = (e.tick(), e.flow());
-            let bits = flow.bytes.to_bits() | flow.ops.to_bits();
-            valid &= (tick >= next) & (bits != 0);
-            zero |= bits << 1 == 0;
-            next = tick + 1;
+/// Whether every entry of `side` that is `±0.0` throughout sits beside a
+/// nonzero entry of `other` at its tick, so that no merged sample is
+/// all-zero.
+fn zeros_covered_by(side: &[Entry], other: &[Entry]) -> bool {
+    side.iter().filter(|e| e.flow().is_zero()).all(|e| {
+        let at = other.binary_search_by_key(&e.tick(), Entry::tick);
+        at.ok()
+            .and_then(|i| other.get(i))
+            .is_some_and(|o| !o.flow().is_zero())
+    })
+}
+
+fn side_sum(side: &[Entry]) -> Flow {
+    side.iter().fold(Flow::ZERO, |acc, e| acc + e.flow)
+}
+
+fn side_accumulate_into(side: &[Entry], acc: &mut [f64], field: impl Fn(Flow) -> f64) {
+    for e in side {
+        if let Some(slot) = acc.get_mut(usize::from(e.tick)) {
+            *slot += field(e.flow);
         }
-        valid.then_some((side, zero))
-    }
-
-    /// Whether every entry that is `±0.0` throughout sits beside a
-    /// nonzero entry of `other` at its tick, so that no merged sample is
-    /// all-zero.
-    fn zeros_covered_by(&self, other: &Side) -> bool {
-        self.entries.iter().filter(|e| e.flow().is_zero()).all(|e| {
-            let at = other.entries.binary_search_by_key(&e.tick(), Entry::tick);
-            at.ok()
-                .and_then(|i| other.entries.get(i))
-                .is_some_and(|o| !o.flow().is_zero())
-        })
-    }
-
-    fn sum(&self) -> Flow {
-        self.entries.iter().fold(Flow::ZERO, |acc, e| acc + e.flow)
-    }
-
-    fn accumulate_into(&self, acc: &mut [f64], field: impl Fn(Flow) -> f64) {
-        for e in &self.entries {
-            if let Some(slot) = acc.get_mut(usize::from(e.tick)) {
-                *slot += field(e.flow);
-            }
-        }
-    }
-
-    fn spare_capacity(&self) -> usize {
-        self.entries.capacity() - self.entries.len()
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<Entry>()
     }
 }
 
@@ -330,13 +299,17 @@ impl Iterator for Samples<'_> {
 /// The series is stored side-split: the read and the write direction each
 /// keep their own tick-sorted entries (a tick beside a [`Flow`]), with an
 /// entry only where that direction's flow has a nonzero bit pattern (so
-/// `-0.0` is kept). [`Series::samples`] merges the sides back into one
-/// [`SeriesSample`] per active tick, the idle side `+0.0`, and equality is
-/// equality of that merged sequence.
+/// `-0.0` is kept). Both sides share one exact-size allocation, the read
+/// entries first, so a series is a 24-byte header (the entries and the
+/// read count) over one heap block. [`Series::samples`] merges the sides
+/// back into one [`SeriesSample`] per active tick, the idle side `+0.0`,
+/// and equality is equality of that merged sequence.
 #[derive(Clone, Debug, Default)]
 pub struct Series {
-    read: Side,
-    write: Side,
+    /// The read side's entries, then the write side's.
+    entries: Box<[Entry]>,
+    /// How many of `entries` are the read side's.
+    reads: usize,
 }
 
 impl PartialEq for Series {
@@ -352,8 +325,8 @@ impl Series {
     }
 
     /// Build a series from each side's entries, tick-sorted, without
-    /// panicking: the one way a series gets entries. Each side is
-    /// allocated once, at the count its iterator reports.
+    /// panicking: the one way a series gets entries. Both sides go into
+    /// one allocation, made once, at the count their iterators report.
     ///
     /// `None` unless every tick lies below
     /// [`MAX_TICKS`](crate::time::MAX_TICKS), within a side
@@ -368,45 +341,71 @@ impl Series {
         W: IntoIterator<Item = (u32, Flow)>,
         W::IntoIter: ExactSizeIterator,
     {
-        let (read, read_zero) = Side::build(read.into_iter())?;
-        let (write, write_zero) = Side::build(write.into_iter())?;
-        let covered = (!read_zero || read.zeros_covered_by(&write))
-            && (!write_zero || write.zeros_covered_by(&read));
-        covered.then_some(Self { read, write })
+        let (read, write) = (read.into_iter(), write.into_iter());
+        let mut entries = Vec::with_capacity(read.len() + write.len());
+        let mut fits = true;
+        let mut narrow = |(tick, flow): (u32, Flow)| {
+            let tick = u16::try_from(tick);
+            fits &= tick.is_ok();
+            Entry {
+                tick: tick.unwrap_or(u16::MAX),
+                flow,
+            }
+        };
+        entries.extend(read.map(&mut narrow));
+        let reads = entries.len();
+        entries.extend(write.map(&mut narrow));
+        if !fits {
+            return None;
+        }
+        let series = Self {
+            entries: entries.into_boxed_slice(),
+            reads,
+        };
+        let (read, write) = (series.side(Op::Read), series.side(Op::Write));
+        let read_zero = check_side(read)?;
+        let write_zero = check_side(write)?;
+        let covered = (!read_zero || zeros_covered_by(read, write))
+            && (!write_zero || zeros_covered_by(write, read));
+        covered.then_some(series)
     }
 
-    /// Entries the series' two sides can hold beyond their own without
-    /// reallocating, summed over both; zero once the series is exact-size.
+    /// Entries the series can hold beyond its own without reallocating:
+    /// always zero, since a series is built exact-size.
     pub fn spare_capacity(&self) -> usize {
-        self.read.spare_capacity() + self.write.spare_capacity()
+        0
     }
 
-    /// Heap bytes the series' two sides hold, spare capacity included.
+    /// Heap bytes the series' entries hold.
     pub fn heap_bytes(&self) -> usize {
-        self.read.heap_bytes() + self.write.heap_bytes()
+        std::mem::size_of_val::<[Entry]>(&self.entries)
     }
 
     /// One direction's entries, tick-sorted: a read-only view of a side,
     /// holding only the ticks at which that direction's flow has a nonzero
     /// bit pattern.
     pub fn side(&self, op: Op) -> &[Entry] {
+        let (read, write) = self
+            .entries
+            .split_at_checked(self.reads)
+            .unwrap_or((&self.entries, &[]));
         match op {
-            Op::Read => &self.read.entries,
-            Op::Write => &self.write.entries,
+            Op::Read => read,
+            Op::Write => write,
         }
     }
 
     /// Sparse samples, tick-sorted: the tick merge of the two sides.
     pub fn samples(&self) -> impl Iterator<Item = SeriesSample> + Clone + '_ {
         Samples {
-            read: &self.read.entries,
-            write: &self.write.entries,
+            read: self.side(Op::Read),
+            write: self.side(Op::Write),
         }
     }
 
     /// Whether the entity never saw traffic.
     pub fn is_empty(&self) -> bool {
-        self.read.entries.is_empty() && self.write.entries.is_empty()
+        self.entries.is_empty()
     }
 
     /// Sum over the whole window. Each side sums its own entries in tick
@@ -415,8 +414,8 @@ impl Series {
     /// which no sum that starts from `+0.0` ever reaches.
     pub fn total(&self) -> RwFlow {
         RwFlow {
-            read: self.read.sum(),
-            write: self.write.sum(),
+            read: side_sum(self.side(Op::Read)),
+            write: side_sum(self.side(Op::Write)),
         }
     }
 
@@ -439,10 +438,10 @@ impl Series {
     /// walks the merged samples.
     pub fn accumulate_into(&self, acc: &mut [f64], measure: Measure) {
         match measure {
-            Measure::ReadBytes => self.read.accumulate_into(acc, |f| f.bytes),
-            Measure::ReadOps => self.read.accumulate_into(acc, |f| f.ops),
-            Measure::WriteBytes => self.write.accumulate_into(acc, |f| f.bytes),
-            Measure::WriteOps => self.write.accumulate_into(acc, |f| f.ops),
+            Measure::ReadBytes => side_accumulate_into(self.side(Op::Read), acc, |f| f.bytes),
+            Measure::ReadOps => side_accumulate_into(self.side(Op::Read), acc, |f| f.ops),
+            Measure::WriteBytes => side_accumulate_into(self.side(Op::Write), acc, |f| f.bytes),
+            Measure::WriteOps => side_accumulate_into(self.side(Op::Write), acc, |f| f.ops),
             Measure::TotalBytes | Measure::TotalOps => {
                 for s in self.samples() {
                     if let Some(slot) = acc.get_mut(s.tick as usize) {
@@ -461,8 +460,8 @@ impl Series {
     /// The newest tick either side holds, in O(1): `None` for an empty
     /// series.
     pub fn last_tick(&self) -> Option<u32> {
-        let last = |side: &Side| side.entries.last().map(Entry::tick);
-        last(&self.read).max(last(&self.write))
+        let last = |op| self.side(op).last().map(Entry::tick);
+        last(Op::Read).max(last(Op::Write))
     }
 }
 

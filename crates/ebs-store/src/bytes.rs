@@ -85,10 +85,20 @@ impl ByteWriter {
 }
 
 /// Bounds-checked payload decoder over a borrowed byte slice.
+///
+/// The slice may be a window of a longer payload (`ByteReader::window`):
+/// reads stop at the window's end, while offsets in error messages and
+/// [`ByteReader::remaining`] count from the payload's start and to its
+/// end, so a decode that fails once the window reaches the payload's end
+/// reports what a decode of the whole payload would.
 #[derive(Clone, Copy, Debug)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Payload offset of `buf[0]`.
+    base: usize,
+    /// Payload length.
+    len: usize,
     /// Context string used in error messages ("events chunk 3" …).
     what: &'a str,
 }
@@ -96,12 +106,29 @@ pub struct ByteReader<'a> {
 impl<'a> ByteReader<'a> {
     /// Decode `buf`, labelling errors with `what`.
     pub fn new(buf: &'a [u8], what: &'a str) -> Self {
-        Self { buf, pos: 0, what }
+        Self::window(buf, what, 0, buf.len())
     }
 
-    /// Bytes left to read.
+    /// Decode `buf`, the bytes at offset `base` of a payload of `len`
+    /// bytes, labelling errors with `what`.
+    pub(crate) fn window(buf: &'a [u8], what: &'a str, base: usize, len: usize) -> Self {
+        Self {
+            buf,
+            pos: 0,
+            base,
+            len,
+            what,
+        }
+    }
+
+    /// Bytes left to read in the payload.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.len.saturating_sub(self.base + self.pos)
+    }
+
+    /// Bytes read from the window so far.
+    pub(crate) fn consumed(&self) -> usize {
+        self.pos
     }
 
     /// Error for a read past the end of the payload.
@@ -109,8 +136,8 @@ impl<'a> ByteReader<'a> {
         EbsError::truncated(format!(
             "{}: need {need} more bytes at offset {}, payload has {}",
             self.what,
-            self.pos,
-            self.buf.len()
+            self.base + self.pos,
+            self.len
         ))
     }
 
@@ -146,7 +173,8 @@ impl<'a> ByteReader<'a> {
             if shift == 63 && byte > 1 {
                 return Err(EbsError::corrupt_store(format!(
                     "{}: varint overflows u64 at offset {}",
-                    self.what, self.pos
+                    self.what,
+                    self.base + self.pos
                 )));
             }
             v |= u64::from(byte & 0x7F) << shift;
@@ -157,7 +185,8 @@ impl<'a> ByteReader<'a> {
             if shift > 63 {
                 return Err(EbsError::corrupt_store(format!(
                     "{}: varint longer than 10 bytes at offset {}",
-                    self.what, self.pos
+                    self.what,
+                    self.base + self.pos
                 )));
             }
         }

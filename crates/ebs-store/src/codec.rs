@@ -323,28 +323,33 @@ fn block_header(block: &[u64], shift: u32) -> (u64, usize) {
 /// Exact encoded size of `vals` under frame-of-reference packing.
 pub fn for_size(vals: &[u64]) -> usize {
     vals.chunks(MINIBLOCK)
-        .map(|block| for_block_len(block, 0))
+        .map(|block| for_block_len(block.len(), block_header(block, 0)))
         .sum()
 }
 
-/// Encoded bytes of one FOR miniblock of `block >> shift`.
+/// Encoded bytes of a FOR miniblock of `len` values under its (min,
+/// width) header.
 #[inline]
-fn for_block_len(block: &[u64], shift: u32) -> usize {
-    let (min, width) = block_header(block, shift);
-    varint_len(min) + 1 + width * block.len()
+fn for_block_len(len: usize, (min, width): (u64, usize)) -> usize {
+    varint_len(min) + 1 + width * len
 }
 
 /// Append `vals` in frame-of-reference form (no tag byte; see
 /// [`encode_column`]).
 pub fn encode_for(w: &mut ByteWriter, vals: &[u64]) {
-    write_for(w, vals, 0);
+    let headers = vals.chunks(MINIBLOCK).map(|block| block_header(block, 0));
+    write_for(w, vals, 0, headers);
 }
 
 /// Append `vals >> shift` in frame-of-reference form, shifting as each
-/// value is packed.
-fn write_for(w: &mut ByteWriter, vals: &[u64], shift: u32) {
-    for block in vals.chunks(MINIBLOCK) {
-        let (min, width) = block_header(block, shift);
+/// value is packed; `headers` yields each block's (min, width) header.
+fn write_for(
+    w: &mut ByteWriter,
+    vals: &[u64],
+    shift: u32,
+    headers: impl Iterator<Item = (u64, usize)>,
+) {
+    for (block, (min, width)) in vals.chunks(MINIBLOCK).zip(headers) {
         w.put_varint(min);
         w.put_u8(width as u8);
         let slot = w.put_slot(width * block.len());
@@ -507,20 +512,29 @@ fn column_shift(vals: &[u64]) -> u32 {
 /// and the exact encoded size including the tag and shift header. Both
 /// codecs are sized off the unshifted values, frame-of-reference first:
 /// group varint is sized only when its floor (one data byte per value
-/// plus its control bytes) could still beat it.
+/// plus its control bytes) could still beat it. Sizing frame-of-reference
+/// finds every block's header, which the plan keeps for the writer.
 #[derive(Clone, Copy, Debug)]
-struct ColumnPlan {
+pub(crate) struct ColumnPlan {
     shift: u32,
     group_varint: bool,
     size: usize,
 }
 
 impl ColumnPlan {
-    fn new(vals: &[u64]) -> Self {
+    /// Plan `vals`, leaving each frame-of-reference block's (min, width)
+    /// header in `blocks` (cleared first).
+    pub(crate) fn new(vals: &[u64], blocks: &mut Vec<(u64, usize)>) -> Self {
         let shift = column_shift(vals);
+        blocks.clear();
+        blocks.extend(
+            vals.chunks(MINIBLOCK)
+                .map(|block| block_header(block, shift)),
+        );
         let fo: usize = vals
             .chunks(MINIBLOCK)
-            .map(|block| for_block_len(block, shift))
+            .zip(blocks.iter())
+            .map(|(block, &header)| for_block_len(block.len(), header))
             .sum();
         let control = vals.len().div_ceil(GROUP);
         let gv = pick_group_varint(control + vals.len(), fo)
@@ -534,6 +548,27 @@ impl ColumnPlan {
             size,
         }
     }
+
+    /// The exact bytes [`ColumnPlan::write`] appends.
+    pub(crate) fn size(&self) -> usize {
+        self.size
+    }
+
+    /// Append `vals` as planned, `blocks` being the headers
+    /// [`ColumnPlan::new`] left. Returns the bytes appended.
+    pub(crate) fn write(&self, w: &mut ByteWriter, vals: &[u64], blocks: &[(u64, usize)]) -> u64 {
+        let before = w.len();
+        if self.group_varint {
+            w.put_u8(column_tag::GROUP_VARINT);
+            w.put_u8(self.shift as u8);
+            write_group_varint(w, vals, self.shift);
+        } else {
+            w.put_u8(column_tag::FOR_BYTES);
+            w.put_u8(self.shift as u8);
+            write_for(w, vals, self.shift, blocks.iter().copied());
+        }
+        (w.len() - before) as u64
+    }
 }
 
 /// Append `vals` as a tagged column: the codec tag, the alignment shift,
@@ -542,25 +577,16 @@ impl ColumnPlan {
 /// Returns the bytes appended, for the per-column accounting the
 /// `--trace` stats report.
 pub fn encode_column(w: &mut ByteWriter, vals: &[u64]) -> u64 {
-    let plan = ColumnPlan::new(vals);
-    let before = w.len();
-    if plan.group_varint {
-        w.put_u8(column_tag::GROUP_VARINT);
-        w.put_u8(plan.shift as u8);
-        write_group_varint(w, vals, plan.shift);
-    } else {
-        w.put_u8(column_tag::FOR_BYTES);
-        w.put_u8(plan.shift as u8);
-        write_for(w, vals, plan.shift);
-    }
-    (w.len() - before) as u64
+    let mut blocks = Vec::new();
+    ColumnPlan::new(vals, &mut blocks).write(w, vals, &blocks)
 }
 
 /// Exact size [`encode_column`] would produce for `vals`, without writing
-/// anything. The metric encoder uses this to pick between integral-column
-/// and sparse/raw float packings by actual byte cost.
+/// anything. (The metric encoder, which picks between integral-column and
+/// sparse/raw float packings by this cost, plans the column once through
+/// `ColumnPlan` and writes it from the same plan.)
 pub fn encoded_column_size(vals: &[u64]) -> usize {
-    ColumnPlan::new(vals).size
+    ColumnPlan::new(vals, &mut Vec::new()).size
 }
 
 /// Decode one tagged column of `count` values into `out` (cleared first).

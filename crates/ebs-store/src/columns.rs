@@ -23,9 +23,7 @@
 //! the decoders here take a payload and nothing else.
 
 use crate::bytes::{ByteReader, ByteWriter};
-use crate::codec::{
-    decode_column_into, encode_column, encoded_column_size, unzigzag, zigzag, MINIBLOCK,
-};
+use crate::codec::{decode_column_into, encode_column, unzigzag, zigzag, ColumnPlan, MINIBLOCK};
 use crate::format::{MAX_CHUNK_EVENTS, MAX_CHUNK_LEN};
 use ebs_core::apps::AppClass;
 use ebs_core::error::EbsError;
@@ -631,6 +629,8 @@ struct SideMerge {
     present: [Vec<u64>; 2],
     /// Integral-mode candidate values of the field being encoded.
     ints: Vec<u64>,
+    /// The frame-of-reference block headers of the column being planned.
+    blocks: Vec<(u64, usize)>,
 }
 
 impl SideMerge {
@@ -805,10 +805,16 @@ pub fn encode_series_set(ticks: TickSpec, series: &[Series]) -> Vec<u8> {
         merge.fill(sides);
         let n = merge.deltas.len();
         w.put_varint(n as u64);
-        encode_column(&mut w, &merge.deltas);
-        for (side, present) in sides.into_iter().zip(&merge.present) {
-            encode_value_column(&mut w, n, side, present, |f| f.bytes, &mut merge.ints);
-            encode_value_column(&mut w, n, side, present, |f| f.ops, &mut merge.ints);
+        let SideMerge {
+            deltas,
+            present,
+            ints,
+            blocks,
+        } = &mut merge;
+        ColumnPlan::new(deltas, blocks).write(&mut w, deltas, blocks);
+        for (side, present) in sides.into_iter().zip(present.iter()) {
+            encode_value_column(&mut w, n, side, present, |f| f.bytes, ints, blocks);
+            encode_value_column(&mut w, n, side, present, |f| f.ops, ints, blocks);
         }
     }
     w.into_bytes()
@@ -825,6 +831,7 @@ fn encode_value_column(
     present: &[u64],
     field: impl Fn(Flow) -> f64,
     ints: &mut Vec<u64>,
+    blocks: &mut Vec<(u64, usize)>,
 ) {
     let bits = |e: &Entry| field(e.flow()).to_bits();
     let nonzero: usize = side.iter().map(|e| usize::from(bits(e) != 0)).sum();
@@ -840,9 +847,10 @@ fn encode_value_column(
                 *slot = f64::from_bits(bits(e)) as u64;
             }
         }
-        if encoded_column_size(ints) <= sparse_body.min(raw_body) {
+        let plan = ColumnPlan::new(ints, blocks);
+        if plan.size() <= sparse_body.min(raw_body) {
             w.put_u8(series_mode::INTEGRAL);
-            encode_column(w, ints);
+            plan.write(w, ints, blocks);
             return;
         }
     }
@@ -1116,37 +1124,77 @@ fn side_entries<'a>(
 }
 
 /// Decode one v2 metric domain back into a tick grid and per-entity
-/// series.
-///
-/// Each series decodes into reused scratch: the tick column is
-/// prefix-summed once, and each value column is read as a borrowed view
-/// (a raw window, a sparse bitset beside its value window, or the decoded
-/// integral column) with word masks of its nonzero positions. A position
-/// belongs to a side when that side's bytes or ops has nonzero bits,
-/// unless the whole sample is `±0.0` (no series holds such a sample),
-/// and [`Series::from_sides`] fills each side once, at its exact
-/// count, by walking its member bits. Validation runs per series in the
-/// order the per-value decoder ran it — every column is read before the
-/// ticks are checked — so hostile input fails with the same error.
+/// series, one `SeriesDecoder::decode` per entity.
 pub fn decode_series_set(
     payload: &[u8],
     domain: &str,
 ) -> Result<(TickSpec, Vec<Series>), EbsError> {
-    let mut r = ByteReader::new(payload, "metric chunk");
+    let mut r = ByteReader::new(payload, SERIES_CHUNK);
     let (spec, entities) = decode_series_header(&mut r, domain)?;
     let mut out = Vec::with_capacity(entities);
-    // A valid series holds at most one sample per tick of its grid, so the
-    // scratch is sized for that once, before any series: a scratch vector
-    // that grew mid-domain would leave freed holes between the series'
-    // sides, which fragment the heap.
-    let cap = (spec.ticks as usize).min(SCRATCH_SAMPLES);
-    let mut deltas = Vec::with_capacity(cap);
-    let mut ticks = Vec::with_capacity(cap);
-    let mut cols: [ValueColumn; 4] = std::array::from_fn(|_| ValueColumn::with_capacity(cap));
-    let mut member: [Vec<u64>; 2] = std::array::from_fn(|_| Vec::with_capacity(cap.div_ceil(64)));
-    let mut side_ticks: [Vec<u32>; 2] = std::array::from_fn(|_| Vec::with_capacity(cap));
-    let mut gathered: [Vec<[u8; 8]>; 4] = std::array::from_fn(|_| Vec::with_capacity(cap));
+    let mut decoder = SeriesDecoder::new(spec);
     for entity in 0..entities {
+        out.push(decoder.decode(&mut r, entity, domain)?);
+    }
+    r.expect_end()?;
+    Ok((spec, out))
+}
+
+/// The label of a metric payload's errors.
+pub(crate) const SERIES_CHUNK: &str = "metric chunk";
+
+/// The per-series decoder of a v2 metric domain, with its reused scratch.
+///
+/// Each series decodes into the scratch: the tick column is prefix-summed
+/// once, and each value column is read as a borrowed view (a raw window,
+/// a sparse bitset beside its value window, or the decoded integral
+/// column) with word masks of its nonzero positions. A position belongs
+/// to a side when that side's bytes or ops has nonzero bits, unless the
+/// whole sample is `±0.0` (no series holds such a sample), and
+/// [`Series::from_sides`] fills the series once, at its exact size, by
+/// walking the member bits. Validation runs per series in the order the
+/// per-value decoder ran it — every column is read before the ticks are
+/// checked — so hostile input fails with the same error.
+///
+/// A decode reads only forward and writes only the scratch until it
+/// succeeds, so a series cut short by the end of a window can be decoded
+/// again from its start once the window holds more of the payload.
+#[derive(Debug)]
+pub(crate) struct SeriesDecoder {
+    deltas: Vec<u64>,
+    ticks: Vec<u32>,
+    cols: [ValueColumn; 4],
+    member: [Vec<u64>; 2],
+    side_ticks: [Vec<u32>; 2],
+    gathered: [Vec<[u8; 8]>; 4],
+}
+
+impl SeriesDecoder {
+    /// Scratch for the series of a `spec` grid.
+    ///
+    /// A valid series holds at most one sample per tick of its grid, so
+    /// the scratch is sized for that once, before any series: a scratch
+    /// vector that grew mid-domain would leave freed holes between the
+    /// decoded series, which fragment the heap.
+    pub(crate) fn new(spec: TickSpec) -> Self {
+        let cap = (spec.ticks as usize).min(SCRATCH_SAMPLES);
+        Self {
+            deltas: Vec::with_capacity(cap),
+            ticks: Vec::with_capacity(cap),
+            cols: std::array::from_fn(|_| ValueColumn::with_capacity(cap)),
+            member: std::array::from_fn(|_| Vec::with_capacity(cap.div_ceil(64))),
+            side_ticks: std::array::from_fn(|_| Vec::with_capacity(cap)),
+            gathered: std::array::from_fn(|_| Vec::with_capacity(cap)),
+        }
+    }
+
+    /// Decode the series of `entity` from `r`.
+    pub(crate) fn decode(
+        &mut self,
+        r: &mut ByteReader<'_>,
+        entity: usize,
+        domain: &str,
+    ) -> Result<Series, EbsError> {
         let declared_samples = r.get_varint()?;
         let samples = usize::try_from(declared_samples)
             .ok()
@@ -1156,29 +1204,30 @@ pub fn decode_series_set(
                     "{domain} metrics: entity {entity} declares {declared_samples} samples"
                 ))
             })?;
-        decode_column_into(&mut r, samples, &mut deltas)?;
+        let deltas = &mut self.deltas;
+        decode_column_into(r, samples, deltas)?;
         // A saturating prefix sum is monotone, so its final value bounds
         // every tick: one compare after the loop stands in for a per-row
         // overflow check.
         let mut tick = 0u64;
-        ticks.clear();
-        ticks.extend(deltas.iter().map(|&d| {
+        self.ticks.clear();
+        self.ticks.extend(deltas.iter().map(|&d| {
             tick = tick.saturating_add(d);
             tick as u32
         }));
         let mut windows: [&[[u8; 8]]; 4] = [&[]; 4];
-        for (col, window) in cols.iter_mut().zip(&mut windows) {
-            *window = col.read(&mut r, samples, domain)?;
+        for (col, window) in self.cols.iter_mut().zip(&mut windows) {
+            *window = col.read(r, samples, domain)?;
         }
         // A whole-column fold, with no early exit, so it vectorizes.
         let repeats = (deltas.iter().skip(1)).fold(false, |z, &d| z | (d == 0));
         if tick > u64::from(u16::MAX) || repeats {
-            return Err(tick_column_error(&deltas, entity, domain));
+            return Err(tick_column_error(deltas, entity, domain));
         }
         // A side's member positions: its bytes or ops has nonzero bits
         // there, and the sample is not `±0.0` throughout.
-        let [rb, ro, wb, wo] = &cols;
-        let [read, write] = &mut member;
+        let [rb, ro, wb, wo] = &self.cols;
+        let [read, write] = &mut self.member;
         read.clear();
         write.clear();
         let word = |mask: &[u64], k: usize| mask.get(k).copied().unwrap_or(0);
@@ -1189,11 +1238,11 @@ pub fn decode_series_set(
             read.push((word(&rb.bits, k) | word(&ro.bits, k)) & keep);
             write.push((word(&wb.bits, k) | word(&wo.bits, k)) & keep);
         }
-        let [read, write] = &member;
-        let [read_ticks, write_ticks] = &mut side_ticks;
-        member_ticks(read, &ticks, read_ticks);
-        member_ticks(write, &ticks, write_ticks);
-        let [rb_out, ro_out, wb_out, wo_out] = &mut gathered;
+        let [read, write] = &self.member;
+        let [read_ticks, write_ticks] = &mut self.side_ticks;
+        member_ticks(read, &self.ticks, read_ticks);
+        member_ticks(write, &self.ticks, write_ticks);
+        let [rb_out, ro_out, wb_out, wo_out] = &mut self.gathered;
         let [rb_win, ro_win, wb_win, wo_win] = windows;
         let series = Series::from_sides(
             side_entries(
@@ -1211,14 +1260,12 @@ pub fn decode_series_set(
                 ],
             ),
         );
-        out.push(series.ok_or_else(|| {
+        series.ok_or_else(|| {
             EbsError::corrupt_store(format!(
                 "{domain} metrics: entity {entity} decodes to an invalid series"
             ))
-        })?);
+        })
     }
-    r.expect_end()?;
-    Ok((spec, out))
 }
 
 /// The error for a tick column the batch check rejected: the first
@@ -1246,7 +1293,7 @@ fn tick_column_error(deltas: &[u64], entity: usize, domain: &str) -> EbsError {
 }
 
 /// Shared series-payload header: tick grid plus entity count, validated.
-fn decode_series_header(
+pub(crate) fn decode_series_header(
     r: &mut ByteReader<'_>,
     domain: &str,
 ) -> Result<(TickSpec, usize), EbsError> {
@@ -1838,6 +1885,70 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The windowed loader, through a 64-byte window, against
+    /// `decode_series_set` on the whole payload: the same `Result`, error
+    /// messages included, for the intact payload, at every cut and with a
+    /// bit flipped in every byte (each sealed as its own chunk); and the
+    /// same chunk and byte counts as the whole-chunk reader.
+    #[test]
+    fn windowed_series_decode_matches_the_whole_payload() {
+        use crate::format::kind;
+        use crate::reader::ChunkReader;
+        use crate::writer::StoreWriter;
+
+        let container = |payload: &[u8]| {
+            let mut w = StoreWriter::new(Vec::new()).unwrap();
+            w.write_chunk(kind::COMPUTE_METRICS, payload).unwrap();
+            w.write_chunk(kind::CONFIG, b"after").unwrap();
+            w.finish().unwrap()
+        };
+        fn windowed(bytes: &[u8]) -> (Decoded, ChunkReader<&[u8]>) {
+            let mut r = ChunkReader::new(bytes).unwrap();
+            assert!(r.next_frame().unwrap().is_some());
+            let got = r.read_series_set_through("compute", 64);
+            (got, r)
+        }
+        let same = |payload: &[u8], what: &str| {
+            let (got, _) = windowed(&container(payload));
+            match (got, decode_series_set(payload, "compute")) {
+                (Ok((gs, g)), Ok((ws, w))) => {
+                    assert_eq!(gs, ws, "{what}: tick grid");
+                    assert_eq!(sample_bits(&g), sample_bits(&w), "{what}: samples");
+                }
+                (Err(g), Err(w)) => assert_eq!(g, w, "{what}"),
+                (g, w) => panic!("{what}: windowed {:?} vs whole {:?}", g.err(), w.err()),
+            }
+        };
+
+        let mut g = Gen(0x5EED);
+        let mut series = Vec::new();
+        while series.len() < 8 {
+            series.extend(random_domain(&mut g, 40));
+        }
+        let payload = encode_series_set(TickSpec::new(10.0, 360), &series);
+        assert!(payload.len() > 16 * 64, "the window must refill");
+        same(&payload, "intact");
+        let stride = if cfg!(miri) { 61 } else { 1 };
+        for cut in (0..payload.len()).step_by(stride) {
+            same(&payload[..cut], &format!("cut at {cut}"));
+        }
+        for at in (0..payload.len()).step_by(stride) {
+            let mut flipped = payload.clone();
+            flipped[at] ^= 1 << (at % 8);
+            same(&flipped, &format!("flip at {at}"));
+        }
+
+        let bytes = container(&payload);
+        let (got, mut r) = windowed(&bytes);
+        assert_eq!(sample_bits(&got.unwrap().1), sample_bits(&series));
+        while r.next_frame().unwrap().is_some() {}
+        let mut whole = ChunkReader::new(bytes.as_slice()).unwrap();
+        while whole.next_chunk_into(&mut Vec::new()).unwrap().is_some() {}
+        assert_eq!(r.end_summary(), whole.end_summary());
+        assert_eq!(r.counts(), whole.counts());
+        assert_eq!(r.counts(), (2, bytes.len() as u64));
     }
 
     /// A one-entity payload with raw value columns, built by hand so it can

@@ -86,7 +86,7 @@ pub use format::{
     EVENTS_PER_CHUNK, FRAME_LEN, HEADER_LEN, MAGIC, MAX_CHUNK_EVENTS, MAX_CHUNK_LEN, VERSION,
 };
 pub use manifest::{shard_file_name, ShardEntry, ShardManifest, ShardMeta, MANIFEST_FILE};
-pub use reader::{ChunkReader, EndSummary, EventChunks};
+pub use reader::{ChunkFrame, ChunkReader, EndSummary, EventChunks, SERIES_WINDOW};
 pub use stats::StoreStats;
 pub use stream::{fold_store, StreamSummary};
 pub use writer::StoreWriter;

@@ -3,6 +3,11 @@
 //! at a time — aggregations over a large trace never hold more than one
 //! chunk's events live.
 //!
+//! A payload can also be read in pieces, sealed as they arrive: metric
+//! chunks, most of a store's bytes, decode series by series through a
+//! fixed window ([`ChunkReader::read_series_set`]), so a loader never
+//! holds a whole metric payload beside the series it decodes to.
+//!
 //! [`ChunkReader::new`] is the one place that reads the header version;
 //! everything past the header decodes format v2 only.
 
@@ -10,11 +15,16 @@ use std::io::Read;
 
 use ebs_core::error::EbsError;
 use ebs_core::io::IoEvent;
+use ebs_core::metric::Series;
+use ebs_core::time::TickSpec;
 
 use crate::bytes::ByteReader;
-use crate::columns::{decode_events_v2_into, events_from_columns, EventColumnBytes, EventScratch};
-use crate::format::{kind, MAGIC, MAX_CHUNK_LEN, VERSION};
-use crate::seal::seal32;
+use crate::columns::{
+    decode_events_v2_into, decode_series_header, events_from_columns, EventColumnBytes,
+    EventScratch, SeriesDecoder, SERIES_CHUNK,
+};
+use crate::format::{kind, FRAME_LEN, MAGIC, MAX_CHUNK_LEN, VERSION};
+use crate::seal::Sealer;
 
 /// Totals pinned by the END chunk, used to detect truncation at a chunk
 /// boundary (a cut file would otherwise parse cleanly).
@@ -26,7 +36,39 @@ pub struct EndSummary {
     pub events: u64,
 }
 
+/// A chunk's frame, as [`ChunkReader::next_frame`] returns it: the kind
+/// tag (see [`crate::format::kind`]) and the payload length.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ChunkFrame {
+    /// Chunk kind tag.
+    pub kind: u8,
+    /// Payload bytes that follow the frame.
+    pub len: u32,
+}
+
+/// The chunk whose payload is being read: its frame, the bytes not read
+/// yet, and the seal of the bytes read so far.
+#[derive(Clone, Debug)]
+struct Pending {
+    frame: ChunkFrame,
+    want_seal: u32,
+    left: u32,
+    sealer: Sealer,
+}
+
+/// Bytes of a metric payload [`ChunkReader::read_series_set`] decodes
+/// through at once. The window grows only to hold a single series that
+/// does not fit: a series takes at most about 35 bytes per sample, so
+/// one on a full-scale grid (4,320 ticks) fits with room to spare.
+pub const SERIES_WINDOW: usize = 256 << 10;
+
 /// Streaming reader over the chunk sequence of an ebs-store container.
+///
+/// A chunk is read as its frame ([`ChunkReader::next_frame`]) and then its
+/// payload, whole ([`ChunkReader::read_payload_into`]) or in pieces
+/// ([`ChunkReader::read_payload`]). The seal is computed as the pieces
+/// arrive and settled with the payload's last byte: the read that
+/// delivers it is the one that returns [`EbsError::ChecksumMismatch`].
 #[derive(Debug)]
 pub struct ChunkReader<R: Read> {
     input: R,
@@ -34,6 +76,7 @@ pub struct ChunkReader<R: Read> {
     bytes_read: u64,
     end: Option<EndSummary>,
     done: bool,
+    pending: Option<Pending>,
 }
 
 impl<R: Read> ChunkReader<R> {
@@ -69,12 +112,19 @@ impl<R: Read> ChunkReader<R> {
             bytes_read: (MAGIC.len() + 4) as u64,
             end: None,
             done: false,
+            pending: None,
         })
     }
 
     /// The END summary, available once the END chunk has been consumed.
     pub fn end_summary(&self) -> Option<EndSummary> {
         self.end
+    }
+
+    /// The `store.chunks_read` and `store.bytes_read` totals so far.
+    #[cfg(test)]
+    pub(crate) fn counts(&self) -> (u64, u64) {
+        (self.chunks_read, self.bytes_read)
     }
 
     /// Read the next chunk's checksum-verified payload into `payload` and
@@ -87,6 +137,22 @@ impl<R: Read> ChunkReader<R> {
     /// [`EbsError::ChecksumMismatch`].
     pub fn next_chunk_into(&mut self, payload: &mut Vec<u8>) -> Result<Option<u8>, EbsError> {
         payload.clear();
+        let Some(frame) = self.next_frame()? else {
+            return Ok(None);
+        };
+        self.read_payload_into(payload)?;
+        Ok(Some(frame.kind))
+    }
+
+    /// Read the next chunk's frame, or `Ok(None)` after the END chunk,
+    /// whose payload this reads and checks itself. What is left of the
+    /// previous chunk's payload is read and sealed first, so a caller
+    /// skips a chunk by asking for the next frame.
+    pub fn next_frame(&mut self) -> Result<Option<ChunkFrame>, EbsError> {
+        let mut skip = [0u8; 4096];
+        while self.pending.is_some() {
+            self.read_payload(&mut skip)?;
+        }
         if self.done {
             return Ok(None);
         }
@@ -102,49 +168,161 @@ impl<R: Read> ChunkReader<R> {
                 self.chunks_read
             )));
         }
-        // Read via `take` so a short file yields Truncated instead of an
-        // over-allocated buffer half-filled with zeros. Pre-size up to 1 MiB
-        // so honest chunks avoid regrow copies without letting a forged
-        // length reserve MAX_CHUNK_LEN up front.
-        payload.reserve(len.min(1 << 20) as usize);
-        let got = (&mut self.input)
-            .take(u64::from(len))
-            .read_to_end(payload)
-            .map_err(EbsError::from)?;
-        if got != len as usize {
+        let frame = ChunkFrame {
+            kind: chunk_kind,
+            len,
+        };
+        self.pending = Some(Pending {
+            frame,
+            want_seal,
+            left: len,
+            sealer: Sealer::new(),
+        });
+        if chunk_kind != kind::END {
+            return Ok(Some(frame));
+        }
+        let mut payload = Vec::new();
+        self.read_payload_into(&mut payload)?;
+        let mut r = ByteReader::new(&payload, "end chunk");
+        let chunks = r.get_varint()?;
+        let events = r.get_varint()?;
+        r.expect_end()?;
+        if chunks != self.chunks_read {
             return Err(EbsError::truncated(format!(
-                "chunk {}: payload cut short at {got} of {len} bytes",
+                "end chunk pins {chunks} chunks but only {} were present",
                 self.chunks_read
             )));
         }
-        let have_seal = seal32(payload);
+        self.end = Some(EndSummary { chunks, events });
+        self.done = true;
+        ebs_obs::counter_add("store.chunks_read", self.chunks_read);
+        ebs_obs::counter_add("store.bytes_read", self.bytes_read);
+        Ok(None)
+    }
+
+    /// Read the rest of the current chunk's payload into `payload`
+    /// (cleared first), settle its seal, and return it. Reserves at most
+    /// 1 MiB up front, so a forged length cannot reserve
+    /// [`MAX_CHUNK_LEN`] before the bytes arrive.
+    pub fn read_payload_into<'p>(
+        &mut self,
+        payload: &'p mut Vec<u8>,
+    ) -> Result<&'p [u8], EbsError> {
+        payload.clear();
+        let Some(pending) = &self.pending else {
+            return Ok(payload);
+        };
+        let left = pending.left;
+        // Read via `take` so a short file yields Truncated instead of an
+        // over-allocated buffer half-filled with zeros.
+        payload.reserve(left.min(1 << 20) as usize);
+        (&mut self.input)
+            .take(u64::from(left))
+            .read_to_end(payload)
+            .map_err(EbsError::from)?;
+        self.consume(payload, left as usize)?;
+        Ok(payload)
+    }
+
+    /// Read the next bytes of the current chunk's payload into `buf`:
+    /// as many as fit, or all that are left. Returns how many were read;
+    /// the read that takes the payload's last byte settles its seal.
+    pub fn read_payload(&mut self, buf: &mut [u8]) -> Result<usize, EbsError> {
+        let Some(pending) = &self.pending else {
+            return Ok(0);
+        };
+        let want = buf.len().min(pending.left as usize);
+        let mut got = 0;
+        while got < want {
+            let Some(rest) = buf.get_mut(got..want) else {
+                break;
+            };
+            match self.input.read(rest) {
+                Ok(0) => break,
+                Ok(n) => got += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(EbsError::from(e)),
+            }
+        }
+        self.consume(buf.get(..got).unwrap_or_default(), want)?;
+        Ok(got)
+    }
+
+    /// Seal `bytes`, just read from the current payload where `asked`
+    /// were asked for. Fewer than asked is [`EbsError::Truncated`]; once
+    /// the last byte is in, a seal mismatch is
+    /// [`EbsError::ChecksumMismatch`].
+    fn consume(&mut self, bytes: &[u8], asked: usize) -> Result<(), EbsError> {
+        let Some(pending) = &mut self.pending else {
+            return Ok(());
+        };
+        pending.sealer.update(bytes);
+        // `asked` never exceeds what is left, so neither can `bytes`.
+        pending.left = pending.left.saturating_sub(bytes.len() as u32);
+        if bytes.len() < asked {
+            return Err(EbsError::truncated(format!(
+                "chunk {}: payload cut short at {} of {} bytes",
+                self.chunks_read,
+                pending.frame.len - pending.left,
+                pending.frame.len
+            )));
+        }
+        if pending.left > 0 {
+            return Ok(());
+        }
+        let have_seal = pending.sealer.seal32();
+        let (frame, want_seal) = (pending.frame, pending.want_seal);
+        self.pending = None;
         if have_seal != want_seal {
             ebs_obs::counter_add("store.checksum_failures", 1);
             return Err(EbsError::checksum_mismatch(format!(
-                "chunk {} (kind {chunk_kind}): seal {have_seal:08x} != stored {want_seal:08x}",
-                self.chunks_read
+                "chunk {} (kind {}): seal {have_seal:08x} != stored {want_seal:08x}",
+                self.chunks_read, frame.kind
             )));
         }
-        self.bytes_read += (frame.len() + payload.len()) as u64;
-        if chunk_kind == kind::END {
-            let mut r = ByteReader::new(payload, "end chunk");
-            let chunks = r.get_varint()?;
-            let events = r.get_varint()?;
-            r.expect_end()?;
-            if chunks != self.chunks_read {
-                return Err(EbsError::truncated(format!(
-                    "end chunk pins {chunks} chunks but only {} were present",
-                    self.chunks_read
-                )));
-            }
-            self.end = Some(EndSummary { chunks, events });
-            self.done = true;
-            ebs_obs::counter_add("store.chunks_read", self.chunks_read);
-            ebs_obs::counter_add("store.bytes_read", self.bytes_read);
-            return Ok(None);
+        self.bytes_read += (FRAME_LEN + frame.len as usize) as u64;
+        if frame.kind != kind::END {
+            self.chunks_read += 1;
         }
-        self.chunks_read += 1;
-        Ok(Some(chunk_kind))
+        Ok(())
+    }
+
+    /// Decode the payload of the metric chunk whose frame
+    /// [`ChunkReader::next_frame`] just returned, through a window of
+    /// [`SERIES_WINDOW`] bytes: what [`crate::columns::decode_series_set`]
+    /// returns for the whole payload, errors and their messages included,
+    /// without holding the payload.
+    ///
+    /// The seal is settled before any result or error is returned: a
+    /// payload that does not match its seal is
+    /// [`EbsError::ChecksumMismatch`], whatever its bytes decode to.
+    pub fn read_series_set(&mut self, domain: &str) -> Result<(TickSpec, Vec<Series>), EbsError> {
+        self.read_series_set_through(domain, SERIES_WINDOW)
+    }
+
+    /// [`ChunkReader::read_series_set`] through a window of `window` bytes.
+    pub(crate) fn read_series_set_through(
+        &mut self,
+        domain: &str,
+        window: usize,
+    ) -> Result<(TickSpec, Vec<Series>), EbsError> {
+        let len = self.pending.as_ref().map_or(0, |p| p.frame.len as usize);
+        let mut win = Window {
+            buf: vec![0; window.min(len)],
+            start: 0,
+            filled: 0,
+            base: 0,
+            len,
+        };
+        win.filled = self.read_payload(&mut win.buf)?;
+        let (spec, entities) = win.next_decoded(self, |r| decode_series_header(r, domain))?;
+        let mut out = Vec::with_capacity(entities);
+        let mut decoder = SeriesDecoder::new(spec);
+        for entity in 0..entities {
+            out.push(win.next_decoded(self, |r| decoder.decode(r, entity, domain))?);
+        }
+        win.next_decoded(self, |r| r.expect_end())?;
+        Ok((spec, out))
     }
 
     /// Turn this reader into a streaming iterator over decoded event
@@ -158,6 +336,61 @@ impl<R: Read> ChunkReader<R> {
             column_bytes: EventColumnBytes::default(),
             events_seen: 0,
             failed: false,
+        }
+    }
+}
+
+/// The part of a chunk payload a windowed decode holds: `buf[..filled]`
+/// is the payload from offset `base`, and the decode has consumed it up
+/// to `buf[start]`.
+struct Window {
+    buf: Vec<u8>,
+    start: usize,
+    filled: usize,
+    base: usize,
+    /// Payload length.
+    len: usize,
+}
+
+impl Window {
+    /// Run `decode` on the unconsumed bytes and consume what it read.
+    ///
+    /// A decode that fails before the window holds the payload's last
+    /// byte may have met the window's edge, so it runs again from the
+    /// same start after a refill: the unconsumed bytes move to the front
+    /// and the rest fills from `reader`, and a window holding nothing but
+    /// unconsumed bytes grows first. Its error is final only once the
+    /// window reaches the payload's end, where the reader has settled the
+    /// seal and the decode sees what it would see in the whole payload.
+    fn next_decoded<R: Read, T>(
+        &mut self,
+        reader: &mut ChunkReader<R>,
+        mut decode: impl FnMut(&mut ByteReader<'_>) -> Result<T, EbsError>,
+    ) -> Result<T, EbsError> {
+        loop {
+            let held = self.buf.get(self.start..self.filled).unwrap_or_default();
+            let mut r = ByteReader::window(held, SERIES_CHUNK, self.base + self.start, self.len);
+            let err = match decode(&mut r) {
+                Ok(value) => {
+                    self.start += r.consumed();
+                    return Ok(value);
+                }
+                Err(e) => e,
+            };
+            if self.base + self.filled >= self.len {
+                return Err(err);
+            }
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.filled, 0);
+                self.base += self.start;
+                self.filled -= self.start;
+                self.start = 0;
+            } else {
+                let grown = (2 * self.buf.len()).max(1).min(self.len - self.base);
+                self.buf.resize(grown, 0);
+            }
+            let free = self.buf.get_mut(self.filled..).unwrap_or_default();
+            self.filled += reader.read_payload(free)?;
         }
     }
 }
@@ -267,6 +500,7 @@ fn read_exact<R: Read>(input: &mut R, buf: &mut [u8], what: &str) -> Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seal::seal32;
     use crate::writer::StoreWriter;
     use ebs_core::ids::{QpId, VdId};
     use ebs_core::io::Op;

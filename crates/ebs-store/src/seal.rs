@@ -32,16 +32,68 @@ fn merge_round(acc: u64, lane: u64) -> u64 {
     (acc ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
 }
 
-/// xxHash64 (seed 0) of `bytes`.
-fn hash64(bytes: &[u8]) -> u64 {
-    let (blocks, tail) = bytes.as_chunks::<32>();
-    let mut h = if blocks.is_empty() {
-        P5
-    } else {
-        let mut acc1 = P1.wrapping_add(P2);
-        let mut acc2 = P2;
-        let mut acc3 = 0u64;
-        let mut acc4 = 0u64.wrapping_sub(P1);
+/// Incremental xxHash64 (seed 0): feed a chunk payload in pieces of any
+/// size with [`Sealer::update`], then read its seal with
+/// [`Sealer::seal32`]. The pieces' boundaries do not matter, so a loader
+/// can seal a payload as it streams through a fixed window; [`seal32`] is
+/// one `update` over the whole slice.
+#[derive(Clone, Debug)]
+pub struct Sealer {
+    acc: [u64; 4],
+    /// Bytes of a 32-byte block not complete yet, in `pending[..held]`.
+    pending: [u8; 32],
+    held: usize,
+    /// Bytes fed so far.
+    total: u64,
+}
+
+impl Default for Sealer {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Sealer {
+    /// A sealer that has seen no bytes.
+    pub fn new() -> Self {
+        Self {
+            acc: [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)],
+            pending: [0; 32],
+            held: 0,
+            total: 0,
+        }
+    }
+
+    /// Feed the next bytes of the input.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.total += bytes.len() as u64;
+        if self.held > 0 {
+            let take = bytes.len().min(32 - self.held);
+            let (head, rest) = bytes.split_at_checked(take).unwrap_or((bytes, &[]));
+            if let Some(slot) = self.pending.get_mut(self.held..self.held + take) {
+                slot.copy_from_slice(head);
+            }
+            self.held += take;
+            bytes = rest;
+            if self.held < 32 {
+                return;
+            }
+            let block = self.pending;
+            self.rounds(&[block]);
+            self.held = 0;
+        }
+        let (blocks, tail) = bytes.as_chunks::<32>();
+        self.rounds(blocks);
+        if let Some(slot) = self.pending.get_mut(..tail.len()) {
+            slot.copy_from_slice(tail);
+        }
+        self.held = tail.len();
+    }
+
+    /// Run the four lanes over whole 32-byte blocks.
+    #[inline]
+    fn rounds(&mut self, blocks: &[[u8; 32]]) {
+        let [mut acc1, mut acc2, mut acc3, mut acc4] = self.acc;
         for b in blocks {
             // A 32-byte block is exactly four 8-byte words, so the slice
             // pattern always matches; `else` keeps the binding panic-free.
@@ -52,53 +104,78 @@ fn hash64(bytes: &[u8]) -> u64 {
             acc3 = round(acc3, u64::from_le_bytes(*w3));
             acc4 = round(acc4, u64::from_le_bytes(*w4));
         }
-        let mut h = acc1
-            .rotate_left(1)
-            .wrapping_add(acc2.rotate_left(7))
-            .wrapping_add(acc3.rotate_left(12))
-            .wrapping_add(acc4.rotate_left(18));
-        h = merge_round(h, acc1);
-        h = merge_round(h, acc2);
-        h = merge_round(h, acc3);
-        merge_round(h, acc4)
-    };
-    h = h.wrapping_add(bytes.len() as u64);
-    let (words, rest) = tail.as_chunks::<8>();
-    for w in words {
-        h = (h ^ round(0, u64::from_le_bytes(*w)))
-            .rotate_left(27)
-            .wrapping_mul(P1)
-            .wrapping_add(P4);
+        self.acc = [acc1, acc2, acc3, acc4];
     }
-    let (half, rest) = rest.as_chunks::<4>();
-    for w in half {
-        h = (h ^ u64::from(u32::from_le_bytes(*w)).wrapping_mul(P1))
-            .rotate_left(23)
-            .wrapping_mul(P2)
-            .wrapping_add(P3);
+
+    /// The xxHash64 of every byte fed so far.
+    fn hash64(&self) -> u64 {
+        let mut h = if self.total < 32 {
+            P5
+        } else {
+            let [acc1, acc2, acc3, acc4] = self.acc;
+            let mut h = acc1
+                .rotate_left(1)
+                .wrapping_add(acc2.rotate_left(7))
+                .wrapping_add(acc3.rotate_left(12))
+                .wrapping_add(acc4.rotate_left(18));
+            h = merge_round(h, acc1);
+            h = merge_round(h, acc2);
+            h = merge_round(h, acc3);
+            merge_round(h, acc4)
+        };
+        h = h.wrapping_add(self.total);
+        let tail = self.pending.get(..self.held).unwrap_or_default();
+        let (words, rest) = tail.as_chunks::<8>();
+        for w in words {
+            h = (h ^ round(0, u64::from_le_bytes(*w)))
+                .rotate_left(27)
+                .wrapping_mul(P1)
+                .wrapping_add(P4);
+        }
+        let (half, rest) = rest.as_chunks::<4>();
+        for w in half {
+            h = (h ^ u64::from(u32::from_le_bytes(*w)).wrapping_mul(P1))
+                .rotate_left(23)
+                .wrapping_mul(P2)
+                .wrapping_add(P3);
+        }
+        for &b in rest {
+            h = (h ^ u64::from(b).wrapping_mul(P5))
+                .rotate_left(11)
+                .wrapping_mul(P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P3);
+        h ^ (h >> 32)
     }
-    for &b in rest {
-        h = (h ^ u64::from(b).wrapping_mul(P5))
-            .rotate_left(11)
-            .wrapping_mul(P1);
+
+    /// The 32-bit frame seal of every byte fed so far.
+    pub fn seal32(&self) -> u32 {
+        let h = self.hash64();
+        (h ^ (h >> 32)) as u32
     }
-    h ^= h >> 33;
-    h = h.wrapping_mul(P2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(P3);
-    h ^ (h >> 32)
 }
 
 /// The 32-bit frame seal of a chunk payload: xxHash64 folded to the
 /// width of the frame's checksum field.
 pub fn seal32(bytes: &[u8]) -> u32 {
-    let h = hash64(bytes);
-    (h ^ (h >> 32)) as u32
+    let mut sealer = Sealer::new();
+    sealer.update(bytes);
+    sealer.seal32()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// xxHash64 (seed 0) of `bytes`, through one `update`.
+    fn hash64(bytes: &[u8]) -> u64 {
+        let mut sealer = Sealer::new();
+        sealer.update(bytes);
+        sealer.hash64()
+    }
 
     #[test]
     fn known_xxh64_vectors() {
@@ -149,6 +226,27 @@ mod tests {
             let a = vec![0u8; len];
             let b = vec![0u8; len + 1];
             assert_ne!(seal32(&a), seal32(&b), "len {len}");
+        }
+    }
+
+    #[test]
+    fn every_split_seals_like_the_whole() {
+        // Lengths under one block, one block, one past it, and two blocks
+        // plus a tail of a word's worth less one; every two- and
+        // three-piece split of each.
+        let data: Vec<u8> = (0..71u32).map(|i| (i * 151 % 251) as u8).collect();
+        for len in [0usize, 1, 7, 8, 12, 31, 32, 33, 64 + 7] {
+            let input = &data[..len];
+            let whole = seal32(input);
+            for a in 0..=len {
+                for b in a..=len {
+                    let mut sealer = Sealer::new();
+                    sealer.update(&input[..a]);
+                    sealer.update(&input[a..b]);
+                    sealer.update(&input[b..]);
+                    assert_eq!(sealer.seal32(), whole, "len {len} split at {a}, {b}");
+                }
+            }
         }
     }
 }

@@ -42,7 +42,7 @@ use ebs_core::topology::Fleet;
 use ebs_store::format::{kind, EVENTS_PER_CHUNK};
 use ebs_store::manifest::{shard_file_name, ShardEntry, ShardManifest, ShardMeta, MANIFEST_FILE};
 use ebs_store::stream::{fold_store, StreamSummary};
-use ebs_store::{decode_events_into, decode_series_set, ChunkReader, EventScratch, StoreWriter};
+use ebs_store::{decode_events_into, ChunkReader, EventScratch, StoreWriter};
 
 use crate::config::WorkloadConfig;
 use crate::dataset::Dataset;
@@ -402,17 +402,21 @@ fn load_shard(
     let mut qp_series: Option<Vec<Series>> = None;
     let mut seg_series: Option<Vec<Series>> = None;
     let mut payload = Vec::new();
-    while let Some(chunk_kind) = reader.next_chunk_into(&mut payload)? {
-        match (chunk_kind, grids) {
-            (kind::EVENTS, _) => decode_events_into(&payload, &mut scratch, &mut events)?,
+    while let Some(frame) = reader.next_frame()? {
+        match (frame.kind, grids) {
+            (kind::EVENTS, _) => decode_events_into(
+                reader.read_payload_into(&mut payload)?,
+                &mut scratch,
+                &mut events,
+            )?,
             (kind::COMPUTE_METRICS, Some((cticks, _))) => {
-                let (ticks, series) = decode_series_set(&payload, "compute")?;
+                let (ticks, series) = reader.read_series_set("compute")?;
                 let domain = format!("shard {} compute", entry.name);
                 check_metric_grid(&domain, ticks, cticks, &series)?;
                 qp_series = Some(series);
             }
             (kind::STORAGE_METRICS, Some((_, sticks))) => {
-                let (ticks, series) = decode_series_set(&payload, "storage")?;
+                let (ticks, series) = reader.read_series_set("storage")?;
                 let domain = format!("shard {} storage", entry.name);
                 check_metric_grid(&domain, ticks, sticks, &series)?;
                 seg_series = Some(series);

@@ -21,7 +21,7 @@ use ebs_core::io::IoEvent;
 use ebs_core::metric::{ComputeMetrics, Series, StorageMetrics};
 use ebs_core::time::TickSpec;
 use ebs_core::topology::Fleet;
-use ebs_store::columns::{decode_series_set, decode_specs, SpecRow};
+use ebs_store::columns::{decode_specs, SpecRow};
 use ebs_store::format::{kind, EVENTS_PER_CHUNK};
 use ebs_store::{
     decode_events_into, ByteReader, ByteWriter, ChunkReader, EventChunks, EventScratch, StoreWriter,
@@ -173,12 +173,13 @@ impl Dataset {
     /// corrupt or mismatched store surfaces as a typed error — never as a
     /// panic in a downstream consumer like `EventIndex::build`.
     ///
-    /// The file is consumed in one streaming pass with a single reused
-    /// payload buffer: each chunk is decoded as it arrives and its sealed
-    /// bytes are dropped before the next chunk is read, so peak memory is
-    /// the decoded dataset plus one chunk — not, as with a materialize-
-    /// then-decode load, every compressed payload *and* the decoded data
-    /// at once.
+    /// The file is consumed in one streaming pass, and no metric payload
+    /// is ever held whole: the metric chunks, most of the file, decode
+    /// series by series through the reader's fixed window
+    /// ([`ChunkReader::read_series_set`]), and the config, spec and event
+    /// chunks through one small reused buffer.
+    /// Peak memory is the decoded dataset plus about 1 MiB, where a
+    /// whole-chunk read held a 4 MiB metric payload beside its series.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, EbsError> {
         let file = File::open(path.as_ref())?;
         let mut reader = ChunkReader::new(BufReader::new(file))?;
@@ -190,21 +191,33 @@ impl Dataset {
         let mut events: Vec<IoEvent> = Vec::new();
         let mut scratch = EventScratch::new();
         let mut payload = Vec::new();
-        while let Some(chunk_kind) = reader.next_chunk_into(&mut payload)? {
-            match chunk_kind {
-                kind::CONFIG => set_unique(&mut config_chunk, decode_config(&payload)?, "config")?,
-                kind::SPECS => set_unique(&mut specs_chunk, decode_specs(&payload)?, "specs")?,
+        while let Some(frame) = reader.next_frame()? {
+            match frame.kind {
                 kind::COMPUTE_METRICS => set_unique(
                     &mut compute_chunk,
-                    decode_series_set(&payload, "compute")?,
+                    reader.read_series_set("compute")?,
                     "compute metrics",
                 )?,
                 kind::STORAGE_METRICS => set_unique(
                     &mut storage_chunk,
-                    decode_series_set(&payload, "storage")?,
+                    reader.read_series_set("storage")?,
                     "storage metrics",
                 )?,
-                kind::EVENTS => decode_events_into(&payload, &mut scratch, &mut events)?,
+                kind::CONFIG => set_unique(
+                    &mut config_chunk,
+                    decode_config(reader.read_payload_into(&mut payload)?)?,
+                    "config",
+                )?,
+                kind::SPECS => set_unique(
+                    &mut specs_chunk,
+                    decode_specs(reader.read_payload_into(&mut payload)?)?,
+                    "specs",
+                )?,
+                kind::EVENTS => decode_events_into(
+                    reader.read_payload_into(&mut payload)?,
+                    &mut scratch,
+                    &mut events,
+                )?,
                 _ => {}
             }
         }

@@ -558,6 +558,43 @@ fn store_containers_match_pinned_fingerprints() {
     );
 }
 
+/// `Dataset::load` decodes the metric chunks through a fixed window, yet
+/// publishes the store counters a whole-chunk walk of the same file does:
+/// every chunk, and every byte of the file.
+#[test]
+fn store_load_counters_match_a_whole_chunk_walk() {
+    use ebs::store::ChunkReader;
+    let _obs = obs_guard().lock().unwrap();
+    let tmp = ebs::core::TempDir::new("store-counters").unwrap();
+    let path = tmp.join("medium.ebs");
+    generate(&WorkloadConfig::medium(1))
+        .unwrap()
+        .save(&path)
+        .unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let counters = |read: &dyn Fn()| {
+        ebs::obs::reset();
+        read();
+        let snap = ebs::obs::snapshot();
+        (
+            snap.counter("store.chunks_read"),
+            snap.counter("store.bytes_read"),
+        )
+    };
+    ebs::obs::set_obs_override(Some(true));
+    let windowed = counters(&|| {
+        Dataset::load(&path).unwrap();
+    });
+    let whole = counters(&|| {
+        let mut reader = ChunkReader::new(bytes.as_slice()).unwrap();
+        while reader.next_chunk_into(&mut Vec::new()).unwrap().is_some() {}
+    });
+    ebs::obs::set_obs_override(None);
+    assert_eq!(windowed, whole);
+    assert_eq!(whole.1, bytes.len() as u64);
+    assert!(whole.0 > 4, "{whole:?}");
+}
+
 /// The store's size gate: a container is at most half the size of the CSV
 /// export of the same data. Sizes are deterministic, so this is a check on
 /// byte counts: the medium container pinned above against the four CSV

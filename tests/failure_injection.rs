@@ -214,6 +214,87 @@ fn store_flipped_payload_byte_is_a_checksum_mismatch() {
     assert!(matches!(err, EbsError::ChecksumMismatch(_)), "{err}");
 }
 
+/// The span of the payload of the first chunk of kind `want` in a store
+/// file's `bytes`.
+fn payload_span(bytes: &[u8], want: u8) -> std::ops::Range<usize> {
+    use ebs::store::{FRAME_LEN, HEADER_LEN};
+    let mut at = HEADER_LEN;
+    loop {
+        let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize;
+        let payload = at + FRAME_LEN..at + FRAME_LEN + len;
+        if bytes[at] == want {
+            return payload;
+        }
+        at = payload.end;
+    }
+}
+
+/// Flip, in the metric payload at `span` of `bytes`, the first byte from
+/// its 100th on whose flip the payload alone fails to decode.
+fn flip_to_a_decode_error(bytes: &mut [u8], span: std::ops::Range<usize>) {
+    use ebs::store::decode_series_set;
+    let payload = &bytes[span.clone()];
+    let at = (100..payload.len())
+        .find(|&i| {
+            let mut flipped = payload.to_vec();
+            flipped[i] ^= 0x40;
+            decode_series_set(&flipped, "metrics").is_err()
+        })
+        .expect("some flip breaks the decode");
+    bytes[span.start + at] ^= 0x40;
+}
+
+/// A flipped byte in a metric chunk, one its payload alone would fail to
+/// decode with, is a checksum mismatch for every loader: the metric
+/// chunks decode through a window, and at medium scale they span several,
+/// but the seal settles before any decode error is reported.
+#[test]
+fn store_flipped_metric_byte_is_a_checksum_mismatch_not_a_decode_error() {
+    use ebs::core::error::EbsError;
+    use ebs::store::format::kind;
+    use ebs::store::SERIES_WINDOW;
+    let config = WorkloadConfig::medium(1);
+    let dir = ebs::core::TempDir::new("failinj-metric-flip").unwrap();
+    let path = dir.join("medium.ebs");
+    generate(&config).unwrap().save(&path).unwrap();
+    let saved = std::fs::read(&path).unwrap();
+    let sharded = dir.join("sharded");
+    ebs::workload::generate_sharded(&config, &sharded, 2, true).unwrap();
+    let shard = sharded.join(ebs::store::shard_file_name(1));
+    let shard_bytes = std::fs::read(&shard).unwrap();
+    for chunk in [kind::COMPUTE_METRICS, kind::STORAGE_METRICS] {
+        let mut bytes = saved.clone();
+        let span = payload_span(&bytes, chunk);
+        assert!(
+            span.len() > 2 * SERIES_WINDOW,
+            "kind {chunk}: {} bytes",
+            span.len()
+        );
+        flip_to_a_decode_error(&mut bytes, span);
+        let err = load_bytes(&bytes, "metric-flip").expect_err("corrupted payload must not load");
+        assert!(
+            matches!(err, EbsError::ChecksumMismatch(_)),
+            "kind {chunk}: {err}"
+        );
+
+        let mut bytes = shard_bytes.clone();
+        let span = payload_span(&bytes, chunk);
+        assert!(
+            span.len() > SERIES_WINDOW,
+            "shard kind {chunk}: {} bytes",
+            span.len()
+        );
+        flip_to_a_decode_error(&mut bytes, span);
+        std::fs::write(&shard, bytes).unwrap();
+        let err =
+            ebs::workload::Dataset::load_sharded(&sharded).expect_err("corrupted shard loaded");
+        assert!(
+            matches!(err, EbsError::ChecksumMismatch(_)),
+            "shard kind {chunk}: {err}"
+        );
+    }
+}
+
 #[test]
 fn store_wrong_magic_is_corrupt_store() {
     use ebs::core::error::EbsError;
