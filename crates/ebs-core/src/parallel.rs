@@ -60,6 +60,7 @@ pub fn set_thread_override(threads: Option<usize>) {
 }
 
 /// The number of worker threads parallel maps will use right now.
+#[allow(clippy::disallowed_methods, reason = "the named `EBS_THREADS` read")]
 pub fn current_threads() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {

@@ -21,6 +21,8 @@
 //! byte-identical across all of these paths (the store round trips are
 //! exact, and sharding is shard-count-invariant); status goes to stderr
 //! only.
+#![allow(clippy::print_stdout, reason = "a bin owns the terminal")]
+#![allow(clippy::print_stderr, reason = "a bin owns the terminal")]
 use ebs_experiments::*;
 
 /// The section named by `--only <name>`, if given; exits 2 on a missing or
@@ -48,6 +50,7 @@ fn main() {
     let ds = match Scale::trace_path_from_args() {
         Some(path) => {
             let shards = Scale::shards_from_args();
+            #[allow(clippy::disallowed_methods, reason = "the named `EBS_SHARDS` read")]
             let sharded = shards.is_some()
                 || std::env::var_os(ebs_workload::SHARDS_ENV).is_some()
                 || path.join(ebs_store::MANIFEST_FILE).exists();

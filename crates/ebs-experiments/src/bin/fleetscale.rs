@@ -19,6 +19,8 @@
 //! The report goes to stdout and is deterministic — independent of the
 //! shard count and `EBS_THREADS`. Peak RSS goes to stderr so bounded-
 //! memory claims can be checked from CI.
+#![allow(clippy::print_stdout, reason = "a bin owns the terminal")]
+#![allow(clippy::print_stderr, reason = "a bin owns the terminal")]
 
 use ebs_experiments::fleetscale::{config_for_vds, skew_report};
 use ebs_experiments::EXPERIMENT_SEED;

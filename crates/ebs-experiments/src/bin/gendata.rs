@@ -4,6 +4,7 @@
 //! ```sh
 //! cargo run --release -p ebs-experiments --bin gendata -- --quick [out_dir]
 //! ```
+#![allow(clippy::print_stdout, reason = "a bin owns the terminal")]
 use ebs_experiments::{dataset, Scale};
 use std::path::PathBuf;
 

@@ -36,13 +36,13 @@ impl Scale {
 
     /// Parse a `--trace <path>` argument: the store file to replay from
     /// (or to create on the first run). `None` when the flag is absent.
+    #[allow(clippy::print_stderr, reason = "a CLI usage error for the bins")]
     pub fn trace_path_from_args() -> Option<std::path::PathBuf> {
         let args: Vec<String> = std::env::args().collect();
         let at = args.iter().position(|a| a == "--trace")?;
         match args.get(at + 1) {
             Some(p) if !p.starts_with("--") => Some(std::path::PathBuf::from(p)),
             _ => {
-                // ebs-lint: allow(D4) -- CLI usage error on behalf of the bins that share this helper
                 eprintln!("--trace requires a path argument");
                 std::process::exit(2);
             }
@@ -53,13 +53,13 @@ impl Scale {
     /// sharded trace path. `None` when the flag is absent (callers fall
     /// back to [`ebs_workload::resolve_shards`], which consults
     /// `EBS_SHARDS` and then the thread count).
+    #[allow(clippy::print_stderr, reason = "a CLI usage error for the bins")]
     pub fn shards_from_args() -> Option<usize> {
         let args: Vec<String> = std::env::args().collect();
         let at = args.iter().position(|a| a == "--shards")?;
         match args.get(at + 1).and_then(|p| p.parse::<usize>().ok()) {
             Some(n) if n > 0 => Some(n),
             _ => {
-                // ebs-lint: allow(D4) -- CLI usage error on behalf of the bins that share this helper
                 eprintln!("--shards requires a positive integer argument");
                 std::process::exit(2);
             }
@@ -98,10 +98,10 @@ pub fn dataset(scale: Scale) -> Dataset {
 ///
 /// A present-but-unreadable store (truncated, corrupt, version-skewed) is
 /// a hard error: silently regenerating would mask data loss.
+#[allow(clippy::print_stderr, reason = "store status for the bins, off stdout")]
 pub fn dataset_or_replay(scale: Scale, path: &std::path::Path) -> Result<Dataset, EbsError> {
     if path.exists() {
         let ds = Dataset::load(path)?;
-        // ebs-lint: allow(D4) -- replay status for the bins; stdout stays reserved for experiment output
         eprintln!(
             "replayed {} events from {}",
             ds.trace_count(),
@@ -112,7 +112,6 @@ pub fn dataset_or_replay(scale: Scale, path: &std::path::Path) -> Result<Dataset
     }
     let ds = dataset(scale);
     ds.save(path)?;
-    // ebs-lint: allow(D4) -- first-run status for the bins; stdout stays reserved for experiment output
     eprintln!(
         "generated {} events and saved them to {}",
         ds.trace_count(),
@@ -131,6 +130,7 @@ pub fn dataset_or_replay(scale: Scale, path: &std::path::Path) -> Result<Dataset
 /// dataset is generated shard-by-shard into `dir` with bounded memory
 /// and then loaded back. Both paths return a dataset byte-identical to
 /// [`dataset`]`(scale)` regardless of the shard count.
+#[allow(clippy::print_stderr, reason = "store status for the bins, off stdout")]
 pub fn dataset_or_replay_sharded(
     scale: Scale,
     dir: &std::path::Path,
@@ -138,7 +138,6 @@ pub fn dataset_or_replay_sharded(
 ) -> Result<Dataset, EbsError> {
     if dir.join(ebs_store::MANIFEST_FILE).exists() {
         let ds = Dataset::load_sharded(dir)?;
-        // ebs-lint: allow(D4) -- replay status for the bins; stdout stays reserved for experiment output
         eprintln!(
             "replayed {} events from sharded store {}",
             ds.trace_count(),
@@ -149,7 +148,6 @@ pub fn dataset_or_replay_sharded(
     let config = scale.config(EXPERIMENT_SEED);
     let manifest = ebs_workload::generate_sharded(&config, dir, resolve_shards(shards), true)?;
     let ds = Dataset::load_sharded(dir)?;
-    // ebs-lint: allow(D4) -- first-run status for the bins; stdout stays reserved for experiment output
     eprintln!(
         "generated {} events into {} shard(s) at {}",
         manifest.total_events(),
@@ -162,13 +160,13 @@ pub fn dataset_or_replay_sharded(
 /// Print the store's per-chunk and per-column byte accounting to stderr.
 /// Best-effort: the store was just read or written successfully, so a
 /// failing rescan only costs the stats lines, never the run.
+#[allow(clippy::print_stderr, reason = "store status for the bins, off stdout")]
 fn emit_store_stats(path: &std::path::Path) {
     let Ok(file) = std::fs::File::open(path) else {
         return;
     };
     if let Ok(stats) = ebs_store::StoreStats::scan(std::io::BufReader::new(file)) {
         for line in stats.render() {
-            // ebs-lint: allow(D4) -- replay accounting for the bins; stdout stays reserved for experiment output
             eprintln!("{line}");
         }
     }

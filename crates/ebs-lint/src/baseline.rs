@@ -1,7 +1,7 @@
 //! The ratchet baseline: `lint-baseline.toml` freezes the count of legacy
 //! sites per (rule, file) for every ratcheted rule — `[D3]` panicking
 //! calls outside the total modules, `[D3v2]` transitive-panic
-//! reachability, `[D6]`/`[D7]`/`[D8]` dataflow findings. A check fails
+//! reachability, `[D6]`/`[D7]` dataflow findings. A check fails
 //! when a file's live count *exceeds* its frozen count — so new
 //! `unwrap()`s cannot land — while deleting one only makes the baseline
 //! stale (tightened with `ebs-lint baseline`, enforced with
@@ -102,7 +102,7 @@ impl Baseline {
             "# ebs-lint ratchet baseline — legacy sites per ratcheted rule: [D3]\n\
              # unwrap/expect/panic/indexing outside the total modules, [D3v2]\n\
              # transitive-panic reachability from the total set, [D6] hash-iteration\n\
-             # order, [D7] parallel float reduction, [D8] ambient config reads.\n\
+             # order, [D7] parallel float reduction.\n\
              # Counts may only DECREASE; regenerate with\n\
              # `cargo run -p ebs-lint -- baseline` after removing a site.\n",
         );

@@ -6,7 +6,8 @@ use std::fmt::Write as _;
 /// One rule violation at a source span.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id (`D1` … `D8`, `D3v2`, or `SUP` for malformed suppressions).
+    /// Rule id (`D1`, `D3`, `D3v2`, `D6`, `D7`, or `SUP` for malformed
+    /// suppressions).
     pub rule: &'static str,
     /// Workspace-relative path, `/`-separated.
     pub path: String,

@@ -1,8 +1,7 @@
 //! Dataflow heuristics for the determinism rules that need more context
-//! than a single token: D6 (hash-iteration order leaking into results),
+//! than a single token: D6 (hash-iteration order leaking into results) and
 //! D7 (floating-point accumulation order in parallel regions and `merge`
-//! reducers), and D8 (ambient configuration reads outside the `EBS_*`
-//! surface).
+//! reducers).
 //!
 //! Like the rest of the linter these are token-level approximations, not
 //! type checking: a name is "hash-typed" if any annotation or initializer
@@ -45,14 +44,13 @@ const INT_TYPES: &[&str] = &[
     "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
 ];
 
-/// Run D6/D7/D8 over one lexed file. Returns ratchet-eligible findings
+/// Run D6/D7 over one lexed file. Returns ratchet-eligible findings
 /// (the caller filters suppressions and `#[cfg(test)]` regions).
 pub fn check(path: &str, src: &str, toks: &[Tok], items: &ItemTree) -> Vec<Violation> {
     let mut out = Vec::new();
     let (hashy, floaty) = typed_names(toks, src);
     d6_iteration_order(path, src, toks, &hashy, &mut out);
     d7_parallel_reduction(path, src, toks, items, &floaty, &mut out);
-    d8_ambient_config(path, src, toks, &mut out);
     out
 }
 
@@ -597,51 +595,6 @@ fn closure_locals(toks: &[Tok], src: &str, open: usize, close: usize) -> BTreeSe
     locals
 }
 
-// ---------------------------------------------------------------------
-// D8 — ambient configuration reads
-// ---------------------------------------------------------------------
-
-fn d8_ambient_config(path: &str, src: &str, toks: &[Tok], out: &mut Vec<Violation>) {
-    for i in 0..toks.len() {
-        let is_env_var = toks[i].kind == TokKind::Ident
-            && matches!(toks[i].text(src), "var" | "var_os")
-            && i >= 3
-            && toks[i - 1].is_punct(b':')
-            && toks[i - 2].is_punct(b':')
-            && toks[i - 3].is_ident(src, "env")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(b'('));
-        if !is_env_var {
-            continue;
-        }
-        let Some((open, close)) = match_paren(toks, i + 1) else {
-            continue;
-        };
-        let arg = &toks[open + 1..close];
-        let whitelisted = arg.iter().any(|t| match t.kind {
-            // `"EBS_THREADS"` — a literal on the named surface.
-            TokKind::Str => t
-                .text(src)
-                .trim_start_matches(['b', 'r', '#', '"'])
-                .starts_with("EBS_"),
-            // `THREADS_ENV` / `crate::OBS_OUT_ENV` — a named constant whose
-            // `_ENV` suffix keeps the surface greppable.
-            TokKind::Ident => t.text(src).ends_with("_ENV"),
-            _ => false,
-        });
-        if !whitelisted {
-            out.push(mk(
-                "D8",
-                path,
-                &toks[i],
-                "ambient `env::var` read outside the `EBS_*` config surface; route it \
-                 through a named `…_ENV` constant with an `EBS_`-prefixed key so the \
-                 config surface stays auditable"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,19 +699,5 @@ mod tests {
             }
         "#;
         assert_eq!(rules(&flow(src)), vec!["D7"]);
-    }
-
-    #[test]
-    fn d8_flags_raw_env_reads_and_accepts_the_named_surface() {
-        let src = r#"
-            const THREADS_ENV: &str = "EBS_THREADS";
-            fn a() { let _ = std::env::var("HOME"); }
-            fn b() { let _ = std::env::var(THREADS_ENV); }
-            fn c() { let _ = std::env::var("EBS_OBS"); }
-            fn d() { let _ = std::env::var(crate::config::OBS_OUT_ENV); }
-        "#;
-        let got = flow(src);
-        assert_eq!(rules(&got), vec!["D8"]);
-        assert_eq!(got[0].line, 3);
     }
 }

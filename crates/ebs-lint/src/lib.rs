@@ -1,14 +1,14 @@
 //! `ebs-lint`: in-repo static analysis enforcing the workspace's
 //! determinism, no-panic, and hot-path invariants.
 //!
-//! See [`rules`] for the rule catalogue (per-file D1–D5 plus the dataflow
-//! rules D6–D8), [`items`]/[`graph`] for the workspace-level item tree,
-//! call graph, and the transitive-totality rule D3v2, [`baseline`] for
-//! the ratchet, and `DESIGN.md` §13/§18 for the policy rationale. The
-//! crate depends only on `ebs-core` (for the deterministic parallel map
-//! it both uses and polices) — its own lexer, TOML-subset parser, and
-//! JSON writer keep it working whatever state the rest of the workspace
-//! is in.
+//! See [`rules`] for the rule catalogue (per-file D1 and D3 plus the
+//! dataflow rules D6 and D7), [`items`]/[`graph`] for the workspace-level
+//! item tree, call graph, and the transitive-totality rule D3v2,
+//! [`baseline`] for the ratchet, and `DESIGN.md` §13/§18 for the policy
+//! rationale. The crate depends only on `ebs-core` (for the deterministic
+//! parallel map it both uses and polices) — its own lexer, TOML-subset
+//! parser, and JSON writer keep it working whatever state the rest of the
+//! workspace is in.
 
 pub mod baseline;
 pub mod diag;
@@ -116,12 +116,7 @@ pub fn analyze(root: &Path, baseline: &Baseline) -> Result<Analysis, String> {
     // run the transitive-totality analysis.
     let graph_inputs: Vec<graph::FileItems<'_>> = ok_scans
         .iter()
-        .filter(|(i, _)| {
-            matches!(
-                files[*i].class,
-                rules::FileClass::Lib | rules::FileClass::Obs
-            )
-        })
+        .filter(|(i, _)| files[*i].class == rules::FileClass::Lib)
         .map(|(i, scan)| graph::FileItems {
             rel: &files[*i].rel,
             total: files[*i].total,

@@ -13,6 +13,8 @@
 //!
 //! Exit codes: 0 clean, 1 violations (or stale baseline under
 //! `--strict-baseline`, or no `graph` match), 2 usage or I/O error.
+#![allow(clippy::print_stdout, reason = "a bin owns the terminal")]
+#![allow(clippy::print_stderr, reason = "a bin owns the terminal")]
 
 use ebs_lint::{analyze, baseline::Baseline, diag, find_root, BASELINE_FILE};
 use std::path::PathBuf;

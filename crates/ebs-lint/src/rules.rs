@@ -4,14 +4,13 @@
 //! | Rule | Invariant |
 //! |------|-----------|
 //! | `D1` | No `std::collections::HashMap/HashSet` with the default (SipHash, per-process-seeded) hasher — use `ebs_core::hash::Fx*`. |
-//! | `D2` | No `Instant::now` / `SystemTime` outside the proptest shim, `ebs-obs`, and test code (the release-mode races in `tests/races.rs` included) — wall clocks do not belong in deterministic paths. |
 //! | `D3` | No `unwrap()/expect()/panic!/unreachable!/todo!/unimplemented!` and no unchecked slice indexing. Hard error in *total* modules; ratcheted via `lint-baseline.toml` elsewhere. |
-//! | `D4` | No `println!/eprintln!/print!/eprint!/dbg!` in library code — bins, harnesses, and the obs emitters own the terminal. |
-//! | `D5` | No ambient randomness (`thread_rng`, `rand::…`, `RandomState`, `from_entropy`, `getrandom`, `OsRng`) — only `ebs_core::rng`. |
 //! | `D3v2` | Workspace-level: no fn in a total module may *reach* a panicking construct through the call graph ([`crate::graph`]). Ratcheted. |
 //! | `D6` | No hash-ordered iteration flowing into results without a canonicalizing sort ([`crate::flow`]). Ratcheted. |
 //! | `D7` | No float accumulation in parallel-map closures or `merge` reducers outside the exact-partials pattern ([`crate::flow`]). Ratcheted. |
-//! | `D8` | No `env::var` outside the named `EBS_*` config surface ([`crate::flow`]). Ratcheted. |
+//!
+//! Wall clocks, printing, hasher seeds and env reads are clippy's
+//! (`clippy.toml` and `[workspace.lints.clippy]`; `DESIGN.md` §13).
 //!
 //! Any finding can be silenced in place with
 //! `// ebs-lint: allow(D3) -- <reason>` on the offending line or the line
@@ -25,21 +24,14 @@ use std::collections::BTreeSet;
 /// How a file is classified for rule applicability.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileClass {
-    /// Library source: every rule applies.
+    /// Library source (`ebs-obs` included): every rule applies.
     Lib,
-    /// Binary targets (`src/bin/*`, `src/main.rs`): may print and panic on
-    /// bad CLI input, must still be deterministic (D1/D2/D5).
+    /// Binary targets (`src/bin/*`, `src/main.rs`) and `examples/`: may
+    /// panic on bad input, but feed the gold masters (D1, D6, D7).
     Bin,
-    /// `examples/`: like bins.
-    Example,
-    /// Integration tests (`tests/` directories): D1/D5 only.
-    TestFile,
-    /// The offline test-harness shim (`proptest-shim`): may read clocks,
-    /// print and panic.
-    Harness,
-    /// `ebs-obs`: the observability layer owns the clock and the emitters;
-    /// D2/D4 exempt by design.
-    Obs,
+    /// Integration tests (`tests/` directories) and the offline test-harness
+    /// shim (`proptest-shim`): D1 only.
+    Test,
 }
 
 /// Per-file scan result, split by enforcement mode.
@@ -47,7 +39,7 @@ pub enum FileClass {
 pub struct CheckOutcome {
     /// Hard errors: not eligible for the baseline.
     pub strict: Vec<Violation>,
-    /// Ratchet-eligible findings (D3 outside total modules, D6/D7/D8):
+    /// Ratchet-eligible findings (D3 outside total modules, D6/D7):
     /// compared against `lint-baseline.toml` by the caller, per rule
     /// section (count may only decrease).
     pub ratchet: Vec<Violation>,
@@ -75,13 +67,13 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
 ];
 
 /// All valid rule ids, for suppression validation. `D3v2` is the
-/// workspace-level transitive-totality rule ([`crate::graph`]); `D6`-`D8`
-/// are the dataflow rules ([`crate::flow`]).
-pub const RULE_IDS: &[&str] = &["D1", "D2", "D3", "D3v2", "D4", "D5", "D6", "D7", "D8"];
+/// workspace-level transitive-totality rule ([`crate::graph`]); `D6` and
+/// `D7` are the dataflow rules ([`crate::flow`]).
+pub const RULE_IDS: &[&str] = &["D1", "D3", "D3v2", "D6", "D7"];
 
 /// Rules whose findings ratchet through `lint-baseline.toml` (outside
 /// total modules) instead of failing outright.
-pub const RATCHET_RULES: &[&str] = &["D3", "D3v2", "D6", "D7", "D8"];
+pub const RATCHET_RULES: &[&str] = &["D3", "D3v2", "D6", "D7"];
 
 /// Scan `src` (at workspace-relative `path`, classified `class`;
 /// `total` = D3-strict total module). Returns strict + ratchet findings,
@@ -153,54 +145,10 @@ pub fn scan_file(path: &str, class: FileClass, total: bool, src: &str) -> FileSc
         }
     }
 
-    // ---- D2: wall clocks --------------------------------------------
-    let d2_applies = matches!(class, FileClass::Lib | FileClass::Bin | FileClass::Example);
-    if d2_applies {
-        for i in 0..toks.len() {
-            let t = &toks[i];
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            match t.text(src) {
-                "SystemTime" => raw.push((
-                    mk(
-                        "D2",
-                        t,
-                        "`SystemTime` reads the wall clock; deterministic code must take \
-                         time from simulation state (or live in `ebs-obs` or tests)"
-                            .to_string(),
-                    ),
-                    false,
-                )),
-                "Instant"
-                    if toks.get(i + 1).is_some_and(|t| t.is_punct(b':'))
-                        && toks.get(i + 2).is_some_and(|t| t.is_punct(b':'))
-                        && toks.get(i + 3).is_some_and(|t| t.is_ident(src, "now")) =>
-                {
-                    raw.push((
-                        mk(
-                            "D2",
-                            t,
-                            "`Instant::now` outside `ebs-obs`/tests; wrap timing in \
-                             `ebs_obs` (it is a no-op when observability is off)"
-                                .to_string(),
-                        ),
-                        false,
-                    ));
-                }
-                _ => {}
-            }
-        }
-    }
-
     // ---- D3: panics and unchecked indexing --------------------------
-    let d3_scope = match class {
-        FileClass::Lib | FileClass::Obs => true,
-        // A panic in a test harness, bin, or example aborts that run only —
-        // the no-panic discipline targets library code consumed by others.
-        FileClass::Harness | FileClass::Bin | FileClass::Example | FileClass::TestFile => false,
-    };
-    if d3_scope {
+    // A panic in a test harness, bin, or example aborts that run only —
+    // the no-panic discipline targets library code consumed by others.
+    if class == FileClass::Lib {
         for i in 0..toks.len() {
             let t = &toks[i];
             let finding = match t.kind {
@@ -233,70 +181,10 @@ pub fn scan_file(path: &str, class: FileClass, total: bool, src: &str) -> FileSc
         }
     }
 
-    // ---- D4: printing from library code -----------------------------
-    if class == FileClass::Lib {
-        for i in 0..toks.len() {
-            let t = &toks[i];
-            if t.kind == TokKind::Ident
-                && matches!(
-                    t.text(src),
-                    "println" | "eprintln" | "print" | "eprint" | "dbg"
-                )
-                && toks.get(i + 1).is_some_and(|n| n.is_punct(b'!'))
-            {
-                raw.push((
-                    mk(
-                        "D4",
-                        t,
-                        format!(
-                            "`{}!` in library code; only bins and the `ebs-obs` emitters \
-                             may write to the terminal",
-                            t.text(src)
-                        ),
-                    ),
-                    false,
-                ));
-            }
-        }
-    }
-
-    // ---- D5: ambient randomness -------------------------------------
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let name = t.text(src);
-        let hit = match name {
-            "thread_rng" | "from_entropy" | "RandomState" | "getrandom" | "OsRng" => true,
-            "rand" => {
-                toks.get(i + 1).is_some_and(|t| t.is_punct(b':'))
-                    && toks.get(i + 2).is_some_and(|t| t.is_punct(b':'))
-            }
-            _ => false,
-        };
-        if hit {
-            raw.push((
-                mk(
-                    "D5",
-                    t,
-                    format!(
-                        "`{name}` is ambient randomness; every random draw must come from a \
-                         seeded `ebs_core::rng` stream"
-                    ),
-                ),
-                false,
-            ));
-        }
-    }
-
-    // ---- D6/D7/D8: dataflow rules -----------------------------------
+    // ---- D6/D7: dataflow rules --------------------------------------
     // Applied to everything that feeds deterministic output — including
     // bins and examples, which write the gold masters.
-    if matches!(
-        class,
-        FileClass::Lib | FileClass::Bin | FileClass::Example | FileClass::Obs
-    ) {
+    if class != FileClass::Test {
         raw.extend(
             crate::flow::check(path, src, toks, &items)
                 .into_iter()
@@ -308,10 +196,9 @@ pub fn scan_file(path: &str, class: FileClass, total: bool, src: &str) -> FileSc
     let mut out = CheckOutcome::default();
     out.strict.append(&mut sup_violations);
     for (v, ratchetable) in raw {
-        // D1/D5 guard determinism of the tests themselves; the rest are
+        // D1 guards determinism of the tests themselves; the rest are
         // production-path rules and skip test-gated code.
-        let exempt_in_tests = !matches!(v.rule, "D1" | "D5");
-        if exempt_in_tests && in_test(v.line) {
+        if v.rule != "D1" && in_test(v.line) {
             continue;
         }
         if suppressions

@@ -4,8 +4,7 @@
 use crate::rules::FileClass;
 use std::path::{Path, PathBuf};
 
-/// Crates whose whole tree is a test harness: clocks and printing are
-/// their job.
+/// Crates whose whole tree is a test harness: panics are their job.
 const HARNESS_CRATES: &[&str] = &["proptest-shim"];
 
 /// Modules that must be *total*: hostile input yields typed errors, never a
@@ -41,28 +40,14 @@ pub struct SourceFile {
 /// Classify a workspace-relative path.
 pub fn classify(rel: &str) -> FileClass {
     let parts: Vec<&str> = rel.split('/').collect();
-    if let ["crates", krate, rest @ ..] = parts.as_slice() {
-        if HARNESS_CRATES.contains(krate) {
-            return FileClass::Harness;
-        }
-        if rest.first() == Some(&"tests") {
-            return FileClass::TestFile;
-        }
-        if *krate == "ebs-obs" {
-            return FileClass::Obs;
-        }
-        if rest.first() == Some(&"examples") {
-            return FileClass::Example;
-        }
-        if rel.contains("/src/bin/") || rest == ["src", "main.rs"] {
-            return FileClass::Bin;
-        }
-        return FileClass::Lib;
-    }
-    match parts.first().copied() {
-        Some("tests") => FileClass::TestFile,
-        Some("examples") => FileClass::Example,
-        Some("src") if rel.contains("/bin/") || rel.ends_with("/main.rs") => FileClass::Bin,
+    let rest = match parts.as_slice() {
+        ["crates", krate, ..] if HARNESS_CRATES.contains(krate) => return FileClass::Test,
+        ["crates", _, rest @ ..] => rest,
+        rest => rest,
+    };
+    match rest {
+        ["tests", ..] => FileClass::Test,
+        ["examples", ..] | ["src", "bin", ..] | ["src", "main.rs"] => FileClass::Bin,
         _ => FileClass::Lib,
     }
 }
@@ -128,17 +113,14 @@ mod tests {
             FileClass::Bin
         );
         assert_eq!(classify("crates/ebs-lint/src/main.rs"), FileClass::Bin);
-        assert_eq!(classify("crates/ebs-obs/src/report.rs"), FileClass::Obs);
-        assert_eq!(
-            classify("crates/proptest-shim/src/lib.rs"),
-            FileClass::Harness
-        );
+        assert_eq!(classify("crates/ebs-obs/src/report.rs"), FileClass::Lib);
+        assert_eq!(classify("crates/proptest-shim/src/lib.rs"), FileClass::Test);
         assert_eq!(
             classify("crates/ebs-lint/tests/fixtures.rs"),
-            FileClass::TestFile
+            FileClass::Test
         );
-        assert_eq!(classify("tests/determinism.rs"), FileClass::TestFile);
-        assert_eq!(classify("examples/quickstart.rs"), FileClass::Example);
+        assert_eq!(classify("tests/determinism.rs"), FileClass::Test);
+        assert_eq!(classify("examples/quickstart.rs"), FileClass::Bin);
         assert_eq!(classify("src/lib.rs"), FileClass::Lib);
     }
 

@@ -11,9 +11,8 @@ use ebs_lint::rules::{check_source, CheckOutcome, FileClass};
 use std::path::PathBuf;
 
 const D1: &str = include_str!("fixtures/d1.rs");
-const D2_D4_D5: &str = include_str!("fixtures/d2_d4_d5.rs");
 const D3: &str = include_str!("fixtures/d3.rs");
-const D6_D7_D8: &str = include_str!("fixtures/d6_d7_d8.rs");
+const D6_D7: &str = include_str!("fixtures/d6_d7.rs");
 const FLOW_SUPPRESSED: &str = include_str!("fixtures/flow_suppressed.rs");
 const TRAPS: &str = include_str!("fixtures/traps.rs");
 const SUPPRESSED: &str = include_str!("fixtures/suppressed.rs");
@@ -42,45 +41,8 @@ fn d1_flags_default_hashers_and_spares_explicit_ones() {
 #[test]
 fn d1_applies_even_in_test_files() {
     // Determinism of tests is part of the invariant: no class exemption.
-    let out = scan(FileClass::TestFile, false, D1);
+    let out = scan(FileClass::Test, false, D1);
     assert_eq!(out.strict.len(), 4);
-}
-
-#[test]
-fn d2_d4_d5_fire_in_library_code() {
-    let out = scan(FileClass::Lib, false, D2_D4_D5);
-    let got = spans(&out.strict);
-    let rules_on = |rule: &str| -> Vec<u32> {
-        got.iter()
-            .filter(|(r, _, _)| *r == rule)
-            .map(|&(_, l, _)| l)
-            .collect()
-    };
-    assert_eq!(rules_on("D2"), vec![4, 5], "got {got:?}");
-    assert_eq!(rules_on("D4"), vec![10, 11, 12], "got {got:?}");
-    assert_eq!(rules_on("D5"), vec![16, 17, 18], "got {got:?}");
-    assert_eq!(got.len(), 8, "no other rule should fire: {got:?}");
-}
-
-#[test]
-fn clock_and_print_rules_respect_file_class() {
-    // Harness and obs code own the clock and the terminal…
-    for class in [FileClass::Harness, FileClass::Obs] {
-        let out = scan(class, false, D2_D4_D5);
-        let got = spans(&out.strict);
-        assert!(
-            got.iter().all(|(r, _, _)| *r == "D5"),
-            "{class:?} should only see D5: {got:?}"
-        );
-        // …but ambient randomness is banned everywhere.
-        assert_eq!(got.len(), 3, "{class:?}: {got:?}");
-    }
-    // Bins must stay deterministic (D2/D5) but may print (no D4) and
-    // panic on bad CLI input (no D3).
-    let out = scan(FileClass::Bin, false, D2_D4_D5);
-    let got = spans(&out.strict);
-    assert_eq!(got.iter().filter(|(r, _, _)| *r == "D2").count(), 2);
-    assert_eq!(got.iter().filter(|(r, _, _)| *r == "D4").count(), 0);
 }
 
 #[test]
@@ -102,32 +64,25 @@ fn d3_ratchets_outside_total_modules_and_hard_errors_inside() {
     assert_eq!(total.strict.len(), 8, "got {:?}", spans(&total.strict));
 
     // Bins and test files may panic freely.
-    for class in [FileClass::Bin, FileClass::TestFile] {
+    for class in [FileClass::Bin, FileClass::Test] {
         let out = scan(class, false, D3);
         assert!(out.strict.is_empty() && out.ratchet.is_empty(), "{class:?}");
     }
 }
 
 #[test]
-fn d6_d7_d8_flag_leaks_and_spare_the_canonical_shapes() {
-    let out = scan(FileClass::Lib, false, D6_D7_D8);
+fn d6_d7_flag_leaks_and_spare_the_canonical_shapes() {
+    let out = scan(FileClass::Lib, false, D6_D7);
     assert!(out.strict.is_empty(), "got {:?}", spans(&out.strict));
     let got = spans(&out.ratchet);
     // The leaks fire: hash iteration into a collect (D6), the locked
     // accumulator in the parallel closure and the non-positional float
-    // merge (D7), the off-surface env read (D8), plus the `expect` the D7
-    // leak rides on (D3). The canonical shapes — collect-then-sort,
-    // closure-local accumulator, zip-of-partials merge, `EBS_*` read —
-    // stay silent.
+    // merge (D7), plus the `expect` the D7 leak rides on (D3). The
+    // canonical shapes — collect-then-sort, closure-local accumulator,
+    // zip-of-partials merge — stay silent.
     assert_eq!(
         got,
-        vec![
-            ("D3", 13, 23),
-            ("D6", 2, 7),
-            ("D7", 13, 16),
-            ("D7", 31, 18),
-            ("D8", 48, 15),
-        ],
+        vec![("D3", 13, 23), ("D6", 2, 7), ("D7", 13, 16), ("D7", 31, 18),],
         "got {got:?}"
     );
 }
@@ -432,7 +387,6 @@ mod never_panics {
         "r#\"",
         "'",
         "\n",
-        "env::var(\"EBS_X\")",
         "par_map_deterministic",
         "merge",
         "FxHashMap",

@@ -43,11 +43,3 @@ impl Positional {
         }
     }
 }
-
-pub fn d8_leak() -> Option<String> {
-    std::env::var("RAYON_NUM_THREADS").ok()
-}
-
-pub fn d8_named() -> Option<String> {
-    std::env::var("EBS_THREADS").ok()
-}

@@ -17,8 +17,3 @@ impl Telemetry {
         self.seconds += other.seconds;
     }
 }
-
-pub fn ci_threads() -> Option<String> {
-    // ebs-lint: allow(D8) -- documented escape hatch for external CI wrappers
-    std::env::var("NUM_THREADS").ok()
-}

@@ -82,6 +82,7 @@ pub fn set_obs_override(enabled: Option<bool>) {
 
 /// Whether instrumentation is live right now.
 #[inline]
+#[allow(clippy::disallowed_methods, reason = "the named `EBS_OBS` read")]
 pub fn enabled() -> bool {
     match OBS_OVERRIDE.load(Ordering::Relaxed) {
         1 => false,
@@ -166,6 +167,7 @@ pub struct StageTimer {
 }
 
 /// Start a scoped timer for stage `name`.
+#[allow(clippy::disallowed_methods, reason = "obs owns the wall clock")]
 pub fn timer(name: &str) -> StageTimer {
     StageTimer {
         armed: enabled().then(|| (name.to_string(), Instant::now())),
@@ -192,13 +194,15 @@ impl Drop for StageTimer {
 /// read [`Stopwatch::elapsed_secs`] and feed whatever gauge they like.
 ///
 /// This is the only sanctioned way for code outside `ebs-obs` and tests to
-/// touch wall time (rule D2 in `DESIGN.md` §13).
+/// touch wall time (`clippy::disallowed_methods` bans `Instant::now`
+/// elsewhere; `DESIGN.md` §13).
 #[derive(Debug)]
 pub struct Stopwatch {
     started: Option<Instant>,
 }
 
 /// Start a stopwatch (a no-op, clock-free value when observability is off).
+#[allow(clippy::disallowed_methods, reason = "obs owns the wall clock")]
 pub fn stopwatch() -> Stopwatch {
     Stopwatch {
         started: enabled().then(Instant::now),

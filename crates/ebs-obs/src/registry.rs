@@ -38,7 +38,7 @@ impl TimerStat {
 
     /// Fold another stat into this one (commutative).
     pub fn merge(&mut self, other: &TimerStat) {
-        // ebs-lint: allow(D7) -- wall-clock telemetry fold; spans are nondeterministic by nature and never reach deterministic output (rule D2)
+        // ebs-lint: allow(D7) -- wall-clock telemetry fold; spans are nondeterministic by nature and never reach deterministic output
         self.seconds += other.seconds;
         self.count += other.count;
         self.max_seconds = self.max_seconds.max(other.max_seconds);

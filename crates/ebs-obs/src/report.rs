@@ -119,11 +119,18 @@ pub fn write_files(registry: &Registry, base: &str) -> std::io::Result<(String, 
     Ok((jsonl, csv))
 }
 
+/// The report path base: `EBS_OBS_OUT`, default `OBS_report`.
+#[allow(clippy::disallowed_methods, reason = "the named `EBS_OBS_OUT` read")]
+fn out_base() -> String {
+    std::env::var(crate::OBS_OUT_ENV).unwrap_or_else(|_| "OBS_report".to_string())
+}
+
 /// If observability is enabled, snapshot the global registry and write the
 /// run report to `EBS_OBS_OUT` (default `OBS_report`), logging one line to
 /// stderr. Stdout is never touched, preserving byte-identical program
 /// output. No-op (returning `None`) when observability is off or nothing
 /// was recorded.
+#[allow(clippy::print_stderr, reason = "the report writer logs to stderr")]
 pub fn emit_global() -> Option<(String, String)> {
     if !crate::enabled() {
         return None;
@@ -132,7 +139,7 @@ pub fn emit_global() -> Option<(String, String)> {
     if snap.is_empty() {
         return None;
     }
-    let base = std::env::var(crate::OBS_OUT_ENV).unwrap_or_else(|_| "OBS_report".to_string());
+    let base = out_base();
     match write_files(&snap, &base) {
         Ok((jsonl, csv)) => {
             eprintln!(
@@ -154,11 +161,12 @@ pub fn emit_global() -> Option<(String, String)> {
 /// not fit the registry's metric-per-line snapshot model. Stdout is never
 /// touched; a no-op (returning `None`) when observability is off or the
 /// stream is empty.
+#[allow(clippy::print_stderr, reason = "the report writer logs to stderr")]
 pub fn emit_stream(suffix: &str, jsonl: &str) -> Option<String> {
     if !crate::enabled() || jsonl.is_empty() {
         return None;
     }
-    let base = std::env::var(crate::OBS_OUT_ENV).unwrap_or_else(|_| "OBS_report".to_string());
+    let base = out_base();
     let path = format!("{base}{suffix}.jsonl");
     match std::fs::write(&path, jsonl) {
         Ok(()) => {

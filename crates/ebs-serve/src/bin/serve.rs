@@ -28,6 +28,8 @@
 //! `EBS_OBS`. Status goes to stderr. With `EBS_OBS=1` the per-epoch
 //! metrics stream is additionally written to
 //! `<EBS_OBS_OUT>_epochs.jsonl`.
+#![allow(clippy::print_stdout, reason = "a bin owns the terminal")]
+#![allow(clippy::print_stderr, reason = "a bin owns the terminal")]
 
 use std::path::PathBuf;
 

@@ -201,9 +201,9 @@ impl<R: Read> ChunkReader<R> {
     }
 
     /// Read the rest of the current chunk's payload into `payload`
-    /// (cleared first), settle its seal, and return it. Reserves at most
-    /// 1 MiB up front, so a forged length cannot reserve
-    /// [`MAX_CHUNK_LEN`] before the bytes arrive.
+    /// (cleared first), settle its seal, and return it. Reserves exactly
+    /// the payload's length, at most 1 MiB up front, so a forged length
+    /// cannot reserve [`MAX_CHUNK_LEN`] before the bytes arrive.
     pub fn read_payload_into<'p>(
         &mut self,
         payload: &'p mut Vec<u8>,
@@ -215,7 +215,7 @@ impl<R: Read> ChunkReader<R> {
         let left = pending.left;
         // Read via `take` so a short file yields Truncated instead of an
         // over-allocated buffer half-filled with zeros.
-        payload.reserve(left.min(1 << 20) as usize);
+        payload.reserve_exact(left.min(1 << 20) as usize);
         (&mut self.input)
             .take(u64::from(left))
             .read_to_end(payload)

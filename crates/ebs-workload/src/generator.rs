@@ -366,7 +366,8 @@ pub(crate) fn generate_vd(
     let mut bookings = Bookings::new(slots, 6 * merged.len());
     // Each tick's sampled-event count is Poisson with a mean the envelope
     // fixes: reserve the total mean plus three standard deviations, so
-    // the stream is allocated once and seldom regrows.
+    // the stream is allocated once and seldom regrows; it is cut to its
+    // exact length once the ticks are done.
     let mean_events = TRACE_SAMPLE_RATE
         * merged
             .iter()
@@ -481,6 +482,7 @@ pub(crate) fn generate_vd(
             }
         }
     }
+    events.shrink_to_fit();
 
     let mut qp_series = bookings.into_series(slots).ok_or_else(|| {
         EbsError::invalid_spec(format!(

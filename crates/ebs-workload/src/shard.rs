@@ -56,6 +56,7 @@ pub const SHARDS_ENV: &str = "EBS_SHARDS";
 
 /// Shard count resolution: an explicit request wins, then `EBS_SHARDS`,
 /// then one shard per worker thread (the natural ownership grain).
+#[allow(clippy::disallowed_methods, reason = "the named `EBS_SHARDS` read")]
 pub fn resolve_shards(requested: Option<usize>) -> usize {
     requested
         .or_else(|| {

@@ -255,6 +255,7 @@ macro_rules! __proptest_fns {
     (($cfg:expr) $($(#[$meta:meta])* fn $name:ident($($p:pat in $s:expr),+ $(,)?) $body:block)*) => {
         $(
             $(#[$meta])*
+            #[allow(clippy::print_stderr, reason = "the harness names the failing case")]
             fn $name() {
                 let config: $crate::ProptestConfig = $cfg;
                 let mut rng = $crate::TestRng::for_test(concat!(module_path!(), "::", stringify!($name)));

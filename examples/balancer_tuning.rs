@@ -5,6 +5,7 @@
 //! ```sh
 //! cargo run --example balancer_tuning
 //! ```
+#![allow(clippy::print_stdout, reason = "examples print results")]
 
 use ebs::balance::bs_balancer::{run_balancer, BalancerConfig};
 use ebs::balance::importer::ImporterSelect;

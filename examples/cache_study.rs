@@ -5,6 +5,7 @@
 //! ```sh
 //! cargo run --example cache_study
 //! ```
+#![allow(clippy::print_stdout, reason = "examples print results")]
 
 use ebs::cache::hottest_block::{hot_rate, hottest_block, HOT_RATE_WINDOW_US};
 use ebs::cache::location::{hit_oracle, latency_gain, CacheSite};

@@ -4,6 +4,7 @@
 //! ```sh
 //! cargo run --example quickstart
 //! ```
+#![allow(clippy::print_stdout, reason = "examples print results")]
 
 use ebs::analysis::aggregate::{rollup_compute, ComputeLevel};
 use ebs::analysis::{ccr, median, p2a};

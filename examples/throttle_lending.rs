@@ -5,6 +5,7 @@
 //! ```sh
 //! cargo run --example throttle_lending
 //! ```
+#![allow(clippy::print_stdout, reason = "examples print results")]
 
 use ebs::analysis::median;
 use ebs::throttle::lending::{lending_gains, LendingConfig};

@@ -5,6 +5,7 @@
 //! ```sh
 //! cargo run --example trace_replay
 //! ```
+#![allow(clippy::print_stdout, reason = "examples print results")]
 
 use ebs::stack::sim::{StackConfig, StackSim};
 use ebs::workload::export::{read_events_csv, write_events_csv};

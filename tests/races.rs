@@ -22,6 +22,8 @@ const BUDGET_S: f64 = 2.0;
 
 /// Median seconds of leg `a` over median seconds of leg `b`: how many
 /// times faster `b` ran.
+#[allow(clippy::disallowed_methods, reason = "races time legs")]
+#[allow(clippy::print_stderr, reason = "a race reports its legs")]
 fn race<T: PartialEq>(name: &str, mut a: impl FnMut() -> T, mut b: impl FnMut() -> T) -> f64 {
     let timed = |leg: &mut dyn FnMut() -> T| {
         let t0 = Instant::now();
