@@ -108,41 +108,50 @@ impl PeriodTraffic {
     }
 }
 
-fn normalized_cov(values: &[f64]) -> Option<f64> {
-    ebs_analysis::normalized_cov(values)
-}
-
-/// One balancing pass of Algorithm 1 at period `p`: detect exporters in
-/// `current` (cluster-local per-BS traffic for the balanced measure) and
-/// migrate their hottest segments. `current` is updated as importers
-/// receive traffic. Returns the number of segments migrated.
+/// One pass of Algorithm 1 over one cluster for one period.
 ///
-/// Exposed so multi-phase schemes (Write-then-Read, §6.2) can chain passes
-/// with different measures inside one period.
+/// `segs` lists the segments active this period with their traffic in
+/// the balanced measure (segments homed outside `bss` are never
+/// exported, so a caller may pass other clusters' too); `current` is the
+/// per-BS traffic, cluster-local in `bss` order, under `placement`;
+/// `history` is the per-BS traffic of past periods including this one.
+/// Exporters are the BSs at `exporter_ratio` × the cluster average or
+/// more, taken hottest-first; each exports its hottest segments until
+/// their traffic passes `move_quota` × the average, to the importer the
+/// strategy picks (or, under `enforce_vd_spread`, the least-loaded BS
+/// holding no other segment of the same VD). `current` takes each import
+/// as it happens.
+///
+/// `next` is the per-BS traffic of the next period under `placement`: the
+/// S5 Ideal importer's oracle. An online caller cannot observe it and
+/// passes `&[]`, and then every Ideal move aborts.
+///
+/// The pass reads `placement` and never writes it: a segment moved
+/// earlier in the pass counts at its new home. Returns the moves, as
+/// `(segment, destination)`, in the order they were made.
 #[allow(clippy::too_many_arguments)]
-pub fn balance_period(
+pub fn balance_step(
     fleet: &Fleet,
     bss: &[BsId],
-    traffic: &PeriodTraffic,
-    p: usize,
-    seg_map: &mut SegmentMap,
+    segs: &[(SegId, f64)],
+    placement: &SegmentMap,
     current: &mut [f64],
     history: &[Vec<f64>],
+    next: &[f64],
     rng: &mut SimRng,
     config: &BalancerConfig,
-) -> usize {
+) -> Vec<(SegId, BsId)> {
+    let mut moves = Vec::new();
     let total: f64 = current.iter().sum();
     if total <= 0.0 {
-        return 0;
+        return moves;
     }
     let avg = total / bss.len() as f64;
-    let periods = traffic.periods.len();
-    let next = if p + 1 < periods {
-        traffic.bs_totals(p + 1, seg_map, bss)
-    } else {
-        vec![0.0; bss.len()]
-    };
-    let mut migrated = 0usize;
+    // Each active segment's home, with this pass's moves applied.
+    let mut homes: Vec<BsId> = segs
+        .iter()
+        .map(|&(seg, _)| placement.home_of(seg))
+        .collect();
 
     // Iterate exporters hottest-first for determinism. Sorting an
     // (index, value) snapshot — `total_cmp`, so the pass is total — keeps
@@ -161,26 +170,21 @@ pub fn balance_period(
             continue;
         };
         // This exporter's segments active this period, hottest first.
-        let mut segs: Vec<(SegId, f64)> = traffic
-            .periods
-            .get(p)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-            .iter()
-            .filter(|&&(seg, _)| seg_map.home_of(seg) == exporter_bs)
-            .copied()
+        let mut mine: Vec<(usize, SegId, f64)> = (segs.iter().zip(&homes).enumerate())
+            .filter(|&(_, (_, &home))| home == exporter_bs)
+            .map(|(at, (&(seg, v), _))| (at, seg, v))
             .collect();
-        segs.sort_by(|a, b| b.1.total_cmp(&a.1));
+        mine.sort_by(|a, b| b.2.total_cmp(&a.2));
         let quota = config.move_quota * avg;
-        let mut moved = 0.0;
-        for (seg, v) in segs {
-            if moved > quota {
+        let mut exported = 0.0;
+        for (at, seg, v) in mine {
+            if exported > quota {
                 break;
             }
             let ctx = ImporterContext {
                 current,
                 history,
-                next: &next,
+                next,
                 exporter,
             };
             let Some(mut importer) = select_importer(config.strategy, rng, &ctx) else {
@@ -191,11 +195,16 @@ pub fn balance_period(
                 let Some(vd) = fleet.segments.get(seg).map(|s| s.vd) else {
                     continue;
                 };
+                // A sibling's home, with this pass's moves applied.
+                let home = |s| {
+                    let moved = moves.iter().rev().find(|&&(m, _)| m == s);
+                    moved.map_or_else(|| placement.home_of(s), |&(_, to)| to)
+                };
                 let clash = |bs: BsId| {
                     fleet
                         .vds
                         .get(vd)
-                        .is_some_and(|d| d.segments().any(|s| s != seg && seg_map.home_of(s) == bs))
+                        .is_some_and(|d| d.segments().any(|s| s != seg && home(s) == bs))
                 };
                 if bss.get(importer).is_some_and(|&bs| clash(bs)) {
                     // Fall back to the least-loaded non-clashing BS.
@@ -219,7 +228,10 @@ pub fn balance_period(
                 ebs_obs::counter_add("balance.migrations_aborted", 1);
                 continue;
             };
-            seg_map.migrate(fleet, p as u32, seg, importer_bs);
+            if let Some(home) = homes.get_mut(at) {
+                *home = importer_bs;
+            }
+            moves.push((seg, importer_bs));
             // Per Algorithm 1, only the working view of the balanced
             // measure is updated (line 8); the oracle's `next` snapshot is
             // deliberately left untouched — empirically, "correcting" it
@@ -228,11 +240,47 @@ pub fn balance_period(
             if let Some(load) = current.get_mut(importer) {
                 *load += v;
             }
-            moved += v;
-            migrated += 1;
+            exported += v;
         }
     }
-    migrated
+    moves
+}
+
+/// Algorithm 1's pass at period `p` of `traffic` ([`balance_step`], with
+/// period `p + 1` as the Ideal importer's oracle), its moves applied to
+/// `seg_map` at time `p`. Returns the number of segments migrated.
+///
+/// Exposed so multi-phase schemes (Write-then-Read, §6.2) can chain passes
+/// with different measures inside one period.
+#[allow(clippy::too_many_arguments)]
+pub fn balance_period(
+    fleet: &Fleet,
+    bss: &[BsId],
+    traffic: &PeriodTraffic,
+    p: usize,
+    seg_map: &mut SegmentMap,
+    current: &mut [f64],
+    history: &[Vec<f64>],
+    rng: &mut SimRng,
+    config: &BalancerConfig,
+) -> usize {
+    // Only the oracle reads the next period; past the last it is idle.
+    let next = match config.strategy {
+        ImporterSelect::Ideal => traffic.bs_totals(p + 1, seg_map, bss),
+        _ => Vec::new(),
+    };
+    let segs = traffic
+        .periods
+        .get(p)
+        .map(Vec::as_slice)
+        .unwrap_or_default();
+    let moves = balance_step(
+        fleet, bss, segs, seg_map, current, history, &next, rng, config,
+    );
+    for &(seg, to) in &moves {
+        seg_map.migrate(fleet, p as u32, seg, to);
+    }
+    moves.len()
 }
 
 /// Run Algorithm 1 over the storage cluster of `dc`.
@@ -242,8 +290,19 @@ pub fn run_balancer(
     dc: DcId,
     config: &BalancerConfig,
 ) -> BalancerRun {
-    let bss: Vec<BsId> = fleet.bss_of_dc(dc).to_vec();
     let traffic = PeriodTraffic::build(fleet, metrics, dc, config.measure);
+    balance_traffic(fleet, dc, &traffic, config)
+}
+
+/// Run Algorithm 1 over the storage cluster of `dc` on `traffic`, the
+/// cluster's per-period segment traffic in the balanced measure.
+pub fn balance_traffic(
+    fleet: &Fleet,
+    dc: DcId,
+    traffic: &PeriodTraffic,
+    config: &BalancerConfig,
+) -> BalancerRun {
+    let bss: Vec<BsId> = fleet.bss_of_dc(dc).to_vec();
     let mut seg_map = SegmentMap::from_fleet(fleet);
     let mut rng = SimRng::seed_from_u64(config.seed);
     let mut history: Vec<Vec<f64>> = vec![Vec::new(); bss.len()];
@@ -252,7 +311,7 @@ pub fn run_balancer(
 
     for p in 0..periods {
         let mut current = traffic.bs_totals(p, &seg_map, &bss);
-        if let Some(c) = normalized_cov(&current) {
+        if let Some(c) = ebs_analysis::normalized_cov(&current) {
             cov_series.push(c);
         }
         for (h, &c) in history.iter_mut().zip(current.iter()) {
@@ -261,7 +320,7 @@ pub fn run_balancer(
         balance_period(
             fleet,
             &bss,
-            &traffic,
+            traffic,
             p,
             &mut seg_map,
             &mut current,

@@ -128,6 +128,28 @@ impl EpochStats {
     }
 }
 
+#[cfg(test)]
+impl EpochStats {
+    /// Epoch 0 with no traffic, for tests to fill in.
+    pub(crate) fn idle() -> Self {
+        Self {
+            epoch: 0,
+            start_us: 0,
+            sim: SimStats::default(),
+            bytes: 0,
+            reads: 0,
+            p99_us: 0.0,
+            lat_hist: Histogram::new(),
+            cn_ios: vec![],
+            wt_bytes: vec![],
+            bs_bytes: vec![],
+            seg_bytes: vec![],
+            vd_bytes: vec![],
+            cache: None,
+        }
+    }
+}
+
 /// Per-id byte sums over one epoch, dense by id, that list the ids the
 /// epoch touched in id order without hashing or sorting. A sum starts
 /// at 0.0 and takes its adds in event order — exactly what a hash-map
@@ -347,26 +369,17 @@ mod tests {
         let mut lat_hist = Histogram::new();
         lat_hist.extend(lats.iter().copied());
         EpochStats {
-            epoch: 0,
-            start_us: 0,
             sim: SimStats {
                 ios,
                 throttled,
                 mean_latency_us: 0.0,
             },
-            bytes: 0,
-            reads: 0,
-            p99_us: 0.0,
             lat_hist,
-            cn_ios: vec![],
-            wt_bytes: vec![],
-            bs_bytes: vec![],
-            seg_bytes: vec![],
-            vd_bytes: vec![],
             cache: Some(CacheEpoch {
                 accesses: 10,
                 hits: 5,
             }),
+            ..EpochStats::idle()
         }
     }
 

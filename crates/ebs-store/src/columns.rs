@@ -1124,8 +1124,12 @@ fn side_entries<'a>(
 }
 
 /// Decode one v2 metric domain back into a tick grid and per-entity
-/// series, one `SeriesDecoder::decode` per entity.
-pub fn decode_series_set(
+/// series, one `SeriesDecoder::decode` per entity, from the whole payload.
+/// The loaders read metric chunks through a window instead
+/// ([`crate::reader::ChunkReader::read_series_set`]); this is that
+/// reader's test oracle.
+#[cfg(test)]
+pub(crate) fn decode_series_set(
     payload: &[u8],
     domain: &str,
 ) -> Result<(TickSpec, Vec<Series>), EbsError> {

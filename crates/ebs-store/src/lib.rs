@@ -78,9 +78,8 @@ pub mod writer;
 
 pub use bytes::{ByteReader, ByteWriter};
 pub use columns::{
-    decode_events, decode_events_into, decode_series_set, decode_specs, encode_events,
-    encode_series_set, encode_specs, events_from_columns, EventColumnBytes, EventColumns,
-    EventScratch, SpecRow,
+    decode_events, decode_events_into, decode_specs, encode_events, encode_series_set,
+    encode_specs, events_from_columns, EventColumnBytes, EventColumns, EventScratch, SpecRow,
 };
 pub use format::{
     EVENTS_PER_CHUNK, FRAME_LEN, HEADER_LEN, MAGIC, MAX_CHUNK_EVENTS, MAX_CHUNK_LEN, VERSION,

@@ -289,9 +289,9 @@ impl<R: Read> ChunkReader<R> {
 
     /// Decode the payload of the metric chunk whose frame
     /// [`ChunkReader::next_frame`] just returned, through a window of
-    /// [`SERIES_WINDOW`] bytes: what [`crate::columns::decode_series_set`]
-    /// returns for the whole payload, errors and their messages included,
-    /// without holding the payload.
+    /// [`SERIES_WINDOW`] bytes: what the whole-payload decoder (the test
+    /// oracle `columns::decode_series_set`) returns, errors and their
+    /// messages included, without holding the payload.
     ///
     /// The seal is settled before any result or error is returned: a
     /// payload that does not match its seal is

@@ -41,115 +41,132 @@ pub struct LendingOutcome {
     pub gain: Option<f64>,
 }
 
-/// Simulate Algorithm 2 over one group.
+/// Algorithm 2's grant at a group's first throttle in a period.
+///
+/// `demand` holds each member's demand and `caps` the caps in force; a
+/// member is throttled when its demand reaches its cap. The borrower is
+/// the throttled member with the highest demand (ties go to the last, as
+/// `max_by` does). The group lends `p × AR`, where AR = Σcap −
+/// Σmin(demand, cap) is what its caps leave undelivered, but at most the
+/// lenders' total headroom. A lender's headroom is its cap minus
+/// `reserved(i)`, what it keeps for itself, and it gives up a share of
+/// the grant in proportion to that headroom. `reserved` is called only
+/// when there is something to lend, once per lender in member order.
+///
+/// On a grant `caps` hold the new caps and the borrower is returned;
+/// otherwise `caps` are untouched.
+pub fn lend_step(
+    demand: &[f64],
+    caps: &mut [f64],
+    p: f64,
+    mut reserved: impl FnMut(usize) -> f64,
+) -> Option<usize> {
+    let borrower = demand
+        .iter()
+        .zip(caps.iter())
+        .enumerate()
+        .filter(|(_, (d, c))| d >= c)
+        .max_by(|(_, (a, _)), (_, (b, _))| a.total_cmp(b))
+        .map(|(i, _)| i)?;
+    let delivered: f64 = demand.iter().zip(caps.iter()).map(|(d, &c)| d.min(c)).sum();
+    let cap_total: f64 = caps.iter().sum();
+    let lent = p * (cap_total - delivered).max(0.0);
+    if lent <= 0.0 {
+        return None;
+    }
+    let headroom: Vec<f64> = caps
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| {
+            if i == borrower {
+                0.0
+            } else {
+                (c - reserved(i)).max(0.0)
+            }
+        })
+        .collect();
+    let total_headroom: f64 = headroom.iter().sum();
+    if total_headroom <= 0.0 {
+        return None;
+    }
+    let lent = lent.min(total_headroom);
+    for (i, (cap, h)) in caps.iter_mut().zip(&headroom).enumerate() {
+        if i == borrower {
+            *cap += lent;
+        }
+        *cap -= lent * h / total_headroom;
+    }
+    Some(borrower)
+}
+
+/// Simulate Algorithm 2 over one group: lenders keep their demand.
 pub fn simulate_lending(group: &ThrottleGroup, config: &LendingConfig) -> LendingOutcome {
-    assert!(config.p > 0.0 && config.p < 1.0, "p must be in (0, 1)");
-    assert!(config.period_ticks >= 1);
-    let n = group.members.len();
-    let base_caps: Vec<f64> = group.members.iter().map(|m| m.cap).collect();
-
-    let mut throttled_without = 0usize;
-    let mut throttled_with = 0usize;
-    let mut caps = base_caps.clone();
-    let mut lent_this_period = false;
-    let mut grants = 0u64;
-    let mut reclaims = 0u64;
-
-    for t in 0..group.ticks {
-        if t % config.period_ticks == 0 {
-            caps.copy_from_slice(&base_caps);
-            if lent_this_period {
-                // The period boundary takes the lent cap back.
-                reclaims += 1;
-            }
-            lent_this_period = false;
-        }
-        // Baseline: fixed caps.
-        throttled_without += group
-            .members
-            .iter()
-            .filter(|m| m.demand(t) >= m.cap)
-            .count();
-
-        // With lending: current caps.
-        let throttled: Vec<usize> = (0..n)
-            .filter(|&i| group.members[i].demand(t) >= caps[i])
-            .collect();
-        throttled_with += throttled.len();
-
-        if !lent_this_period && !throttled.is_empty() {
-            // First throttle of the period: compute AR and lend.
-            let delivered: f64 = (0..n)
-                .map(|i| group.members[i].demand(t).min(caps[i]))
-                .sum();
-            let cap_total: f64 = caps.iter().sum();
-            let ar = (cap_total - delivered).max(0.0);
-            let lent = config.p * ar;
-            if lent > 0.0 {
-                // Borrower: the throttled member with the highest demand.
-                let borrower = *throttled
-                    .iter()
-                    .max_by(|&&a, &&b| {
-                        group.members[a]
-                            .demand(t)
-                            .partial_cmp(&group.members[b].demand(t))
-                            .expect("no NaNs")
-                    })
-                    .expect("non-empty");
-                let headroom: Vec<f64> = (0..n)
-                    .map(|i| {
-                        if i == borrower {
-                            0.0
-                        } else {
-                            (caps[i] - group.members[i].demand(t)).max(0.0)
-                        }
-                    })
-                    .collect();
-                let total_headroom: f64 = headroom.iter().sum();
-                if total_headroom > 0.0 {
-                    let lent = lent.min(total_headroom);
-                    caps[borrower] += lent;
-                    for i in 0..n {
-                        caps[i] -= lent * headroom[i] / total_headroom;
-                    }
-                    lent_this_period = true;
-                    grants += 1;
-                }
-            }
-        }
-    }
-    if lent_this_period {
-        // The run ends while a grant is outstanding: the simulation is
-        // over, so the cap is reclaimed with it.
-        reclaims += 1;
-    }
+    let (out, grants) = lend_ticks(group, config, |i, t| {
+        group.members.get(i).map_or(0.0, |m| m.demand(t))
+    });
     if ebs_obs::enabled() {
         let mut reg = ebs_obs::Registry::new();
         reg.counter_add("throttle.lending.grants", grants);
-        reg.counter_add("throttle.lending.reclaims", reclaims);
+        // A grant lives until the next period boundary or the end of the
+        // run, so every grant is reclaimed once.
+        reg.counter_add("throttle.lending.reclaims", grants);
         reg.counter_add(
             "throttle.lending.throttled_ticks_without",
-            throttled_without as u64,
+            out.throttled_without as u64,
         );
         reg.counter_add(
             "throttle.lending.throttled_ticks_with",
-            throttled_with as u64,
+            out.throttled_with as u64,
         );
         ebs_obs::merge(&reg);
     }
-    let gain = if throttled_without + throttled_with > 0 {
-        Some(
-            (throttled_without as f64 - throttled_with as f64)
-                / (throttled_without as f64 + throttled_with as f64),
-        )
-    } else {
-        None
-    };
-    LendingOutcome {
+    out
+}
+
+/// The tick loop of Algorithm 2 over one group, lender `i` keeping
+/// `reserved(i, t)` at tick `t`: caps reset at each period boundary and
+/// [`lend_step`] runs at the period's first throttle. Returns the outcome
+/// and the number of grants.
+pub(crate) fn lend_ticks(
+    group: &ThrottleGroup,
+    config: &LendingConfig,
+    mut reserved: impl FnMut(usize, usize) -> f64,
+) -> (LendingOutcome, u64) {
+    assert!(config.p > 0.0 && config.p < 1.0, "p must be in (0, 1)");
+    assert!(config.period_ticks >= 1);
+    let base_caps: Vec<f64> = group.members.iter().map(|m| m.cap).collect();
+    let mut caps = base_caps.clone();
+    let mut demand = Vec::with_capacity(base_caps.len());
+    let mut throttled_without = 0usize;
+    let mut throttled_with = 0usize;
+    let mut lent_this_period = false;
+    let mut grants = 0u64;
+    for t in 0..group.ticks {
+        if t % config.period_ticks == 0 {
+            caps.copy_from_slice(&base_caps);
+            lent_this_period = false;
+        }
+        demand.clear();
+        demand.extend(group.members.iter().map(|m| m.demand(t)));
+        // Baseline: fixed caps. With lending: the caps in force.
+        throttled_without += group.members.iter().filter(|m| m.throttled(t)).count();
+        throttled_with += demand.iter().zip(&caps).filter(|(d, c)| d >= c).count();
+        if !lent_this_period
+            && lend_step(&demand, &mut caps, config.p, |i| reserved(i, t)).is_some()
+        {
+            lent_this_period = true;
+            grants += 1;
+        }
+    }
+    let (without, with) = (throttled_without as f64, throttled_with as f64);
+    let gain =
+        (throttled_without + throttled_with > 0).then(|| (without - with) / (without + with));
+    let out = LendingOutcome {
         throttled_without,
         throttled_with,
         gain,
-    }
+    };
+    (out, grants)
 }
 
 /// Run the lending simulation over many groups, returning the gains of
@@ -164,26 +181,28 @@ pub fn lending_gains(groups: &[ThrottleGroup], config: &LendingConfig) -> Vec<f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{GroupKind, VdSeries};
-    use ebs_core::ids::{VdId, VmId};
+    use crate::scenario::fixture::{group, vd};
 
-    fn group(members: Vec<VdSeries>) -> ThrottleGroup {
-        let ticks = members[0].read.len();
-        ThrottleGroup {
-            kind: GroupKind::MultiVdVm(VmId(0)),
-            members,
-            ticks,
-        }
+    fn config(p: f64, period_ticks: usize) -> LendingConfig {
+        LendingConfig { p, period_ticks }
     }
 
-    fn vd(write: Vec<f64>, cap: f64) -> VdSeries {
-        let read = vec![0.0; write.len()];
-        VdSeries {
-            vd: VdId(0),
-            read,
-            write,
-            cap,
-        }
+    // Equal top demands pick the later borrower (`max_by`), in the
+    // figures' sweep and in serve's lender alike: serve's old lender took
+    // the earlier one, and the serve gold master was re-recorded when it
+    // moved onto this kernel.
+    #[test]
+    fn equal_top_demands_pick_the_later_borrower() {
+        let demand = [150.0, 20.0, 150.0];
+        let mut caps = [100.0; 3];
+        assert_eq!(lend_step(&demand, &mut caps, 0.5, |i| demand[i]), Some(2));
+        // AR = 300 − 220 = 80, so 40 is lent, all by the one lender with
+        // headroom.
+        assert_eq!(caps, [100.0, 60.0, 140.0]);
+        // Nothing throttled, nothing lent.
+        let mut caps = [200.0; 3];
+        assert_eq!(lend_step(&demand, &mut caps, 0.5, |i| demand[i]), None);
+        assert_eq!(caps, [200.0; 3]);
     }
 
     #[test]
@@ -192,13 +211,7 @@ mod tests {
         // member 1 idles with cap 300. Lending p = 0.8 raises member 0's
         // cap above demand after the first tick.
         let g = group(vec![vd(vec![150.0; 6], 100.0), vd(vec![0.0; 6], 300.0)]);
-        let out = simulate_lending(
-            &g,
-            &LendingConfig {
-                p: 0.8,
-                period_ticks: 6,
-            },
-        );
+        let out = simulate_lending(&g, &config(0.8, 6));
         assert_eq!(out.throttled_without, 6);
         assert!(out.throttled_with < 6, "lending should clear later ticks");
         assert!(out.gain.unwrap() > 0.0);
@@ -212,13 +225,7 @@ mod tests {
             vd(vec![150.0, 0.0, 0.0], 100.0),
             vd(vec![0.0, 95.0, 95.0], 100.0),
         ]);
-        let out = simulate_lending(
-            &g,
-            &LendingConfig {
-                p: 0.8,
-                period_ticks: 3,
-            },
-        );
+        let out = simulate_lending(&g, &config(0.8, 3));
         // Without lending member 1 never throttles (95 < 100): baseline 1.
         assert_eq!(out.throttled_without, 1);
         assert!(
@@ -243,13 +250,7 @@ mod tests {
             vd(vec![150.0, 0.0, 0.0, 0.0], 100.0),
             vd(vec![0.0, 0.0, 95.0, 95.0], 100.0),
         ]);
-        let out = simulate_lending(
-            &g,
-            &LendingConfig {
-                p: 0.8,
-                period_ticks: 2,
-            },
-        );
+        let out = simulate_lending(&g, &config(0.8, 2));
         assert_eq!(out.throttled_with, out.throttled_without);
     }
 
@@ -264,13 +265,7 @@ mod tests {
             vd(vec![40.0; 4], 100.0),
             vd(vec![40.0; 4], 100.0),
         ]);
-        let out = simulate_lending(
-            &g,
-            &LendingConfig {
-                p: 0.5,
-                period_ticks: 4,
-            },
-        );
+        let out = simulate_lending(&g, &config(0.5, 4));
         // Baseline: member 0 throttled all 4 ticks.
         assert_eq!(out.throttled_without, 4);
         // Lending: AR = 300 − (100+40+40) = 120, lent = 60 → borrower cap

@@ -10,7 +10,7 @@
 //! demand (padded by a safety margin). Lenders about to burst lend
 //! nothing.
 
-use crate::lending::{LendingConfig, LendingOutcome};
+use crate::lending::{lend_ticks, LendingConfig, LendingOutcome};
 use crate::scenario::ThrottleGroup;
 use ebs_predict::eval::Predictor;
 use ebs_predict::LinearFit;
@@ -43,103 +43,33 @@ pub fn simulate_predictive_lending(
     config: &PredictiveConfig,
     make_predictor: &dyn Fn() -> Box<dyn Predictor>,
 ) -> LendingOutcome {
-    let p = config.base.p;
-    assert!(p > 0.0 && p < 1.0, "p must be in (0, 1)");
     assert!(
         config.safety >= 1.0,
         "safety margin must not discount demand"
     );
-    let n = group.members.len();
-    let base_caps: Vec<f64> = group.members.iter().map(|m| m.cap).collect();
-    let mut predictors: Vec<Box<dyn Predictor>> = (0..n).map(|_| make_predictor()).collect();
-    let mut histories: Vec<Vec<f64>> = vec![Vec::new(); n];
-
-    let mut throttled_without = 0usize;
-    let mut throttled_with = 0usize;
-    let mut caps = base_caps.clone();
-    let mut lent_this_period = false;
-
-    for t in 0..group.ticks {
-        if t % config.base.period_ticks == 0 {
-            caps.copy_from_slice(&base_caps);
-            lent_this_period = false;
-        }
-        throttled_without += group
-            .members
-            .iter()
-            .filter(|m| m.demand(t) >= m.cap)
-            .count();
-        let throttled: Vec<usize> = (0..n)
-            .filter(|&i| group.members[i].demand(t) >= caps[i])
-            .collect();
-        throttled_with += throttled.len();
-        // Histories include the current tick so the one-step forecast below
-        // really targets tick t+1 (what the lender will need *after*
-        // lending).
-        for (i, h) in histories.iter_mut().enumerate() {
-            h.push(group.members[i].demand(t));
-        }
-
-        if !lent_this_period && !throttled.is_empty() {
-            let delivered: f64 = (0..n)
-                .map(|i| group.members[i].demand(t).min(caps[i]))
-                .sum();
-            let cap_total: f64 = caps.iter().sum();
-            let ar = (cap_total - delivered).max(0.0);
-            let lent_target = p * ar;
-            if lent_target > 0.0 {
-                let borrower = *throttled
-                    .iter()
-                    .max_by(|&&a, &&b| {
-                        group.members[a]
-                            .demand(t)
-                            .partial_cmp(&group.members[b].demand(t))
-                            .expect("no NaNs")
-                    })
-                    .expect("non-empty");
-                // Prediction-guided headroom: lenders are charged for the
-                // worst of what they use now and what they are forecast to
-                // use next, times the safety margin.
-                let headroom: Vec<f64> = (0..n)
-                    .map(|i| {
-                        if i == borrower {
-                            return 0.0;
-                        }
-                        let predicted = if histories[i].len() >= 2 {
-                            predictors[i].fit(&histories[i]);
-                            predictors[i].predict_next(&histories[i])
-                        } else {
-                            group.members[i].demand(t)
-                        };
-                        let reserved = group.members[i].demand(t).max(predicted) * config.safety;
-                        (caps[i] - reserved).max(0.0)
-                    })
-                    .collect();
-                let total_headroom: f64 = headroom.iter().sum();
-                if total_headroom > 0.0 {
-                    let lent = lent_target.min(total_headroom);
-                    caps[borrower] += lent;
-                    for i in 0..n {
-                        caps[i] -= lent * headroom[i] / total_headroom;
-                    }
-                    lent_this_period = true;
-                }
-            }
-        }
-    }
-    let gain = if throttled_without + throttled_with > 0 {
-        Some(
-            (throttled_without as f64 - throttled_with as f64)
-                / (throttled_without as f64 + throttled_with as f64),
-        )
-    } else {
-        None
-    };
-    LendingOutcome {
-        throttled_without,
-        throttled_with,
-        gain,
-    }
+    let mut predictors: Vec<Box<dyn Predictor>> =
+        group.members.iter().map(|_| make_predictor()).collect();
+    let demand: Vec<Vec<f64>> = (group.members.iter())
+        .map(|m| (0..group.ticks).map(|t| m.demand(t)).collect())
+        .collect();
+    // Prediction-guided headroom: a lender is charged for the worst of
+    // what it uses now and what it is forecast to use next, times the
+    // safety margin. The history includes tick `t`, so the one-step
+    // forecast targets tick t+1 (what the lender needs *after* lending).
+    lend_ticks(group, &config.base, |i, t| {
+        let history = demand.get(i).and_then(|d| d.get(..=t)).unwrap_or_default();
+        let (Some(&now), Some(predictor)) = (history.last(), predictors.get_mut(i)) else {
+            return 0.0;
+        };
+        let predicted = if history.len() >= 2 {
+            predictor.fit(history);
+            predictor.predict_next(history)
+        } else {
+            now
+        };
+        now.max(predicted) * config.safety
+    })
+    .0
 }
 
 /// Gains across many groups with the default (linear-fit) forecaster.
@@ -156,27 +86,8 @@ pub fn predictive_lending_gains(groups: &[ThrottleGroup], config: &PredictiveCon
 mod tests {
     use super::*;
     use crate::lending::simulate_lending;
-    use crate::scenario::{CapDim, GroupKind, VdSeries};
-    use ebs_core::ids::{VdId, VmId};
-
-    fn group(members: Vec<VdSeries>) -> ThrottleGroup {
-        let ticks = members[0].read.len();
-        ThrottleGroup {
-            kind: GroupKind::MultiVdVm(VmId(0)),
-            members,
-            ticks,
-        }
-    }
-
-    fn vd(write: Vec<f64>, cap: f64) -> VdSeries {
-        let read = vec![0.0; write.len()];
-        VdSeries {
-            vd: VdId(0),
-            read,
-            write,
-            cap,
-        }
-    }
+    use crate::scenario::fixture::{group, vd};
+    use crate::scenario::CapDim;
 
     #[test]
     fn predictive_lender_refuses_when_ramping_up() {
@@ -218,12 +129,10 @@ mod tests {
     fn predictive_cuts_the_negative_tail_fleet_wide() {
         let ds = ebs_workload::generate(&ebs_workload::WorkloadConfig::medium(111)).unwrap();
         let groups = crate::scenario::build_groups(&ds.fleet, &ds.compute, CapDim::Throughput);
-        let base = LendingConfig {
-            p: 0.8,
-            period_ticks: 6,
-        };
-        let plain = crate::lending::lending_gains(&groups, &base);
-        let predictive = predictive_lending_gains(&groups, &PredictiveConfig { base, safety: 1.2 });
+        // p = 0.8 over 6-tick periods, with a 1.2× safety margin.
+        let config = PredictiveConfig::default();
+        let plain = crate::lending::lending_gains(&groups, &config.base);
+        let predictive = predictive_lending_gains(&groups, &config);
         let neg = |v: &[f64]| v.iter().filter(|&&g| g < 0.0).count() as f64 / v.len() as f64;
         assert!(!plain.is_empty() && !predictive.is_empty());
         assert!(

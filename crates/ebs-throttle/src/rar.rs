@@ -52,26 +52,7 @@ pub fn throttle_event_count(group: &ThrottleGroup) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{GroupKind, VdSeries};
-    use ebs_core::ids::{VdId, VmId};
-
-    fn group(members: Vec<VdSeries>) -> ThrottleGroup {
-        let ticks = members[0].read.len();
-        ThrottleGroup {
-            kind: GroupKind::MultiVdVm(VmId(0)),
-            members,
-            ticks,
-        }
-    }
-
-    fn vd(read: Vec<f64>, write: Vec<f64>, cap: f64) -> VdSeries {
-        VdSeries {
-            vd: VdId(0),
-            read,
-            write,
-            cap,
-        }
-    }
+    use crate::scenario::fixture::{group, rw as vd};
 
     #[test]
     fn rar_reflects_headroom() {

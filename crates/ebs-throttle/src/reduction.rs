@@ -28,27 +28,7 @@ pub fn reduction_rates(group: &ThrottleGroup, p: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{GroupKind, VdSeries};
-    use ebs_core::ids::{VdId, VmId};
-
-    fn group(members: Vec<VdSeries>) -> ThrottleGroup {
-        let ticks = members[0].read.len();
-        ThrottleGroup {
-            kind: GroupKind::MultiVdVm(VmId(0)),
-            members,
-            ticks,
-        }
-    }
-
-    fn vd(write: Vec<f64>, cap: f64) -> VdSeries {
-        let read = vec![0.0; write.len()];
-        VdSeries {
-            vd: VdId(0),
-            read,
-            write,
-            cap,
-        }
-    }
+    use crate::scenario::fixture::{group, vd};
 
     #[test]
     fn rr_shrinks_with_available_resource() {

@@ -179,6 +179,37 @@ pub fn build_groups(fleet: &Fleet, metrics: &ComputeMetrics, dim: CapDim) -> Vec
     groups
 }
 
+/// Hand-written groups for the unit tests of this crate.
+#[cfg(test)]
+pub(crate) mod fixture {
+    use super::*;
+
+    /// One VM's group of `members`, over the first member's ticks.
+    pub(crate) fn group(members: Vec<VdSeries>) -> ThrottleGroup {
+        let ticks = members.first().map_or(0, |m| m.read.len());
+        ThrottleGroup {
+            kind: GroupKind::MultiVdVm(VmId(0)),
+            members,
+            ticks,
+        }
+    }
+
+    /// A member with per-tick `read` and `write` demand and cap `cap`.
+    pub(crate) fn rw(read: Vec<f64>, write: Vec<f64>, cap: f64) -> VdSeries {
+        VdSeries {
+            vd: VdId(0),
+            read,
+            write,
+            cap,
+        }
+    }
+
+    /// A write-only member.
+    pub(crate) fn vd(write: Vec<f64>, cap: f64) -> VdSeries {
+        rw(vec![0.0; write.len()], write, cap)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

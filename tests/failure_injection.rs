@@ -2,8 +2,11 @@
 //! loudly on malformed input and degrade gracefully on empty input — never
 //! panic, never fabricate numbers.
 
+use ebs::core::error::EbsError;
 use ebs::core::ids::VdId;
 use ebs::core::io::{IoEvent, Op};
+use ebs::core::metric::Series;
+use ebs::core::time::TickSpec;
 use ebs::stack::sim::{StackConfig, StackSim};
 use ebs::workload::{generate, WorkloadConfig};
 
@@ -11,6 +14,18 @@ use ebs::workload::{generate, WorkloadConfig};
 /// `ebs-store`'s own unit tests as their differential oracle.
 #[path = "../crates/ebs-store/tests/oracle/series_v2.rs"]
 mod series_oracle;
+
+/// Decode a metric payload as the loaders do: sealed as a chunk of its
+/// own and read through `ChunkReader::read_series_set`'s window.
+fn decode_sealed(payload: &[u8]) -> Result<(TickSpec, Vec<Series>), EbsError> {
+    let mut w = ebs::store::StoreWriter::new(Vec::new()).unwrap();
+    w.write_chunk(ebs::store::format::kind::COMPUTE_METRICS, payload)
+        .unwrap();
+    let bytes = w.finish().unwrap();
+    let mut r = ebs::store::ChunkReader::new(&bytes[..]).unwrap();
+    r.next_frame().unwrap().expect("one chunk");
+    r.read_series_set("compute")
+}
 
 #[test]
 fn stack_rejects_out_of_range_offsets() {
@@ -109,7 +124,6 @@ fn bad_workload_configs_are_rejected_not_misgenerated() {
 
 #[test]
 fn non_finite_durations_and_traffic_scales_are_invalid_configs() {
-    use ebs::core::error::EbsError;
     let lasting = |duration_secs| WorkloadConfig {
         duration_secs,
         ..WorkloadConfig::quick(1)
@@ -135,7 +149,6 @@ fn non_finite_durations_and_traffic_scales_are_invalid_configs() {
 
 #[test]
 fn store_config_with_a_nan_duration_is_corrupt_store() {
-    use ebs::core::error::EbsError;
     let dir = ebs::core::TempDir::new("failinj-nan-duration").unwrap();
     let path = dir.join("nan.ebs");
     let mut ds = generate(&WorkloadConfig::quick(3)).unwrap();
@@ -186,7 +199,6 @@ fn load_bytes(
 
 #[test]
 fn store_truncated_at_any_sampled_prefix_is_a_typed_error_not_a_panic() {
-    use ebs::core::error::EbsError;
     let bytes = saved_store_bytes();
     // Sample ~60 cut points across the file, plus the structural boundaries
     // (mid-magic, mid-version, mid-frame, first payload byte).
@@ -205,7 +217,6 @@ fn store_truncated_at_any_sampled_prefix_is_a_typed_error_not_a_panic() {
 
 #[test]
 fn store_flipped_payload_byte_is_a_checksum_mismatch() {
-    use ebs::core::error::EbsError;
     use ebs::store::{FRAME_LEN, HEADER_LEN};
     let mut bytes = saved_store_bytes();
     let at = HEADER_LEN + FRAME_LEN + 3; // inside the first chunk's payload
@@ -232,13 +243,12 @@ fn payload_span(bytes: &[u8], want: u8) -> std::ops::Range<usize> {
 /// Flip, in the metric payload at `span` of `bytes`, the first byte from
 /// its 100th on whose flip the payload alone fails to decode.
 fn flip_to_a_decode_error(bytes: &mut [u8], span: std::ops::Range<usize>) {
-    use ebs::store::decode_series_set;
     let payload = &bytes[span.clone()];
     let at = (100..payload.len())
         .find(|&i| {
             let mut flipped = payload.to_vec();
             flipped[i] ^= 0x40;
-            decode_series_set(&flipped, "metrics").is_err()
+            decode_sealed(&flipped).is_err()
         })
         .expect("some flip breaks the decode");
     bytes[span.start + at] ^= 0x40;
@@ -250,7 +260,6 @@ fn flip_to_a_decode_error(bytes: &mut [u8], span: std::ops::Range<usize>) {
 /// but the seal settles before any decode error is reported.
 #[test]
 fn store_flipped_metric_byte_is_a_checksum_mismatch_not_a_decode_error() {
-    use ebs::core::error::EbsError;
     use ebs::store::format::kind;
     use ebs::store::SERIES_WINDOW;
     let config = WorkloadConfig::medium(1);
@@ -297,7 +306,6 @@ fn store_flipped_metric_byte_is_a_checksum_mismatch_not_a_decode_error() {
 
 #[test]
 fn store_wrong_magic_is_corrupt_store() {
-    use ebs::core::error::EbsError;
     let mut bytes = saved_store_bytes();
     bytes[..8].copy_from_slice(b"NOTEBSST");
     let err = load_bytes(&bytes, "magic").expect_err("wrong magic must not load");
@@ -306,7 +314,6 @@ fn store_wrong_magic_is_corrupt_store() {
 
 #[test]
 fn store_future_version_is_version_skew() {
-    use ebs::core::error::EbsError;
     use ebs::store::VERSION;
     // The retired v1 and any newer version are skew, reported with the one
     // version this reader reads; v0 was never a format, so it is corrupt.
@@ -326,7 +333,6 @@ fn store_future_version_is_version_skew() {
 
 #[test]
 fn store_metric_grid_contradicting_the_config_is_corrupt_store() {
-    use ebs::core::error::EbsError;
     use ebs::core::ids::QpId;
     use ebs::core::metric::{Flow, Series};
     use ebs::core::time::TickSpec;
@@ -367,7 +373,6 @@ fn config_past_the_tick_range() -> WorkloadConfig {
 
 #[test]
 fn store_generate_rejects_a_grid_past_the_series_tick_range() {
-    use ebs::core::error::EbsError;
     let err = generate(&config_past_the_tick_range()).expect_err("a 65,537-tick grid");
     assert!(
         matches!(&err, EbsError::InvalidConfig(msg) if msg.contains("65537 ticks")),
@@ -377,7 +382,6 @@ fn store_generate_rejects_a_grid_past_the_series_tick_range() {
 
 #[test]
 fn store_config_declaring_a_grid_past_the_series_tick_range_is_corrupt_store() {
-    use ebs::core::error::EbsError;
     let dir = ebs::core::TempDir::new("failinj-tick-range").unwrap();
     let path = dir.join("range.ebs");
     let mut ds = generate(&WorkloadConfig::quick(3)).unwrap();
@@ -433,7 +437,6 @@ fn rewrite_shard(dir: &std::path::Path, index: usize, dropped: &[usize]) {
 /// the serve loop's events-only load — refuses the store in `dir` with a
 /// typed `CorruptStore` that names `shard` and says `why`.
 fn assert_every_sharded_reader_blames(dir: &std::path::Path, shard: usize, why: &str) {
-    use ebs::core::error::EbsError;
     use ebs::serve::{load, ServeSource};
     let name = ebs::store::shard_file_name(shard);
     let results = [
@@ -539,7 +542,6 @@ fn v2_event_decoder_survives_every_single_byte_flip() {
 
 #[test]
 fn v2_column_shift_corruptions_are_typed_errors() {
-    use ebs::core::error::EbsError;
     use ebs::store::codec::{column_tag, decode_column_into, encode_column, encode_group_varint};
     use ebs::store::{ByteReader, ByteWriter};
 
@@ -600,7 +602,7 @@ fn series_bits(series: &[ebs::core::metric::Series]) -> Vec<(u32, [u64; 4])> {
 
 #[test]
 fn v2_series_decoder_survives_truncation_and_flips() {
-    use ebs::store::{decode_series_set, encode_series_set};
+    use ebs::store::encode_series_set;
     let ds = generate(&WorkloadConfig::quick(505)).unwrap();
     let payload = encode_series_set(ds.compute.ticks, ds.compute.per_qp.as_slice());
     assert_eq!(
@@ -608,16 +610,16 @@ fn v2_series_decoder_survives_truncation_and_flips() {
         series_oracle::encode(ds.compute.ticks, ds.compute.per_qp.as_slice()),
         "batch encoder diverged from the per-value reference"
     );
-    let (ticks, series) = decode_series_set(&payload, "compute").expect("intact payload decodes");
+    let (ticks, series) = decode_sealed(&payload).expect("intact payload decodes");
     assert_eq!(ticks, ds.compute.ticks);
     assert_eq!(series.as_slice(), ds.compute.per_qp.as_slice());
     // Sampled strict prefixes must fail typed; sampled bit flips must fail
     // typed or decode to a well-formed set — never panic. Either way the
-    // batch decoder must land where the per-value reference lands: the
-    // same error variant, or the same bits. The sparse/raw/integral mode
-    // bytes all fall inside the sampled window.
+    // loaders' windowed decoder must land where the per-value reference
+    // lands: the same error variant, or the same bits. The
+    // sparse/raw/integral mode bytes all fall inside the sampled window.
     let same_outcome = |bytes: &[u8], what: &str| match (
-        decode_series_set(bytes, "compute"),
+        decode_sealed(bytes),
         series_oracle::decode(bytes, "compute"),
     ) {
         (Ok((gt, got)), Ok((wt, want))) => {
@@ -627,14 +629,14 @@ fn v2_series_decoder_survives_truncation_and_flips() {
         (Err(got), Err(want)) => assert_eq!(
             std::mem::discriminant(&got),
             std::mem::discriminant(&want),
-            "{what}: batch {got} vs reference {want}"
+            "{what}: loader {got} vs reference {want}"
         ),
-        (got, want) => panic!("{what}: batch {got:?} vs reference {want:?}"),
+        (got, want) => panic!("{what}: loader {got:?} vs reference {want:?}"),
     };
     let stride = (payload.len() / 512).max(1);
     for cut in (0..payload.len()).step_by(stride) {
         assert!(
-            decode_series_set(&payload[..cut], "compute").is_err(),
+            decode_sealed(&payload[..cut]).is_err(),
             "prefix of {cut} bytes decoded"
         );
         same_outcome(&payload[..cut], &format!("prefix of {cut} bytes"));
