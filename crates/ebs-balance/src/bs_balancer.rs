@@ -3,8 +3,8 @@
 //! Periodically (every storage tick, 30 s by default): compute each
 //! BlockServer's traffic for the period; any BS above `exporter_ratio` ×
 //! cluster average exports its hottest segments (top-x until their summed
-//! traffic exceeds `move_quota` × average) to an importer chosen by the
-//! configured strategy (§6.1.2). The balancer operates per data center —
+//! traffic exceeds `MOVE_QUOTA` = 0.2 × average) to an importer chosen by
+//! the configured strategy (§6.1.2). The balancer operates per data center —
 //! each DC's BlockServers form one storage cluster.
 
 use crate::importer::{select_importer, ImporterContext, ImporterSelect};
@@ -14,22 +14,20 @@ use ebs_core::rng::SimRng;
 use ebs_core::topology::Fleet;
 use ebs_stack::segment::SegmentMap;
 
+/// An exporter moves segments until their summed traffic exceeds this
+/// multiple of the cluster average (Appendix A).
+const MOVE_QUOTA: f64 = 0.2;
+
 /// Balancer configuration (Algorithm 1 defaults).
 #[derive(Clone, Debug)]
 pub struct BalancerConfig {
     /// Export when a BS carries ≥ this multiple of the cluster average.
     pub exporter_ratio: f64,
-    /// Export segments until their summed traffic exceeds this multiple of
-    /// the cluster average.
-    pub move_quota: f64,
     /// Importer-selection strategy.
     pub strategy: ImporterSelect,
     /// Traffic measure the balancer levels (the production balancer uses
     /// write traffic only, §2.2).
     pub measure: Measure,
-    /// Skip importers already holding another segment of the same VD
-    /// (reliability constraint, §6.1.3).
-    pub enforce_vd_spread: bool,
     /// Seed for the Random strategy.
     pub seed: u64,
 }
@@ -38,10 +36,8 @@ impl Default for BalancerConfig {
     fn default() -> Self {
         Self {
             exporter_ratio: 1.2,
-            move_quota: 0.2,
             strategy: ImporterSelect::MinTraffic,
             measure: Measure::WriteBytes,
-            enforce_vd_spread: false,
             seed: 0xBA1A_7CE5,
         }
     }
@@ -114,13 +110,12 @@ impl PeriodTraffic {
 /// the balanced measure (segments homed outside `bss` are never
 /// exported, so a caller may pass other clusters' too); `current` is the
 /// per-BS traffic, cluster-local in `bss` order, under `placement`;
-/// `history` is the per-BS traffic of past periods including this one.
-/// Exporters are the BSs at `exporter_ratio` × the cluster average or
-/// more, taken hottest-first; each exports its hottest segments until
-/// their traffic passes `move_quota` × the average, to the importer the
-/// strategy picks (or, under `enforce_vd_spread`, the least-loaded BS
-/// holding no other segment of the same VD). `current` takes each import
-/// as it happens.
+/// `history` is the per-BS traffic of past periods including this one
+/// (read only by the S3, S4 and S6 importers). Exporters are the BSs at
+/// `exporter_ratio` × the cluster average or more, taken hottest-first;
+/// each exports its hottest segments until their traffic passes
+/// `MOVE_QUOTA` (0.2) × the average, to the importer the strategy picks.
+/// `current` takes each import as it happens.
 ///
 /// `next` is the per-BS traffic of the next period under `placement`: the
 /// S5 Ideal importer's oracle. An online caller cannot observe it and
@@ -131,7 +126,6 @@ impl PeriodTraffic {
 /// `(segment, destination)`, in the order they were made.
 #[allow(clippy::too_many_arguments)]
 pub fn balance_step(
-    fleet: &Fleet,
     bss: &[BsId],
     segs: &[(SegId, f64)],
     placement: &SegmentMap,
@@ -169,13 +163,15 @@ pub fn balance_step(
         let Some(&exporter_bs) = bss.get(exporter) else {
             continue;
         };
-        // This exporter's segments active this period, hottest first.
+        // This exporter's segments active this period, hottest first. A
+        // pass has few exporters, so one scan each beats gathering per-BS
+        // lists up front at the cluster sizes the experiments run.
         let mut mine: Vec<(usize, SegId, f64)> = (segs.iter().zip(&homes).enumerate())
             .filter(|&(_, (_, &home))| home == exporter_bs)
             .map(|(at, (&(seg, v), _))| (at, seg, v))
             .collect();
         mine.sort_by(|a, b| b.2.total_cmp(&a.2));
-        let quota = config.move_quota * avg;
+        let quota = MOVE_QUOTA * avg;
         let mut exported = 0.0;
         for (at, seg, v) in mine {
             if exported > quota {
@@ -187,43 +183,10 @@ pub fn balance_step(
                 next,
                 exporter,
             };
-            let Some(mut importer) = select_importer(config.strategy, rng, &ctx) else {
+            let Some(importer) = select_importer(config.strategy, rng, &ctx) else {
                 ebs_obs::counter_add("balance.migrations_aborted", 1);
                 break;
             };
-            if config.enforce_vd_spread {
-                let Some(vd) = fleet.segments.get(seg).map(|s| s.vd) else {
-                    continue;
-                };
-                // A sibling's home, with this pass's moves applied.
-                let home = |s| {
-                    let moved = moves.iter().rev().find(|&&(m, _)| m == s);
-                    moved.map_or_else(|| placement.home_of(s), |&(_, to)| to)
-                };
-                let clash = |bs: BsId| {
-                    fleet
-                        .vds
-                        .get(vd)
-                        .is_some_and(|d| d.segments().any(|s| s != seg && home(s) == bs))
-                };
-                if bss.get(importer).is_some_and(|&bs| clash(bs)) {
-                    // Fall back to the least-loaded non-clashing BS.
-                    let alt = current
-                        .iter()
-                        .zip(bss)
-                        .enumerate()
-                        .filter(|&(i, (_, &bs))| i != exporter && !clash(bs))
-                        .min_by(|(_, (a, _)), (_, (b, _))| a.total_cmp(b))
-                        .map(|(i, _)| i);
-                    match alt {
-                        Some(a) => importer = a,
-                        None => {
-                            ebs_obs::counter_add("balance.migrations_aborted", 1);
-                            continue;
-                        }
-                    }
-                }
-            }
             let Some(&importer_bs) = bss.get(importer) else {
                 ebs_obs::counter_add("balance.migrations_aborted", 1);
                 continue;
@@ -274,9 +237,7 @@ pub fn balance_period(
         .get(p)
         .map(Vec::as_slice)
         .unwrap_or_default();
-    let moves = balance_step(
-        fleet, bss, segs, seg_map, current, history, &next, rng, config,
-    );
+    let moves = balance_step(bss, segs, seg_map, current, history, &next, rng, config);
     for &(seg, to) in &moves {
         seg_map.migrate(fleet, p as u32, seg, to);
     }
@@ -404,30 +365,50 @@ mod tests {
         }
     }
 
+    /// A BS that imports early in a pass and then crosses the trigger
+    /// exports from its list as it stands: the imported segment counts at
+    /// its new home, and its tie with the BS's own segment goes to the one
+    /// earlier in `segs`.
     #[test]
-    fn vd_spread_constraint_is_respected_by_migrations() {
+    fn an_importer_that_crosses_the_trigger_exports_what_it_imported() {
         let ds = dataset();
-        let cfg = BalancerConfig {
-            enforce_vd_spread: true,
-            ..BalancerConfig::default()
+        let placement = SegmentMap::from_fleet(&ds.fleet);
+        let on = |bs: BsId| -> Vec<SegId> {
+            let all = (0..ds.fleet.segments.len()).map(SegId::from_index);
+            all.filter(|&s| placement.home_of(s) == bs)
+                .take(3)
+                .collect()
         };
-        let run = run_balancer(&ds.fleet, &ds.storage, DcId(0), &cfg);
-        // Every *migrated* segment must not share its destination BS with a
-        // sibling segment of the same VD at the time of arrival. We verify
-        // the weaker invariant on the final placement for migrated
-        // segments: allowed collisions can only come from later moves of
-        // siblings, which this config never makes to an occupied BS.
-        for m in run.seg_map.log() {
-            let vd = ds.fleet.segments[m.seg].vd;
-            if run.seg_map.home_of(m.seg) != m.to {
-                continue; // segment moved again later
-            }
-            let collisions = ds.fleet.vds[vd]
-                .segments()
-                .filter(|&s| s != m.seg && run.seg_map.home_of(s) == m.to)
-                .count();
-            assert_eq!(collisions, 0, "segment {} collides with a sibling", m.seg);
-        }
+        let bss = &ds.fleet.bss_of_dc(DcId(0))[..3];
+        let (a, b, c) = (on(bss[0]), on(bss[1]), on(bss[2]));
+        assert!(a.len() == 3 && b.len() == 3 && c.len() == 3);
+        // A = 100, B = 45, C = 60: average 68.3, trigger 82, quota 13.7.
+        let segs = [
+            (a[0], 45.0),
+            (b[0], 45.0),
+            (a[1], 45.0),
+            (a[2], 10.0),
+            (c[0], 30.0),
+            (c[1], 30.0),
+        ];
+        let mut current = [100.0, 45.0, 60.0];
+        let mut rng = SimRng::seed_from_u64(1);
+        let cfg = BalancerConfig::default();
+        let moves = balance_step(
+            bss,
+            &segs,
+            &placement,
+            &mut current,
+            &[],
+            &[],
+            &mut rng,
+            &cfg,
+        );
+        // A's first hottest segment goes to the coolest BS, B (now 90);
+        // C stays under the trigger; B then exports the 45 it imported,
+        // ahead of its own 45 because it comes first in `segs`, to C.
+        assert_eq!(moves, [(a[0], bss[1]), (a[0], bss[2])]);
+        assert_eq!(current, [100.0, 90.0, 105.0]);
     }
 
     #[test]

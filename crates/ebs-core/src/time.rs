@@ -53,9 +53,6 @@ impl TickSpec {
 /// window (12 h at one-second ticks, §2.3) is 43,200 ticks.
 pub const MAX_TICKS: u32 = 1 << 16;
 
-/// Microseconds in one second.
-pub const US_PER_SEC: u64 = 1_000_000;
-
 /// The paper's observation window: a 12-hour daytime span (§3.1).
 pub const OBSERVATION_SECS: f64 = 12.0 * 3600.0;
 

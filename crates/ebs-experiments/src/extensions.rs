@@ -20,7 +20,7 @@ use ebs_cache::utilization::CACHEABLE_THRESHOLD;
 use ebs_core::io::Op;
 use ebs_core::parallel::par_map_deterministic;
 use ebs_throttle::lending::{lending_gains, LendingConfig};
-use ebs_throttle::predictive::{predictive_lending_gains, PredictiveConfig};
+use ebs_throttle::predictive::predictive_lending_gains;
 use ebs_throttle::scenario::{build_groups, CapDim};
 use ebs_workload::Dataset;
 
@@ -47,7 +47,7 @@ pub fn lending_extension(ds: &Dataset) -> Vec<(f64, f64, f64, f64, f64)> {
     par_map_deterministic(&[0.4, 0.6, 0.8], |_, &p| {
         let base = LendingConfig { p, period_ticks: 6 };
         let plain = lending_gains(&groups, &base);
-        let predictive = predictive_lending_gains(&groups, &PredictiveConfig { base, safety: 1.2 });
+        let predictive = predictive_lending_gains(&groups, &base);
         let neg = |v: &[f64]| {
             if v.is_empty() {
                 f64::NAN

@@ -200,7 +200,7 @@ pub struct OnlineBalancer {
 }
 
 impl OnlineBalancer {
-    /// A balancer with `cfg`'s trigger, quota, importer and spread rule.
+    /// A balancer with `cfg`'s trigger and importer.
     pub fn new(cfg: BalancerConfig) -> Self {
         let rngs = Vec::new();
         Self { cfg, rngs }
@@ -231,10 +231,14 @@ impl Policy for OnlineBalancer {
         for (dc, (segs, rng)) in segs_of.iter().zip(&mut self.rngs).enumerate() {
             let bss = fleet.bss_of_dc(DcId(dc as u32));
             let mut current: Vec<f64> = bss.iter().map(|bs| bs_bytes(newest, bs)).collect();
-            let window = |bs| view.epochs.iter().map(|e| bs_bytes(e, bs)).collect();
-            let history: Vec<Vec<f64>> = bss.iter().map(window).collect();
+            // Only the S3, S4 and S6 importers read the history.
+            let history: Vec<Vec<f64>> = if self.cfg.strategy.reads_history() {
+                let window = |bs| view.epochs.iter().map(|e| bs_bytes(e, bs)).collect();
+                bss.iter().map(window).collect()
+            } else {
+                Vec::new()
+            };
             let moves = balance_step(
-                fleet,
                 bss,
                 segs,
                 view.placement,

@@ -47,7 +47,6 @@ pub mod diting;
 pub mod hypervisor;
 pub mod latency;
 pub mod network;
-pub mod replication;
 pub mod route;
 pub mod segment;
 pub mod sim;
@@ -56,7 +55,6 @@ pub mod throttle_gate;
 pub use hypervisor::Binding;
 pub use latency::LatencyModel;
 pub use network::{FabricModel, Link};
-pub use replication::ReplicationPolicy;
 pub use route::{Route, RoutePlan};
 pub use segment::{Migration, SegmentMap};
 pub use sim::{SimOutput, SimSession, SimStats, StackConfig, StackSim};

@@ -5,9 +5,8 @@
 //! QP binding, and the segment placement, never on simulator
 //! configuration. [`RoutePlan`] resolves it once for a whole event slice
 //! into one [`Route`] per event that every simulation run *borrows*:
-//! config sweeps that keep the binding and segment map fixed (latency
-//! ablations, replication studies) share one plan instead of re-running
-//! `segment_at` per event per config point.
+//! config sweeps that keep the binding and segment map fixed share one
+//! plan instead of re-running `segment_at` per event per config point.
 //!
 //! This module is in the ebs-lint D3 *total* set: it must never panic, so
 //! every lookup is `get`-based and malformed input surfaces as

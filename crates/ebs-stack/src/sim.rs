@@ -4,7 +4,7 @@
 //! through the full path of Figure 1: QP → worker thread (with single-
 //! server queueing), optional per-VD throttle, frontend network,
 //! BlockServer (segment → home mapping), backend network, and ChunkServer
-//! (replicated writes) — and emits each IO's five-stage latency
+//! (three-way replicated writes) — and emits each IO's five-stage latency
 //! breakdown. [`crate::diting::assemble`] turns that column into the
 //! paper's trace records for the callers that read them.
 //!
@@ -12,13 +12,12 @@
 //! is the simulator's one schedule (DESIGN.md §16): a single pass over
 //! the events. Each event goes through its throttle gate and fabric
 //! links, draws its stage samples from the `stack/latency` stream in a
-//! fixed order, then goes through its WT queue and the write quorum. The
-//! output is one [`StageLatency`] per event, in event order.
+//! fixed order, then goes through its WT queue. The output is one
+//! [`StageLatency`] per event, in event order.
 
 use crate::hypervisor::{Binding, WtQueues};
 use crate::latency::LatencyModel;
 use crate::network::FabricModel;
-use crate::replication::ReplicationPolicy;
 use crate::route::{Route, RoutePlan};
 use crate::segment::SegmentMap;
 use crate::throttle_gate::VdGate;
@@ -39,14 +38,10 @@ pub struct StackConfig {
     /// Because the simulator sees the 1/3200-sampled stream, throttle caps
     /// are scaled by this factor so the gates fire at the same relative
     /// load as they would on the full population. Set to 1.0 when feeding
-    /// unsampled streams.
+    /// unsampled streams. Must be positive and finite.
     pub throttle_scale: f64,
     /// Latency model.
     pub latency: LatencyModel,
-    /// Write-path replication (EBS persists with redundancy before acking).
-    pub replication: ReplicationPolicy,
-    /// Model shared-link congestion on the frontend/backend fabrics.
-    pub model_congestion: bool,
 }
 
 impl Default for StackConfig {
@@ -56,8 +51,6 @@ impl Default for StackConfig {
             apply_throttle: true,
             throttle_scale: TRACE_SAMPLE_RATE,
             latency: LatencyModel::default(),
-            replication: ReplicationPolicy::THREE_WAY,
-            model_congestion: true,
         }
     }
 }
@@ -189,67 +182,39 @@ impl Machines {
     /// The gate/fabric step: pass one event through its VD's throttle
     /// gate and its CN uplink and SN backend link, in event order.
     #[inline]
-    fn admit(&mut self, config: &StackConfig, ev: &IoEvent, route: Route) -> Admitted {
+    fn admit(&mut self, ev: &IoEvent, route: Route) -> Admitted {
         let t = ev.t_us as f64;
         let throttle_us = match self.gates.get_mut(ev.vd.index()) {
             Some(Some(gate)) => gate.admit(t, ev.size),
             _ => 0.0,
         };
-        let (congestion_f, congestion_b) = if config.model_congestion {
-            let bytes = ev.size as f64;
-            (
-                self.fabric.frontend_transfer(route.cn.index(), t, bytes),
-                self.fabric.backend_transfer(route.sn.index(), t, bytes),
-            )
-        } else {
-            (1.0, 1.0)
-        };
+        let bytes = ev.size as f64;
         Admitted {
             throttle_us,
-            congestion_f,
-            congestion_b,
+            congestion_f: self.fabric.frontend_transfer(route.cn.index(), t, bytes),
+            congestion_b: self.fabric.backend_transfer(route.sn.index(), t, bytes),
         }
     }
 }
 
-/// One event's evaluated stage samples, before queueing, congestion and
-/// the write quorum.
-#[derive(Default)]
-struct EventDraws {
-    /// Compute, frontend, BlockServer and backend samples.
-    head: [f64; 4],
-    /// ChunkServer samples: one per read, one per replica per write.
-    cs: Vec<f64>,
-}
-
 /// The draw schedule of one event: compute, frontend, BlockServer and
-/// backend, then one ChunkServer read sample or one write sample per
-/// replica. Every sample consumes the `stack/latency` stream in this
-/// order. `d`'s ChunkServer buffer is reused, never reallocated per event.
+/// backend, then one ChunkServer read sample or the three replica write
+/// samples ([`LatencyModel::replicated_write`]). Every sample consumes the
+/// `stack/latency` stream in this order. Returns the five stage samples,
+/// before queueing and congestion.
 #[inline]
-fn draw_event(
-    d: &mut EventDraws,
-    latency: &LatencyModel,
-    rng: &mut SimRng,
-    ev: &IoEvent,
-    replicas: usize,
-) {
+fn draw_event(latency: &LatencyModel, rng: &mut SimRng, ev: &IoEvent) -> [f64; 5] {
     let size = ev.size;
-    d.head = [
+    [
         latency.compute.sample(rng, size),
         latency.frontend.sample(rng, size),
         latency.block_server.sample(rng, size),
         latency.backend.sample(rng, size),
-    ];
-    d.cs.clear();
-    match ev.op {
-        Op::Write => {
-            for _ in 0..replicas {
-                d.cs.push(latency.cs_write.sample(rng, size));
-            }
-        }
-        Op::Read => d.cs.push(latency.cs_read.sample(rng, size)),
-    }
+        match ev.op {
+            Op::Write => latency.replicated_write(rng, size),
+            Op::Read => latency.cs_read.sample(rng, size),
+        },
+    ]
 }
 
 /// The persistent half of latency assembly: WT busy-until clocks, the
@@ -259,7 +224,6 @@ fn draw_event(
 struct SimCore {
     queues: WtQueues,
     obs: Option<StackObs>,
-    replication: ReplicationPolicy,
     ios: u64,
     throttled: u64,
     total_latency: f64,
@@ -296,19 +260,18 @@ impl SliceOut {
 }
 
 impl SimCore {
-    fn new(fleet: &Fleet, config: &StackConfig) -> Self {
+    fn new(fleet: &Fleet) -> Self {
         Self {
             queues: WtQueues::new(fleet.wt_total),
             obs: ebs_obs::enabled().then(StackObs::default),
-            replication: config.replication,
             ios: 0,
             throttled: 0,
             total_latency: 0.0,
         }
     }
 
-    /// Latency assembly: WT queueing, fabric congestion, the write quorum,
-    /// obs, and the event's entry in the latency column.
+    /// Latency assembly: WT queueing, fabric congestion, obs, and the
+    /// event's entry in the latency column.
     #[inline]
     fn assemble(
         &mut self,
@@ -316,16 +279,12 @@ impl SimCore {
         ev: &IoEvent,
         route: Route,
         a: Admitted,
-        d: &mut EventDraws,
+        draws: [f64; 5],
     ) {
-        let [service, frontend, block_server_us, backend] = d.head;
+        let [service, frontend, block_server_us, backend, chunk_server_us] = draws;
         let wait = self
             .queues
             .serve(route.wt, ev.t_us as f64 + a.throttle_us, service);
-        let chunk_server_us = match ev.op {
-            Op::Write => self.replication.completing_ack(&mut d.cs),
-            Op::Read => d.cs.first().copied().unwrap_or(0.0),
-        };
         let lat = StageLatency {
             compute_us: a.throttle_us + wait + service,
             frontend_us: frontend * a.congestion_f,
@@ -438,17 +397,22 @@ pub struct SimSession<'a> {
 }
 
 impl<'a> SimSession<'a> {
-    /// Start a session over `fleet` with `config` (validates the
-    /// replication policy once, like a batch run).
+    /// Start a session over `fleet` with `config`. A `throttle_scale`
+    /// that is not a positive finite number is an invalid config.
     pub fn new(fleet: &'a Fleet, config: StackConfig) -> Result<Self, EbsError> {
-        config.replication.validate()?;
+        if !(config.throttle_scale > 0.0 && config.throttle_scale.is_finite()) {
+            return Err(EbsError::invalid_config(format!(
+                "throttle_scale {} is not a positive finite number",
+                config.throttle_scale
+            )));
+        }
         Ok(Self {
             fleet,
             machines: Machines::new(fleet, &config),
             rng: RngFactory::new(config.seed)
                 .child("stack")
                 .stream("latency"),
-            core: SimCore::new(fleet, &config),
+            core: SimCore::new(fleet),
             config,
         })
     }
@@ -465,19 +429,11 @@ impl<'a> SimSession<'a> {
                 "route plan does not cover the event slice",
             ));
         }
-        let replicas = usize::from(self.config.replication.replicas);
-        let mut draws = EventDraws::default();
         let mut out = SliceOut::with_capacity(events.len());
         for (ev, &route) in events.iter().zip(plan.routes()) {
-            let a = self.machines.admit(&self.config, ev, route);
-            draw_event(
-                &mut draws,
-                &self.config.latency,
-                &mut self.rng,
-                ev,
-                replicas,
-            );
-            self.core.assemble(&mut out, ev, route, a, &mut draws);
+            let a = self.machines.admit(ev, route);
+            let draws = draw_event(&self.config.latency, &mut self.rng, ev);
+            self.core.assemble(&mut out, ev, route, a, draws);
         }
         Ok(out.finish(&mut self.core))
     }
@@ -607,82 +563,55 @@ mod tests {
         assert_eq!(out.stats.throttled, 0);
     }
 
+    /// Each simulated write's ChunkServer latency is the largest of its
+    /// three replica draws, and each read's is its one draw: the draws
+    /// replayed off the `stack/latency` stream, bit for bit.
     #[test]
-    fn replication_lengthens_write_latency() {
-        let ds = generate(&WorkloadConfig::quick(38)).unwrap();
-        let mean_write = |policy| {
-            let cfg = StackConfig {
-                apply_throttle: false,
-                replication: policy,
-                ..StackConfig::default()
+    fn chunk_server_latency_is_the_slowest_of_the_replica_draws() {
+        let ds = generate(&WorkloadConfig::quick(39)).unwrap();
+        let config = StackConfig::default();
+        let out = StackSim::new(&ds.fleet, config.clone())
+            .run(&ds.events)
+            .unwrap();
+        let mut rng = RngFactory::new(config.seed)
+            .child("stack")
+            .stream("latency");
+        let m = &config.latency;
+        let mut writes = 0;
+        for (ev, lat) in ds.events.iter().zip(&out.lat) {
+            for stage in [&m.compute, &m.frontend, &m.block_server, &m.backend] {
+                stage.sample(&mut rng, ev.size);
+            }
+            let want = if ev.op.is_write() {
+                writes += 1;
+                let mut draws: Vec<f64> = (0..3)
+                    .map(|_| m.cs_write.sample(&mut rng, ev.size))
+                    .collect();
+                draws.sort_by(f64::total_cmp);
+                draws[2]
+            } else {
+                m.cs_read.sample(&mut rng, ev.size)
             };
-            let out = StackSim::new(&ds.fleet, cfg).run(&ds.events).unwrap();
-            let (sum, n) = ds
-                .events
-                .iter()
-                .zip(&out.lat)
-                .filter(|(ev, _)| ev.op.is_write())
-                .fold((0.0, 0u32), |(s, n), (_, lat)| {
-                    (s + lat.chunk_server_us, n + 1)
-                });
-            sum / n as f64
-        };
-        let single = mean_write(crate::replication::ReplicationPolicy::NONE);
-        let triple = mean_write(crate::replication::ReplicationPolicy::THREE_WAY);
-        assert!(
-            triple > single * 1.1,
-            "3-way {triple:.0} vs 1-way {single:.0}"
-        );
+            assert_eq!(lat.chunk_server_us.to_bits(), want.to_bits());
+        }
+        assert!(writes > 0);
     }
 
-    /// Each simulated write's ChunkServer latency is the quorum-th
-    /// smallest of its replica draws, and each read's is its one draw:
-    /// the draws replayed off the `stack/latency` stream, the order
-    /// statistic found by counting.
+    /// A throttle scale that is zero, negative or not finite is rejected
+    /// as an invalid config before any gate is built.
     #[test]
-    fn chunk_server_latency_is_the_quorum_order_statistic_of_the_replica_draws() {
-        let ds = generate(&WorkloadConfig::quick(39)).unwrap();
-        for (replicas, quorum) in [(1, 1), (2, 1), (3, 2), (3, 3), (5, 3)] {
+    fn bad_throttle_scales_are_invalid_configs() {
+        let ds = generate(&WorkloadConfig::quick(41)).unwrap();
+        for throttle_scale in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let config = StackConfig {
-                replication: ReplicationPolicy { replicas, quorum },
+                throttle_scale,
                 ..StackConfig::default()
             };
-            let out = StackSim::new(&ds.fleet, config.clone())
-                .run(&ds.events)
-                .unwrap();
-            let mut rng = RngFactory::new(config.seed)
-                .child("stack")
-                .stream("latency");
-            let m = &config.latency;
-            let mut writes = 0;
-            for (ev, lat) in ds.events.iter().zip(&out.lat) {
-                for stage in [&m.compute, &m.frontend, &m.block_server, &m.backend] {
-                    stage.sample(&mut rng, ev.size);
-                }
-                let want = if ev.op.is_write() {
-                    writes += 1;
-                    let draws: Vec<f64> = (0..replicas)
-                        .map(|_| m.cs_write.sample(&mut rng, ev.size))
-                        .collect();
-                    // The draw with fewer than `quorum` draws below it
-                    // and at least `quorum` at or below it.
-                    let k = usize::from(quorum);
-                    let below = |d: f64| draws.iter().filter(|&&o| o < d).count();
-                    let at_or_below = |d: f64| draws.iter().filter(|&&o| o <= d).count();
-                    *draws
-                        .iter()
-                        .find(|&&d| below(d) < k && at_or_below(d) >= k)
-                        .unwrap()
-                } else {
-                    m.cs_read.sample(&mut rng, ev.size)
-                };
-                assert_eq!(
-                    lat.chunk_server_us.to_bits(),
-                    want.to_bits(),
-                    "{quorum}-of-{replicas}"
-                );
-            }
-            assert!(writes > 0);
+            assert!(matches!(
+                SimSession::new(&ds.fleet, config.clone()),
+                Err(EbsError::InvalidConfig(_))
+            ));
+            assert!(StackSim::new(&ds.fleet, config).run(&ds.events).is_err());
         }
     }
 

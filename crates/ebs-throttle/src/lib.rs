@@ -26,7 +26,7 @@ pub mod reduction;
 pub mod scenario;
 
 pub use lending::{lending_gains, simulate_lending, LendingConfig, LendingOutcome};
-pub use predictive::{predictive_lending_gains, simulate_predictive_lending, PredictiveConfig};
+pub use predictive::{predictive_lending_gains, simulate_predictive_lending};
 pub use rar::{rar_samples, throttle_event_count, throttled_wr_ratios};
 pub use reduction::reduction_rates;
 pub use scenario::{build_groups, CapDim, GroupKind, ThrottleGroup, VdSeries};

@@ -302,25 +302,6 @@ fn batch_run(ds: &Dataset, cfg: &StackConfig) -> (SimOutput, TraceSet) {
     (out, traces)
 }
 
-/// Configs that change the simulator's shape: no throttle gates, a
-/// majority write quorum, no fabric congestion.
-fn variant_configs() -> [StackConfig; 3] {
-    [
-        StackConfig {
-            apply_throttle: false,
-            ..StackConfig::default()
-        },
-        StackConfig {
-            replication: ebs::stack::ReplicationPolicy::THREE_WAY_MAJORITY,
-            ..StackConfig::default()
-        },
-        StackConfig {
-            model_congestion: false,
-            ..StackConfig::default()
-        },
-    ]
-}
-
 /// The simulator's stats and trace records do not depend on the worker
 /// thread count (1, 2, 8) or on whether observability records, for every
 /// pinned seed.
@@ -358,8 +339,11 @@ fn session_slices_match_batch_run() {
     for seed in PARALLEL_SEEDS {
         let ds = generate(&WorkloadConfig::quick(seed)).unwrap();
         let n = ds.events.len();
-        let [v0, v1, v2] = variant_configs();
-        for cfg in [StackConfig::default(), v0, v1, v2] {
+        let unthrottled = StackConfig {
+            apply_throttle: false,
+            ..StackConfig::default()
+        };
+        for cfg in [StackConfig::default(), unthrottled] {
             let (whole, whole_traces) = batch_run(&ds, &cfg);
             let sim = StackSim::new(&ds.fleet, cfg.clone());
             let mut session = SimSession::new(&ds.fleet, cfg.clone()).unwrap();
@@ -386,67 +370,73 @@ fn session_slices_match_batch_run() {
     }
 }
 
-/// An independent oracle for the draw order. With the throttle and fabric
-/// congestion off, every stage but compute is a pure function of the
-/// `stack/latency` stream: per event, one `StageParams::sample` each for
-/// compute, frontend, BlockServer and backend, then one ChunkServer read
-/// sample or one write sample per replica reduced by the quorum. This
-/// re-derives those stages from a fresh stream, bit for bit; compute adds
-/// WT queueing to its service draw, so it can only be larger.
+/// An independent oracle for the draw order. With the throttle off,
+/// every stage but compute is a pure function of the `stack/latency`
+/// stream and the fabric links: per event, one `StageParams::sample` each
+/// for compute, frontend, BlockServer and backend, then one ChunkServer
+/// read sample or three write samples, the write completing at the
+/// slowest. The frontend and backend samples are scaled by the congestion
+/// of the event's CN uplink and SN backend link, replayed on a fresh
+/// `FabricModel` over the route plan. This re-derives those four stages
+/// from a fresh stream, bit for bit; compute adds WT queueing to its
+/// service draw, so it can only be larger.
 #[test]
 fn stage_latencies_follow_the_documented_draw_order() {
     use ebs::core::io::Op;
     use ebs::core::rng::RngFactory;
-    use ebs::stack::ReplicationPolicy;
+    use ebs::stack::FabricModel;
     let _obs = obs_guard().lock().unwrap();
     for seed in PARALLEL_SEEDS {
         let ds = generate(&WorkloadConfig::quick(seed)).unwrap();
-        for replication in [
-            ReplicationPolicy::THREE_WAY,
-            ReplicationPolicy::THREE_WAY_MAJORITY,
-        ] {
-            let cfg = StackConfig {
-                apply_throttle: false,
-                model_congestion: false,
-                replication,
-                ..StackConfig::default()
+        let cfg = StackConfig {
+            apply_throttle: false,
+            ..StackConfig::default()
+        };
+        let sim = StackSim::new(&ds.fleet, cfg.clone());
+        let plan = sim.plan(&ds.events).unwrap();
+        let out = sim.run_planned(&ds.events, &plan).unwrap();
+        let m = &cfg.latency;
+        let mut rng = RngFactory::new(cfg.seed).child("stack").stream("latency");
+        let mut fabric =
+            FabricModel::new(ds.fleet.compute_nodes.len(), ds.fleet.storage_nodes.len());
+        assert_eq!(out.lat.len(), ds.events.len());
+        let events = ds.events.iter().zip(plan.routes()).zip(&out.lat);
+        for (i, ((ev, route), lat)) in events.enumerate() {
+            let (t, bytes) = (ev.t_us as f64, ev.size as f64);
+            let congestion_f = fabric.frontend_transfer(route.cn.index(), t, bytes);
+            let congestion_b = fabric.backend_transfer(route.sn.index(), t, bytes);
+            let service = m.compute.sample(&mut rng, ev.size);
+            let frontend = m.frontend.sample(&mut rng, ev.size);
+            let block_server = m.block_server.sample(&mut rng, ev.size);
+            let backend = m.backend.sample(&mut rng, ev.size);
+            let chunk_server = match ev.op {
+                Op::Read => m.cs_read.sample(&mut rng, ev.size),
+                Op::Write => {
+                    let mut acks: Vec<f64> = (0..3)
+                        .map(|_| m.cs_write.sample(&mut rng, ev.size))
+                        .collect();
+                    acks.sort_by(f64::total_cmp);
+                    acks[2]
+                }
             };
-            let out = StackSim::new(&ds.fleet, cfg.clone())
-                .run(&ds.events)
-                .unwrap();
-            let m = &cfg.latency;
-            let mut rng = RngFactory::new(cfg.seed).child("stack").stream("latency");
-            let mut acks = Vec::new();
-            assert_eq!(out.lat.len(), ds.events.len());
-            for (i, (ev, lat)) in ds.events.iter().zip(&out.lat).enumerate() {
-                let service = m.compute.sample(&mut rng, ev.size);
-                let frontend = m.frontend.sample(&mut rng, ev.size);
-                let block_server = m.block_server.sample(&mut rng, ev.size);
-                let backend = m.backend.sample(&mut rng, ev.size);
-                let chunk_server = match ev.op {
-                    Op::Read => m.cs_read.sample(&mut rng, ev.size),
-                    Op::Write => {
-                        acks.clear();
-                        for _ in 0..replication.replicas {
-                            acks.push(m.cs_write.sample(&mut rng, ev.size));
-                        }
-                        replication.completing_ack(&mut acks)
-                    }
-                };
-                let got = [
-                    lat.frontend_us,
-                    lat.block_server_us,
-                    lat.backend_us,
-                    lat.chunk_server_us,
-                ];
-                let want = [frontend, block_server, backend, chunk_server];
-                assert_eq!(
-                    got.map(f64::to_bits),
-                    want.map(f64::to_bits),
-                    "seed={seed:#x} event {i}"
-                );
-                assert!(lat.compute_us >= service, "seed={seed:#x} event {i}");
-            }
+            let got = [
+                lat.frontend_us,
+                lat.block_server_us,
+                lat.backend_us,
+                lat.chunk_server_us,
+            ];
+            let want = [
+                frontend * congestion_f,
+                block_server,
+                backend * congestion_b,
+                chunk_server,
+            ];
+            assert_eq!(
+                got.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "seed={seed:#x} event {i}"
+            );
+            assert!(lat.compute_us >= service, "seed={seed:#x} event {i}");
         }
     }
 }
