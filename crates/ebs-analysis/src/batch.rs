@@ -14,8 +14,8 @@
 //! integers is exact and therefore associative. Reordering the adds —
 //! per-key partials, per-run batching — produces bit-identical results to
 //! the per-event reference loop, which is what lets the streaming summary
-//! assert equality against the materialized [`crate::quantile`] /
-//! [`crate::ccr`] / [`crate::p2a`] answers.
+//! assert equality against the materialized [`crate::quantile()`] /
+//! [`crate::ccr()`] / [`crate::p2a()`] answers.
 //!
 //! All kernels are total: out-of-range keys report `false` (or `None`)
 //! instead of panicking, because their inputs come from disk.
@@ -119,7 +119,7 @@ pub fn count_values(values: &[u64], counts: &mut BTreeMap<u32, u64>) -> bool {
 
 /// The `q`-quantile of a weighted histogram given as **sorted**
 /// `(value, count)` pairs, linear-interpolated between order statistics
-/// exactly like [`crate::quantile`] on the expanded multiset. `total`
+/// exactly like [`crate::quantile()`] on the expanded multiset. `total`
 /// is the sum of all counts; `None` when it is zero or the pairs do not
 /// cover it.
 pub fn weighted_quantile(pairs: &[(u32, u64)], total: u64, q: f64) -> Option<f64> {

@@ -6,7 +6,7 @@
 /// Returns `None` for an empty slice; NaNs are ignored.
 ///
 /// Runs in O(n) by selection, and returns exactly the bits a stable sort
-/// of `values` would give (see [`stable_order_stat`]).
+/// of `values` would give (see `stable_order_stat`).
 pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
     let mut v: Vec<f64> = values.iter().copied().filter(|x| !x.is_nan()).collect();
     if v.is_empty() {

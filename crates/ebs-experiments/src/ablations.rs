@@ -52,7 +52,7 @@ pub fn rebind_trigger_sweep(sh: &Shared) -> Vec<(f64, f64, f64)> {
 pub fn lending_rate_sweep(ds: &Dataset) -> Vec<(f64, f64, f64)> {
     let groups = build_groups(&ds.fleet, &ds.compute, CapDim::Throughput);
     par_map_deterministic(&LEND_RATES, |_, &p| {
-        let gains = lending_gains(&groups, &LendingConfig { p, period_ticks: 6 });
+        let gains = lending_gains(&groups, &LendingConfig { p });
         let pos = if gains.is_empty() {
             f64::NAN
         } else {

@@ -4,7 +4,7 @@
 //! `ebs_experiments::driver`); set `EBS_THREADS=1` for a serial run. The
 //! printed output is identical either way — and identical with `EBS_OBS=1`,
 //! which additionally writes the observability run report (default
-//! `OBS_report.jsonl`/`.csv`, override with `EBS_OBS_OUT`) without
+//! `OBS_report.jsonl`, override with `EBS_OBS_OUT`) without
 //! touching stdout.
 //!
 //! `--only <name>` prints one section of the driver's table (`table2`…

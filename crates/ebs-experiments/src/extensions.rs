@@ -45,7 +45,7 @@ pub fn importer_extension(sh: &Shared) -> Vec<(ImporterSelect, f64, usize)> {
 pub fn lending_extension(ds: &Dataset) -> Vec<(f64, f64, f64, f64, f64)> {
     let groups = build_groups(&ds.fleet, &ds.compute, CapDim::Throughput);
     par_map_deterministic(&[0.4, 0.6, 0.8], |_, &p| {
-        let base = LendingConfig { p, period_ticks: 6 };
+        let base = LendingConfig { p };
         let plain = lending_gains(&groups, &base);
         let predictive = predictive_lending_gains(&groups, &base);
         let neg = |v: &[f64]| {

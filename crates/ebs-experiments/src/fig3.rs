@@ -180,7 +180,7 @@ pub fn run(ds: &Dataset) -> Fig3 {
                 .filter(|g| kind_label(g) == kind)
                 .cloned()
                 .collect();
-            let gains = lending_gains(&subset, &LendingConfig { p, period_ticks: 6 });
+            let gains = lending_gains(&subset, &LendingConfig { p });
             let pos = if gains.is_empty() {
                 f64::NAN
             } else {

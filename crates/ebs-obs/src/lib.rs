@@ -52,7 +52,7 @@ use std::time::Instant;
 pub const OBS_ENV: &str = "EBS_OBS";
 
 /// Environment variable selecting the run-report base path (the report is
-/// written as `<base>.jsonl` and `<base>.csv`; default `OBS_report`).
+/// written as `<base>.jsonl`; default `OBS_report`).
 pub const OBS_OUT_ENV: &str = "EBS_OBS_OUT";
 
 /// Process-wide programmatic override: 0 = not set, 1 = forced off,

@@ -2,7 +2,7 @@
 //! accumulated stage timers, all keyed by dotted metric names.
 //!
 //! The registry is a plain value type — the global instance lives in
-//! [`crate::global`] behind a mutex, but simulators that run on worker
+//! `crate::global` behind a mutex, but simulators that run on worker
 //! threads record into a private `Registry` and [`Registry::merge`] it in
 //! at the end, so the hot path never touches a shared lock per event.
 //!

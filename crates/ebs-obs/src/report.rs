@@ -1,9 +1,9 @@
-//! Structured run reports: the registry snapshot rendered as JSONL and
-//! CSV, written next to the other run artifacts (`EBS_OBS_OUT`).
+//! Structured run reports: the registry snapshot rendered as JSONL,
+//! written next to the other run artifacts (`EBS_OBS_OUT`).
 //!
-//! One metric per line in both formats, in the registry's canonical order,
-//! so two runs that recorded the same deterministic metrics produce
-//! reports that differ only in wall-clock timer seconds.
+//! One metric per line, in the registry's canonical order, so two runs
+//! that recorded the same deterministic metrics produce reports that
+//! differ only in wall-clock timer seconds.
 
 use crate::registry::{Registry, Row};
 
@@ -69,56 +69,6 @@ pub fn to_jsonl(registry: &Registry) -> String {
     out
 }
 
-/// Render `registry` as CSV with a fixed header. The `value` column holds
-/// the count/gauge value, total histogram mass, or accumulated timer
-/// seconds; `detail` holds kind-specific extras (for a histogram, its
-/// out-of-bucket counts and its non-empty buckets as `lo..hi=count`).
-pub fn to_csv(registry: &Registry) -> String {
-    let mut out = String::from("kind,name,value,detail\n");
-    for row in registry.rows() {
-        let name = row.name().replace(',', ";");
-        match &row {
-            Row::Counter { value, .. } => {
-                out.push_str(&format!("counter,{name},{value},\n"));
-            }
-            Row::Gauge { value, .. } => {
-                out.push_str(&format!("gauge,{name},{value},\n"));
-            }
-            Row::Hist { hist, .. } => {
-                let buckets: Vec<String> = hist
-                    .buckets()
-                    .map(|(lo, hi, c)| format!("{lo}..{hi}={c}"))
-                    .collect();
-                out.push_str(&format!(
-                    "histogram,{name},{},underflow={};overflow={};invalid={};buckets={}\n",
-                    hist.total(),
-                    hist.underflow(),
-                    hist.overflow(),
-                    hist.invalid(),
-                    buckets.join("|")
-                ));
-            }
-            Row::Timer { stat, .. } => {
-                out.push_str(&format!(
-                    "timer,{name},{:.6},count={};max_s={:.6}\n",
-                    stat.seconds, stat.count, stat.max_seconds
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Write `<base>.jsonl` and `<base>.csv` for `registry`. Returns the two
-/// paths written.
-pub fn write_files(registry: &Registry, base: &str) -> std::io::Result<(String, String)> {
-    let jsonl = format!("{base}.jsonl");
-    let csv = format!("{base}.csv");
-    std::fs::write(&jsonl, to_jsonl(registry))?;
-    std::fs::write(&csv, to_csv(registry))?;
-    Ok((jsonl, csv))
-}
-
 /// The report path base: `EBS_OBS_OUT`, default `OBS_report`.
 #[allow(clippy::disallowed_methods, reason = "the named `EBS_OBS_OUT` read")]
 fn out_base() -> String {
@@ -126,12 +76,12 @@ fn out_base() -> String {
 }
 
 /// If observability is enabled, snapshot the global registry and write the
-/// run report to `EBS_OBS_OUT` (default `OBS_report`), logging one line to
-/// stderr. Stdout is never touched, preserving byte-identical program
-/// output. No-op (returning `None`) when observability is off or nothing
-/// was recorded.
+/// run report to `<EBS_OBS_OUT (default OBS_report)>.jsonl`, logging one
+/// line to stderr, and return the path written. Stdout is never touched,
+/// preserving byte-identical program output. No-op (returning `None`) when
+/// observability is off or nothing was recorded.
 #[allow(clippy::print_stderr, reason = "the report writer logs to stderr")]
-pub fn emit_global() -> Option<(String, String)> {
+pub fn emit_global() -> Option<String> {
     if !crate::enabled() {
         return None;
     }
@@ -139,17 +89,14 @@ pub fn emit_global() -> Option<(String, String)> {
     if snap.is_empty() {
         return None;
     }
-    let base = out_base();
-    match write_files(&snap, &base) {
-        Ok((jsonl, csv)) => {
-            eprintln!(
-                "obs: wrote {jsonl} and {csv} ({} metrics)",
-                snap.rows().len()
-            );
-            Some((jsonl, csv))
+    let path = format!("{}.jsonl", out_base());
+    match std::fs::write(&path, to_jsonl(&snap)) {
+        Ok(()) => {
+            eprintln!("obs: wrote {path} ({} metrics)", snap.rows().len());
+            Some(path)
         }
         Err(e) => {
-            eprintln!("obs: failed to write run report {base}.jsonl/.csv: {e}");
+            eprintln!("obs: failed to write run report {path}: {e}");
             None
         }
     }
@@ -209,22 +156,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_plus_rows() {
-        let text = to_csv(&sample());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 5);
-        assert_eq!(lines[0], "kind,name,value,detail");
-        assert_eq!(
-            lines[3],
-            "histogram,throttle.rar,4,underflow=0;overflow=0;invalid=1;\
-             buckets=0.09765625..0.1015625=1|0.59375..0.625=2"
-        );
-    }
-
-    #[test]
     fn exports_are_deterministic_across_identical_registries() {
         assert_eq!(to_jsonl(&sample()), to_jsonl(&sample()));
-        assert_eq!(to_csv(&sample()), to_csv(&sample()));
     }
 
     #[test]

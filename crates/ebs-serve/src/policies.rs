@@ -82,8 +82,7 @@ pub struct OnlineLender {
 
 impl OnlineLender {
     /// A lender with Algorithm 2's rate from `cfg` (the epoch is the
-    /// lending period, so `period_ticks` is ignored) and the simulator's
-    /// `throttle_scale`.
+    /// lending period) and the simulator's `throttle_scale`.
     pub fn new(cfg: LendingConfig, throttle_scale: f64) -> Self {
         Self {
             vd_bytes: Vec::new(),

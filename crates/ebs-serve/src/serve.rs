@@ -6,7 +6,7 @@
 //! placement, (2) advances the persistent [`SimSession`] over them —
 //! carrying throttle-gate levels, link rates, queue clocks, and the latency
 //! RNG across the cut, so a run under no-op policies is bit-identical to
-//! one batch [`StackSim::run_planned`] call — (3) folds the epoch into
+//! one batch [`ebs_stack::sim::StackSim::run_planned`] call — (3) folds the epoch into
 //! [`EpochStats`], pushes the sliding window, and (4) applies whatever
 //! [`Action`]s the policies emit *before* the next epoch is simulated.
 //!

@@ -572,7 +572,7 @@ impl ColumnPlan {
 }
 
 /// Append `vals` as a tagged column: the codec tag, the alignment shift,
-/// then the shifted column under the codec [`pick_group_varint`] selects
+/// then the shifted column under the codec `pick_group_varint` selects
 /// (frame-of-reference unless group varint is meaningfully smaller).
 /// Returns the bytes appended, for the per-column accounting the
 /// `--trace` stats report.

@@ -1949,7 +1949,9 @@ mod tests {
         assert_eq!(sample_bits(&got.unwrap().1), sample_bits(&series));
         while r.next_frame().unwrap().is_some() {}
         let mut whole = ChunkReader::new(bytes.as_slice()).unwrap();
-        while whole.next_chunk_into(&mut Vec::new()).unwrap().is_some() {}
+        while whole.next_frame().unwrap().is_some() {
+            whole.read_payload_into(&mut Vec::new()).unwrap();
+        }
         assert_eq!(r.end_summary(), whole.end_summary());
         assert_eq!(r.counts(), whole.counts());
         assert_eq!(r.counts(), (2, bytes.len() as u64));

@@ -31,11 +31,19 @@
 //! wrote (DESIGN.md §14). The
 //! [`writer::StoreWriter`] produces v2 containers; the
 //! [`reader::ChunkReader`] reads them back (a header of any other version
-//! is [`VersionSkew`]) and either materializes chunks fully or streams
-//! them one at a time into a [`stream::StreamSummary`], whose
+//! is [`VersionSkew`]).
+//!
+//! Every reader uses one protocol: [`ChunkReader::next_frame`] returns a
+//! chunk's kind and length, and the reader then reads the payload whole
+//! ([`ChunkReader::read_payload_into`]), decodes it as a metric series
+//! set through a fixed window ([`ChunkReader::read_series_set`]), or
+//! skips it by asking for the next frame — a skipped payload is still
+//! read and sealed, in 4 KiB pieces. [`fold_store`] streams a container's
+//! EVENTS chunks one at a time into a [`stream::StreamSummary`], whose
 //! column-at-a-time fold computes the paper's CCR / P2A / size-quantile
 //! statistics without ever holding the whole trace in memory — or
-//! allocating per chunk in steady state.
+//! allocating per chunk in steady state; [`StoreStats::scan`] accounts
+//! every byte of a container the same way.
 //!
 //! Failure model: every decode path returns a typed
 //! [`ebs_core::error::EbsError`] — [`Truncated`], [`ChecksumMismatch`],
@@ -85,7 +93,7 @@ pub use format::{
     EVENTS_PER_CHUNK, FRAME_LEN, HEADER_LEN, MAGIC, MAX_CHUNK_EVENTS, MAX_CHUNK_LEN, VERSION,
 };
 pub use manifest::{shard_file_name, ShardEntry, ShardManifest, ShardMeta, MANIFEST_FILE};
-pub use reader::{ChunkFrame, ChunkReader, EndSummary, EventChunks, SERIES_WINDOW};
+pub use reader::{ChunkFrame, ChunkReader, EndSummary, SERIES_WINDOW};
 pub use stats::StoreStats;
 pub use stream::{fold_store, StreamSummary};
 pub use writer::StoreWriter;

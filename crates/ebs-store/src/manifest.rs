@@ -194,14 +194,14 @@ impl ShardManifest {
         let mut reader = ChunkReader::new(input)?;
         let mut payload = Vec::new();
         let mut found = None;
-        while let Some(chunk_kind) = reader.next_chunk_into(&mut payload)? {
-            if chunk_kind == kind::MANIFEST {
+        while let Some(frame) = reader.next_frame()? {
+            if frame.kind == kind::MANIFEST {
                 if found.is_some() {
                     return Err(EbsError::corrupt_store(
                         "manifest container holds more than one MANIFEST chunk".to_string(),
                     ));
                 }
-                found = Some(Self::decode(&payload)?);
+                found = Some(Self::decode(reader.read_payload_into(&mut payload)?)?);
             }
         }
         found.ok_or_else(|| {

@@ -1,12 +1,15 @@
-//! Chunk-level store reader: validates the header, walks the sealed chunk
-//! sequence, and exposes a streaming event iterator that decodes one chunk
-//! at a time — aggregations over a large trace never hold more than one
-//! chunk's events live.
+//! Chunk-level store reader: validates the header and walks the sealed
+//! chunk sequence one frame at a time.
 //!
-//! A payload can also be read in pieces, sealed as they arrive: metric
-//! chunks, most of a store's bytes, decode series by series through a
-//! fixed window ([`ChunkReader::read_series_set`]), so a loader never
-//! holds a whole metric payload beside the series it decodes to.
+//! Every reader of a container follows one protocol: ask for the next
+//! frame ([`ChunkReader::next_frame`]), then read its payload whole
+//! ([`ChunkReader::read_payload_into`]), decode it as a metric series set
+//! ([`ChunkReader::read_series_set`]), or skip it by asking for the next
+//! frame. A skipped payload is still read and sealed, in 4 KiB pieces, so
+//! a reader that decodes only some chunk kinds holds none of the others.
+//! Metric chunks, most of a store's bytes, decode series by series
+//! through a fixed window, so a loader never holds a whole metric payload
+//! beside the series it decodes to.
 //!
 //! [`ChunkReader::new`] is the one place that reads the header version;
 //! everything past the header decodes format v2 only.
@@ -14,15 +17,11 @@
 use std::io::Read;
 
 use ebs_core::error::EbsError;
-use ebs_core::io::IoEvent;
 use ebs_core::metric::Series;
 use ebs_core::time::TickSpec;
 
 use crate::bytes::ByteReader;
-use crate::columns::{
-    decode_events_v2_into, decode_series_header, events_from_columns, EventColumnBytes,
-    EventScratch, SeriesDecoder, SERIES_CHUNK,
-};
+use crate::columns::{decode_series_header, SeriesDecoder, SERIES_CHUNK};
 use crate::format::{kind, FRAME_LEN, MAGIC, MAX_CHUNK_LEN, VERSION};
 use crate::seal::Sealer;
 
@@ -65,10 +64,11 @@ pub const SERIES_WINDOW: usize = 256 << 10;
 /// Streaming reader over the chunk sequence of an ebs-store container.
 ///
 /// A chunk is read as its frame ([`ChunkReader::next_frame`]) and then its
-/// payload, whole ([`ChunkReader::read_payload_into`]) or in pieces
-/// ([`ChunkReader::read_payload`]). The seal is computed as the pieces
-/// arrive and settled with the payload's last byte: the read that
-/// delivers it is the one that returns [`EbsError::ChecksumMismatch`].
+/// payload: whole ([`ChunkReader::read_payload_into`]), decoded through a
+/// window ([`ChunkReader::read_series_set`]), or skipped by the next
+/// `next_frame`. The seal is computed as the pieces arrive and settled
+/// with the payload's last byte: the read that delivers it is the one
+/// that returns [`EbsError::ChecksumMismatch`].
 #[derive(Debug)]
 pub struct ChunkReader<R: Read> {
     input: R,
@@ -125,23 +125,6 @@ impl<R: Read> ChunkReader<R> {
     #[cfg(test)]
     pub(crate) fn counts(&self) -> (u64, u64) {
         (self.chunks_read, self.bytes_read)
-    }
-
-    /// Read the next chunk's checksum-verified payload into `payload` and
-    /// return its kind tag (see [`crate::format::kind`]), or `Ok(None)`
-    /// after the END chunk. Streaming passes reuse one buffer across every
-    /// chunk, so steady-state reads allocate nothing.
-    ///
-    /// EOF anywhere before the END chunk is [`EbsError::Truncated`]; a
-    /// payload that does not match its frame seal is
-    /// [`EbsError::ChecksumMismatch`].
-    pub fn next_chunk_into(&mut self, payload: &mut Vec<u8>) -> Result<Option<u8>, EbsError> {
-        payload.clear();
-        let Some(frame) = self.next_frame()? else {
-            return Ok(None);
-        };
-        self.read_payload_into(payload)?;
-        Ok(Some(frame.kind))
     }
 
     /// Read the next chunk's frame, or `Ok(None)` after the END chunk,
@@ -227,7 +210,7 @@ impl<R: Read> ChunkReader<R> {
     /// Read the next bytes of the current chunk's payload into `buf`:
     /// as many as fit, or all that are left. Returns how many were read;
     /// the read that takes the payload's last byte settles its seal.
-    pub fn read_payload(&mut self, buf: &mut [u8]) -> Result<usize, EbsError> {
+    fn read_payload(&mut self, buf: &mut [u8]) -> Result<usize, EbsError> {
         let Some(pending) = &self.pending else {
             return Ok(0);
         };
@@ -324,20 +307,6 @@ impl<R: Read> ChunkReader<R> {
         win.next_decoded(self, |r| r.expect_end())?;
         Ok((spec, out))
     }
-
-    /// Turn this reader into a streaming iterator over decoded event
-    /// batches, skipping non-event chunks. Each `next()` call decodes one
-    /// chunk's events; the full trace is never materialized at once.
-    pub fn into_event_chunks(self) -> EventChunks<R> {
-        EventChunks {
-            reader: self,
-            payload: Vec::new(),
-            scratch: EventScratch::new(),
-            column_bytes: EventColumnBytes::default(),
-            events_seen: 0,
-            failed: false,
-        }
-    }
 }
 
 /// The part of a chunk payload a windowed decode holds: `buf[..filled]`
@@ -395,97 +364,6 @@ impl Window {
     }
 }
 
-/// Streaming iterator over the EVENTS chunks of a store.
-///
-/// Yields `Result<Vec<IoEvent>, EbsError>` batches, decoding each chunk
-/// through the batched column kernels (one payload buffer and one column
-/// scratch are reused across every chunk). After the END chunk it
-/// cross-checks the pinned event total; a mismatch surfaces as a final
-/// `Err`. After the first error the iterator fuses to `None`.
-#[derive(Debug)]
-pub struct EventChunks<R: Read> {
-    reader: ChunkReader<R>,
-    payload: Vec<u8>,
-    scratch: EventScratch,
-    column_bytes: EventColumnBytes,
-    events_seen: u64,
-    failed: bool,
-}
-
-impl<R: Read> EventChunks<R> {
-    /// Events decoded so far across all yielded batches.
-    pub fn events_seen(&self) -> u64 {
-        self.events_seen
-    }
-
-    /// The END summary, once the stream has completed cleanly.
-    pub fn end_summary(&self) -> Option<EndSummary> {
-        self.reader.end_summary()
-    }
-
-    /// Per-column byte accounting of the EVENTS chunks decoded so far.
-    pub fn column_bytes(&self) -> EventColumnBytes {
-        self.column_bytes
-    }
-
-    fn decode_payload(&mut self) -> Result<Vec<IoEvent>, EbsError> {
-        let acct = decode_events_v2_into(&self.payload, &mut self.scratch)?;
-        let mut events = Vec::new();
-        events_from_columns(&self.scratch.columns(), &mut events)?;
-        self.column_bytes.merge(&acct);
-        Ok(events)
-    }
-}
-
-impl<R: Read> Iterator for EventChunks<R> {
-    type Item = Result<Vec<IoEvent>, EbsError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            let mut payload = std::mem::take(&mut self.payload);
-            let next = self.reader.next_chunk_into(&mut payload);
-            self.payload = payload;
-            match next {
-                Ok(Some(chunk_kind)) => {
-                    if chunk_kind != kind::EVENTS {
-                        continue;
-                    }
-                    match self.decode_payload() {
-                        Ok(events) => {
-                            self.events_seen += events.len() as u64;
-                            ebs_obs::counter_add("store.events_streamed", events.len() as u64);
-                            ebs_obs::counter_add("store.bytes_streamed", self.payload.len() as u64);
-                            return Some(Ok(events));
-                        }
-                        Err(e) => {
-                            self.failed = true;
-                            return Some(Err(e));
-                        }
-                    }
-                }
-                Ok(None) => {
-                    let end = self.reader.end_summary().unwrap_or_default();
-                    if end.events != self.events_seen {
-                        self.failed = true;
-                        return Some(Err(EbsError::truncated(format!(
-                            "end chunk pins {} events but the stream held {}",
-                            end.events, self.events_seen
-                        ))));
-                    }
-                    return None;
-                }
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-    }
-}
-
 /// `read_exact` with EOF mapped to a labelled [`EbsError::Truncated`].
 fn read_exact<R: Read>(input: &mut R, buf: &mut [u8], what: &str) -> Result<(), EbsError> {
     input.read_exact(buf).map_err(|e| {
@@ -503,7 +381,7 @@ mod tests {
     use crate::seal::seal32;
     use crate::writer::StoreWriter;
     use ebs_core::ids::{QpId, VdId};
-    use ebs_core::io::Op;
+    use ebs_core::io::{IoEvent, Op};
 
     fn sample_events(n: u64) -> Vec<IoEvent> {
         (0..n)
@@ -518,12 +396,12 @@ mod tests {
             .collect()
     }
 
-    /// Every `(kind, payload)` chunk up to END, through `next_chunk_into`.
+    /// Every `(kind, payload)` chunk up to END, each payload read whole.
     fn read_all<R: Read>(r: &mut ChunkReader<R>) -> Result<Vec<(u8, Vec<u8>)>, EbsError> {
         let mut out = Vec::new();
         let mut payload = Vec::new();
-        while let Some(chunk_kind) = r.next_chunk_into(&mut payload)? {
-            out.push((chunk_kind, payload.clone()));
+        while let Some(frame) = r.next_frame()? {
+            out.push((frame.kind, r.read_payload_into(&mut payload)?.to_vec()));
         }
         Ok(out)
     }
@@ -542,6 +420,7 @@ mod tests {
         let mut r = ChunkReader::new(bytes.as_slice()).unwrap();
         let chunks = read_all(&mut r).unwrap();
         assert_eq!(chunks.len(), 1 + 4); // config + ceil(100/32) event chunks
+        assert_eq!(chunks[0], (kind::CONFIG, b"unused-config".to_vec()));
         assert_eq!(
             r.end_summary(),
             Some(EndSummary {
@@ -549,18 +428,6 @@ mod tests {
                 events: 100
             })
         );
-    }
-
-    #[test]
-    fn streaming_iterator_reassembles_the_trace() {
-        let events = sample_events(100);
-        let bytes = store_with(&events, 32);
-        let reader = ChunkReader::new(bytes.as_slice()).unwrap();
-        let mut streamed = Vec::new();
-        for batch in reader.into_event_chunks() {
-            streamed.extend(batch.unwrap());
-        }
-        assert_eq!(streamed, events);
     }
 
     #[test]
@@ -623,58 +490,8 @@ mod tests {
         bytes.extend_from_slice(&seal32(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
         let mut r = ChunkReader::new(bytes.as_slice()).unwrap();
-        let mut payload = Vec::new();
-        r.next_chunk_into(&mut payload).unwrap().unwrap();
-        let err = r.next_chunk_into(&mut payload).unwrap_err();
+        r.next_frame().unwrap().unwrap();
+        let err = r.next_frame().unwrap_err();
         assert!(matches!(err, EbsError::Truncated(_)), "{err}");
-    }
-
-    #[test]
-    fn streaming_detects_events_dropped_at_chunk_boundary() {
-        // Build a store whose END chunk pins more events than present by
-        // splicing out one event chunk and patching the chunk count.
-        let events = sample_events(64);
-        let bytes = store_with(&events, 16);
-        let mut r = ChunkReader::new(bytes.as_slice()).unwrap();
-        let chunks = read_all(&mut r).unwrap();
-        let end = r.end_summary().unwrap();
-        // Re-emit without the last event chunk but with the original totals.
-        let mut forged = Vec::new();
-        forged.extend_from_slice(&MAGIC);
-        forged.extend_from_slice(&VERSION.to_le_bytes());
-        for (chunk_kind, payload) in &chunks[..chunks.len() - 1] {
-            forged.push(*chunk_kind);
-            forged.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            forged.extend_from_slice(&seal32(payload).to_le_bytes());
-            forged.extend_from_slice(payload);
-        }
-        let mut endw = crate::bytes::ByteWriter::new();
-        endw.put_varint(end.chunks - 1); // chunk count matches, event total lies
-        endw.put_varint(end.events);
-        let end_payload = endw.into_bytes();
-        forged.push(kind::END);
-        forged.extend_from_slice(&(end_payload.len() as u32).to_le_bytes());
-        forged.extend_from_slice(&seal32(&end_payload).to_le_bytes());
-        forged.extend_from_slice(&end_payload);
-        let stream = ChunkReader::new(forged.as_slice())
-            .unwrap()
-            .into_event_chunks();
-        let last = stream.last().unwrap();
-        assert!(matches!(last, Err(EbsError::Truncated(_))));
-    }
-
-    #[test]
-    fn unknown_chunk_kinds_are_skipped_by_the_event_stream() {
-        let events = sample_events(10);
-        let mut w = StoreWriter::new(Vec::new()).unwrap();
-        w.write_chunk(0x7E, b"future optional chunk").unwrap();
-        w.write_events(&events).unwrap();
-        let bytes = w.finish().unwrap();
-        let streamed: Vec<IoEvent> = ChunkReader::new(bytes.as_slice())
-            .unwrap()
-            .into_event_chunks()
-            .flat_map(|b| b.unwrap())
-            .collect();
-        assert_eq!(streamed, events);
     }
 }

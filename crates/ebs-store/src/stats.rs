@@ -43,9 +43,10 @@ pub struct StoreStats {
 
 impl StoreStats {
     /// Scan a container from `input`, decoding each EVENTS chunk once
-    /// to attribute its payload bytes per column. One payload buffer and
-    /// one column scratch are reused, so the scan allocates O(chunk), not
-    /// O(file).
+    /// to attribute its payload bytes per column. Every other chunk is
+    /// counted from its frame and skipped, and one payload buffer and one
+    /// column scratch are reused, so the scan holds one EVENTS chunk at a
+    /// time, not a metric payload or the file.
     pub fn scan<R: Read>(input: R) -> Result<StoreStats, EbsError> {
         let mut reader = ChunkReader::new(input)?;
         let mut stats = StoreStats {
@@ -55,19 +56,20 @@ impl StoreStats {
         };
         let mut payload = Vec::new();
         let mut scratch = EventScratch::new();
-        while let Some(chunk_kind) = reader.next_chunk_into(&mut payload)? {
-            let len = payload.len() as u64;
+        while let Some(frame) = reader.next_frame()? {
+            let len = u64::from(frame.len);
             stats.chunks += 1;
             stats.frame_bytes += FRAME_LEN as u64;
             stats.file_bytes += FRAME_LEN as u64 + len;
-            match chunk_kind {
+            match frame.kind {
                 kind::CONFIG => stats.config_bytes += len,
                 kind::SPECS => stats.specs_bytes += len,
                 kind::COMPUTE_METRICS => stats.compute_bytes += len,
                 kind::STORAGE_METRICS => stats.storage_bytes += len,
                 kind::EVENTS => {
                     stats.events_bytes += len;
-                    let acct = decode_events_v2_into(&payload, &mut scratch)?;
+                    let payload = reader.read_payload_into(&mut payload)?;
+                    let acct = decode_events_v2_into(payload, &mut scratch)?;
                     stats.columns.merge(&acct);
                 }
                 _ => stats.other_bytes += len,
@@ -77,8 +79,8 @@ impl StoreStats {
             .end_summary()
             .ok_or_else(|| EbsError::truncated("store has no end chunk".to_string()))?;
         stats.events = end.events;
-        // The END chunk is not yielded by the iterator; account for it from
-        // the summary frame: its payload is two varints.
+        // `next_frame` reads the END chunk itself; account for it from the
+        // summary: its payload is two varints.
         let end_payload = varint_len(end.chunks) + varint_len(end.events);
         stats.end_bytes = end_payload;
         stats.frame_bytes += FRAME_LEN as u64;

@@ -4,9 +4,9 @@
 //! `Vec<IoEvent>`.
 //!
 //! The summary keeps O(vd_count + ticks + distinct sizes) state — per-VD
-//! byte totals feed [`ebs_analysis::ccr`], per-tick byte totals feed
-//! [`ebs_analysis::p2a`], and a size histogram answers quantiles with the
-//! same linear-interpolation convention as [`ebs_analysis::quantile`].
+//! byte totals feed [`ebs_analysis::ccr()`], per-tick byte totals feed
+//! [`ebs_analysis::p2a()`], and a size histogram answers quantiles with the
+//! same linear-interpolation convention as [`ebs_analysis::quantile()`].
 //!
 //! Two ingestion paths produce bit-identical summaries: the row-major
 //! [`fold_chunk`](StreamSummary::fold_chunk) reference loop, and the
@@ -202,7 +202,7 @@ impl StreamSummary {
     }
 
     /// The `q`-quantile of request sizes, linear-interpolated between order
-    /// statistics exactly like [`ebs_analysis::quantile`] — but computed
+    /// statistics exactly like [`ebs_analysis::quantile()`] — but computed
     /// from the weighted histogram, without expanding one value per event.
     pub fn size_quantile(&self, q: f64) -> Option<f64> {
         batch::weighted_quantile(&self.sorted_sizes(), self.events, q)
@@ -223,8 +223,10 @@ impl StreamSummary {
 /// Stream every EVENTS chunk of `reader` into `summary` through the
 /// batched column kernels and [`StreamSummary::fold_columns`] — one
 /// payload buffer and one [`EventScratch`] reused throughout, so the
-/// steady state allocates nothing per chunk. Cross-checks the END-chunk
-/// event total and returns it.
+/// steady state allocates nothing per chunk. Every other chunk is
+/// skipped unread (its seal is still checked), so the fold holds one
+/// chunk's events at a time. Cross-checks the END-chunk event total and
+/// returns it.
 pub fn fold_store<R: Read>(
     mut reader: ChunkReader<R>,
     summary: &mut StreamSummary,
@@ -232,11 +234,11 @@ pub fn fold_store<R: Read>(
     let mut payload = Vec::new();
     let mut scratch = EventScratch::new();
     let mut seen = 0u64;
-    while let Some(chunk_kind) = reader.next_chunk_into(&mut payload)? {
-        if chunk_kind != kind::EVENTS {
+    while let Some(frame) = reader.next_frame()? {
+        if frame.kind != kind::EVENTS {
             continue;
         }
-        decode_events_v2_into(&payload, &mut scratch)?;
+        decode_events_v2_into(reader.read_payload_into(&mut payload)?, &mut scratch)?;
         let cols = scratch.columns();
         summary.fold_columns(&cols)?;
         seen += cols.len() as u64;
@@ -320,20 +322,59 @@ mod tests {
         assert_eq!(rows.size_cdf_at(8192.0), cols_summary.size_cdf_at(8192.0));
     }
 
+    /// Fold the container `bytes` and check the result against folding
+    /// `evs` directly.
+    fn assert_folds_like(bytes: &[u8], evs: &[IoEvent]) {
+        let mut streamed = StreamSummary::new(2, grid());
+        let end = fold_store(ChunkReader::new(bytes).unwrap(), &mut streamed).unwrap();
+        assert_eq!(end.events, evs.len() as u64);
+        let mut direct = StreamSummary::new(2, grid());
+        direct.fold_chunk(evs).unwrap();
+        assert_eq!(streamed.events(), direct.events());
+        assert_eq!(streamed.bytes(), direct.bytes());
+        assert_eq!(streamed.vd_bytes(), direct.vd_bytes());
+        assert_eq!(streamed.tick_bytes(), direct.tick_bytes());
+        assert_eq!(streamed.size_quantile(0.5), direct.size_quantile(0.5));
+    }
+
     #[test]
     fn fold_store_streams_a_container_end_to_end() {
         let evs = events();
         let mut w = StoreWriter::new(Vec::new()).unwrap();
         w.write_events_chunked(&evs, 3).unwrap();
-        let bytes = w.finish().unwrap();
-        let mut streamed = StreamSummary::new(2, grid());
-        let end = fold_store(ChunkReader::new(bytes.as_slice()).unwrap(), &mut streamed).unwrap();
-        assert_eq!(end.events, evs.len() as u64);
-        let mut direct = StreamSummary::new(2, grid());
-        direct.fold_chunk(&evs).unwrap();
-        assert_eq!(streamed.vd_bytes(), direct.vd_bytes());
-        assert_eq!(streamed.tick_bytes(), direct.tick_bytes());
-        assert_eq!(streamed.size_quantile(0.5), direct.size_quantile(0.5));
+        assert_folds_like(&w.finish().unwrap(), &evs);
+    }
+
+    #[test]
+    fn fold_store_skips_chunks_it_does_not_decode() {
+        let evs = events();
+        let mut w = StoreWriter::new(Vec::new()).unwrap();
+        w.write_chunk(kind::CONFIG, b"config").unwrap();
+        w.write_chunk(0x7E, b"future optional chunk").unwrap();
+        w.write_events_chunked(&evs[..5], 2).unwrap();
+        w.write_chunk(kind::STORAGE_METRICS, &[0xAB; 5000]).unwrap();
+        w.write_events(&evs[5..]).unwrap();
+        assert_folds_like(&w.finish().unwrap(), &evs);
+    }
+
+    #[test]
+    fn fold_store_detects_events_missing_from_the_end_total() {
+        // An END chunk pinning one event more than the chunks hold, as when
+        // a whole EVENTS chunk is lost at a chunk boundary: every frame and
+        // seal stays intact. The END payload is two one-byte varints, the
+        // chunk count and then the event total, sealed by the four bytes
+        // before them.
+        let evs = events();
+        let mut w = StoreWriter::new(Vec::new()).unwrap();
+        w.write_events_chunked(&evs, 3).unwrap();
+        let mut bytes = w.finish().unwrap();
+        let n = bytes.len();
+        bytes[n - 1] += 1;
+        let seal = crate::seal::seal32(&bytes[n - 2..]);
+        bytes[n - 6..n - 2].copy_from_slice(&seal.to_le_bytes());
+        let mut summary = StreamSummary::new(2, grid());
+        let err = fold_store(ChunkReader::new(bytes.as_slice()).unwrap(), &mut summary);
+        assert!(matches!(err, Err(EbsError::Truncated(_))), "{err:?}");
     }
 
     #[test]

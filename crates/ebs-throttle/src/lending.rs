@@ -11,21 +11,19 @@
 
 use crate::scenario::ThrottleGroup;
 
+/// Period length in ticks: caps reset at period boundaries.
+const PERIOD_TICKS: usize = 6;
+
 /// Lending-simulation configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct LendingConfig {
     /// Lending rate `p ∈ (0, 1)`.
     pub p: f64,
-    /// Period length in ticks (caps reset at period boundaries).
-    pub period_ticks: usize,
 }
 
 impl Default for LendingConfig {
     fn default() -> Self {
-        Self {
-            p: 0.8,
-            period_ticks: 6,
-        }
+        Self { p: 0.8 }
     }
 }
 
@@ -124,7 +122,7 @@ pub fn simulate_lending(group: &ThrottleGroup, config: &LendingConfig) -> Lendin
 }
 
 /// The tick loop of Algorithm 2 over one group, lender `i` keeping
-/// `reserved(i, t)` at tick `t`: caps reset at each period boundary and
+/// `reserved(i, t)` at tick `t`: caps reset every [`PERIOD_TICKS`] and
 /// [`lend_step`] runs at the period's first throttle. Returns the outcome
 /// and the number of grants.
 pub(crate) fn lend_ticks(
@@ -133,7 +131,6 @@ pub(crate) fn lend_ticks(
     mut reserved: impl FnMut(usize, usize) -> f64,
 ) -> (LendingOutcome, u64) {
     assert!(config.p > 0.0 && config.p < 1.0, "p must be in (0, 1)");
-    assert!(config.period_ticks >= 1);
     let base_caps: Vec<f64> = group.members.iter().map(|m| m.cap).collect();
     let mut caps = base_caps.clone();
     let mut demand = Vec::with_capacity(base_caps.len());
@@ -142,7 +139,7 @@ pub(crate) fn lend_ticks(
     let mut lent_this_period = false;
     let mut grants = 0u64;
     for t in 0..group.ticks {
-        if t % config.period_ticks == 0 {
+        if t % PERIOD_TICKS == 0 {
             caps.copy_from_slice(&base_caps);
             lent_this_period = false;
         }
@@ -183,10 +180,6 @@ mod tests {
     use super::*;
     use crate::scenario::fixture::{group, vd};
 
-    fn config(p: f64, period_ticks: usize) -> LendingConfig {
-        LendingConfig { p, period_ticks }
-    }
-
     // Equal top demands pick the later borrower (`max_by`), in the
     // figures' sweep and in serve's lender alike: serve's old lender took
     // the earlier one, and the serve gold master was re-recorded when it
@@ -211,7 +204,7 @@ mod tests {
         // member 1 idles with cap 300. Lending p = 0.8 raises member 0's
         // cap above demand after the first tick.
         let g = group(vec![vd(vec![150.0; 6], 100.0), vd(vec![0.0; 6], 300.0)]);
-        let out = simulate_lending(&g, &config(0.8, 6));
+        let out = simulate_lending(&g, &LendingConfig { p: 0.8 });
         assert_eq!(out.throttled_without, 6);
         assert!(out.throttled_with < 6, "lending should clear later ticks");
         assert!(out.gain.unwrap() > 0.0);
@@ -220,12 +213,13 @@ mod tests {
     #[test]
     fn lender_burst_can_backfire() {
         // Member 0 throttles at tick 0; member 1 lends, then bursts to just
-        // under its original cap — now above its reduced cap → re-throttle.
+        // under its original cap — now above its reduced cap → re-throttle
+        // for the rest of the period.
         let g = group(vec![
-            vd(vec![150.0, 0.0, 0.0], 100.0),
-            vd(vec![0.0, 95.0, 95.0], 100.0),
+            vd(vec![150.0, 0.0, 0.0, 0.0, 0.0, 0.0], 100.0),
+            vd(vec![0.0, 95.0, 95.0, 0.0, 0.0, 0.0], 100.0),
         ]);
-        let out = simulate_lending(&g, &config(0.8, 3));
+        let out = simulate_lending(&g, &LendingConfig { p: 0.8 });
         // Without lending member 1 never throttles (95 < 100): baseline 1.
         assert_eq!(out.throttled_without, 1);
         assert!(
@@ -244,13 +238,15 @@ mod tests {
 
     #[test]
     fn caps_reset_each_period() {
-        // Throttle in period 0 triggers lending; in period 1 the caps are
-        // back, so the lender's 95-demand does not throttle.
-        let g = group(vec![
-            vd(vec![150.0, 0.0, 0.0, 0.0], 100.0),
-            vd(vec![0.0, 0.0, 95.0, 95.0], 100.0),
-        ]);
-        let out = simulate_lending(&g, &config(0.8, 2));
+        // Throttle in period 0 (ticks 0–5) triggers lending, which cuts the
+        // lender's cap to 20; in period 1 (ticks 6–11) the caps are back,
+        // so the lender's 95-demand does not throttle.
+        let mut borrower = vec![0.0; 12];
+        borrower[0] = 150.0;
+        let mut lender = vec![0.0; 12];
+        lender[6..].fill(95.0);
+        let g = group(vec![vd(borrower, 100.0), vd(lender, 100.0)]);
+        let out = simulate_lending(&g, &LendingConfig { p: 0.8 });
         assert_eq!(out.throttled_with, out.throttled_without);
     }
 
@@ -261,15 +257,15 @@ mod tests {
         // leaked, member 1 with demand just over half its cap would change
         // throttle state.
         let g = group(vec![
-            vd(vec![150.0; 4], 100.0),
-            vd(vec![40.0; 4], 100.0),
-            vd(vec![40.0; 4], 100.0),
+            vd(vec![150.0; 6], 100.0),
+            vd(vec![40.0; 6], 100.0),
+            vd(vec![40.0; 6], 100.0),
         ]);
-        let out = simulate_lending(&g, &config(0.5, 4));
-        // Baseline: member 0 throttled all 4 ticks.
-        assert_eq!(out.throttled_without, 4);
+        let out = simulate_lending(&g, &LendingConfig { p: 0.5 });
+        // Baseline: member 0 throttled all 6 ticks.
+        assert_eq!(out.throttled_without, 6);
         // Lending: AR = 300 − (100+40+40) = 120, lent = 60 → borrower cap
-        // 160 ≥ 150 clears ticks 1–3; each lender keeps cap 70 > 40 and
+        // 160 ≥ 150 clears ticks 1–5; each lender keeps cap 70 > 40 and
         // never throttles. Only the triggering tick 0 counts.
         assert_eq!(out.throttled_with, 1);
     }

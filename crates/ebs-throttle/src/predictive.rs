@@ -81,10 +81,7 @@ mod tests {
             vd(vec![0.0, 0.0, 0.0, 150.0, 0.0, 0.0], 100.0),
             vd(vec![20.0, 40.0, 60.0, 80.0, 99.0, 99.0], 100.0),
         ]);
-        let base = LendingConfig {
-            p: 0.9,
-            period_ticks: 6,
-        };
+        let base = LendingConfig { p: 0.9 };
         let plain = simulate_lending(&g, &base);
         let predictive = simulate_predictive_lending(&g, &base, &|| Box::new(LinearFit::default()));
         assert!(

@@ -66,4 +66,4 @@ pub use shard::{
     resolve_shards, ShardPlan, SHARDS_ENV,
 };
 pub use spatial::{build_plan, TrafficPlan};
-pub use store::{spec_rows, stream_events};
+pub use store::spec_rows;

@@ -42,14 +42,16 @@ use ebs_core::topology::Fleet;
 use ebs_store::format::{kind, EVENTS_PER_CHUNK};
 use ebs_store::manifest::{shard_file_name, ShardEntry, ShardManifest, ShardMeta, MANIFEST_FILE};
 use ebs_store::stream::{fold_store, StreamSummary};
-use ebs_store::{decode_events_into, ChunkReader, EventScratch, StoreWriter};
+use ebs_store::{ChunkReader, StoreWriter};
 
 use crate::config::WorkloadConfig;
 use crate::dataset::Dataset;
 use crate::fleet::build_fleet;
 use crate::generator::{generate_vd, Grid};
 use crate::spatial::{build_plan, TrafficPlan};
-use crate::store::{check_metric_grid, decode_config, encode_config, validate_events};
+use crate::store::{
+    check_metric_grid, decode_config, encode_config, read_chunks, validate_events, Chunks,
+};
 
 /// Environment variable selecting the shard count for sharded runs.
 pub const SHARDS_ENV: &str = "EBS_SHARDS";
@@ -317,17 +319,16 @@ fn open_shard(
 ) -> Result<ChunkReader<BufReader<File>>, EbsError> {
     let file = File::open(dir.join(&entry.name))?;
     let mut reader = ChunkReader::new(BufReader::new(file))?;
-    let mut payload = Vec::new();
-    let chunk_kind = reader.next_chunk_into(&mut payload)?.ok_or_else(|| {
+    let frame = reader.next_frame()?.ok_or_else(|| {
         EbsError::corrupt_store(format!("shard file {} holds no chunks", entry.name))
     })?;
-    if chunk_kind != kind::SHARD_META {
+    if frame.kind != kind::SHARD_META {
         return Err(EbsError::corrupt_store(format!(
             "shard file {} does not start with a SHARD_META chunk",
             entry.name
         )));
     }
-    let meta = ShardMeta::decode(&payload)?;
+    let meta = ShardMeta::decode(reader.read_payload_into(&mut Vec::new())?)?;
     if !meta.matches(index, entry) {
         return Err(EbsError::corrupt_store(format!(
             "shard file {} claims shard {} over vds [{}, {}) but the manifest entry \
@@ -381,70 +382,37 @@ pub fn replay_summary(dir: impl AsRef<Path>) -> Result<(ShardManifest, StreamSum
     Ok((manifest, total))
 }
 
-/// One shard's decoded content: its events and, when metrics were
-/// asked for, its per-QP and per-segment series.
-struct ShardLoad {
-    events: Vec<IoEvent>,
-    series: Option<(Vec<Series>, Vec<Series>)>,
-}
-
-/// Read and decode one shard file. `grids` holds the compute and storage
-/// tick grids when the caller wants metric series; without it the metric
-/// chunks are skipped, so metricless shards load too.
+/// Read and decode one shard file through the dataset loader's chunk
+/// loop. `grids` holds the compute and storage tick grids when the caller
+/// wants metric series, which the shard must then carry; without it the
+/// metric chunks are skipped, so metricless shards load too.
 fn load_shard(
     dir: &Path,
     index: usize,
     entry: &ShardEntry,
     grids: Option<(TickSpec, TickSpec)>,
-) -> Result<ShardLoad, EbsError> {
-    let mut reader = open_shard(dir, index, entry)?;
-    let mut events: Vec<IoEvent> = Vec::new();
-    let mut scratch = EventScratch::new();
-    let mut qp_series: Option<Vec<Series>> = None;
-    let mut seg_series: Option<Vec<Series>> = None;
-    let mut payload = Vec::new();
-    while let Some(frame) = reader.next_frame()? {
-        match (frame.kind, grids) {
-            (kind::EVENTS, _) => decode_events_into(
-                reader.read_payload_into(&mut payload)?,
-                &mut scratch,
-                &mut events,
-            )?,
-            (kind::COMPUTE_METRICS, Some((cticks, _))) => {
-                let (ticks, series) = reader.read_series_set("compute")?;
-                let domain = format!("shard {} compute", entry.name);
-                check_metric_grid(&domain, ticks, cticks, &series)?;
-                qp_series = Some(series);
-            }
-            (kind::STORAGE_METRICS, Some((_, sticks))) => {
-                let (ticks, series) = reader.read_series_set("storage")?;
-                let domain = format!("shard {} storage", entry.name);
-                check_metric_grid(&domain, ticks, sticks, &series)?;
-                seg_series = Some(series);
-            }
-            _ => {}
-        }
-    }
-    if events.len() as u64 != entry.events {
+) -> Result<Chunks, EbsError> {
+    let chunks = read_chunks(open_shard(dir, index, entry)?, grids.is_some())?;
+    if chunks.events.len() as u64 != entry.events {
         return Err(EbsError::corrupt_store(format!(
             "manifest pins {} events for shard {} but its chunks held {}",
             entry.events,
             entry.name,
-            events.len()
+            chunks.events.len()
         )));
     }
-    let series = match (grids, qp_series, seg_series) {
-        (None, _, _) => None,
-        (Some(_), Some(q), Some(s)) => Some((q, s)),
-        (Some(_), _, _) => {
+    if let Some((cticks, sticks)) = grids {
+        let (Some((ct, qp)), Some((st, seg))) = (&chunks.compute, &chunks.storage) else {
             return Err(EbsError::corrupt_store(format!(
                 "shard {} carries no metric chunks: it was generated without metrics \
                  and can only be replayed through the streaming summary",
                 entry.name
-            )))
-        }
-    };
-    Ok(ShardLoad { events, series })
+            )));
+        };
+        check_metric_grid(&format!("shard {} compute", entry.name), *ct, cticks, qp)?;
+        check_metric_grid(&format!("shard {} storage", entry.name), *st, sticks, seg)?;
+    }
+    Ok(chunks)
 }
 
 /// Read every shard of the trace in `dir` (in parallel, one worker per
@@ -460,7 +428,7 @@ fn load_shard(
 fn load_shards(
     dir: &Path,
     with_metrics: bool,
-) -> Result<(WorkloadConfig, Fleet, Vec<IoEvent>, Vec<ShardLoad>), EbsError> {
+) -> Result<(WorkloadConfig, Fleet, Vec<IoEvent>, Vec<Chunks>), EbsError> {
     let manifest = load_manifest(dir)?;
     let config = decode_config(&manifest.config)?;
     let fleet = build_fleet(&config)?;
@@ -512,9 +480,9 @@ impl Dataset {
         // Sized from the fleet, which the check below holds the shards to.
         let mut per_qp: Vec<Series> = Vec::with_capacity(fleet.qps.len());
         let mut per_seg: Vec<Series> = Vec::with_capacity(fleet.segments.len());
-        for (qp, seg) in loads.into_iter().filter_map(|l| l.series) {
-            per_qp.extend(qp);
-            per_seg.extend(seg);
+        for load in loads {
+            per_qp.extend(load.compute.into_iter().flat_map(|(_, qp)| qp));
+            per_seg.extend(load.storage.into_iter().flat_map(|(_, seg)| seg));
         }
         if per_qp.len() != fleet.qps.len() || per_seg.len() != fleet.segments.len() {
             return Err(EbsError::corrupt_store(format!(

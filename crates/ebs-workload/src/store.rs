@@ -1,6 +1,7 @@
 //! Dataset persistence: [`Dataset::save`] / [`Dataset::load`] over the
-//! `ebs-store` columnar container, plus a streaming event reader for
-//! analyses that never need the whole trace in memory.
+//! `ebs-store` columnar container. The chunk loop that decodes a
+//! container is shared with the shard loader; analyses that never need
+//! the whole trace in memory fold it with [`ebs_store::fold_store`].
 //!
 //! The fleet and the traffic plan are *not* stored: both are deterministic
 //! functions of the [`WorkloadConfig`] (`build_fleet` + `build_plan` draw
@@ -12,7 +13,7 @@
 //! subscriptions.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Read};
 use std::path::Path;
 
 use ebs_core::error::EbsError;
@@ -24,7 +25,7 @@ use ebs_core::topology::Fleet;
 use ebs_store::columns::{decode_specs, SpecRow};
 use ebs_store::format::{kind, EVENTS_PER_CHUNK};
 use ebs_store::{
-    decode_events_into, ByteReader, ByteWriter, ChunkReader, EventChunks, EventScratch, StoreWriter,
+    decode_events_into, ByteReader, ByteWriter, ChunkReader, EventScratch, StoreWriter,
 };
 
 use crate::config::WorkloadConfig;
@@ -173,63 +174,22 @@ impl Dataset {
     /// corrupt or mismatched store surfaces as a typed error — never as a
     /// panic in a downstream consumer like `EventIndex::build`.
     ///
-    /// The file is consumed in one streaming pass, and no metric payload
-    /// is ever held whole: the metric chunks, most of the file, decode
-    /// series by series through the reader's fixed window
+    /// The file is consumed in one streaming pass (`read_chunks`), and
+    /// no metric payload is ever held whole: the metric chunks, most of
+    /// the file, decode series by series through the reader's fixed window
     /// ([`ChunkReader::read_series_set`]), and the config, spec and event
     /// chunks through one small reused buffer.
     /// Peak memory is the decoded dataset plus about 1 MiB, where a
     /// whole-chunk read held a 4 MiB metric payload beside its series.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, EbsError> {
         let file = File::open(path.as_ref())?;
-        let mut reader = ChunkReader::new(BufReader::new(file))?;
+        let chunks = read_chunks(ChunkReader::new(BufReader::new(file))?, true)?;
 
-        let mut config_chunk: Option<WorkloadConfig> = None;
-        let mut specs_chunk: Option<Vec<SpecRow>> = None;
-        let mut compute_chunk: Option<(TickSpec, Vec<Series>)> = None;
-        let mut storage_chunk: Option<(TickSpec, Vec<Series>)> = None;
-        let mut events: Vec<IoEvent> = Vec::new();
-        let mut scratch = EventScratch::new();
-        let mut payload = Vec::new();
-        while let Some(frame) = reader.next_frame()? {
-            match frame.kind {
-                kind::COMPUTE_METRICS => set_unique(
-                    &mut compute_chunk,
-                    reader.read_series_set("compute")?,
-                    "compute metrics",
-                )?,
-                kind::STORAGE_METRICS => set_unique(
-                    &mut storage_chunk,
-                    reader.read_series_set("storage")?,
-                    "storage metrics",
-                )?,
-                kind::CONFIG => set_unique(
-                    &mut config_chunk,
-                    decode_config(reader.read_payload_into(&mut payload)?)?,
-                    "config",
-                )?,
-                kind::SPECS => set_unique(
-                    &mut specs_chunk,
-                    decode_specs(reader.read_payload_into(&mut payload)?)?,
-                    "specs",
-                )?,
-                kind::EVENTS => decode_events_into(
-                    reader.read_payload_into(&mut payload)?,
-                    &mut scratch,
-                    &mut events,
-                )?,
-                _ => {}
-            }
-        }
-        let end = reader
-            .end_summary()
-            .ok_or_else(|| EbsError::truncated("store has no end chunk".to_string()))?;
-
-        let config = require_chunk(config_chunk, "config")?;
+        let config = require_chunk(chunks.config, "config")?;
         let fleet = build_fleet(&config)?;
         let plan = build_plan(&config, &fleet);
 
-        let stored_specs = require_chunk(specs_chunk, "specs")?;
+        let stored_specs = require_chunk(chunks.specs, "specs")?;
         let rebuilt_specs = spec_rows(&fleet)?;
         if stored_specs != rebuilt_specs {
             return Err(EbsError::corrupt_store(format!(
@@ -240,20 +200,14 @@ impl Dataset {
             )));
         }
 
-        let (cticks, per_qp) = require_chunk(compute_chunk, "compute metrics")?;
+        let (cticks, per_qp) = require_chunk(chunks.compute, "compute metrics")?;
         check_entity_count("compute", per_qp.len(), fleet.qps.len())?;
         check_metric_grid("compute", cticks, config.compute_ticks(), &per_qp)?;
-        let (sticks, per_seg) = require_chunk(storage_chunk, "storage metrics")?;
+        let (sticks, per_seg) = require_chunk(chunks.storage, "storage metrics")?;
         check_entity_count("storage", per_seg.len(), fleet.segments.len())?;
         check_metric_grid("storage", sticks, config.storage_ticks(), &per_seg)?;
 
-        if events.len() as u64 != end.events {
-            return Err(EbsError::truncated(format!(
-                "end chunk pins {} events but chunks held {}",
-                end.events,
-                events.len()
-            )));
-        }
+        let mut events = chunks.events;
         validate_events(&events, &fleet)?;
         // The vector grew chunk by chunk; the dataset keeps it exact-size.
         events.shrink_to_fit();
@@ -276,13 +230,69 @@ impl Dataset {
     }
 }
 
-/// Open a streaming event reader over the store at `path`: yields decoded
-/// event batches one chunk at a time (non-event chunks are skipped), so
-/// aggregations such as [`ebs_store::StreamSummary`] run in O(chunk)
-/// memory regardless of trace size.
-pub fn stream_events(path: impl AsRef<Path>) -> Result<EventChunks<BufReader<File>>, EbsError> {
-    let file = File::open(path.as_ref())?;
-    Ok(ChunkReader::new(BufReader::new(file))?.into_event_chunks())
+/// The chunks of one container as [`read_chunks`] decodes them: a slot
+/// for each singleton chunk, and the events of every EVENTS chunk in file
+/// order.
+#[derive(Default)]
+pub(crate) struct Chunks {
+    pub(crate) config: Option<WorkloadConfig>,
+    pub(crate) specs: Option<Vec<SpecRow>>,
+    pub(crate) compute: Option<(TickSpec, Vec<Series>)>,
+    pub(crate) storage: Option<(TickSpec, Vec<Series>)>,
+    pub(crate) events: Vec<IoEvent>,
+}
+
+/// Walk `reader`'s frames to its END chunk, the one chunk loop of the
+/// dataset and shard loaders: each singleton chunk fills its slot (a
+/// second one is corruption), each EVENTS chunk appends its events, and
+/// unknown chunks are skipped — the metric chunks too, unless
+/// `with_metrics`. The events must add up to the END chunk's total.
+pub(crate) fn read_chunks<R: Read>(
+    mut reader: ChunkReader<R>,
+    with_metrics: bool,
+) -> Result<Chunks, EbsError> {
+    let mut chunks = Chunks::default();
+    let mut scratch = EventScratch::new();
+    let mut payload = Vec::new();
+    while let Some(frame) = reader.next_frame()? {
+        match frame.kind {
+            kind::COMPUTE_METRICS if with_metrics => set_unique(
+                &mut chunks.compute,
+                reader.read_series_set("compute")?,
+                "compute metrics",
+            )?,
+            kind::STORAGE_METRICS if with_metrics => set_unique(
+                &mut chunks.storage,
+                reader.read_series_set("storage")?,
+                "storage metrics",
+            )?,
+            kind::CONFIG => set_unique(
+                &mut chunks.config,
+                decode_config(reader.read_payload_into(&mut payload)?)?,
+                "config",
+            )?,
+            kind::SPECS => set_unique(
+                &mut chunks.specs,
+                decode_specs(reader.read_payload_into(&mut payload)?)?,
+                "specs",
+            )?,
+            kind::EVENTS => decode_events_into(
+                reader.read_payload_into(&mut payload)?,
+                &mut scratch,
+                &mut chunks.events,
+            )?,
+            _ => {}
+        }
+    }
+    let end = reader.end_summary().unwrap_or_default();
+    if chunks.events.len() as u64 != end.events {
+        return Err(EbsError::truncated(format!(
+            "end chunk pins {} events but chunks held {}",
+            end.events,
+            chunks.events.len()
+        )));
+    }
+    Ok(chunks)
 }
 
 /// Record a decoded singleton chunk; a second sighting is corruption.
@@ -450,41 +460,31 @@ mod tests {
     }
 
     #[test]
-    fn streaming_reader_sees_the_full_trace() {
+    fn streaming_fold_sees_the_full_trace() {
+        use ebs_store::{fold_store, StreamSummary};
         let ds = generate(&WorkloadConfig::quick(31)).unwrap();
         let (_p_dir, p) = tmp("stream.ebs");
         ds.save(&p).unwrap();
-        let mut streamed = Vec::new();
-        for batch in stream_events(&p).unwrap() {
-            streamed.extend(batch.unwrap());
-        }
-        assert_eq!(streamed, ds.events);
+        let ticks = ds.config.storage_ticks();
+        let mut streamed = StreamSummary::new(ds.fleet.vd_count(), ticks);
+        let reader = ChunkReader::new(BufReader::new(File::open(&p).unwrap())).unwrap();
+        let end = fold_store(reader, &mut streamed).unwrap();
+        assert_eq!(end.events, ds.events.len() as u64);
+        let mut direct = StreamSummary::new(ds.fleet.vd_count(), ticks);
+        direct.fold_chunk(&ds.events).unwrap();
+        assert_eq!(streamed.bytes(), direct.bytes());
+        assert_eq!(streamed.vd_bytes(), direct.vd_bytes());
+        assert_eq!(streamed.tick_bytes(), direct.tick_bytes());
     }
 
     #[test]
     fn tampered_spec_chunk_is_detected() {
-        let ds = generate(&WorkloadConfig::quick(47)).unwrap();
-        let (_p_dir, p) = tmp("tamper.ebs");
-        ds.save(&p).unwrap();
-        let bytes = std::fs::read(&p).unwrap();
-        // Re-frame the file with a forged config chunk whose seed differs:
-        // the rebuilt fleet then disagrees with the stored specs.
-        let mut forged_config = ds.config;
-        forged_config.seed ^= 1;
-        let mut r = ebs_store::ChunkReader::new(bytes.as_slice()).unwrap();
-        let mut w = ebs_store::StoreWriter::new(Vec::new()).unwrap();
-        let mut payload = Vec::new();
-        while let Some(chunk_kind) = r.next_chunk_into(&mut payload).unwrap() {
-            if chunk_kind == kind::CONFIG {
-                w.write_chunk(kind::CONFIG, &encode_config(&forged_config))
-                    .unwrap();
-            } else {
-                w.write_chunk(chunk_kind, &payload).unwrap();
-            }
-        }
-        let forged = w.finish().unwrap();
+        // Save the dataset under a config whose seed differs: the fleet
+        // rebuilt from it then disagrees with the stored specs.
+        let mut ds = generate(&WorkloadConfig::quick(47)).unwrap();
+        ds.config.seed ^= 1;
         let (_p2_dir, p2) = tmp("tamper-forged.ebs");
-        std::fs::write(&p2, forged).unwrap();
+        ds.save(&p2).unwrap();
         let err = Dataset::load(&p2).unwrap_err();
         assert!(matches!(err, EbsError::CorruptStore(_)), "{err}");
     }

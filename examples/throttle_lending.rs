@@ -37,7 +37,7 @@ fn main() {
     println!("\np    median RR   positive-gain%   median gain");
     for p in [0.2, 0.4, 0.6, 0.8] {
         let rr: Vec<f64> = groups.iter().flat_map(|g| reduction_rates(g, p)).collect();
-        let gains = lending_gains(&groups, &LendingConfig { p, period_ticks: 6 });
+        let gains = lending_gains(&groups, &LendingConfig { p });
         let pos = if gains.is_empty() {
             f64::NAN
         } else {

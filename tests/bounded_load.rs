@@ -1,17 +1,25 @@
-//! Bounded-memory store loading: `Dataset::load` may hold little beyond
-//! the dataset it returns. The metric chunks, most of a store's bytes,
-//! decode through a fixed window instead of being read whole, so the load
-//! peaks well under one metric payload (about 2.4 MB at medium scale)
-//! above its result: about 1 MiB, where a whole-chunk read peaked about
-//! 4.9 MiB above it.
+//! Bounded-memory store reading: `Dataset::load` may hold little beyond
+//! the dataset it returns, and the streaming readers little at all. The
+//! metric chunks, most of a store's bytes, decode through a fixed window
+//! instead of being read whole, so the load peaks well under one metric
+//! payload (about 2.4 MB at medium scale) above its result: about 1 MiB,
+//! where a whole-chunk read peaked about 4.9 MiB above it. `StoreStats::scan`
+//! and `fold_store` skip the metric chunks, sealing them in small pieces,
+//! so each holds one EVENTS chunk at a time; reading every payload whole,
+//! they peaked about 4.3 MiB above their start.
 //!
 //! The heap is measured by a counting global allocator, which sees every
 //! allocation in the process; this file is its own test binary with one
-//! test, so nothing else allocates while the load runs.
+//! test, so nothing else allocates while a reader runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use std::fs::File;
+use std::io::BufReader;
+use std::path::Path;
+
+use ebs::store::{fold_store, ChunkReader, StoreStats, StreamSummary};
 use ebs::workload::{generate, Dataset, WorkloadConfig};
 
 /// The system allocator, counting the bytes live and their peak.
@@ -73,6 +81,21 @@ static ALLOC: Counting = Counting;
 
 const MIB: f64 = (1 << 20) as f64;
 
+/// Run `read`: its result, the bytes it left live, and how far the heap
+/// peaked above where it started.
+fn measure<T>(read: impl FnOnce() -> T) -> (T, usize, usize) {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let out = read();
+    let after = LIVE.load(Ordering::Relaxed);
+    let peak = PEAK.load(Ordering::Relaxed);
+    (out, after.saturating_sub(before), peak - before)
+}
+
+fn open(path: &Path) -> BufReader<File> {
+    BufReader::new(File::open(path).unwrap())
+}
+
 #[test]
 fn medium_load_peaks_at_most_2_mib_above_its_dataset() {
     let ds = generate(&WorkloadConfig::medium(1)).unwrap();
@@ -80,14 +103,8 @@ fn medium_load_peaks_at_most_2_mib_above_its_dataset() {
     let path = dir.join("medium.ebs");
     ds.save(&path).unwrap();
 
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    let loaded = Dataset::load(&path).unwrap();
-    let after = LIVE.load(Ordering::Relaxed);
-    let peak = PEAK.load(Ordering::Relaxed);
-
-    let dataset = after - before;
-    let transient = peak - after;
+    let (loaded, dataset, peak) = measure(|| Dataset::load(&path).unwrap());
+    let transient = peak - dataset;
     println!(
         "medium load: dataset {:.2} MiB live, peak {:.2} MiB above it",
         dataset as f64 / MIB,
@@ -100,4 +117,23 @@ fn medium_load_peaks_at_most_2_mib_above_its_dataset() {
         transient as f64 / MIB,
         dataset as f64 / MIB
     );
+
+    let events = ds.events.len() as u64;
+    let (stats, _, scan_peak) = measure(|| StoreStats::scan(open(&path)).unwrap());
+    assert_eq!(stats.events, events);
+    let mut summary = StreamSummary::new(ds.fleet.vd_count(), ds.config.storage_ticks());
+    let (end, _, fold_peak) =
+        measure(|| fold_store(ChunkReader::new(open(&path)).unwrap(), &mut summary).unwrap());
+    assert_eq!((end.events, summary.events()), (events, events));
+    for (reader, peak) in [("StoreStats::scan", scan_peak), ("fold_store", fold_peak)] {
+        println!(
+            "medium {reader}: peak {:.2} MiB above its start",
+            peak as f64 / MIB
+        );
+        assert!(
+            peak as f64 <= MIB,
+            "{reader} peaked {:.2} MiB above its start",
+            peak as f64 / MIB
+        );
+    }
 }

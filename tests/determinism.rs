@@ -577,7 +577,9 @@ fn store_load_counters_match_a_whole_chunk_walk() {
     });
     let whole = counters(&|| {
         let mut reader = ChunkReader::new(bytes.as_slice()).unwrap();
-        while reader.next_chunk_into(&mut Vec::new()).unwrap().is_some() {}
+        while reader.next_frame().unwrap().is_some() {
+            reader.read_payload_into(&mut Vec::new()).unwrap();
+        }
     });
     ebs::obs::set_obs_override(None);
     assert_eq!(windowed, whole);

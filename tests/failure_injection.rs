@@ -405,27 +405,28 @@ fn sharded_store(tag: &str) -> ebs::core::TempDir {
     dir
 }
 
-/// Rewrite shard file `index` of the sharded store in `dir` without the
-/// chunks at the positions `dropped` names. Event chunks are re-encoded,
-/// so the END chunk pins exactly the events kept and only the manifest
-/// can tell a shard lost some.
-fn rewrite_shard(dir: &std::path::Path, index: usize, dropped: &[usize]) {
+/// Rewrite shard file `index` of the sharded store in `dir`, writing the
+/// chunk at each position `copies(position, kind)` times. Event chunks
+/// are re-encoded, so the END chunk pins exactly the events kept and only
+/// the manifest can tell a shard lost some.
+fn rewrite_shard(dir: &std::path::Path, index: usize, copies: impl Fn(usize, u8) -> usize) {
     use ebs::store::format::kind;
     use ebs::store::{decode_events_into, ChunkReader, EventScratch, StoreWriter};
     let path = dir.join(ebs::store::shard_file_name(index));
     let bytes = std::fs::read(&path).unwrap();
     let mut reader = ChunkReader::new(bytes.as_slice()).unwrap();
     let mut writer = StoreWriter::new(Vec::new()).unwrap();
-    let (mut payload, mut scratch) = (Vec::new(), EventScratch::new());
+    let (mut buf, mut scratch) = (Vec::new(), EventScratch::new());
     let mut position = 0;
-    while let Some(chunk_kind) = reader.next_chunk_into(&mut payload).unwrap() {
-        if !dropped.contains(&position) {
-            if chunk_kind == kind::EVENTS {
+    while let Some(frame) = reader.next_frame().unwrap() {
+        let payload = reader.read_payload_into(&mut buf).unwrap();
+        for _ in 0..copies(position, frame.kind) {
+            if frame.kind == kind::EVENTS {
                 let mut events = Vec::new();
-                decode_events_into(&payload, &mut scratch, &mut events).unwrap();
+                decode_events_into(payload, &mut scratch, &mut events).unwrap();
                 writer.write_events(&events).unwrap();
             } else {
-                writer.write_chunk(chunk_kind, &payload).unwrap();
+                writer.write_chunk(frame.kind, payload).unwrap();
             }
         }
         position += 1;
@@ -480,15 +481,96 @@ fn sharded_store_with_swapped_shard_files_is_corrupt_store() {
 #[test]
 fn sharded_store_shard_not_opening_with_its_meta_is_corrupt_store() {
     let dir = sharded_store("no-meta");
-    rewrite_shard(&dir, 1, &[0]); // chunk 0 is the SHARD_META
+    rewrite_shard(&dir, 1, |at, _| usize::from(at != 0)); // chunk 0 is the SHARD_META
     assert_every_sharded_reader_blames(&dir, 1, "does not start with a SHARD_META chunk");
 }
 
 #[test]
 fn sharded_store_shard_short_of_its_pinned_events_is_corrupt_store() {
     let dir = sharded_store("short");
-    rewrite_shard(&dir, 1, &[1]); // chunk 1 is the first EVENTS chunk
+    rewrite_shard(&dir, 1, |at, _| usize::from(at != 1)); // chunk 1 is the first EVENTS chunk
     assert_every_sharded_reader_blames(&dir, 1, "manifest pins");
+}
+
+/// A shard holding its storage metrics twice does not load: the loader
+/// refuses a second singleton chunk instead of keeping the last one. The
+/// events-only readers skip metric chunks, so only the full load sees it.
+#[test]
+fn sharded_store_shard_with_a_duplicated_metric_chunk_is_corrupt_store() {
+    use ebs::store::format::kind;
+    let dir = sharded_store("duplicated-metrics");
+    rewrite_shard(
+        &dir,
+        1,
+        |_, k| if k == kind::STORAGE_METRICS { 2 } else { 1 },
+    );
+    let err = ebs::workload::Dataset::load_sharded(&dir).map(drop);
+    assert!(
+        matches!(&err, Err(EbsError::CorruptStore(msg)) if msg.contains("more than one storage")),
+        "{err:?}"
+    );
+}
+
+/// `bytes` of a store file with its END chunk rewritten to pin `extra`
+/// more events than it did: every chunk and seal stays intact, so only
+/// the event total can show that events went missing.
+fn with_end_pinning_more_events(bytes: &[u8], extra: u64) -> Vec<u8> {
+    use ebs::store::format::kind;
+    use ebs::store::{ByteReader, ByteWriter, FRAME_LEN, HEADER_LEN};
+    let mut at = HEADER_LEN;
+    while bytes[at] != kind::END {
+        at += FRAME_LEN + u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize;
+    }
+    let mut end = ByteReader::new(&bytes[at + FRAME_LEN..], "end chunk");
+    let (chunks, events) = (end.get_varint().unwrap(), end.get_varint().unwrap());
+    let mut w = ByteWriter::new();
+    w.put_varint(chunks);
+    w.put_varint(events + extra);
+    let payload = w.into_bytes();
+    let mut out = bytes[..at].to_vec();
+    out.push(kind::END);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&ebs::store::seal::seal32(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out
+}
+
+/// A store or a shard whose END chunk pins more events than its chunks
+/// hold is `Truncated`: the one chunk loop checks the total for both.
+#[test]
+fn store_and_shard_short_of_their_end_event_total_are_truncated() {
+    let bytes = with_end_pinning_more_events(&saved_store_bytes(), 1);
+    let err = load_bytes(&bytes, "end-total").map(drop);
+    assert!(matches!(err, Err(EbsError::Truncated(_))), "{err:?}");
+
+    let dir = sharded_store("end-total");
+    let path = dir.join(ebs::store::shard_file_name(1));
+    let forged = with_end_pinning_more_events(&std::fs::read(&path).unwrap(), 1);
+    std::fs::write(&path, forged).unwrap();
+    let err = ebs::workload::Dataset::load_sharded(&dir).map(drop);
+    assert!(matches!(err, Err(EbsError::Truncated(_))), "{err:?}");
+}
+
+/// A flipped byte in a metric chunk that the streaming readers skip is
+/// still a checksum mismatch: a skipped payload is read and sealed.
+#[test]
+fn store_flipped_byte_in_a_skipped_metric_chunk_is_a_checksum_mismatch() {
+    use ebs::store::format::kind;
+    use ebs::store::{fold_store, ChunkReader, StoreStats, StreamSummary};
+    let mut bytes = saved_store_bytes();
+    let span = payload_span(&bytes, kind::STORAGE_METRICS);
+    bytes[span.start + span.len() / 2] ^= 0x10;
+    let mut summary = StreamSummary::new(1 << 16, TickSpec::new(1.0, 1));
+    let folded = fold_store(ChunkReader::new(bytes.as_slice()).unwrap(), &mut summary);
+    assert!(
+        matches!(folded, Err(EbsError::ChecksumMismatch(_))),
+        "{folded:?}"
+    );
+    let scanned = StoreStats::scan(bytes.as_slice());
+    assert!(
+        matches!(scanned, Err(EbsError::ChecksumMismatch(_))),
+        "{scanned:?}"
+    );
 }
 
 /// One real v2 EVENTS payload (a few hundred events), for decoder fuzzing

@@ -82,9 +82,10 @@ fn store_decode_beats_csv_parse() {
         || {
             let mut rows = Vec::with_capacity(ds.events.len());
             let mut r = ChunkReader::new(store.as_slice()).unwrap();
-            while let Some(chunk) = r.next_chunk_into(&mut payload).unwrap() {
-                if chunk == kind::EVENTS {
-                    decode_events_into(&payload, &mut scratch, &mut rows).unwrap();
+            while let Some(frame) = r.next_frame().unwrap() {
+                if frame.kind == kind::EVENTS {
+                    let payload = r.read_payload_into(&mut payload).unwrap();
+                    decode_events_into(payload, &mut scratch, &mut rows).unwrap();
                 }
             }
             rows
