@@ -7,15 +7,15 @@
 //! BS-cache as backup for cacheable disks that don't win a slot.
 //!
 //! [`assign_sites`] performs that placement and
-//! [`hybrid_latency_gain`] evaluates it over stack-simulated traces.
+//! [`hybrid_latency_gain`] evaluates it over stack-simulated latencies.
 
 use crate::hottest_block::HottestBlock;
-use crate::location::{CacheSite, LatencyGain};
+use crate::location::{gain_where, CacheSite, LatencyGain};
 use ebs_core::hash::FxHashMap;
 use ebs_core::ids::{CnId, VdId};
-use ebs_core::io::Op;
+use ebs_core::io::{IoEvent, Op};
 use ebs_core::topology::Fleet;
-use ebs_core::trace::TraceRecord;
+use ebs_core::trace::StageLatency;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 
@@ -70,48 +70,18 @@ pub fn assign_sites<S: BuildHasher>(
     sites
 }
 
-/// Latency gain of a hybrid deployment: each cache-hit record is served at
-/// its VD's assigned site; records of uncached VDs (or cache misses) pay
-/// the full path. `None` when no records of `op` exist.
+/// Latency gain of a hybrid deployment: each cache hit is served at its
+/// VD's assigned site; IOs of uncached VDs (or cache misses) pay the full
+/// path. `events`, their simulated latencies `lat` and `hits` are
+/// parallel columns. `None` when no events of `op` exist.
 pub fn hybrid_latency_gain<S: BuildHasher>(
-    records: &[TraceRecord],
+    events: &[IoEvent],
+    lat: &[StageLatency],
     hits: &[bool],
     sites: &HashMap<VdId, CacheSite, S>,
     op: Op,
 ) -> Option<LatencyGain> {
-    assert_eq!(records.len(), hits.len());
-    let mut without = Vec::new();
-    let mut with = Vec::new();
-    for (r, &hit) in records.iter().zip(hits) {
-        if r.op != op {
-            continue;
-        }
-        let full = r.lat.total_us();
-        without.push(full);
-        let served = match (hit, sites.get(&r.vd)) {
-            (true, Some(CacheSite::ComputeNode)) => r.lat.cn_cache_us(),
-            (true, Some(CacheSite::BlockServer)) => r.lat.bs_cache_us(),
-            _ => full,
-        };
-        with.push(served);
-    }
-    if without.is_empty() {
-        return None;
-    }
-    let gain = |q: f64| -> f64 {
-        let w = ebs_analysis::quantile(&with, q).expect("non-empty");
-        let o = ebs_analysis::quantile(&without, q).expect("non-empty");
-        if o > 0.0 {
-            w / o
-        } else {
-            1.0
-        }
-    };
-    Some(LatencyGain {
-        p0: gain(0.0),
-        p50: gain(0.5),
-        p99: gain(0.99),
-    })
+    gain_where(events, lat, hits, op, |vd| sites.get(&vd).copied())
 }
 
 /// CN-cache slots actually consumed per compute node — the provisioning
@@ -142,7 +112,7 @@ mod tests {
     fn setup() -> (
         ebs_workload::Dataset,
         FxHashMap<VdId, HottestBlock>,
-        Vec<TraceRecord>,
+        Vec<StageLatency>,
         Vec<bool>,
     ) {
         let ds = generate(&WorkloadConfig::quick(201)).unwrap();
@@ -158,12 +128,9 @@ mod tests {
             apply_throttle: false,
             ..StackConfig::default()
         };
-        let (_, traces) = StackSim::new(&ds.fleet, cfg)
-            .run_traced(&ds.events)
-            .unwrap();
-        let records = traces.records().to_vec();
-        let hits = hit_oracle(&hot, &records, 0.1);
-        (ds, hot, records, hits)
+        let lat = StackSim::new(&ds.fleet, cfg).run(&ds.events).unwrap().lat;
+        let hits = hit_oracle(&hot, &ds.events, 0.1);
+        (ds, hot, lat, hits)
     }
 
     #[test]
@@ -218,7 +185,8 @@ mod tests {
 
     #[test]
     fn hybrid_gain_sits_between_pure_deployments() {
-        let (ds, hot, records, hits) = setup();
+        let (ds, hot, lat, hits) = setup();
+        let events = &ds.events;
         let sites = assign_sites(
             &ds.fleet,
             &hot,
@@ -227,9 +195,9 @@ mod tests {
                 threshold: 0.1,
             },
         );
-        let hybrid = hybrid_latency_gain(&records, &hits, &sites, Op::Write).unwrap();
-        let cn_only = latency_gain(&records, &hits, CacheSite::ComputeNode, Op::Write).unwrap();
-        let bs_only = latency_gain(&records, &hits, CacheSite::BlockServer, Op::Write).unwrap();
+        let hybrid = hybrid_latency_gain(events, &lat, &hits, &sites, Op::Write).unwrap();
+        let cn_only = latency_gain(events, &lat, &hits, CacheSite::ComputeNode, Op::Write).unwrap();
+        let bs_only = latency_gain(events, &lat, &hits, CacheSite::BlockServer, Op::Write).unwrap();
         assert!(
             hybrid.p50 >= cn_only.p50 - 1e-9,
             "hybrid {:.3} cannot beat all-CN {:.3}",
@@ -246,7 +214,8 @@ mod tests {
 
     #[test]
     fn more_slots_means_more_gain() {
-        let (ds, hot, records, hits) = setup();
+        let (ds, hot, lat, hits) = setup();
+        let events = &ds.events;
         let gain_at = |slots: usize| {
             let sites = assign_sites(
                 &ds.fleet,
@@ -256,7 +225,7 @@ mod tests {
                     threshold: 0.1,
                 },
             );
-            hybrid_latency_gain(&records, &hits, &sites, Op::Write)
+            hybrid_latency_gain(events, &lat, &hits, &sites, Op::Write)
                 .unwrap()
                 .p50
         };

@@ -11,8 +11,8 @@ use crate::hottest_block::HottestBlock;
 use crate::policy::pages_of;
 use ebs_core::hash::FxHashMap;
 use ebs_core::ids::VdId;
-use ebs_core::io::Op;
-use ebs_core::trace::TraceRecord;
+use ebs_core::io::{IoEvent, Op};
+use ebs_core::trace::StageLatency;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 
@@ -49,16 +49,15 @@ pub struct LatencyGain {
     pub p99: f64,
 }
 
-/// Per-IO cache-hit oracle: which trace records hit a frozen cache pinned
-/// at each cacheable VD's hottest block. VDs whose hottest-block access
-/// rate is below `threshold` get no cache.
+/// Per-IO cache-hit oracle: which events hit a frozen cache pinned at
+/// each cacheable VD's hottest block. VDs whose hottest-block access rate
+/// is below `threshold` get no cache.
 ///
-/// Builds each cacheable VD's frozen range once, then scans the records in
-/// a single pass — no intermediate event copies (the old version cloned
-/// the full record stream into `IoEvent`s, then per-VD sub-vectors).
+/// Builds each cacheable VD's frozen range once, then scans the events in
+/// a single pass.
 pub fn hit_oracle<S: BuildHasher>(
     hot: &HashMap<VdId, HottestBlock, S>,
-    records: &[TraceRecord],
+    events: &[IoEvent],
     threshold: f64,
 ) -> Vec<bool> {
     let caches: FxHashMap<VdId, FrozenCache> = hot
@@ -72,41 +71,56 @@ pub fn hit_oracle<S: BuildHasher>(
             )
         })
         .collect();
-    records
+    events
         .iter()
-        .map(|r| match caches.get(&r.vd) {
+        .map(|ev| match caches.get(&ev.vd) {
             // An IO is a hit when every page it touches is frozen.
-            Some(cache) => pages_of(r.offset, r.size).all(|p| cache.contains(p)),
+            Some(cache) => pages_of(ev.offset, ev.size).all(|p| cache.contains(p)),
             None => false,
         })
         .collect()
 }
 
 /// Latency gain of deploying frozen caches at `site`, for `op` traffic,
-/// over the given trace records and hit oracle. `None` when no records of
-/// that op exist.
+/// over the given events, their simulated latencies (row for row) and hit
+/// oracle. `None` when no events of that op exist.
 pub fn latency_gain(
-    records: &[TraceRecord],
+    events: &[IoEvent],
+    lat: &[StageLatency],
     hits: &[bool],
     site: CacheSite,
     op: Op,
 ) -> Option<LatencyGain> {
-    assert_eq!(records.len(), hits.len());
+    gain_where(events, lat, hits, op, |_| Some(site))
+}
+
+/// Latency gain when each cache hit of `op` traffic is served at its VD's
+/// site (`site_of`, `None` = uncached) and every other IO pays the full
+/// path: `q%ile(with) / q%ile(without)` at p0, p50 and p99. `None` when
+/// no events of `op` exist.
+///
+/// # Panics
+/// Panics when `events`, `lat` and `hits` differ in length.
+pub(crate) fn gain_where(
+    events: &[IoEvent],
+    lat: &[StageLatency],
+    hits: &[bool],
+    op: Op,
+    site_of: impl Fn(VdId) -> Option<CacheSite>,
+) -> Option<LatencyGain> {
+    assert!(events.len() == lat.len() && lat.len() == hits.len());
     let mut without = Vec::new();
     let mut with = Vec::new();
-    for (r, &hit) in records.iter().zip(hits) {
-        if r.op != op {
+    for ((ev, lat), &hit) in events.iter().zip(lat).zip(hits) {
+        if ev.op != op {
             continue;
         }
-        let full = r.lat.total_us();
+        let full = lat.total_us();
         without.push(full);
-        with.push(if hit {
-            match site {
-                CacheSite::ComputeNode => r.lat.cn_cache_us(),
-                CacheSite::BlockServer => r.lat.bs_cache_us(),
-            }
-        } else {
-            full
+        with.push(match (hit, site_of(ev.vd)) {
+            (true, Some(CacheSite::ComputeNode)) => lat.cn_cache_us(),
+            (true, Some(CacheSite::BlockServer)) => lat.bs_cache_us(),
+            _ => full,
         });
     }
     if without.is_empty() {
@@ -131,10 +145,19 @@ pub fn latency_gain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebs_core::ids::*;
-    use ebs_core::trace::StageLatency;
+    use ebs_core::ids::QpId;
 
-    fn rec(i: u64, vd: u32, op: Op, offset: u64, tail: bool) -> TraceRecord {
+    /// One 4 KiB event of `vd` at `offset` and its latency, with a slow
+    /// ChunkServer when `tail`.
+    fn io(i: u64, vd: u32, op: Op, offset: u64, tail: bool) -> (IoEvent, StageLatency) {
+        let ev = IoEvent {
+            t_us: i,
+            vd: VdId(vd),
+            qp: QpId(0),
+            op,
+            size: 4096,
+            offset,
+        };
         let lat = StageLatency {
             compute_us: 10.0,
             frontend_us: 40.0,
@@ -142,22 +165,11 @@ mod tests {
             backend_us: 20.0,
             chunk_server_us: if tail { 2000.0 } else { 120.0 },
         };
-        TraceRecord {
-            id: TraceId(i),
-            t_us: i,
-            op,
-            size: 4096,
-            offset,
-            qp: QpId(0),
-            vd: VdId(vd),
-            vm: VmId(0),
-            cn: CnId(0),
-            wt: WtId(0),
-            seg: SegId(0),
-            bs: BsId(0),
-            sn: SnId(0),
-            lat,
-        }
+        (ev, lat)
+    }
+
+    fn columns(ios: Vec<(IoEvent, StageLatency)>) -> (Vec<IoEvent>, Vec<StageLatency>) {
+        ios.into_iter().unzip()
     }
 
     fn hot_for(vd: u32, rate: f64) -> (VdId, HottestBlock) {
@@ -178,54 +190,54 @@ mod tests {
     #[test]
     fn oracle_marks_in_block_ios_of_cacheable_vds() {
         let hot: FxHashMap<_, _> = [hot_for(0, 0.5)].into_iter().collect();
-        let records = vec![
-            rec(0, 0, Op::Write, 0, false),       // in block → hit
-            rec(1, 0, Op::Write, 1 << 30, false), // outside → miss
-            rec(2, 1, Op::Write, 0, false),       // VD without cache
-        ];
-        let hits = hit_oracle(&hot, &records, 0.25);
+        let (events, _) = columns(vec![
+            io(0, 0, Op::Write, 0, false),       // in block → hit
+            io(1, 0, Op::Write, 1 << 30, false), // outside → miss
+            io(2, 1, Op::Write, 0, false),       // VD without cache
+        ]);
+        let hits = hit_oracle(&hot, &events, 0.25);
         assert_eq!(hits, vec![true, false, false]);
     }
 
     #[test]
     fn threshold_disables_cold_vds() {
         let hot: FxHashMap<_, _> = [hot_for(0, 0.1)].into_iter().collect();
-        let records = vec![rec(0, 0, Op::Write, 0, false)];
-        let hits = hit_oracle(&hot, &records, 0.25);
+        let (events, _) = columns(vec![io(0, 0, Op::Write, 0, false)]);
+        let hits = hit_oracle(&hot, &events, 0.25);
         assert_eq!(hits, vec![false]);
     }
 
     #[test]
     fn cn_gain_beats_bs_gain() {
         let hot: FxHashMap<_, _> = [hot_for(0, 0.9)].into_iter().collect();
-        let records: Vec<TraceRecord> = (0..100).map(|i| rec(i, 0, Op::Write, 0, false)).collect();
-        let hits = hit_oracle(&hot, &records, 0.25);
-        let cn = latency_gain(&records, &hits, CacheSite::ComputeNode, Op::Write).unwrap();
-        let bs = latency_gain(&records, &hits, CacheSite::BlockServer, Op::Write).unwrap();
+        let (events, lat) = columns((0..100).map(|i| io(i, 0, Op::Write, 0, false)).collect());
+        let hits = hit_oracle(&hot, &events, 0.25);
+        let cn = latency_gain(&events, &lat, &hits, CacheSite::ComputeNode, Op::Write).unwrap();
+        let bs = latency_gain(&events, &lat, &hits, CacheSite::BlockServer, Op::Write).unwrap();
         assert!(cn.p50 < bs.p50, "CN {cn:?} vs BS {bs:?}");
         assert!(bs.p50 < 1.0);
     }
 
     #[test]
     fn tail_unaffected_when_tail_ios_miss() {
-        // 99 cached fast IOs + tail IOs outside the hot block: the 99%ile
+        // 95 cached fast IOs + tail IOs outside the hot block: the 99%ile
         // barely moves (the Figure 7(b/c) tail result).
         let hot: FxHashMap<_, _> = [hot_for(0, 0.9)].into_iter().collect();
-        let mut records: Vec<TraceRecord> =
-            (0..95).map(|i| rec(i, 0, Op::Write, 0, false)).collect();
+        let mut ios: Vec<_> = (0..95).map(|i| io(i, 0, Op::Write, 0, false)).collect();
         for i in 95..100 {
-            records.push(rec(i, 0, Op::Write, 1 << 30, true));
+            ios.push(io(i, 0, Op::Write, 1 << 30, true));
         }
-        let hits = hit_oracle(&hot, &records, 0.25);
-        let g = latency_gain(&records, &hits, CacheSite::ComputeNode, Op::Write).unwrap();
+        let (events, lat) = columns(ios);
+        let hits = hit_oracle(&hot, &events, 0.25);
+        let g = latency_gain(&events, &lat, &hits, CacheSite::ComputeNode, Op::Write).unwrap();
         assert!(g.p50 < 0.5, "median should improve: {g:?}");
         assert!(g.p99 > 0.9, "tail should not: {g:?}");
     }
 
     #[test]
     fn missing_op_returns_none() {
-        let records = vec![rec(0, 0, Op::Write, 0, false)];
+        let (events, lat) = columns(vec![io(0, 0, Op::Write, 0, false)]);
         let hits = vec![false];
-        assert!(latency_gain(&records, &hits, CacheSite::ComputeNode, Op::Read).is_none());
+        assert!(latency_gain(&events, &lat, &hits, CacheSite::ComputeNode, Op::Read).is_none());
     }
 }

@@ -95,30 +95,6 @@ define_id!(
     SegId, "seg"
 );
 
-/// Unique id of a sampled IO trace (the paper's `TraceID`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct TraceId(pub u64);
-
-impl TraceId {
-    /// The raw 64-bit trace identifier.
-    #[inline]
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Debug for TraceId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "trace{:016x}", self.0)
-    }
-}
-
-impl fmt::Display for TraceId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}", self.0)
-    }
-}
-
 /// A dense, id-indexed vector: `IdVec<VdId, T>` is a `Vec<T>` whose positions
 /// are addressed by typed ids instead of raw `usize`s.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -213,7 +189,6 @@ mod tests {
     fn ids_display_with_tag() {
         assert_eq!(QpId(7).to_string(), "qp-7");
         assert_eq!(format!("{:?}", SegId(3)), "seg3");
-        assert_eq!(TraceId(0xabcd).to_string(), "000000000000abcd");
     }
 
     #[test]

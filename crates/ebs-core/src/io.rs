@@ -50,8 +50,8 @@ impl std::fmt::Display for Op {
 /// A single block IO issued by a VM to one queue pair of a virtual disk.
 ///
 /// This is the unit the workload generator emits and the stack simulator
-/// consumes; the DiTing tracer turns it into a [`crate::trace::TraceRecord`]
-/// once the simulator has routed it through the stack.
+/// consumes, emitting one [`crate::trace::StageLatency`] per event once it
+/// has routed the event through the stack.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IoEvent {
     /// Submission timestamp, microseconds from the observation-window origin.

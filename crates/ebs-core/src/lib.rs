@@ -3,7 +3,7 @@
 //! This crate defines the vocabulary that every other crate in the workspace
 //! speaks: typed identifiers for the entities of an Elastic Block Storage
 //! (EBS) deployment, the fleet topology that connects them, IO events, the
-//! two datasets the paper's tracer produces (per-IO *trace* records and
+//! two datasets the paper's tracer produces (per-IO *trace* data and
 //! second-level *metric* aggregates), virtual-disk specifications, the
 //! application taxonomy of Table 5, simulated time, byte/throughput units,
 //! and deterministic RNG stream derivation.
@@ -57,7 +57,7 @@ pub mod units;
 pub use apps::AppClass;
 pub use error::EbsError;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use ids::{BsId, CnId, DcId, IdVec, QpId, SegId, SnId, TraceId, UserId, VdId, VmId, WtId};
+pub use ids::{BsId, CnId, DcId, IdVec, QpId, SegId, SnId, UserId, VdId, VmId, WtId};
 pub use index::{EventIndex, PermutedEvents};
 pub use io::{IoEvent, Op};
 pub use metric::{ComputeMetrics, Flow, Measure, RwFlow, Series, SeriesSample, StorageMetrics};
@@ -68,15 +68,13 @@ pub use spec::VdTier;
 pub use tempdir::TempDir;
 pub use time::TickSpec;
 pub use topology::Fleet;
-pub use trace::{StageLatency, TraceRecord, TraceSet};
+pub use trace::StageLatency;
 
 /// Convenient glob-import surface: `use ebs_core::prelude::*;`.
 pub mod prelude {
     pub use crate::apps::AppClass;
     pub use crate::hash::{FxBuildHasher, FxHashMap, FxHashSet};
-    pub use crate::ids::{
-        BsId, CnId, DcId, IdVec, QpId, SegId, SnId, TraceId, UserId, VdId, VmId, WtId,
-    };
+    pub use crate::ids::{BsId, CnId, DcId, IdVec, QpId, SegId, SnId, UserId, VdId, VmId, WtId};
     pub use crate::index::{EventIndex, PermutedEvents};
     pub use crate::io::{IoEvent, Op};
     pub use crate::metric::{
@@ -87,6 +85,6 @@ pub mod prelude {
     pub use crate::spec::VdTier;
     pub use crate::time::TickSpec;
     pub use crate::topology::Fleet;
-    pub use crate::trace::{StageLatency, TraceRecord, TraceSet};
+    pub use crate::trace::StageLatency;
     pub use crate::units::{GIB, KIB, MIB, TIB};
 }

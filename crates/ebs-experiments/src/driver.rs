@@ -10,7 +10,7 @@
 //! [`Shared`] value, which builds each input on first use, exactly once,
 //! whichever section asks first:
 //!
-//! * the stack simulation output (Figure 7, extensions);
+//! * the stack simulation's latency column (Figure 7, extensions);
 //! * the event stream partitioned per compute node (Figure 2, the rebind
 //!   ablation);
 //! * the production balancer (S2) run per DC, and from those runs the
@@ -26,7 +26,7 @@
 //! timer; a section's span includes any input it built or waited for.
 
 use crate::fig6::MIN_EVENTS;
-use crate::scenario::stack_traces;
+use crate::scenario::stack_latency;
 use crate::{ablations, extensions, fig2, fig3, fig4, fig5, fig6, fig7, table2, table3, table4};
 use ebs_balance::bs_balancer::{run_balancer, BalancerConfig, BalancerRun};
 use ebs_balance::importer::ImporterSelect;
@@ -36,7 +36,7 @@ use ebs_core::hash::FxHashMap;
 use ebs_core::ids::{DcId, VdId};
 use ebs_core::io::IoEvent;
 use ebs_core::parallel::{par_jobs, par_map_deterministic};
-use ebs_core::trace::TraceSet;
+use ebs_core::trace::StageLatency;
 use ebs_workload::Dataset;
 use std::sync::OnceLock;
 
@@ -62,7 +62,7 @@ pub const SECTIONS: [(&str, Render); 11] = [
 /// (the `OnceLock` pattern of [`Dataset::index`]).
 pub struct Shared<'a> {
     ds: &'a Dataset,
-    traces: OnceLock<TraceSet>,
+    stack_lat: OnceLock<Vec<StageLatency>>,
     by_cn: OnceLock<Vec<Vec<IoEvent>>>,
     s2_runs: OnceLock<Vec<BalancerRun>>,
     /// The non-default importer runs on the busiest DC.
@@ -75,7 +75,7 @@ impl<'a> Shared<'a> {
     pub fn new(ds: &'a Dataset) -> Self {
         Self {
             ds,
-            traces: OnceLock::new(),
+            stack_lat: OnceLock::new(),
             by_cn: OnceLock::new(),
             s2_runs: OnceLock::new(),
             importer_runs: OnceLock::new(),
@@ -88,11 +88,11 @@ impl<'a> Shared<'a> {
         self.ds
     }
 
-    /// The trace records of the dataset's stack simulation
-    /// ([`stack_traces`]).
-    pub fn traces(&self) -> &TraceSet {
-        self.traces
-            .get_or_init(|| timed("input", "stack_sim", || stack_traces(self.ds)))
+    /// The latency column of the dataset's stack simulation
+    /// ([`stack_latency`]), row for row with the dataset's events.
+    pub fn stack_lat(&self) -> &[StageLatency] {
+        self.stack_lat
+            .get_or_init(|| timed("input", "stack_sim", || stack_latency(self.ds)))
     }
 
     /// The event stream partitioned per compute node ([`events_by_cn`]).

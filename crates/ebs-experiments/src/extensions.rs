@@ -67,12 +67,12 @@ pub fn lending_extension(ds: &Dataset) -> Vec<(f64, f64, f64, f64, f64)> {
 
 /// Hybrid deployment sweep: `(cn_slots, write p50 gain, max CN slots used)`
 /// plus the pure CN / BS baselines. The slot sweep fans out in parallel
-/// over one borrowed trace.
+/// over the borrowed events and latency column.
 pub fn hybrid_extension(sh: &Shared) -> (Vec<(usize, f64, usize)>, f64, f64) {
     let ds = sh.ds();
     let hot = sh.hot_map(2048 << 20);
-    let records = sh.traces().records();
-    let hits = hit_oracle(hot, records, CACHEABLE_THRESHOLD);
+    let (events, lat) = (ds.events.as_slice(), sh.stack_lat());
+    let hits = hit_oracle(hot, events, CACHEABLE_THRESHOLD);
     let sweep = par_map_deterministic(&[0usize, 1, 2, 4, 8], |_, &slots| {
         let sites = assign_sites(
             &ds.fleet,
@@ -82,7 +82,7 @@ pub fn hybrid_extension(sh: &Shared) -> (Vec<(usize, f64, usize)>, f64, f64) {
                 threshold: CACHEABLE_THRESHOLD,
             },
         );
-        let gain = hybrid_latency_gain(records, &hits, &sites, Op::Write)
+        let gain = hybrid_latency_gain(events, lat, &hits, &sites, Op::Write)
             .map(|g| g.p50)
             .unwrap_or(f64::NAN);
         let used = cn_slot_usage(&ds.fleet, &sites)
@@ -91,10 +91,10 @@ pub fn hybrid_extension(sh: &Shared) -> (Vec<(usize, f64, usize)>, f64, f64) {
             .unwrap_or(0);
         (slots, gain, used)
     });
-    let cn = latency_gain(records, &hits, CacheSite::ComputeNode, Op::Write)
+    let cn = latency_gain(events, lat, &hits, CacheSite::ComputeNode, Op::Write)
         .map(|g| g.p50)
         .unwrap_or(f64::NAN);
-    let bs = latency_gain(records, &hits, CacheSite::BlockServer, Op::Write)
+    let bs = latency_gain(events, lat, &hits, CacheSite::BlockServer, Op::Write)
         .map(|g| g.p50)
         .unwrap_or(f64::NAN);
     (sweep, cn, bs)

@@ -13,8 +13,9 @@ use ebs_cache::simulate::{sweep_policies, Algorithm};
 use ebs_cache::utilization::{per_bs_counts, per_cn_counts, std_dev, CACHEABLE_THRESHOLD};
 use ebs_core::hash::{FxHashMap, FxHashSet};
 use ebs_core::ids::VdId;
-use ebs_core::io::Op;
+use ebs_core::io::{IoEvent, Op};
 use ebs_core::parallel::par_map_deterministic;
+use ebs_core::trace::StageLatency;
 
 /// Panel (a): one row per (algorithm, block size).
 #[derive(Clone, Debug)]
@@ -103,18 +104,18 @@ pub fn panel_bc(sh: &Shared) -> Vec<(CacheSite, Op, LatencyGain)> {
         .filter(|(_, hb)| hb.access_rate >= CACHEABLE_THRESHOLD)
         .map(|(&vd, _)| vd)
         .collect();
-    let records: Vec<_> = sh
-        .traces()
-        .records()
+    let (events, lat): (Vec<IoEvent>, Vec<StageLatency>) = sh
+        .ds()
+        .events
         .iter()
-        .filter(|r| cacheable.contains(&r.vd))
-        .copied()
-        .collect();
-    let hits = hit_oracle(hot, &records, CACHEABLE_THRESHOLD);
+        .zip(sh.stack_lat())
+        .filter(|(ev, _)| cacheable.contains(&ev.vd))
+        .unzip();
+    let hits = hit_oracle(hot, &events, CACHEABLE_THRESHOLD);
     let mut out = Vec::new();
     for site in CacheSite::ALL {
         for op in Op::ALL {
-            if let Some(g) = latency_gain(&records, &hits, site, op) {
+            if let Some(g) = latency_gain(&events, &lat, &hits, site, op) {
                 out.push((site, op, g));
             }
         }

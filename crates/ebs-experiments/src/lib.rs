@@ -44,5 +44,5 @@ pub mod table3;
 pub mod table4;
 
 pub use scenario::{
-    dataset, dataset_or_replay, dataset_or_replay_sharded, stack_traces, Scale, EXPERIMENT_SEED,
+    dataset, dataset_or_replay, dataset_or_replay_sharded, stack_latency, Scale, EXPERIMENT_SEED,
 };

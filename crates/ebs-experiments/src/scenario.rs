@@ -5,7 +5,7 @@
 //! paper's single 12-hour collection window.
 
 use ebs_core::error::EbsError;
-use ebs_core::trace::TraceSet;
+use ebs_core::trace::StageLatency;
 use ebs_stack::sim::{StackConfig, StackSim};
 use ebs_workload::{generate, resolve_shards, Dataset, WorkloadConfig};
 
@@ -173,18 +173,19 @@ fn emit_store_stats(path: &std::path::Path) {
 }
 
 /// Route the dataset's sampled events through the stack simulator,
-/// producing the five-stage-latency trace set used by the cache-location
-/// study. Throttling is disabled so latency percentiles reflect the device
-/// path (the throttle study works on metric data instead).
-pub fn stack_traces(ds: &Dataset) -> TraceSet {
+/// producing the five-stage latency column (one entry per event, in event
+/// order) used by the cache-location study. Throttling is disabled so
+/// latency percentiles reflect the device path (the throttle study works
+/// on metric data instead).
+pub fn stack_latency(ds: &Dataset) -> Vec<StageLatency> {
     let cfg = StackConfig {
         apply_throttle: false,
         ..StackConfig::default()
     };
-    let (_, traces) = StackSim::new(&ds.fleet, cfg)
-        .run_traced(&ds.events)
-        .expect("generated events are time-sorted and in the fleet");
-    traces
+    StackSim::new(&ds.fleet, cfg)
+        .run(&ds.events)
+        .expect("generated events are time-sorted and in the fleet")
+        .lat
 }
 
 #[cfg(test)]
@@ -199,11 +200,11 @@ mod tests {
     }
 
     #[test]
-    fn stack_traces_cover_all_events() {
+    fn stack_latency_covers_all_events() {
         let ds = dataset(Scale::Quick);
-        let traces = stack_traces(&ds);
-        assert_eq!(traces.len(), ds.events.len());
-        assert!(traces.records().iter().all(|r| r.lat.total_us() > 0.0));
+        let lat = stack_latency(&ds);
+        assert_eq!(lat.len(), ds.events.len());
+        assert!(lat.iter().all(|l| l.total_us() > 0.0));
     }
 
     #[test]

@@ -281,7 +281,7 @@ fn main() {
             None => Pacing::FastForward,
         },
         cache_pages,
-        collect_traces: false,
+        collect_latency: false,
     };
     let mut policies = build_policies(
         &args.policies,

@@ -196,13 +196,20 @@ pub struct OnlineBalancer {
     cfg: BalancerConfig,
     /// Each data center's Random (S1) stream, seeded as offline.
     rngs: Vec<SimRng>,
+    /// Each segment's data center, built from the first view's fleet (a
+    /// policy serves one fleet; a view whose fleet has another segment
+    /// count rebuilds it).
+    seg_dc: Vec<DcId>,
 }
 
 impl OnlineBalancer {
     /// A balancer with `cfg`'s trigger and importer.
     pub fn new(cfg: BalancerConfig) -> Self {
-        let rngs = Vec::new();
-        Self { cfg, rngs }
+        Self {
+            cfg,
+            rngs: Vec::new(),
+            seg_dc: Vec::new(),
+        }
     }
 }
 
@@ -217,10 +224,18 @@ impl Policy for OnlineBalancer {
         };
         let (fleet, seed) = (view.fleet, self.cfg.seed);
         (self.rngs).resize_with(fleet.dcs.len(), || SimRng::seed_from_u64(seed));
+        if self.seg_dc.len() != fleet.segments.len() {
+            self.seg_dc = fleet
+                .segments
+                .iter()
+                .map(|s| fleet.dc_of_vd(s.vd))
+                .collect();
+        }
         // Each DC's active segments (the fold keys them by fleet ids).
         let mut segs_of = vec![Vec::new(); fleet.dcs.len()];
         for &(seg, v) in &newest.seg_bytes {
-            if let Some(segs) = segs_of.get_mut(fleet.dc_of_seg(seg).index()) {
+            let dc = self.seg_dc.get(seg.index());
+            if let Some(segs) = dc.and_then(|dc| segs_of.get_mut(dc.index())) {
                 segs.push((seg, v));
             }
         }

@@ -23,8 +23,7 @@ use ebs_cache::policy::{pages_of, CachePolicy};
 use ebs_core::error::EbsError;
 use ebs_core::io::IoEvent;
 use ebs_core::topology::Fleet;
-use ebs_core::trace::TraceRecord;
-use ebs_stack::diting::assemble;
+use ebs_core::trace::StageLatency;
 use ebs_stack::hypervisor::Binding;
 use ebs_stack::route::RoutePlan;
 use ebs_stack::segment::SegmentMap;
@@ -63,9 +62,9 @@ pub struct ServeConfig {
     pub pacing: Pacing,
     /// Run an observational page cache of this many 4 KiB pages.
     pub cache_pages: Option<usize>,
-    /// Assemble and keep every per-IO trace record in the report
+    /// Keep every served IO's five-stage latency in the report
     /// (differential tests).
-    pub collect_traces: bool,
+    pub collect_latency: bool,
 }
 
 impl ServeConfig {
@@ -83,7 +82,7 @@ impl ServeConfig {
             duration_us: None,
             pacing: Pacing::FastForward,
             cache_pages: None,
-            collect_traces: false,
+            collect_latency: false,
         })
     }
 }
@@ -117,8 +116,9 @@ pub struct ServeReport {
     /// Aggregate simulator statistics over every served epoch — under
     /// no-op policies, bit-identical to the batch run's [`SimStats`].
     pub aggregate: SimStats,
-    /// Every per-IO trace record (only when `collect_traces`).
-    pub records: Vec<TraceRecord>,
+    /// Every served IO's latency, in event order (only when
+    /// `collect_latency`); row `i` is the `i`-th consumed event's.
+    pub lat: Vec<StageLatency>,
     /// Events served (events past `duration_us` are not).
     pub consumed: usize,
     /// The per-epoch metrics stream as JSONL, one record per epoch (built
@@ -153,7 +153,7 @@ pub fn serve(
     let mut report = ServeReport {
         epochs: Vec::with_capacity(usize::try_from(count).unwrap_or(0)),
         aggregate: SimStats::default(),
-        records: Vec::new(),
+        lat: Vec::new(),
         consumed: 0,
         metrics_jsonl: String::new(),
     };
@@ -188,9 +188,8 @@ pub fn serve(
             &out,
         );
         stats.cache = cache_epoch;
-        if config.collect_traces {
-            let traces = assemble(fleet, slice.events, &plan, &out)?;
-            report.records.extend_from_slice(traces.records());
+        if config.collect_latency {
+            report.lat.extend_from_slice(&out.lat);
         }
         let row_seed = (
             stats.sim.ios,

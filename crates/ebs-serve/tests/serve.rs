@@ -45,24 +45,24 @@ fn report_fingerprint(r: &ServeReport) -> String {
 }
 
 /// With only no-op policies, a serve run's aggregate stats and per-IO
-/// trace records equal the batch `StackSim` run bit-for-bit — the serve
+/// latency column equal the batch `StackSim` run bit-for-bit — the serve
 /// differential invariant.
 #[test]
 fn noop_serve_equals_batch_run_bit_exactly() {
     let ds = quick();
     let stack = StackConfig::default();
 
-    let (batch, traces) = StackSim::new(&ds.fleet, stack.clone())
-        .run_traced(&ds.events)
+    let batch = StackSim::new(&ds.fleet, stack.clone())
+        .run(&ds.events)
         .unwrap();
 
     let mut config = ServeConfig::fast_forward(60.0, 5, stack).unwrap();
-    config.collect_traces = true;
+    config.collect_latency = true;
     let report = serve(&ds.fleet, &config, &ds.events, &mut noop_policies()).unwrap();
 
-    assert_eq!(report.aggregate, batch);
-    assert_eq!(report.records.len(), traces.len());
-    assert_eq!(report.records, traces.records());
+    assert_eq!(report.aggregate, batch.stats);
+    assert_eq!(report.lat.len(), ds.events.len());
+    assert_eq!(report.lat, batch.lat);
     assert_eq!(report.consumed, ds.events.len());
 }
 
@@ -171,7 +171,7 @@ fn active_serve_is_thread_count_invariant() {
 fn obs_toggle_never_changes_serve_output() {
     let ds = quick();
     let mut config = ServeConfig::fast_forward(60.0, 5, StackConfig::default()).unwrap();
-    config.collect_traces = true;
+    config.collect_latency = true;
     config.cache_pages = Some(256);
     let stack = config.stack.clone();
 
@@ -182,7 +182,7 @@ fn obs_toggle_never_changes_serve_output() {
     ebs_obs::set_obs_override(None);
 
     assert_eq!(report_fingerprint(&on), report_fingerprint(&off));
-    assert_eq!(on.records, off.records);
+    assert_eq!(on.lat, off.lat);
     assert_eq!(on.metrics_jsonl, off.metrics_jsonl);
     // One JSONL record per epoch, every line a JSON object.
     assert_eq!(on.metrics_jsonl.lines().count(), on.epochs.len());

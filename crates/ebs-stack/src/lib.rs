@@ -13,15 +13,13 @@
 //!   DiTing reports.
 //! * **[`segment`]** — the mutable segment → BlockServer placement that the
 //!   inter-BS balancer (§6) migrates.
-//! * **[`diting`]** — the tracer: [`diting::assemble`] joins a simulated
-//!   slice's events, routes and latency column into the paper's per-IO
-//!   trace records.
 //! * **[`route`]** — the precomputed per-event routing table
 //!   ([`route::RoutePlan`]), shareable across simulation runs.
 //! * **[`sim`]** — [`sim::StackSim`] and the resumable
 //!   [`sim::SimSession`], which route a sampled IO stream through all of
 //!   the above in one per-event pass and emit one five-stage latency per
-//!   IO.
+//!   IO. The events, their [`route::RoutePlan`] and that latency column,
+//!   row for row, are this reproduction of the paper's DiTing trace data.
 //!
 //! The §2.2 BlockServer prefetcher and ChunkServer garbage collection are
 //! not modelled: the 1/3200-sampled stream never has the sequential-read
@@ -36,14 +34,14 @@
 //! let sim = StackSim::new(&ds.fleet, StackConfig::default());
 //! let out = sim.run(&ds.events).unwrap();
 //! assert_eq!(out.lat.len(), ds.events.len());
-//! let (_, traces) = sim.run_traced(&ds.events).unwrap();
-//! assert_eq!(traces.len(), ds.events.len());
+//! // Row i of the plan holds the stack entities event i passed through.
+//! let plan = sim.plan(&ds.events).unwrap();
+//! assert_eq!(plan.len(), out.lat.len());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod diting;
 pub mod hypervisor;
 pub mod latency;
 pub mod network;

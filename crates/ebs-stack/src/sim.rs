@@ -5,8 +5,8 @@
 //! server queueing), optional per-VD throttle, frontend network,
 //! BlockServer (segment → home mapping), backend network, and ChunkServer
 //! (three-way replicated writes) — and emits each IO's five-stage latency
-//! breakdown. [`crate::diting::assemble`] turns that column into the
-//! paper's trace records for the callers that read them.
+//! breakdown, in event order: zipped with the events and their
+//! [`RoutePlan`], that column is the paper's per-IO trace data.
 //!
 //! [`SimSession::step`], and so [`StackSim::run`] (a one-step session),
 //! is the simulator's one schedule (DESIGN.md §16): a single pass over
@@ -25,7 +25,7 @@ use ebs_core::error::EbsError;
 use ebs_core::io::{IoEvent, Op};
 use ebs_core::rng::{RngFactory, SimRng};
 use ebs_core::topology::Fleet;
-use ebs_core::trace::{StageLatency, TraceSet};
+use ebs_core::trace::StageLatency;
 use ebs_core::units::TRACE_SAMPLE_RATE;
 
 /// Stack-simulation configuration.
@@ -81,14 +81,10 @@ impl SimStats {
 }
 
 /// Result of a simulation: the per-IO latency column plus run statistics.
-/// [`crate::diting::assemble`] builds the trace records from it.
 #[derive(Clone, Debug)]
 pub struct SimOutput {
     /// Five-stage latency of each event, in event order.
     pub lat: Vec<StageLatency>,
-    /// Trace id of the first event: the session's IO count before the
-    /// step.
-    pub first_id: u64,
     /// Aggregate statistics.
     pub stats: SimStats,
 }
@@ -248,12 +244,10 @@ impl SliceOut {
     /// Close the slice: add its counts to `core` and return its output.
     fn finish(self, core: &mut SimCore) -> SimOutput {
         let ios = self.lat.len() as u64;
-        let first_id = core.ios;
         core.ios += ios;
         core.throttled += self.throttled;
         SimOutput {
             lat: self.lat,
-            first_id,
             stats: SimStats::from_totals(ios, self.throttled, self.total_latency),
         }
     }
@@ -349,15 +343,6 @@ impl<'a> StackSim<'a> {
         self.run_planned(events, &plan)
     }
 
-    /// Route `events` through the stack and assemble their trace records
-    /// ([`crate::diting::assemble`]), for callers that read records.
-    pub fn run_traced(&self, events: &[IoEvent]) -> Result<(SimStats, TraceSet), EbsError> {
-        let plan = self.plan(events)?;
-        let out = self.run_planned(events, &plan)?;
-        let traces = crate::diting::assemble(self.fleet, events, &plan, &out)?;
-        Ok((out.stats, traces))
-    }
-
     /// Route `events` through the stack using a prebuilt [`RoutePlan`]
     /// (already validated as time-sorted at plan construction).
     ///
@@ -374,9 +359,8 @@ impl<'a> StackSim<'a> {
 
 /// A *resumable* simulation: the simulator's schedule with every piece of
 /// cross-event state — throttle-gate buckets, fabric links, the
-/// `stack/latency` RNG stream, WT busy-until clocks, the IO count that
-/// numbers trace ids, and the aggregate accumulators — held in the
-/// session between calls to [`Self::step`].
+/// `stack/latency` RNG stream, WT busy-until clocks, and the aggregate
+/// accumulators — held in the session between calls to [`Self::step`].
 ///
 /// Stepping a time-sorted stream through a session slice-by-slice (in
 /// order, with each slice's own route plan) produces the identical
@@ -492,7 +476,6 @@ mod tests {
     fn every_event_gets_a_latency() {
         let (out, n) = simulate(31);
         assert_eq!(out.lat.len(), n);
-        assert_eq!(out.first_id, 0);
         assert_eq!(out.stats.ios as usize, n);
     }
 
@@ -616,21 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_entities_match_fleet_topology() {
-        let ds = generate(&WorkloadConfig::quick(37)).unwrap();
-        let sim = StackSim::new(&ds.fleet, StackConfig::default());
-        let (stats, traces) = sim.run_traced(&ds.events).unwrap();
-        assert_eq!(stats, sim.run(&ds.events).unwrap().stats);
-        assert_eq!(traces.len(), ds.events.len());
-        for r in traces.records().iter().take(500) {
-            assert_eq!(ds.fleet.vds[r.vd].vm, r.vm);
-            assert_eq!(ds.fleet.vms[r.vm].cn, r.cn);
-            assert_eq!(ds.fleet.cn_of_wt(r.wt), r.cn);
-            assert_eq!(ds.fleet.block_servers[r.bs].sn, r.sn);
-        }
-    }
-
-    #[test]
     fn shared_plan_reproduces_per_run_output() {
         let ds = generate(&WorkloadConfig::quick(40)).unwrap();
         let sim = StackSim::new(&ds.fleet, StackConfig::default());
@@ -658,7 +626,6 @@ mod tests {
             // Per-slice plans, exactly how the serve loop routes epochs.
             let sub = sim.plan(slice).unwrap();
             let out = session.step(slice, &sub).unwrap();
-            assert_eq!(out.first_id, lo as u64);
             lat.extend_from_slice(&out.lat);
         }
         let agg = session.finish();

@@ -2,7 +2,8 @@
 //! resolution it replaces: for every event of a generated fleet, the
 //! plan's route must equal what `Binding::wt_of`, `Fleet::cn_of_qp`,
 //! `Fleet::segment_at`, the segment map, and `Fleet::sn_of_seg` would
-//! have produced one call at a time.
+//! have produced one call at a time, and it must be consistent with the
+//! fleet topology.
 
 use ebs_stack::{Binding, RoutePlan, SegmentMap};
 use ebs_workload::{generate, WorkloadConfig};
@@ -11,7 +12,10 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Column-for-column agreement with the scalar accessors.
+    /// Column-for-column agreement with the scalar accessors, and each
+    /// route's entities nest as the topology does: the WT belongs to the
+    /// route's CN, that CN hosts the VM of the event's VD, and the BS sits
+    /// on the route's SN.
     #[test]
     fn plan_matches_scalar_resolution(seed in 0u64..1000) {
         let ds = generate(&WorkloadConfig::quick(seed)).unwrap();
@@ -27,6 +31,9 @@ proptest! {
             prop_assert_eq!(r.seg, seg);
             prop_assert_eq!(r.bs, seg_map.as_slice()[seg.index()]);
             prop_assert_eq!(r.sn, ds.fleet.sn_of_seg(seg));
+            prop_assert_eq!(ds.fleet.cn_of_wt(r.wt), r.cn);
+            prop_assert_eq!(ds.fleet.vms[ds.fleet.vds[ev.vd].vm].cn, r.cn);
+            prop_assert_eq!(ds.fleet.block_servers[r.bs].sn, r.sn);
         }
     }
 

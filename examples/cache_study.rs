@@ -63,13 +63,14 @@ fn main() {
         apply_throttle: false,
         ..StackConfig::default()
     };
-    let (_, traces) = StackSim::new(&ds.fleet, cfg)
-        .run_traced(&ds.events)
-        .expect("sorted events");
+    let lat = StackSim::new(&ds.fleet, cfg)
+        .run(&ds.events)
+        .expect("sorted events")
+        .lat;
     let hot: FxHashMap<_, _> = [(vd, hb)].into_iter().collect();
-    let hits = hit_oracle(&hot, traces.records(), 0.0);
+    let hits = hit_oracle(&hot, &ds.events, 0.0);
     for site in CacheSite::ALL {
-        if let Some(g) = latency_gain(traces.records(), &hits, site, Op::Write) {
+        if let Some(g) = latency_gain(&ds.events, &lat, &hits, site, Op::Write) {
             println!(
                 "{}: write latency gain p50 {:.2} (p99 {:.2}) — lower is better",
                 site.label(),

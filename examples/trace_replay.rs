@@ -7,6 +7,7 @@
 //! ```
 #![allow(clippy::print_stdout, reason = "examples print results")]
 
+use ebs::core::trace::StageLatency;
 use ebs::stack::sim::{StackConfig, StackSim};
 use ebs::workload::export::{read_events_csv, write_events_csv};
 use ebs::workload::{generate, WorkloadConfig};
@@ -34,28 +35,30 @@ fn main() {
         apply_throttle: false,
         ..StackConfig::default()
     };
-    let (stats, traces) = StackSim::new(&ds.fleet, cfg)
-        .run_traced(&events)
+    let out = StackSim::new(&ds.fleet, cfg)
+        .run(&events)
         .expect("time-sorted");
     println!(
         "replayed {} IOs: mean latency {:.0} us",
-        stats.ios, stats.mean_latency_us
+        out.stats.ios, out.stats.mean_latency_us
     );
 
-    // 4. The five-stage trace records are ready for any of the paper's
-    //    analyses — here, the write-latency breakdown by stage.
-    let writes: Vec<_> = traces
-        .records()
+    // 4. The five-stage latency column, row for row with the events, is
+    //    ready for any of the paper's analyses — here, the write-latency
+    //    breakdown by stage.
+    let writes: Vec<&StageLatency> = events
         .iter()
-        .filter(|r| r.op.is_write())
+        .zip(&out.lat)
+        .filter(|(ev, _)| ev.op.is_write())
+        .map(|(_, lat)| lat)
         .collect();
-    let mean = |f: &dyn Fn(&ebs::core::trace::TraceRecord) -> f64| -> f64 {
-        writes.iter().map(|r| f(r)).sum::<f64>() / writes.len() as f64
+    let mean = |f: &dyn Fn(&StageLatency) -> f64| -> f64 {
+        writes.iter().map(|lat| f(lat)).sum::<f64>() / writes.len() as f64
     };
     println!("write-latency breakdown (mean us):");
-    println!("  compute      {:8.1}", mean(&|r| r.lat.compute_us));
-    println!("  frontend net {:8.1}", mean(&|r| r.lat.frontend_us));
-    println!("  block server {:8.1}", mean(&|r| r.lat.block_server_us));
-    println!("  backend net  {:8.1}", mean(&|r| r.lat.backend_us));
-    println!("  chunk server {:8.1}", mean(&|r| r.lat.chunk_server_us));
+    println!("  compute      {:8.1}", mean(&|lat| lat.compute_us));
+    println!("  frontend net {:8.1}", mean(&|lat| lat.frontend_us));
+    println!("  block server {:8.1}", mean(&|lat| lat.block_server_us));
+    println!("  backend net  {:8.1}", mean(&|lat| lat.backend_us));
+    println!("  chunk server {:8.1}", mean(&|lat| lat.chunk_server_us));
 }

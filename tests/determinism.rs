@@ -10,8 +10,7 @@ use ebs::balance::importer::ImporterSelect;
 use ebs::balance::wt_rebind::{events_by_cn, simulate_fleet, RebindConfig};
 use ebs::core::ids::DcId;
 use ebs::core::parallel::set_thread_override;
-use ebs::core::trace::TraceSet;
-use ebs::stack::diting::assemble;
+use ebs::stack::route::RoutePlan;
 use ebs::stack::sim::{SimOutput, StackConfig, StackSim};
 use ebs::throttle::lending::{lending_gains, LendingConfig};
 use ebs::throttle::scenario::{build_groups, CapDim};
@@ -95,18 +94,20 @@ fn stack_traces_are_reproducible() {
             seed,
             ..StackConfig::default()
         };
-        StackSim::new(&ds.fleet, cfg)
-            .run_traced(&ds.events)
-            .unwrap()
+        let sim = StackSim::new(&ds.fleet, cfg);
+        let plan = sim.plan(&ds.events).unwrap();
+        (sim.run_planned(&ds.events, &plan).unwrap(), plan)
     };
-    let (a_stats, a) = run(9);
-    let (b_stats, b) = run(9);
-    assert_eq!(a_stats, b_stats);
-    assert_eq!(a.records(), b.records());
+    let (a, a_plan) = run(9);
+    let (b, b_plan) = run(9);
+    assert_eq!(a.stats, b.stats);
+    assert_eq!(a.lat, b.lat);
+    assert_eq!(a_plan.routes(), b_plan.routes());
     // A different latency seed changes latencies but not routing.
-    let (_, c) = run(10);
-    assert_eq!(a.len(), c.len());
-    assert_ne!(a.records()[0].lat.total_us(), c.records()[0].lat.total_us());
+    let (c, c_plan) = run(10);
+    assert_eq!(a.lat.len(), c.lat.len());
+    assert_eq!(a_plan.routes(), c_plan.routes());
+    assert_ne!(a.lat[0].total_us(), c.lat[0].total_us());
 }
 
 #[test]
@@ -293,18 +294,17 @@ fn replay_from_store_is_byte_identical_to_generation() {
 }
 
 /// One batch run (`StackSim::run_planned`, itself a one-step session)
-/// and its assembled trace records.
-fn batch_run(ds: &Dataset, cfg: &StackConfig) -> (SimOutput, TraceSet) {
+/// and the route plan it ran under.
+fn batch_run(ds: &Dataset, cfg: &StackConfig) -> (SimOutput, RoutePlan) {
     let sim = StackSim::new(&ds.fleet, cfg.clone());
     let plan = sim.plan(&ds.events).unwrap();
     let out = sim.run_planned(&ds.events, &plan).unwrap();
-    let traces = assemble(&ds.fleet, &ds.events, &plan, &out).unwrap();
-    (out, traces)
+    (out, plan)
 }
 
-/// The simulator's stats and trace records do not depend on the worker
-/// thread count (1, 2, 8) or on whether observability records, for every
-/// pinned seed.
+/// The simulator's stats, latency column and routes do not depend on the
+/// worker thread count (1, 2, 8) or on whether observability records, for
+/// every pinned seed.
 #[test]
 fn stack_sim_is_thread_and_obs_invariant() {
     let _obs = obs_guard().lock().unwrap();
@@ -312,8 +312,8 @@ fn stack_sim_is_thread_and_obs_invariant() {
         let ds = generate(&WorkloadConfig::quick(seed)).unwrap();
         let cfg = StackConfig::default();
         let run = || {
-            let (out, traces) = batch_run(&ds, &cfg);
-            (out.stats, out.lat, traces.records().to_vec())
+            let (out, plan) = batch_run(&ds, &cfg);
+            (out.stats, out.lat, plan.routes().to_vec())
         };
         ebs::obs::set_obs_override(Some(false));
         let off = assert_thread_count_invariant(run);
@@ -329,8 +329,8 @@ fn stack_sim_is_thread_and_obs_invariant() {
 
 /// A session stepped over uneven epoch slices — random lengths, empty
 /// slices included, each routed by its own plan as the serve loop does —
-/// reproduces one batch run's latency column, trace records (ids
-/// included) and aggregate over the whole stream.
+/// reproduces one batch run's latency column, routes and aggregate over
+/// the whole stream.
 #[test]
 fn session_slices_match_batch_run() {
     use ebs::core::rng::SimRng;
@@ -344,28 +344,27 @@ fn session_slices_match_batch_run() {
             ..StackConfig::default()
         };
         for cfg in [StackConfig::default(), unthrottled] {
-            let (whole, whole_traces) = batch_run(&ds, &cfg);
+            let (whole, whole_plan) = batch_run(&ds, &cfg);
             let sim = StackSim::new(&ds.fleet, cfg.clone());
             let mut session = SimSession::new(&ds.fleet, cfg.clone()).unwrap();
             let mut rng = SimRng::seed_from_u64(seed);
             // An empty first slice, then random lengths (0 included).
             let first = session.step(&[], &sim.plan(&[]).unwrap()).unwrap();
             assert_eq!(first.lat.len(), 0);
-            let (mut lat, mut records, mut lo, mut slices) = (Vec::new(), Vec::new(), 0, 0);
+            let (mut lat, mut routes, mut lo, mut slices) = (Vec::new(), Vec::new(), 0, 0);
             while lo < n {
                 let hi = (lo + rng.index(n / 6 + 1)).min(n);
                 let slice = &ds.events[lo..hi];
                 let plan = sim.plan(slice).unwrap();
                 let out = session.step(slice, &plan).unwrap();
                 lat.extend_from_slice(&out.lat);
-                let traces = assemble(&ds.fleet, slice, &plan, &out).unwrap();
-                records.extend_from_slice(traces.records());
+                routes.extend_from_slice(plan.routes());
                 (lo, slices) = (hi, slices + 1);
             }
             assert!(slices > 3, "seed={seed:#x}: too few slices");
             assert_eq!(session.finish(), whole.stats, "seed={seed:#x} {cfg:?}");
             assert_eq!(lat, whole.lat, "seed={seed:#x} {cfg:?}");
-            assert_eq!(records, whole_traces.records(), "seed={seed:#x} {cfg:?}");
+            assert_eq!(routes, whole_plan.routes(), "seed={seed:#x} {cfg:?}");
         }
     }
 }

@@ -79,16 +79,16 @@ fn stack_simulation_is_lossless_and_consistent() {
             ..StackConfig::default()
         },
     );
-    let (_, traces) = sim.run_traced(&ds.events).expect("sorted events");
-    assert_eq!(traces.len(), ds.events.len(), "every IO becomes a trace");
-    // Byte totals in the trace match the event stream exactly.
-    let ev_bytes: f64 = ds.events.iter().map(|e| e.size as f64).sum();
-    let (tr, tw) = traces.rw_bytes();
-    assert!((ev_bytes - (tr + tw)).abs() < 1e-3);
+    let plan = sim.plan(&ds.events).expect("sorted events");
+    let out = sim.run_planned(&ds.events, &plan).expect("planned");
+    // Every IO gets a route and a latency, row for row.
+    assert_eq!(plan.len(), ds.events.len(), "every IO is routed");
+    assert_eq!(out.lat.len(), ds.events.len(), "every IO gets a latency");
+    assert_eq!(out.stats.ios, ds.events.len() as u64);
     // Every latency is positive and stage-ordered.
-    for r in traces.records().iter().take(2000) {
-        assert!(r.lat.total_us() > 0.0);
-        assert!(r.lat.cn_cache_us() <= r.lat.bs_cache_us());
+    for lat in out.lat.iter().take(2000) {
+        assert!(lat.total_us() > 0.0);
+        assert!(lat.cn_cache_us() <= lat.bs_cache_us());
     }
 }
 

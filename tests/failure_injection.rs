@@ -60,7 +60,7 @@ fn empty_event_stream_yields_empty_traces() {
     let sim = StackSim::new(&ds.fleet, StackConfig::default());
     let out = sim.run(&[]).unwrap();
     assert!(out.lat.is_empty());
-    assert!(sim.run_traced(&[]).unwrap().1.is_empty());
+    assert!(sim.plan(&[]).unwrap().is_empty());
     assert_eq!(out.stats.ios, 0);
     assert_eq!(out.stats.mean_latency_us, 0.0);
 }

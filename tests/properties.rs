@@ -723,7 +723,7 @@ mod token_bucket_oracle {
 /// Serve-loop conservation, under no-op and under the online policies,
 /// over the whole trace and a horizon cut short: every consumed IO is
 /// simulated in exactly one epoch, each epoch's latency column covers
-/// exactly its slice (seen through the records assembled from it), and
+/// exactly its slice (seen through the epoch's exact p99), and
 /// the aggregate mean latency is the in-order f64 sum of the per-IO
 /// totals over the concatenated columns, divided by the IO count.
 #[test]
@@ -752,7 +752,7 @@ fn serve_loop_conserves_ios_and_latency() {
             };
             let mut config = ServeConfig::fast_forward(60.0, 5, stack).unwrap();
             config.duration_us = duration_us;
-            config.collect_traces = true;
+            config.collect_latency = true;
             let report = serve(&ds.fleet, &config, &ds.events, &mut policies).unwrap();
             let label = format!("online={online} duration={duration_us:?}");
             if online {
@@ -763,39 +763,30 @@ fn serve_loop_conserves_ios_and_latency() {
             let epoch_ios: u64 = report.epochs.iter().map(|e| e.ios).sum();
             assert_eq!(epoch_ios, report.consumed as u64, "{label}");
             assert_eq!(report.aggregate.ios, report.consumed as u64, "{label}");
-            assert_eq!(report.records.len(), report.consumed, "{label}");
+            assert_eq!(report.lat.len(), report.consumed, "{label}");
             if duration_us.is_some() {
                 assert!(report.consumed < ds.events.len(), "{label}: no cut");
             }
 
-            // Each epoch's records are its slice's events, in order.
+            // Each epoch's IOs are its slice's events, in order, and its
+            // rows of the latency column are the ones its p99 was taken
+            // over.
             let count = config.epoch.count_for(duration_us.unwrap_or(horizon));
             let slices: Vec<_> = config.epoch.cuts(&ds.events, count).collect();
             assert_eq!(slices.len(), report.epochs.len(), "{label}");
-            let mut records = report.records.iter();
+            let mut rows = report.lat.iter();
             for (slice, epoch) in slices.iter().zip(&report.epochs) {
                 assert_eq!(epoch.ios, slice.events.len() as u64, "{label}");
-                for ev in slice.events {
-                    let r = records.next().unwrap();
-                    assert_eq!(
-                        (r.t_us, r.vd, r.op, r.size, r.offset),
-                        (ev.t_us, ev.vd, ev.op, ev.size, ev.offset),
-                        "{label} epoch {}",
-                        slice.epoch
-                    );
-                }
+                let totals: Vec<f64> = rows
+                    .by_ref()
+                    .take(slice.events.len())
+                    .map(|lat| lat.total_us())
+                    .collect();
+                let p99 = ebs::analysis::quantile(&totals, 0.99).unwrap_or(0.0);
+                assert_eq!(epoch.p99_us.to_bits(), p99.to_bits(), "{label}");
             }
-            // Trace ids number the served IOs in order, across epochs.
-            assert!(report
-                .records
-                .iter()
-                .map(|r| r.id.0)
-                .eq(0..report.consumed as u64));
 
-            let total = report
-                .records
-                .iter()
-                .fold(0.0, |sum, r| sum + r.lat.total_us());
+            let total = report.lat.iter().fold(0.0, |sum, lat| sum + lat.total_us());
             assert_eq!(
                 report.aggregate.mean_latency_us.to_bits(),
                 (total / report.aggregate.ios as f64).to_bits(),
