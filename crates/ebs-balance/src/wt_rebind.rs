@@ -151,12 +151,13 @@ pub fn simulate_node(
         {
             *slot += bytes;
         }
-        let rebound_wt = wt_local(binding.wt_of(ev.qp));
-        if let Some(slot) = cum_rebound.get_mut(rebound_wt) {
-            *slot += bytes;
-        }
-        if let Some(slot) = period_traffic.get_mut(rebound_wt) {
-            *slot += bytes;
+        if let Some(rebound_wt) = binding.wt_of(ev.qp).map(wt_local) {
+            if let Some(slot) = cum_rebound.get_mut(rebound_wt) {
+                *slot += bytes;
+            }
+            if let Some(slot) = period_traffic.get_mut(rebound_wt) {
+                *slot += bytes;
+            }
         }
         period_ios += 1;
     }

@@ -50,5 +50,5 @@ pub use hybrid::{assign_sites, hybrid_latency_gain, HybridConfig};
 pub use location::{hit_oracle, latency_gain, CacheSite, LatencyGain};
 pub use lru::LruCache;
 pub use policy::CachePolicy;
-pub use simulate::{build_policy, simulate, Algorithm, HitStats};
+pub use simulate::{simulate, Algorithm, HitStats};
 pub use utilization::{per_bs_counts, per_cn_counts, CACHEABLE_THRESHOLD};

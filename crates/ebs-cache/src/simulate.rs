@@ -62,29 +62,11 @@ fn policy_pages(hb: &HottestBlock) -> usize {
     (hb.block_size / PAGE_BYTES).max(1) as usize
 }
 
-/// Build the policy instance for `algo`, sized/placed per the paper's
-/// protocol for a VD whose hottest block is `hb`.
-///
-/// This is the dynamic-dispatch entry point for callers that genuinely
-/// need a policy chosen at runtime; the hot sweep ([`sweep_policies`])
-/// builds concrete policy types instead so `simulate` monomorphizes.
-pub fn build_policy(algo: Algorithm, hb: &HottestBlock) -> Box<dyn CachePolicy> {
-    match algo {
-        Algorithm::Fifo => Box::new(FifoCache::new(policy_pages(hb))),
-        Algorithm::Lru => Box::new(LruCache::new(policy_pages(hb))),
-        Algorithm::Frozen => Box::new(FrozenCache::covering_bytes(
-            hb.block * hb.block_size,
-            hb.block_size,
-        )),
-    }
-}
-
 /// Run one policy over a VD's event stream, counting page-level hits.
 ///
 /// Generic over the policy type: called with a concrete `FifoCache` /
-/// `LruCache` / `FrozenCache` the access loop monomorphizes and inlines;
-/// `&mut dyn CachePolicy` still works for runtime-chosen policies.
-pub fn simulate<P: CachePolicy + ?Sized>(policy: &mut P, events: &[IoEvent]) -> HitStats {
+/// `LruCache` / `FrozenCache` the access loop monomorphizes and inlines.
+pub fn simulate<P: CachePolicy>(policy: &mut P, events: &[IoEvent]) -> HitStats {
     let mut stats = HitStats {
         accesses: 0,
         hits: 0,
@@ -187,8 +169,8 @@ mod tests {
         let events = hot_write_stream(bs);
         let hb = hottest_block(VdId(0), &events, bs).unwrap();
         assert_eq!(hb.block, 2);
-        let mut frozen = build_policy(Algorithm::Frozen, &hb);
-        let stats = simulate(frozen.as_mut(), &events);
+        let mut frozen = FrozenCache::covering_bytes(hb.block * hb.block_size, hb.block_size);
+        let stats = simulate(&mut frozen, &events);
         let ratio = stats.ratio().unwrap();
         assert!((ratio - 0.8).abs() < 0.01, "ratio {ratio}");
     }
@@ -198,10 +180,10 @@ mod tests {
         let bs = 64u64 << 20;
         let events = hot_write_stream(bs);
         let hb = hottest_block(VdId(0), &events, bs).unwrap();
-        let mut fifo = build_policy(Algorithm::Fifo, &hb);
-        let mut lru = build_policy(Algorithm::Lru, &hb);
-        let f = simulate(fifo.as_mut(), &events).ratio().unwrap();
-        let l = simulate(lru.as_mut(), &events).ratio().unwrap();
+        let mut fifo = FifoCache::new(policy_pages(&hb));
+        let mut lru = LruCache::new(policy_pages(&hb));
+        let f = simulate(&mut fifo, &events).ratio().unwrap();
+        let l = simulate(&mut lru, &events).ratio().unwrap();
         assert!((f - l).abs() < 0.05, "FIFO {f} vs LRU {l}");
     }
 
@@ -216,9 +198,9 @@ mod tests {
             reads: 0,
             writes: 1,
         };
-        let mut lru = build_policy(Algorithm::Lru, &hb);
+        let mut lru = LruCache::new(policy_pages(&hb));
         // One 64 KiB IO = 16 page accesses, all cold.
-        let stats = simulate(lru.as_mut(), &[ev(0, Op::Write, 0, 65536)]);
+        let stats = simulate(&mut lru, &[ev(0, Op::Write, 0, 65536)]);
         assert_eq!(stats.accesses, 16);
         assert_eq!(stats.hits, 0);
     }

@@ -13,14 +13,12 @@
 //! reads. An unknown name exits with status 2 and lists the valid ones.
 //!
 //! `--trace <path>` persists the dataset: the first run generates and
-//! saves it to `path`, later runs replay from the store instead of
-//! regenerating. With `--shards <n>` (or `EBS_SHARDS`, or when `path` is
-//! an existing sharded-store directory) the trace lives as a sharded
-//! store: generation and replay both stream shard-by-shard with bounded
-//! memory instead of materializing whole-store buffers. Output is
-//! byte-identical across all of these paths (the store round trips are
-//! exact, and sharding is shard-count-invariant); status goes to stderr
-//! only.
+//! saves it to `path`, later runs replay from the store, in whichever
+//! layout it has, instead of regenerating. With `--shards <n>` (or
+//! `EBS_SHARDS`) a new store is written as a sharded directory, shard by
+//! shard with bounded memory. Output is byte-identical across all of
+//! these paths (see `scenario::dataset_or_replay`); status goes to
+//! stderr only.
 #![allow(clippy::print_stdout, reason = "a bin owns the terminal")]
 #![allow(clippy::print_stderr, reason = "a bin owns the terminal")]
 use ebs_experiments::*;
@@ -46,24 +44,12 @@ fn only_from_args() -> Option<String> {
 
 fn main() {
     let only = only_from_args();
-    let scale = Scale::from_args();
-    let ds = match Scale::trace_path_from_args() {
-        Some(path) => {
-            let shards = Scale::shards_from_args();
-            #[allow(clippy::disallowed_methods, reason = "the named `EBS_SHARDS` read")]
-            let sharded = shards.is_some()
-                || std::env::var_os(ebs_workload::SHARDS_ENV).is_some()
-                || path.join(ebs_store::MANIFEST_FILE).exists();
-            let loaded = if sharded {
-                dataset_or_replay_sharded(scale, &path, shards)
-            } else {
-                dataset_or_replay(scale, &path)
-            };
-            loaded.unwrap_or_else(|e| {
-                eprintln!("cannot use trace store {}: {e}", path.display());
-                std::process::exit(2);
-            })
-        }
+    let scale = scale_from_args();
+    let ds = match trace_path_from_args() {
+        Some(path) => dataset_or_replay(scale, &path, shards_from_args()).unwrap_or_else(|e| {
+            eprintln!("cannot use trace store {}: {e}", path.display());
+            std::process::exit(2);
+        }),
         None => dataset(scale),
     };
     match only {

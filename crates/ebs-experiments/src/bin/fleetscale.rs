@@ -24,7 +24,7 @@
 
 use ebs_experiments::fleetscale::{config_for_vds, skew_report};
 use ebs_experiments::EXPERIMENT_SEED;
-use ebs_workload::{generate_sharded, replay_summary, resolve_shards};
+use ebs_workload::{generate_sharded, replay_summary, resolve_shards, StoreLayout};
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     let at = args.iter().position(|a| a == flag)?;
@@ -56,7 +56,7 @@ fn main() {
     }));
     let with_metrics = args.iter().any(|a| a == "--metrics");
 
-    if !dir.join(ebs_store::MANIFEST_FILE).exists() {
+    if StoreLayout::probe(&dir) != StoreLayout::Sharded {
         let config = config_for_vds(vds, EXPERIMENT_SEED, duration);
         eprintln!(
             "generating ~{vds} VDs into {shards} shard(s) at {} ...",

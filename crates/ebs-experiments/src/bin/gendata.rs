@@ -5,11 +5,11 @@
 //! cargo run --release -p ebs-experiments --bin gendata -- --quick [out_dir]
 //! ```
 #![allow(clippy::print_stdout, reason = "a bin owns the terminal")]
-use ebs_experiments::{dataset, Scale};
+use ebs_experiments::{dataset, scale_from_args};
 use std::path::PathBuf;
 
 fn main() {
-    let scale = Scale::from_args();
+    let scale = scale_from_args();
     let out: PathBuf = std::env::args()
         .skip(1)
         .find(|a| !a.starts_with("--"))

@@ -44,5 +44,6 @@ pub mod table3;
 pub mod table4;
 
 pub use scenario::{
-    dataset, dataset_or_replay, dataset_or_replay_sharded, stack_latency, Scale, EXPERIMENT_SEED,
+    dataset, dataset_or_replay, scale_from_args, shards_from_args, stack_latency,
+    trace_path_from_args, Scale, EXPERIMENT_SEED,
 };

@@ -3,28 +3,22 @@
 //! ```text
 //! serve [--quick|--medium] [--trace <path>] [--shards <n>]
 //!       [--epoch <virt-secs>] [--window <epochs>] [--policies <csv>]
-//!       [--speedup <x>] [--duration <virt-secs>] [--cache-pages <n>]
+//!       [--duration <virt-secs>] [--cache-pages <n>]
 //! ```
 //!
-//! `--trace <path>` replays an ebs-store trace: a directory holding a
-//! shard manifest is read shard-by-shard (any shard count — metricless
-//! shards are fine), anything else as a single-file store. A missing path
-//! is populated first: the canonical dataset at the chosen scale is
-//! generated into `path` as a sharded store (`--shards <n>` or
-//! `EBS_SHARDS` to pin the shard count, else the thread count). Without
-//! `--trace` the workload is generated in memory.
+//! `--trace <path>` replays the events of an ebs-store trace in either
+//! layout (`ebs_workload::load_events`; metricless shards are fine). A
+//! path holding no store is populated first: the canonical dataset at the
+//! chosen scale is generated into `path` as a metricless sharded store
+//! (`--shards <n>` or `EBS_SHARDS` to pin the shard count, else the
+//! thread count). Without `--trace` the workload is generated in memory.
 //!
 //! `--policies` selects the online controllers (comma-separated):
 //! `rebind`, `lend`, `balance`, `cache`, or `none`. Default:
 //! `rebind,lend,balance`.
 //!
-//! Without `--speedup` the loop fast-forwards (tests, CI). With
-//! `--speedup <x>` each epoch takes `epoch/x` wall seconds, emulating a
-//! live control plane at `x ×` accelerated virtual time; pacing never
-//! changes a single output byte.
-//!
 //! Stdout carries only deterministic serve output — identical across
-//! runs, thread counts (`EBS_THREADS`), shard counts, pacing modes, and
+//! runs, thread counts (`EBS_THREADS`), store layouts, shard counts and
 //! `EBS_OBS`. Status goes to stderr. With `EBS_OBS=1` the per-epoch
 //! metrics stream is additionally written to
 //! `<EBS_OBS_OUT>_epochs.jsonl`.
@@ -33,16 +27,15 @@
 
 use std::path::PathBuf;
 
+use ebs_core::error::EbsError;
+use ebs_core::io::IoEvent;
+use ebs_core::topology::Fleet;
 use ebs_serve::{
     serve, EpochSpec, NoopPolicy, OnlineBalancer, OnlineCacheTuner, OnlineLender, OnlineRebinder,
-    Pacing, Policy, ServeConfig, ServeSource,
+    Policy, ServeConfig,
 };
 use ebs_stack::sim::StackConfig;
-use ebs_workload::WorkloadConfig;
-
-/// The canonical experiment seed (`ebs_experiments::EXPERIMENT_SEED`), so
-/// `serve` and the offline bins agree on generated traces.
-const SEED: u64 = 0xEB5_2025;
+use ebs_workload::{Scale, StoreLayout, EXPERIMENT_SEED};
 
 /// Pages for the serve-side cache when `cache` is selected without an
 /// explicit `--cache-pages` (16 MiB of 4 KiB pages).
@@ -52,34 +45,30 @@ fn usage() -> ! {
     eprintln!(
         "usage: serve [--quick|--medium] [--trace <path>] [--shards <n>] \
          [--epoch <virt-secs>] [--window <epochs>] [--policies <csv>] \
-         [--speedup <x>] [--duration <virt-secs>] [--cache-pages <n>]"
+         [--duration <virt-secs>] [--cache-pages <n>]"
     );
     std::process::exit(2);
 }
 
 struct Args {
-    quick: bool,
-    medium: bool,
+    scale: Scale,
     trace: Option<PathBuf>,
     shards: Option<usize>,
     epoch_secs: f64,
     window: usize,
     policies: Vec<String>,
-    speedup: Option<f64>,
     duration_secs: Option<f64>,
     cache_pages: Option<usize>,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
-        quick: false,
-        medium: false,
+        scale: Scale::Full,
         trace: None,
         shards: None,
         epoch_secs: 60.0,
         window: 5,
         policies: vec!["rebind".into(), "lend".into(), "balance".into()],
-        speedup: None,
         duration_secs: None,
         cache_pages: None,
     };
@@ -93,8 +82,10 @@ fn parse_args() -> Args {
     };
     while i < argv.len() {
         match argv[i].as_str() {
-            "--quick" => args.quick = true,
-            "--medium" => args.medium = true,
+            // `--quick` wins over `--medium`, in either order.
+            "--quick" => args.scale = Scale::Quick,
+            "--medium" if args.scale == Scale::Full => args.scale = Scale::Medium,
+            "--medium" => {}
             "--trace" => {
                 args.trace = Some(PathBuf::from(value(&argv, i)));
                 i += 1;
@@ -132,16 +123,6 @@ fn parse_args() -> Args {
                     .collect();
                 i += 1;
             }
-            "--speedup" => {
-                args.speedup = Some(
-                    value(&argv, i)
-                        .parse()
-                        .ok()
-                        .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                        .unwrap_or_else(|| usage()),
-                );
-                i += 1;
-            }
             "--duration" => {
                 args.duration_secs = Some(
                     value(&argv, i)
@@ -162,7 +143,6 @@ fn parse_args() -> Args {
                 );
                 i += 1;
             }
-            "--fast-forward" => args.speedup = None,
             _ => usage(),
         }
         i += 1;
@@ -170,17 +150,27 @@ fn parse_args() -> Args {
     args
 }
 
-fn scale_config(args: &Args) -> WorkloadConfig {
-    if args.quick {
-        WorkloadConfig::quick(SEED)
-    } else if args.medium {
-        WorkloadConfig::medium(SEED)
-    } else {
-        WorkloadConfig {
-            seed: SEED,
-            ..WorkloadConfig::default()
-        }
+/// The fleet and event stream to serve: the canonical dataset generated
+/// in memory, or the events of the store at `--trace`, which a first run
+/// creates as a metricless sharded store.
+fn load_trace(args: &Args) -> Result<(Fleet, Vec<IoEvent>), EbsError> {
+    let config = args.scale.config(EXPERIMENT_SEED);
+    let Some(path) = &args.trace else {
+        let ds = ebs_workload::generate(&config)?;
+        return Ok((ds.fleet, ds.events));
+    };
+    if StoreLayout::probe(path) == StoreLayout::Absent {
+        let shards = ebs_workload::resolve_shards(args.shards);
+        let manifest = ebs_workload::generate_sharded(&config, path, shards, false)?;
+        eprintln!(
+            "generated {} events into {} shard(s) at {}",
+            manifest.total_events(),
+            manifest.shards.len(),
+            path.display()
+        );
     }
+    let (_, fleet, events) = ebs_workload::load_events(path)?;
+    Ok((fleet, events))
 }
 
 fn build_policies(
@@ -213,45 +203,14 @@ fn build_policies(
 fn main() {
     let args = parse_args();
 
-    // Resolve the traffic source.
-    let source = match &args.trace {
-        Some(path) => {
-            if path.join(ebs_store::MANIFEST_FILE).exists() || path.is_file() {
-                ServeSource::from_path(path)
-            } else {
-                // First run: materialize the canonical trace as a sharded
-                // store at `path` (bounded memory; metricless — serve does
-                // not need the metric series).
-                let config = scale_config(&args);
-                let shards = ebs_workload::resolve_shards(args.shards);
-                match ebs_workload::generate_sharded(&config, path, shards, false) {
-                    Ok(manifest) => eprintln!(
-                        "generated {} events into {} shard(s) at {}",
-                        manifest.total_events(),
-                        manifest.shards.len(),
-                        path.display()
-                    ),
-                    Err(e) => {
-                        eprintln!("cannot create trace store {}: {e}", path.display());
-                        std::process::exit(2);
-                    }
-                }
-                ServeSource::ShardedStore(path.clone())
-            }
-        }
-        None => ServeSource::Generate(Box::new(scale_config(&args))),
-    };
-    let trace = match ebs_serve::load(&source) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot load serve trace: {e}");
-            std::process::exit(2);
-        }
-    };
+    let (fleet, events) = load_trace(&args).unwrap_or_else(|e| {
+        eprintln!("cannot load serve trace: {e}");
+        std::process::exit(2);
+    });
     eprintln!(
         "serving {} events over {} VDs",
-        trace.events.len(),
-        trace.fleet.vd_count()
+        events.len(),
+        fleet.vd_count()
     );
 
     // Build the serve configuration.
@@ -276,10 +235,6 @@ fn main() {
         duration_us: args
             .duration_secs
             .map(|s| (s * 1e6).round().clamp(0.0, u64::MAX as f64) as u64),
-        pacing: match args.speedup {
-            Some(speedup) => Pacing::Paced { speedup },
-            None => Pacing::FastForward,
-        },
         cache_pages,
         collect_latency: false,
     };
@@ -296,7 +251,7 @@ fn main() {
         config.window,
         args.policies.join(",")
     );
-    let report = match serve(&trace.fleet, &config, &trace.events, &mut policies) {
+    let report = match serve(&fleet, &config, &events, &mut policies) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("serve failed: {e}");

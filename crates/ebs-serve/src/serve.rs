@@ -12,9 +12,7 @@
 //!
 //! Determinism: every epoch cut, fold, and policy decision is pure
 //! arithmetic over the event stream and the seed-pinned session, so serve
-//! output is invariant to thread count, shard count, pacing mode, and
-//! `EBS_OBS`. The optional pacing sleep only slows wall-clock delivery —
-//! it reads no clock and moves no output byte.
+//! output is invariant to thread count, shard count, and `EBS_OBS`.
 
 use std::fmt::Write as _;
 
@@ -34,19 +32,6 @@ use crate::policy::{Action, Policy, WindowView};
 use crate::stats::{fold_window, AppliedActions, CacheEpoch, EpochStats, WindowMetrics};
 use crate::window::SlidingWindow;
 
-/// How the serve loop advances virtual time relative to wall time.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Pacing {
-    /// Run epochs back-to-back (tests, CI, batch analysis).
-    FastForward,
-    /// Sleep `epoch_secs / speedup` wall seconds between epochs, emulating
-    /// a live control plane at `speedup ×` accelerated virtual time.
-    Paced {
-        /// Virtual-to-wall time acceleration (must be positive).
-        speedup: f64,
-    },
-}
-
 /// Serve-loop configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -58,8 +43,6 @@ pub struct ServeConfig {
     pub stack: StackConfig,
     /// Serve only `[0, duration_us)` of the trace (`None` = everything).
     pub duration_us: Option<u64>,
-    /// Wall-clock pacing.
-    pub pacing: Pacing,
     /// Run an observational page cache of this many 4 KiB pages.
     pub cache_pages: Option<usize>,
     /// Keep every served IO's five-stage latency in the report
@@ -68,8 +51,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A fast-forward config with a `epoch_secs`-second epoch and
-    /// `window`-epoch sliding window over `stack`.
+    /// A config with a `epoch_secs`-second epoch and `window`-epoch
+    /// sliding window over `stack`; epochs run back to back.
     pub fn fast_forward(
         epoch_secs: f64,
         window: usize,
@@ -80,7 +63,6 @@ impl ServeConfig {
             window,
             stack,
             duration_us: None,
-            pacing: Pacing::FastForward,
             cache_pages: None,
             collect_latency: false,
         })
@@ -247,15 +229,6 @@ pub fn serve(
             window: metrics,
             applied,
         });
-        // Pace wall-clock delivery; virtual time is untouched.
-        if let Pacing::Paced { speedup } = config.pacing {
-            if speedup.is_finite() && speedup > 0.0 {
-                let wall_secs = config.epoch.secs() / speedup;
-                if wall_secs > 0.0 {
-                    std::thread::sleep(std::time::Duration::from_secs_f64(wall_secs.min(60.0)));
-                }
-            }
-        }
     }
     report.consumed = cuts.consumed();
     report.aggregate = session.finish();

@@ -5,13 +5,13 @@
 use ebs_core::parallel::set_thread_override;
 use ebs_serve::{
     serve, EpochSpec, NoopPolicy, OnlineBalancer, OnlineCacheTuner, OnlineLender, OnlineRebinder,
-    Pacing, Policy, ServeConfig, ServeReport, ServeSource,
+    Policy, ServeConfig, ServeReport,
 };
 use ebs_stack::sim::{StackConfig, StackSim};
-use ebs_workload::{generate, Dataset, WorkloadConfig};
+use ebs_workload::{generate, Dataset, WorkloadConfig, EXPERIMENT_SEED};
 
 fn quick() -> Dataset {
-    generate(&WorkloadConfig::quick(0xEB5_2025)).unwrap()
+    generate(&WorkloadConfig::quick(EXPERIMENT_SEED)).unwrap()
 }
 
 fn noop_policies() -> Vec<Box<dyn Policy>> {
@@ -109,7 +109,7 @@ fn boundary_event_serves_once_in_later_epoch() {
 /// with each other.
 #[test]
 fn sharded_sources_reproduce_generated_serve() {
-    let config = WorkloadConfig::quick(0xEB5_2025);
+    let config = WorkloadConfig::quick(EXPERIMENT_SEED);
     let ds = generate(&config).unwrap();
     let serve_cfg = ServeConfig::fast_forward(120.0, 4, StackConfig::default()).unwrap();
     let stack = serve_cfg.stack.clone();
@@ -125,15 +125,9 @@ fn sharded_sources_reproduce_generated_serve() {
     for shards in [2usize, 5] {
         let dir = ebs_core::TempDir::new(&format!("serve-shards-{shards}")).unwrap();
         ebs_workload::generate_sharded(&config, &dir, shards, false).unwrap();
-        let trace = ebs_serve::load(&ServeSource::ShardedStore(dir.to_path_buf())).unwrap();
-        assert_eq!(trace.events, ds.events, "shards={shards}");
-        let report = serve(
-            &trace.fleet,
-            &serve_cfg,
-            &trace.events,
-            &mut active_policies(&stack),
-        )
-        .unwrap();
+        let (_, fleet, events) = ebs_workload::load_events(&dir).unwrap();
+        assert_eq!(events, ds.events, "shards={shards}");
+        let report = serve(&fleet, &serve_cfg, &events, &mut active_policies(&stack)).unwrap();
         assert_eq!(report_fingerprint(&report), base_fp, "shards={shards}");
     }
 }
@@ -207,16 +201,4 @@ fn duration_caps_the_horizon() {
     let per_epoch: u64 = report.epochs.iter().map(|e| e.ios).sum();
     assert_eq!(per_epoch, report.consumed as u64);
     assert_eq!(report.aggregate.ios, report.consumed as u64);
-}
-
-/// Paced mode changes wall-clock delivery only: with a huge speedup the
-/// report matches fast-forward byte-for-byte.
-#[test]
-fn pacing_never_changes_output() {
-    let ds = quick();
-    let mut config = ServeConfig::fast_forward(600.0, 3, StackConfig::default()).unwrap();
-    let fast = serve(&ds.fleet, &config, &ds.events, &mut noop_policies()).unwrap();
-    config.pacing = Pacing::Paced { speedup: 1e9 };
-    let paced = serve(&ds.fleet, &config, &ds.events, &mut noop_policies()).unwrap();
-    assert_eq!(report_fingerprint(&fast), report_fingerprint(&paced));
 }

@@ -24,9 +24,8 @@ use ebs_core::topology::Fleet;
 /// and its inverse maps each WT back to its slot. The invariant is
 /// `wt_at[slot_of[w]] == w` for every WT `w`, and a QP's WT is
 /// `wt_at[slot[qp]]`. Swapping two WTs' QP sets exchanges two entries of
-/// each permutation (O(1)); rebinding one QP points it at the target WT's
-/// slot. Slots cover every fleet WT and every WT the attach-time binding
-/// names, so every QP's WT stays inside the table.
+/// each permutation (O(1)). Slots cover every fleet WT and every WT the
+/// attach-time binding names, so every QP's WT stays inside the table.
 #[derive(Clone, Debug)]
 pub struct Binding {
     /// Each QP's slot, indexed by [`QpId`].
@@ -52,39 +51,11 @@ impl Binding {
         }
     }
 
-    /// The worker thread currently serving `qp`.
-    ///
-    /// # Panics
-    /// If `qp` is not a fleet QP.
-    pub fn wt_of(&self, qp: QpId) -> WtId {
-        self.try_wt_of(qp)
-            .unwrap_or_else(|| panic!("{qp} is not bound: no such queue pair"))
-    }
-
-    /// Panic-free lookup of the worker thread serving `qp` (used by the
-    /// route planner, which must not panic on malformed input).
-    pub fn try_wt_of(&self, qp: QpId) -> Option<WtId> {
+    /// The worker thread currently serving `qp`; `None` if `qp` is not a
+    /// fleet QP.
+    pub fn wt_of(&self, qp: QpId) -> Option<WtId> {
         let &slot = self.slot.get(qp.index())?;
         self.wt_at.get(slot as usize).copied()
-    }
-
-    /// Rebind `qp` to `wt`.
-    ///
-    /// # Panics
-    /// If `qp` or `wt` lies outside the fleet. In debug builds, also if
-    /// the target WT belongs to a different compute node than the QP
-    /// (bindings never cross nodes).
-    pub fn rebind(&mut self, fleet: &Fleet, qp: QpId, wt: WtId) {
-        debug_assert_eq!(
-            fleet.cn_of_qp(qp),
-            fleet.cn_of_wt(wt),
-            "rebinding across compute nodes is impossible"
-        );
-        let (Some(slot), Some(&to)) = (self.slot.get_mut(qp.index()), self.slot_of.get(wt.index()))
-        else {
-            panic!("cannot rebind {qp} to {wt}: outside the fleet");
-        };
-        *slot = to;
     }
 
     /// Swap the QP sets of two worker threads on the same node (the rebind
@@ -157,7 +128,7 @@ mod tests {
     /// Number of `f`'s QPs that `b` binds to `wt`.
     fn qp_count(f: &Fleet, b: &Binding, wt: WtId) -> usize {
         (0..f.qps.len() as u32)
-            .filter(|&q| b.wt_of(QpId(q)) == wt)
+            .filter(|&q| b.wt_of(QpId(q)) == Some(wt))
             .count()
     }
 
@@ -165,19 +136,10 @@ mod tests {
     fn binding_starts_round_robin() {
         let f = fleet();
         let b = Binding::from_fleet(&f);
-        assert_eq!(b.wt_of(QpId(0)), WtId(0));
-        assert_eq!(b.wt_of(QpId(1)), WtId(1));
-        assert_eq!(b.wt_of(QpId(2)), WtId(0));
+        assert_eq!(b.wt_of(QpId(0)), Some(WtId(0)));
+        assert_eq!(b.wt_of(QpId(1)), Some(WtId(1)));
+        assert_eq!(b.wt_of(QpId(2)), Some(WtId(0)));
         assert_eq!(qp_count(&f, &b, WtId(0)), 2);
-    }
-
-    #[test]
-    fn rebind_moves_one_qp() {
-        let f = fleet();
-        let mut b = Binding::from_fleet(&f);
-        b.rebind(&f, QpId(0), WtId(1));
-        assert_eq!(b.wt_of(QpId(0)), WtId(1));
-        assert_eq!(qp_count(&f, &b, WtId(1)), 3);
     }
 
     #[test]
@@ -185,8 +147,8 @@ mod tests {
         let f = fleet();
         let mut b = Binding::from_fleet(&f);
         b.swap_wts(WtId(0), WtId(1));
-        assert_eq!(b.wt_of(QpId(0)), WtId(1));
-        assert_eq!(b.wt_of(QpId(1)), WtId(0));
+        assert_eq!(b.wt_of(QpId(0)), Some(WtId(1)));
+        assert_eq!(b.wt_of(QpId(1)), Some(WtId(0)));
         assert_eq!(qp_count(&f, &b, WtId(0)), 2);
         assert_eq!(qp_count(&f, &b, WtId(1)), 2);
     }
@@ -246,26 +208,17 @@ mod tests {
                 map: f.qp_binding.iter().copied().collect(),
             };
             for _ in 0..400 {
+                // `a == b` included: single-WT nodes always draw it.
                 let &(base, count) = rng.choose(&nodes);
-                if rng.chance(0.2) {
-                    // Rebind a random QP to a random WT of its own node.
-                    let qp = QpId(rng.index(qps) as u32);
-                    let node = &f.compute_nodes[f.cn_of_qp(qp)];
-                    let wt = WtId(node.wt_base + rng.below(node.wt_count as u64) as u32);
-                    fast.rebind(&f, qp, wt);
-                    scan.map[qp.index()] = wt;
-                } else {
-                    // `a == b` included: single-WT nodes always draw it.
-                    let a = WtId(base + rng.below(count as u64) as u32);
-                    let b = WtId(base + rng.below(count as u64) as u32);
-                    fast.swap_wts(a, b);
-                    scan.swap_wts(a, b);
-                }
+                let a = WtId(base + rng.below(count as u64) as u32);
+                let b = WtId(base + rng.below(count as u64) as u32);
+                fast.swap_wts(a, b);
+                scan.swap_wts(a, b);
                 for (i, &wt) in scan.map.iter().enumerate() {
-                    assert_eq!(fast.wt_of(QpId(i as u32)), wt);
-                    assert_eq!(fast.try_wt_of(QpId(i as u32)), Some(wt));
+                    assert_eq!(fast.wt_of(QpId(i as u32)), Some(wt));
                 }
-                assert_eq!(fast.try_wt_of(QpId(qps as u32)), None);
+                assert_eq!(fast.wt_of(QpId(qps as u32)), None);
+                assert_eq!(fast.wt_of(QpId(u32::MAX)), None);
                 for w in 0..f.wt_total {
                     assert_eq!(qp_count(&f, &fast, WtId(w)), scan.qp_count_of(WtId(w)));
                 }
@@ -279,8 +232,8 @@ mod tests {
         let mut b = Binding::from_fleet(&f);
         b.swap_wts(WtId(0), WtId(f.wt_total));
         b.swap_wts(WtId(u32::MAX), WtId(1));
-        assert_eq!(b.wt_of(QpId(0)), WtId(0));
-        assert_eq!(b.wt_of(QpId(1)), WtId(1));
+        assert_eq!(b.wt_of(QpId(0)), Some(WtId(0)));
+        assert_eq!(b.wt_of(QpId(1)), Some(WtId(1)));
         assert_eq!(qp_count(&f, &b, WtId(f.wt_total)), 0);
     }
 

@@ -73,7 +73,7 @@ impl RoutePlan {
         let homes = seg_map.as_slice();
         for ev in events {
             let wt = binding
-                .try_wt_of(ev.qp)
+                .wt_of(ev.qp)
                 .ok_or_else(|| EbsError::unknown_entity(format!("{} has no WT binding", ev.qp)))?;
             let vm = fleet
                 .qps

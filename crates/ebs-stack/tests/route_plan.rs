@@ -26,7 +26,7 @@ proptest! {
         for (i, ev) in ds.events.iter().enumerate() {
             let seg = ds.fleet.segment_at(ev.vd, ev.offset).unwrap();
             let r = plan.routes()[i];
-            prop_assert_eq!(r.wt, binding.wt_of(ev.qp));
+            prop_assert_eq!(Some(r.wt), binding.wt_of(ev.qp));
             prop_assert_eq!(r.cn, ds.fleet.cn_of_qp(ev.qp));
             prop_assert_eq!(r.seg, seg);
             prop_assert_eq!(r.bs, seg_map.as_slice()[seg.index()]);

@@ -10,6 +10,35 @@
 use ebs_core::error::EbsError;
 use ebs_core::time::{TickSpec, MAX_TICKS, OBSERVATION_SECS};
 
+/// The master seed of the canonical dataset, shared by the experiment
+/// binaries and `serve`.
+pub const EXPERIMENT_SEED: u64 = 0xEB5_2025;
+
+/// Scenario scale: the three fleet sizes every binary offers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scale {
+    /// Tiny single-DC fleet over 30 minutes; used by tests and `--quick`.
+    Quick,
+    /// Two DCs over two hours; integration-test scale.
+    Medium,
+    /// The default three-DC, 12-hour scenario of DESIGN.md.
+    Full,
+}
+
+impl Scale {
+    /// The workload configuration for this scale.
+    pub fn config(self, seed: u64) -> WorkloadConfig {
+        match self {
+            Scale::Quick => WorkloadConfig::quick(seed),
+            Scale::Medium => WorkloadConfig::medium(seed),
+            Scale::Full => WorkloadConfig {
+                seed,
+                ..WorkloadConfig::default()
+            },
+        }
+    }
+}
+
 /// Configuration of one synthetic-dataset generation run.
 #[derive(Clone, Debug)]
 pub struct WorkloadConfig {
@@ -169,9 +198,9 @@ mod tests {
 
     #[test]
     fn default_validates() {
-        WorkloadConfig::default().validate().unwrap();
-        WorkloadConfig::quick(1).validate().unwrap();
-        WorkloadConfig::medium(1).validate().unwrap();
+        for s in [Scale::Quick, Scale::Medium, Scale::Full] {
+            s.config(1).validate().unwrap();
+        }
     }
 
     #[test]

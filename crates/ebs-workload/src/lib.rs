@@ -44,6 +44,7 @@ pub mod dist;
 pub mod export;
 pub mod fleet;
 pub mod generator;
+pub mod layout;
 pub mod lba;
 pub mod profile;
 pub mod sampler;
@@ -55,15 +56,16 @@ pub mod spatial;
 #[cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 pub mod store;
 
-pub use config::WorkloadConfig;
+pub use config::{Scale, WorkloadConfig, EXPERIMENT_SEED};
 pub use dataset::Dataset;
 pub use fleet::{build_fleet, summarize, FleetSummary};
 pub use generator::{generate, generate_for_fleet};
+pub use layout::{load_events, StoreLayout};
 pub use lba::LbaModel;
 pub use profile::AppProfile;
 pub use shard::{
-    generate_sharded, generate_sharded_plan, load_manifest, load_sharded_events, replay_summary,
-    resolve_shards, ShardPlan, SHARDS_ENV,
+    generate_sharded, generate_sharded_plan, load_manifest, replay_summary, requested_shards,
+    resolve_shards, ShardPlan,
 };
 pub use spatial::{build_plan, TrafficPlan};
 pub use store::spec_rows;

@@ -22,10 +22,11 @@
 //! a stable sort never reorders equal keys, globally stable-sorting the
 //! concatenated shard streams by timestamp reproduces *exactly* the event
 //! order of [`generate`](crate::generate) — that is what makes
-//! [`Dataset::load_sharded`] byte-identical to in-memory generation, and
-//! the streaming [`replay_summary`] is shard-count invariant besides
-//! because every [`StreamSummary`] accumulator is an integer-valued `f64`
-//! below 2^53, where addition is exact and associative.
+//! [`Dataset::open`] of a sharded store byte-identical to in-memory
+//! generation, and the streaming [`replay_summary`] is shard-count
+//! invariant besides because every [`StreamSummary`] accumulator is an
+//! integer-valued `f64` below 2^53, where addition is exact and
+//! associative.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -54,20 +55,29 @@ use crate::store::{
 };
 
 /// Environment variable selecting the shard count for sharded runs.
-pub const SHARDS_ENV: &str = "EBS_SHARDS";
+const SHARDS_ENV: &str = "EBS_SHARDS";
 
-/// Shard count resolution: an explicit request wins, then `EBS_SHARDS`,
-/// then one shard per worker thread (the natural ownership grain).
+/// The shard count a run asks for: `requested` (a `--shards` flag) wins,
+/// then `EBS_SHARDS`. `None` when neither is given, which is how a binary
+/// tells that a new store is to be a single file; an `EBS_SHARDS` that is
+/// not a positive count asks for one shard per worker thread.
 #[allow(clippy::disallowed_methods, reason = "the named `EBS_SHARDS` read")]
+pub fn requested_shards(requested: Option<usize>) -> Option<usize> {
+    requested.filter(|&n| n > 0).or_else(|| {
+        let value = std::env::var_os(SHARDS_ENV)?;
+        let count = value.to_str().and_then(|v| v.parse::<usize>().ok());
+        Some(
+            count
+                .filter(|&n| n > 0)
+                .unwrap_or_else(ebs_core::parallel::current_threads),
+        )
+    })
+}
+
+/// Shard count resolution: [`requested_shards`], else one shard per
+/// worker thread (the natural ownership grain).
 pub fn resolve_shards(requested: Option<usize>) -> usize {
-    requested
-        .or_else(|| {
-            std::env::var(SHARDS_ENV)
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-        })
-        .filter(|&n| n > 0)
-        .unwrap_or_else(ebs_core::parallel::current_threads)
+    requested_shards(requested).unwrap_or_else(ebs_core::parallel::current_threads)
 }
 
 /// A partition of the fleet's VD id space into contiguous, disjoint,
@@ -153,9 +163,10 @@ pub fn generate_sharded(
 ///
 /// With `with_metrics` the per-QP and per-segment metric series are also
 /// accumulated (shard-local, contiguous entity ranges) and written to the
-/// shard file, which is what [`Dataset::load_sharded`] needs to rebuild a
-/// full [`Dataset`]; without it they are dropped as they are generated
-/// and memory stays bounded even at millions of VDs.
+/// shard file, which is what [`Dataset::open`] needs to rebuild a full
+/// [`Dataset`]; without it they are dropped as they are generated and
+/// memory stays bounded even at millions of VDs
+/// ([`crate::load_events`] and [`replay_summary`] read such a store).
 pub fn generate_sharded_plan(
     config: &WorkloadConfig,
     dir: impl AsRef<Path>,
@@ -418,14 +429,14 @@ fn load_shard(
 /// Read every shard of the trace in `dir` (in parallel, one worker per
 /// shard file): the config its manifest stores, the fleet that config
 /// rebuilds, the merged event stream, and the per-shard loads with their
-/// events moved out.
+/// events moved out. The metric chunks are read only `with_metrics`.
 ///
 /// Shard streams are concatenated in shard order — which is VD-major
 /// order — and stable-sorted by timestamp; since each shard chunk was
 /// itself stable-sorted, equal timestamps sit in VD-major order
 /// throughout and the final sort reproduces exactly the unsharded event
 /// stream, for any shard count and any thread count.
-fn load_shards(
+pub(crate) fn load_shards(
     dir: &Path,
     with_metrics: bool,
 ) -> Result<(WorkloadConfig, Fleet, Vec<IoEvent>, Vec<Chunks>), EbsError> {
@@ -452,30 +463,20 @@ fn load_shards(
         events.extend(std::mem::take(&mut load.events));
     }
     events.sort_by_key(|e| e.t_us);
+    validate_events(&events, &fleet)?;
     Ok((config, fleet, events, loads))
-}
-
-/// Load the event stream of the sharded trace in `dir`, with the config
-/// its manifest stores and the fleet that config rebuilds. Reads only the
-/// EVENTS chunks, so shards generated without metrics load too; the
-/// stream is exactly the one [`crate::generate`] returns for the config.
-pub fn load_sharded_events(
-    dir: impl AsRef<Path>,
-) -> Result<(WorkloadConfig, Fleet, Vec<IoEvent>), EbsError> {
-    let (config, fleet, events, _) = load_shards(dir.as_ref(), false)?;
-    Ok((config, fleet, events))
 }
 
 impl Dataset {
     /// Load a sharded trace directory back into a full in-memory
     /// [`Dataset`], byte-identical to the one [`crate::generate`] returns
-    /// for the stored config.
+    /// for the stored config ([`Dataset::open`]'s sharded layout).
     ///
-    /// Events merge as in [`load_sharded_events`]. Metric series
-    /// concatenate in shard order because entity ids are assigned in VD
-    /// order. Requires shards generated `with_metrics`.
-    pub fn load_sharded(dir: impl AsRef<Path>) -> Result<Self, EbsError> {
-        let (config, fleet, events, loads) = load_shards(dir.as_ref(), true)?;
+    /// Events merge as in [`load_shards`]. Metric series concatenate in
+    /// shard order because entity ids are assigned in VD order. Requires
+    /// shards generated `with_metrics`.
+    pub(crate) fn load_sharded(dir: &Path) -> Result<Self, EbsError> {
+        let (config, fleet, events, loads) = load_shards(dir, true)?;
         let plan = build_plan(&config, &fleet);
         // Sized from the fleet, which the check below holds the shards to.
         let mut per_qp: Vec<Series> = Vec::with_capacity(fleet.qps.len());
@@ -493,7 +494,6 @@ impl Dataset {
                 fleet.segments.len()
             )));
         }
-        validate_events(&events, &fleet)?;
         Ok(Dataset {
             fleet,
             plan,
@@ -561,7 +561,7 @@ mod tests {
             let dir = tmp_dir(&format!("reload-{shards}"));
             let manifest = generate_sharded(&cfg, &dir, shards, true).unwrap();
             assert_eq!(manifest.total_events(), ds.events.len() as u64);
-            let loaded = Dataset::load_sharded(&dir).unwrap();
+            let loaded = Dataset::open(&dir).unwrap();
             assert_eq!(loaded.events, ds.events, "shards={shards}");
             assert_eq!(
                 loaded.compute.per_qp.as_slice(),
@@ -606,7 +606,7 @@ mod tests {
         let cfg = WorkloadConfig::quick(93);
         let dir = tmp_dir("metricless");
         generate_sharded(&cfg, &dir, 2, false).unwrap();
-        let err = Dataset::load_sharded(&dir).unwrap_err();
+        let err = Dataset::open(&dir).unwrap_err();
         assert!(matches!(err, EbsError::CorruptStore(_)), "{err}");
         let (_, summary) = replay_summary(&dir).unwrap();
         let ds = generate(&cfg).unwrap();
@@ -627,6 +627,7 @@ mod tests {
 
     #[test]
     fn resolve_shards_prefers_explicit_request() {
+        assert_eq!(requested_shards(Some(5)), Some(5));
         assert_eq!(resolve_shards(Some(5)), 5);
         assert!(resolve_shards(None) >= 1);
     }

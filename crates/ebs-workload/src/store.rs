@@ -185,20 +185,8 @@ impl Dataset {
         let file = File::open(path.as_ref())?;
         let chunks = read_chunks(ChunkReader::new(BufReader::new(file))?, true)?;
 
-        let config = require_chunk(chunks.config, "config")?;
-        let fleet = build_fleet(&config)?;
+        let (config, fleet) = rebuild_fleet(chunks.config, chunks.specs)?;
         let plan = build_plan(&config, &fleet);
-
-        let stored_specs = require_chunk(chunks.specs, "specs")?;
-        let rebuilt_specs = spec_rows(&fleet)?;
-        if stored_specs != rebuilt_specs {
-            return Err(EbsError::corrupt_store(format!(
-                "specification chunk ({} rows) does not match the fleet rebuilt \
-                 from the stored config ({} VDs): store and generator disagree",
-                stored_specs.len(),
-                rebuilt_specs.len()
-            )));
-        }
 
         let (cticks, per_qp) = require_chunk(chunks.compute, "compute metrics")?;
         check_entity_count("compute", per_qp.len(), fleet.qps.len())?;
@@ -228,6 +216,44 @@ impl Dataset {
             index: Default::default(),
         })
     }
+}
+
+/// The events-only read of a single-file container (the file layout of
+/// [`crate::load_events`]): the metric chunks are skipped, yet read and
+/// sealed, and the config, spec-row and event checks are
+/// [`Dataset::load`]'s. The vector is exact-size.
+pub(crate) fn load_file_events(
+    path: &Path,
+) -> Result<(WorkloadConfig, Fleet, Vec<IoEvent>), EbsError> {
+    let file = File::open(path)?;
+    let chunks = read_chunks(ChunkReader::new(BufReader::new(file))?, false)?;
+    let (config, fleet) = rebuild_fleet(chunks.config, chunks.specs)?;
+    let mut events = chunks.events;
+    validate_events(&events, &fleet)?;
+    events.shrink_to_fit();
+    Ok((config, fleet, events))
+}
+
+/// The prologue of both single-file loaders: the stored config, the fleet
+/// it rebuilds, and the check that the stored spec rows describe that
+/// fleet, so a store paired with another generator fails loudly.
+fn rebuild_fleet(
+    config: Option<WorkloadConfig>,
+    specs: Option<Vec<SpecRow>>,
+) -> Result<(WorkloadConfig, Fleet), EbsError> {
+    let config = require_chunk(config, "config")?;
+    let fleet = build_fleet(&config)?;
+    let stored_specs = require_chunk(specs, "specs")?;
+    let rebuilt_specs = spec_rows(&fleet)?;
+    if stored_specs != rebuilt_specs {
+        return Err(EbsError::corrupt_store(format!(
+            "specification chunk ({} rows) does not match the fleet rebuilt \
+             from the stored config ({} VDs): store and generator disagree",
+            stored_specs.len(),
+            rebuilt_specs.len()
+        )));
+    }
+    Ok((config, fleet))
 }
 
 /// The chunks of one container as [`read_chunks`] decodes them: a slot

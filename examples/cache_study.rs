@@ -9,7 +9,7 @@
 
 use ebs::cache::hottest_block::{hot_rate, hottest_block, HOT_RATE_WINDOW_US};
 use ebs::cache::location::{hit_oracle, latency_gain, CacheSite};
-use ebs::cache::simulate::{build_policy, simulate, Algorithm};
+use ebs::cache::simulate::sweep_policies;
 use ebs::core::ids::VdId;
 use ebs::core::io::Op;
 use ebs::core::units::format_bytes;
@@ -47,12 +47,10 @@ fn main() {
     }
 
     // Hit ratios of the three policies, cache sized to the block.
-    for algo in Algorithm::ALL {
-        let mut policy = build_policy(algo, &hb);
-        let stats = simulate(policy.as_mut(), events);
+    for (algo, stats) in sweep_policies(&hb, events) {
         println!(
             "{:<9} hit ratio: {:.1}%",
-            policy.name(),
+            algo.label(),
             stats.ratio().unwrap_or(0.0) * 100.0
         );
     }

@@ -267,12 +267,12 @@ fn replay_from_store_is_byte_identical_to_generation() {
     let generated = dataset(Scale::Quick);
     let baseline = driver::run_all(&generated);
     // First call generates and saves; all later calls replay from the file.
-    let saved = dataset_or_replay(Scale::Quick, &path).unwrap();
+    let saved = dataset_or_replay(Scale::Quick, &path, None).unwrap();
     assert_same_dataset(&generated, &saved);
 
     for threads in [1, 2, 8] {
         set_thread_override(Some(threads));
-        let replayed = dataset_or_replay(Scale::Quick, &path).unwrap();
+        let replayed = dataset_or_replay(Scale::Quick, &path, None).unwrap();
         assert_same_dataset(&generated, &replayed);
         assert_eq!(
             baseline,

@@ -137,8 +137,7 @@ fn metric_series_hold_at_most_19_bytes_per_active_tick() {
 
 #[test]
 fn every_dataset_builder_leaves_no_growth_slack() {
-    use ebs::serve::{load, ServeSource};
-    use ebs::workload::{generate_sharded, Dataset};
+    use ebs::workload::{generate_sharded, load_events, Dataset};
 
     for seed in [31u64, 32] {
         // Enough traffic for several event chunks per store and shard, so
@@ -165,23 +164,20 @@ fn every_dataset_builder_leaves_no_growth_slack() {
             "load, seed {seed}"
         );
 
-        let mut sources = vec![
-            ServeSource::Generate(Box::new(config.clone())),
-            ServeSource::Store(path.clone()),
-        ];
+        let mut stores = vec![path];
         // Uneven shard sizes: some concatenations grow by exact fits, so
         // two shard counts are needed to leave slack in a naive loader.
         for shards in [3, 7] {
             let sharded = dir.join(format!("shards-{shards}"));
             generate_sharded(&config, &sharded, shards, true).unwrap();
-            let loaded = Dataset::load_sharded(&sharded).unwrap();
-            assert_eq!(slack(&loaded), 0, "load_sharded x{shards}, seed {seed}");
-            sources.push(ServeSource::ShardedStore(sharded));
+            let loaded = Dataset::open(&sharded).unwrap();
+            assert_eq!(slack(&loaded), 0, "open x{shards}, seed {seed}");
+            stores.push(sharded);
         }
-        for source in &sources {
-            let events = load(source).unwrap().events;
+        for store in &stores {
+            let (_, _, events) = load_events(store).unwrap();
             assert_eq!(events.len(), generated.events.len());
-            assert_eq!(events.capacity(), events.len(), "serve source, seed {seed}");
+            assert_eq!(events.capacity(), events.len(), "load_events, seed {seed}");
         }
     }
 }

@@ -295,8 +295,7 @@ fn store_flipped_metric_byte_is_a_checksum_mismatch_not_a_decode_error() {
         );
         flip_to_a_decode_error(&mut bytes, span);
         std::fs::write(&shard, bytes).unwrap();
-        let err =
-            ebs::workload::Dataset::load_sharded(&sharded).expect_err("corrupted shard loaded");
+        let err = ebs::workload::Dataset::open(&sharded).expect_err("corrupted shard loaded");
         assert!(
             matches!(err, EbsError::ChecksumMismatch(_)),
             "shard kind {chunk}: {err}"
@@ -435,24 +434,17 @@ fn rewrite_shard(dir: &std::path::Path, index: usize, copies: impl Fn(usize, u8)
 }
 
 /// Every sharded-store reader — the full load, the streaming summary and
-/// the serve loop's events-only load — refuses the store in `dir` with a
-/// typed `CorruptStore` that names `shard` and says `why`.
+/// the events-only load — refuses the store in `dir` with a typed
+/// `CorruptStore` that names `shard` and says `why`.
 fn assert_every_sharded_reader_blames(dir: &std::path::Path, shard: usize, why: &str) {
-    use ebs::serve::{load, ServeSource};
     let name = ebs::store::shard_file_name(shard);
     let results = [
-        (
-            "Dataset::load_sharded",
-            ebs::workload::Dataset::load_sharded(dir).map(drop),
-        ),
+        ("Dataset::open", ebs::workload::Dataset::open(dir).map(drop)),
         (
             "replay_summary",
             ebs::workload::replay_summary(dir).map(drop),
         ),
-        (
-            "serve load",
-            load(&ServeSource::ShardedStore(dir.to_path_buf())).map(drop),
-        ),
+        ("load_events", ebs::workload::load_events(dir).map(drop)),
     ];
     for (reader, result) in results {
         match result {
@@ -504,7 +496,7 @@ fn sharded_store_shard_with_a_duplicated_metric_chunk_is_corrupt_store() {
         1,
         |_, k| if k == kind::STORAGE_METRICS { 2 } else { 1 },
     );
-    let err = ebs::workload::Dataset::load_sharded(&dir).map(drop);
+    let err = ebs::workload::Dataset::open(&dir).map(drop);
     assert!(
         matches!(&err, Err(EbsError::CorruptStore(msg)) if msg.contains("more than one storage")),
         "{err:?}"
@@ -547,7 +539,7 @@ fn store_and_shard_short_of_their_end_event_total_are_truncated() {
     let path = dir.join(ebs::store::shard_file_name(1));
     let forged = with_end_pinning_more_events(&std::fs::read(&path).unwrap(), 1);
     std::fs::write(&path, forged).unwrap();
-    let err = ebs::workload::Dataset::load_sharded(&dir).map(drop);
+    let err = ebs::workload::Dataset::open(&dir).map(drop);
     assert!(matches!(err, Err(EbsError::Truncated(_))), "{err:?}");
 }
 
@@ -571,6 +563,50 @@ fn store_flipped_byte_in_a_skipped_metric_chunk_is_a_checksum_mismatch() {
         matches!(scanned, Err(EbsError::ChecksumMismatch(_))),
         "{scanned:?}"
     );
+}
+
+/// The events-only loader reads a single-file store without decoding its
+/// metric chunks, yet still seals them, and returns the events of
+/// `generate` at exact capacity from either layout.
+#[test]
+fn events_only_load_skips_metric_chunks_but_checks_their_seals() {
+    use ebs::store::format::kind;
+    use ebs::workload::{generate_sharded, load_events, StoreLayout};
+    let config = WorkloadConfig::quick(506);
+    let generated = generate(&config).unwrap();
+    let dir = ebs::core::TempDir::new("failinj-events-only").unwrap();
+    let path = dir.join("store.ebs");
+    assert_eq!(StoreLayout::probe(&path), StoreLayout::Absent);
+    generated.save(&path).unwrap();
+    assert_eq!(StoreLayout::probe(&path), StoreLayout::File);
+    let saved = std::fs::read(&path).unwrap();
+    let span = payload_span(&saved, kind::STORAGE_METRICS);
+
+    // A metric payload that no longer decodes, resealed so that only a
+    // decode can tell: the full load fails, the events-only load does not.
+    let mut resealed = saved.clone();
+    flip_to_a_decode_error(&mut resealed, span.clone());
+    let seal = ebs::store::seal::seal32(&resealed[span.clone()]);
+    resealed[span.start - 4..span.start].copy_from_slice(&seal.to_le_bytes());
+    std::fs::write(&path, &resealed).unwrap();
+    ebs::workload::Dataset::load(&path).expect_err("the full load decodes every metric chunk");
+    let (_, _, events) = load_events(&path).unwrap();
+    assert_eq!(events, generated.events);
+    assert_eq!(events.capacity(), events.len());
+
+    // The same flip under its old seal is a checksum mismatch.
+    let mut flipped = saved;
+    flip_to_a_decode_error(&mut flipped, span);
+    std::fs::write(&path, &flipped).unwrap();
+    let err = load_events(&path).map(drop);
+    assert!(matches!(err, Err(EbsError::ChecksumMismatch(_))), "{err:?}");
+
+    let sharded = dir.join("sharded");
+    generate_sharded(&config, &sharded, 3, false).unwrap();
+    assert_eq!(StoreLayout::probe(&sharded), StoreLayout::Sharded);
+    let (_, _, events) = load_events(&sharded).unwrap();
+    assert_eq!(events, generated.events);
+    assert_eq!(events.capacity(), events.len());
 }
 
 /// One real v2 EVENTS payload (a few hundred events), for decoder fuzzing

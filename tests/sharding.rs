@@ -55,7 +55,7 @@ fn sharded_generation_is_shard_and_thread_count_invariant() {
                 let dir = tmp.path();
                 let manifest = generate_sharded(&cfg, dir, shards, true).unwrap();
                 assert_eq!(manifest.total_events(), baseline.events.len() as u64);
-                let ds = Dataset::load_sharded(dir).unwrap();
+                let ds = Dataset::open(dir).unwrap();
                 assert_same_dataset(
                     &baseline,
                     &ds,
@@ -115,7 +115,7 @@ fn driver_output_from_sharded_replay_matches_generation() {
 
     for threads in [1usize, 2, 8] {
         set_thread_override(Some(threads));
-        let ds = Dataset::load_sharded(dir).unwrap();
+        let ds = Dataset::open(dir).unwrap();
         assert_eq!(
             baseline,
             driver::run_all(&ds),
@@ -152,7 +152,7 @@ fn full_scale_sharded_replay_matches_gold_master() {
     let cfg = Scale::Full.config(ebs::experiments::EXPERIMENT_SEED);
     let tmp = tmp_dir("gold");
     generate_sharded(&cfg, tmp.path(), 4, true).unwrap();
-    let ds = Dataset::load_sharded(tmp.path()).unwrap();
+    let ds = Dataset::open(tmp.path()).unwrap();
     drop(tmp);
     ebs::obs::set_obs_override(Some(true));
     let out = format!("{}\n", driver::run_all(&ds).join("\n\n"));
