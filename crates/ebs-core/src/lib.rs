@@ -58,7 +58,7 @@ pub use apps::AppClass;
 pub use error::EbsError;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{BsId, CnId, DcId, IdVec, QpId, SegId, SnId, UserId, VdId, VmId, WtId};
-pub use index::{EventIndex, PermutedEvents};
+pub use index::EventIndex;
 pub use io::{IoEvent, Op};
 pub use metric::{ComputeMetrics, Flow, Measure, RwFlow, Series, SeriesSample, StorageMetrics};
 pub use parallel::{par_jobs, par_map_deterministic};
@@ -75,7 +75,7 @@ pub mod prelude {
     pub use crate::apps::AppClass;
     pub use crate::hash::{FxBuildHasher, FxHashMap, FxHashSet};
     pub use crate::ids::{BsId, CnId, DcId, IdVec, QpId, SegId, SnId, UserId, VdId, VmId, WtId};
-    pub use crate::index::{EventIndex, PermutedEvents};
+    pub use crate::index::EventIndex;
     pub use crate::io::{IoEvent, Op};
     pub use crate::metric::{
         ComputeMetrics, Flow, Measure, RwFlow, Series, SeriesSample, StorageMetrics,

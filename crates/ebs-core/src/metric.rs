@@ -370,12 +370,6 @@ impl Series {
         covered.then_some(series)
     }
 
-    /// Entries the series can hold beyond its own without reallocating:
-    /// always zero, since a series is built exact-size.
-    pub fn spare_capacity(&self) -> usize {
-        0
-    }
-
     /// Heap bytes the series' entries hold.
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of_val::<[Entry]>(&self.entries)
@@ -620,7 +614,6 @@ mod tests {
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].rw.read.bytes.to_bits(), (-0.0f64).to_bits());
         assert_eq!(kept.last_tick(), Some(1));
-        assert_eq!(kept.spare_capacity(), 0);
     }
 
     #[test]
@@ -808,7 +801,6 @@ mod tests {
         assert_eq!(built.is_some(), want.is_some());
         if let (Some(built), Some(want)) = (&built, &want) {
             assert_same_reads(built, want, other);
-            assert_eq!(built.spare_capacity(), 0);
         }
     }
 
@@ -823,7 +815,6 @@ mod tests {
             let len = if cfg!(miri) { 12 } else { 200 };
             let (split, reference) = both(&pushes(&mut g, len));
             let (_, other) = both(&pushes(&mut g, len));
-            assert_eq!(split.spare_capacity(), 0);
             assert_same_reads(&split, &reference, &other);
 
             // `from_sides` over the sides of rows that may repeat a tick,

@@ -117,7 +117,9 @@ where
                         let lo = b * block_size;
                         let hi = (lo + block_size).min(len);
                         let mut out = Vec::with_capacity(hi - lo);
-                        for (i, item) in items[lo..hi].iter().enumerate() {
+                        // `lo < hi <= len`, so the range is always in bounds.
+                        let block = items.get(lo..hi).unwrap_or_default();
+                        for (i, item) in block.iter().enumerate() {
                             out.push(f(lo + i, item));
                         }
                         mine.push((b, out));
@@ -128,20 +130,21 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("parallel worker panicked"))
+            .map(|h| {
+                // ebs-lint: allow(D3v2) -- re-raises a worker's own panic (a panic in `f`); the pool adds none of its own
+                h.join().expect("parallel worker panicked")
+            })
             .collect()
     });
-    let mut blocks: Vec<Option<Vec<U>>> = Vec::with_capacity(block_count);
-    blocks.resize_with(block_count, || None);
-    for (b, out) in done.into_iter().flatten() {
-        if let Some(slot) = blocks.get_mut(b) {
-            *slot = Some(out);
-        }
-    }
+    // Every block index in `0..block_count` was claimed exactly once, so
+    // ordering the blocks by index restores input order.
+    let mut blocks: Vec<(usize, Vec<U>)> = done.into_iter().flatten().collect();
+    blocks.sort_unstable_by_key(|&(b, _)| b);
     let mut results = Vec::with_capacity(len);
-    for block in blocks {
-        results.extend(block.expect("every block was claimed exactly once"));
+    for (_, out) in blocks {
+        results.extend(out);
     }
+    debug_assert_eq!(results.len(), len);
     results
 }
 

@@ -19,6 +19,7 @@ pub const TOTAL_MODULES: &[&str] = &[
     "crates/ebs-store/src/seal.rs",
     "crates/ebs-store/src/stream.rs",
     "crates/ebs-workload/src/store.rs",
+    "crates/ebs-workload/src/shard.rs",
     "crates/ebs-stack/src/route.rs",
     "crates/ebs-serve/src/epoch.rs",
     "crates/ebs-serve/src/window.rs",
@@ -132,6 +133,8 @@ mod tests {
         assert!(TOTAL_MODULES.contains(&"crates/ebs-store/src/codec.rs"));
         assert!(TOTAL_MODULES.contains(&"crates/ebs-store/src/seal.rs"));
         assert!(TOTAL_MODULES.contains(&"crates/ebs-workload/src/store.rs"));
+        // The shard loader decodes shard files and the manifest from disk.
+        assert!(TOTAL_MODULES.contains(&"crates/ebs-workload/src/shard.rs"));
         // The route plan resolves untrusted (offset, VD) pairs for every
         // simulated event; it must surface malformed input as errors, not
         // panics.
@@ -142,5 +145,19 @@ mod tests {
         assert!(TOTAL_MODULES.contains(&"crates/ebs-serve/src/epoch.rs"));
         assert!(TOTAL_MODULES.contains(&"crates/ebs-serve/src/window.rs"));
         assert!(!TOTAL_MODULES.contains(&"crates/ebs-store/src/writer.rs"));
+    }
+
+    /// A renamed or mistyped entry would quietly exempt its module from D3
+    /// and D3v2, so every listed path must be a file the scan visits.
+    #[test]
+    fn every_total_module_is_a_scanned_workspace_file() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let scanned = discover(&root).unwrap();
+        for path in TOTAL_MODULES {
+            assert!(
+                scanned.iter().any(|f| f.rel == *path && f.total),
+                "TOTAL_MODULES names {path}, which is not a scanned workspace file"
+            );
+        }
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! serve [--quick|--medium] [--trace <path>] [--shards <n>]
-//!       [--epoch <virt-secs>] [--window <epochs>] [--policies <csv>]
-//!       [--duration <virt-secs>] [--cache-pages <n>]
+//!       [--epoch <virt-secs>] [--policies <csv>]
 //! ```
 //!
 //! `--trace <path>` replays the events of an ebs-store trace in either
@@ -15,7 +14,11 @@
 //!
 //! `--policies` selects the online controllers (comma-separated):
 //! `rebind`, `lend`, `balance`, `cache`, or `none`. Default:
-//! `rebind,lend,balance`.
+//! `rebind,lend,balance`. The `cache` policy tunes a page cache of
+//! 4096 4 KiB pages (16 MiB).
+//!
+//! Every run serves the whole trace, from time 0 through its last event,
+//! under a sliding window of 5 epochs.
 //!
 //! Stdout carries only deterministic serve output — identical across
 //! runs, thread counts (`EBS_THREADS`), store layouts, shard counts and
@@ -37,15 +40,17 @@ use ebs_serve::{
 use ebs_stack::sim::StackConfig;
 use ebs_workload::{Scale, StoreLayout, EXPERIMENT_SEED};
 
-/// Pages for the serve-side cache when `cache` is selected without an
-/// explicit `--cache-pages` (16 MiB of 4 KiB pages).
+/// Pages for the serve-side cache when `cache` is selected (16 MiB of
+/// 4 KiB pages).
 const DEFAULT_CACHE_PAGES: usize = 4096;
+
+/// Sliding-window length, in epochs.
+const WINDOW: usize = 5;
 
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--quick|--medium] [--trace <path>] [--shards <n>] \
-         [--epoch <virt-secs>] [--window <epochs>] [--policies <csv>] \
-         [--duration <virt-secs>] [--cache-pages <n>]"
+         [--epoch <virt-secs>] [--policies <csv>]"
     );
     std::process::exit(2);
 }
@@ -55,10 +60,7 @@ struct Args {
     trace: Option<PathBuf>,
     shards: Option<usize>,
     epoch_secs: f64,
-    window: usize,
     policies: Vec<String>,
-    duration_secs: Option<f64>,
-    cache_pages: Option<usize>,
 }
 
 fn parse_args() -> Args {
@@ -67,10 +69,7 @@ fn parse_args() -> Args {
         trace: None,
         shards: None,
         epoch_secs: 60.0,
-        window: 5,
         policies: vec!["rebind".into(), "lend".into(), "balance".into()],
-        duration_secs: None,
-        cache_pages: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -107,40 +106,12 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|| usage());
                 i += 1;
             }
-            "--window" => {
-                args.window = value(&argv, i)
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .unwrap_or_else(|| usage());
-                i += 1;
-            }
             "--policies" => {
                 args.policies = value(&argv, i)
                     .split(',')
                     .map(|s| s.trim().to_string())
                     .filter(|s| !s.is_empty())
                     .collect();
-                i += 1;
-            }
-            "--duration" => {
-                args.duration_secs = Some(
-                    value(&argv, i)
-                        .parse()
-                        .ok()
-                        .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                        .unwrap_or_else(|| usage()),
-                );
-                i += 1;
-            }
-            "--cache-pages" => {
-                args.cache_pages = Some(
-                    value(&argv, i)
-                        .parse()
-                        .ok()
-                        .filter(|&n: &usize| n > 0)
-                        .unwrap_or_else(|| usage()),
-                );
                 i += 1;
             }
             _ => usage(),
@@ -173,11 +144,7 @@ fn load_trace(args: &Args) -> Result<(Fleet, Vec<IoEvent>), EbsError> {
     Ok((fleet, events))
 }
 
-fn build_policies(
-    names: &[String],
-    throttle_scale: f64,
-    cache_pages: usize,
-) -> Vec<Box<dyn Policy>> {
+fn build_policies(names: &[String], throttle_scale: f64) -> Vec<Box<dyn Policy>> {
     let mut out: Vec<Box<dyn Policy>> = Vec::new();
     for name in names {
         match name.as_str() {
@@ -189,7 +156,7 @@ fn build_policies(
             "balance" => out.push(Box::new(OnlineBalancer::new(
                 ebs_balance::bs_balancer::BalancerConfig::default(),
             ))),
-            "cache" => out.push(Box::new(OnlineCacheTuner::new(cache_pages))),
+            "cache" => out.push(Box::new(OnlineCacheTuner::new(DEFAULT_CACHE_PAGES))),
             "none" | "noop" => out.push(Box::new(NoopPolicy)),
             other => {
                 eprintln!("unknown policy {other:?} (known: rebind, lend, balance, cache, none)");
@@ -216,11 +183,6 @@ fn main() {
     // Build the serve configuration.
     let stack = StackConfig::default();
     let wants_cache = args.policies.iter().any(|p| p == "cache");
-    let cache_pages = match (args.cache_pages, wants_cache) {
-        (Some(n), _) => Some(n),
-        (None, true) => Some(DEFAULT_CACHE_PAGES),
-        (None, false) => None,
-    };
     let epoch = match EpochSpec::from_secs(args.epoch_secs) {
         Ok(e) => e,
         Err(e) => {
@@ -230,19 +192,12 @@ fn main() {
     };
     let config = ServeConfig {
         epoch,
-        window: args.window,
+        window: WINDOW,
         stack: stack.clone(),
-        duration_us: args
-            .duration_secs
-            .map(|s| (s * 1e6).round().clamp(0.0, u64::MAX as f64) as u64),
-        cache_pages,
+        cache_pages: wants_cache.then_some(DEFAULT_CACHE_PAGES),
         collect_latency: false,
     };
-    let mut policies = build_policies(
-        &args.policies,
-        stack.throttle_scale,
-        cache_pages.unwrap_or(DEFAULT_CACHE_PAGES),
-    );
+    let mut policies = build_policies(&args.policies, stack.throttle_scale);
 
     // The deterministic serve output.
     println!(

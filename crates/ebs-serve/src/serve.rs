@@ -41,8 +41,6 @@ pub struct ServeConfig {
     pub window: usize,
     /// Stack simulator configuration (seed, throttle, latency model…).
     pub stack: StackConfig,
-    /// Serve only `[0, duration_us)` of the trace (`None` = everything).
-    pub duration_us: Option<u64>,
     /// Run an observational page cache of this many 4 KiB pages.
     pub cache_pages: Option<usize>,
     /// Keep every served IO's five-stage latency in the report
@@ -62,7 +60,6 @@ impl ServeConfig {
             epoch: EpochSpec::from_secs(epoch_secs)?,
             window,
             stack,
-            duration_us: None,
             cache_pages: None,
             collect_latency: false,
         })
@@ -101,7 +98,8 @@ pub struct ServeReport {
     /// Every served IO's latency, in event order (only when
     /// `collect_latency`); row `i` is the `i`-th consumed event's.
     pub lat: Vec<StageLatency>,
-    /// Events served (events past `duration_us` are not).
+    /// Events served: every event, since the epochs cover the trace up
+    /// to its last event.
     pub consumed: usize,
     /// The per-epoch metrics stream as JSONL, one record per epoch (built
     /// unconditionally; written to disk only under `EBS_OBS`).
@@ -116,10 +114,7 @@ pub fn serve(
     events: &[IoEvent],
     policies: &mut [Box<dyn Policy>],
 ) -> Result<ServeReport, EbsError> {
-    let horizon = match config.duration_us {
-        Some(d) => d,
-        None => events.last().map_or(0, |ev| ev.t_us.saturating_add(1)),
-    };
+    let horizon = events.last().map_or(0, |ev| ev.t_us.saturating_add(1));
     let count = config.epoch.count_for(horizon);
 
     let mut session = SimSession::new(fleet, config.stack.clone())?;

@@ -187,18 +187,3 @@ fn obs_toggle_never_changes_serve_output() {
         assert!(line.contains("\"applied\":"));
     }
 }
-
-/// A duration cap truncates the horizon: events past it are not served
-/// and `consumed` reports the cut.
-#[test]
-fn duration_caps_the_horizon() {
-    let ds = quick();
-    let last = ds.events.last().unwrap().t_us;
-    let mut config = ServeConfig::fast_forward(60.0, 3, StackConfig::default()).unwrap();
-    config.duration_us = Some(last / 2);
-    let report = serve(&ds.fleet, &config, &ds.events, &mut noop_policies()).unwrap();
-    assert!(report.consumed < ds.events.len());
-    let per_epoch: u64 = report.epochs.iter().map(|e| e.ios).sum();
-    assert_eq!(per_epoch, report.consumed as u64);
-    assert_eq!(report.aggregate.ios, report.consumed as u64);
-}

@@ -1865,7 +1865,6 @@ mod tests {
             let (spec, decoded) = decode_series_set(&payload, "compute").unwrap();
             assert_eq!(spec, ticks);
             assert_eq!(sample_bits(&decoded), sample_bits(&series), "round trip");
-            assert!(decoded.iter().all(|s| s.spare_capacity() == 0), "growth slack");
             assert_same_outcome(
                 Ok((spec, decoded)),
                 oracle::decode(&payload, "compute"),

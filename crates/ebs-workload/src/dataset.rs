@@ -1,7 +1,6 @@
 //! The generated dataset: everything the paper's analyses consume.
 
 use crate::config::WorkloadConfig;
-use crate::spatial::TrafficPlan;
 use ebs_core::index::EventIndex;
 use ebs_core::io::IoEvent;
 use ebs_core::metric::{ComputeMetrics, Series, StorageMetrics};
@@ -39,8 +38,6 @@ impl std::fmt::Debug for IndexCell {
 pub struct Dataset {
     /// Fleet topology and per-VD specifications.
     pub fleet: Fleet,
-    /// The spatial plan the generator drew (useful for calibration tests).
-    pub plan: TrafficPlan,
     /// Compute-domain metric data (per QP).
     pub compute: ComputeMetrics,
     /// Storage-domain metric data (per segment).
@@ -76,7 +73,7 @@ impl Dataset {
 
     /// Heap bytes of the dataset's bulk data, by capacity: every metric
     /// series (its header in the per-entity vector, and its entries) and
-    /// the sampled event vector. The fleet, plan and event index are not
+    /// the sampled event vector. The fleet and the event index are not
     /// counted.
     pub fn heap_bytes(&self) -> usize {
         let series = self
@@ -91,9 +88,9 @@ impl Dataset {
     }
 
     /// The shared [`EventIndex`] over this dataset's sampled events — the
-    /// per-VD / per-QP / per-segment / per-window views every trace-driven
-    /// analysis borrows. Built exactly once per dataset instance (lazily,
-    /// thread-safe); every later call is a pointer read.
+    /// per-VD and per-window views every trace-driven analysis borrows.
+    /// Built exactly once per dataset instance (lazily, thread-safe); every
+    /// later call is a pointer read.
     pub fn index(&self) -> &EventIndex {
         self.index
             .0

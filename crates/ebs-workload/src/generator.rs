@@ -88,7 +88,6 @@ pub fn generate_for_fleet(config: &WorkloadConfig, fleet: Fleet) -> Result<Datas
     drop(merge);
     Ok(Dataset {
         fleet,
-        plan,
         compute,
         storage,
         events,
@@ -630,7 +629,7 @@ mod tests {
     fn compute_totals_match_plan() {
         let cfg = WorkloadConfig::quick(23);
         let ds = generate(&cfg).unwrap();
-        let (pr, pw) = ds.plan.totals();
+        let (pr, pw) = build_plan(&cfg, &ds.fleet).totals();
         let (mr, mw) = ds.total_bytes();
         // Envelope weights sum to exactly 1, so metric totals equal the plan.
         assert!((mr - pr).abs() / pr < 1e-6, "read {mr} vs plan {pr}");

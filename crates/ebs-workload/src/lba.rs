@@ -135,7 +135,7 @@ impl LbaModel {
 
     /// Index of the segment containing the dominant hot spot for `op`.
     pub fn hot_segment_index(&self, op: Op) -> u32 {
-        self.spots(op)[0].segment_index()
+        self.spots(op).first().map_or(0, HotSpot::segment_index)
     }
 
     /// Baseline (unmodulated) fraction of `op` traffic hitting its spots.
@@ -175,11 +175,21 @@ impl LbaModel {
     /// `offset + size <= capacity`.
     pub fn offset(&mut self, rng: &mut SimRng, op: Op, size: u32, hot_frac: f64) -> u64 {
         let hot = rng.chance(hot_frac);
-        let offset = if hot {
+        // `choose_from` picks an index of the weight table, which has one
+        // weight per spot; a pick without a spot would serve as cold.
+        let hot_spot = if hot {
             let k = rng.choose_from(self.weights(op));
+            let spots = match op {
+                Op::Write => &mut self.write_spots,
+                Op::Read => &mut self.read_spots,
+            };
+            spots.get_mut(k)
+        } else {
+            None
+        };
+        let offset = if let Some(spot) = hot_spot {
             match op {
                 Op::Write => {
-                    let spot = &mut self.write_spots[k];
                     if rng.chance(self.rewrite_frac) && spot.cursor > 0 {
                         // Journal-style overwrite: rewrite a recently
                         // written offset behind this spot's cursor.
@@ -197,7 +207,6 @@ impl LbaModel {
                     }
                 }
                 Op::Read => {
-                    let spot = &self.read_spots[k];
                     let span = spot.len.saturating_sub(size as u64).max(1);
                     spot.start + rng.below(span)
                 }
@@ -224,7 +233,10 @@ impl LbaModel {
             w.push((1.0 - hf) * len as f64 / self.capacity as f64);
         }
         for (spot, pop) in self.spots(op).iter().zip(self.weights(op).weights()) {
-            w[spot.segment_index() as usize] += hf * pop;
+            // Every spot fits inside the VD, so its segment is in range.
+            if let Some(x) = w.get_mut(spot.segment_index() as usize) {
+                *x += hf * pop;
+            }
         }
         let total: f64 = w.iter().sum();
         for x in &mut w {

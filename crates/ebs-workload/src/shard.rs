@@ -477,7 +477,6 @@ impl Dataset {
     /// shards generated `with_metrics`.
     pub(crate) fn load_sharded(dir: &Path) -> Result<Self, EbsError> {
         let (config, fleet, events, loads) = load_shards(dir, true)?;
-        let plan = build_plan(&config, &fleet);
         // Sized from the fleet, which the check below holds the shards to.
         let mut per_qp: Vec<Series> = Vec::with_capacity(fleet.qps.len());
         let mut per_seg: Vec<Series> = Vec::with_capacity(fleet.segments.len());
@@ -496,7 +495,6 @@ impl Dataset {
         }
         Ok(Dataset {
             fleet,
-            plan,
             compute: ComputeMetrics {
                 ticks: config.compute_ticks(),
                 per_qp: IdVec::from_vec(per_qp),

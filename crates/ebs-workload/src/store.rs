@@ -3,10 +3,11 @@
 //! container is shared with the shard loader; analyses that never need
 //! the whole trace in memory fold it with [`ebs_store::fold_store`].
 //!
-//! The fleet and the traffic plan are *not* stored: both are deterministic
-//! functions of the [`WorkloadConfig`] (`build_fleet` + `build_plan` draw
-//! from seeded RNG streams), so the store carries the config as its own
-//! chunk and the loader rebuilds them. The specification chunk is still
+//! The fleet is *not* stored: it is a deterministic function of the
+//! [`WorkloadConfig`] (`build_fleet` draws from seeded RNG streams), so the
+//! store carries the config as its own chunk and the loader rebuilds the
+//! fleet. The generator's traffic plan is not rebuilt at all: the loaded
+//! metric and event chunks are its only products. The specification chunk is still
 //! written — the loader cross-checks it row-for-row against the rebuilt
 //! fleet, so a store paired with the wrong code version (or a tampered
 //! config chunk) fails loudly instead of silently re-deriving different
@@ -31,7 +32,6 @@ use ebs_store::{
 use crate::config::WorkloadConfig;
 use crate::dataset::Dataset;
 use crate::fleet::build_fleet;
-use crate::spatial::build_plan;
 
 /// Encode a [`WorkloadConfig`] as a store payload. Floats travel as raw
 /// bits, so the round trip is exact even for non-decimal-representable
@@ -168,7 +168,7 @@ impl Dataset {
 
     /// Load a dataset from an ebs-store container at `path`.
     ///
-    /// The fleet and plan are rebuilt deterministically from the stored
+    /// The fleet is rebuilt deterministically from the stored
     /// config; the stored specification chunk is verified against the
     /// rebuilt fleet and every event is range-checked against it, so a
     /// corrupt or mismatched store surfaces as a typed error — never as a
@@ -186,7 +186,6 @@ impl Dataset {
         let chunks = read_chunks(ChunkReader::new(BufReader::new(file))?, true)?;
 
         let (config, fleet) = rebuild_fleet(chunks.config, chunks.specs)?;
-        let plan = build_plan(&config, &fleet);
 
         let (cticks, per_qp) = require_chunk(chunks.compute, "compute metrics")?;
         check_entity_count("compute", per_qp.len(), fleet.qps.len())?;
@@ -202,7 +201,6 @@ impl Dataset {
 
         Ok(Dataset {
             fleet,
-            plan,
             compute: ComputeMetrics {
                 ticks: cticks,
                 per_qp: IdVec::from_vec(per_qp),

@@ -480,8 +480,8 @@ fn full_scale_driver_with_obs_on_matches_gold_master() {
 /// The serve gold master pin: the medium-scale control plane with all
 /// four online policies must reproduce `serve_epochs_gold.jsonl` byte
 /// for byte (the file records the per-epoch metrics stream of
-/// `serve --medium --epoch 60 --window 5 --policies
-/// rebind,lend,balance,cache`). Epoch cuts, window folds, and every
+/// `serve --medium --epoch 60 --policies rebind,lend,balance,cache`,
+/// whose window is 5 epochs). Epoch cuts, window folds, and every
 /// policy decision are pinned across versions by this file, on top of
 /// the run-to-run/thread/shard invariance the ebs-serve suite asserts.
 #[test]

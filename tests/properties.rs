@@ -720,12 +720,12 @@ mod token_bucket_oracle {
     }
 }
 
-/// Serve-loop conservation, under no-op and under the online policies,
-/// over the whole trace and a horizon cut short: every consumed IO is
-/// simulated in exactly one epoch, each epoch's latency column covers
-/// exactly its slice (seen through the epoch's exact p99), and
-/// the aggregate mean latency is the in-order f64 sum of the per-IO
-/// totals over the concatenated columns, divided by the IO count.
+/// Serve-loop conservation, under no-op and under the online policies:
+/// every IO of the trace is simulated in exactly one epoch, each epoch's
+/// latency column covers exactly its slice (seen through the epoch's
+/// exact p99), and the aggregate mean latency is the in-order f64 sum of
+/// the per-IO totals over the concatenated columns, divided by the IO
+/// count.
 #[test]
 fn serve_loop_conserves_ios_and_latency() {
     use ebs::serve::ServeConfig;
@@ -734,64 +734,59 @@ fn serve_loop_conserves_ios_and_latency() {
     let ds = quick_dataset();
     let horizon = ds.events.last().unwrap().t_us + 1;
     for online in [false, true] {
-        for duration_us in [None, Some(horizon / 2)] {
-            let stack = StackConfig::default();
-            let mut policies: Vec<Box<dyn Policy>> = if online {
-                vec![
-                    Box::new(OnlineRebinder::default()),
-                    Box::new(OnlineLender::new(
-                        ebs::throttle::LendingConfig::default(),
-                        stack.throttle_scale,
-                    )),
-                    Box::new(OnlineBalancer::new(
-                        ebs::balance::bs_balancer::BalancerConfig::default(),
-                    )),
-                ]
-            } else {
-                vec![Box::new(NoopPolicy)]
-            };
-            let mut config = ServeConfig::fast_forward(60.0, 5, stack).unwrap();
-            config.duration_us = duration_us;
-            config.collect_latency = true;
-            let report = serve(&ds.fleet, &config, &ds.events, &mut policies).unwrap();
-            let label = format!("online={online} duration={duration_us:?}");
-            if online {
-                let applied: u64 = report.epochs.iter().map(|e| e.applied.total()).sum();
-                assert!(applied > 0, "{label}: the online policies never acted");
-            }
-
-            let epoch_ios: u64 = report.epochs.iter().map(|e| e.ios).sum();
-            assert_eq!(epoch_ios, report.consumed as u64, "{label}");
-            assert_eq!(report.aggregate.ios, report.consumed as u64, "{label}");
-            assert_eq!(report.lat.len(), report.consumed, "{label}");
-            if duration_us.is_some() {
-                assert!(report.consumed < ds.events.len(), "{label}: no cut");
-            }
-
-            // Each epoch's IOs are its slice's events, in order, and its
-            // rows of the latency column are the ones its p99 was taken
-            // over.
-            let count = config.epoch.count_for(duration_us.unwrap_or(horizon));
-            let slices: Vec<_> = config.epoch.cuts(&ds.events, count).collect();
-            assert_eq!(slices.len(), report.epochs.len(), "{label}");
-            let mut rows = report.lat.iter();
-            for (slice, epoch) in slices.iter().zip(&report.epochs) {
-                assert_eq!(epoch.ios, slice.events.len() as u64, "{label}");
-                let totals: Vec<f64> = rows
-                    .by_ref()
-                    .take(slice.events.len())
-                    .map(|lat| lat.total_us())
-                    .collect();
-                let p99 = ebs::analysis::quantile(&totals, 0.99).unwrap_or(0.0);
-                assert_eq!(epoch.p99_us.to_bits(), p99.to_bits(), "{label}");
-            }
-
-            let total = report.lat.iter().fold(0.0, |sum, lat| sum + lat.total_us());
-            assert_eq!(
-                report.aggregate.mean_latency_us.to_bits(),
-                (total / report.aggregate.ios as f64).to_bits(),
-                "{label}"
-            );
+        let stack = StackConfig::default();
+        let mut policies: Vec<Box<dyn Policy>> = if online {
+            vec![
+                Box::new(OnlineRebinder::default()),
+                Box::new(OnlineLender::new(
+                    ebs::throttle::LendingConfig::default(),
+                    stack.throttle_scale,
+                )),
+                Box::new(OnlineBalancer::new(
+                    ebs::balance::bs_balancer::BalancerConfig::default(),
+                )),
+            ]
+        } else {
+            vec![Box::new(NoopPolicy)]
+        };
+        let mut config = ServeConfig::fast_forward(60.0, 5, stack).unwrap();
+        config.collect_latency = true;
+        let report = serve(&ds.fleet, &config, &ds.events, &mut policies).unwrap();
+        let label = format!("online={online}");
+        if online {
+            let applied: u64 = report.epochs.iter().map(|e| e.applied.total()).sum();
+            assert!(applied > 0, "{label}: the online policies never acted");
         }
+
+        assert_eq!(report.consumed, ds.events.len(), "{label}");
+        let epoch_ios: u64 = report.epochs.iter().map(|e| e.ios).sum();
+        assert_eq!(epoch_ios, report.consumed as u64, "{label}");
+        assert_eq!(report.aggregate.ios, report.consumed as u64, "{label}");
+        assert_eq!(report.lat.len(), report.consumed, "{label}");
+
+        // Each epoch's IOs are its slice's events, in order, and its
+        // rows of the latency column are the ones its p99 was taken
+        // over.
+        let count = config.epoch.count_for(horizon);
+        let slices: Vec<_> = config.epoch.cuts(&ds.events, count).collect();
+        assert_eq!(slices.len(), report.epochs.len(), "{label}");
+        let mut rows = report.lat.iter();
+        for (slice, epoch) in slices.iter().zip(&report.epochs) {
+            assert_eq!(epoch.ios, slice.events.len() as u64, "{label}");
+            let totals: Vec<f64> = rows
+                .by_ref()
+                .take(slice.events.len())
+                .map(|lat| lat.total_us())
+                .collect();
+            let p99 = ebs::analysis::quantile(&totals, 0.99).unwrap_or(0.0);
+            assert_eq!(epoch.p99_us.to_bits(), p99.to_bits(), "{label}");
+        }
+
+        let total = report.lat.iter().fold(0.0, |sum, lat| sum + lat.total_us());
+        assert_eq!(
+            report.aggregate.mean_latency_us.to_bits(),
+            (total / report.aggregate.ios as f64).to_bits(),
+            "{label}"
+        );
     }
 }
